@@ -1,5 +1,5 @@
 // Ablations of UPA's design choices (DESIGN.md per-experiment index):
-//   A. Exclusion strategy: the paper's naive O(n²) per-exclusion reduce vs
+//   A. Exclusion scan: the paper's naive O(n²) per-exclusion reduce vs
 //      the O(n) prefix/suffix exclusion scan (identical results, large
 //      speedup at large n — the cost the union-preserving formulation
 //      avoids re-paying).
@@ -36,12 +36,10 @@ void AblationExclusion() {
       for (double& v : m) v = rng.UniformDouble(-1, 1);
     }
     Stopwatch naive_watch;
-    auto naive =
-        core::ExclusionAggregate(mapped, core::ExclusionStrategy::kNaive);
+    auto naive = core::NaiveExclusionAggregate(mapped);
     double naive_ms = naive_watch.ElapsedMillis();
     Stopwatch scan_watch;
-    auto scan =
-        core::ExclusionAggregate(mapped, core::ExclusionStrategy::kScan);
+    auto scan = core::ExclusionAggregate(mapped);
     double scan_ms = scan_watch.ElapsedMillis();
 
     double max_diff = 0;

@@ -18,12 +18,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_util/harness.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
+#include "relational/columnar.h"
 #include "relational/executor.h"
 #include "relational/optimizer.h"
 #include "relational/sql_parser.h"
@@ -45,14 +47,14 @@ struct Timed {
   rel::ExecResult result;
 };
 
-// Best-of-`runs` execution of `plan` under `opts`.
-Timed TimeQuery(const rel::PlanExecutor& exec, const rel::PlanPtr& plan,
-                rel::ExecOptions opts, size_t runs) {
+// Best-of-`runs` timing of `run`, which executes one plan.
+Timed TimeQuery(const std::function<Result<rel::ExecResult>()>& run,
+                size_t runs) {
   Timed best;
   best.seconds = 1e100;
   for (size_t r = 0; r < runs; ++r) {
     double t0 = Now();
-    Result<rel::ExecResult> res = exec.Execute(plan, opts);
+    Result<rel::ExecResult> res = run();
     double dt = Now() - t0;
     UPA_CHECK_MSG(res.ok(), "bench query failed: " + res.status().ToString());
     if (dt < best.seconds) {
@@ -146,9 +148,10 @@ int main() {
     rel::ExecOptions opts;
     opts.use_scan_cache = false;
     opts.engine = rel::ExecEngine::kRowOracle;
-    Timed row = TimeQuery(exec, q.plan, opts, env.runs);
+    auto run = [&] { return exec.Execute(q.plan, opts); };
+    Timed row = TimeQuery(run, env.runs);
     opts.engine = rel::ExecEngine::kColumnar;
-    Timed col = TimeQuery(exec, q.plan, opts, env.runs);
+    Timed col = TimeQuery(run, env.runs);
 
     const bool identical = row.result.output == col.result.output &&
                            row.result.result_rows == col.result.result_rows;
@@ -190,8 +193,9 @@ int main() {
 
   // --- Fused vs interpreted: filter-heavy single-table aggregates, the
   // Aggregate(Filter*(Scan)) shapes the fused kernels target. Both sides
-  // run the columnar engine; only the FuseMode differs. Scan cache off,
-  // like the per-query section. Identity is UPA_CHECKed bit-for-bit.
+  // run the columnar engine: the unfused baseline through the interpreted
+  // entry point, the fused side through the executor. Scan cache off, like
+  // the per-query section. Identity is UPA_CHECKed bit-for-bit.
   std::string fused_json;
   const std::vector<std::pair<std::string, std::string>> fused_queries = {
       {"count_qty",
@@ -224,10 +228,12 @@ int main() {
     opts.use_scan_cache = false;
     opts.engine = rel::ExecEngine::kColumnar;
     Timed interp = TimeQuery(
-        exec, rel::WithFuseMode(plan, rel::FuseMode::kInterpret), opts,
+        [&] {
+          return rel::ExecuteColumnarInterpreted(&ctx, &catalog, plan, opts);
+        },
         env.runs);
-    Timed fused = TimeQuery(exec, rel::WithFuseMode(plan, rel::FuseMode::kFuse),
-                            opts, env.runs);
+    Timed fused =
+        TimeQuery([&] { return exec.Execute(plan, opts); }, env.runs);
     const bool identical =
         interp.result.output == fused.result.output &&
         interp.result.result_rows == fused.result.result_rows;

@@ -63,6 +63,7 @@ int main() {
       native_shuffles +=
           (metrics.Snapshot() - native_before).shuffle_rounds;
 
+      auto upa_before = metrics.Snapshot();
       auto result = runner.Run(suite.MakeInstance(name, &churn),
                                env.seed + 31 * r);
       if (!result.ok()) {
@@ -74,7 +75,7 @@ int main() {
       map_ms.push_back(result.value().seconds.map * 1e3);
       reduce_ms.push_back(result.value().seconds.reduce * 1e3);
       enforce_ms.push_back(result.value().seconds.enforce * 1e3);
-      upa_shuffles += result.value().metrics.shuffle_rounds;
+      upa_shuffles += (metrics.Snapshot() - upa_before).shuffle_rounds;
       if (result.value().enforcer.attack_suspected) ++attacks;
     }
 

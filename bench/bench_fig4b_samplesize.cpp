@@ -36,6 +36,7 @@ int main() {
       double hit_rate = 0.0;
       size_t reps = std::max<size_t>(2, env.runs / 3);
       for (size_t r = 0; r < reps; ++r) {
+        engine::MetricsSnapshot before = suite.ctx().metrics().Snapshot();
         auto result = runner.Run(suite.MakeInstance(name), env.seed + r + n);
         if (!result.ok()) {
           std::fprintf(stderr, "UPA failed: %s\n",
@@ -43,7 +44,8 @@ int main() {
           return 1;
         }
         upa_ms.push_back(result.value().seconds.total * 1e3);
-        hit_rate = result.value().metrics.cache_hit_rate();
+        hit_rate =
+            (suite.ctx().metrics().Snapshot() - before).cache_hit_rate();
       }
       double mean_ms = Mean(upa_ms);
       if (n == 1000) baseline_ms = mean_ms;

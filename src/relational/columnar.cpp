@@ -1086,11 +1086,16 @@ Result<ExecResult> ExecuteColumnar(engine::ExecContext* ctx,
                                    const ExecOptions& options) {
   UPA_FAILPOINT("columnar/execute");
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
-  if (plan->fuse != FuseMode::kInterpret) {
-    if (std::optional<FusedShape> shape = FusableShape(plan)) {
-      return ExecuteFused(ctx, catalog, plan, *shape, options);
-    }
+  if (std::optional<FusedShape> shape = FusableShape(plan)) {
+    return ExecuteFused(ctx, catalog, plan, *shape, options);
   }
+  return ExecuteColumnarInterpreted(ctx, catalog, plan, options);
+}
+
+Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
+                                              const Catalog* catalog,
+                                              const PlanPtr& plan,
+                                              const ExecOptions& options) {
   ColumnarEvaluator evaluator(ctx, catalog, options);
   Result<ColRel> relr = evaluator.Eval(plan->left);
   if (!relr.ok()) return relr.status();

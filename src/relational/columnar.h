@@ -187,11 +187,20 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
 /// validation is PlanExecutor::Execute's job; this expects a well-formed
 /// root and returns the same statuses as the row oracle for unknown
 /// tables/columns/join keys. Results are bit-identical to the row path.
-/// Fusible Aggregate(Filter*(Scan)) chains run on the single-pass fused
-/// kernels (relational/fused.h) unless the root's FuseMode says otherwise.
+/// Plans of the fusible shape (FusableShape: Aggregate(Filter*(Scan))) run
+/// on the single-pass fused kernels (relational/fused.h); all others run
+/// interpreted.
 Result<ExecResult> ExecuteColumnar(engine::ExecContext* ctx,
                                    const Catalog* catalog,
                                    const PlanPtr& plan,
                                    const ExecOptions& options);
+
+/// The interpreted columnar path: one batch pass per plan node. Joins reach
+/// it through ExecuteColumnar; differential tests and benches call it
+/// directly to get the unfused baseline of a fusible plan.
+Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
+                                              const Catalog* catalog,
+                                              const PlanPtr& plan,
+                                              const ExecOptions& options);
 
 }  // namespace upa::rel

@@ -59,8 +59,8 @@ struct FusedShape {
 };
 
 /// Matches `plan` against the fusible shape. Returns nullopt for joins,
-/// nested aggregates, or non-aggregate roots; the FuseMode on the root is
-/// NOT consulted here (callers combine shape and mode).
+/// nested aggregates, or non-aggregate roots. ExecuteColumnar fuses every
+/// plan this matches.
 std::optional<FusedShape> FusableShape(const PlanPtr& plan);
 
 /// Executes a fusible plan in a single pass. Expects `shape` from

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "relational/card_est.h"
 #include "relational/cost_model.h"
-#include "relational/fused.h"
 
 namespace upa::rel {
 namespace {
@@ -527,21 +526,10 @@ PlanPtr Optimize(const PlanPtr& plan, const Catalog& catalog,
   UPA_CHECK(plan != nullptr);
   if (plan->kind == PlanKind::kAggregate) {
     PlanPtr child = Optimize(plan->left, catalog, options);
-    PlanPtr root = plan;
-    if (child != plan->left) {
-      auto n = std::make_shared<PlanNode>(*plan);
-      n->left = std::move(child);
-      root = std::move(n);
-    }
-    // Record the fusion decision (a physical choice, like build_side) so
-    // PlanFingerprint distinguishes the compiled form. The columnar
-    // engine fuses kAuto shapes anyway; marking makes the choice explicit
-    // on optimized plans instead of an engine-internal default.
-    if (options.fuse && root->fuse == FuseMode::kAuto &&
-        FusableShape(root).has_value()) {
-      root = WithFuseMode(root, FuseMode::kFuse);
-    }
-    return root;
+    if (child == plan->left) return plan;
+    auto n = std::make_shared<PlanNode>(*plan);
+    n->left = std::move(child);
+    return n;
   }
   const CardinalityEstimator est(&catalog);
   PlanPtr p = plan;

@@ -36,9 +36,6 @@ struct OptimizerOptions {
   bool reorder_joins = true;
   bool order_conjuncts = true;
   bool choose_build_side = true;
-  /// Mark fusible Aggregate(Filter*(Scan)) roots with FuseMode::kFuse so
-  /// the physical choice is recorded in the plan (and its fingerprint).
-  bool fuse = true;
   /// When set, joins with this table on either side keep BuildSide::kAuto:
   /// UPA's phase runs shrink the private side at runtime (include/exclude
   /// row subsets), so static estimates would mispredict the build side.
@@ -47,7 +44,7 @@ struct OptimizerOptions {
   static OptimizerOptions Disabled() {
     OptimizerOptions o;
     o.pushdown = o.reorder_joins = o.order_conjuncts = o.choose_build_side =
-        o.fuse = false;
+        false;
     return o;
   }
 };

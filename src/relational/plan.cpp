@@ -69,14 +69,6 @@ PlanPtr MaxPlan(PlanPtr child, ExprPtr expr) {
   return ExprAggregate(std::move(child), std::move(expr), AggKind::kMax);
 }
 
-PlanPtr WithFuseMode(const PlanPtr& plan, FuseMode mode) {
-  UPA_CHECK(plan != nullptr && plan->kind == PlanKind::kAggregate);
-  if (plan->fuse == mode) return plan;
-  auto n = std::make_shared<PlanNode>(*plan);
-  n->fuse = mode;
-  return n;
-}
-
 namespace {
 
 void AnalyzeInto(const PlanPtr& plan, PlanStats& stats) {
@@ -191,7 +183,6 @@ uint64_t PlanFingerprint(const PlanPtr& plan, const Catalog& catalog) {
       return HashCombine(h, PlanFingerprint(plan->right, catalog));
     case PlanKind::kAggregate:
       h = HashCombine(h, static_cast<uint64_t>(plan->agg));
-      h = HashCombine(h, static_cast<uint64_t>(plan->fuse));
       h = HashCombine(h, ExprFingerprint(plan->agg_expr));
       return HashCombine(h, PlanFingerprint(plan->left, catalog));
   }

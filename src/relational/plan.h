@@ -33,18 +33,6 @@ enum class BuildSide : uint8_t { kAuto, kLeft, kRight };
 /// reject provenance options (per-record influence is not additive).
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax };
 
-/// Whether the columnar engine may collapse a fusible
-/// Aggregate(Filter*(Scan)) chain into the single-pass fused kernel
-/// (relational/fused.h) instead of interpreting one node per batch pass.
-/// Purely physical (results are bit-identical), but it is a plan property
-/// — like BuildSide — so the optimizer can record the decision and the
-/// fingerprint distinguishes the physical forms.
-///   kAuto      — fuse whenever the shape qualifies (the default),
-///   kFuse      — the optimizer marked the chain fusible,
-///   kInterpret — force the per-node interpreted path (differential tests
-///                and benches use this to obtain the unfused baseline).
-enum class FuseMode : uint8_t { kAuto, kFuse, kInterpret };
-
 struct PlanNode {
   PlanKind kind = PlanKind::kScan;
 
@@ -62,7 +50,6 @@ struct PlanNode {
   // kAggregate (child in `left`)
   AggKind agg = AggKind::kCount;
   ExprPtr agg_expr;  // summed expression for kSum
-  FuseMode fuse = FuseMode::kAuto;
 };
 
 PlanPtr ScanPlan(std::string table);
@@ -74,10 +61,6 @@ PlanPtr SumPlan(PlanPtr child, ExprPtr expr);
 PlanPtr AvgPlan(PlanPtr child, ExprPtr expr);
 PlanPtr MinPlan(PlanPtr child, ExprPtr expr);
 PlanPtr MaxPlan(PlanPtr child, ExprPtr expr);
-
-/// Shallow-copies an Aggregate root with its FuseMode replaced (plans are
-/// immutable shared trees; the child subtree is shared, not copied).
-PlanPtr WithFuseMode(const PlanPtr& plan, FuseMode mode);
 
 /// Static shape of a plan — what FLEX looks at.
 struct PlanStats {

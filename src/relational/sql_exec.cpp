@@ -13,16 +13,13 @@ namespace {
 
 std::string AggRefName(size_t i) { return "$agg" + std::to_string(i); }
 
-/// One scalar aggregate run: optimize, apply the fusion override, execute.
+/// One scalar aggregate run: optimize, then execute.
 Result<double> RunPlan(const PlanExecutor& executor, const Catalog& catalog,
                        PlanPtr plan, const SqlExecOptions& options) {
   if (options.optimize) {
     OptimizerOptions opt;
     opt.private_table = options.exec.private_table;
     plan = Optimize(plan, catalog, opt);
-  }
-  if (options.fuse != FuseMode::kAuto) {
-    plan = WithFuseMode(plan, options.fuse);
   }
   Result<ExecResult> run = executor.Execute(plan, options.exec);
   if (!run.ok()) return run.status();

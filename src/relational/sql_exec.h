@@ -41,9 +41,6 @@ struct SqlExecOptions {
   ExecOptions exec;
   /// Run each plan through the cost-based optimizer first.
   bool optimize = true;
-  /// Force the fusion decision on every aggregate root (differential tests
-  /// pin kFuse/kInterpret); kAuto keeps the optimizer's marking.
-  FuseMode fuse = FuseMode::kAuto;
   /// Cap on candidate groups (the cross product of per-key distinct
   /// values). Exceeding it fails with RESOURCE_EXHAUSTED.
   size_t max_groups = 4096;

@@ -6,53 +6,19 @@
 #include "common/thread_pool.h"
 
 namespace upa::core {
-namespace {
 
-std::vector<Vec> NaiveExclusion(const std::vector<Vec>& mapped) {
-  const size_t n = mapped.size();
-  std::vector<Vec> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    Vec acc = VecSum::Identity();
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      acc = VecSum::Combine(std::move(acc), mapped[j]);
-    }
-    out[i] = std::move(acc);
-  }
-  return out;
-}
-
-std::vector<Vec> ScanExclusion(const std::vector<Vec>& mapped) {
-  const size_t n = mapped.size();
-  // prefix[i] = m[0] ⊕ ... ⊕ m[i-1]  (prefix[0] = identity)
-  // suffix[i] = m[i] ⊕ ... ⊕ m[n-1]  (suffix[n] = identity)
-  std::vector<Vec> prefix(n + 1), suffix(n + 1);
-  prefix[0] = VecSum::Identity();
-  for (size_t i = 0; i < n; ++i) {
-    prefix[i + 1] = VecSum::Combine(prefix[i], mapped[i]);
-  }
-  suffix[n] = VecSum::Identity();
-  for (size_t i = n; i-- > 0;) {
-    suffix[i] = VecSum::Combine(suffix[i + 1], mapped[i]);
-  }
-  std::vector<Vec> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = VecSum::Combine(prefix[i], suffix[i + 1]);
-  }
-  return out;
-}
-
-/// Upper bound on kParallelScan's block count. Boundaries are a function of
+/// Upper bound on the scan's block count. Boundaries are a function of
 /// n alone so the result cannot depend on how many workers execute the
 /// blocks; 64 blocks keeps every realistic pool saturated while the
 /// sequential combine pass over block totals stays negligible.
-constexpr size_t kParallelScanMaxBlocks = 64;
+constexpr size_t kScanMaxBlocks = 64;
 
-std::vector<Vec> ParallelScanExclusion(const std::vector<Vec>& mapped,
-                                       ThreadPool* pool) {
+std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
+                                    ThreadPool* pool) {
+  UPA_CHECK_MSG(!mapped.empty(), "exclusion over an empty sample");
   const size_t n = mapped.size();
-  const size_t per = std::max<size_t>(
-      1, (n + kParallelScanMaxBlocks - 1) / kParallelScanMaxBlocks);
+  const size_t per =
+      std::max<size_t>(1, (n + kScanMaxBlocks - 1) / kScanMaxBlocks);
   const size_t blocks = (n + per - 1) / per;
   auto block_range = [&](size_t c) {
     return std::pair<size_t, size_t>{c * per, std::min(n, (c + 1) * per)};
@@ -117,22 +83,19 @@ std::vector<Vec> ParallelScanExclusion(const std::vector<Vec>& mapped,
   return out;
 }
 
-}  // namespace
-
-std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
-                                    ExclusionStrategy strategy,
-                                    ThreadPool* pool) {
+std::vector<Vec> NaiveExclusionAggregate(const std::vector<Vec>& mapped) {
   UPA_CHECK_MSG(!mapped.empty(), "exclusion over an empty sample");
-  switch (strategy) {
-    case ExclusionStrategy::kNaive:
-      return NaiveExclusion(mapped);
-    case ExclusionStrategy::kScan:
-      return ScanExclusion(mapped);
-    case ExclusionStrategy::kParallelScan:
-      return ParallelScanExclusion(mapped, pool);
+  const size_t n = mapped.size();
+  std::vector<Vec> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    Vec acc = VecSum::Identity();
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      acc = VecSum::Combine(std::move(acc), mapped[j]);
+    }
+    out[i] = std::move(acc);
   }
-  UPA_CHECK_MSG(false, "unknown ExclusionStrategy value");
-  return {};  // unreachable; UPA_CHECK aborts
+  return out;
 }
 
 Vec TotalAggregate(const std::vector<Vec>& mapped) {

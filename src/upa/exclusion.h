@@ -8,7 +8,7 @@
 //
 //   excl[i] = prefix[i-1] ⊕ suffix[i+1]
 //
-// kParallelScan is the chunked form of the same scan: each fixed-size block
+// ExclusionAggregate runs that scan in chunks: each fixed-size block
 // computes its local prefix/suffix arrays independently (parallel on the
 // engine thread pool), a cheap sequential pass folds the block totals into
 // per-block before/after values, and a second parallel pass emits
@@ -19,9 +19,9 @@
 // fold has a fixed association order, so the result is bit-identical
 // whether it runs on 1 thread, N threads, or with no pool at all.
 //
-// All strategies are implemented; they must agree to float tolerance
-// (tested), and bench_ablation / bench_phase_parallel measure the gap the
-// scan and the parallelism buy.
+// NaiveExclusionAggregate keeps the paper's loop as the reference the scan
+// must agree with to float tolerance (tested); bench_ablation measures the
+// gap.
 #pragma once
 
 #include <vector>
@@ -34,22 +34,17 @@ class ThreadPool;
 
 namespace upa::core {
 
-enum class ExclusionStrategy {
-  kNaive,         // the paper's loop: recombine n-1 values for each i
-  kScan,          // prefix/suffix scans: O(n) combines total
-  kParallelScan,  // chunked block-scan over the engine pool (deterministic)
-};
-
-/// excl[i] = R over {mapped[j] : j != i}. mapped must be non-empty.
-/// `pool` is used by kParallelScan only; when null the same chunked
-/// algorithm runs on the calling thread with an identical result. An
-/// unknown strategy value aborts (UPA_CHECK) — a misconfigured enum must
-/// never yield an empty exclusion set the runner would index out of range.
+/// excl[i] = R over {mapped[j] : j != i}, by the chunked block scan.
+/// mapped must be non-empty. With a null `pool` the same blocks run on the
+/// calling thread with an identical result.
 std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
-                                    ExclusionStrategy strategy,
                                     ThreadPool* pool = nullptr);
 
-/// Total reduction R(mapped) (shared by both strategies).
+/// The paper's loop: recombines the n-1 other values for each i (O(n²)).
+/// mapped must be non-empty.
+std::vector<Vec> NaiveExclusionAggregate(const std::vector<Vec>& mapped);
+
+/// Total reduction R(mapped).
 Vec TotalAggregate(const std::vector<Vec>& mapped);
 
 }  // namespace upa::core

@@ -12,33 +12,24 @@
 namespace upa::core {
 namespace {
 
-/// Reduces the sampled records of each enforcer partition, optionally
-/// excluding the last `removed` sample records (the enforcer's removal
-/// order is deterministic: newest-index first). One task per partition on
-/// `pool` (when given): each partition accumulates its own records in
-/// ascending sample order, exactly the adds the sequential per-index loop
-/// performs for that partition — so the result is bit-identical either way.
+/// Reduces the sampled records of each enforcer partition, excluding the
+/// last `removed` sample records (the enforcer's removal order is
+/// deterministic: newest-index first). Each partition accumulates its own
+/// records in ascending sample order. This runs under the registry lock,
+/// so it never touches the engine pool: a pool waiter may pick up another
+/// request's task, which then blocks on a lock a /stats reader holds while
+/// it waits for this registry.
 std::vector<Vec> SamplePartitionPartials(
     const std::vector<Vec>& sample_mapped,
     const std::vector<size_t>& sample_partition, size_t num_partitions,
-    size_t removed, ThreadPool* pool) {
+    size_t removed) {
   std::vector<Vec> partials(num_partitions, VecSum::Identity());
   size_t keep = sample_mapped.size() > removed
                     ? sample_mapped.size() - removed
                     : 0;
-  auto reduce_partition = [&](size_t j) {
-    Vec acc = VecSum::Identity();
-    for (size_t i = 0; i < keep; ++i) {
-      if (sample_partition[i] == j) {
-        acc = VecSum::Combine(std::move(acc), sample_mapped[i]);
-      }
-    }
-    partials[j] = std::move(acc);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_partitions, reduce_partition);
-  } else {
-    for (size_t j = 0; j < num_partitions; ++j) reduce_partition(j);
+  for (size_t i = 0; i < keep; ++i) {
+    Vec& acc = partials[sample_partition[i]];
+    acc = VecSum::Combine(std::move(acc), sample_mapped[i]);
   }
   return partials;
 }
@@ -72,7 +63,6 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
 
   UpaRunResult result;
   Stopwatch total_watch;
-  engine::MetricsSnapshot metrics_before = query.ctx->metrics().Snapshot();
 
   // Phases 3b/4 fan out over the engine pool unless disabled. Every
   // parallel section below either writes disjoint per-index slots or
@@ -86,7 +76,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
       return;
     }
     // Morsel-driven: workers pull fixed-grain index ranges off a shared
-    // cursor, so one heavy neighbour/partition cannot stall the phase the
+    // cursor, so one heavy neighbour cannot stall the phase the
     // way a static chunk split could. Boundaries depend only on count, so
     // per-slot outputs are bit-identical to the sequential loop.
     ThreadPool::MorselTimings timings;
@@ -157,8 +147,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   if (hint == nullptr) {
     // Each output depends only on its own index, so the chunked evaluation
     // performs exactly the sequential loop's arithmetic per slot.
-    std::vector<Vec> excl =
-        ExclusionAggregate(batches.sample_mapped, config_.exclusion, pool);
+    std::vector<Vec> excl = ExclusionAggregate(batches.sample_mapped, pool);
     const size_t num_neighbours = n + batches.domain_mapped.size();
     result.neighbour_outputs.resize(num_neighbours);
     run_chunks("upa/neighbour_eval", num_neighbours,
@@ -238,20 +227,16 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     }
   }
 
-  // Per-partition outputs f(x_j) = output of R(S'_j) ⊕ R(S_j). One pool
-  // task per partition (both the partial reduction and the output).
+  // Per-partition outputs f(x_j) = output of R(S'_j) ⊕ R(S_j), computed
+  // inline: the enforcer calls this with the registry lock held.
   auto partition_outputs_for = [&](size_t removed) {
-    std::vector<Vec> sample_partials =
-        SamplePartitionPartials(batches.sample_mapped, sample_partition,
-                                num_partitions, removed, pool);
+    std::vector<Vec> sample_partials = SamplePartitionPartials(
+        batches.sample_mapped, sample_partition, num_partitions, removed);
     std::vector<double> outs(num_partitions);
-    run_chunks("upa/partition_outputs", num_partitions,
-               [&](size_t begin, size_t end) {
-                 for (size_t j = begin; j < end; ++j) {
-                   outs[j] = query.OutputOf(VecSum::Combine(
-                       batches.sprime_partials[j], sample_partials[j]));
-                 }
-               });
+    for (size_t j = 0; j < num_partitions; ++j) {
+      outs[j] = query.OutputOf(
+          VecSum::Combine(batches.sprime_partials[j], sample_partials[j]));
+    }
     return outs;
   };
   result.partition_outputs = partition_outputs_for(0);
@@ -274,7 +259,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
       // sample records (newest-index-first removal order).
       std::vector<Vec> kept_partials = SamplePartitionPartials(
           batches.sample_mapped, sample_partition, num_partitions,
-          result.enforcer.records_removed, pool);
+          result.enforcer.records_removed);
       Vec r_s_kept = VecSum::Identity();
       for (Vec& p : kept_partials) {
         r_s_kept = VecSum::Combine(std::move(r_s_kept), p);
@@ -298,7 +283,6 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   result.seconds.enforce = phase_watch.ElapsedSeconds();
 
   result.seconds.total = total_watch.ElapsedSeconds();
-  result.metrics = query.ctx->metrics().Snapshot() - metrics_before;
   return result;
 }
 

@@ -25,7 +25,6 @@
 #include "common/normal_fit.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "engine/metrics.h"
 #include "upa/exclusion.h"
 #include "upa/query_instance.h"
 #include "upa/range_enforcer.h"
@@ -65,17 +64,14 @@ struct UpaConfig {
   /// Percentiles of the fitted normal defining Ô_f.
   double lo_percentile = 1.0;
   double hi_percentile = 99.0;
-  /// How R(S \ s_i) is computed for all i. The default chunked block-scan
-  /// runs on the engine pool with results bit-identical to any pool size.
-  ExclusionStrategy exclusion = ExclusionStrategy::kParallelScan;
   /// Enforcer partition count (the paper uses two).
   size_t enforcer_partitions = 2;
   /// Disable to measure Algorithm 1 alone (ablation only; no iDP claim).
   bool enable_enforcer = true;
   /// Disable to inspect the un-noised pipeline in tests.
   bool add_noise = true;
-  /// Run phases 3b/4 (neighbour-output evaluation, influence computation,
-  /// partition partials) on the engine thread pool. The parallel path is
+  /// Run phases 3b/4 (exclusion scan, neighbour-output evaluation,
+  /// influence computation) on the engine thread pool. The parallel path is
   /// bit-identical to the sequential one (fixed chunk boundaries and
   /// combine orders); disable only to measure the speedup it buys.
   bool parallel_phases = true;
@@ -117,8 +113,6 @@ struct UpaRunResult {
   /// floored values.
   bool degenerate_sensitivity = false;
   PhaseSeconds seconds;
-  /// Engine counters attributable to this run.
-  engine::MetricsSnapshot metrics;
   /// Number of records actually sampled (min(n, |x|)).
   size_t sample_size = 0;
 };

@@ -1,4 +1,4 @@
-// Tests for status/result, hashing, env knobs, logging and table printing.
+// Tests for status/result, hashing, env knobs and table printing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -6,7 +6,6 @@
 
 #include "common/env.h"
 #include "common/hash.h"
-#include "common/logging.h"
 #include "common/status.h"
 #include "common/table_printer.h"
 
@@ -104,14 +103,6 @@ TEST(EnvTest, StringFallback) {
   ::setenv("UPA_TEST_STR", "abc", 1);
   EXPECT_EQ(EnvString("UPA_TEST_STR", "dflt"), "abc");
   ::unsetenv("UPA_TEST_STR");
-}
-
-TEST(LoggingTest, LevelRoundTrip) {
-  LogLevel before = CurrentLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(CurrentLogLevel(), LogLevel::kError);
-  UPA_LOG_DEBUG("should be suppressed %d", 1);
-  SetLogLevel(before);
 }
 
 TEST(TablePrinterTest, AlignedOutputContainsCells) {

@@ -52,19 +52,8 @@ TEST(DeathTest, LaplaceRejectsNegativeSensitivity) {
 
 TEST(DeathTest, ExclusionRejectsEmptySample) {
   std::vector<core::Vec> empty;
-  EXPECT_DEATH(
-      core::ExclusionAggregate(empty, core::ExclusionStrategy::kScan),
-      "empty sample");
-}
-
-TEST(DeathTest, ExclusionRejectsUnknownStrategy) {
-  // A silent `return {}` here once let a misconfigured enum produce an
-  // empty exclusion set that the runner then indexed out of range.
-  std::vector<core::Vec> mapped{{1.0}, {2.0}};
-  EXPECT_DEATH(
-      core::ExclusionAggregate(mapped,
-                               static_cast<core::ExclusionStrategy>(99)),
-      "ExclusionStrategy");
+  EXPECT_DEATH(core::ExclusionAggregate(empty), "empty sample");
+  EXPECT_DEATH(core::NaiveExclusionAggregate(empty), "empty sample");
 }
 
 TEST(DeathTest, PercentileIntervalRejectsBoundaryPercentiles) {

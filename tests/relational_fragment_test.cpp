@@ -703,17 +703,15 @@ TEST(ColumnarDifferentialFragmentTest, SkipCountersFireInterpreted) {
   Catalog catalog{{"t", &t}};
   engine::ExecContext ctx(
       engine::ExecConfig{.threads = 2, .default_partitions = 2});
-  PlanExecutor exec(&ctx, &catalog);
 
   ExecOptions opts;
   opts.engine = ExecEngine::kColumnar;
-  // Forcing the interpreted path must preserve the zone-map skip counts
+  // The interpreted path must preserve the zone-map skip counts
   // bit-for-bit (fused skips on the conjoined predicate, which for a
   // single conjunct is the same predicate the interpreted scan consults).
-  PlanPtr plan = WithFuseMode(
-      CountPlan(FilterPlan(ScanPlan("t"), Lt(Col("id"), Lit(int64_t{25})))),
-      FuseMode::kInterpret);
-  Result<ExecResult> r = exec.Execute(plan, opts);
+  PlanPtr plan =
+      CountPlan(FilterPlan(ScanPlan("t"), Lt(Col("id"), Lit(int64_t{25}))));
+  Result<ExecResult> r = ExecuteColumnarInterpreted(&ctx, &catalog, plan, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().output, 25.0);
 

@@ -1,9 +1,10 @@
 // Fused single-pass kernels (relational/fused.h): edge cases and the
 // fused-vs-interpreted-vs-row-oracle differential.
 //
-// The contract under test: FuseMode is purely physical. For every fusible
+// The contract under test: fusion is purely physical. For every fusible
 // Aggregate(Filter*(Scan)) chain, the fused kernel's output must match the
-// interpreted columnar engine and the row oracle bit-for-bit — including
+// interpreted columnar engine (ExecuteColumnarInterpreted, the unfused
+// baseline) and the row oracle bit-for-bit — including
 // NaN/±inf propagation through comparisons and exact sums, empty
 // selections, dictionary-code boundary literals, and zone-map-decisive
 // fragments — across thread counts and fragment sizes (suite names match
@@ -22,8 +23,6 @@
 #include "relational/columnar.h"
 #include "relational/executor.h"
 #include "relational/expr.h"
-#include "relational/fused.h"
-#include "relational/optimizer.h"
 #include "relational/plan.h"
 #include "relational/table.h"
 
@@ -54,9 +53,8 @@ Result<ExecResult> ExpectTriEqual(engine::ExecContext* ctx,
   ExecOptions col_opts;
   col_opts.engine = ExecEngine::kColumnar;
   Result<ExecResult> interp =
-      exec.Execute(WithFuseMode(plan, FuseMode::kInterpret), col_opts);
-  Result<ExecResult> fused =
-      exec.Execute(WithFuseMode(plan, FuseMode::kFuse), col_opts);
+      ExecuteColumnarInterpreted(ctx, &catalog, plan, col_opts);
+  Result<ExecResult> fused = exec.Execute(plan, col_opts);
 
   EXPECT_EQ(oracle.ok(), interp.ok()) << what;
   EXPECT_EQ(oracle.ok(), fused.ok()) << what;
@@ -208,10 +206,10 @@ TEST(FusedKernelTest, ZoneMapDecisiveFragmentsStaySafe) {
       engine::ExecConfig{.threads = 2, .default_partitions = 2});
   ExecOptions opts;
   opts.engine = ExecEngine::kColumnar;
-  Result<ExecResult> interp = PlanExecutor(&interp_ctx, &catalog)
-                                  .Execute(WithFuseMode(plan, FuseMode::kInterpret), opts);
-  Result<ExecResult> fused = PlanExecutor(&fused_ctx, &catalog)
-                                 .Execute(WithFuseMode(plan, FuseMode::kFuse), opts);
+  Result<ExecResult> interp =
+      ExecuteColumnarInterpreted(&interp_ctx, &catalog, plan, opts);
+  Result<ExecResult> fused =
+      PlanExecutor(&fused_ctx, &catalog).Execute(plan, opts);
   ASSERT_TRUE(interp.ok()) << interp.status().ToString();
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   EXPECT_EQ(Bits(interp.value().output), Bits(fused.value().output));
@@ -283,38 +281,13 @@ TEST(FusedKernelTest, LayoutAndThreadSweepBitIdentical) {
           engine::ExecConfig{.threads = threads, .default_partitions = threads});
       ExecOptions col;
       col.engine = ExecEngine::kColumnar;
-      Result<ExecResult> fused = PlanExecutor(&ctx, &catalog)
-                                     .Execute(WithFuseMode(plan, FuseMode::kFuse), col);
+      Result<ExecResult> fused =
+          PlanExecutor(&ctx, &catalog).Execute(plan, col);
       ASSERT_TRUE(fused.ok()) << fused.status().ToString();
       EXPECT_EQ(Bits(base.value().output), Bits(fused.value().output))
           << "frag=" << frag << " threads=" << threads;
     }
   }
-}
-
-TEST(FusedPlanTest, OptimizerMarksFusibleRoots) {
-  Table t("t", NumStrSchema(), SpecialRows());
-  Catalog catalog{{"t", &t}};
-  PlanPtr plan =
-      CountPlan(FilterPlan(ScanPlan("t"), Lt(Col("id"), Lit(int64_t{5}))));
-  ASSERT_TRUE(FusableShape(plan).has_value());
-
-  PlanPtr optimized = Optimize(plan, catalog);
-  EXPECT_EQ(optimized->fuse, FuseMode::kFuse);
-  PlanPtr untouched = Optimize(plan, catalog, OptimizerOptions::Disabled());
-  EXPECT_EQ(untouched->fuse, FuseMode::kAuto);
-
-  // The fusion decision is a physical plan property: fingerprints of the
-  // physical forms differ, the logical rendering does not.
-  EXPECT_NE(PlanFingerprint(WithFuseMode(plan, FuseMode::kFuse), catalog),
-            PlanFingerprint(WithFuseMode(plan, FuseMode::kInterpret), catalog));
-  EXPECT_EQ(PlanToString(WithFuseMode(plan, FuseMode::kFuse)),
-            PlanToString(plan));
-
-  // Joins and bare aggregates over joins never fuse.
-  PlanPtr join = CountPlan(
-      JoinPlan(ScanPlan("t"), ScanPlan("t"), "id", "id"));
-  EXPECT_FALSE(FusableShape(join).has_value());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Differential SQL fuzzer: ~220 seeded random single-block SELECTs over
 // the TPC-H-style schema, each executed through the full stack (parser →
-// optimizer → grouped lowering → engine) on the row oracle, the
-// interpreted columnar engine and the fused kernels, across thread counts
-// {1, 4} × fragment sizes {7, 64K}. Every cell of every result must agree
-// bit-for-bit; error paths must agree on the status code.
+// optimizer → grouped lowering → engine) on the row oracle and on the
+// columnar engine (fused kernels for single-table filter chains, the
+// interpreted path for joins), across thread counts {1, 4} × fragment
+// sizes {7, 64K}. Every cell of every result must agree bit-for-bit; error
+// paths must agree on the status code.
 //
 // A second pass mutates the valid strings (truncation, token duplication,
 // junk characters) and asserts the front-end always fails with a clean
@@ -283,23 +284,18 @@ TEST(SqlFuzzDifferentialTest, RandomQueriesBitIdenticalAcrossEngines) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       engine::ExecContext ctx(
           engine::ExecConfig{.threads = threads, .default_partitions = threads});
-      for (FuseMode mode : {FuseMode::kInterpret, FuseMode::kFuse}) {
-        SqlExecOptions opts;
-        opts.exec.engine = ExecEngine::kColumnar;
-        opts.fuse = mode;
-        for (size_t i = 0; i < queries.size(); ++i) {
-          std::string what =
-              queries[i] + " [frag=" + std::to_string(frag) +
-              " threads=" + std::to_string(threads) +
-              (mode == FuseMode::kFuse ? " fused]" : " interpreted]");
-          Result<SqlResultSet> r = ExecuteSql(&ctx, catalog, queries[i], opts);
-          if (!oracle_status[i].ok()) {
-            ASSERT_FALSE(r.ok()) << what;
-            EXPECT_EQ(oracle_status[i].code(), r.status().code()) << what;
-            continue;
-          }
-          ExpectSameResult(oracle[i], r, what);
+      SqlExecOptions opts;
+      opts.exec.engine = ExecEngine::kColumnar;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        std::string what = queries[i] + " [frag=" + std::to_string(frag) +
+                           " threads=" + std::to_string(threads) + "]";
+        Result<SqlResultSet> r = ExecuteSql(&ctx, catalog, queries[i], opts);
+        if (!oracle_status[i].ok()) {
+          ASSERT_FALSE(r.ok()) << what;
+          EXPECT_EQ(oracle_status[i].code(), r.status().code()) << what;
+          continue;
         }
+        ExpectSameResult(oracle[i], r, what);
       }
     }
   }

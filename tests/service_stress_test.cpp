@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -34,10 +37,11 @@ engine::ExecContext& Ctx() {
 }
 
 core::QueryInstance SumQuery(size_t n, uint64_t salt,
-                             const std::string& name) {
+                             const std::string& name,
+                             engine::ExecContext& ctx = Ctx()) {
   core::SimpleQuerySpec<double> spec;
   spec.name = name;
-  spec.ctx = &Ctx();
+  spec.ctx = &ctx;
   auto values = std::make_shared<std::vector<double>>();
   values->reserve(n);
   Rng rng(salt * 7919 + 13);
@@ -135,6 +139,80 @@ TEST(ServiceStressTest, SharedDatasetHammerStaysConsistent) {
   EXPECT_EQ(attacks.load(), kClients * kQueriesPerClient - 1);
   EXPECT_NEAR(service.accountant().Spent("shared"),
               0.1 * kClients * kQueriesPerClient, 1e-9);
+}
+
+TEST(ServiceStressTest, StatsReportDuringEnforcerRemovals) {
+  // Regression for a lock-order deadlock. A release used to call the
+  // engine pool while holding its dataset's registry lock (the enforcer's
+  // recompute of partition outputs). A thread waiting on the pool runs
+  // queued tasks, so it could pick up another request's run and block on
+  // the service's dataset-map lock, which StatsReport holds while it waits
+  // for that same registry. Every repeat after the first collides with a
+  // prior, so each later release runs the enforcer's removal loop. The
+  // interleaving is a race, so the scenario runs in several rounds. The
+  // deadline turns a hang into a failure; on timeout the service, its
+  // context and the reader thread are leaked, since they cannot be joined.
+  constexpr int kRounds = 3;
+  constexpr int kDatasets = 8;
+  constexpr int kRepeats = 20;
+  constexpr int kReleases = kDatasets * kRepeats;
+  struct Progress {
+    std::mutex mu;
+    std::condition_variable cv;
+    int done = 0;
+    int failed = 0;
+    std::atomic<bool> stop{false};
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    auto progress = std::make_shared<Progress>();
+    // The requests' queries run on the service's own two-thread pool, so a
+    // pool waiter can pick up the next request's run.
+    auto ctx = std::make_unique<engine::ExecContext>(
+        engine::ExecConfig{.threads = 2, .default_partitions = 2});
+    ServiceConfig config = StressConfig();
+    config.max_in_flight = 8;
+    auto service = std::make_unique<UpaService>(ctx.get(), config);
+
+    std::thread reader([svc = service.get(), progress] {
+      while (!progress->stop.load()) (void)svc->StatsReport();
+    });
+    for (int r = 0; r < kRepeats; ++r) {
+      for (int d = 0; d < kDatasets; ++d) {
+        QueryRequest request;
+        request.tenant = "t" + std::to_string(d);
+        request.dataset_id = "d" + std::to_string(d);
+        request.query = SumQuery(2000, 42, "repeat", *ctx);
+        request.epsilon = 0.1;
+        request.seed = 5;  // identical runs → identical partition outputs
+        service->SubmitAsync(std::move(request),
+                             [progress](Result<QueryResponse> result) {
+                               std::lock_guard<std::mutex> lock(progress->mu);
+                               ++progress->done;
+                               if (!result.ok()) ++progress->failed;
+                               progress->cv.notify_all();
+                             });
+      }
+    }
+
+    int done = 0;
+    {
+      std::unique_lock<std::mutex> lock(progress->mu);
+      progress->cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return progress->done == kReleases; });
+      done = progress->done;
+    }
+    progress->stop = true;
+    if (done != kReleases) {
+      reader.detach();
+      (void)service.release();
+      (void)ctx.release();
+      FAIL() << "round " << round << " deadlocked: " << done << " of "
+             << kReleases << " releases completed before the deadline";
+    }
+    reader.join();
+    service.reset();
+    EXPECT_EQ(progress->failed, 0) << "round " << round;
+  }
 }
 
 TEST(RangeEnforcerConcurrencyTest, ParallelSessionsRegisterEveryRun) {

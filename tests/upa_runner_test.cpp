@@ -338,13 +338,12 @@ TEST(UpaRunnerTest, ParallelPhasesRecordPhaseTaskMetrics) {
   UpaConfig cfg = NoNoiseConfig();
   cfg.enable_enforcer = false;
   UpaRunner runner(cfg);
+  engine::MetricsSnapshot before = Ctx().metrics().Snapshot();
   auto result = runner.Run(CountQuery(3000), 60);
   ASSERT_TRUE(result.ok());
-  const auto& tasks = result.value().metrics.phase_tasks;
-  ASSERT_TRUE(tasks.count("upa/neighbour_eval"));
-  EXPECT_GE(tasks.at("upa/neighbour_eval"), 1u);
-  ASSERT_TRUE(tasks.count("upa/influence"));
-  ASSERT_TRUE(tasks.count("upa/partition_outputs"));
+  auto tasks = (Ctx().metrics().Snapshot() - before).phase_tasks;
+  EXPECT_GE(tasks["upa/neighbour_eval"], 1u);
+  EXPECT_GE(tasks["upa/influence"], 1u);
 }
 
 // Degenerate queries: every record maps to the identity contribution, so

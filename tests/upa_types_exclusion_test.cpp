@@ -71,9 +71,8 @@ TEST(VecSumPropertyTest, CommutativeAndAssociative) {
 
 TEST(ExclusionTest, SingleElementExcludesToIdentity) {
   std::vector<Vec> mapped{{7.0}};
-  for (auto strategy : {ExclusionStrategy::kNaive, ExclusionStrategy::kScan,
-                        ExclusionStrategy::kParallelScan}) {
-    auto excl = ExclusionAggregate(mapped, strategy);
+  for (const auto& excl :
+       {NaiveExclusionAggregate(mapped), ExclusionAggregate(mapped)}) {
     ASSERT_EQ(excl.size(), 1u);
     EXPECT_EQ(excl[0], VecSum::Identity());
   }
@@ -81,7 +80,7 @@ TEST(ExclusionTest, SingleElementExcludesToIdentity) {
 
 TEST(ExclusionTest, KnownSmallCase) {
   std::vector<Vec> mapped{{1.0}, {2.0}, {4.0}};
-  auto excl = ExclusionAggregate(mapped, ExclusionStrategy::kScan);
+  auto excl = ExclusionAggregate(mapped);
   ASSERT_EQ(excl.size(), 3u);
   EXPECT_DOUBLE_EQ(excl[0][0], 6.0);
   EXPECT_DOUBLE_EQ(excl[1][0], 5.0);
@@ -105,9 +104,8 @@ TEST_P(ExclusionInvariantSweep, ExclusionPlusSelfIsTotal) {
     for (double& v : m) v = rng.UniformDouble(-10, 10);
   }
   Vec total = TotalAggregate(mapped);
-  for (auto strategy : {ExclusionStrategy::kNaive, ExclusionStrategy::kScan,
-                        ExclusionStrategy::kParallelScan}) {
-    auto excl = ExclusionAggregate(mapped, strategy);
+  for (const auto& excl :
+       {NaiveExclusionAggregate(mapped), ExclusionAggregate(mapped)}) {
     ASSERT_EQ(excl.size(), static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       Vec restored = VecSum::Combine(excl[i], mapped[i]);
@@ -124,7 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{2, 1}, std::pair{7, 3},
                       std::pair{64, 2}, std::pair{200, 5}));
 
-// The strategies must agree to floating-point near-equality.
+// The paper's loop, the scan on the calling thread and the scan on a pool
+// must agree to floating-point near-equality.
 class StrategyAgreementSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(StrategyAgreementSweep, NaiveEqualsScanEqualsParallelScan) {
@@ -135,10 +134,10 @@ TEST_P(StrategyAgreementSweep, NaiveEqualsScanEqualsParallelScan) {
     m[0] = rng.UniformDouble(-1, 1);
     m[1] = rng.Normal(0, 3);
   }
-  auto naive = ExclusionAggregate(mapped, ExclusionStrategy::kNaive);
-  auto scan = ExclusionAggregate(mapped, ExclusionStrategy::kScan);
+  auto naive = NaiveExclusionAggregate(mapped);
+  auto scan = ExclusionAggregate(mapped);
   ThreadPool pool(4);
-  auto par = ExclusionAggregate(mapped, ExclusionStrategy::kParallelScan, &pool);
+  auto par = ExclusionAggregate(mapped, &pool);
   ASSERT_EQ(naive.size(), scan.size());
   ASSERT_EQ(naive.size(), par.size());
   for (int i = 0; i < n; ++i) {
@@ -154,7 +153,7 @@ TEST_P(StrategyAgreementSweep, NaiveEqualsScanEqualsParallelScan) {
 INSTANTIATE_TEST_SUITE_P(Sizes, StrategyAgreementSweep,
                          ::testing::Values(1, 2, 3, 10, 100, 500));
 
-// kParallelScan's contract: chunk boundaries and combine orders are fixed
+// The scan's contract: chunk boundaries and combine orders are fixed
 // by n alone, so the result is BIT-identical across pool sizes — and
 // identical to running the same algorithm with no pool at all.
 class ParallelScanDeterminismSweep : public ::testing::TestWithParam<int> {};
@@ -166,12 +165,10 @@ TEST_P(ParallelScanDeterminismSweep, BitIdenticalAcrossPoolSizes) {
   for (auto& m : mapped) {
     for (double& v : m) v = rng.Normal(0, 5);
   }
-  auto reference =
-      ExclusionAggregate(mapped, ExclusionStrategy::kParallelScan, nullptr);
+  auto reference = ExclusionAggregate(mapped);
   for (size_t threads : {1u, 2u, 4u, 7u}) {
     ThreadPool pool(threads);
-    auto par =
-        ExclusionAggregate(mapped, ExclusionStrategy::kParallelScan, &pool);
+    auto par = ExclusionAggregate(mapped, &pool);
     // operator== on Vec compares doubles exactly: bit-identity, not
     // tolerance.
     EXPECT_EQ(par, reference) << "threads=" << threads;
