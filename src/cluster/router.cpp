@@ -1,48 +1,20 @@
 #include "cluster/router.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <string.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <future>
 #include <sstream>
 #include <utility>
 
-#include "net/dial.h"
+#include "common/timer.h"
 
 namespace upa::cluster {
-namespace {
-
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl(O_NONBLOCK): ") +
-                            ::strerror(errno));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Router::Router(std::vector<ShardAddress> shards, RouterConfig config)
     : shard_addrs_(std::move(shards)),
       config_(std::move(config)),
       ring_(shard_addrs_.empty() ? 1 : shard_addrs_.size(),
-            config_.ring_vnodes),
-      loop_(config_.poller) {
+            config_.ring_vnodes) {
   healthy_ = std::make_unique<std::atomic<bool>[]>(shard_addrs_.size());
   for (size_t i = 0; i < shard_addrs_.size(); ++i) healthy_[i] = false;
   jitter_state_ = config_.backoff_jitter_seed;
@@ -59,45 +31,9 @@ Status Router::Start() {
     return Status::InvalidArgument("connection/in-flight caps must be > 0");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + ::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("unparseable host '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    Status st =
-        Status::Internal(std::string("bind/listen: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    Status st =
-        Status::Internal(std::string("getsockname: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  port_ = ntohs(bound.sin_port);
-  if (Status st = SetNonBlocking(listen_fd_); !st.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
+  Result<net::ListenSocket> listener = net::Listen(config_.host, config_.port);
+  UPA_RETURN_IF_ERROR(listener.status());
+  listener_ = listener.value();
 
   links_.resize(shard_addrs_.size());
   for (size_t i = 0; i < shard_addrs_.size(); ++i) {
@@ -110,7 +46,7 @@ Status Router::Start() {
   started_ = true;
   loop_thread_ = std::thread([this] {
     Status registered = loop_.RegisterFd(
-        listen_fd_, /*want_read=*/true, /*want_write=*/false,
+        listener_.fd, /*want_read=*/true, /*want_write=*/false,
         [this](bool readable, bool, bool) {
           if (readable) HandleAccept();
         });
@@ -120,21 +56,10 @@ Status Router::Start() {
     for (ShardLink& link : links_) StartDial(link);
     loop_.Run();
     // Loop exited: tear everything down on the owning thread.
-    for (auto& [id, conn] : connections_) {
-      loop_.UnregisterFd(conn->fd);
-      ::close(conn->fd);
-    }
     connections_.clear();
-    for (ShardLink& link : links_) {
-      if (link.fd >= 0) {
-        loop_.UnregisterFd(link.fd);
-        ::close(link.fd);
-        link.fd = -1;
-      }
-    }
-    loop_.UnregisterFd(listen_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    for (ShardLink& link : links_) link.conn.reset();
+    loop_.UnregisterFd(listener_.fd);
+    ::close(listener_.fd);
   });
   return Status::Ok();
 }
@@ -142,36 +67,23 @@ Status Router::Start() {
 void Router::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  loop_.RunInLoop([this] {
-    HandleAccept();
-    loop_.UnregisterFd(listen_fd_);
-  });
-  // Drain: give routed queries a chance to come back and flush out.
-  int64_t deadline_ns =
-      NowNanos() + static_cast<int64_t>(config_.drain_timeout_ms * 1e6);
-  while (NowNanos() < deadline_ns) {
-    auto probe = std::make_shared<std::promise<bool>>();
-    std::future<bool> quiescent = probe->get_future();
-    loop_.RunInLoop([this, probe] {
-      bool quiet = total_inflight_.load(std::memory_order_acquire) == 0;
-      for (const auto& [id, conn] : connections_) {
-        if (conn->inflight > 0 ||
-            conn->write_offset < conn->write_buffer.size()) {
-          quiet = false;
-          break;
+  // Drain: give routed queries (parked ones included, via the per-client
+  // count) a chance to come back and flush out.
+  net::Drain(
+      loop_, listener_.fd, [this] { HandleAccept(); },
+      [this] {
+        std::vector<uint64_t> ids;
+        ids.reserve(connections_.size());
+        for (const auto& [id, conn] : connections_) ids.push_back(id);
+        for (uint64_t id : ids) HandleClientReadable(id);
+      },
+      [this] {
+        if (total_inflight_.load(std::memory_order_acquire) != 0) return false;
+        for (const auto& [id, conn] : connections_) {
+          if (conn->inflight > 0 || !conn->io.Idle()) return false;
         }
-      }
-      probe->set_value(quiet);
-    });
-    if (quiescent.wait_until(std::chrono::steady_clock::now() +
-                             std::chrono::nanoseconds(deadline_ns -
-                                                      NowNanos())) !=
-        std::future_status::ready) {
-      break;
-    }
-    if (quiescent.get()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+        return true;
+      });
   loop_.Stop();
   if (loop_thread_.joinable()) loop_thread_.join();
 }
@@ -205,7 +117,7 @@ std::string Router::StatsText() const {
   Stats s = stats();
   std::ostringstream os;
   os << "== upa router ==\n"
-     << "  port                  " << port_ << "\n"
+     << "  port                  " << listener_.port << "\n"
      << "  shards                " << shard_addrs_.size() << "\n"
      << "  open_connections      " << s.open_connections << "\n"
      << "  accepted              " << s.accepted << "\n"
@@ -230,80 +142,42 @@ std::string Router::StatsText() const {
 }
 
 void Router::HandleAccept() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    int fd =
-        ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (connections_.size() >= config_.max_connections ||
-        !SetNonBlocking(fd).ok()) {
-      ::close(fd);
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<ClientConn>(config_.max_frame_bytes);
-    conn->id = id;
-    conn->fd = fd;
-    Status registered = loop_.RegisterFd(
-        fd, /*want_read=*/true, /*want_write=*/false,
-        [this, id](bool readable, bool writable, bool error) {
-          if (error) {
-            CloseClient(id);
-            return;
-          }
-          if (writable) HandleClientWritable(id);
-          if (readable) HandleClientReadable(id);
-        });
-    if (!registered.ok()) {
-      ::close(fd);
-      continue;
-    }
-    connections_[id] = std::move(conn);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    open_connections_.store(connections_.size(), std::memory_order_relaxed);
-  }
+  net::AcceptAll(
+      listener_.fd, connections_.size(), config_.max_connections,
+      [this](int fd) {
+        const uint64_t id = next_conn_id_++;
+        auto conn = std::make_unique<ClientConn>(id, loop_, fd,
+                                                 config_.max_frame_bytes);
+        Status watched = conn->io.Watch(
+            /*want_write=*/false,
+            [this, id](bool readable, bool writable, bool error) {
+              auto it = connections_.find(id);
+              if (it == connections_.end()) return;
+              if (error) {
+                CloseClient(id);
+                return;
+              }
+              if (writable) FlushClient(*it->second);
+              if (readable) HandleClientReadable(id);
+            });
+        if (!watched.ok()) return false;
+        connections_[id] = std::move(conn);
+        accepted_.fetch_add(1, std::memory_order_relaxed);
+        open_connections_.store(connections_.size(),
+                                std::memory_order_relaxed);
+        return true;
+      });
 }
 
 void Router::HandleClientReadable(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
   ClientConn& conn = *it->second;
-  if (conn.reads_paused || conn.close_after_flush) return;
-  char buf[64 * 1024];
-  for (;;) {
-    ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.assembler.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      ProcessClientFrames(conn);
-      auto again = connections_.find(conn_id);
-      if (again == connections_.end()) return;
-      if (again->second->reads_paused || again->second->close_after_flush) {
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {
-      CloseClient(conn_id);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    CloseClient(conn_id);
-    return;
-  }
-}
-
-void Router::HandleClientWritable(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  FlushClient(*it->second);
+  Status read = conn.io.Read([&] {
+    ProcessClientFrames(conn);
+    return connections_.count(conn_id) != 0;  // frames may close it
+  });
+  if (!read.ok()) CloseClient(conn_id);
 }
 
 void Router::ProcessClientFrames(ClientConn& conn) {
@@ -311,7 +185,7 @@ void Router::ProcessClientFrames(ClientConn& conn) {
   for (;;) {
     net::Frame frame;
     Status error = Status::Ok();
-    net::FrameAssembler::Outcome outcome = conn.assembler.Next(&frame, &error);
+    net::FrameAssembler::Outcome outcome = conn.io.NextFrame(&frame, &error);
     if (outcome == net::FrameAssembler::Outcome::kNeedMore) return;
     if (outcome == net::FrameAssembler::Outcome::kError) {
       AbortClient(conn, error);
@@ -371,8 +245,7 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
     return;
   }
   if (link.inflight.size() >= config_.max_inflight_per_shard ||
-      link.write_buffer.size() - link.write_offset >
-          config_.write_buffer_high_bytes) {
+      link.conn->unsent_bytes() > net::kWriteBufferHighBytes) {
     Status full =
         Status::ResourceExhausted("shard " + std::to_string(shard) +
                                   " is at in-flight capacity; retry");
@@ -406,68 +279,26 @@ void Router::RespondToClient(ClientConn& conn,
 }
 
 void Router::QueueClientWrite(ClientConn& conn, std::string bytes) {
-  if (conn.write_buffer.empty()) {
-    conn.write_buffer = std::move(bytes);
-    conn.write_offset = 0;
-  } else {
-    conn.write_buffer += bytes;
-  }
+  conn.io.Append(std::move(bytes));
   FlushClient(conn);
 }
 
 void Router::FlushClient(ClientConn& conn) {
-  const uint64_t conn_id = conn.id;
-  while (conn.write_offset < conn.write_buffer.size()) {
-    ssize_t n = ::send(conn.fd, conn.write_buffer.data() + conn.write_offset,
-                       conn.write_buffer.size() - conn.write_offset,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.write_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseClient(conn_id);
-    return;
-  }
-  if (conn.write_offset >= conn.write_buffer.size()) {
-    conn.write_buffer.clear();
-    conn.write_offset = 0;
-    if (conn.close_after_flush) {
-      CloseClient(conn_id);
-      return;
-    }
-  }
-  UpdateClientInterest(conn);
-}
-
-void Router::UpdateClientInterest(ClientConn& conn) {
-  const size_t buffered = conn.write_buffer.size() - conn.write_offset;
-  const bool want_write = buffered > 0;
-  if (buffered > config_.write_buffer_high_bytes) {
-    conn.reads_paused = true;
-  } else if (buffered == 0 && conn.reads_paused) {
-    conn.reads_paused = false;
-  }
-  const bool want_read = !conn.reads_paused && !conn.close_after_flush;
-  (void)loop_.UpdateFd(conn.fd, want_read, want_write);
+  Status flushed = conn.io.Flush();
+  if (!flushed.ok() || conn.io.Finished()) CloseClient(conn.id);
 }
 
 void Router::AbortClient(ClientConn& conn, const Status& error) {
   protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  conn.close_after_flush = true;
+  conn.io.CloseAfterFlush();
   QueueClientWrite(conn, net::EncodeErrorFrame(error));
 }
 
 void Router::CloseClient(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  loop_.UnregisterFd(it->second->fd);
-  ::close(it->second->fd);
   // Routed queries stay in flight on their shards; when the responses
   // come back the routes resolve to a gone connection and are dropped
   // (the shard has already released/charged — the client walked away).
-  connections_.erase(it);
+  if (connections_.erase(conn_id) == 0) return;  // closes the socket
   open_connections_.store(connections_.size(), std::memory_order_relaxed);
 }
 
@@ -478,24 +309,22 @@ void Router::StartDial(ShardLink& link) {
     ScheduleRedial(link, now);
     return;
   }
-  link.fd = fd_or.value();
-  link.assembler =
-      std::make_unique<net::FrameAssembler>(config_.max_frame_bytes);
-  link.write_buffer.clear();
-  link.write_offset = 0;
+  // A dialled link always reads: the shard's responses are what drain it.
+  link.conn = std::make_unique<net::FramedConn>(
+      loop_, fd_or.value(), net::kDefaultMaxFrameBytes,
+      /*backpressure=*/false);
   link.probe_outstanding = false;
   link.state = ShardLink::State::kConnecting;
   link.dial_deadline_ns =
       now + static_cast<int64_t>(config_.dial_timeout_ms * 1e6);
   const size_t shard = link.index;
-  Status registered = loop_.RegisterFd(
-      link.fd, /*want_read=*/true, /*want_write=*/true,
+  Status watched = link.conn->Watch(
+      /*want_write=*/true,
       [this, shard](bool readable, bool writable, bool error) {
         HandleShardEvent(shard, readable, writable, error);
       });
-  if (!registered.ok()) {
-    ::close(link.fd);
-    link.fd = -1;
+  if (!watched.ok()) {
+    link.conn.reset();
     ScheduleRedial(link, now);
   }
 }
@@ -503,13 +332,13 @@ void Router::StartDial(ShardLink& link) {
 void Router::HandleShardEvent(size_t shard, bool readable, bool writable,
                               bool error) {
   ShardLink& link = links_[shard];
-  if (link.fd < 0) return;
+  if (link.conn == nullptr) return;
   if (error) {
     FailShard(link, Status::Internal("shard socket error"));
     return;
   }
   if (link.state == ShardLink::State::kConnecting && writable) {
-    Status finished = net::FinishConnect(link.fd);
+    Status finished = net::FinishConnect(link.conn->fd());
     if (!finished.ok()) {
       FailShard(link, finished);
       return;
@@ -522,26 +351,14 @@ void Router::HandleShardEvent(size_t shard, bool readable, bool writable,
     return;
   }
   if (writable) FlushShard(link);
-  if (link.fd >= 0 && readable) {
-    char buf[64 * 1024];
-    for (;;) {
-      ssize_t n = ::recv(link.fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        link.assembler->Feed(std::string_view(buf, static_cast<size_t>(n)));
-        ProcessShardFrames(link);
-        if (link.fd < 0) return;  // frame processing failed the link
-        continue;
-      }
-      if (n == 0) {
-        FailShard(link, Status::Unavailable("shard closed connection"));
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      FailShard(link,
-                Status::Internal(std::string("recv: ") + ::strerror(errno)));
-      return;
-    }
+  if (link.conn != nullptr && readable) {
+    // Frame processing never redials synchronously (only OnTick does), so
+    // a null link.conn is the only sign that it failed the link.
+    Status read = link.conn->Read([&] {
+      ProcessShardFrames(link);
+      return link.conn != nullptr;
+    });
+    if (!read.ok()) FailShard(link, read);
   }
 }
 
@@ -549,8 +366,7 @@ void Router::ProcessShardFrames(ShardLink& link) {
   for (;;) {
     net::Frame frame;
     Status error = Status::Ok();
-    net::FrameAssembler::Outcome outcome =
-        link.assembler->Next(&frame, &error);
+    net::FrameAssembler::Outcome outcome = link.conn->NextFrame(&frame, &error);
     if (outcome == net::FrameAssembler::Outcome::kNeedMore) return;
     if (outcome == net::FrameAssembler::Outcome::kError) {
       FailShard(link, error);
@@ -610,48 +426,18 @@ void Router::ProcessShardFrames(ShardLink& link) {
                   Status::Internal("unexpected frame type from shard"));
         return;
     }
-    if (link.fd < 0) return;
+    if (link.conn == nullptr) return;
   }
 }
 
 void Router::QueueShardWrite(ShardLink& link, std::string bytes) {
-  if (link.write_buffer.empty()) {
-    link.write_buffer = std::move(bytes);
-    link.write_offset = 0;
-  } else {
-    link.write_buffer += bytes;
-  }
+  link.conn->Append(std::move(bytes));
   FlushShard(link);
 }
 
 void Router::FlushShard(ShardLink& link) {
-  while (link.write_offset < link.write_buffer.size()) {
-    ssize_t n =
-        ::send(link.fd, link.write_buffer.data() + link.write_offset,
-               link.write_buffer.size() - link.write_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      link.write_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    FailShard(link,
-              Status::Internal(std::string("send: ") + ::strerror(errno)));
-    return;
-  }
-  if (link.write_offset >= link.write_buffer.size()) {
-    link.write_buffer.clear();
-    link.write_offset = 0;
-  }
-  UpdateShardInterest(link);
-}
-
-void Router::UpdateShardInterest(ShardLink& link) {
-  if (link.fd < 0) return;
-  const bool want_write =
-      link.write_offset < link.write_buffer.size() ||
-      link.state == ShardLink::State::kConnecting;
-  (void)loop_.UpdateFd(link.fd, /*want_read=*/true, want_write);
+  Status flushed = link.conn->Flush();
+  if (!flushed.ok()) FailShard(link, flushed);
 }
 
 void Router::SendProbe(ShardLink& link) {
@@ -664,11 +450,7 @@ void Router::SendProbe(ShardLink& link) {
 }
 
 void Router::FailShard(ShardLink& link, const Status& reason) {
-  if (link.fd >= 0) {
-    loop_.UnregisterFd(link.fd);
-    ::close(link.fd);
-    link.fd = -1;
-  }
+  link.conn.reset();
   healthy_[link.index].store(false, std::memory_order_release);
   shard_reconnects_.fetch_add(1, std::memory_order_relaxed);
   const int64_t now = NowNanos();
@@ -704,8 +486,6 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
     RespondToClient(conn, result);
   }
   link.inflight.clear();
-  link.write_buffer.clear();
-  link.write_offset = 0;
   link.probe_outstanding = false;
   ScheduleRedial(link, now);
 }
@@ -736,8 +516,7 @@ void Router::ResendRoute(Route route) {
     return;
   }
   if (link.inflight.size() >= config_.max_inflight_per_shard ||
-      link.write_buffer.size() - link.write_offset >
-          config_.write_buffer_high_bytes) {
+      link.conn->unsent_bytes() > net::kWriteBufferHighBytes) {
     rejected_backpressure_.fetch_add(1, std::memory_order_relaxed);
     if (conn.inflight > 0) --conn.inflight;
     net::WireResult result;

@@ -14,6 +14,9 @@
 //     client_tag), and re-encoded onto the owning shard's link; responses
 //     are re-tagged back. Doubles travel as raw IEEE bits through the
 //     decode/encode round trip, so routing is bit-invisible.
+//   - client connections and shard links are net::FramedConns (conn.h):
+//     the same accept cap, read loop, write backpressure and drain as the
+//     server, and the same "net/*" fault sites.
 //   - per-shard backpressure: a shard at its in-flight cap (or with a
 //     backed-up write buffer) rejects further queries with
 //     kResourceExhausted, the same code the server uses for pipeline
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "cluster/ring.h"
+#include "net/conn.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
 
@@ -57,13 +61,13 @@ struct RouterConfig {
   /// 0 = ephemeral (read back via port()).
   uint16_t port = 0;
   size_t max_connections = 1024;
+  /// Cap on a client's frame payload (see wire.h). Shard links keep the
+  /// protocol default, so a shard's stats replies fit whatever the cap.
   size_t max_frame_bytes = net::kDefaultMaxFrameBytes;
-  /// Per-shard cap on routed-but-unanswered queries; overflow is rejected
+  /// Per-shard cap on routed-but-unanswered queries (or a shard link with
+  /// more than net::kWriteBufferHighBytes unsent); overflow is rejected
   /// with kResourceExhausted (backpressure, not queueing).
   size_t max_inflight_per_shard = 128;
-  /// A client (or shard) write buffer above this pauses reads from the
-  /// other side of that connection until it drains.
-  size_t write_buffer_high_bytes = 4u << 20;
   /// Shard dial: per-attempt connect timeout and the redial backoff range.
   double dial_timeout_ms = 2000.0;
   double backoff_initial_ms = 20.0;
@@ -74,7 +78,6 @@ struct RouterConfig {
   double health_probe_interval_ms = 500.0;
   double health_probe_timeout_ms = 2000.0;
   double tick_interval_ms = 5.0;
-  double drain_timeout_ms = 5000.0;
   /// Budget-safe failover retry: an in-flight query carrying an
   /// idempotency key (client_nonce != 0) is PARKED when its shard link
   /// dies and re-sent — same key, so a completed release replays instead
@@ -94,7 +97,6 @@ struct RouterConfig {
   double backoff_jitter = 0.5;
   uint64_t backoff_jitter_seed = 0x7570612d6a697474ULL;
   size_t ring_vnodes = 64;
-  net::PollerKind poller = net::PollerKind::kEpoll;
 };
 
 class Router {
@@ -108,7 +110,7 @@ class Router {
   Status Start();
   void Stop();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port; }
   const ConsistentHashRing& ring() const { return ring_; }
 
   /// True once the shard's link passed its health probe (and the link is
@@ -147,15 +149,10 @@ class Router {
 
  private:
   struct ClientConn {
-    explicit ClientConn(size_t max_frame)
-        : assembler(max_frame) {}
-    uint64_t id = 0;
-    int fd = -1;
-    net::FrameAssembler assembler;
-    std::string write_buffer;
-    size_t write_offset = 0;
-    bool reads_paused = false;
-    bool close_after_flush = false;
+    ClientConn(uint64_t id, net::EventLoop& loop, int fd, size_t max_frame)
+        : id(id), io(loop, fd, max_frame, /*backpressure=*/true) {}
+    const uint64_t id;
+    net::FramedConn io;
     /// Queries routed to a shard and not yet answered back to this client.
     size_t inflight = 0;
   };
@@ -177,10 +174,8 @@ class Router {
     size_t index = 0;
     ShardAddress addr;
     State state = State::kBackoff;
-    int fd = -1;
-    std::unique_ptr<net::FrameAssembler> assembler;
-    std::string write_buffer;
-    size_t write_offset = 0;
+    /// The dialled connection; null while the link is down (kBackoff).
+    std::unique_ptr<net::FramedConn> conn;
     double backoff_ms = 0.0;
     int64_t next_dial_ns = 0;   // kBackoff: earliest redial
     int64_t dial_deadline_ns = 0;
@@ -196,13 +191,14 @@ class Router {
   // Loop-thread only.
   void HandleAccept();
   void HandleClientReadable(uint64_t conn_id);
-  void HandleClientWritable(uint64_t conn_id);
   void ProcessClientFrames(ClientConn& conn);
   void RouteQuery(ClientConn& conn, net::WireQuery query);
   void RespondToClient(ClientConn& conn, const net::WireResult& result);
+  /// Queues `bytes` and flushes; like FlushClient, may close `conn`.
   void QueueClientWrite(ClientConn& conn, std::string bytes);
+  /// Closes the client on a hard send failure or once its final flush
+  /// completes; callers must not touch `conn` afterwards.
   void FlushClient(ClientConn& conn);
-  void UpdateClientInterest(ClientConn& conn);
   void AbortClient(ClientConn& conn, const Status& error);
   void CloseClient(uint64_t conn_id);
 
@@ -212,7 +208,6 @@ class Router {
   void ProcessShardFrames(ShardLink& link);
   void QueueShardWrite(ShardLink& link, std::string bytes);
   void FlushShard(ShardLink& link);
-  void UpdateShardInterest(ShardLink& link);
   void SendProbe(ShardLink& link);
   /// Tears the link down: parks keyed in-flight routes for a post-recovery
   /// re-send (retry budget permitting), fails the rest with kUnavailable,
@@ -236,8 +231,7 @@ class Router {
   std::thread loop_thread_;
   bool started_ = false;
   bool stopped_ = false;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::ListenSocket listener_;
 
   uint64_t next_conn_id_ = 1;
   uint64_t next_router_tag_ = 1;

@@ -1,11 +1,9 @@
 #include "cluster/shard_process.h"
 
 #include <errno.h>
-#include <netinet/in.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <string.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,43 +11,16 @@
 #include <chrono>
 #include <utility>
 
+#include "common/timer.h"
+#include "net/conn.h"
+
 namespace upa::cluster {
-namespace {
-
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 Result<uint16_t> PickFreePort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + ::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status st = Status::Internal(std::string("bind: ") + ::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    Status st =
-        Status::Internal(std::string("getsockname: ") + ::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  ::close(fd);
-  return ntohs(bound.sin_port);
+  Result<net::ListenSocket> probe = net::Listen("127.0.0.1", 0);
+  UPA_RETURN_IF_ERROR(probe.status());
+  ::close(probe.value().fd);
+  return probe.value().port;
 }
 
 ShardSupervisor::ShardSupervisor() : ShardSupervisor(Options()) {}

@@ -1,18 +1,10 @@
 #include "common/cancel.h"
 
+#include "common/timer.h"
+
 namespace upa {
 
 thread_local CancelToken* CancelScope::current_ = nullptr;
-
-namespace {
-
-int64_t SteadyNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 void CancelToken::Cancel(StatusCode code, std::string message) {
   UPA_CHECK_MSG(code == StatusCode::kCancelled ||
@@ -30,14 +22,14 @@ void CancelToken::Cancel(StatusCode code, std::string message) {
 
 void CancelToken::SetDeadlineAfterMillis(int64_t millis) {
   if (millis <= 0) return;
-  deadline_ns_.store(SteadyNowNanos() + millis * 1'000'000,
+  deadline_ns_.store(NowNanos() + millis * 1'000'000,
                      std::memory_order_relaxed);
 }
 
 Status CancelToken::Check() {
   if (!tripped_.load(std::memory_order_acquire)) {
     int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-    if (deadline != 0 && SteadyNowNanos() > deadline) {
+    if (deadline != 0 && NowNanos() > deadline) {
       Cancel(StatusCode::kDeadlineExceeded, "deadline exceeded");
     }
   }

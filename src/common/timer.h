@@ -8,6 +8,14 @@
 
 namespace upa {
 
+/// Steady-clock nanoseconds since an arbitrary epoch: deadlines and
+/// intervals, never wall time.
+inline int64_t NowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Wall-clock stopwatch on the steady clock.
 class Stopwatch {
  public:

@@ -1,10 +1,6 @@
 #include "net/client.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -15,16 +11,11 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "net/dial.h"
+#include "common/timer.h"
+#include "net/conn.h"
 
 namespace upa::net {
 namespace {
-
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Process-unique, nonzero idempotency nonce for a new connection: pid ×
 /// wall-clock × a process-wide counter, finalized through SplitMix64 so

@@ -1,47 +1,22 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <string.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <future>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/timer.h"
 
 namespace upa::net {
 namespace {
 
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl(O_NONBLOCK): ") +
-                            ::strerror(errno));
-  }
-  return Status::Ok();
-}
-
-/// Failpoint probe usable in void handlers: non-OK (or an abort/delay
-/// action) is surfaced as the injected Status for the caller to treat as a
-/// transport failure on that connection.
-Status Probe(const char* site) {
-  if (Failpoints::Instance().AnyActive()) {
-    return Failpoints::Instance().Evaluate(site);
-  }
+/// The "net/decode" fault site: an injected error aborts the connection
+/// as if the frame had failed to decode.
+Status DecodeFault() {
+  UPA_FAILPOINT("net/decode");
   return Status::Ok();
 }
 
@@ -52,7 +27,6 @@ Server::Server(service::UpaService* service, QueryCompiler compiler,
     : service_(service),
       compiler_(std::move(compiler)),
       config_(std::move(config)),
-      loop_(config_.poller),
       mailbox_(std::make_shared<Mailbox>()) {
   mailbox_->loop = &loop_;
 }
@@ -78,56 +52,14 @@ Status Server::Start() {
     return Status::InvalidArgument("max_frame_bytes is below a frame header");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + ::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("unparseable host '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status st = Status::Internal(std::string("bind: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 128) != 0) {
-    Status st =
-        Status::Internal(std::string("listen: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    Status st =
-        Status::Internal(std::string("getsockname: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  port_ = ntohs(bound.sin_port);
-  if (Status st = SetNonBlocking(listen_fd_); !st.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
+  Result<ListenSocket> listener = Listen(config_.host, config_.port);
+  UPA_RETURN_IF_ERROR(listener.status());
+  listener_ = listener.value();
 
   started_ = true;
   loop_thread_ = std::thread([this] {
     Status registered = loop_.RegisterFd(
-        listen_fd_, /*want_read=*/true, /*want_write=*/false,
+        listener_.fd, /*want_read=*/true, /*want_write=*/false,
         [this](bool readable, bool, bool) {
           if (readable) HandleAccept();
         });
@@ -138,16 +70,13 @@ Status Server::Start() {
     loop_.Run();
     // Loop exited: tear down every fd on the owning thread.
     for (auto& [id, conn] : connections_) {
-      loop_.UnregisterFd(conn->fd);
-      ::close(conn->fd);
       for (auto& [seq, token] : conn->inflight) {
         token->Cancel(StatusCode::kCancelled, "server shutting down");
       }
     }
     connections_.clear();
-    loop_.UnregisterFd(listen_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    loop_.UnregisterFd(listener_.fd);
+    ::close(listener_.fd);
   });
   return Status::Ok();
 }
@@ -156,55 +85,25 @@ void Server::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
 
-  // Stop accepting (existing connections keep flowing while we drain).
-  // Accept whatever the kernel already completed first: posted closures
-  // run before fd events, so a handshake finished just before Stop()
-  // would otherwise be dropped unserved with its accept event.
-  loop_.RunInLoop([this] {
-    HandleAccept();
-    loop_.UnregisterFd(listen_fd_);
-  });
-
-  // Graceful drain: wait for in-flight queries and buffered responses.
-  // The quiescence probe runs on the loop thread and first drains any
-  // bytes the kernel already buffered — a request whose frame was sent
-  // before Stop() but not yet read would otherwise be invisible to the
-  // atomics and get cut off mid-handshake.
-  int64_t deadline_ns =
-      NowNanos() + static_cast<int64_t>(config_.drain_timeout_ms * 1e6);
-  while (NowNanos() < deadline_ns) {
-    auto probe = std::make_shared<std::promise<bool>>();
-    std::future<bool> quiescent = probe->get_future();
-    loop_.RunInLoop([this, probe] {
-      std::vector<uint64_t> ids;
-      ids.reserve(connections_.size());
-      for (const auto& [id, conn] : connections_) ids.push_back(id);
-      for (uint64_t id : ids) HandleReadable(id);
-      bool quiet =
-          mailbox_->pending_requests.load(std::memory_order_acquire) == 0;
-      for (const auto& [id, conn] : connections_) {
-        if (!conn->inflight.empty() ||
-            conn->write_offset < conn->write_buffer.size() ||
-            conn->assembler.buffered_bytes() > 0) {
-          quiet = false;
-          break;
+  // Graceful drain: quiet once no query is in flight and nothing is
+  // buffered either way on any connection.
+  Drain(
+      loop_, listener_.fd, [this] { HandleAccept(); },
+      [this] {
+        std::vector<uint64_t> ids;
+        ids.reserve(connections_.size());
+        for (const auto& [id, conn] : connections_) ids.push_back(id);
+        for (uint64_t id : ids) HandleReadable(id);
+      },
+      [this] {
+        if (mailbox_->pending_requests.load(std::memory_order_acquire) != 0) {
+          return false;
         }
-      }
-      probe->set_value(quiet);
-    });
-    if (quiescent.wait_until(std::chrono::steady_clock::now() +
-                             std::chrono::nanoseconds(
-                                 deadline_ns - NowNanos())) !=
-        std::future_status::ready) {
-      break;  // loop wedged past the drain deadline; stop anyway
-    }
-    if (quiescent.get() &&
-        mailbox_->pending_requests.load(std::memory_order_acquire) == 0 &&
-        unflushed_bytes_.load(std::memory_order_acquire) == 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+        for (const auto& [id, conn] : connections_) {
+          if (!conn->inflight.empty() || !conn->io.Idle()) return false;
+        }
+        return true;
+      });
 
   // Cut the completion bridge: callbacks still running on pool threads see
   // a null loop and drop their response bytes instead of touching a loop
@@ -234,7 +133,7 @@ std::string Server::StatsText() const {
   Stats s = stats();
   std::ostringstream os;
   os << "== net ==\n"
-     << "  port                 " << port_ << "\n"
+     << "  port                 " << listener_.port << "\n"
      << "  open_connections     " << s.open_connections << "\n"
      << "  accepted             " << s.accepted << "\n"
      << "  rejected_connections " << s.rejected_connections << "\n"
@@ -247,104 +146,52 @@ std::string Server::StatsText() const {
 }
 
 void Server::HandleAccept() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                      &peer_len);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient accept failure; the listener stays registered
-    }
-    if (Status injected = Probe("net/accept"); !injected.ok()) {
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    if (connections_.size() >= config_.max_connections) {
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    if (!SetNonBlocking(fd).ok()) {
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(config_.max_frame_bytes);
-    conn->id = id;
-    conn->fd = fd;
-    conn->last_activity_ns = NowNanos();
-    Status registered = loop_.RegisterFd(
-        fd, /*want_read=*/true, /*want_write=*/false,
-        [this, id](bool readable, bool writable, bool error) {
-          if (error) {
-            CloseConnection(id, /*cancel_inflight=*/true);
-            return;
-          }
-          if (writable) HandleWritable(id);
-          if (readable) HandleReadable(id);
-        });
-    if (!registered.ok()) {
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    connections_[id] = std::move(conn);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    open_connections_.store(connections_.size(), std::memory_order_relaxed);
-  }
+  size_t rejected = AcceptAll(
+      listener_.fd, connections_.size(), config_.max_connections,
+      [this](int fd) {
+        const uint64_t id = next_conn_id_++;
+        auto conn = std::make_unique<Connection>(id, loop_, fd,
+                                                 config_.max_frame_bytes);
+        Status watched = conn->io.Watch(
+            /*want_write=*/false,
+            [this, id](bool readable, bool writable, bool error) {
+              auto it = connections_.find(id);
+              if (it == connections_.end()) return;
+              if (error) {
+                CloseConnection(id);
+                return;
+              }
+              if (writable) Flush(*it->second);
+              if (readable) HandleReadable(id);
+            });
+        if (!watched.ok()) return false;
+        connections_[id] = std::move(conn);
+        accepted_.fetch_add(1, std::memory_order_relaxed);
+        open_connections_.store(connections_.size(),
+                                std::memory_order_relaxed);
+        return true;
+      });
+  rejected_connections_.fetch_add(rejected, std::memory_order_relaxed);
 }
 
 void Server::HandleReadable(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
   Connection& conn = *it->second;
-  if (conn.reads_paused || conn.close_after_flush) return;
-
-  char buf[64 * 1024];
-  for (;;) {
-    if (Status injected = Probe("net/read"); !injected.ok()) {
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-    ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.last_activity_ns = NowNanos();
-      conn.assembler.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      ProcessFrames(conn);
-      // ProcessFrames may have closed or paused the connection.
-      auto again = connections_.find(conn_id);
-      if (again == connections_.end()) return;
-      if (again->second->reads_paused || again->second->close_after_flush) {
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {  // orderly EOF
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    CloseConnection(conn_id, /*cancel_inflight=*/true);
-    return;
-  }
+  Status read = conn.io.Read([&] {
+    ProcessFrames(conn);
+    return connections_.count(conn_id) != 0;  // frames may close it
+  });
+  if (!read.ok()) CloseConnection(conn_id);
 }
 
 void Server::AbortConnection(Connection& conn, const Status& error) {
   protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  // close_after_flush must be set BEFORE the write is queued: QueueWrite
-  // flushes inline, and a hard send() error (or the net/write failpoint)
-  // inside that flush destroys the Connection. With the flag already set,
-  // a clean full flush also closes — no second touch of `conn` is needed,
-  // and callers must not make one.
-  conn.close_after_flush = true;
+  // Marked BEFORE the write is queued: QueueWrite flushes inline and
+  // closes the connection on a hard send() error (or the net/write
+  // failpoint). With the mark already set, a clean full flush also closes
+  // — no second touch of `conn` is needed, and callers must not make one.
+  conn.io.CloseAfterFlush();
   QueueWrite(conn, EncodeErrorFrame(error));
 }
 
@@ -353,7 +200,7 @@ void Server::ProcessFrames(Connection& conn) {
   for (;;) {
     Frame frame;
     Status error = Status::Ok();
-    FrameAssembler::Outcome outcome = conn.assembler.Next(&frame, &error);
+    FrameAssembler::Outcome outcome = conn.io.NextFrame(&frame, &error);
     if (outcome == FrameAssembler::Outcome::kNeedMore) return;
     if (outcome == FrameAssembler::Outcome::kError) {
       // The stream cannot be resynchronised: report once, flush, close.
@@ -362,7 +209,7 @@ void Server::ProcessFrames(Connection& conn) {
     }
     frames_in_.fetch_add(1, std::memory_order_relaxed);
 
-    if (Status injected = Probe("net/decode"); !injected.ok()) {
+    if (Status injected = DecodeFault(); !injected.ok()) {
       AbortConnection(conn, injected);
       return;
     }
@@ -485,93 +332,26 @@ void Server::CompleteRequest(uint64_t conn_id, uint64_t seq,
 
 void Server::QueueWrite(Connection& conn, std::string bytes) {
   frames_out_.fetch_add(1, std::memory_order_relaxed);
-  unflushed_bytes_.fetch_add(bytes.size(), std::memory_order_acq_rel);
-  if (conn.write_buffer.empty()) {
-    conn.write_buffer = std::move(bytes);
-    conn.write_offset = 0;
-  } else {
-    conn.write_buffer += bytes;
-  }
-  TryFlush(conn);
+  conn.io.Append(std::move(bytes));
+  Flush(conn);
 }
 
-void Server::TryFlush(Connection& conn) {
-  uint64_t conn_id = conn.id;
-  while (conn.write_offset < conn.write_buffer.size()) {
-    if (Status injected = Probe("net/write"); !injected.ok()) {
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-    ssize_t n = ::send(conn.fd, conn.write_buffer.data() + conn.write_offset,
-                       conn.write_buffer.size() - conn.write_offset,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.write_offset += static_cast<size_t>(n);
-      unflushed_bytes_.fetch_sub(static_cast<uint64_t>(n),
-                                 std::memory_order_acq_rel);
-      conn.last_activity_ns = NowNanos();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConnection(conn_id, /*cancel_inflight=*/true);
-    return;
-  }
-  if (conn.write_offset >= conn.write_buffer.size()) {
-    conn.write_buffer.clear();
-    conn.write_offset = 0;
-    if (conn.close_after_flush) {
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-  }
-  UpdateInterest(conn);
+void Server::Flush(Connection& conn) {
+  Status flushed = conn.io.Flush();
+  if (!flushed.ok() || conn.io.Finished()) CloseConnection(conn.id);
 }
 
-void Server::UpdateInterest(Connection& conn) {
-  size_t buffered = conn.write_buffer.size() - conn.write_offset;
-  bool want_write = buffered > 0;
-  // Backpressure: a connection writing faster than its client reads stops
-  // being read until its buffer fully drains. Full drain (not a low
-  // watermark) keeps the policy simple and the test observable.
-  bool pause_reads = buffered > config_.write_buffer_high_bytes;
-  bool resume_reads = buffered == 0;
-  if (pause_reads) {
-    conn.reads_paused = true;
-  } else if (resume_reads && conn.reads_paused) {
-    conn.reads_paused = false;
-  }
-  bool want_read = !conn.reads_paused && !conn.close_after_flush;
-  (void)loop_.UpdateFd(conn.fd, want_read, want_write);
-  conn.want_write = want_write;
-}
-
-void Server::HandleWritable(uint64_t conn_id) {
+void Server::CloseConnection(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  TryFlush(*it->second);
-}
-
-void Server::CloseConnection(uint64_t conn_id, bool cancel_inflight) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  Connection& conn = *it->second;
-  loop_.UnregisterFd(conn.fd);
-  ::close(conn.fd);
-  size_t buffered = conn.write_buffer.size() - conn.write_offset;
-  if (buffered > 0) {
-    unflushed_bytes_.fetch_sub(buffered, std::memory_order_acq_rel);
+  for (auto& [seq, token] : it->second->inflight) {
+    disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
+    // The service observes the trip at its next cooperative check and
+    // refunds the charge (nothing was released). The completion callback
+    // still fires; CompleteRequest drops it — the connection is gone.
+    token->Cancel(StatusCode::kCancelled, "client disconnected");
   }
-  if (cancel_inflight) {
-    for (auto& [seq, token] : conn.inflight) {
-      disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
-      // The service observes the trip at its next cooperative check and
-      // refunds the charge (nothing was released). The completion callback
-      // still fires; CompleteRequest drops it — the connection is gone.
-      token->Cancel(StatusCode::kCancelled, "client disconnected");
-    }
-  }
-  connections_.erase(it);
+  connections_.erase(it);  // closes the socket
   open_connections_.store(connections_.size(), std::memory_order_relaxed);
 }
 
@@ -582,17 +362,17 @@ void Server::OnTick() {
   std::vector<uint64_t> victims;
   for (const auto& [id, conn] : connections_) {
     // Only in-flight queries exempt a connection from reaping: no bytes
-    // flow while the engine computes, so last_activity_ns goes stale
-    // through no fault of the client. Buffered writes and partial frames
-    // do NOT count as activity — a peer that stops reading its responses
-    // (or drips a slow-loris request) makes no forward progress, and
-    // last_activity_ns already advances on every successful recv/send.
+    // flow while the engine computes, so last_io_ns goes stale through no
+    // fault of the client. Buffered writes and partial frames do NOT
+    // count as activity — a peer that stops reading its responses (or
+    // drips a slow-loris request) makes no forward progress, and
+    // last_io_ns already advances on every successful recv/send.
     if (!conn->inflight.empty()) continue;
-    if (now - conn->last_activity_ns >= budget_ns) victims.push_back(id);
+    if (now - conn->io.last_io_ns() >= budget_ns) victims.push_back(id);
   }
   for (uint64_t id : victims) {
     idle_closed_.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(id, /*cancel_inflight=*/true);
+    CloseConnection(id);
   }
 }
 

@@ -17,7 +17,7 @@
 //   - max_pipelined_per_connection: surplus queries are answered with
 //     RESOURCE_EXHAUSTED instead of queued without bound,
 //   - write backpressure: a connection whose outbound buffer exceeds
-//     write_buffer_high_bytes stops being read until it drains,
+//     kWriteBufferHighBytes stops being read until it drains (conn.h),
 //   - idle timeout: a connection with no readable bytes, no queued
 //     responses and nothing in flight for idle_timeout_ms is reaped,
 //   - client disconnect mid-request: every in-flight request holds a
@@ -26,10 +26,10 @@
 //   - per-request deadlines ride the wire (WireQuery::deadline_ms) into
 //     QueryRequest::deadline_ms — the same CancelToken machinery.
 //
-// Fault sites (chaos suite): "net/accept", "net/read", "net/write",
-// "net/decode" — an injected error behaves as a transport failure on that
-// connection (closed, in-flight work cancelled); an abort action kills the
-// process for crash-recovery tests.
+// Fault sites (chaos suite): "net/accept", "net/read", "net/write" (in
+// conn.h) and "net/decode" — an injected error behaves as a transport
+// failure on that connection (closed, in-flight work cancelled); an abort
+// action kills the process for crash-recovery tests.
 #pragma once
 
 #include <atomic>
@@ -41,6 +41,7 @@
 #include <string>
 #include <thread>
 
+#include "net/conn.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
 #include "service/service.h"
@@ -57,18 +58,11 @@ struct ServerConfig {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// In-flight queries per connection; surplus get RESOURCE_EXHAUSTED.
   size_t max_pipelined_per_connection = 64;
-  /// Outbound-buffer high watermark: above it the connection's reads are
-  /// paused until the buffer fully drains (write backpressure).
-  size_t write_buffer_high_bytes = 4u << 20;
   /// Reap connections with no activity (bytes, responses, in-flight work)
   /// for this long. 0 disables.
   double idle_timeout_ms = 0.0;
   /// Granularity of the idle scan.
   double tick_interval_ms = 20.0;
-  /// Graceful-drain bound for Stop(): how long to wait for in-flight
-  /// queries to complete and response buffers to flush before closing.
-  double drain_timeout_ms = 5000.0;
-  PollerKind poller = PollerKind::kEpoll;
 };
 
 /// Compiles a decoded wire query into the QueryInstance the service runs.
@@ -94,13 +88,13 @@ class Server {
   /// config, kInternal for socket failures.
   Status Start();
 
-  /// Graceful shutdown: stop accepting, wait (≤ drain_timeout_ms) for
+  /// Graceful shutdown: stop accepting, wait (≤ kDrainTimeoutMs) for
   /// in-flight queries and response buffers, then close everything and
   /// join the loop thread. Idempotent.
   void Stop();
 
   /// The bound port (valid after a successful Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port; }
 
   struct Stats {
     uint64_t accepted = 0;
@@ -119,21 +113,13 @@ class Server {
 
  private:
   struct Connection {
-    uint64_t id = 0;
-    int fd = -1;
-    FrameAssembler assembler;
-    std::string write_buffer;
-    size_t write_offset = 0;
-    bool want_write = false;
-    bool reads_paused = false;
-    bool close_after_flush = false;
-    int64_t last_activity_ns = 0;
+    Connection(uint64_t id, EventLoop& loop, int fd, size_t max_frame_bytes)
+        : id(id), io(loop, fd, max_frame_bytes, /*backpressure=*/true) {}
+    const uint64_t id;
+    FramedConn io;
     /// In-flight request cancel handles, keyed by server-side sequence
     /// number (client_tags may collide; these never do).
     std::map<uint64_t, std::shared_ptr<CancelToken>> inflight;
-
-    explicit Connection(size_t max_frame_bytes)
-        : assembler(max_frame_bytes) {}
   };
 
   /// Liveness bridge between pool-thread completions and the loop: the
@@ -151,13 +137,15 @@ class Server {
   // All of the below run on the loop thread.
   void HandleAccept();
   void HandleReadable(uint64_t conn_id);
-  void HandleWritable(uint64_t conn_id);
   void ProcessFrames(Connection& conn);
   void DispatchQuery(Connection& conn, WireQuery query);
+  /// Queues `bytes` and flushes. Like Flush, may close the connection.
   void QueueWrite(Connection& conn, std::string bytes);
-  void TryFlush(Connection& conn);
-  void UpdateInterest(Connection& conn);
-  void CloseConnection(uint64_t conn_id, bool cancel_inflight);
+  /// Closes the connection on a hard send failure or once its final
+  /// flush completes; callers must not touch `conn` afterwards.
+  void Flush(Connection& conn);
+  /// Closes the socket and trips every in-flight request's cancel token.
+  void CloseConnection(uint64_t conn_id);
   /// Queues an error frame and marks the connection close-after-flush.
   /// May destroy the Connection before returning (hard flush failure);
   /// callers must not touch `conn` afterwards.
@@ -175,16 +163,14 @@ class Server {
   std::thread loop_thread_;
   bool started_ = false;
   bool stopped_ = false;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  ListenSocket listener_;
 
   uint64_t next_conn_id_ = 1;  // loop thread only
   uint64_t next_req_seq_ = 1;  // loop thread only
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
 
-  // Drain/observability counters (mixed-thread readers). The in-flight
-  // request count lives in Mailbox::pending_requests — see Mailbox.
-  std::atomic<uint64_t> unflushed_bytes_{0};
+  // Observability counters (mixed-thread readers). The in-flight request
+  // count lives in Mailbox::pending_requests — see Mailbox.
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejected_connections_{0};
   std::atomic<uint64_t> frames_in_{0};
