@@ -1,21 +1,25 @@
 // Row interpreter vs columnar engine: wall-clock per TPC-H plan query and
-// per UPA phase-run bundle (the S' / sample / domain executions of
-// src/queries/plan_query.cpp), plus a bit-identity check on every output.
+// per UPA release bundle (the passes src/queries/plan_query.cpp issues),
+// plus a bit-identity check on every output.
 //
 // Emits machine-readable JSON to BENCH_exec.json (override the path with
 // UPA_BENCH_JSON) so the perf trajectory of the execution layer can be
 // tracked PR-over-PR. Knobs: UPA_ORDERS, UPA_RUNS, UPA_SAMPLE_N,
 // UPA_THREADS, UPA_SEED (src/bench_util/harness.h).
 //
-// Timing protocol: per-query numbers run with the scan cache OFF so they
+// Timing protocol: per-query numbers run without a block cache so they
 // measure execution, not memoization (Table::Columnar() is still built
-// once — that is a property of the storage layer, not of a run). Phase
-// bundles run with the cache ON under a fresh cache_epoch per repetition,
-// exactly like the runner: the three phases of one run share the public
-// subtrees, independent runs share nothing. All numbers are the minimum
+// once — that is a property of the storage layer, not of a run). Release
+// bundles take the production shape: a hinted release is the one
+// provenance pass, a cold release the provenance pass plus the domain
+// pass; each repetition gets a fresh release-scoped cache, exactly like
+// MakePlanQuery, so the passes of one release share the public subtrees
+// and independent releases share nothing. All numbers are the minimum
 // over UPA_RUNS repetitions.
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -65,13 +69,22 @@ Timed TimeQuery(const std::function<Result<rel::ExecResult>()>& run,
   return best;
 }
 
-// One UPA phase bundle: the three executions MakePlanQuery issues per run,
-// sharing one cache epoch. Returns the best total over `runs` repetitions
-// (epoch varies per repetition so nothing carries over).
-double TimePhaseBundle(const rel::PlanExecutor& exec,
-                       const tpch::TpchDataset& data,
-                       const tpch::TpchQuery& q, rel::ExecEngine engine,
-                       size_t sample_n, size_t runs, uint64_t seed) {
+// One release bundle as MakePlanQuery issues it, best over `runs`
+// repetitions: `hinted` times the provenance pass alone, `cold` the
+// provenance pass plus the domain pass. Every repetition owns a fresh
+// cache, so nothing carries over between releases. `pass` is the
+// provenance pass's result, for the bit-identity check.
+struct Bundle {
+  double hinted = 1e100;
+  double cold = 1e100;
+  rel::ExecResult pass;
+};
+
+Bundle TimeReleaseBundle(engine::ExecContext& ctx,
+                         const rel::PlanExecutor& exec,
+                         const tpch::TpchDataset& data,
+                         const tpch::TpchQuery& q, rel::ExecEngine engine,
+                         size_t sample_n, size_t runs, uint64_t seed) {
   const size_t n = data.table(q.private_table).NumRows();
   Rng rng = Rng::ForStream(seed, "bench_exec/phases/" + q.name);
   std::vector<size_t> sample =
@@ -81,40 +94,47 @@ double TimePhaseBundle(const rel::PlanExecutor& exec,
     domain_rows.push_back(data.SampleRow(q.private_table, rng));
   }
 
-  double best = 1e100;
-  for (size_t r = 0; r < runs; ++r) {
-    const uint64_t epoch = seed * 1000 + r;
-    double t0 = Now();
-    {
-      rel::ExecOptions opts;  // S'
-      opts.engine = engine;
-      opts.private_table = q.private_table;
-      opts.exclude_rows = &sample;
-      opts.partitions = 4;
-      opts.cache_epoch = epoch;
-      UPA_CHECK(exec.Execute(q.plan, opts).ok());
+  Bundle best;
+  for (bool with_domain : {false, true}) {
+    for (size_t r = 0; r < runs; ++r) {
+      engine::BlockCache cache(&ctx.metrics());
+      double t0 = Now();
+      rel::ExecOptions pass;
+      pass.engine = engine;
+      pass.private_table = q.private_table;
+      pass.sample_rows = &sample;
+      pass.partitions = 4;
+      pass.cache = &cache;
+      Result<rel::ExecResult> res = exec.Execute(q.plan, pass);
+      UPA_CHECK(res.ok());
+      if (with_domain) {
+        rel::ExecOptions domain;
+        domain.engine = engine;
+        domain.private_table = q.private_table;
+        domain.replace_private_rows = &domain_rows;
+        domain.track_contributions = true;
+        domain.cache = &cache;
+        UPA_CHECK(exec.Execute(q.plan, domain).ok());
+      }
+      const double dt = Now() - t0;
+      double& slot = with_domain ? best.cold : best.hinted;
+      slot = std::min(slot, dt);
+      best.pass = std::move(res).value();
     }
-    {
-      rel::ExecOptions opts;  // sample
-      opts.engine = engine;
-      opts.private_table = q.private_table;
-      opts.include_rows = &sample;
-      opts.track_contributions = true;
-      opts.cache_epoch = epoch;
-      UPA_CHECK(exec.Execute(q.plan, opts).ok());
-    }
-    {
-      rel::ExecOptions opts;  // domain
-      opts.engine = engine;
-      opts.private_table = q.private_table;
-      opts.replace_private_rows = &domain_rows;
-      opts.track_contributions = true;
-      opts.cache_epoch = epoch;
-      UPA_CHECK(exec.Execute(q.plan, opts).ok());
-    }
-    best = std::min(best, Now() - t0);
   }
   return best;
+}
+
+bool SameBits(const rel::ExecResult& a, const rel::ExecResult& b) {
+  auto bits = [](const std::vector<double>& v) {
+    std::vector<uint64_t> out;
+    for (double d : v) out.push_back(std::bit_cast<uint64_t>(d));
+    return out;
+  };
+  return std::bit_cast<uint64_t>(a.output) ==
+             std::bit_cast<uint64_t>(b.output) &&
+         bits(a.partition_outputs) == bits(b.partition_outputs) &&
+         bits(a.sample_contributions) == bits(b.sample_contributions);
 }
 
 std::string JsonNum(double v) {
@@ -141,12 +161,11 @@ int main() {
   std::string queries_json, phases_json;
   bool all_identical = true;
 
-  // --- Per-query: plain plan execution, scan cache off.
+  // --- Per-query: plain plan execution, no block cache.
   TablePrinter qtable(
       {"query", "row (ms)", "columnar (ms)", "speedup", "identical"});
   for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
     rel::ExecOptions opts;
-    opts.use_scan_cache = false;
     opts.engine = rel::ExecEngine::kRowOracle;
     auto run = [&] { return exec.Execute(q.plan, opts); };
     Timed row = TimeQuery(run, env.runs);
@@ -169,32 +188,46 @@ int main() {
                     ", \"output\": " + JsonNum(col.result.output) +
                     ", \"identical\": " + (identical ? "true" : "false") + "}";
   }
-  qtable.Print("TPC-H plan queries (plain run, scan cache off, min over runs)");
+  qtable.Print("TPC-H plan queries (plain run, no block cache, min over runs)");
 
-  // --- Per-phase-bundle: the S'/sample/domain triple, cache on.
-  TablePrinter ptable(
-      {"query", "row 3-phase (ms)", "columnar 3-phase (ms)", "speedup"});
+  // --- Per-release bundle: the one provenance pass (hinted) and the pass
+  // plus the domain pass (cold), release-scoped cache.
+  TablePrinter ptable({"query", "row hinted (ms)", "columnar hinted (ms)",
+                       "row cold (ms)", "columnar cold (ms)",
+                       "speedup (cold)", "identical"});
   for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
-    double row = TimePhaseBundle(exec, data, q, rel::ExecEngine::kRowOracle,
-                                 env.sample_n, env.runs, env.seed);
-    double col = TimePhaseBundle(exec, data, q, rel::ExecEngine::kColumnar,
-                                 env.sample_n, env.runs, env.seed);
-    const double speedup = row / std::max(1e-9, col);
-    ptable.AddRow({q.name, TablePrinter::FormatDouble(row * 1e3, 3),
-                   TablePrinter::FormatDouble(col * 1e3, 3),
-                   TablePrinter::FormatDouble(speedup, 2)});
+    Bundle row = TimeReleaseBundle(ctx, exec, data, q,
+                                   rel::ExecEngine::kRowOracle, env.sample_n,
+                                   env.runs, env.seed);
+    Bundle col = TimeReleaseBundle(ctx, exec, data, q,
+                                   rel::ExecEngine::kColumnar, env.sample_n,
+                                   env.runs, env.seed);
+    const bool identical = SameBits(row.pass, col.pass);
+    all_identical = all_identical && identical;
+    const double speedup = row.cold / std::max(1e-9, col.cold);
+    ptable.AddRow({q.name, TablePrinter::FormatDouble(row.hinted * 1e3, 3),
+                   TablePrinter::FormatDouble(col.hinted * 1e3, 3),
+                   TablePrinter::FormatDouble(row.cold * 1e3, 3),
+                   TablePrinter::FormatDouble(col.cold * 1e3, 3),
+                   TablePrinter::FormatDouble(speedup, 2),
+                   identical ? "yes" : "NO"});
     if (!phases_json.empty()) phases_json += ",\n";
     phases_json += "    {\"name\": \"" + q.name +
-                   "\", \"row_ms\": " + JsonNum(row * 1e3) +
-                   ", \"columnar_ms\": " + JsonNum(col * 1e3) +
-                   ", \"speedup\": " + JsonNum(speedup) + "}";
+                   "\", \"row_hinted_ms\": " + JsonNum(row.hinted * 1e3) +
+                   ", \"columnar_hinted_ms\": " + JsonNum(col.hinted * 1e3) +
+                   ", \"row_ms\": " + JsonNum(row.cold * 1e3) +
+                   ", \"columnar_ms\": " + JsonNum(col.cold * 1e3) +
+                   ", \"speedup\": " + JsonNum(speedup) +
+                   ", \"identical\": " + (identical ? "true" : "false") + "}";
   }
-  ptable.Print("UPA phase bundles: S' + sample + domain (min over runs)");
+  ptable.Print(
+      "UPA release bundles: provenance pass (hinted), + domain pass (cold), "
+      "min over runs");
 
   // --- Fused vs interpreted: filter-heavy single-table aggregates, the
   // Aggregate(Filter*(Scan)) shapes the fused kernels target. Both sides
   // run the columnar engine: the unfused baseline through the interpreted
-  // entry point, the fused side through the executor. Scan cache off, like
+  // entry point, the fused side through the executor. No block cache, like
   // the per-query section. Identity is UPA_CHECKed bit-for-bit.
   std::string fused_json;
   const std::vector<std::pair<std::string, std::string>> fused_queries = {
@@ -225,7 +258,6 @@ int main() {
     rel::PlanPtr plan =
         rel::Optimize(parsed.value(), catalog, rel::OptimizerOptions{});
     rel::ExecOptions opts;
-    opts.use_scan_cache = false;
     opts.engine = rel::ExecEngine::kColumnar;
     Timed interp = TimeQuery(
         [&] {

@@ -6,7 +6,7 @@
 // them directly would hide the optimizer's work). For each query this
 // benchmark records
 //   * wall-clock of the naive vs the optimized plan (columnar engine,
-//     scan cache off, min over UPA_RUNS),
+//     no block cache, min over UPA_RUNS),
 //   * the total number of rows entering join operators in each plan,
 //     measured by actually executing Count() over every join input —
 //     the cardinality the optimizer exists to shrink,
@@ -45,7 +45,6 @@ double TimeQuery(const rel::PlanExecutor& exec, const rel::PlanPtr& plan,
                  size_t runs, rel::ExecResult* result) {
   rel::ExecOptions opts;
   opts.engine = rel::ExecEngine::kColumnar;
-  opts.use_scan_cache = false;
   double best = 1e100;
   for (size_t r = 0; r < runs; ++r) {
     const double t0 = Now();
@@ -80,7 +79,6 @@ size_t JoinInputRows(const rel::PlanExecutor& exec, const rel::PlanPtr& plan) {
   for (const rel::PlanPtr& input : inputs) {
     rel::ExecOptions opts;
     opts.engine = rel::ExecEngine::kColumnar;
-    opts.use_scan_cache = false;
     Result<rel::ExecResult> r = exec.Execute(rel::CountPlan(input), opts);
     UPA_CHECK_MSG(r.ok(), "join-input count failed: " + r.status().ToString());
     total += static_cast<size_t>(r.value().output);

@@ -107,7 +107,6 @@ ScanResult TimeSelectiveScan(size_t rows, size_t fragment_rows, size_t threads,
       engine::ExecConfig{.threads = threads, .default_partitions = 4});
   rel::PlanExecutor exec(&ctx, &catalog);
   rel::ExecOptions opts;
-  opts.use_scan_cache = false;
   opts.engine = rel::ExecEngine::kColumnar;
 
   table.Columnar();  // materialize outside the timed region
@@ -291,7 +290,6 @@ int main() {
       engine::ExecConfig{.threads = env.threads, .default_partitions = 4});
   rel::PlanExecutor exec(&ctx, &catalog);
   rel::ExecOptions opts;
-  opts.use_scan_cache = false;
   opts.engine = rel::ExecEngine::kColumnar;
 
   // Size the budget: it must fit any single query's working set (the tables

@@ -3,7 +3,9 @@
 // UPA's sampled-neighbour phase repeatedly touches the same mapped sample
 // blocks, which is why the paper observes the Spark cache hit rate rising
 // from 10.3% to 48.9% in that phase (Fig 4b). The engine records hits and
-// misses here so the reproduction can report the same effect.
+// misses here so the reproduction can report the same effect. Callers own
+// a cache and scope it: MakePlanQuery builds one per release, shared by
+// that release's passes, so no entry outlives the release.
 #pragma once
 
 #include <any>

@@ -1,8 +1,9 @@
 // ExecContext: the engine's "SparkContext".
 //
-// Owns the scheduler thread pool, the metrics registry and the block cache.
-// Datasets hold a pointer to their context; one context is shared by all
-// datasets of an experiment.
+// Owns the scheduler thread pool and the metrics registry. Datasets hold a
+// pointer to their context; one context is shared by all datasets of an
+// experiment. Block caches are caller-owned and scoped (engine/cache.h):
+// one context serves many releases, and nothing may outlive its release.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +13,6 @@
 #include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "engine/cache.h"
 #include "engine/metrics.h"
 
 namespace upa::engine {
@@ -29,15 +29,13 @@ class ExecContext {
  public:
   explicit ExecContext(ExecConfig config = {})
       : config_(config),
-        pool_(std::make_unique<ThreadPool>(config.threads)),
-        cache_(&metrics_) {}
+        pool_(std::make_unique<ThreadPool>(config.threads)) {}
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
   ThreadPool& pool() { return *pool_; }
   ExecMetrics& metrics() { return metrics_; }
-  BlockCache& cache() { return cache_; }
   const ExecConfig& config() const { return config_; }
 
   /// The cancel token governing the current request on this thread
@@ -67,7 +65,6 @@ class ExecContext {
   ExecConfig config_;
   std::unique_ptr<ThreadPool> pool_;
   ExecMetrics metrics_;
-  BlockCache cache_;
 };
 
 }  // namespace upa::engine

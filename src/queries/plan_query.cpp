@@ -35,55 +35,43 @@ core::QueryInstance MakePlanQuery(
           std::span<const size_t> sample_indices, size_t num_partitions,
           size_t num_domain, uint64_t seed) {
         core::MappedBatches out;
-        std::vector<size_t> sample(sample_indices.begin(),
-                                   sample_indices.end());
-        const std::vector<rel::Row>* replacement =
-            rows_override != nullptr ? rows_override.get() : nullptr;
+        const std::vector<size_t> sample(sample_indices.begin(),
+                                         sample_indices.end());
+        // One block cache per release: its passes share the public side of
+        // the plan, and nothing outlives the release.
+        engine::BlockCache cache(&ctx->metrics());
 
-        // --- 1. S' run: per-partition aggregates of the unsampled side.
+        // --- 1. Provenance pass: one scan of the whole private table gives
+        //        the per-partition aggregates of S' and M(s_i) for every
+        //        sampled record (joinDP's index tracking).
         {
           rel::ExecOptions opts;
-          // Phase runs ride the vectorized engine; the row oracle exists
+          // Release passes ride the vectorized engine; the row oracle exists
           // for the differential tests, not for production runs.
           opts.engine = rel::ExecEngine::kColumnar;
           opts.private_table = query.private_table;
-          opts.replace_private_rows = replacement;
-          opts.exclude_rows = &sample;
+          opts.replace_private_rows = rows_override.get();
+          opts.sample_rows = &sample;
           opts.partitions = num_partitions;
-          opts.cache_epoch = seed;
+          opts.cache = &cache;
           Result<rel::ExecResult> r = ctx->TimePhase(
-              "upa/plan_sprime", [&] { return executor->Execute(query.plan, opts); });
-          UPA_CHECK_MSG(r.ok(), "S' run failed: " + r.status().ToString());
+              "upa/plan_provenance",
+              [&] { return executor->Execute(query.plan, opts); });
+          UPA_CHECK_MSG(r.ok(),
+                        "provenance pass failed: " + r.status().ToString());
           out.sprime_partials.reserve(num_partitions);
           for (double partial : r.value().partition_outputs) {
             out.sprime_partials.push_back(core::Vec{partial});
           }
-        }
-
-        // --- 2. Sample run: joinDP's second join pass with contribution
-        //        (index) tracking.
-        {
-          rel::ExecOptions opts;
-          opts.engine = rel::ExecEngine::kColumnar;
-          opts.private_table = query.private_table;
-          opts.replace_private_rows = replacement;
-          opts.include_rows = &sample;
-          opts.track_contributions = true;
-          opts.cache_epoch = seed;
-          Result<rel::ExecResult> r = ctx->TimePhase(
-              "upa/plan_sample", [&] { return executor->Execute(query.plan, opts); });
-          UPA_CHECK_MSG(r.ok(), "sample run failed: " + r.status().ToString());
           out.sample_mapped.reserve(sample.size());
-          for (size_t idx : sample) {
-            auto it = r.value().contributions.find(idx);
-            out.sample_mapped.push_back(
-                core::Vec{it == r.value().contributions.end() ? 0.0
-                                                              : it->second});
+          for (double c : r.value().sample_contributions) {
+            out.sample_mapped.push_back(core::Vec{c});
           }
         }
 
-        // --- 3. Domain run: synthetic rows standing in for D \ x.
-        {
+        // --- 2. Domain pass: synthetic rows standing in for D \ x. A hinted
+        //        release asks for none, so it skips the pass entirely.
+        if (num_domain > 0) {
           Rng rng = Rng::ForStream(seed, "upa/domain/" + query.name);
           std::vector<rel::Row> synthetic;
           synthetic.reserve(num_domain);
@@ -95,9 +83,10 @@ core::QueryInstance MakePlanQuery(
           opts.private_table = query.private_table;
           opts.replace_private_rows = &synthetic;
           opts.track_contributions = true;
-          opts.cache_epoch = seed;
+          opts.cache = &cache;
           Result<rel::ExecResult> r = ctx->TimePhase(
-              "upa/plan_domain", [&] { return executor->Execute(query.plan, opts); });
+              "upa/plan_domain",
+              [&] { return executor->Execute(query.plan, opts); });
           UPA_CHECK_MSG(r.ok(), "domain run failed: " + r.status().ToString());
           out.domain_mapped.reserve(num_domain);
           for (size_t i = 0; i < num_domain; ++i) {

@@ -1,14 +1,16 @@
 // Adapter from a TPC-H logical plan to a UPA QueryInstance.
 //
-// execute_phases performs three engine runs of the plan (paper §V-C):
-//   1. S' run  — the plan over the private table minus the sample, with
-//      per-partition aggregation (Algorithm 1's ReduceByPar on S').
-//   2. Sample run — the plan over the sampled records only, with
-//      contribution tracking: this is joinDP's *second* join/shuffle pass,
-//      which re-shuffles the non-private tables and is why join queries
-//      carry >100% overhead in the paper's Fig 2(b).
-//   3. Domain run — the plan over n synthetic private-table rows (the
-//      "record added from D \ x" neighbours).
+// execute_phases performs at most two engine passes of the plan (paper
+// §V-C), sharing one release-scoped block cache:
+//   1. Provenance pass — the plan over the whole private table, once. A
+//      surviving row that descends from a sampled record adds its weight to
+//      that record's slot (M(s_i), joinDP's index tracking); every other
+//      row adds it to its enforcer partition (Algorithm 1's ReduceByPar on
+//      S'). R(M(S')) is thus computed once, in the same scan as the sample.
+//   2. Domain pass — the plan over n synthetic private-table rows (the
+//      "record added from D \ x" neighbours). Only an unhinted release
+//      needs them (num_domain > 0); a hinted one reuses a cached
+//      sensitivity and skips the pass.
 //
 // The mapped value of private record r is its additive contribution to the
 // aggregate (via join-index provenance); the reducer is scalar addition.

@@ -98,9 +98,6 @@ double QuerySuite::RunNative(const std::string& name,
 
   const tpch::TpchQuery& query = PlanFor(name);
   rel::ExecOptions opts;
-  // Vanilla Spark reads its input fresh — the native baseline must not
-  // benefit from UPA's block cache.
-  opts.use_scan_cache = false;
   if (churn != nullptr) {
     opts.private_table = query.private_table;
     opts.replace_private_rows = churn->plan_rows.get();

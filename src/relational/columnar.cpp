@@ -695,22 +695,21 @@ class ColumnarEvaluator {
   }
 
   Result<ColRel> Eval(const PlanPtr& plan) {
-    // Fully-public subtrees are identical across a query's phase runs, so
+    // Fully-public subtrees are identical across a release's passes, so
     // their (cheap, index-only) relation state is cached — same policy as
     // the row engine, keyed structurally so distinct plans never collide.
-    const bool cacheable = options_.use_scan_cache &&
+    const bool cacheable = options_.cache != nullptr &&
                            plan->kind != PlanKind::kScan &&
                            !options_.private_table.empty() &&
                            CountScansOf(plan, options_.private_table) == 0;
     if (cacheable) {
       uint64_t key = PlanFingerprint(plan, *catalog_) ^
-                     Mix64(kColSubtreeTag + engine_partitions_) ^
-                     Mix64(options_.cache_epoch);
-      std::shared_ptr<const ColRel> hit = ctx_->cache().Get<ColRel>(key);
+                     Mix64(kColSubtreeTag + engine_partitions_);
+      std::shared_ptr<const ColRel> hit = options_.cache->Get<ColRel>(key);
       if (hit != nullptr) return *hit;
       Result<ColRel> fresh = EvalUncached(plan);
       if (!fresh.ok()) return fresh;
-      ctx_->cache().Put<ColRel>(key, fresh.value());
+      options_.cache->Put<ColRel>(key, fresh.value());
       return fresh;
     }
     return EvalUncached(plan);
@@ -1006,11 +1005,48 @@ struct BatchAgg {
   ExactSum sum;
   std::unordered_map<size_t, ExactSum> contrib;
   std::vector<ExactSum> parts;
+  std::vector<SampleHit> hits;
   double mn = std::numeric_limits<double>::infinity();
   double mx = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace
+
+SamplePass::SamplePass(const std::vector<size_t>& rows)
+    : rows_(rows),
+      limit_(rows.empty() ? 0 : rows.back() + 1),
+      bits_((limit_ + 63) / 64, 0),
+      slots_(rows.size()) {
+  for (size_t r : rows) bits_[r >> 6] |= uint64_t{1} << (r & 63);
+}
+
+void SamplePass::Add(size_t row, double weight) {
+  const size_t slot =
+      std::lower_bound(rows_.begin(), rows_.end(), row) - rows_.begin();
+  slots_[slot].Add(weight);
+  sampled_total_.Add(weight);
+}
+
+std::vector<double> SamplePass::RoundSlots() const {
+  std::vector<double> out(slots_.size());
+  for (size_t k = 0; k < slots_.size(); ++k) out[k] = slots_[k].Round();
+  return out;
+}
+
+ExecResult SamplePass::Finish(const std::vector<ExactSum>& partition_sums,
+                              size_t result_rows) const {
+  ExecResult result;
+  result.result_rows = result_rows;
+  ExactSum total = sampled_total_;
+  result.partition_outputs.resize(partition_sums.size());
+  for (size_t p = 0; p < partition_sums.size(); ++p) {
+    total.Merge(partition_sums[p]);
+    result.partition_outputs[p] = partition_sums[p].Round();
+  }
+  result.output = total.Round();
+  result.sample_contributions = RoundSlots();
+  return result;
+}
 
 Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
                                    const Catalog* catalog,
@@ -1030,15 +1066,14 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
   bind.is_private = !options.private_table.empty() &&
                     table_name == options.private_table;
   if (!bind.is_private) {
-    if (options.use_scan_cache) {
-      // Route through the context block cache so scan reuse across phase
-      // runs is observable in the hit/miss metrics (the Fig 4(b) effect),
-      // exactly like the row engine's materialized-scan cache.
-      uint64_t key = Mix64(table->uid()) ^
-                     Mix64(kColScanTag + engine_partitions) ^
-                     Mix64(options.cache_epoch);
+    if (options.cache != nullptr) {
+      // Route through the caller's block cache so scan reuse across a
+      // release's passes is observable in the hit/miss metrics (the Fig
+      // 4(b) effect), exactly like the row engine's materialized-scan cache.
+      uint64_t key =
+          Mix64(table->uid()) ^ Mix64(kColScanTag + engine_partitions);
       auto cached =
-          ctx->cache().GetOrCompute<std::shared_ptr<const ColumnarTable>>(
+          options.cache->GetOrCompute<std::shared_ptr<const ColumnarTable>>(
               key, [&] { return table->Columnar(); });
       bind.table = *cached;
     } else {
@@ -1048,7 +1083,8 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
     return bind;
   }
   // The private table's include/exclude/replace options are plain
-  // index-vector surgery: provenance is the row-index itself.
+  // index-vector surgery: provenance is the row-index itself. The one
+  // provenance pass scans the identity, so it keeps the dense kernels.
   bind.table = options.replace_private_rows != nullptr
                    ? ColumnarTable::Build(table->schema(),
                                           *options.replace_private_rows)
@@ -1134,6 +1170,10 @@ Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
                              ? rel.sources[rel.private_source].row_ids->data()
                              : nullptr;
   const size_t parts = options.partitions;
+  // The one provenance pass (validated by PlanExecutor::Execute: the
+  // private table is scanned, so every row has provenance).
+  std::optional<SamplePass> sample;
+  if (options.sample_rows != nullptr) sample.emplace(*options.sample_rows);
 
   std::vector<BatchAgg> batches(nb);
   MorselRun(ctx, "columnar/aggregate", nb, 0, [&](size_t b0, size_t b1) {
@@ -1156,6 +1196,18 @@ Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
         }
         continue;
       }
+      if (sample.has_value()) {
+        agg.parts.resize(parts);
+        for (size_t i = 0; i < m; ++i) {
+          const uint32_t r = prov[begin + i];
+          if (sample->Contains(r)) {
+            agg.hits.push_back({r, w[i]});
+          } else {
+            agg.parts[r % parts].Add(w[i]);
+          }
+        }
+        continue;
+      }
       for (size_t i = 0; i < m; ++i) agg.sum.Add(w[i]);
       if (prov != nullptr) {
         if (options.track_contributions) {
@@ -1172,6 +1224,18 @@ Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
   });
   ctx->metrics().AddKernelBatches(nb);
   ctx->metrics().AddKernelRows(n);
+
+  if (sample.has_value()) {
+    ctx->metrics().AddShuffleRound();
+    ctx->metrics().AddShuffleRecords(n);
+    std::vector<ExactSum> pid_sums(parts);
+    for (const BatchAgg& b : batches) {
+      sample->Fold(b.hits);
+      if (b.parts.empty()) continue;
+      for (size_t p = 0; p < parts; ++p) pid_sums[p].Merge(b.parts[p]);
+    }
+    return sample->Finish(pid_sums, n);
+  }
 
   ExecResult result;
   result.result_rows = n;

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "common/status.h"
 #include "engine/context.h"
 #include "relational/executor.h"
@@ -174,9 +175,50 @@ struct ScanBinding {
 
 /// Resolves `table_name` against the catalog and applies the private-table
 /// options exactly like the columnar scan operator (including the block
-/// cache for non-private scans when options.use_scan_cache is set).
+/// cache for non-private scans when options.cache is set).
 /// `engine_partitions` must be the resolved parallelism (it is part of the
 /// scan cache key); pass 0 to use the context default.
+/// A sampled private row's weight, collected per kernel batch during the
+/// one provenance pass and folded into its slot in batch order.
+struct SampleHit {
+  uint32_t row = 0;
+  double weight = 0.0;
+};
+
+/// Routing state of the one provenance pass (ExecOptions::sample_rows),
+/// shared by all three engines: a membership bitmap over the sampled
+/// private rows, plus one exact slot sum per sampled record. Contains() is
+/// read-only and safe from kernel threads; Add() runs on the folding
+/// thread.
+class SamplePass {
+ public:
+  /// `rows` must be sorted and distinct (ValidateSampleRows).
+  explicit SamplePass(const std::vector<size_t>& rows);
+
+  bool Contains(size_t row) const {
+    return row < limit_ && ((bits_[row >> 6] >> (row & 63)) & 1) != 0;
+  }
+  /// Adds `weight` to the slot of sampled row `row`.
+  void Add(size_t row, double weight);
+  void Fold(const std::vector<SampleHit>& hits) {
+    for (const SampleHit& h : hits) Add(h.row, h.weight);
+  }
+  /// The rounded slots, aligned with the sample rows.
+  std::vector<double> RoundSlots() const;
+  /// The pass's result from the per-partition sums of the unsampled rows:
+  /// partition_outputs, sample_contributions, and `output` as the exact
+  /// total of both (no per-row total is kept).
+  ExecResult Finish(const std::vector<ExactSum>& partition_sums,
+                    size_t result_rows) const;
+
+ private:
+  const std::vector<size_t>& rows_;
+  size_t limit_ = 0;
+  std::vector<uint64_t> bits_;
+  std::vector<ExactSum> slots_;
+  ExactSum sampled_total_;
+};
+
 Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
                                    const Catalog* catalog,
                                    const std::string& table_name,

@@ -1,7 +1,10 @@
 #include "relational/executor.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -47,22 +50,21 @@ class Evaluator {
 
   Result<Rel> Eval(const PlanPtr& plan) {
     // Subtrees that never touch the private table are identical across a
-    // query's phase runs (native, S', sample, domain), so their
+    // release's passes (the provenance pass and the domain pass), so their
     // materialized result is cached — modelling Spark's shuffle-file reuse
     // and block cache, the effect behind the paper's Fig 4(b). Keyed by the
     // plan's structural fingerprint (which folds in table uids), so
     // distinct queries never collide — not even when a freed plan or table
     // address gets recycled by the allocator.
-    const bool cacheable = options_.use_scan_cache &&
+    const bool cacheable = options_.cache != nullptr &&
                            plan->kind != PlanKind::kScan &&
                            !options_.private_table.empty() &&
                            CountScansOf(plan, options_.private_table) == 0;
     if (cacheable) {
       uint64_t key = PlanFingerprint(plan, *catalog_) ^
-                     Mix64(kRowSubtreeTag + engine_partitions_) ^
-                     Mix64(options_.cache_epoch);
+                     Mix64(kRowSubtreeTag + engine_partitions_);
       std::shared_ptr<const CachedRel> hit =
-          ctx_->cache().Get<CachedRel>(key);
+          options_.cache->Get<CachedRel>(key);
       if (hit != nullptr) {
         return Rel{engine::Dataset<ProvRow>(ctx_, hit->partitions),
                    hit->schema};
@@ -77,7 +79,7 @@ class Evaluator {
       }
       entry.partitions = std::move(parts);
       entry.schema = fresh.value().schema;
-      ctx_->cache().Put<CachedRel>(key, std::move(entry));
+      options_.cache->Put<CachedRel>(key, std::move(entry));
       return fresh;
     }
     return EvalUncached(plan);
@@ -118,8 +120,8 @@ class Evaluator {
     }
 
     // Base rows of the private table: the catalog's or the replacement's.
-    // include/exclude compose on top of the base; provenance is the row's
-    // index within the base.
+    // include/exclude compose on top of the base (the one provenance pass
+    // scans all of it); provenance is the row's index within the base.
     const std::vector<Row>* base = options_.replace_private_rows != nullptr
                                        ? options_.replace_private_rows
                                        : &table->rows();
@@ -150,9 +152,9 @@ class Evaluator {
                table->schema()};
   }
 
-  /// Non-private scans are immutable across a query's phase runs, so they
-  /// are cached (keyed by table uid + parallelism) when the options allow;
-  /// the repeated sampled-neighbour runs then hit Spark-style memory cache,
+  /// Non-private scans are immutable across a release's passes, so they
+  /// are cached (keyed by table uid + parallelism) when the caller passes a
+  /// cache; the domain pass then hits Spark-style memory cache,
   /// reproducing the paper's Fig 4(b) effect.
   engine::Dataset<ProvRow> ScanNonPrivate(const Table* table) {
     using Partitions = std::vector<std::vector<ProvRow>>;
@@ -163,13 +165,11 @@ class Evaluator {
       return engine::Dataset<ProvRow>::FromVector(ctx_, std::move(rows),
                                                   engine_partitions_);
     };
-    if (!options_.use_scan_cache) return materialize();
+    if (options_.cache == nullptr) return materialize();
 
-    uint64_t key = Mix64(table->uid()) ^
-                   Mix64(kRowScanTag + engine_partitions_) ^
-                   Mix64(options_.cache_epoch);
+    uint64_t key = Mix64(table->uid()) ^ Mix64(kRowScanTag + engine_partitions_);
     std::shared_ptr<const Partitions> cached =
-        ctx_->cache().GetOrCompute<Partitions>(key, [&] {
+        options_.cache->GetOrCompute<Partitions>(key, [&] {
           engine::Dataset<ProvRow> ds = materialize();
           Partitions parts(ds.NumPartitions());
           for (size_t p = 0; p < ds.NumPartitions(); ++p) {
@@ -241,6 +241,38 @@ class Evaluator {
   size_t engine_partitions_;
 };
 
+/// Checks ExecOptions::sample_rows against the other options and the
+/// private table's base rows (InvalidArgument on any misuse).
+Status ValidateSampleRows(const Catalog& catalog, const ExecOptions& options) {
+  if (options.include_rows != nullptr || options.exclude_rows != nullptr ||
+      options.track_contributions) {
+    return Status::InvalidArgument(
+        "sample_rows cannot be combined with include_rows, exclude_rows or "
+        "track_contributions");
+  }
+  if (options.private_table.empty()) {
+    return Status::InvalidArgument("sample_rows requires a private table");
+  }
+  if (options.partitions == 0) {
+    return Status::InvalidArgument("sample_rows requires partitions > 0");
+  }
+  const std::vector<size_t>& rows = *options.sample_rows;
+  if (std::adjacent_find(rows.begin(), rows.end(),
+                         std::greater_equal<size_t>()) != rows.end()) {
+    return Status::InvalidArgument("sample_rows must be sorted and distinct");
+  }
+  // An unknown private table is the engines' NotFound to report.
+  auto it = catalog.find(options.private_table);
+  const size_t base_rows = options.replace_private_rows != nullptr
+                               ? options.replace_private_rows->size()
+                           : it != catalog.end() ? it->second->NumRows()
+                                                 : SIZE_MAX;
+  if (!rows.empty() && rows.back() >= base_rows) {
+    return Status::InvalidArgument("sample_rows out of range");
+  }
+  return Status::Ok();
+}
+
 /// Avg / Min / Max: plain scalar results, no provenance semantics. The sum
 /// behind Avg is exact (ExactSum), so the result does not depend on row
 /// order — the columnar engine computes the bit-identical value.
@@ -295,6 +327,9 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
   if (options.include_rows != nullptr && options.exclude_rows != nullptr) {
     return Status::InvalidArgument(
         "include_rows and exclude_rows are mutually exclusive");
+  }
+  if (options.sample_rows != nullptr) {
+    UPA_RETURN_IF_ERROR(ValidateSampleRows(*catalog_, options));
   }
   const bool needs_prov = !options.private_table.empty();
   if (needs_prov) {
@@ -354,6 +389,14 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
     return std::pair<double, size_t>{weight_of(r.row), r.prov};
   });
 
+  // The one provenance pass routes sampled rows to their slots here and
+  // keeps them out of the partition shuffle below.
+  std::optional<SamplePass> sample;
+  if (options.sample_rows != nullptr) sample.emplace(*options.sample_rows);
+  auto sampled = [&sample](size_t prov) {
+    return sample.has_value() && prov != kNoProv && sample->Contains(prov);
+  };
+
   ExecResult result;
   ExactSum output_sum;
   std::unordered_map<size_t, ExactSum> contrib;
@@ -364,6 +407,7 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
       if (options.track_contributions && prov != kNoProv) {
         contrib[prov].Add(w);
       }
+      if (sampled(prov)) sample->Add(prov, w);
     }
   }
   result.output = output_sum.Round();
@@ -392,8 +436,8 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
     // downstream aggregation doesn't need): only (partition, weight)
     // crosses the wire.
     auto keyed = weighted
-                     .Filter([](const std::pair<double, size_t>& wp) {
-                       return wp.second != kNoProv;
+                     .Filter([&sampled](const std::pair<double, size_t>& wp) {
+                       return wp.second != kNoProv && !sampled(wp.second);
                      })
                      .Map([parts](const std::pair<double, size_t>& wp) {
                        return std::pair<size_t, double>{wp.second % parts,
@@ -412,6 +456,9 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
       t.Merge(pid_sums[pid]);
       result.partition_outputs[pid] = t.Round();
     }
+  }
+  if (sample.has_value()) {
+    result.sample_contributions = sample->RoundSlots();
   }
   return result;
 }

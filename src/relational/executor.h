@@ -8,16 +8,17 @@
 // it descends from. Because the evaluated plans are inner-join SPJ trees
 // with additive aggregates (Count/Sum), removing private record r changes
 // the output by exactly -contribution[r] — which powers
-//   * UPA's sampled-neighbour outputs (run the plan with the private table
-//     restricted to the sample: the second join/shuffle round),
-//   * the per-partition outputs the RANGE ENFORCER compares,
-//   * the exhaustive exact ground truth.
+//   * UPA's one provenance pass (ExecOptions::sample_rows): a single scan of
+//     the whole private table that routes each surviving row's weight to
+//     its sampled record's slot or to its enforcer partition's sum,
+//   * the exhaustive exact ground truth and the synthetic-domain run.
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "engine/cache.h"
 #include "engine/context.h"
 #include "relational/plan.h"
 #include "relational/table.h"
@@ -27,7 +28,7 @@ namespace upa::rel {
 /// Which physical engine evaluates the plan.
 ///   kColumnar — vectorized batch kernels over columnar storage with late
 ///     materialization (relational/columnar.h). The default: this is the
-///     hot path UPA's three-executions-per-run cost structure rides on.
+///     hot path every UPA release's passes ride on.
 ///   kRowOracle — the original row-at-a-time interpreter, kept as the
 ///     correctness oracle. Both engines aggregate through exact
 ///     (correctly-rounded) summation, so they agree bit-for-bit on every
@@ -43,7 +44,9 @@ struct ExecOptions {
   std::string private_table;
   /// If set: run with the private table restricted to exactly these row
   /// indices (sorted). Mutually exclusive with exclude_rows. Indexes the
-  /// replacement rows when replace_private_rows is also set.
+  /// replacement rows when replace_private_rows is also set. Together with
+  /// exclude_rows this is the three-run reference the one provenance pass
+  /// (sample_rows) is tested against.
   const std::vector<size_t>* include_rows = nullptr;
   /// If set: run with these row indices (sorted) removed. Indexes the
   /// replacement rows when replace_private_rows is also set.
@@ -52,14 +55,20 @@ struct ExecOptions {
   /// added" neighbours; churned datasets). Provenance = position in this
   /// vector. include/exclude compose on top.
   const std::vector<Row>* replace_private_rows = nullptr;
-  /// Cache non-private scans and fully-public plan subtrees in the
-  /// context's block cache (keyed by table/plan identity + parallelism +
-  /// cache_epoch). UPA's phase runs of one execution share an epoch, so
-  /// the S' / sample / domain passes reuse the public side — the effect
-  /// behind the paper's Fig 4(b) — without leaking warm state across
-  /// independent executions.
-  bool use_scan_cache = true;
-  uint64_t cache_epoch = 0;
+  /// If set: the one provenance pass. Sorted, distinct private-row indices
+  /// (the UPA sample S). The whole private table is scanned once; a
+  /// surviving row descending from a sampled record adds its weight to that
+  /// record's slot of ExecResult::sample_contributions, every other row to
+  /// its partition of partition_outputs. Requires an additive aggregate and
+  /// partitions > 0; cannot be combined with include_rows, exclude_rows or
+  /// track_contributions.
+  const std::vector<size_t>* sample_rows = nullptr;
+  /// If set: cache non-private scans and fully-public plan subtrees here
+  /// (keyed by table/plan identity + parallelism). The caller owns the
+  /// cache and scopes it: MakePlanQuery shares one across the passes of a
+  /// single release, so they reuse the public side — the effect behind the
+  /// paper's Fig 4(b) — and drops it with the release. Null: no caching.
+  engine::BlockCache* cache = nullptr;
   /// If > 0: also produce per-partition outputs, where private record i
   /// belongs to partition i % partitions. Result rows with no private
   /// provenance count toward every partition (they are unaffected by any
@@ -79,6 +88,11 @@ struct ExecResult {
   /// Private row index → additive influence on `output` (only rows that
   /// reached the aggregate appear; absent rows have influence 0).
   std::unordered_map<size_t, double> contributions;
+  /// One provenance pass only: the additive influence of each sampled
+  /// record, aligned with options.sample_rows (0 for records that never
+  /// reached the aggregate). partition_outputs then cover the other rows,
+  /// and `output` is the exact total over all of them.
+  std::vector<double> sample_contributions;
   /// Rows that reached the aggregate.
   size_t result_rows = 0;
 };

@@ -408,6 +408,7 @@ struct BatchAcc {
   ExactSum sum;
   std::unordered_map<size_t, ExactSum> contrib;
   std::vector<ExactSum> parts;
+  std::vector<SampleHit> hits;
   double mn = std::numeric_limits<double>::infinity();
   double mx = -std::numeric_limits<double>::infinity();
 };
@@ -424,6 +425,7 @@ struct FusedQuery {
                                    // table: provenance == ids
   size_t parts = 0;
   bool track_contrib = false;
+  const SamplePass* sample = nullptr;  // the one provenance pass
   BatchInput in;  // fallback kernels' column bindings
 };
 
@@ -442,10 +444,18 @@ void AccumulateInto(const FusedQuery& q, BatchAcc& acc, const uint32_t* sel,
       acc.mn = w < acc.mn ? w : acc.mn;  // == std::min(mn, w)
       acc.mx = w > acc.mx ? w : acc.mx;  // == std::max(mx, w)
     }
-    if (prov != nullptr) {
-      if (q.track_contrib) acc.contrib[prov[pos]].Add(w);
-      if (q.parts > 0) acc.parts[prov[pos] % q.parts].Add(w);
+    if (prov == nullptr) continue;
+    const uint32_t r = prov[pos];
+    if (q.sample != nullptr) {
+      if (q.sample->Contains(r)) {
+        acc.hits.push_back({r, w});
+      } else {
+        acc.parts[r % q.parts].Add(w);
+      }
+      continue;
     }
+    if (q.track_contrib) acc.contrib[r].Add(w);
+    if (q.parts > 0) acc.parts[r % q.parts].Add(w);
   }
 }
 
@@ -639,13 +649,21 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
   const uint32_t* ids = bind.row_ids->data();
   const size_t n = bind.row_ids->size();
 
+  // The one provenance pass scans the identity (a bare scan), so it runs
+  // the dense conjunct kernels with zone-map skipping.
+  std::optional<SamplePass> sample;
+  if (options.sample_rows != nullptr) sample.emplace(*options.sample_rows);
+
   FusedQuery q;
   q.ids = ids;
   q.prov = bind.is_private ? ids : nullptr;
   q.parts = options.partitions;
   q.track_contrib = options.track_contributions;
+  q.sample = sample.has_value() ? &*sample : nullptr;
   q.need_expr = need_expr;
-  q.need_sum = plan->agg == AggKind::kSum || plan->agg == AggKind::kAvg;
+  // The one pass folds its total from the partition and slot sums.
+  q.need_sum = !sample.has_value() &&
+               (plan->agg == AggKind::kSum || plan->agg == AggKind::kAvg);
   q.minmax = !additive;
   q.in.resize(cols.size());
   for (size_t i = 0; i < cols.size(); ++i) q.in[i] = {cols[i], ids};
@@ -730,6 +748,16 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
 
   size_t survivors = 0;
   for (const BatchAcc& a : accs) survivors += a.rows;
+  if (sample.has_value()) {
+    ctx->metrics().AddShuffleRound();
+    ctx->metrics().AddShuffleRecords(survivors);
+    std::vector<ExactSum> pid_sums(q.parts);
+    for (const BatchAcc& a : accs) {
+      sample->Fold(a.hits);
+      for (size_t p = 0; p < q.parts; ++p) pid_sums[p].Merge(a.parts[p]);
+    }
+    return sample->Finish(pid_sums, survivors);
+  }
   ExactSum total;
   if (!need_expr) {
     total.Add(static_cast<double>(survivors));

@@ -3,10 +3,10 @@
 // The interpreted columnar path (columnar.cpp) pays, per plan node, a full
 // batch pass plus a Reindex gather that materializes the surviving row-index
 // vectors between nodes. For the dominant filter→aggregate chains over one
-// table — every UPA phase run of a single-table query runs three of them —
-// this layer removes all of that: a kernel "compiler" walks the chain once,
-// specializes the hot conjuncts (column type × comparison op, dense and
-// indirected, via templates resolved through function pointers) and the
+// table — every UPA release of a single-table query runs one or two of
+// them — this layer removes all of that: a kernel "compiler" walks the chain
+// once, specializes the hot conjuncts (column type × comparison op, dense
+// and indirected, via templates resolved through function pointers) and the
 // aggregate accumulation (aggregate kind × weight form), and emits one loop
 // that reads each fragment's columns exactly once, evaluates the conjunct
 // chain with short-circuit selection, and accumulates survivors directly
@@ -66,7 +66,7 @@ std::optional<FusedShape> FusableShape(const PlanPtr& plan);
 /// Executes a fusible plan in a single pass. Expects `shape` from
 /// FusableShape(plan) and an Aggregate root; returns the same statuses and
 /// bit-identical results (outputs, partition_outputs, contributions,
-/// result_rows) as the interpreted columnar path.
+/// sample_contributions, result_rows) as the interpreted columnar path.
 Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
                                 const Catalog* catalog, const PlanPtr& plan,
                                 const FusedShape& shape,

@@ -449,7 +449,7 @@ PlanPtr OrderConjunctsPass(const PlanPtr& plan,
 }
 
 /// Sets BuildSide hints where estimates are decisive (≥2× apart). Joins
-/// touching the private table keep kAuto: phase runs shrink that side at
+/// touching the private table keep kAuto: UPA's passes resize that side at
 /// runtime in ways static estimates cannot see.
 PlanPtr BuildSidePass(const PlanPtr& plan, const CardinalityEstimator& est,
                       const std::string& private_table) {

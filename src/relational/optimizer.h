@@ -37,8 +37,9 @@ struct OptimizerOptions {
   bool order_conjuncts = true;
   bool choose_build_side = true;
   /// When set, joins with this table on either side keep BuildSide::kAuto:
-  /// UPA's phase runs shrink the private side at runtime (include/exclude
-  /// row subsets), so static estimates would mispredict the build side.
+  /// UPA's passes resize the private side at runtime (the domain pass
+  /// swaps in n synthetic rows), so static estimates would mispredict the
+  /// build side.
   std::string private_table;
 
   static OptimizerOptions Disabled() {

@@ -3,18 +3,15 @@
 #include <algorithm>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace upa::core {
 
 /// Upper bound on the scan's block count. Boundaries are a function of
-/// n alone so the result cannot depend on how many workers execute the
-/// blocks; 64 blocks keeps every realistic pool saturated while the
-/// sequential combine pass over block totals stays negligible.
+/// n alone, and every output's combine shape follows from them, so keeping
+/// them fixed keeps every output bit fixed.
 constexpr size_t kScanMaxBlocks = 64;
 
-std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
-                                    ThreadPool* pool) {
+std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped) {
   UPA_CHECK_MSG(!mapped.empty(), "exclusion over an empty sample");
   const size_t n = mapped.size();
   const size_t per =
@@ -23,27 +20,12 @@ std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
   auto block_range = [&](size_t c) {
     return std::pair<size_t, size_t>{c * per, std::min(n, (c + 1) * per)};
   };
-  auto run_blocks = [&](const std::function<void(size_t)>& fn) {
-    if (pool != nullptr && pool->thread_count() > 1) {
-      // One block per morsel: blocks are few and individually heavy, so
-      // pulling them off the shared cursor lets a worker stuck behind a
-      // slow block leave the rest to its peers (static chunking would
-      // stall the whole pass on it). Block *boundaries* stay a function
-      // of n alone, so outputs are unchanged.
-      pool->ParallelForMorsels(blocks, 1, [&](size_t c0, size_t c1) {
-        for (size_t c = c0; c < c1; ++c) fn(c);
-      });
-    } else {
-      for (size_t c = 0; c < blocks; ++c) fn(c);
-    }
-  };
-
-  // Pass 1 (parallel): local prefix/suffix scans per block.
+  // Pass 1: local prefix/suffix scans per block.
   // local_prefix[c][k] = m[b] ⊕ ... ⊕ m[b+k-1], local_suffix[c][k] =
   // m[b+k] ⊕ ... ⊕ m[e-1] for block [b, e). Both folds are left-to-right /
   // right-to-left within the block — a fixed association order.
   std::vector<std::vector<Vec>> local_prefix(blocks), local_suffix(blocks);
-  run_blocks([&](size_t c) {
+  for (size_t c = 0; c < blocks; ++c) {
     auto [b, e] = block_range(c);
     const size_t len = e - b;
     local_prefix[c].resize(len + 1);
@@ -56,9 +38,9 @@ std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
     for (size_t k = len; k-- > 0;) {
       local_suffix[c][k] = VecSum::Combine(local_suffix[c][k + 1], mapped[b + k]);
     }
-  });
+  }
 
-  // Pass 2 (sequential, O(blocks) combines): fold block totals into
+  // Pass 2 (O(blocks) combines): fold block totals into
   // before[c] = R(blocks < c) and after[c] = R(blocks > c).
   std::vector<Vec> before(blocks), after(blocks);
   before[0] = VecSum::Identity();
@@ -70,16 +52,16 @@ std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
     after[c] = VecSum::Combine(after[c + 1], local_suffix[c + 1].front());
   }
 
-  // Pass 3 (parallel): emit every exclusion with one fixed combine shape.
+  // Pass 3: emit every exclusion with one fixed combine shape.
   std::vector<Vec> out(n);
-  run_blocks([&](size_t c) {
+  for (size_t c = 0; c < blocks; ++c) {
     auto [b, e] = block_range(c);
     for (size_t k = 0; k < e - b; ++k) {
       out[b + k] = VecSum::Combine(
           VecSum::Combine(before[c], local_prefix[c][k]),
           VecSum::Combine(local_suffix[c][k + 1], after[c]));
     }
-  });
+  }
   return out;
 }
 

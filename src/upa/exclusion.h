@@ -8,16 +8,16 @@
 //
 //   excl[i] = prefix[i-1] ⊕ suffix[i+1]
 //
-// ExclusionAggregate runs that scan in chunks: each fixed-size block
-// computes its local prefix/suffix arrays independently (parallel on the
-// engine thread pool), a cheap sequential pass folds the block totals into
-// per-block before/after values, and a second parallel pass emits
+// ExclusionAggregate runs that scan in blocks: each fixed-size block
+// computes its local prefix/suffix arrays, a cheap pass folds the block
+// totals into per-block before/after values, and a final pass emits
 //
 //   excl[i] = (before[c] ⊕ local_prefix) ⊕ (local_suffix ⊕ after[c]).
 //
-// Block boundaries depend only on n — never on the pool size — and every
-// fold has a fixed association order, so the result is bit-identical
-// whether it runs on 1 thread, N threads, or with no pool at all.
+// Block boundaries depend only on n and every fold has a fixed association
+// order, so the result is a pure function of `mapped`. It runs inline on
+// the calling thread: the work is O(n·dim), far below one pool round-trip
+// at the paper's n.
 //
 // NaiveExclusionAggregate keeps the paper's loop as the reference the scan
 // must agree with to float tolerance (tested); bench_ablation measures the
@@ -28,17 +28,11 @@
 
 #include "upa/types.h"
 
-namespace upa {
-class ThreadPool;
-}  // namespace upa
-
 namespace upa::core {
 
-/// excl[i] = R over {mapped[j] : j != i}, by the chunked block scan.
-/// mapped must be non-empty. With a null `pool` the same blocks run on the
-/// calling thread with an identical result.
-std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
-                                    ThreadPool* pool = nullptr);
+/// excl[i] = R over {mapped[j] : j != i}, by the block scan. mapped must
+/// be non-empty.
+std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped);
 
 /// The paper's loop: recombines the n-1 other values for each i (O(n²)).
 /// mapped must be non-empty.

@@ -44,7 +44,10 @@ struct QueryInstance {
   /// indices of S; `num_partitions` is the enforcer partition count
   /// (record i belongs to partition i % num_partitions); `num_domain` is
   /// how many synthetic domain records to map; `seed` drives any
-  /// randomness in the synthetic records.
+  /// randomness in the synthetic records. The runner passes num_domain = 0
+  /// on a hinted run (a cached sensitivity needs no neighbour outputs):
+  /// the implementation then draws and maps no domain records at all and
+  /// returns an empty `domain_mapped`.
   std::function<MappedBatches(std::span<const size_t> sample_indices,
                               size_t num_partitions, size_t num_domain,
                               uint64_t seed)>

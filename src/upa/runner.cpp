@@ -5,7 +5,6 @@
 
 #include "common/cancel.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dp/mechanism.h"
 
@@ -64,33 +63,12 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   UpaRunResult result;
   Stopwatch total_watch;
 
-  // Phases 3b/4 fan out over the engine pool unless disabled. Every
-  // parallel section below either writes disjoint per-index slots or
-  // combines in a fixed order, so the flag changes wall-clock only, never
-  // a single output bit (tested in upa_runner_test).
-  ThreadPool* pool = config_.parallel_phases ? &query.ctx->pool() : nullptr;
-  auto run_chunks = [&](const char* phase, size_t count,
-                        const std::function<void(size_t, size_t)>& fn) {
-    if (pool == nullptr) {
-      if (count > 0) fn(0, count);
-      return;
-    }
-    // Morsel-driven: workers pull fixed-grain index ranges off a shared
-    // cursor, so one heavy neighbour cannot stall the phase the
-    // way a static chunk split could. Boundaries depend only on count, so
-    // per-slot outputs are bit-identical to the sequential loop.
-    ThreadPool::MorselTimings timings;
-    size_t launched = pool->ParallelForMorsels(count, 0, fn, &timings);
-    query.ctx->metrics().AddTasks(launched);
-    query.ctx->metrics().AddPhaseTasks(phase, launched);
-    query.ctx->metrics().RecordMorselRun(phase, timings.seconds);
-  };
-
-  // Cancellation points sit between phases (and, via ParallelForMorsels,
-  // at every morsel boundary inside them). The last check runs before the
-  // enforcer session: past that point the query registers and releases, so
-  // a later cancellation must NOT abandon the run — "refund iff nothing
-  // was released" depends on cancelled runs never reaching Register.
+  // Cancellation points sit between phases (and, inside the map phase's
+  // engine passes, at every morsel boundary). The last check runs before
+  // the enforcer session: past that point the query registers and
+  // releases, so a later cancellation must NOT abandon the run — "refund
+  // iff nothing was released" depends on cancelled runs never reaching
+  // Register.
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
 
   // ---- Phase 1: Partition & Sample -------------------------------------
@@ -108,11 +86,14 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   result.seconds.sample = phase_watch.ElapsedSeconds();
 
   // ---- Phase 2 + S'-side of phase 3 (delegated to the query) -----------
+  // Domain records only feed the neighbour outputs, which a hinted run
+  // never computes, so a hinted run asks for none.
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
   UPA_FAILPOINT("upa/phase_map");
   phase_watch.Reset();
+  const size_t num_domain = hint == nullptr ? n : 0;
   MappedBatches batches =
-      query.execute_phases(sample_indices, num_partitions, n, seed);
+      query.execute_phases(sample_indices, num_partitions, num_domain, seed);
   result.seconds.map = phase_watch.ElapsedSeconds();
   // A token that tripped mid-map leaves partially-built batches behind
   // (ParallelFor skips the remaining chunks), so the cancellation must be
@@ -144,21 +125,19 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   // derived from the per-exclusion reductions R(S \ s_i). They only feed
   // the sensitivity fit, so a hinted run skips them entirely — the
   // expensive part of a repeated query shape.
+  // Phases 3b/4 run inline: their work is O(n·dim), well below one pool
+  // round-trip at the paper's n.
   if (hint == nullptr) {
-    // Each output depends only on its own index, so the chunked evaluation
-    // performs exactly the sequential loop's arithmetic per slot.
-    std::vector<Vec> excl = ExclusionAggregate(batches.sample_mapped, pool);
-    const size_t num_neighbours = n + batches.domain_mapped.size();
-    result.neighbour_outputs.resize(num_neighbours);
-    run_chunks("upa/neighbour_eval", num_neighbours,
-               [&](size_t begin, size_t end) {
-                 for (size_t i = begin; i < end; ++i) {
-                   result.neighbour_outputs[i] =
-                       i < n ? query.OutputOf(VecSum::Combine(r_sprime, excl[i]))
-                             : query.OutputOf(VecSum::Combine(
-                                   f_vec, batches.domain_mapped[i - n]));
-                 }
-               });
+    std::vector<Vec> excl = ExclusionAggregate(batches.sample_mapped);
+    result.neighbour_outputs.reserve(n + batches.domain_mapped.size());
+    for (size_t i = 0; i < n; ++i) {
+      result.neighbour_outputs.push_back(
+          query.OutputOf(VecSum::Combine(r_sprime, excl[i])));
+    }
+    for (const Vec& added : batches.domain_mapped) {
+      result.neighbour_outputs.push_back(
+          query.OutputOf(VecSum::Combine(f_vec, added)));
+    }
   }
   result.seconds.reduce = phase_watch.ElapsedSeconds();
 
@@ -188,17 +167,13 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     // overshooting for binary ones). Either way this is an *estimate* of
     // the true maximum; soundness comes from the Range Enforcer's clamp,
     // not from here.
-    std::vector<double> influences(result.neighbour_outputs.size());
-    run_chunks("upa/influence", influences.size(),
-               [&](size_t begin, size_t end) {
-                 for (size_t i = begin; i < end; ++i) {
-                   influences[i] = std::fabs(result.neighbour_outputs[i] - f_x);
-                 }
-               });
-    // max is exactly associative, so reducing the filled array on the
-    // driver loses nothing and keeps the result chunking-independent.
+    std::vector<double> influences;
+    influences.reserve(result.neighbour_outputs.size());
     double max_influence = 0.0;
-    for (double infl : influences) max_influence = std::max(max_influence, infl);
+    for (double y : result.neighbour_outputs) {
+      influences.push_back(std::fabs(y - f_x));
+      max_influence = std::max(max_influence, influences.back());
+    }
     result.local_sensitivity = max_influence;
     if (config_.sensitivity_rule == SensitivityRule::kInfluencePercentile) {
       NormalParams fit = FitNormalMle(influences);

@@ -8,11 +8,14 @@
 //   1. Partition & Sample  — uniformly sample n records S from x; the rest
 //      is S'; records are assigned to enforcer partitions by index.
 //   2. Parallel Map        — delegated to QueryInstance::execute_phases,
-//      which maps S, S' and n synthetic domain records on the engine.
+//      which maps S, S' and n synthetic domain records on the engine (no
+//      domain records on a hinted run: only the neighbour outputs, which a
+//      hinted run skips, consume them).
 //   3. Union-Preserving Reduce — R(M(S')) is computed once (inside
 //      execute_phases, per partition) and reused to derive f(x), the
 //      partition outputs f(x_j), and all sampled-neighbour outputs
-//      f(x - s_i), f(x + s̄_i) via exclusion scans.
+//      f(x - s_i), f(x + s̄_i) via exclusion scans, inline on the
+//      calling thread.
 //   4. iDP Enforcement     — MLE-fit a normal to the neighbour outputs,
 //      take [P1, P99] as the output range Ô_f and its width as the local
 //      sensitivity; run RANGE ENFORCER; clamp; add Laplace noise.
@@ -70,11 +73,6 @@ struct UpaConfig {
   bool enable_enforcer = true;
   /// Disable to inspect the un-noised pipeline in tests.
   bool add_noise = true;
-  /// Run phases 3b/4 (exclusion scan, neighbour-output evaluation,
-  /// influence computation) on the engine thread pool. The parallel path is
-  /// bit-identical to the sequential one (fixed chunk boundaries and
-  /// combine orders); disable only to measure the speedup it buys.
-  bool parallel_phases = true;
   /// Floor for the inferred local sensitivity. A degenerate query whose
   /// sampled neighbours all produce the same output would otherwise infer
   /// sensitivity 0 and release the exact clamped value with Laplace scale
@@ -119,11 +117,11 @@ struct UpaRunResult {
 
 /// Previously inferred sensitivity + output range for a query shape, as
 /// cached by the service layer (keyed by plan fingerprint × dataset
-/// epoch). Passing it to Run skips phase 3b's exclusion scans and the
-/// sensitivity fit — the expensive part of a repeat query — while leaving
-/// the release path (partition outputs, enforcer, clamp, noise) intact,
-/// so a hinted run releases bit-identically to the full run that produced
-/// the hint.
+/// epoch). Passing it to Run skips the domain records, phase 3b's
+/// exclusion scans and the sensitivity fit — the expensive part of a
+/// repeat query — while leaving the release path (partition outputs,
+/// enforcer, clamp, noise) intact, so a hinted run releases bit-identically
+/// to the full run that produced the hint.
 struct SensitivityHint {
   double local_sensitivity = 0.0;
   Interval out_range;

@@ -5,8 +5,8 @@
 // execute_phases runs on the engine: S' records are distributed into one
 // engine partition per enforcer partition and mapped + pre-reduced in
 // parallel (one task per partition, exactly Algorithm 1's ReduceByPar);
-// the sampled records and the synthetic domain records are mapped as small
-// datasets of their own.
+// the sampled records and the synthetic domain records (none on a hinted
+// run) are mapped as small datasets of their own.
 #pragma once
 
 #include <functional>
@@ -103,7 +103,9 @@ QueryInstance MakeSimpleQuery(SimpleQuerySpec<Record> spec) {
           .Collect();
     });
 
-    // Synthetic domain records (D \ x side of the neighbour sampling).
+    // Synthetic domain records (D \ x side of the neighbour sampling); a
+    // hinted run asks for none.
+    if (num_domain == 0) return out;
     Rng domain_rng = Rng::ForStream(seed, "upa/domain/" + spec.name);
     std::vector<Record> domain;
     domain.reserve(num_domain);

@@ -4,9 +4,10 @@
 // they must agree *bit-for-bit* — not approximately — on every output,
 // partition output and per-record contribution, under any thread-pool
 // size. This suite asserts exactly that over
-//   * all seven TPC-H plan queries × the UPA option shapes (plain,
-//     S'-style exclude+partitions, sample-style include+contributions,
-//     domain-style replace+contributions),
+//   * all seven TPC-H plan queries × the UPA option shapes (plain, the one
+//     provenance pass, domain-style replace+contributions, and the
+//     S'-style exclude / sample-style include runs the one pass is
+//     anchored to),
 //   * ~50 seeded random SPJ plans (chained equi-joins over the TPC-H
 //     schema graph, random typed predicates, all five aggregate kinds),
 // each executed under a 1-thread and a 4-thread engine.
@@ -31,6 +32,7 @@
 #include "relational/executor.h"
 #include "relational/optimizer.h"
 #include "relational/plan.h"
+#include "relational/sql_parser.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -72,6 +74,24 @@ void ExpectBitIdentical(const ExecResult& want, const ExecResult& got,
     EXPECT_EQ(Bits(value), Bits(it->second))
         << "contribution[" << idx << "]: " << value << " vs " << it->second;
   }
+  ASSERT_EQ(want.sample_contributions.size(), got.sample_contributions.size());
+  for (size_t k = 0; k < want.sample_contributions.size(); ++k) {
+    EXPECT_EQ(Bits(want.sample_contributions[k]),
+              Bits(got.sample_contributions[k]))
+        << "sample slot " << k << ": " << want.sample_contributions[k]
+        << " vs " << got.sample_contributions[k];
+  }
+}
+
+// The one provenance pass's option shape: `sample` routed to its slots,
+// every other row to one of `partitions` partition sums.
+ExecOptions OnePass(const std::string& private_table,
+                    const std::vector<size_t>* sample, size_t partitions) {
+  ExecOptions opts;
+  opts.private_table = private_table;
+  opts.sample_rows = sample;
+  opts.partitions = partitions;
+  return opts;
 }
 
 // Runs `plan` under both engines and both pool sizes; every run must agree
@@ -166,12 +186,21 @@ TEST(ColumnarDifferentialTest, TpchQueriesAllOptionShapes) {
   DifferentialRunner runner;
   const tpch::TpchDataset& ds = Dataset();
   Rng rng = Rng::ForStream(7, "columnar_diff/tpch");
+  Rng pass_rng = Rng::ForStream(7, "columnar_diff/tpch/one_pass");
 
   for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
     const size_t n = ds.table(q.private_table).NumRows();
 
     // Plain native run: no provenance at all.
     runner.Run(q.name + "/plain", q.plan, ExecOptions{});
+
+    // The one provenance pass: S' partitions and sampled slots in one scan.
+    {
+      std::vector<size_t> sample =
+          pass_rng.SampleWithoutReplacement(n, std::min<size_t>(n, 40));
+      runner.Run(q.name + "/one-pass", q.plan,
+                 OnePass(q.private_table, &sample, 3));
+    }
 
     // Full-dataset run with contribution tracking.
     {
@@ -263,6 +292,7 @@ TEST(ColumnarDifferentialTest, TinyFragmentsBitIdentical) {
       opts.exclude_rows = &excluded;
       shapes.push_back({"sprime", opts});
     }
+    shapes.push_back({"one-pass", OnePass(q.private_table, &excluded, 3)});
 
     for (auto& [shape, opts] : shapes) {
       opts.engine = ExecEngine::kRowOracle;
@@ -521,6 +551,13 @@ TEST(ColumnarDifferentialTest, RandomPlans) {
       opts.partitions = rng.UniformU64(4);
       runner.Run(label + "/subset", rp.plan, opts);
     }
+    // The one pass; non-additive roots must be rejected identically.
+    {
+      std::vector<size_t> sample =
+          rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
+      runner.Run(label + "/one-pass", rp.plan,
+                 OnePass(priv, &sample, 1 + rng.UniformU64(4)));
+    }
   }
 }
 
@@ -566,6 +603,183 @@ TEST(ColumnarDifferentialTest, ErrorParity) {
 }
 
 // ---------------------------------------------------------------------------
+// The one provenance pass against the three-run reference it replaces.
+
+// The release benchmark's three query templates (fixed literals), all with
+// lineitem as the privacy unit.
+std::vector<std::pair<std::string, PlanPtr>> ReleaseTemplates(
+    const Catalog& catalog) {
+  const char* sql[] = {
+      "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 4 AND "
+      "l_shipdate >= 120 AND l_shipdate < 2000",
+      "SELECT SUM(l_extendedprice * l_discount) FROM lineitem "
+      "WHERE l_shipdate >= 300 AND l_shipdate < 2200",
+      "SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
+      "WHERE o_orderdate >= 100 AND o_orderdate < 2000 AND l_quantity < 47",
+  };
+  std::vector<std::pair<std::string, PlanPtr>> out;
+  for (const char* q : sql) {
+    Result<PlanPtr> parsed = ParseSql(q);
+    EXPECT_TRUE(parsed.ok()) << q;
+    OptimizerOptions opt;
+    opt.private_table = "lineitem";
+    out.push_back({q, Optimize(parsed.value(), catalog, opt)});
+  }
+  return out;
+}
+
+// On every engine and pool size, one pass over the whole private table must
+// reproduce, bit for bit, the three runs it replaces: the plain run's
+// output and row count, the exclude run's partition outputs, and the
+// include run's per-record contributions (0 for records that never reach
+// the aggregate).
+TEST(ColumnarDifferentialTest, OnePassMatchesThreeRunReference) {
+  const tpch::TpchDataset& ds = Dataset();
+  const Catalog catalog = ds.catalog();
+  engine::ExecContext ctx1(
+      engine::ExecConfig{.threads = 1, .default_partitions = 1});
+  engine::ExecContext ctx4(
+      engine::ExecConfig{.threads = 4, .default_partitions = 4});
+  PlanExecutor exec1(&ctx1, &catalog), exec4(&ctx4, &catalog);
+  Rng rng = Rng::ForStream(7, "columnar_diff/one_pass_anchor");
+
+  struct Case {
+    std::string label;
+    PlanPtr plan;
+    std::string private_table;
+    const std::vector<Row>* replace = nullptr;
+  };
+  std::vector<Case> cases;
+  for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
+    cases.push_back({q.name, q.plan, q.private_table});
+  }
+  for (auto& [sql, plan] : ReleaseTemplates(catalog)) {
+    cases.push_back({sql, plan, "lineitem"});
+  }
+  // A churned private table (the replace_private_rows override).
+  std::vector<size_t> dropped = rng.SampleWithoutReplacement(
+      ds.table("lineitem").NumRows(), 30);
+  const std::vector<Row> churned = ds.RowsWithout("lineitem", dropped);
+  cases.push_back({"churned " + cases.back().label, cases.back().plan,
+                   "lineitem", &churned});
+
+  for (const Case& c : cases) {
+    const size_t n = c.replace != nullptr
+                         ? c.replace->size()
+                         : ds.table(c.private_table).NumRows();
+    std::vector<std::vector<size_t>> samples = {
+        rng.SampleWithoutReplacement(n, std::min<size_t>(n, 40)),
+        {},
+        rng.SampleWithoutReplacement(n, n),
+    };
+    for (const std::vector<size_t>& sample : samples) {
+      const size_t parts = 2 + sample.size() % 3;
+      ExecOptions base;
+      base.engine = ExecEngine::kRowOracle;
+      base.private_table = c.private_table;
+      base.replace_private_rows = c.replace;
+
+      ExecOptions excl = base;
+      excl.exclude_rows = &sample;
+      excl.partitions = parts;
+      ExecOptions incl = base;
+      incl.include_rows = &sample;
+      incl.track_contributions = true;
+      Result<ExecResult> plain = exec1.Execute(c.plan, base);
+      Result<ExecResult> sprime = exec1.Execute(c.plan, excl);
+      Result<ExecResult> sampled = exec1.Execute(c.plan, incl);
+      ASSERT_TRUE(plain.ok() && sprime.ok() && sampled.ok()) << c.label;
+
+      ExecResult want;
+      want.output = plain.value().output;
+      want.result_rows = plain.value().result_rows;
+      want.partition_outputs = sprime.value().partition_outputs;
+      for (size_t row : sample) {
+        auto it = sampled.value().contributions.find(row);
+        want.sample_contributions.push_back(
+            it == sampled.value().contributions.end() ? 0.0 : it->second);
+      }
+
+      ExecOptions pass = base;
+      pass.sample_rows = &sample;
+      pass.partitions = parts;
+      for (const PlanExecutor* exec : {&exec1, &exec4}) {
+        const std::string where = c.label + " sample=" +
+                                  std::to_string(sample.size()) +
+                                  (exec == &exec1 ? " threads=1" : " threads=4");
+        pass.engine = ExecEngine::kRowOracle;
+        Result<ExecResult> row = exec->Execute(c.plan, pass);
+        pass.engine = ExecEngine::kColumnar;
+        Result<ExecResult> col = exec->Execute(c.plan, pass);
+        Result<ExecResult> interp = ExecuteColumnarInterpreted(
+            exec == &exec1 ? &ctx1 : &ctx4, &catalog, c.plan, pass);
+        ASSERT_TRUE(row.ok() && col.ok() && interp.ok()) << where;
+        ExpectBitIdentical(want, row.value(), where + " [row]");
+        ExpectBitIdentical(want, col.value(), where + " [columnar]");
+        ExpectBitIdentical(want, interp.value(), where + " [interpreted]");
+      }
+    }
+  }
+}
+
+// The one pass refuses every option it cannot honour, identically on both
+// engines.
+TEST(ColumnarDifferentialTest, OnePassRejectsOptionCombinations) {
+  const PlanPtr sum = SumPlan(ScanPlan("nation"), Col("n_nationkey"));
+  const PlanPtr min = MinPlan(ScanPlan("nation"), Col("n_nationkey"));
+  const std::vector<size_t> sample = {1, 3, 4};
+  const std::vector<size_t> unsorted = {3, 1};
+  const std::vector<size_t> duplicated = {1, 1};
+  const std::vector<size_t> out_of_range = {1, 1000000};
+
+  ExecOptions with_include = OnePass("nation", &sample, 2);
+  with_include.include_rows = &sample;
+  ExecOptions with_exclude = OnePass("nation", &sample, 2);
+  with_exclude.exclude_rows = &sample;
+  ExecOptions with_contrib = OnePass("nation", &sample, 2);
+  with_contrib.track_contributions = true;
+
+  struct Bad {
+    std::string label;
+    PlanPtr plan;
+    ExecOptions opts;
+    StatusCode code;
+  };
+  std::vector<Bad> bad = {
+      {"with include_rows", sum, with_include, StatusCode::kInvalidArgument},
+      {"with exclude_rows", sum, with_exclude, StatusCode::kInvalidArgument},
+      {"with track_contributions", sum, with_contrib,
+       StatusCode::kInvalidArgument},
+      {"no partitions", sum, OnePass("nation", &sample, 0),
+       StatusCode::kInvalidArgument},
+      {"no private table", sum, OnePass("", &sample, 2),
+       StatusCode::kInvalidArgument},
+      {"unsorted", sum, OnePass("nation", &unsorted, 2),
+       StatusCode::kInvalidArgument},
+      {"duplicated", sum, OnePass("nation", &duplicated, 2),
+       StatusCode::kInvalidArgument},
+      {"out of range", sum, OnePass("nation", &out_of_range, 2),
+       StatusCode::kInvalidArgument},
+      // Non-additive aggregates have no provenance semantics at all.
+      {"over Min", min, OnePass("nation", &sample, 2),
+       StatusCode::kUnsupported},
+  };
+
+  const Catalog catalog = Dataset().catalog();
+  engine::ExecContext ctx(engine::ExecConfig{.threads = 1});
+  PlanExecutor exec(&ctx, &catalog);
+  for (Bad& b : bad) {
+    for (ExecEngine engine : {ExecEngine::kRowOracle, ExecEngine::kColumnar}) {
+      b.opts.engine = engine;
+      Result<ExecResult> r = exec.Execute(b.plan, b.opts);
+      ASSERT_FALSE(r.ok()) << b.label;
+      EXPECT_EQ(r.status().code(), b.code)
+          << b.label << ": " << r.status().ToString();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cost-based optimizer differential: Optimize(plan) must reproduce the
 // unoptimized plan bit-for-bit — outputs, partition outputs and
 // contributions — under both engines and both pool sizes, for the TPC-H
@@ -577,6 +791,7 @@ TEST(OptimizerDifferentialTest, TpchPlansAllOptionShapes) {
   DifferentialRunner runner;
   const tpch::TpchDataset& ds = Dataset();
   Rng rng = Rng::ForStream(7, "opt_diff/tpch");
+  Rng pass_rng = Rng::ForStream(7, "opt_diff/tpch/one_pass");
 
   for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
     const size_t n = ds.table(q.private_table).NumRows();
@@ -617,6 +832,13 @@ TEST(OptimizerDifferentialTest, TpchPlansAllOptionShapes) {
       opts.include_rows = &included;
       opts.track_contributions = true;
       runner.RunPair(q.name + "/sample", q.plan, optimized, opts);
+    }
+    {
+      std::vector<size_t> sample =
+          pass_rng.SampleWithoutReplacement(n, std::min<size_t>(n, 40));
+      const ExecOptions opts = OnePass(q.private_table, &sample, 2);
+      runner.RunPair(q.name + "/one-pass", q.plan, optimized, opts);
+      runner.RunPair(q.name + "/one-pass-lifted", q.plan, from_lifted, opts);
     }
   }
 }
@@ -667,6 +889,13 @@ TEST(OptimizerDifferentialTest, RandomPlans) {
       opts.track_contributions = rng.Bernoulli(0.5);
       opts.partitions = rng.UniformU64(4);
       runner.RunPair(label + "/subset", rp.plan, optimized, opts);
+    }
+    {
+      const size_t n = ds.table(priv).NumRows();
+      std::vector<size_t> sample =
+          rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
+      runner.RunPair(label + "/one-pass", rp.plan, optimized,
+                     OnePass(priv, &sample, 1 + rng.UniformU64(4)));
     }
   }
 }

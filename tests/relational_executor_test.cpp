@@ -247,8 +247,10 @@ TEST_F(ExecutorTest, RejectsIncludeAndExcludeTogether) {
 TEST_F(ExecutorTest, ScanCacheHitsOnRepeatedRuns) {
   auto plan = CountPlan(
       JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"));
+  engine::BlockCache cache(&ctx_.metrics());
   ExecOptions opts;
   opts.private_table = "users";
+  opts.cache = &cache;
   auto before = ctx_.metrics().Snapshot();
   ASSERT_TRUE(executor_->Execute(plan, opts).ok());
   ASSERT_TRUE(executor_->Execute(plan, opts).ok());
@@ -263,15 +265,17 @@ TEST_F(ExecutorTest, CacheNeverAliasesRecreatedTable) {
   // the first table's cached scan and report 5 instead of 2.
   auto plan = CountPlan(ScanPlan("clicks"));
   for (ExecEngine engine : {ExecEngine::kRowOracle, ExecEngine::kColumnar}) {
+    engine::BlockCache cache(&ctx_.metrics());
     ExecOptions opts;
     opts.engine = engine;
+    opts.cache = &cache;
 
     auto r1 = executor_->Execute(plan, opts);
     ASSERT_TRUE(r1.ok());
     EXPECT_DOUBLE_EQ(r1.value().output, 5.0);
 
     // Destroy and rebuild "clicks" with different contents; same ctx,
-    // same epoch, same options. The allocator is free to reuse the
+    // same cache, same options. The allocator is free to reuse the
     // address of the old Table.
     Schema schema = clicks_->schema();
     clicks_ = std::make_unique<Table>(

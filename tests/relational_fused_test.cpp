@@ -265,13 +265,26 @@ TEST(FusedKernelTest, LayoutAndThreadSweepBitIdentical) {
                  Ne(Col("s"), Lit("cherry"))),
       Mul(Col("v"), Lit(2.0)));
 
-  // Baseline once, then sweep fragment sizes × thread counts.
+  // The one provenance pass rides the same sweep: sampled rows go to their
+  // slots, the rest to three partition sums, through the dense kernels.
+  const std::vector<size_t> sample = {0, 2, 5, 6, 11, 15};
+  ExecOptions pass;
+  pass.private_table = "t";
+  pass.sample_rows = &sample;
+  pass.partitions = 3;
+
+  // Baselines once, then sweep fragment sizes × thread counts.
   engine::ExecContext base_ctx(
       engine::ExecConfig{.threads = 1, .default_partitions = 1});
   ExecOptions opts;
   opts.engine = ExecEngine::kRowOracle;
   Result<ExecResult> base = PlanExecutor(&base_ctx, &catalog).Execute(plan, opts);
   ASSERT_TRUE(base.ok());
+  pass.engine = ExecEngine::kRowOracle;
+  Result<ExecResult> base_pass =
+      PlanExecutor(&base_ctx, &catalog).Execute(plan, pass);
+  ASSERT_TRUE(base_pass.ok()) << base_pass.status().ToString();
+  EXPECT_EQ(Bits(base.value().output), Bits(base_pass.value().output));
 
   for (size_t frag : {size_t{3}, size_t{7}, size_t{64} * 1024}) {
     SetDefaultFragmentRows(frag);
@@ -286,6 +299,28 @@ TEST(FusedKernelTest, LayoutAndThreadSweepBitIdentical) {
       ASSERT_TRUE(fused.ok()) << fused.status().ToString();
       EXPECT_EQ(Bits(base.value().output), Bits(fused.value().output))
           << "frag=" << frag << " threads=" << threads;
+
+      pass.engine = ExecEngine::kColumnar;
+      Result<ExecResult> fused_pass =
+          PlanExecutor(&ctx, &catalog).Execute(plan, pass);
+      ASSERT_TRUE(fused_pass.ok()) << fused_pass.status().ToString();
+      const ExecResult& want = base_pass.value();
+      const ExecResult& got = fused_pass.value();
+      EXPECT_EQ(Bits(want.output), Bits(got.output))
+          << "one pass frag=" << frag << " threads=" << threads;
+      EXPECT_EQ(want.result_rows, got.result_rows);
+      ASSERT_EQ(want.partition_outputs.size(), got.partition_outputs.size());
+      for (size_t p = 0; p < want.partition_outputs.size(); ++p) {
+        EXPECT_EQ(Bits(want.partition_outputs[p]),
+                  Bits(got.partition_outputs[p]))
+            << "partition " << p << " frag=" << frag << " threads=" << threads;
+      }
+      ASSERT_EQ(got.sample_contributions.size(), sample.size());
+      for (size_t k = 0; k < sample.size(); ++k) {
+        EXPECT_EQ(Bits(want.sample_contributions[k]),
+                  Bits(got.sample_contributions[k]))
+            << "slot " << k << " frag=" << frag << " threads=" << threads;
+      }
     }
   }
 }

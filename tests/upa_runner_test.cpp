@@ -132,8 +132,20 @@ TEST(UpaRunnerTest, SensitivityHintReleasesBitIdentically) {
   SensitivityHint hint{reference.value().local_sensitivity,
                        reference.value().out_range,
                        reference.value().degenerate_sensitivity};
-  auto fast = hinted.Run(CountQuery(5000), 11, &hint);
+  // A hinted run asks execute_phases for no domain records at all.
+  QueryInstance query = CountQuery(5000);
+  std::vector<size_t> domain_requests;
+  query.execute_phases = [inner = query.execute_phases, &domain_requests](
+                             std::span<const size_t> sample, size_t parts,
+                             size_t num_domain, uint64_t seed) {
+    domain_requests.push_back(num_domain);
+    MappedBatches out = inner(sample, parts, num_domain, seed);
+    EXPECT_EQ(out.domain_mapped.size(), num_domain);
+    return out;
+  };
+  auto fast = hinted.Run(query, 11, &hint);
   ASSERT_TRUE(fast.ok());
+  EXPECT_EQ(domain_requests, std::vector<size_t>{0});
   EXPECT_DOUBLE_EQ(fast.value().released_output,
                    reference.value().released_output);
   EXPECT_DOUBLE_EQ(fast.value().raw_output, reference.value().raw_output);
@@ -278,72 +290,6 @@ TEST(UpaRunnerTest, PhaseTimingsArePopulated) {
   EXPECT_GE(s.map, 0.0);
   EXPECT_GT(s.total, 0.0);
   EXPECT_GE(s.total, s.map);
-}
-
-/// A query mapping every record to the same d-dimensional vector scaled by
-/// the record value — exercises the Vec paths the ML queries use.
-QueryInstance VecQuery(std::shared_ptr<std::vector<double>> values, size_t dim,
-                       const std::string& name = "vec") {
-  SimpleQuerySpec<double> spec;
-  spec.name = name;
-  spec.ctx = &Ctx();
-  spec.records = values;
-  spec.map_record = [dim](const double& v) {
-    Vec m(dim);
-    for (size_t j = 0; j < dim; ++j) m[j] = v * (1.0 + 0.1 * j);
-    return m;
-  };
-  spec.sample_domain = [](Rng& rng) { return rng.UniformDouble(0.0, 1.0); };
-  spec.scalarize = [](const Vec& v) { return L2Norm(v); };
-  return MakeSimpleQuery(std::move(spec));
-}
-
-// The headline determinism guarantee of the parallel phase pipeline: with
-// identical config, seed and context, parallel_phases on/off produces a
-// bit-identical UpaRunResult — same raw_output, local_sensitivity,
-// neighbour_outputs, partition_outputs and release. (The parallel path
-// uses fixed chunk boundaries and fixed combine orders; see DESIGN.md.)
-TEST(UpaRunnerTest, ParallelPhasesBitIdenticalToSequential) {
-  auto values = std::make_shared<std::vector<double>>();
-  Rng rng(321);
-  for (int i = 0; i < 4000; ++i) values->push_back(rng.UniformDouble(0, 1));
-
-  for (auto rule : {SensitivityRule::kSampledMax,
-                    SensitivityRule::kInfluencePercentile,
-                    SensitivityRule::kOutputRange}) {
-    UpaConfig cfg;
-    cfg.sample_n = 500;
-    cfg.sensitivity_rule = rule;
-    cfg.add_noise = true;
-    cfg.parallel_phases = true;
-    UpaConfig seq_cfg = cfg;
-    seq_cfg.parallel_phases = false;
-
-    UpaRunner par_runner(cfg), seq_runner(seq_cfg);
-    auto par = par_runner.Run(VecQuery(values, 8), 77);
-    auto seq = seq_runner.Run(VecQuery(values, 8), 77);
-    ASSERT_TRUE(par.ok() && seq.ok());
-    EXPECT_EQ(par.value().raw_output, seq.value().raw_output);
-    EXPECT_EQ(par.value().local_sensitivity, seq.value().local_sensitivity);
-    EXPECT_EQ(par.value().released_output, seq.value().released_output);
-    EXPECT_EQ(par.value().neighbour_outputs, seq.value().neighbour_outputs);
-    EXPECT_EQ(par.value().partition_outputs, seq.value().partition_outputs);
-    EXPECT_EQ(par.value().out_range.lo, seq.value().out_range.lo);
-    EXPECT_EQ(par.value().out_range.hi, seq.value().out_range.hi);
-    EXPECT_EQ(par.value().reduced, seq.value().reduced);
-  }
-}
-
-TEST(UpaRunnerTest, ParallelPhasesRecordPhaseTaskMetrics) {
-  UpaConfig cfg = NoNoiseConfig();
-  cfg.enable_enforcer = false;
-  UpaRunner runner(cfg);
-  engine::MetricsSnapshot before = Ctx().metrics().Snapshot();
-  auto result = runner.Run(CountQuery(3000), 60);
-  ASSERT_TRUE(result.ok());
-  auto tasks = (Ctx().metrics().Snapshot() - before).phase_tasks;
-  EXPECT_GE(tasks["upa/neighbour_eval"], 1u);
-  EXPECT_GE(tasks["upa/influence"], 1u);
 }
 
 // Degenerate queries: every record maps to the identity contribution, so
