@@ -21,6 +21,7 @@
 // journal boundary.
 #include <signal.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,8 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -69,19 +72,36 @@ core::QueryInstance ToyQuery(size_t n, int64_t post_sleep_us,
   return q;
 }
 
+/// Parses all of `field` as a base-10 number; false on anything else
+/// (empty, trailing bytes, out of range).
+template <typename T>
+bool ParseWhole(std::string_view field, T* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 net::QueryCompiler ToyCompiler() {
   return [](const net::WireQuery& wire) -> Result<core::QueryInstance> {
-    if (wire.sql.rfind("count:", 0) == 0) {
-      return ToyQuery(std::stoul(wire.sql.substr(6)), 0, wire.sql);
+    const std::string_view sql = wire.sql;
+    if (sql.starts_with("count:")) {
+      size_t n = 0;
+      if (!ParseWhole(sql.substr(6), &n)) {
+        return Status::InvalidArgument("count:<n> expected: " + wire.sql);
+      }
+      return ToyQuery(n, 0, wire.sql);
     }
-    if (wire.sql.rfind("lat:", 0) == 0) {
-      const std::string rest = wire.sql.substr(4);
+    if (sql.starts_with("lat:")) {
+      const std::string_view rest = sql.substr(4);
       const size_t colon = rest.find(':');
-      if (colon == std::string::npos) {
+      size_t n = 0;
+      int64_t us = 0;
+      if (colon == std::string_view::npos ||
+          !ParseWhole(rest.substr(0, colon), &n) ||
+          !ParseWhole(rest.substr(colon + 1), &us)) {
         return Status::InvalidArgument("lat:<n>:<us> expected: " + wire.sql);
       }
-      return ToyQuery(std::stoul(rest.substr(0, colon)),
-                      std::stol(rest.substr(colon + 1)), wire.sql);
+      return ToyQuery(n, us, wire.sql);
     }
     return Status::InvalidArgument("unknown toy SQL: " + wire.sql);
   };

@@ -49,6 +49,21 @@ class ExactSum {
     for (double p : other.partials_) Add(p);
   }
 
+  /// Take another accumulator out: negation is exact, so the result is the
+  /// exact difference of the two multisets' sums.
+  void Subtract(const ExactSum& other) {
+    for (double p : other.partials_) Add(-p);
+  }
+
+  /// False once an infinite or NaN value was added or a partial overflowed;
+  /// the sum is then no longer exact.
+  bool Finite() const {
+    for (double p : partials_) {
+      if (!std::isfinite(p)) return false;
+    }
+    return true;
+  }
+
   bool Empty() const { return partials_.empty(); }
 
   /// The exact sum rounded to the nearest double (round-half-to-even),

@@ -1,9 +1,9 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
 
 namespace upa {
 namespace {
@@ -102,15 +102,22 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   UPA_CHECK_MSG(k <= n, "cannot sample more items than the population");
-  // Floyd's algorithm: for j in [n-k, n), pick t in [0, j]; insert t or j.
-  std::unordered_set<size_t> chosen;
-  chosen.reserve(k * 2);
+  // Floyd's algorithm: for j in [n-k, n), pick t in [0, j]; take t, or j
+  // when t is taken (j never is: every earlier pick is below j). Membership
+  // is a bitmap over [0, n), so the sorted sample is read off its words.
+  std::vector<uint64_t> taken((n + 63) / 64, 0);
   for (size_t j = n - k; j < n; ++j) {
     size_t t = static_cast<size_t>(UniformU64(j + 1));
-    if (!chosen.insert(t).second) chosen.insert(j);
+    if ((taken[t >> 6] >> (t & 63)) & 1) t = j;
+    taken[t >> 6] |= uint64_t{1} << (t & 63);
   }
-  std::vector<size_t> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
+  std::vector<size_t> out;
+  out.reserve(k);
+  for (size_t w = 0; w < taken.size(); ++w) {
+    for (uint64_t bits = taken[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
   return out;
 }
 

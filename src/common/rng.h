@@ -112,7 +112,8 @@ class Rng {
   uint64_t Zipf(uint64_t n, double s);
 
   /// Sample k distinct indices uniformly from [0, n) (k <= n).
-  /// Returned in sorted order. Floyd's algorithm: O(k) expected.
+  /// Returned in sorted order. Floyd's algorithm over a membership bitmap:
+  /// k draws, then O(n/64) words to read the sorted indices off.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
   /// Fisher–Yates shuffle.

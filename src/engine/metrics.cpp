@@ -68,6 +68,8 @@ MetricsSnapshot MetricsSnapshot::operator-(const MetricsSnapshot& base) const {
   d.cache_misses = cache_misses - base.cache_misses;
   d.kernel_batches = kernel_batches - base.kernel_batches;
   d.kernel_rows = kernel_rows - base.kernel_rows;
+  d.memo_hits = memo_hits - base.memo_hits;
+  d.memo_misses = memo_misses - base.memo_misses;
   d.phase_seconds = phase_seconds;
   for (const auto& [name, secs] : base.phase_seconds) {
     d.phase_seconds[name] -= secs;
@@ -89,17 +91,20 @@ MetricsSnapshot MetricsSnapshot::operator-(const MetricsSnapshot& base) const {
 }
 
 std::string MetricsSnapshot::ToString() const {
-  char buf[256];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "tasks=%llu records=%llu shuffles=%llu shuffled_records=%llu "
-                "kernel_batches=%llu kernel_rows=%llu cache_hit_rate=%.1f%%",
+                "kernel_batches=%llu kernel_rows=%llu cache_hit_rate=%.1f%% "
+                "memo_hits=%llu memo_misses=%llu",
                 static_cast<unsigned long long>(tasks_launched),
                 static_cast<unsigned long long>(records_processed),
                 static_cast<unsigned long long>(shuffle_rounds),
                 static_cast<unsigned long long>(shuffle_records),
                 static_cast<unsigned long long>(kernel_batches),
                 static_cast<unsigned long long>(kernel_rows),
-                cache_hit_rate() * 100.0);
+                cache_hit_rate() * 100.0,
+                static_cast<unsigned long long>(memo_hits),
+                static_cast<unsigned long long>(memo_misses));
   std::string out = buf;
   for (const auto& [name, secs] : phase_seconds) {
     char pbuf[96];
@@ -194,6 +199,8 @@ MetricsSnapshot ExecMetrics::Snapshot() const {
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.kernel_batches = kernel_batches_.load(std::memory_order_relaxed);
   s.kernel_rows = kernel_rows_.load(std::memory_order_relaxed);
+  s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
+  s.memo_misses = memo_misses_.load(std::memory_order_relaxed);
   {
     std::lock_guard lock(phase_mu_);
     s.phase_seconds = phase_seconds_;
@@ -214,6 +221,8 @@ void ExecMetrics::Reset() {
   cache_misses_.store(0);
   kernel_batches_.store(0);
   kernel_rows_.store(0);
+  memo_hits_.store(0);
+  memo_misses_.store(0);
   std::lock_guard lock(phase_mu_);
   phase_seconds_.clear();
   phase_tasks_.clear();

@@ -57,6 +57,11 @@ struct MetricsSnapshot {
   /// (one "batch" = one fixed-size chunk of a vectorized operator).
   uint64_t kernel_batches = 0;
   uint64_t kernel_rows = 0;
+  /// The executor's cross-release S′ memo (rel::PlanExecutor): one provenance
+  /// passes answered from a remembered plan vs run in full. Separate from
+  /// the block cache's hits and misses, which Fig 4(b) reads.
+  uint64_t memo_hits = 0;
+  uint64_t memo_misses = 0;
   std::map<std::string, double> phase_seconds;
   /// Per-phase parallelism: how many pool chunk-tasks each named phase
   /// fanned out to (1 per call = that phase ran inline/sequentially).
@@ -111,6 +116,8 @@ class ExecMetrics {
   void AddKernelRows(uint64_t n) {
     kernel_rows_.fetch_add(n, std::memory_order_relaxed);
   }
+  void AddMemoHit() { memo_hits_.fetch_add(1, std::memory_order_relaxed); }
+  void AddMemoMiss() { memo_misses_.fetch_add(1, std::memory_order_relaxed); }
   void AddPhaseSeconds(const std::string& phase, double seconds);
   /// Record that `phase` split its work into `n` pool chunk-tasks.
   void AddPhaseTasks(const std::string& phase, uint64_t n);
@@ -141,6 +148,8 @@ class ExecMetrics {
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> kernel_batches_{0};
   std::atomic<uint64_t> kernel_rows_{0};
+  std::atomic<uint64_t> memo_hits_{0};
+  std::atomic<uint64_t> memo_misses_{0};
 
   mutable std::mutex phase_mu_;
   std::map<std::string, double> phase_seconds_;

@@ -1012,11 +1012,12 @@ struct BatchAgg {
 
 }  // namespace
 
-SamplePass::SamplePass(const std::vector<size_t>& rows)
+SamplePass::SamplePass(const std::vector<size_t>& rows, size_t partitions)
     : rows_(rows),
       limit_(rows.empty() ? 0 : rows.back() + 1),
       bits_((limit_ + 63) / 64, 0),
-      slots_(rows.size()) {
+      slots_(rows.size()),
+      sampled_parts_(partitions) {
   for (size_t r : rows) bits_[r >> 6] |= uint64_t{1} << (r & 63);
 }
 
@@ -1024,7 +1025,7 @@ void SamplePass::Add(size_t row, double weight) {
   const size_t slot =
       std::lower_bound(rows_.begin(), rows_.end(), row) - rows_.begin();
   slots_[slot].Add(weight);
-  sampled_total_.Add(weight);
+  sampled_parts_[row % sampled_parts_.size()].Add(weight);
 }
 
 std::vector<double> SamplePass::RoundSlots() const {
@@ -1037,11 +1038,13 @@ ExecResult SamplePass::Finish(const std::vector<ExactSum>& partition_sums,
                               size_t result_rows) const {
   ExecResult result;
   result.result_rows = result_rows;
-  ExactSum total = sampled_total_;
+  result.partition_totals = sampled_parts_;
   result.partition_outputs.resize(partition_sums.size());
+  ExactSum total;
   for (size_t p = 0; p < partition_sums.size(); ++p) {
-    total.Merge(partition_sums[p]);
     result.partition_outputs[p] = partition_sums[p].Round();
+    result.partition_totals[p].Merge(partition_sums[p]);
+    total.Merge(result.partition_totals[p]);
   }
   result.output = total.Round();
   result.sample_contributions = RoundSlots();
@@ -1173,7 +1176,9 @@ Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
   // The one provenance pass (validated by PlanExecutor::Execute: the
   // private table is scanned, so every row has provenance).
   std::optional<SamplePass> sample;
-  if (options.sample_rows != nullptr) sample.emplace(*options.sample_rows);
+  if (options.sample_rows != nullptr) {
+    sample.emplace(*options.sample_rows, parts);
+  }
 
   std::vector<BatchAgg> batches(nb);
   MorselRun(ctx, "columnar/aggregate", nb, 0, [&](size_t b0, size_t b1) {

@@ -187,13 +187,14 @@ struct SampleHit {
 
 /// Routing state of the one provenance pass (ExecOptions::sample_rows),
 /// shared by all three engines: a membership bitmap over the sampled
-/// private rows, plus one exact slot sum per sampled record. Contains() is
-/// read-only and safe from kernel threads; Add() runs on the folding
-/// thread.
+/// private rows, one exact slot sum per sampled record, and the sampled
+/// rows' exact sum per enforcer partition. Contains() is read-only and safe
+/// from kernel threads; Add() runs on the folding thread.
 class SamplePass {
  public:
-  /// `rows` must be sorted and distinct (ValidateSampleRows).
-  explicit SamplePass(const std::vector<size_t>& rows);
+  /// `rows` must be sorted and distinct (ValidateSampleRows); `partitions`
+  /// is the enforcer partition count (> 0).
+  SamplePass(const std::vector<size_t>& rows, size_t partitions);
 
   bool Contains(size_t row) const {
     return row < limit_ && ((bits_[row >> 6] >> (row & 63)) & 1) != 0;
@@ -206,8 +207,8 @@ class SamplePass {
   /// The rounded slots, aligned with the sample rows.
   std::vector<double> RoundSlots() const;
   /// The pass's result from the per-partition sums of the unsampled rows:
-  /// partition_outputs, sample_contributions, and `output` as the exact
-  /// total of both (no per-row total is kept).
+  /// partition_outputs, sample_contributions, partition_totals (both kinds
+  /// of row) and `output` as their exact total (no per-row total is kept).
   ExecResult Finish(const std::vector<ExactSum>& partition_sums,
                     size_t result_rows) const;
 
@@ -216,7 +217,7 @@ class SamplePass {
   size_t limit_ = 0;
   std::vector<uint64_t> bits_;
   std::vector<ExactSum> slots_;
-  ExactSum sampled_total_;
+  std::vector<ExactSum> sampled_parts_;
 };
 
 Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <list>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "common/exact_sum.h"
 #include "common/hash.h"
@@ -312,11 +315,199 @@ Result<ExecResult> ExecuteNonAdditive(
   return result;
 }
 
+/// Heap bytes a plan pins, roughly: nodes, names, literals and IN sets.
+size_t ExprBytes(const ExprPtr& e) {
+  if (e == nullptr) return 0;
+  size_t bytes = sizeof(Expr) + e->column_name().size();
+  auto value_bytes = [](const Value& v) {
+    const std::string* s = std::get_if<std::string>(&v);
+    return sizeof(Value) + (s != nullptr ? s->size() : 0);
+  };
+  bytes += value_bytes(e->literal());
+  for (const Value& v : e->set()) bytes += value_bytes(v);
+  return bytes + ExprBytes(e->lhs()) + ExprBytes(e->rhs());
+}
+
+size_t PlanBytes(const PlanPtr& p) {
+  if (p == nullptr) return 0;
+  return sizeof(PlanNode) + p->table.size() + p->left_key.size() +
+         p->right_key.size() + ExprBytes(p->predicate) +
+         ExprBytes(p->agg_expr) + PlanBytes(p->left) + PlanBytes(p->right);
+}
+
+/// Appends the uid of every table `plan` scans, in plan order; false when
+/// one is missing from the catalog (the engine reports it).
+bool CollectScanUids(const PlanPtr& plan, const Catalog& catalog,
+                     std::vector<uint64_t>* uids) {
+  if (plan == nullptr) return true;
+  if (plan->kind == PlanKind::kScan) {
+    auto it = catalog.find(plan->table);
+    if (it == catalog.end() || it->second == nullptr) return false;
+    uids->push_back(it->second->uid());
+    return true;
+  }
+  return CollectScanUids(plan->left, catalog, uids) &&
+         CollectScanUids(plan->right, catalog, uids);
+}
+
 }  // namespace
 
+/// The cross-release S′ memo (DESIGN §5). Per one-pass plan it keeps the
+/// exact sum x_j of every private row's weight in each enforcer partition
+/// j, the rounded total and the surviving row count, none of which depend
+/// on the sample. Tables are immutable and new data gets a new uid, so an
+/// entry stays valid for as long as its key can match. Bounded: at most
+/// kMemoCapacity entries, each of at most kMaxPartitions partition sums (a
+/// finite ExactSum holds at most ~40 non-overlapping partials) and a plan
+/// of at most kMaxPlanBytes: under 1 MiB in all.
+class SPrimeMemo {
+ public:
+  static constexpr size_t kMaxPartitions = 8;
+  static constexpr size_t kMaxPlanBytes = 8192;
+
+  struct Key {
+    uint64_t hash = 0;  // of all of the below
+    PlanPtr plan;       // compared structurally (PlanEquals)
+    std::vector<uint64_t> uids;  // every scanned table, in plan order
+    std::string private_table;
+    size_t partitions = 0;
+
+    bool operator==(const Key& o) const {
+      return hash == o.hash && partitions == o.partitions &&
+             uids == o.uids && private_table == o.private_table &&
+             PlanEquals(plan, o.plan);
+    }
+  };
+
+  struct Value {
+    std::vector<ExactSum> totals;  // x_j
+    double output = 0.0;
+    size_t result_rows = 0;
+  };
+
+  /// The key of a one pass, or nullopt when the memo declines it: a table
+  /// missing from the catalog, an entry too big to keep, or a sample of
+  /// more than half the private table, where a hit would scan most of the
+  /// rows anyway and the full scan's dense kernels are faster.
+  static std::optional<Key> KeyFor(const PlanPtr& plan, const Catalog& catalog,
+                                   const ExecOptions& options) {
+    auto priv = catalog.find(options.private_table);
+    Key key;
+    if (priv == catalog.end() || priv->second == nullptr ||
+        2 * options.sample_rows->size() > priv->second->NumRows() ||
+        options.partitions > kMaxPartitions ||
+        PlanBytes(plan) > kMaxPlanBytes ||
+        !CollectScanUids(plan, catalog, &key.uids)) {
+      return std::nullopt;
+    }
+    key.plan = plan;
+    key.private_table = options.private_table;
+    key.partitions = options.partitions;
+    key.hash = HashCombine(
+        HashCombine(PlanFingerprint(plan, catalog), Fnv1a(key.private_table)),
+        Mix64(key.partitions));
+    return key;
+  }
+
+  std::shared_ptr<const Value> Find(const Key& key) {
+    std::lock_guard lock(mu_);
+    return MoveToFront(key) ? lru_.front().value : nullptr;
+  }
+
+  void Insert(Key key, Value value) {
+    auto shared = std::make_shared<const Value>(std::move(value));
+    std::lock_guard lock(mu_);
+    if (MoveToFront(key)) {
+      lru_.front().value = std::move(shared);
+      return;
+    }
+    lru_.push_front({std::move(key), std::move(shared)});
+    if (lru_.size() > PlanExecutor::kMemoCapacity) lru_.pop_back();
+  }
+
+  size_t size() const {
+    std::lock_guard lock(mu_);
+    return lru_.size();
+  }
+
+  /// Completes a pass over the sampled rows alone: partition j's output is
+  /// Round(x_j ⊖ sampled rows of j), computed exactly, and the total and
+  /// row count are the remembered ones. When every surviving row was
+  /// sampled, nothing remains and every output is the empty sum, +0.0.
+  /// False when a partition's remainder is not finite, or is an exact zero
+  /// while rows remain, whose sign depends on those rows (-0.0 only when
+  /// every one of them weighs -0.0): the full pass must decide.
+  static bool Complete(const Value& memo, ExecResult& r) {
+    std::vector<double> outputs(memo.totals.size(), 0.0);
+    const bool rows_remain = r.result_rows != memo.result_rows;
+    for (size_t j = 0; j < outputs.size() && rows_remain; ++j) {
+      ExactSum rest = memo.totals[j];
+      rest.Subtract(r.partition_totals[j]);
+      outputs[j] = rest.Round();
+      if (!rest.Finite() || outputs[j] == 0.0) return false;
+    }
+    r.partition_outputs = std::move(outputs);
+    r.partition_totals = memo.totals;
+    r.output = memo.output;
+    r.result_rows = memo.result_rows;
+    return true;
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    std::shared_ptr<const Value> value;
+  };
+
+  /// Moves `key`'s entry to the front; false when there is none. mu_ held.
+  bool MoveToFront(const Key& key) {
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (it->key == key) {
+        lru_.splice(lru_.begin(), lru_, it);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // most recently used first
+};
+
 PlanExecutor::PlanExecutor(engine::ExecContext* ctx, const Catalog* catalog)
-    : ctx_(ctx), catalog_(catalog) {
+    : ctx_(ctx), catalog_(catalog), memo_(std::make_shared<SPrimeMemo>()) {
   UPA_CHECK(ctx_ != nullptr && catalog_ != nullptr);
+}
+
+size_t PlanExecutor::MemoEntries() const { return memo_->size(); }
+
+Result<ExecResult> PlanExecutor::ExecuteOnePass(
+    const PlanPtr& plan, const ExecOptions& options) const {
+  std::optional<SPrimeMemo::Key> key =
+      SPrimeMemo::KeyFor(plan, *catalog_, options);
+  if (!key.has_value()) return ExecuteColumnar(ctx_, catalog_, plan, options);
+  if (std::shared_ptr<const SPrimeMemo::Value> memo = memo_->Find(*key)) {
+    // The same engine over the sampled rows only: each surviving row lands
+    // in its slot, and partition_totals hold the sample's share of x_j.
+    ExecOptions sampled = options;
+    sampled.include_rows = options.sample_rows;
+    Result<ExecResult> r = ExecuteColumnar(ctx_, catalog_, plan, sampled);
+    if (!r.ok()) return r;
+    if (SPrimeMemo::Complete(*memo, r.value())) {
+      ctx_->metrics().AddMemoHit();
+      return r;
+    }
+  }
+  ctx_->metrics().AddMemoMiss();
+  Result<ExecResult> r = ExecuteColumnar(ctx_, catalog_, plan, options);
+  if (!r.ok()) return r;
+  const std::vector<ExactSum>& totals = r.value().partition_totals;
+  if (std::all_of(totals.begin(), totals.end(),
+                  [](const ExactSum& t) { return t.Finite(); })) {
+    memo_->Insert(std::move(*key),
+                  {totals, r.value().output, r.value().result_rows});
+  }
+  return r;
 }
 
 Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
@@ -347,6 +538,10 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
   }
 
   if (options.engine == ExecEngine::kColumnar) {
+    if (options.sample_rows != nullptr &&
+        options.replace_private_rows == nullptr) {
+      return ExecuteOnePass(plan, options);
+    }
     return ExecuteColumnar(ctx_, catalog_, plan, options);
   }
 
@@ -392,7 +587,9 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
   // The one provenance pass routes sampled rows to their slots here and
   // keeps them out of the partition shuffle below.
   std::optional<SamplePass> sample;
-  if (options.sample_rows != nullptr) sample.emplace(*options.sample_rows);
+  if (options.sample_rows != nullptr) {
+    sample.emplace(*options.sample_rows, options.partitions);
+  }
   auto sampled = [&sample](size_t prov) {
     return sample.has_value() && prov != kNoProv && sample->Contains(prov);
   };

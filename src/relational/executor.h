@@ -12,11 +12,19 @@
 //     the whole private table that routes each surviving row's weight to
 //     its sampled record's slot or to its enforcer partition's sum,
 //   * the exhaustive exact ground truth and the synthetic-domain run.
+//
+// The executor keeps one piece of state across calls, the cross-release S′
+// memo: a one pass it has run before scans only its sampled rows and
+// derives the partition outputs from the remembered exact partition sums
+// (PlanExecutor::Execute).
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "common/status.h"
 #include "engine/cache.h"
 #include "engine/context.h"
@@ -56,11 +64,12 @@ struct ExecOptions {
   /// vector. include/exclude compose on top.
   const std::vector<Row>* replace_private_rows = nullptr;
   /// If set: the one provenance pass. Sorted, distinct private-row indices
-  /// (the UPA sample S). The whole private table is scanned once; a
-  /// surviving row descending from a sampled record adds its weight to that
-  /// record's slot of ExecResult::sample_contributions, every other row to
-  /// its partition of partition_outputs. Requires an additive aggregate and
-  /// partitions > 0; cannot be combined with include_rows, exclude_rows or
+  /// (the UPA sample S). The whole private table is scanned once (only S on
+  /// an S′ memo hit, see PlanExecutor::Execute); a surviving row descending
+  /// from a sampled record adds its weight to that record's slot of
+  /// ExecResult::sample_contributions, every other row to its partition of
+  /// partition_outputs. Requires an additive aggregate and partitions > 0;
+  /// cannot be combined with include_rows, exclude_rows or
   /// track_contributions.
   const std::vector<size_t>* sample_rows = nullptr;
   /// If set: cache non-private scans and fully-public plan subtrees here
@@ -93,22 +102,47 @@ struct ExecResult {
   /// reached the aggregate). partition_outputs then cover the other rows,
   /// and `output` is the exact total over all of them.
   std::vector<double> sample_contributions;
+  /// One provenance pass on the columnar engine only: the exact sum x_j of
+  /// every surviving row's weight in partition j, sampled or not. `output`
+  /// is their rounded total; the S′ memo keeps them.
+  std::vector<ExactSum> partition_totals;
   /// Rows that reached the aggregate.
   size_t result_rows = 0;
 };
 
+class SPrimeMemo;  // executor.cpp
+
 class PlanExecutor {
  public:
+  /// Plans the S′ memo remembers; the least recently used goes first.
+  static constexpr size_t kMemoCapacity = 64;
+
   PlanExecutor(engine::ExecContext* ctx, const Catalog* catalog);
 
   /// Executes a plan whose root is an Aggregate. Fails with
   /// INVALID_ARGUMENT / NOT_FOUND / UNSUPPORTED on malformed plans.
+  ///
+  /// A columnar one provenance pass over the catalog's private table goes
+  /// through the S′ memo, keyed by the plan's structure, the uid of every
+  /// table it scans, the private table and the partition count. A miss runs
+  /// the full pass and remembers its partition_totals. A hit scans only the
+  /// sampled rows and derives partition_outputs[j] = Round(x_j ⊖ sampled
+  /// rows of j) by exact subtraction, bit-identical to the full pass. The
+  /// row oracle, replace_private_rows and samples of more than half the
+  /// private table never touch the memo.
   Result<ExecResult> Execute(const PlanPtr& plan,
                              const ExecOptions& options = {}) const;
 
+  /// Entries in the S′ memo (at most kMemoCapacity).
+  size_t MemoEntries() const;
+
  private:
+  Result<ExecResult> ExecuteOnePass(const PlanPtr& plan,
+                                    const ExecOptions& options) const;
+
   engine::ExecContext* ctx_;
   const Catalog* catalog_;
+  std::shared_ptr<SPrimeMemo> memo_;
 };
 
 }  // namespace upa::rel

@@ -1,5 +1,7 @@
 #include "relational/expr.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/status.h"
@@ -220,6 +222,15 @@ uint64_t ValueFingerprint(const Value& v) {
   return Mix64(0x57e'0000ULL ^ Fnv1a(std::get<std::string>(v)));
 }
 
+bool ValueBitsEqual(const Value& a, const Value& b) {
+  if (const double* x = std::get_if<double>(&a)) {
+    const double* y = std::get_if<double>(&b);
+    return y != nullptr &&
+           std::bit_cast<uint64_t>(*x) == std::bit_cast<uint64_t>(*y);
+  }
+  return a == b;
+}
+
 }  // namespace
 
 uint64_t ExprFingerprint(const ExprPtr& expr) {
@@ -245,6 +256,27 @@ uint64_t ExprFingerprint(const ExprPtr& expr) {
     }
   }
   return h;
+}
+
+bool ExprEquals(const ExprPtr& a, const ExprPtr& b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr || a->kind() != b->kind()) return false;
+  switch (a->kind()) {
+    case Expr::Kind::kColumn:
+      return a->column_name() == b->column_name();
+    case Expr::Kind::kLiteral:
+      return ValueBitsEqual(a->literal(), b->literal());
+    case Expr::Kind::kBinary:
+      return a->op() == b->op() && ExprEquals(a->lhs(), b->lhs()) &&
+             ExprEquals(a->rhs(), b->rhs());
+    case Expr::Kind::kNot:
+      return ExprEquals(a->lhs(), b->lhs());
+    case Expr::Kind::kInSet:
+      return ExprEquals(a->lhs(), b->lhs()) &&
+             std::equal(a->set().begin(), a->set().end(), b->set().begin(),
+                        b->set().end(), ValueBitsEqual);
+  }
+  return false;
 }
 
 }  // namespace upa::rel

@@ -96,6 +96,11 @@ bool ExprColumnsExist(const ExprPtr& expr, const Schema& schema);
 /// reallocated Expr could alias a stale entry).
 uint64_t ExprFingerprint(const ExprPtr& expr);
 
+/// Structural equality with the same resolution as ExprFingerprint: kinds,
+/// operators, column names and exact literal bits (so 1 and 1.0 differ, as
+/// do 0.0 and -0.0). Confirms a fingerprint match, which may collide.
+bool ExprEquals(const ExprPtr& a, const ExprPtr& b);
+
 // -- Terse builder helpers (the query-definition DSL) ----------------------
 inline ExprPtr Col(std::string name) { return Expr::Column(std::move(name)); }
 inline ExprPtr Lit(int64_t v) { return Expr::Literal(Value{v}); }

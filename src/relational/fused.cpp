@@ -652,7 +652,9 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
   // The one provenance pass scans the identity (a bare scan), so it runs
   // the dense conjunct kernels with zone-map skipping.
   std::optional<SamplePass> sample;
-  if (options.sample_rows != nullptr) sample.emplace(*options.sample_rows);
+  if (options.sample_rows != nullptr) {
+    sample.emplace(*options.sample_rows, options.partitions);
+  }
 
   FusedQuery q;
   q.ids = ids;

@@ -189,6 +189,26 @@ uint64_t PlanFingerprint(const PlanPtr& plan, const Catalog& catalog) {
   return h;
 }
 
+bool PlanEquals(const PlanPtr& a, const PlanPtr& b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr || a->kind != b->kind) return false;
+  switch (a->kind) {
+    case PlanKind::kScan:
+      return a->table == b->table;
+    case PlanKind::kFilter:
+      return ExprEquals(a->predicate, b->predicate) &&
+             PlanEquals(a->left, b->left);
+    case PlanKind::kJoin:
+      return a->left_key == b->left_key && a->right_key == b->right_key &&
+             a->build_side == b->build_side && PlanEquals(a->left, b->left) &&
+             PlanEquals(a->right, b->right);
+    case PlanKind::kAggregate:
+      return a->agg == b->agg && ExprEquals(a->agg_expr, b->agg_expr) &&
+             PlanEquals(a->left, b->left);
+  }
+  return false;
+}
+
 std::string OwningTable(const PlanPtr& plan, const std::string& column,
                         const Catalog& catalog) {
   std::vector<std::string> owners;

@@ -95,6 +95,12 @@ std::string PlanToString(const PlanPtr& plan);
 /// name; execution fails on them before any cache is consulted.
 uint64_t PlanFingerprint(const PlanPtr& plan, const Catalog& catalog);
 
+/// Structural equality with PlanFingerprint's resolution, minus the
+/// catalog: node kinds, table names, join keys and build sides, aggregate
+/// kinds and expressions (ExprEquals). Confirms a fingerprint match, which
+/// may collide; the caller compares table uids separately.
+bool PlanEquals(const PlanPtr& a, const PlanPtr& b);
+
 /// The table each join column belongs to is resolved structurally: the key
 /// of a join side must come from a Scan under that side. Returns the table
 /// name owning `column` under `plan`, or "" if ambiguous/unknown.

@@ -199,6 +199,37 @@ TEST_F(ClusterChaosTest, KillMidReleaseRecoversBitIdenticalToControl) {
   supervisor.StopAll();
 }
 
+// A malformed toy query gets an error reply and the shard lives on. Each of
+// these once ended the process with an uncaught std::stoul / std::stol
+// exception thrown on its event-loop thread.
+TEST_F(ClusterChaosTest, MalformedToyQueryIsRefusedAndShardSurvives) {
+  auto port = PickFreePort();
+  ASSERT_TRUE(port.ok());
+  ShardSupervisor::Options opts;
+  opts.auto_restart = false;
+  ShardSupervisor supervisor(opts);
+  auto shard = supervisor.Launch(ShardSpec(port.value(), dir_ + "/j", 10.0));
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  std::unique_ptr<net::Client> client = DialShard(port.value());
+  ASSERT_NE(client, nullptr);
+  const pid_t pid = supervisor.PidOf(shard.value());
+
+  uint64_t seed = 1;
+  for (const char* sql : {"count:abc", "count:99999999999999999999",
+                          "lat:1:x", "lat:x:1"}) {
+    auto reply = client->Query(MakeQuery("x", sql, seed++));
+    ASSERT_TRUE(reply.ok()) << sql << ": " << reply.status().ToString();
+    EXPECT_EQ(reply.value().code, StatusCode::kInvalidArgument)
+        << sql << ": " << reply.value().message;
+  }
+  auto good = client->Query(MakeQuery("x", "count:10", seed++));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(good.value().ok()) << good.value().status().ToString();
+  EXPECT_TRUE(supervisor.Alive(shard.value()));
+  EXPECT_EQ(supervisor.PidOf(shard.value()), pid);
+  supervisor.StopAll();
+}
+
 TEST_F(ClusterChaosTest, SigkillRightAfterDurableAppendLosesNothing) {
   // The shard aborts at journal/after_append hit 3 — kOpen(1), kCharge(2),
   // kRelease(3) — i.e. immediately after the RELEASE record's fdatasync

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -172,6 +174,40 @@ TEST(RngTest, SampleWithoutReplacementFullPopulation) {
   auto sample = rng.SampleWithoutReplacement(50, 50);
   EXPECT_EQ(sample.size(), 50u);
   for (size_t i = 0; i < 50; ++i) EXPECT_EQ(sample[i], i);
+}
+
+// Floyd's algorithm over a hash set, then sorted: the sampler before it
+// tracked membership in a bitmap. Kept verbatim as the reference.
+std::vector<size_t> SetBasedFloyd(Rng& rng, size_t n, size_t k) {
+  std::unordered_set<size_t> chosen;
+  chosen.reserve(k * 2);
+  for (size_t j = n - k; j < n; ++j) {
+    size_t t = static_cast<size_t>(rng.UniformU64(j + 1));
+    if (!chosen.insert(t).second) chosen.insert(j);
+  }
+  std::vector<size_t> out(chosen.begin(), chosen.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The bitmap sampler makes the same draws and returns the same indices as
+// the set-based one, and leaves the stream at the same position.
+TEST(RngTest, SampleWithoutReplacementMatchesSetBasedFloyd) {
+  const std::pair<size_t, size_t> shapes[] = {
+      {0, 0},   {1, 0},    {1, 1},     {63, 7},    {64, 64},
+      {65, 1},  {100, 0},  {100, 100}, {127, 126}, {1000, 999},
+      {1000, 37}, {39795, 1000},
+  };
+  for (const auto& [n, k] : shapes) {
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      Rng want_rng(seed), got_rng(seed);
+      const std::vector<size_t> want = SetBasedFloyd(want_rng, n, k);
+      const std::vector<size_t> got = got_rng.SampleWithoutReplacement(n, k);
+      ASSERT_EQ(want, got) << "n=" << n << " k=" << k << " seed=" << seed;
+      EXPECT_EQ(want_rng.NextU64(), got_rng.NextU64())
+          << "n=" << n << " k=" << k << " seed=" << seed;
+    }
+  }
 }
 
 TEST(RngTest, SampleWithoutReplacementIsUniform) {

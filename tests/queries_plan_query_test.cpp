@@ -1,8 +1,9 @@
 // MakePlanQuery's release passes: the one provenance pass, plus the domain
 // pass on unhinted releases only, checked against the three-run path they
-// replace; hinted and unhinted releases through UpaRunner; and the block
-// cache's scope of exactly one release. The suite name is in CI's
-// 7-row-fragment and TSan filters.
+// replace; hinted and unhinted releases through UpaRunner; the block
+// cache's scope of exactly one release; and repeated releases answered
+// from the executor's S′ memo. The suite names are in CI's 7-row-fragment
+// and TSan filters.
 #include "queries/plan_query.h"
 
 #include <gtest/gtest.h>
@@ -242,6 +243,53 @@ TEST(PlanQueryOnePassTest, BlockCacheScopedToOneRelease) {
   // The domain pass reuses the provenance pass's public side of the join.
   EXPECT_GE(first.hits, 1u);
   EXPECT_GE(first.misses, 1u);
+}
+
+// Repeated releases of one query on unchanged data: after the first, every
+// provenance pass is an S′ memo hit, and every release carries the bits of
+// a release through an executor that has never seen the query.
+TEST(PlanQueryMemoTest, RepeatedReleasesHitWithSameBits) {
+  const rel::Catalog catalog = Data().catalog();
+  core::UpaConfig cfg;
+  cfg.sample_n = 200;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = threads, .default_partitions = threads});
+    auto warm_exec = std::make_shared<const rel::PlanExecutor>(&ctx, &catalog);
+    for (const tpch::TpchQuery& q : Templates()) {
+      core::QueryInstance warm = MakePlanQuery(&ctx, warm_exec, &Data(), q);
+      const uint64_t hits_before = ctx.metrics().Snapshot().memo_hits;
+      for (uint64_t seed = 40; seed < 44; ++seed) {
+        core::QueryInstance cold = MakePlanQuery(
+            &ctx, std::make_shared<const rel::PlanExecutor>(&ctx, &catalog),
+            &Data(), q);
+        core::UpaRunner warm_runner(cfg), cold_runner(cfg);
+        Result<core::UpaRunResult> got = warm_runner.Run(warm, seed);
+        Result<core::UpaRunResult> want = cold_runner.Run(cold, seed);
+        ASSERT_TRUE(got.ok() && want.ok()) << q.name;
+        const std::string what =
+            q.name + " threads=" + std::to_string(threads) +
+            " seed=" + std::to_string(seed);
+        EXPECT_EQ(Bits(want.value().released_output),
+                  Bits(got.value().released_output))
+            << what;
+        EXPECT_EQ(Bits(want.value().raw_output), Bits(got.value().raw_output))
+            << what;
+        EXPECT_EQ(Bits(want.value().local_sensitivity),
+                  Bits(got.value().local_sensitivity))
+            << what;
+        ASSERT_EQ(want.value().partition_outputs.size(),
+                  got.value().partition_outputs.size());
+        for (size_t j = 0; j < want.value().partition_outputs.size(); ++j) {
+          EXPECT_EQ(Bits(want.value().partition_outputs[j]),
+                    Bits(got.value().partition_outputs[j]))
+              << what << " partition " << j;
+        }
+      }
+      EXPECT_EQ(ctx.metrics().Snapshot().memo_hits - hits_before, 3u)
+          << q.name;
+    }
+  }
 }
 
 }  // namespace

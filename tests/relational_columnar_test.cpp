@@ -10,7 +10,9 @@
 //     anchored to),
 //   * ~50 seeded random SPJ plans (chained equi-joins over the TPC-H
 //     schema graph, random typed predicates, all five aggregate kinds),
-// each executed under a 1-thread and a 4-thread engine.
+// each executed under a 1-thread and a 4-thread engine. PlanQueryMemoTest
+// holds the executor's cross-release S′ memo to the same standard: a one
+// pass answered from the memo matches the full pass and the row oracle.
 //
 // The generator keeps plans inside the domain where bit-identity is a
 // theorem rather than luck: joins only on int key columns, no division
@@ -21,8 +23,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +35,7 @@
 #include "common/rng.h"
 #include "relational/columnar.h"
 #include "relational/executor.h"
+#include "relational/fused.h"
 #include "relational/optimizer.h"
 #include "relational/plan.h"
 #include "relational/sql_parser.h"
@@ -92,6 +98,23 @@ ExecOptions OnePass(const std::string& private_table,
   opts.sample_rows = sample;
   opts.partitions = partitions;
   return opts;
+}
+
+struct MemoDelta {
+  uint64_t hits = 0, misses = 0;
+};
+
+/// The memo hits and misses `ctx` counts while `fn` runs.
+template <typename Fn>
+MemoDelta CountMemo(engine::ExecContext& ctx, Fn&& fn) {
+  const engine::MetricsSnapshot before = ctx.metrics().Snapshot();
+  fn();
+  const engine::MetricsSnapshot d = ctx.metrics().Snapshot() - before;
+  return {d.memo_hits, d.memo_misses};
+}
+
+bool AnyZero(const std::vector<double>& v) {
+  return std::any_of(v.begin(), v.end(), [](double x) { return x == 0.0; });
 }
 
 // Runs `plan` under both engines and both pool sizes; every run must agree
@@ -172,6 +195,11 @@ class DifferentialRunner {
   }
 
   const Catalog& catalog() const { return catalog_; }
+  /// S′ memo hits of the columnar runs so far.
+  uint64_t memo_hits() {
+    return ctx1_.metrics().Snapshot().memo_hits +
+           ctx4_.metrics().Snapshot().memo_hits;
+  }
 
  private:
   engine::ExecContext ctx1_, ctx4_;
@@ -711,12 +739,26 @@ TEST(ColumnarDifferentialTest, OnePassMatchesThreeRunReference) {
         Result<ExecResult> row = exec->Execute(c.plan, pass);
         pass.engine = ExecEngine::kColumnar;
         Result<ExecResult> col = exec->Execute(c.plan, pass);
-        Result<ExecResult> interp = ExecuteColumnarInterpreted(
-            exec == &exec1 ? &ctx1 : &ctx4, &catalog, c.plan, pass);
-        ASSERT_TRUE(row.ok() && col.ok() && interp.ok()) << where;
+        engine::ExecContext& ctx = exec == &exec1 ? ctx1 : ctx4;
+        Result<ExecResult> interp =
+            ExecuteColumnarInterpreted(&ctx, &catalog, c.plan, pass);
+        // The S′ memo now holds the plan (a churned table and a sample of
+        // over half the table bypass it): the same pass again scans only
+        // the sampled rows, and falls back to the full pass only on a zero
+        // remainder.
+        Result<ExecResult> memo = Status::Internal("not run");
+        const MemoDelta d =
+            CountMemo(ctx, [&] { memo = exec->Execute(c.plan, pass); });
+        if (c.replace != nullptr || 2 * sample.size() > n) {
+          EXPECT_EQ(d.hits + d.misses, 0u) << where;
+        } else if (!AnyZero(want.partition_outputs)) {
+          EXPECT_EQ(d.hits, 1u) << where;
+        }
+        ASSERT_TRUE(row.ok() && col.ok() && interp.ok() && memo.ok()) << where;
         ExpectBitIdentical(want, row.value(), where + " [row]");
         ExpectBitIdentical(want, col.value(), where + " [columnar]");
         ExpectBitIdentical(want, interp.value(), where + " [interpreted]");
+        ExpectBitIdentical(want, memo.value(), where + " [memo]");
       }
     }
   }
@@ -839,8 +881,15 @@ TEST(OptimizerDifferentialTest, TpchPlansAllOptionShapes) {
       const ExecOptions opts = OnePass(q.private_table, &sample, 2);
       runner.RunPair(q.name + "/one-pass", q.plan, optimized, opts);
       runner.RunPair(q.name + "/one-pass-lifted", q.plan, from_lifted, opts);
+      // The S′ memo holds the optimized plan now: another sample scans
+      // only its own rows.
+      std::vector<size_t> resample =
+          pass_rng.SampleWithoutReplacement(n, std::min<size_t>(n, 40));
+      runner.RunPair(q.name + "/one-pass-memo", q.plan, optimized,
+                     OnePass(q.private_table, &resample, 2));
     }
   }
+  EXPECT_GT(runner.memo_hits(), 0u);
 }
 
 TEST(OptimizerDifferentialTest, RandomPlans) {
@@ -894,10 +943,426 @@ TEST(OptimizerDifferentialTest, RandomPlans) {
       const size_t n = ds.table(priv).NumRows();
       std::vector<size_t> sample =
           rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
+      const size_t parts = 1 + rng.UniformU64(4);
       runner.RunPair(label + "/one-pass", rp.plan, optimized,
-                     OnePass(priv, &sample, 1 + rng.UniformU64(4)));
+                     OnePass(priv, &sample, parts));
+      // Same plan and partitions, another sample: an S′ memo hit.
+      std::vector<size_t> resample =
+          rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
+      runner.RunPair(label + "/one-pass-memo", rp.plan, optimized,
+                     OnePass(priv, &resample, parts));
     }
   }
+  EXPECT_GT(runner.memo_hits(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The cross-release S′ memo (PlanExecutor::Execute): a one pass the
+// executor has run before scans only its sampled rows, and every output
+// bit must still equal the full pass's and the row oracle's.
+
+/// A two-column private table (id, v) for weights the TPC-H data lacks.
+Table WeightTable(const std::vector<double>& weights) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    rows.push_back({Value{static_cast<int64_t>(i)}, Value{weights[i]}});
+  }
+  return Table("t", Schema({{"id", ValueType::kInt}, {"v", ValueType::kDouble}}),
+               std::move(rows));
+}
+
+// Three one passes per plan with fresh samples: the first fills the memo,
+// the next two hit it (only a zero partition output may send one back to
+// the full pass; a sample of over half the table skips the memo). Every
+// run matches the row oracle bit for bit, over the TPC-H plans, the
+// release templates and random plans, on the fused and the interpreted
+// path, at 1 and 4 threads.
+TEST(PlanQueryMemoTest, HitMissAndRowOracleAgreeBitForBit) {
+  const tpch::TpchDataset& ds = Dataset();
+  const Catalog catalog = ds.catalog();
+  struct Case {
+    std::string label;
+    PlanPtr plan;
+    std::string private_table;
+  };
+  std::vector<Case> cases;
+  for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
+    cases.push_back({q.name, q.plan, q.private_table});
+  }
+  for (auto& [sql, plan] : ReleaseTemplates(catalog)) {
+    cases.push_back({sql, plan, "lineitem"});
+  }
+  for (int i = 0; i < 30; ++i) {
+    Rng rng = Rng::ForStream(7, "memo/plan" + std::to_string(i));
+    RandomPlan rp = MakeRandomPlan(rng);
+    if (!rp.additive) continue;
+    cases.push_back({"plan" + std::to_string(i) + ": " + PlanToString(rp.plan),
+                     rp.plan, rp.tables[rng.UniformU64(rp.tables.size())]});
+  }
+
+  size_t fused_hits = 0, interpreted_hits = 0;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = threads, .default_partitions = threads});
+    PlanExecutor exec(&ctx, &catalog);
+    Rng rng = Rng::ForStream(threads, "memo/samples");
+    for (const Case& c : cases) {
+      const size_t n = ds.table(c.private_table).NumRows();
+      bool filled = false;
+      for (int round = 0; round < 3; ++round) {
+        const std::vector<size_t> sample = rng.SampleWithoutReplacement(
+            n, rng.UniformU64(std::min<size_t>(n, 60) + 1));
+        const std::string where = c.label + " threads=" +
+                                  std::to_string(threads) + " round=" +
+                                  std::to_string(round);
+        ExecOptions pass = OnePass(c.private_table, &sample, 3);
+        pass.engine = ExecEngine::kRowOracle;
+        const Result<ExecResult> oracle = exec.Execute(c.plan, pass);
+        pass.engine = ExecEngine::kColumnar;
+        Result<ExecResult> got = Status::Internal("not run");
+        const MemoDelta d =
+            CountMemo(ctx, [&] { got = exec.Execute(c.plan, pass); });
+        ASSERT_EQ(oracle.ok(), got.ok()) << where;
+        if (!oracle.ok()) {
+          EXPECT_EQ(oracle.status().ToString(), got.status().ToString());
+          EXPECT_EQ(d.hits, 0u) << where;
+          continue;
+        }
+        ExpectBitIdentical(oracle.value(), got.value(), where);
+        if (2 * sample.size() > n) {
+          EXPECT_EQ(d.hits + d.misses, 0u) << where;  // declined
+          continue;
+        }
+        EXPECT_EQ(d.hits + d.misses, 1u) << where;
+        if (!filled) {
+          EXPECT_EQ(d.misses, 1u) << where;
+        } else if (!AnyZero(oracle.value().partition_outputs)) {
+          EXPECT_EQ(d.hits, 1u) << where;  // only a zero may fall back
+        }
+        filled = true;
+        if (d.hits > 0) {
+          ++(FusableShape(c.plan).has_value() ? fused_hits : interpreted_hits);
+        }
+      }
+    }
+  }
+  EXPECT_GT(fused_hits, 0u);
+  EXPECT_GT(interpreted_hits, 0u);
+}
+
+// Another literal, partition count or table uid is another entry; so is
+// new data under an old table name. A copy of a table keeps its uid (it
+// holds the same rows), so it still hits.
+TEST(PlanQueryMemoTest, KeyCoversLiteralsPartitionsAndTableUids) {
+  const tpch::TpchDataset& ds = Dataset();
+  Catalog catalog = ds.catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 2});
+  PlanExecutor exec(&ctx, &catalog);
+  const std::vector<size_t> sample = {1, 5, 9, 200, 301};
+  auto join_count = [](ExprPtr quantity) {
+    return CountPlan(FilterPlan(
+        JoinPlan(ScanPlan("orders"), ScanPlan("lineitem"), "o_orderkey",
+                 "l_orderkey"),
+        Ge(Col("l_quantity"), std::move(quantity))));
+  };
+  auto run = [&](const PlanPtr& plan, size_t parts) {
+    ExecOptions pass = OnePass("lineitem", &sample, parts);
+    pass.engine = ExecEngine::kRowOracle;
+    const Result<ExecResult> want = exec.Execute(plan, pass);
+    pass.engine = ExecEngine::kColumnar;
+    Result<ExecResult> got = Status::Internal("not run");
+    const MemoDelta d = CountMemo(ctx, [&] { got = exec.Execute(plan, pass); });
+    EXPECT_TRUE(want.ok() && got.ok());
+    if (want.ok() && got.ok()) {
+      ExpectBitIdentical(want.value(), got.value(), PlanToString(plan));
+    }
+    return d;
+  };
+  const PlanPtr base = join_count(Lit(int64_t{4}));
+  EXPECT_EQ(run(base, 2).misses, 1u);
+  EXPECT_EQ(run(base, 2).hits, 1u);
+  EXPECT_EQ(run(join_count(Lit(int64_t{4})), 2).hits, 1u);  // rebuilt plan
+  EXPECT_EQ(run(join_count(Lit(int64_t{5})), 2).misses, 1u);
+  EXPECT_EQ(run(join_count(Lit(4.0)), 2).misses, 1u);  // 4 and 4.0 differ
+  EXPECT_EQ(run(base, 3).misses, 1u);
+
+  const Table copy(ds.table("lineitem"));
+  catalog["lineitem"] = &copy;
+  EXPECT_EQ(run(base, 2).hits, 1u);
+
+  const Table fewer_lineitems("lineitem", ds.table("lineitem").schema(),
+                              ds.RowsWithout("lineitem", {0, 2}));
+  catalog["lineitem"] = &fewer_lineitems;
+  EXPECT_EQ(run(base, 2).misses, 1u);
+  EXPECT_EQ(run(base, 2).hits, 1u);
+
+  const Table fewer_orders("orders", ds.table("orders").schema(),
+                           ds.RowsWithout("orders", {3}));
+  catalog["orders"] = &fewer_orders;
+  EXPECT_EQ(run(base, 2).misses, 1u);
+
+  catalog = ds.catalog();
+  EXPECT_EQ(run(base, 2).hits, 1u);  // the original tables' entry survived
+}
+
+// The memo's key is the optimized plan, not the SQL text: two spellings of
+// one query share an entry.
+TEST(PlanQueryMemoTest, EquivalentSqlSharesOneEntry) {
+  const Catalog catalog = Dataset().catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 2});
+  PlanExecutor exec(&ctx, &catalog);
+  OptimizerOptions opt;
+  opt.private_table = "lineitem";
+  std::vector<PlanPtr> plans;
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 4 AND "
+        "l_shipdate < 2000",
+        "select count(*)\n  from lineitem\n where l_shipdate < 2000 and "
+        "l_quantity>=4"}) {
+    Result<PlanPtr> parsed = ParseSql(sql);
+    ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+    plans.push_back(Optimize(parsed.value(), catalog, opt));
+  }
+  ASSERT_NE(plans[0], plans[1]);
+  ASSERT_TRUE(PlanEquals(plans[0], plans[1]))
+      << PlanToString(plans[0]) << " vs " << PlanToString(plans[1]);
+
+  const std::vector<size_t> sample = {2, 3, 50};
+  const ExecOptions pass = OnePass("lineitem", &sample, 2);
+  Result<ExecResult> first = Status::Internal("not run");
+  Result<ExecResult> second = Status::Internal("not run");
+  EXPECT_EQ(CountMemo(ctx, [&] { first = exec.Execute(plans[0], pass); }).misses,
+            1u);
+  EXPECT_EQ(CountMemo(ctx, [&] { second = exec.Execute(plans[1], pass); }).hits,
+            1u);
+  EXPECT_EQ(exec.MemoEntries(), 1u);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ExpectBitIdentical(first.value(), second.value(), "second spelling");
+}
+
+// PlanEquals resolves exactly what PlanFingerprint hashes.
+TEST(PlanQueryMemoTest, PlanEqualsComparesStructureAndLiteralBits) {
+  auto plan = [](ExprPtr lit, std::string key, AggKind agg) {
+    PlanPtr join = JoinPlan(ScanPlan("orders"), ScanPlan("lineitem"),
+                            std::move(key), "l_orderkey");
+    PlanPtr filtered = FilterPlan(join, Lt(Col("l_discount"), std::move(lit)));
+    return agg == AggKind::kCount ? CountPlan(filtered)
+                                  : SumPlan(filtered, Col("l_quantity"));
+  };
+  const PlanPtr base = plan(Lit(0.0), "o_orderkey", AggKind::kCount);
+  EXPECT_TRUE(PlanEquals(base, plan(Lit(0.0), "o_orderkey", AggKind::kCount)));
+  EXPECT_FALSE(PlanEquals(base, plan(Lit(-0.0), "o_orderkey", AggKind::kCount)));
+  EXPECT_FALSE(
+      PlanEquals(base, plan(Lit(int64_t{0}), "o_orderkey", AggKind::kCount)));
+  EXPECT_FALSE(PlanEquals(base, plan(Lit(0.0), "o_custkey", AggKind::kCount)));
+  EXPECT_FALSE(PlanEquals(base, plan(Lit(0.0), "o_orderkey", AggKind::kSum)));
+  EXPECT_FALSE(PlanEquals(base, nullptr));
+  EXPECT_TRUE(ExprEquals(In(Col("x"), {Value{int64_t{1}}, Value{"a"}}),
+                         In(Col("x"), {Value{int64_t{1}}, Value{"a"}})));
+  EXPECT_FALSE(ExprEquals(In(Col("x"), {Value{int64_t{1}}}),
+                          In(Col("x"), {Value{int64_t{1}}, Value{"a"}})));
+}
+
+// Churned copies and the domain pass (replace_private_rows), the row
+// oracle, and samples of over half the private table never read or fill
+// the memo, even once it holds their plan.
+TEST(PlanQueryMemoTest, OverridesAndRowOracleBypassTheMemo) {
+  const tpch::TpchDataset& ds = Dataset();
+  const Catalog catalog = ds.catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 2});
+  PlanExecutor exec(&ctx, &catalog);
+  const PlanPtr plan = ReleaseTemplates(catalog).back().second;
+  const std::vector<size_t> sample = {4, 8, 15, 16, 23, 42};
+  const std::vector<Row> churned = ds.RowsWithout("lineitem", {1, 2, 3});
+
+  ExecOptions oracle = OnePass("lineitem", &sample, 2);
+  oracle.engine = ExecEngine::kRowOracle;
+  ExecOptions replaced = OnePass("lineitem", &sample, 2);
+  replaced.replace_private_rows = &churned;
+  ExecOptions replaced_oracle = replaced;
+  replaced_oracle.engine = ExecEngine::kRowOracle;
+  std::vector<size_t> most(ds.table("lineitem").NumRows() / 2 + 1);
+  std::iota(most.begin(), most.end(), 0);
+  auto bypassing_runs = [&] {
+    return CountMemo(ctx, [&] {
+      ASSERT_TRUE(exec.Execute(plan, oracle).ok());
+      ASSERT_TRUE(exec.Execute(plan, OnePass("lineitem", &most, 2)).ok());
+      Result<ExecResult> want = exec.Execute(plan, replaced_oracle);
+      Result<ExecResult> got = exec.Execute(plan, replaced);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ExpectBitIdentical(want.value(), got.value(), "churned");
+    });
+  };
+  MemoDelta d = bypassing_runs();
+  EXPECT_EQ(d.hits + d.misses, 0u);
+  EXPECT_EQ(exec.MemoEntries(), 0u);
+
+  ASSERT_TRUE(exec.Execute(plan, OnePass("lineitem", &sample, 2)).ok());
+  EXPECT_EQ(exec.MemoEntries(), 1u);
+  d = bypassing_runs();
+  EXPECT_EQ(d.hits + d.misses, 0u);
+  EXPECT_EQ(exec.MemoEntries(), 1u);
+}
+
+// A pass with a non-finite partition sum is never remembered. A remainder
+// that is not finite, or an exact zero while unsampled rows remain, makes a
+// hit run the full pass, whose bits it then returns: the overflow, or -0.0
+// where the remainder cancels to +0.0.
+TEST(PlanQueryMemoTest, NonFiniteAndZeroRemaindersFallBackToTheFullPass) {
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 1, .default_partitions = 1});
+  const PlanPtr sum_all = SumPlan(ScanPlan("t"), Col("v"));
+  auto check = [&](const std::vector<double>& weights,
+                   const std::vector<size_t>& fill_sample,
+                   const std::vector<size_t>& sample, bool filled,
+                   const char* label, bool hit = false,
+                   const PlanPtr* plan = nullptr) {
+    const PlanPtr& sum = plan != nullptr ? *plan : sum_all;
+    SCOPED_TRACE(label);
+    const Table t = WeightTable(weights);
+    const Catalog catalog = {{"t", &t}};
+    PlanExecutor exec(&ctx, &catalog);
+    EXPECT_TRUE(exec.Execute(sum, OnePass("t", &fill_sample, 1)).ok());
+    EXPECT_EQ(exec.MemoEntries(), filled ? 1u : 0u);
+    const ExecOptions pass = OnePass("t", &sample, 1);
+    Result<ExecResult> got = Status::Internal("not run");
+    const MemoDelta d = CountMemo(ctx, [&] { got = exec.Execute(sum, pass); });
+    EXPECT_EQ(d.hits, hit ? 1u : 0u);
+    EXPECT_EQ(d.misses, hit ? 0u : 1u);
+    // A fresh executor has an empty memo: its answer is the full pass's.
+    const Result<ExecResult> want =
+        PlanExecutor(&ctx, &catalog).Execute(sum, pass);
+    if (!want.ok() || !got.ok()) {
+      ADD_FAILURE() << "pass failed";
+      return 0.0;
+    }
+    ExpectBitIdentical(want.value(), got.value(), label);
+    return got.value().partition_outputs[0];
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  check({1.0, inf, 3.0}, {0}, {0}, false, "infinite weight");
+  check({1.0, std::nan(""), 3.0}, {0}, {0}, false, "NaN weight");
+  check({1e308, 1e308, 1e308}, {0}, {0}, false, "overflowing sum");
+  // x = 1e308 + 1e308 - 1e308 is finite when the second row is sampled;
+  // with the third sampled instead, the remainder 2e308 overflows.
+  EXPECT_FALSE(std::isfinite(check({1e308, 1e308, -1e308}, {1}, {2}, true,
+                                   "overflowing remainder")));
+  // Every unsampled row weighs -0.0: the full pass says -0.0, while x - 5
+  // cancels to +0.0.
+  EXPECT_EQ(Bits(check({-0.0, 5.0, -0.0}, {1}, {1}, true, "negative zero")),
+            Bits(-0.0));
+  // When every surviving row is sampled no row is left: +0.0 without a
+  // full pass.
+  const PlanPtr small =
+      SumPlan(FilterPlan(ScanPlan("t"), Lt(Col("v"), Lit(50.0))), Col("v"));
+  EXPECT_EQ(Bits(check({-0.0, 5.0, -0.0, 99.0, 99.0, 99.0}, {1}, {0, 1, 2},
+                       true, "every survivor sampled", /*hit=*/true, &small)),
+            Bits(0.0));
+}
+
+// A plan that fails never fills the memo.
+TEST(PlanQueryMemoTest, ErroringPlansNeverFill) {
+  const Catalog catalog = Dataset().catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 2});
+  PlanExecutor exec(&ctx, &catalog);
+  const std::vector<size_t> sample = {1, 2};
+  const PlanPtr bad[] = {
+      CountPlan(FilterPlan(ScanPlan("lineitem"),
+                           Gt(Col("mystery"), Lit(int64_t{3})))),
+      MinPlan(ScanPlan("lineitem"), Col("l_quantity")),
+      CountPlan(JoinPlan(ScanPlan("nope"), ScanPlan("lineitem"), "x",
+                         "l_orderkey")),
+  };
+  for (const PlanPtr& plan : bad) {
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_FALSE(exec.Execute(plan, OnePass("lineitem", &sample, 2)).ok())
+          << PlanToString(plan);
+    }
+  }
+  EXPECT_EQ(exec.MemoEntries(), 0u);
+  EXPECT_EQ(ctx.metrics().Snapshot().memo_hits, 0u);
+}
+
+// The memo holds at most kMemoCapacity plans and evicts the least recently
+// used one first.
+TEST(PlanQueryMemoTest, EntriesNeverExceedCapacity) {
+  const Catalog catalog = Dataset().catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 1, .default_partitions = 1});
+  PlanExecutor exec(&ctx, &catalog);
+  const std::vector<size_t> sample = {7, 11};
+  // Every literal keeps all rows, so every partition is non-zero.
+  auto plan = [](int64_t q) {
+    return CountPlan(FilterPlan(ScanPlan("lineitem"),
+                                Lt(Col("l_quantity"), Lit(1000 + q))));
+  };
+  constexpr size_t kCap = PlanExecutor::kMemoCapacity;
+  constexpr size_t kPlans = kCap + kCap / 2;
+  auto run = [&](size_t q) {
+    return CountMemo(ctx, [&] {
+      ASSERT_TRUE(exec.Execute(plan(static_cast<int64_t>(q)),
+                               OnePass("lineitem", &sample, 2))
+                      .ok());
+    });
+  };
+  // Cycle through kPlans plans twice: the second lap misses every time.
+  for (size_t i = 0; i < 2 * kPlans; ++i) {
+    EXPECT_EQ(run(i % kPlans).misses, 1u) << i;
+    EXPECT_LE(exec.MemoEntries(), kCap);
+  }
+  EXPECT_EQ(exec.MemoEntries(), kCap);
+  // The last kCap plans are held; the one before them was evicted.
+  EXPECT_EQ(run(kPlans - 1).hits, 1u);
+  EXPECT_EQ(run(kPlans - kCap).hits, 1u);
+  EXPECT_EQ(run(kPlans - kCap - 1).misses, 1u);
+}
+
+// Pool threads racing on one executor: fills, hits and evictions of the
+// shared memo never corrupt a result.
+TEST(PlanQueryMemoTest, ConcurrentHitsAndFillsAreSafe) {
+  const tpch::TpchDataset& ds = Dataset();
+  const Catalog catalog = ds.catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 4, .default_partitions = 4});
+  PlanExecutor exec(&ctx, &catalog);
+  std::vector<PlanPtr> plans;
+  for (auto& [sql, plan] : ReleaseTemplates(catalog)) plans.push_back(plan);
+  for (int64_t q = 1; q <= 5; ++q) {
+    plans.push_back(SumPlan(
+        FilterPlan(ScanPlan("lineitem"), Lt(Col("l_quantity"), Lit(q * 9))),
+        Col("l_extendedprice")));
+  }
+  const size_t n = ds.table("lineitem").NumRows();
+  Rng rng = Rng::ForStream(9, "memo/concurrent");
+  std::vector<std::vector<size_t>> samples;
+  for (int i = 0; i < 5; ++i) {
+    samples.push_back(rng.SampleWithoutReplacement(n, 30 + i));
+  }
+  auto task_options = [&](size_t i) {
+    return OnePass("lineitem", &samples[i % samples.size()], 2);
+  };
+  constexpr size_t kTasks = 160;
+  std::vector<Result<ExecResult>> want, got;
+  for (size_t i = 0; i < kTasks; ++i) {
+    ExecOptions opts = task_options(i);
+    opts.engine = ExecEngine::kRowOracle;
+    want.push_back(exec.Execute(plans[i % plans.size()], opts));
+    got.push_back(Status::Internal("not run"));
+  }
+  ctx.pool().ParallelFor(kTasks, [&](size_t i) {
+    got[i] = exec.Execute(plans[i % plans.size()], task_options(i));
+  });
+  for (size_t i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(want[i].ok() && got[i].ok()) << i;
+    ExpectBitIdentical(want[i].value(), got[i].value(),
+                       "task " + std::to_string(i));
+  }
+  EXPECT_GT(ctx.metrics().Snapshot().memo_hits, 0u);
+  EXPECT_EQ(exec.MemoEntries(), plans.size());
 }
 
 }  // namespace
