@@ -1,5 +1,4 @@
-// Storage-layer benchmarks: fragmented columnar scans, morsel scheduling,
-// and budgeted execution.
+// Storage-layer benchmarks: fragmented columnar scans and morsel scheduling.
 //
 //   1. scan_skipping — a selective filter over a key-ordered table, run
 //      monolithic (one fragment, zone maps useless) vs fragmented (default
@@ -15,14 +14,10 @@
 //      model at 8 virtual workers — the machine-independent headline the
 //      >= 1.3x acceptance target applies to; the measured ratio approaches
 //      it as physical cores increase.
-//   3. budget_tpch — the full TPC-H query sweep under a memory budget
-//      deliberately smaller than the dataset's total columnar bytes (but
-//      covering any single query's working set). The run must complete,
-//      evict at least once, keep peak fragment-resident bytes <= budget,
-//      and reproduce the unlimited-budget outputs bit-for-bit.
 //
 // Emits BENCH_storage.json (override with UPA_BENCH_JSON). Knobs:
-// UPA_ORDERS, UPA_RUNS, UPA_THREADS, UPA_SEED (src/bench_util/harness.h).
+// UPA_ORDERS (scan rows = max(20000, 100 × orders)), UPA_RUNS, UPA_THREADS
+// (src/bench_util/harness.h).
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -30,8 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,14 +34,11 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "engine/context.h"
-#include "relational/buffer_manager.h"
 #include "relational/columnar.h"
 #include "relational/executor.h"
 #include "relational/expr.h"
 #include "relational/plan.h"
 #include "relational/table.h"
-#include "tpch/generator.h"
-#include "tpch/queries.h"
 
 using namespace upa;
 
@@ -141,6 +131,7 @@ uint64_t SpinWork(uint64_t x, size_t iters) {
 }
 
 struct SchedResult {
+  size_t threads = 0;  // resolved pool size
   double static_seconds = 0.0;
   double morsel_seconds = 0.0;
   double static_makespan = 0.0;  // modeled, work units, kModelWorkers
@@ -166,6 +157,7 @@ SchedResult TimeScheduling(size_t threads, size_t runs) {
   }
 
   SchedResult best;
+  best.threads = pool.thread_count();
   // Makespan model: static = the contiguous chunks ParallelForChunks hands
   // out (worker w owns one chunk, finishing at its chunk's total work);
   // morsel = greedy pull off a shared cursor (each item goes to the worker
@@ -227,8 +219,7 @@ SchedResult TimeScheduling(size_t threads, size_t runs) {
 
 int main() {
   bench::BenchEnv env = bench::BenchEnv::FromEnv();
-  bench::PrintBanner("Fragmented storage, morsel scheduling, memory budget",
-                     env);
+  bench::PrintBanner("Fragmented storage, morsel scheduling", env);
 
   const size_t scan_rows = std::max<size_t>(20000, env.orders * 100);
 
@@ -280,92 +271,6 @@ int main() {
             " hw threads)");
   }
 
-  // --- 3. budget_tpch
-  tpch::TpchDataset data(tpch::TpchConfig{.num_orders = env.orders,
-                                          .max_lineitems_per_order = 7,
-                                          .reference_skew = 1.1,
-                                          .seed = env.seed});
-  rel::Catalog catalog = data.catalog();
-  engine::ExecContext ctx(
-      engine::ExecConfig{.threads = env.threads, .default_partitions = 4});
-  rel::PlanExecutor exec(&ctx, &catalog);
-  rel::ExecOptions opts;
-  opts.engine = rel::ExecEngine::kColumnar;
-
-  // Size the budget: it must fit any single query's working set (the tables
-  // that query joins are all pinned at once) but not the whole dataset.
-  std::map<std::string, size_t> table_bytes;
-  size_t total_bytes = 0;
-  for (const auto& [name, table] : catalog) {
-    table_bytes[name] = table->Columnar()->resident_bytes();
-    total_bytes += table_bytes[name];
-  }
-  size_t max_working_set = 0;
-  for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
-    std::set<std::string> tables;
-    for (const std::string& t : rel::AnalyzePlan(q.plan).tables) {
-      tables.insert(t);
-    }
-    size_t ws = 0;
-    for (const std::string& t : tables) ws += table_bytes[t];
-    max_working_set = std::max(max_working_set, ws);
-  }
-  const size_t budget = max_working_set + 4096;
-
-  // Baseline outputs with no budget in force.
-  std::vector<double> baseline;
-  for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
-    Result<rel::ExecResult> res = exec.Execute(q.plan, opts);
-    UPA_CHECK_MSG(res.ok(), "baseline failed: " + res.status().ToString());
-    baseline.push_back(res.value().output);
-  }
-
-  // Drop every cached columnar form, then re-run the sweep under the
-  // budget with spill-to-disk enabled.
-  rel::BufferManager& mgr = rel::BufferManager::Instance();
-  const rel::BufferManager::Config saved = mgr.config();
-  for (const auto& [name, table] : catalog) table->ReleaseCaches();
-  mgr.Configure({.budget_bytes = budget, .spill_dir = "/tmp"});
-
-  bool identical = true;
-  double budget_seconds = Now();
-  {
-    size_t qi = 0;
-    for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
-      Result<rel::ExecResult> res = exec.Execute(q.plan, opts);
-      UPA_CHECK_MSG(res.ok(),
-                    "budgeted run failed: " + res.status().ToString());
-      identical = identical &&
-                  std::bit_cast<uint64_t>(res.value().output) ==
-                      std::bit_cast<uint64_t>(baseline[qi]);
-      ++qi;
-    }
-  }
-  budget_seconds = Now() - budget_seconds;
-  const rel::BufferManager::Stats st = mgr.stats();
-  mgr.Configure(saved);
-
-  UPA_CHECK_MSG(identical, "budgeted outputs diverged from baseline");
-  UPA_CHECK_MSG(st.peak_resident_bytes <= budget,
-                "peak resident bytes exceeded the budget");
-  UPA_CHECK_MSG(total_bytes <= budget || st.evictions > 0,
-                "over-budget sweep never evicted");
-  {
-    TablePrinter t({"metric", "value"});
-    t.AddRow({"total columnar bytes", std::to_string(total_bytes)});
-    t.AddRow({"budget bytes", std::to_string(budget)});
-    t.AddRow({"peak resident bytes", std::to_string(st.peak_resident_bytes)});
-    t.AddRow({"evictions", std::to_string(st.evictions)});
-    t.AddRow({"spills written", std::to_string(st.spills_written)});
-    t.AddRow({"spill reloads", std::to_string(st.spill_loads)});
-    t.AddRow({"over-budget admissions",
-              std::to_string(st.over_budget_admissions)});
-    t.AddRow({"sweep time (ms)",
-              TablePrinter::FormatDouble(budget_seconds * 1e3, 3)});
-    t.Print("TPC-H sweep under memory budget (outputs bit-identical: " +
-            std::string(identical ? "yes" : "NO") + ")");
-  }
-
   const char* path_env = std::getenv("UPA_BENCH_JSON");
   const std::string path =
       path_env != nullptr ? path_env : "BENCH_storage.json";
@@ -375,7 +280,6 @@ int main() {
       f,
       "{\n  \"experiment\": \"storage\",\n"
       "  \"orders\": %zu,\n  \"runs\": %zu,\n  \"threads\": %zu,\n"
-      "  \"seed\": %llu,\n"
       "  \"scan_skipping\": {\n"
       "    \"rows\": %zu,\n"
       "    \"monolithic_ms\": %s,\n    \"fragmented_ms\": %s,\n"
@@ -388,16 +292,8 @@ int main() {
       "    \"modeled_workers\": %zu,\n"
       "    \"static_makespan\": %s,\n    \"morsel_makespan\": %s,\n"
       "    \"speedup\": %s\n"
-      "  },\n"
-      "  \"budget_tpch\": {\n"
-      "    \"total_bytes\": %zu,\n    \"budget_bytes\": %zu,\n"
-      "    \"peak_resident_bytes\": %zu,\n"
-      "    \"evictions\": %llu,\n    \"spills_written\": %llu,\n"
-      "    \"spill_loads\": %llu,\n    \"over_budget_admissions\": %llu,\n"
-      "    \"within_budget\": %s,\n    \"identical\": %s\n"
       "  }\n}\n",
-      env.orders, env.runs, ctx.pool().thread_count(),
-      static_cast<unsigned long long>(env.seed), scan_rows,
+      env.orders, env.runs, sched.threads, scan_rows,
       JsonNum(mono.seconds * 1e3).c_str(), JsonNum(frag.seconds * 1e3).c_str(),
       JsonNum(scan_speedup).c_str(),
       static_cast<unsigned long long>(frag.fragments_scanned),
@@ -407,14 +303,7 @@ int main() {
       JsonNum(measured_speedup).c_str(), kModelWorkers,
       JsonNum(sched.static_makespan).c_str(),
       JsonNum(sched.morsel_makespan).c_str(),
-      JsonNum(sched_speedup).c_str(), total_bytes, budget,
-      st.peak_resident_bytes,
-      static_cast<unsigned long long>(st.evictions),
-      static_cast<unsigned long long>(st.spills_written),
-      static_cast<unsigned long long>(st.spill_loads),
-      static_cast<unsigned long long>(st.over_budget_admissions),
-      st.peak_resident_bytes <= budget ? "true" : "false",
-      identical ? "true" : "false");
+      JsonNum(sched_speedup).c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
   return 0;

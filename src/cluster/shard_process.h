@@ -33,7 +33,7 @@ struct ShardProcessSpec {
   /// Remaining argv entries.
   std::vector<std::string> args;
   /// Extra "KEY=VALUE" environment entries for the child (appended to the
-  /// parent environment; used to plant UPA_FAILPOINTS, UPA_SPILL_DIR...).
+  /// parent environment; used to plant UPA_FAILPOINTS).
   std::vector<std::string> env;
 };
 

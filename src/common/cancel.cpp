@@ -4,8 +4,6 @@
 
 namespace upa {
 
-thread_local CancelToken* CancelScope::current_ = nullptr;
-
 void CancelToken::Cancel(StatusCode code, std::string message) {
   UPA_CHECK_MSG(code == StatusCode::kCancelled ||
                     code == StatusCode::kDeadlineExceeded,

@@ -86,7 +86,7 @@ class CancelScope {
   }
 
  private:
-  static thread_local CancelToken* current_;
+  static inline thread_local CancelToken* current_ = nullptr;
   CancelToken* previous_;
 };
 

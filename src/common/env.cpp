@@ -13,19 +13,4 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   return static_cast<int64_t>(parsed);
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v) return fallback;
-  return parsed;
-}
-
-std::string EnvString(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return v;
-}
-
 }  // namespace upa

@@ -7,13 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace upa {
 
 /// Value of environment variable `name`, or `fallback` if unset/unparsable.
 int64_t EnvInt(const char* name, int64_t fallback);
-double EnvDouble(const char* name, double fallback);
-std::string EnvString(const char* name, const std::string& fallback);
 
 }  // namespace upa

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,9 @@ class ExactSum {
 
   /// The exact sum rounded to the nearest double (round-half-to-even),
   /// exactly as math.fsum would return it. Does not modify the accumulator.
+  /// Every NaN result is the canonical quiet NaN: the sign the hardware
+  /// gives a NaN depends on whether it came from inf − inf or from a NaN
+  /// operand, and so on the order the values were added in.
   double Round() const {
     if (partials_.empty()) return 0.0;
     // Sum from the largest partial down; because partials are
@@ -93,7 +97,7 @@ class ExactSum {
       double yr = x - hi;
       if (y == yr) hi = x;
     }
-    return hi;
+    return std::isnan(hi) ? std::numeric_limits<double>::quiet_NaN() : hi;
   }
 
   void Reset() { partials_.clear(); }

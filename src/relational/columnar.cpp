@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -127,39 +126,23 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(
     }
   }
 
-  ct->FinishBuild(fragment_rows);
-  return ct;
-}
-
-void ColumnarTable::FinishBuild(size_t fragment_rows) {
-  fragment_rows_ = fragment_rows == 0 ? DefaultFragmentRows() : fragment_rows;
-
-  auto ident = std::make_shared<SelVector>(num_rows_);
+  const size_t num_rows = rows.size();
+  const size_t frag_rows =
+      fragment_rows == 0 ? DefaultFragmentRows() : fragment_rows;
+  ct->fragment_rows_ = frag_rows;
+  auto ident = std::make_shared<SelVector>(num_rows);
   std::iota(ident->begin(), ident->end(), 0u);
-  identity_ = std::move(ident);
+  ct->identity_ = std::move(ident);
 
-  const size_t ncols = columns_.size();
-  // Dictionaries are shared table-level state (one per string column);
-  // account them once, outside the per-fragment payload bytes.
-  size_t dict_bytes = 0;
-  for (const Column& col : columns_) {
-    if (col.dict != nullptr) {
-      for (const std::string& s : *col.dict) {
-        dict_bytes += s.size() + sizeof(std::string);
-      }
-    }
-  }
-
-  fragments_.clear();
-  fragments_.reserve((num_rows_ + fragment_rows_ - 1) / fragment_rows_);
-  for (size_t begin = 0; begin < num_rows_; begin += fragment_rows_) {
-    const size_t end = std::min(num_rows_, begin + fragment_rows_);
+  ct->fragments_.reserve((num_rows + frag_rows - 1) / frag_rows);
+  for (size_t begin = 0; begin < num_rows; begin += frag_rows) {
+    const size_t end = std::min(num_rows, begin + frag_rows);
     FragmentInfo frag;
     frag.begin_row = static_cast<uint32_t>(begin);
     frag.end_row = static_cast<uint32_t>(end);
     frag.cols.resize(ncols);
     for (size_t c = 0; c < ncols; ++c) {
-      const Column& col = columns_[c];
+      const Column& col = ct->columns_[c];
       FragmentColStats& st = frag.cols[c];
       switch (col.type) {
         case ValueType::kInt: {
@@ -174,7 +157,6 @@ void ColumnarTable::FinishBuild(size_t fragment_rows) {
             st.min = std::min(st.min, v);
             st.max = std::max(st.max, v);
           }
-          frag.bytes += (end - begin) * sizeof(int64_t);
           break;
         }
         case ValueType::kDouble: {
@@ -192,7 +174,6 @@ void ColumnarTable::FinishBuild(size_t fragment_rows) {
             st.min = std::min(st.min, v);
             st.max = std::max(st.max, v);
           }
-          frag.bytes += (end - begin) * sizeof(double);
           break;
         }
         case ValueType::kString: {
@@ -204,158 +185,13 @@ void ColumnarTable::FinishBuild(size_t fragment_rows) {
             st.min_code = std::min(st.min_code, code);
             st.max_code = std::max(st.max_code, code);
           }
-          frag.bytes += (end - begin) * sizeof(uint32_t);
           break;
         }
       }
     }
-    frag.bytes += (end - begin) * sizeof(uint32_t);  // identity entries
-    fragments_.push_back(std::move(frag));
+    ct->fragments_.push_back(std::move(frag));
   }
-
-  resident_bytes_ = dict_bytes;
-  for (const FragmentInfo& frag : fragments_) resident_bytes_ += frag.bytes;
-}
-
-// ---------------------------------------------------------------------------
-// Spill / reload
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr uint64_t kSpillMagic = 0x5550'4131'434f'4c46ULL;  // "UPA1COLF"
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteRaw(std::FILE* f, const void* data, size_t bytes) {
-  return bytes == 0 || std::fwrite(data, 1, bytes, f) == bytes;
-}
-
-bool ReadRaw(std::FILE* f, void* data, size_t bytes) {
-  return bytes == 0 || std::fread(data, 1, bytes, f) == bytes;
-}
-
-bool WriteU64(std::FILE* f, uint64_t v) { return WriteRaw(f, &v, sizeof(v)); }
-
-bool ReadU64(std::FILE* f, uint64_t* v) { return ReadRaw(f, v, sizeof(*v)); }
-
-}  // namespace
-
-Status ColumnarTable::SpillTo(const std::string& path) const {
-  UPA_FAILPOINT("bufmgr/spill_write");
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return Status::Internal("spill: cannot open " + path + " for writing");
-  }
-  bool ok = WriteU64(f.get(), kSpillMagic) && WriteU64(f.get(), num_rows_) &&
-            WriteU64(f.get(), columns_.size());
-  for (const Column& col : columns_) {
-    if (!ok) break;
-    const uint64_t type = static_cast<uint64_t>(col.type);
-    ok = WriteU64(f.get(), type);
-    if (!ok) break;
-    switch (col.type) {
-      case ValueType::kInt:
-        ok = WriteRaw(f.get(), col.ints.data(),
-                      col.ints.size() * sizeof(int64_t));
-        break;
-      case ValueType::kDouble:
-        // Raw IEEE bytes: the reload is bit-exact by construction.
-        ok = WriteRaw(f.get(), col.doubles.data(),
-                      col.doubles.size() * sizeof(double));
-        break;
-      case ValueType::kString: {
-        ok = WriteRaw(f.get(), col.codes.data(),
-                      col.codes.size() * sizeof(uint32_t));
-        const auto& dict = *col.dict;
-        ok = ok && WriteU64(f.get(), dict.size());
-        for (const std::string& s : dict) {
-          if (!ok) break;
-          ok = WriteU64(f.get(), s.size()) &&
-               WriteRaw(f.get(), s.data(), s.size());
-        }
-        break;
-      }
-    }
-  }
-  if (!ok || std::fflush(f.get()) != 0) {
-    return Status::Internal("spill: short write to " + path);
-  }
-  return Status::Ok();
-}
-
-Result<std::shared_ptr<const ColumnarTable>> ColumnarTable::LoadSpill(
-    const std::string& path, Schema schema, size_t fragment_rows) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::NotFound("spill: cannot open " + path);
-  }
-  uint64_t magic = 0, num_rows = 0, ncols = 0;
-  if (!ReadU64(f.get(), &magic) || magic != kSpillMagic ||
-      !ReadU64(f.get(), &num_rows) || !ReadU64(f.get(), &ncols)) {
-    return Status::Internal("spill: bad header in " + path);
-  }
-  if (ncols != schema.NumColumns()) {
-    return Status::Internal("spill: column count mismatch in " + path);
-  }
-  auto ct = std::shared_ptr<ColumnarTable>(new ColumnarTable());
-  ct->schema_ = std::move(schema);
-  ct->num_rows_ = num_rows;
-  ct->columns_.resize(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    Column& col = ct->columns_[c];
-    uint64_t type = 0;
-    if (!ReadU64(f.get(), &type) || type > 2) {
-      return Status::Internal("spill: bad column type in " + path);
-    }
-    col.type = static_cast<ValueType>(type);
-    switch (col.type) {
-      case ValueType::kInt: {
-        col.ints.resize(num_rows);
-        if (!ReadRaw(f.get(), col.ints.data(), num_rows * sizeof(int64_t))) {
-          return Status::Internal("spill: short read in " + path);
-        }
-        break;
-      }
-      case ValueType::kDouble: {
-        col.doubles.resize(num_rows);
-        if (!ReadRaw(f.get(), col.doubles.data(), num_rows * sizeof(double))) {
-          return Status::Internal("spill: short read in " + path);
-        }
-        break;
-      }
-      case ValueType::kString: {
-        col.codes.resize(num_rows);
-        if (!ReadRaw(f.get(), col.codes.data(), num_rows * sizeof(uint32_t))) {
-          return Status::Internal("spill: short read in " + path);
-        }
-        uint64_t dict_size = 0;
-        if (!ReadU64(f.get(), &dict_size)) {
-          return Status::Internal("spill: short read in " + path);
-        }
-        auto dict = std::make_shared<std::vector<std::string>>(dict_size);
-        for (uint64_t i = 0; i < dict_size; ++i) {
-          uint64_t len = 0;
-          if (!ReadU64(f.get(), &len)) {
-            return Status::Internal("spill: short read in " + path);
-          }
-          (*dict)[i].resize(len);
-          if (!ReadRaw(f.get(), (*dict)[i].data(), len)) {
-            return Status::Internal("spill: short read in " + path);
-          }
-        }
-        col.dict = std::move(dict);
-        break;
-      }
-    }
-  }
-  ct->FinishBuild(fragment_rows);
-  return std::shared_ptr<const ColumnarTable>(std::move(ct));
+  return ct;
 }
 
 // ---------------------------------------------------------------------------

@@ -67,15 +67,12 @@ struct FragmentColStats {
 };
 
 /// One fragment of a ColumnarTable: a contiguous row range plus the zone
-/// maps filters consult to skip it and the payload bytes the buffer
-/// manager accounts for it. Fragments are views — the column payloads stay
-/// physically contiguous, so late-materialized row ids keep O(1) access.
+/// maps filters consult to skip it. Fragments are views — the column
+/// payloads stay physically contiguous, so late-materialized row ids keep
+/// O(1) access.
 struct FragmentInfo {
   uint32_t begin_row = 0;
   uint32_t end_row = 0;
-  /// Payload bytes of this row range (typed cells + identity entries;
-  /// the shared dictionary is accounted once at the table level).
-  size_t bytes = 0;
   std::vector<FragmentColStats> cols;
 
   uint32_t num_rows() const { return end_row - begin_row; }
@@ -112,39 +109,18 @@ class ColumnarTable {
   const std::vector<FragmentInfo>& fragments() const { return fragments_; }
   size_t fragment_rows() const { return fragment_rows_; }
 
-  /// Bytes this materialized form holds resident: Σ fragment payloads plus
-  /// the dictionaries. Deterministic (a function of the data, not of
-  /// allocator state), so budget tests can assert on it exactly.
-  size_t resident_bytes() const { return resident_bytes_; }
-
   /// Shared identity row-index vector [0, num_rows) — the row_ids of a
   /// full scan, shared across every scan of this table.
   const std::shared_ptr<const SelVector>& identity() const {
     return identity_;
   }
 
-  /// Serializes the typed payloads to `path` (fragment-recoverable binary
-  /// layout). A reload via LoadSpill reproduces this table bit-for-bit —
-  /// doubles round-trip as raw IEEE bytes, codes and dictionaries exactly.
-  Status SpillTo(const std::string& path) const;
-
-  /// Reloads a spilled table. The fragment directory is recomputed from
-  /// the payloads with `fragment_rows` (same pure function Build uses), so
-  /// a spill written under one fragment size reloads under any other.
-  static Result<std::shared_ptr<const ColumnarTable>> LoadSpill(
-      const std::string& path, Schema schema, size_t fragment_rows = 0);
-
  private:
   ColumnarTable() = default;
-
-  /// Rebuilds fragments_/identity_/resident_bytes_ from the typed columns
-  /// (shared by Build and LoadSpill so both paths agree exactly).
-  void FinishBuild(size_t fragment_rows);
 
   Schema schema_;
   size_t num_rows_ = 0;
   size_t fragment_rows_ = 0;
-  size_t resident_bytes_ = 0;
   std::vector<Column> columns_;
   std::vector<FragmentInfo> fragments_;
   std::shared_ptr<const SelVector> identity_;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <unordered_map>
 
 #include "common/status.h"
-#include "relational/buffer_manager.h"
 #include "relational/columnar.h"
 
 namespace upa::rel {
@@ -49,13 +47,6 @@ Table::Table(std::string name, Schema schema, std::vector<Row> rows)
   }
 }
 
-Table::~Table() {
-  // Copies share a uid, so this may delete a spill file a surviving copy
-  // would have reloaded — that copy then falls back to rebuilding from its
-  // rows (a lost optimization, never lost data).
-  BufferManager::Instance().Forget(this, uid_, /*drop_spill=*/true);
-}
-
 Table::Table(const Table& other)
     : name_(other.name_),
       schema_(other.schema_),
@@ -71,19 +62,13 @@ Table::Table(Table&& other) noexcept
       schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
       uid_(other.uid_) {
-  {
-    // Hold the source's cache mutex while stealing its caches, mirroring
-    // the copy constructor: a concurrent StatsFor/Columnar on `other` must
-    // not race the steal (moving from a table another thread still uses is
-    // dubious, but it must not be a data race).
-    std::lock_guard lock(other.cache_mu_);
-    stats_cache_ = std::move(other.stats_cache_);
-    columnar_ = std::move(other.columnar_);
-  }
-  // The source no longer holds the bytes (lock released first: the manager
-  // must never be entered while a cache_mu_ is held). This table's own
-  // admission happens on its next Columnar() call.
-  BufferManager::Instance().Forget(&other, other.uid_, /*drop_spill=*/false);
+  // Hold the source's cache mutex while stealing its caches, mirroring the
+  // copy constructor: a concurrent StatsFor/Columnar on `other` must not
+  // race the steal (moving from a table another thread still uses is
+  // dubious, but it must not be a data race).
+  std::lock_guard lock(other.cache_mu_);
+  stats_cache_ = std::move(other.stats_cache_);
+  columnar_ = std::move(other.columnar_);
 }
 
 ColumnStats Table::StatsFor(const std::string& column) const {
@@ -157,72 +142,23 @@ ColumnStats Table::Stats(const std::string& column) const {
 }
 
 std::shared_ptr<const ColumnarTable> Table::Columnar() const {
-  BufferManager& mgr = BufferManager::Instance();
-  std::shared_ptr<const ColumnarTable> out;
   {
     std::lock_guard lock(cache_mu_);
-    out = columnar_;
+    if (columnar_ != nullptr) return columnar_;
   }
-  if (out == nullptr) {
-    // Evicted (or first use): prefer reloading the spilled payload — it is
-    // bit-identical to a rebuild and skips re-encoding the row store.
-    const std::string spill = mgr.SpillPathFor(uid_);
-    if (!spill.empty()) {
-      Result<std::shared_ptr<const ColumnarTable>> loaded =
-          ColumnarTable::LoadSpill(spill, schema_);
-      if (loaded.ok()) {
-        out = std::move(loaded.value());
-        mgr.NoteSpillLoad();
-      }
-    }
-    if (out == nullptr) out = ColumnarTable::Build(schema_, rows_);
-    std::lock_guard lock(cache_mu_);
-    if (columnar_ == nullptr) columnar_ = std::move(out);
-    out = columnar_;
-  }
-  // Registered outside cache_mu_ (lock order: manager → cache). Admission
-  // doubles as the LRU touch and may evict *other* tables to fit.
-  mgr.Admit(this, out->resident_bytes());
-  return out;
+  // Build outside the lock, like StatsFor: racing first users may both
+  // build, the build is deterministic, and the first insert wins.
+  std::shared_ptr<const ColumnarTable> built =
+      ColumnarTable::Build(schema_, rows_);
+  std::lock_guard lock(cache_mu_);
+  if (columnar_ == nullptr) columnar_ = std::move(built);
+  return columnar_;
 }
 
 void Table::ReleaseCaches() const {
-  {
-    std::lock_guard lock(cache_mu_);
-    stats_cache_.clear();
-    columnar_.reset();
-  }
-  // Keep any spill file: the next Columnar() can still reload it.
-  BufferManager::Instance().Forget(this, uid_, /*drop_spill=*/false);
-}
-
-size_t Table::CachedBytes() const {
   std::lock_guard lock(cache_mu_);
-  size_t bytes = columnar_ != nullptr ? columnar_->resident_bytes() : 0;
-  for (const auto& [name, stats] : stats_cache_) {
-    bytes += sizeof(stats) + name.size() +
-             stats.histogram.capacity() * sizeof(size_t);
-  }
-  return bytes;
-}
-
-size_t Table::EvictColumnar(const std::string& spill_path,
-                            bool* spilled) const {
-  *spilled = false;
-  std::lock_guard lock(cache_mu_);
-  if (columnar_ == nullptr) return 0;
-  if (columnar_.use_count() > 1) return 0;  // pinned by an in-flight query
-  const size_t bytes = columnar_->resident_bytes();
-  if (!spill_path.empty()) {
-    Status s = columnar_->SpillTo(spill_path);
-    if (s.ok()) {
-      *spilled = true;
-    } else {
-      std::remove(spill_path.c_str());  // never leave a truncated spill
-    }
-  }
+  stats_cache_.clear();
   columnar_.reset();
-  return bytes;
 }
 
 }  // namespace upa::rel

@@ -13,7 +13,6 @@
 
 namespace upa::rel {
 
-class BufferManager;
 class ColumnarTable;
 
 /// Per-column statistics, computed lazily on first use. FLEX consumes
@@ -42,8 +41,6 @@ struct ColumnStats {
 class Table {
  public:
   Table(std::string name, Schema schema, std::vector<Row> rows);
-  /// Deregisters from the BufferManager (accounting entry + spill file).
-  ~Table();
 
   // Copies/moves carry the caches but get a fresh mutex (a mutex is not
   // movable). Tables are immutable, so a copy keeps the source's uid: the
@@ -79,34 +76,17 @@ class Table {
   ColumnStats Stats(const std::string& column) const;
 
   /// The columnar representation (relational/columnar.h): one typed vector
-  /// per column, strings dictionary-encoded. Built on first use (or
-  /// reloaded bit-identically from a BufferManager spill file when this
-  /// table was evicted under memory pressure), cached, and registered with
-  /// the BufferManager's budget. Thread-safe.
+  /// per column, strings dictionary-encoded. Built on first use and cached
+  /// under the same discipline as the column statistics. Thread-safe.
   std::shared_ptr<const ColumnarTable> Columnar() const;
 
-  /// Drops the memoized columnar form and column statistics and releases
-  /// their bytes from the BufferManager budget. Shared_ptr copies held by
-  /// in-flight queries stay valid; the next Columnar() call re-materializes
-  /// (from spill if one exists). Thread-safe.
+  /// Drops the memoized columnar form and column statistics. Shared_ptr
+  /// copies held by in-flight queries stay valid; the next Columnar() call
+  /// rebuilds under the current default fragment size. Thread-safe.
   void ReleaseCaches() const;
 
-  /// Bytes currently held by this table's caches: the resident columnar
-  /// payload plus the memoized column statistics. Thread-safe.
-  size_t CachedBytes() const;
-
  private:
-  friend class BufferManager;
-
   ColumnStats StatsFor(const std::string& column) const;
-
-  /// BufferManager eviction hook: drops the columnar form iff nothing else
-  /// holds it (use_count == 1 under cache_mu_ — new references are only
-  /// created under the same lock, so the check cannot race an acquisition),
-  /// optionally spilling it to `spill_path` first. Returns the bytes freed
-  /// (0 when pinned or not materialized); `*spilled` reports whether the
-  /// spill file was written successfully.
-  size_t EvictColumnar(const std::string& spill_path, bool* spilled) const;
 
   std::string name_;
   Schema schema_;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,6 +43,33 @@ TEST(ExactSumTest, ManyTenthsRoundCorrectly) {
   EXPECT_NE(naive, 100000.0);  // the property the oracle cannot get naively
 }
 
+/// Adds `values` forward, reversed, in shuffled orders and through chunked
+/// Merge, and expects every result to match the forward sum bit for bit.
+void ExpectOrderInvariant(std::vector<double> values, Rng& rng) {
+  ExactSum reference;
+  for (double v : values) reference.Add(v);
+  const uint64_t want = Bits(reference.Round());
+
+  ExactSum reversed;
+  for (size_t i = values.size(); i > 0; --i) reversed.Add(values[i - 1]);
+  EXPECT_EQ(Bits(reversed.Round()), want) << "reversed";
+
+  for (int trial = 0; trial < 10; ++trial) {
+    rng.Shuffle(values);
+    ExactSum s;
+    for (double v : values) s.Add(v);
+    EXPECT_EQ(Bits(s.Round()), want) << "trial " << trial;
+
+    std::vector<ExactSum> chunks(3 + trial);
+    for (size_t i = 0; i < values.size(); ++i) {
+      chunks[i % chunks.size()].Add(values[i]);
+    }
+    ExactSum merged;
+    for (size_t c = chunks.size(); c > 0; --c) merged.Merge(chunks[c - 1]);
+    EXPECT_EQ(Bits(merged.Round()), want) << "merged, trial " << trial;
+  }
+}
+
 TEST(ExactSumTest, OrderInvariantBitwise) {
   Rng rng = Rng::ForStream(11, "exact_sum/order");
   std::vector<double> values;
@@ -51,16 +79,25 @@ TEST(ExactSumTest, OrderInvariantBitwise) {
     values.push_back(v);
     if (rng.Bernoulli(0.3)) values.push_back(-v);
   }
+  {
+    SCOPED_TRACE("finite");
+    ExpectOrderInvariant(values, rng);
+  }
 
-  ExactSum reference;
-  for (double v : values) reference.Add(v);
-  const uint64_t want = Bits(reference.Round());
-
-  for (int trial = 0; trial < 10; ++trial) {
-    rng.Shuffle(values);
-    ExactSum s;
-    for (double v : values) s.Add(v);
-    EXPECT_EQ(Bits(s.Round()), want) << "trial " << trial;
+  // Non-finite values: inf − inf makes a NaN of one sign, a NaN operand
+  // propagates its own, so only a canonical NaN is order-invariant.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> special = {nan,   -inf, inf,    -0.0,   0.0, 1.5,
+                                 -2.25, 1e300, -1e300, 3.0,  nan, 7.5,
+                                 inf,   -8.125, 42.0,  -1.0};
+  for (int i = 0; i < 48; ++i) special.push_back(rng.Normal(0.0, 1e3));
+  {
+    SCOPED_TRACE("non-finite");
+    ExactSum forward;
+    for (double v : special) forward.Add(v);
+    EXPECT_TRUE(std::isnan(forward.Round()));
+    ExpectOrderInvariant(special, rng);
   }
 }
 

@@ -89,22 +89,6 @@ TEST(EnvTest, IntFallbackAndParse) {
   ::unsetenv("UPA_TEST_INT");
 }
 
-TEST(EnvTest, DoubleFallbackAndParse) {
-  ::unsetenv("UPA_TEST_DBL");
-  EXPECT_DOUBLE_EQ(EnvDouble("UPA_TEST_DBL", 0.5), 0.5);
-  ::setenv("UPA_TEST_DBL", "2.25", 1);
-  EXPECT_DOUBLE_EQ(EnvDouble("UPA_TEST_DBL", 0.5), 2.25);
-  ::unsetenv("UPA_TEST_DBL");
-}
-
-TEST(EnvTest, StringFallback) {
-  ::unsetenv("UPA_TEST_STR");
-  EXPECT_EQ(EnvString("UPA_TEST_STR", "dflt"), "dflt");
-  ::setenv("UPA_TEST_STR", "abc", 1);
-  EXPECT_EQ(EnvString("UPA_TEST_STR", "dflt"), "abc");
-  ::unsetenv("UPA_TEST_STR");
-}
-
 TEST(TablePrinterTest, AlignedOutputContainsCells) {
   TablePrinter t({"query", "rmse"});
   t.AddRow({"TPCH1", "0.0001"});

@@ -1,32 +1,24 @@
-// Fragmented columnar storage: fragment directory + zone maps, predicate
-// skip analysis (FragmentCanMatch), spill/reload, and the BufferManager's
-// budget/LRU/eviction behaviour.
+// Fragmented columnar storage: fragment directory + zone maps and predicate
+// skip analysis (FragmentCanMatch).
 //
-// The core contract under test: fragment size, memory budget, eviction
-// timing and spill round-trips must never change a single output bit. The
-// Zipf-skew differential at the bottom runs real plans over a deliberately
-// skewed dataset across fragment sizes {7, 64K} × thread counts {1, 4} and
-// compares every output, partition output and contribution bit-for-bit
-// against the row oracle (suite name matches the CI TSan filter).
+// The core contract under test: fragment size must never change a single
+// output bit. The Zipf-skew differential at the bottom runs real plans over
+// a deliberately skewed dataset across fragment sizes {7, 64K} × thread
+// counts {1, 4} and compares every output, partition output and
+// contribution bit-for-bit against the row oracle (suite name matches the
+// CI TSan filter).
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/rng.h"
 #include "engine/context.h"
-#include "relational/buffer_manager.h"
 #include "relational/columnar.h"
 #include "relational/executor.h"
 #include "relational/expr.h"
@@ -39,15 +31,11 @@ namespace {
 
 uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
-/// Restores the global fragment-size knob and BufferManager config on scope
-/// exit so tests cannot leak configuration into each other.
+/// Restores the global fragment-size knob on scope exit so tests cannot
+/// leak configuration into each other.
 struct GlobalConfigGuard {
   size_t fragment_rows = DefaultFragmentRows();
-  BufferManager::Config buf = BufferManager::Instance().config();
-  ~GlobalConfigGuard() {
-    SetDefaultFragmentRows(fragment_rows);
-    BufferManager::Instance().Configure(buf);
-  }
+  ~GlobalConfigGuard() { SetDefaultFragmentRows(fragment_rows); }
 };
 
 Schema ThreeColSchema() {
@@ -72,18 +60,13 @@ TEST(FragmentTest, DirectoryCoversRowsWithZoneMaps) {
   ASSERT_EQ(ct->fragments().size(), 3u);  // 40 + 40 + 20
 
   uint32_t expect_begin = 0;
-  size_t payload = 0;
   for (const FragmentInfo& f : ct->fragments()) {
     EXPECT_EQ(f.begin_row, expect_begin);
     EXPECT_GT(f.end_row, f.begin_row);
-    EXPECT_GT(f.bytes, 0u);
     ASSERT_EQ(f.cols.size(), 3u);
     expect_begin = f.end_row;
-    payload += f.bytes;
   }
   EXPECT_EQ(expect_begin, 100u);
-  // Resident bytes = fragment payloads + dictionaries (so ≥ the payloads).
-  EXPECT_GE(ct->resident_bytes(), payload);
 
   // Int zone maps are in the kernel's double domain.
   const FragmentInfo& f1 = ct->fragments()[1];
@@ -205,317 +188,6 @@ TEST_F(FragmentCanMatchTest, NeverSkipsAwayAnAbort) {
   EXPECT_EQ(MatchMask(And(Gt(Div(Col("v"), Col("id")), Lit(int64_t{1000})),
                           Gt(Col("id"), Lit(int64_t{1000})))),
             "1111111111");
-}
-
-// ---------------------------------------------------------------------------
-// Spill / reload.
-
-Schema TrickySchema() {
-  return Schema({{"i", ValueType::kInt},
-                 {"d", ValueType::kDouble},
-                 {"s", ValueType::kString}});
-}
-
-std::vector<Row> TrickyRows() {
-  return {
-      {Value{std::numeric_limits<int64_t>::min()}, Value{-0.0},
-       Value{std::string()}},
-      {Value{std::numeric_limits<int64_t>::max()},
-       Value{std::numeric_limits<double>::quiet_NaN()}, Value{std::string("β")}},
-      {Value{int64_t{0}}, Value{std::numeric_limits<double>::infinity()},
-       Value{std::string("a")}},
-      {Value{int64_t{7}}, Value{5e-324}, Value{std::string("a")}},
-      {Value{int64_t{-7}}, Value{-std::numeric_limits<double>::infinity()},
-       Value{std::string("zz")}},
-  };
-}
-
-void ExpectBitIdenticalTables(const ColumnarTable& want,
-                              const ColumnarTable& got) {
-  ASSERT_EQ(want.num_rows(), got.num_rows());
-  ASSERT_EQ(want.schema().NumColumns(), got.schema().NumColumns());
-  for (size_t c = 0; c < want.schema().NumColumns(); ++c) {
-    SCOPED_TRACE("column " + std::to_string(c));
-    const Column& a = want.column(c);
-    const Column& b = got.column(c);
-    ASSERT_EQ(a.type, b.type);
-    EXPECT_EQ(a.ints, b.ints);
-    ASSERT_EQ(a.doubles.size(), b.doubles.size());
-    for (size_t i = 0; i < a.doubles.size(); ++i) {
-      EXPECT_EQ(Bits(a.doubles[i]), Bits(b.doubles[i])) << "row " << i;
-    }
-    EXPECT_EQ(a.codes, b.codes);
-    ASSERT_EQ(a.dict == nullptr, b.dict == nullptr);
-    if (a.dict != nullptr) {
-      EXPECT_EQ(*a.dict, *b.dict);
-    }
-  }
-}
-
-TEST(FragmentSpillTest, RoundTripIsBitExact) {
-  auto ct = ColumnarTable::Build(TrickySchema(), TrickyRows(), 2);
-  const std::string path = ::testing::TempDir() + "upa_spill_roundtrip.bin";
-  ASSERT_TRUE(ct->SpillTo(path).ok());
-
-  // Reload under a different fragment size: payload identical, directory
-  // recomputed for the new size.
-  auto loaded = ColumnarTable::LoadSpill(path, TrickySchema(), 3);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectBitIdenticalTables(*ct, *loaded.value());
-  EXPECT_EQ(loaded.value()->fragment_rows(), 3u);
-  EXPECT_EQ(loaded.value()->fragments().size(), 2u);  // 3 + 2 rows
-  EXPECT_EQ(loaded.value()->resident_bytes(), ct->resident_bytes());
-  std::remove(path.c_str());
-}
-
-TEST(FragmentSpillTest, RejectsMissingAndCorruptFiles) {
-  EXPECT_FALSE(
-      ColumnarTable::LoadSpill("/nonexistent/upa.spill", TrickySchema()).ok());
-
-  const std::string path = ::testing::TempDir() + "upa_spill_corrupt.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a spill file", f);
-  std::fclose(f);
-  EXPECT_FALSE(ColumnarTable::LoadSpill(path, TrickySchema()).ok());
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// BufferManager: budget, LRU eviction, spill-backed reload, failpoints.
-
-Table MakeWideTable(const std::string& name, int64_t salt) {
-  Schema schema({{"k", ValueType::kInt}, {"x", ValueType::kDouble}});
-  std::vector<Row> rows;
-  for (int64_t i = 0; i < 4000; ++i) {
-    rows.push_back(
-        {Value{i * salt}, Value{static_cast<double>(i) * 0.125 + salt}});
-  }
-  return Table(name, schema, rows);
-}
-
-TEST(BufferManagerTest, BudgetEvictsLruAndPeakStaysBounded) {
-  GlobalConfigGuard guard;
-  BufferManager& mgr = BufferManager::Instance();
-
-  Table t1 = MakeWideTable("t1", 3);
-  Table t2 = MakeWideTable("t2", 5);
-  const size_t bytes = t1.Columnar()->resident_bytes();
-  t1.ReleaseCaches();
-
-  // Budget fits one table (plus slack) but not two.
-  mgr.Configure({.budget_bytes = bytes + bytes / 2, .spill_dir = ""});
-  t1.Columnar();
-  t2.Columnar();  // must evict t1 (LRU, unpinned)
-  BufferManager::Stats st = mgr.stats();
-  EXPECT_GE(st.evictions, 1u);
-  EXPECT_EQ(st.over_budget_admissions, 0u);
-  EXPECT_LE(st.resident_bytes, st.budget_bytes);
-  EXPECT_LE(st.peak_resident_bytes, st.budget_bytes);
-  EXPECT_EQ(st.spills_written, 0u);  // no spill dir: drop + rebuild
-
-  // t1 transparently rebuilds — and evicts t2 in turn.
-  EXPECT_EQ(t1.Columnar()->num_rows(), 4000u);
-  st = mgr.stats();
-  EXPECT_GE(st.evictions, 2u);
-  EXPECT_LE(st.peak_resident_bytes, st.budget_bytes);
-}
-
-TEST(BufferManagerTest, PinnedTablesAreNeverEvicted) {
-  GlobalConfigGuard guard;
-  BufferManager& mgr = BufferManager::Instance();
-
-  Table t1 = MakeWideTable("t1", 3);
-  Table t2 = MakeWideTable("t2", 5);
-  const size_t bytes = t1.Columnar()->resident_bytes();
-  t1.ReleaseCaches();
-
-  mgr.Configure({.budget_bytes = bytes + bytes / 2, .spill_dir = ""});
-  std::shared_ptr<const ColumnarTable> pin = t1.Columnar();
-  t2.Columnar();  // t1 is pinned → no victim → over budget
-  BufferManager::Stats st = mgr.stats();
-  EXPECT_EQ(st.evictions, 0u);
-  EXPECT_GE(st.over_budget_admissions, 1u);
-  EXPECT_GT(st.resident_bytes, st.budget_bytes);
-  // The pinned form is still the cached one.
-  EXPECT_EQ(pin.get(), t1.Columnar().get());
-}
-
-TEST(BufferManagerTest, EvictionSpillsAndReloadsBitIdentically) {
-  GlobalConfigGuard guard;
-  BufferManager& mgr = BufferManager::Instance();
-
-  Table t1("tricky", TrickySchema(), TrickyRows());
-  Table t2 = MakeWideTable("big", 7);
-  const size_t bytes2 = t2.Columnar()->resident_bytes();
-  t2.ReleaseCaches();
-
-  auto baseline = ColumnarTable::Build(TrickySchema(), TrickyRows());
-
-  mgr.Configure({.budget_bytes = bytes2, .spill_dir = ::testing::TempDir()});
-  t1.Columnar();
-  t2.Columnar();  // evicts t1 → spill written
-  BufferManager::Stats st = mgr.stats();
-  EXPECT_GE(st.evictions, 1u);
-  EXPECT_GE(st.spills_written, 1u);
-
-  std::shared_ptr<const ColumnarTable> reloaded = t1.Columnar();
-  EXPECT_GE(mgr.stats().spill_loads, 1u);
-  ExpectBitIdenticalTables(*baseline, *reloaded);
-}
-
-TEST(BufferManagerTest, SpillWriteFailureFallsBackToRebuild) {
-  GlobalConfigGuard guard;
-  BufferManager& mgr = BufferManager::Instance();
-  Failpoints::Instance().Activate("bufmgr/spill_write", "error(internal)");
-
-  Table t1("tricky", TrickySchema(), TrickyRows());
-  Table t2 = MakeWideTable("big", 7);
-  const size_t bytes2 = t2.Columnar()->resident_bytes();
-  t2.ReleaseCaches();
-
-  auto baseline = ColumnarTable::Build(TrickySchema(), TrickyRows());
-
-  mgr.Configure({.budget_bytes = bytes2, .spill_dir = ::testing::TempDir()});
-  t1.Columnar();
-  t2.Columnar();  // eviction's spill write fails → drop without a spill
-  BufferManager::Stats st = mgr.stats();
-  EXPECT_GE(st.evictions, 1u);
-  EXPECT_EQ(st.spills_written, 0u);
-  Failpoints::Instance().Deactivate("bufmgr/spill_write");
-
-  // Rebuild path (no spill on disk) still reproduces the exact bytes.
-  std::shared_ptr<const ColumnarTable> rebuilt = t1.Columnar();
-  EXPECT_EQ(mgr.stats().spill_loads, 0u);
-  ExpectBitIdenticalTables(*baseline, *rebuilt);
-}
-
-// ---------------------------------------------------------------------------
-// Spill namespace: two shard processes sharing a spill dir. Table uids
-// restart at 1 in every process, so without pid+nonce qualification shard
-// B's spill for ITS table 1 would silently overwrite shard A's — and A
-// would later reload B's bytes as its own table.
-
-/// Restores the real pid/nonce on exit so later tests (and their sweeps)
-/// see this process as the live owner of its own spill files.
-struct SpillNamespaceGuard {
-  ~SpillNamespaceGuard() {
-    BufferManager::Instance().SetSpillNamespaceForTest(
-        static_cast<uint64_t>(::getpid()), 0x5eed5eed5eed5eedULL);
-  }
-};
-
-TEST(BufferManagerSpillNamespaceTest, SameUidInTwoProcessesMapsToTwoFiles) {
-  SpillNamespaceGuard guard;
-  BufferManager& mgr = BufferManager::Instance();
-
-  mgr.SetSpillNamespaceForTest(/*pid=*/1111, /*nonce=*/0xaaaa);
-  const std::string shard_a = mgr.SpillFileName(/*uid=*/1);
-  mgr.SetSpillNamespaceForTest(/*pid=*/2222, /*nonce=*/0xbbbb);
-  const std::string shard_b = mgr.SpillFileName(/*uid=*/1);
-
-  EXPECT_NE(shard_a, shard_b);
-  EXPECT_NE(shard_a.find("1111"), std::string::npos);
-  EXPECT_NE(shard_b.find("2222"), std::string::npos);
-
-  // Same pid recycled after a crash, fresh nonce: still distinct, so a
-  // restarted shard cannot adopt its dead predecessor's half-written file.
-  mgr.SetSpillNamespaceForTest(/*pid=*/1111, /*nonce=*/0xcccc);
-  EXPECT_NE(mgr.SpillFileName(1), shard_a);
-}
-
-TEST(BufferManagerSpillNamespaceTest, SweepRemovesDeadOwnersKeepsLiveOnes) {
-  namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "upa_sweep_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  auto touch = [&](const std::string& name) {
-    std::FILE* f = std::fopen((dir + "/" + name).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fclose(f);
-  };
-
-  // A genuinely dead pid: fork a child that exits immediately and reap it.
-  pid_t dead = ::fork();
-  ASSERT_GE(dead, 0);
-  if (dead == 0) ::_exit(0);
-  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
-
-  const std::string live =
-      "upa-spill-" + std::to_string(::getpid()) + "-00ff-1.colspill";
-  // pid 1 is alive but foreign (kill probe → EPERM): must be kept.
-  const std::string foreign = "upa-spill-1-00ff-1.colspill";
-  const std::string stale =
-      "upa-spill-" + std::to_string(dead) + "-00ff-1.colspill";
-  const std::string legacy = "upa-spill-1.colspill";  // pre-namespace format
-  const std::string unrelated = "not-a-spill.txt";
-  touch(live);
-  touch(foreign);
-  touch(stale);
-  touch(legacy);
-  touch(unrelated);
-
-  EXPECT_EQ(BufferManager::SweepStaleSpills(dir), 2u);
-  EXPECT_TRUE(fs::exists(dir + "/" + live));
-  EXPECT_TRUE(fs::exists(dir + "/" + foreign));
-  EXPECT_FALSE(fs::exists(dir + "/" + stale));
-  EXPECT_FALSE(fs::exists(dir + "/" + legacy));
-  EXPECT_TRUE(fs::exists(dir + "/" + unrelated));
-  fs::remove_all(dir);
-}
-
-TEST(BufferManagerSpillNamespaceTest,
-     TwoNamespacesSharingASpillDirNeverCollide) {
-  GlobalConfigGuard config_guard;
-  SpillNamespaceGuard ns_guard;
-  BufferManager& mgr = BufferManager::Instance();
-  const std::string dir = ::testing::TempDir() + "upa_shared_spill";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  auto baseline = ColumnarTable::Build(TrickySchema(), TrickyRows());
-
-  // "Shard A": spill the tricky table by evicting it under a tight budget.
-  mgr.SetSpillNamespaceForTest(static_cast<uint64_t>(::getpid()), 0xa);
-  Table t1("tricky", TrickySchema(), TrickyRows());
-  Table t2 = MakeWideTable("big", 7);
-  const size_t bytes2 = t2.Columnar()->resident_bytes();
-  t2.ReleaseCaches();
-  mgr.Configure({.budget_bytes = bytes2, .spill_dir = dir});
-  t1.Columnar();
-  t2.Columnar();  // evicts t1 → spill under namespace A
-  ASSERT_GE(mgr.stats().spills_written, 1u);
-
-  // "Shard B" writes its own uid-colliding spill into the same dir; with
-  // per-process namespacing the filenames differ, so A's file is intact.
-  mgr.SetSpillNamespaceForTest(static_cast<uint64_t>(::getpid()), 0xb);
-  std::FILE* f = std::fopen((dir + "/" + mgr.SpillFileName(1)).c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("shard B's unrelated payload", f);
-  std::fclose(f);
-  mgr.SetSpillNamespaceForTest(static_cast<uint64_t>(::getpid()), 0xa);
-
-  // A's reload must see A's bytes, bit for bit.
-  std::shared_ptr<const ColumnarTable> reloaded = t1.Columnar();
-  EXPECT_GE(mgr.stats().spill_loads, 1u);
-  ExpectBitIdenticalTables(*baseline, *reloaded);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(BufferManagerTest, ReleaseCachesDropsResidentBytes) {
-  GlobalConfigGuard guard;
-  BufferManager& mgr = BufferManager::Instance();
-  mgr.Configure({.budget_bytes = 0, .spill_dir = ""});
-
-  Table t = MakeWideTable("t", 2);
-  EXPECT_EQ(t.CachedBytes(), 0u);
-  const size_t before = mgr.stats().resident_bytes;
-  const size_t bytes = t.Columnar()->resident_bytes();
-  EXPECT_GE(t.CachedBytes(), bytes);
-  EXPECT_EQ(mgr.stats().resident_bytes, before + bytes);
-  t.ReleaseCaches();
-  EXPECT_EQ(t.CachedBytes(), 0u);
-  EXPECT_EQ(mgr.stats().resident_bytes, before);
 }
 
 // ---------------------------------------------------------------------------

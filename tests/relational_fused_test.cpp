@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "engine/context.h"
-#include "relational/buffer_manager.h"
 #include "relational/columnar.h"
 #include "relational/executor.h"
 #include "relational/expr.h"

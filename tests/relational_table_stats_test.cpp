@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -132,6 +134,61 @@ TEST(TableStatsTest, CopyCarriesCachesAndUid) {
   Table moved(std::move(copy));
   EXPECT_EQ(moved.uid(), t.uid());
   EXPECT_EQ(moved.Columnar().get(), built.get());
+}
+
+TEST(TableStatsTest, ReleaseCachesRebuildsUnderNewFragmentSize) {
+  struct FragmentRowsGuard {
+    size_t saved = DefaultFragmentRows();
+    ~FragmentRowsGuard() { SetDefaultFragmentRows(saved); }
+  } guard;
+  constexpr size_t kFragmentRows = 37;
+
+  Table t = MakeTable();
+  std::shared_ptr<const ColumnarTable> before = t.Columnar();
+  ASSERT_NE(before->fragment_rows(), kFragmentRows);
+  const std::vector<std::string> columns = {"k", "w", "tag"};
+  std::vector<ColumnStats> stats_before;
+  for (const std::string& c : columns) stats_before.push_back(t.Stats(c));
+
+  SetDefaultFragmentRows(kFragmentRows);
+  t.ReleaseCaches();
+  std::shared_ptr<const ColumnarTable> after = t.Columnar();
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(after.get(), before.get());
+  EXPECT_EQ(after->fragment_rows(), kFragmentRows);
+  EXPECT_EQ(after->fragments().size(), (2000 + kFragmentRows - 1) /
+                                           kFragmentRows);
+  // The memo holds the rebuilt instance.
+  EXPECT_EQ(t.Columnar().get(), after.get());
+
+  // Same payloads, bit for bit: only the fragment directory moved.
+  ASSERT_EQ(after->num_rows(), before->num_rows());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    SCOPED_TRACE(columns[c]);
+    const Column& a = before->column(c);
+    const Column& b = after->column(c);
+    ASSERT_EQ(a.type, b.type);
+    EXPECT_EQ(a.ints, b.ints);
+    ASSERT_EQ(a.doubles.size(), b.doubles.size());
+    for (size_t i = 0; i < a.doubles.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.doubles[i]),
+                std::bit_cast<uint64_t>(b.doubles[i]));
+    }
+    EXPECT_EQ(a.codes, b.codes);
+    ASSERT_EQ(a.dict == nullptr, b.dict == nullptr);
+    if (a.dict != nullptr) {
+      EXPECT_EQ(*a.dict, *b.dict);
+    }
+
+    const ColumnStats& sa = stats_before[c];
+    const ColumnStats sb = t.Stats(columns[c]);
+    EXPECT_EQ(sa.max_frequency, sb.max_frequency);
+    EXPECT_EQ(sa.distinct, sb.distinct);
+    EXPECT_EQ(sa.numeric, sb.numeric);
+    EXPECT_EQ(sa.min, sb.min);
+    EXPECT_EQ(sa.max, sb.max);
+    EXPECT_EQ(sa.histogram, sb.histogram);
+  }
 }
 
 }  // namespace
