@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,8 @@ Bundle TimeReleaseBundle(engine::ExecContext& ctx, const rel::Catalog& catalog,
   for (size_t i = 0; i < std::min(sample_n, n); ++i) {
     domain_rows.push_back(data.SampleRow(q.private_table, rng));
   }
+  std::vector<size_t> all_domain(domain_rows.size());
+  std::iota(all_domain.begin(), all_domain.end(), size_t{0});
 
   auto provenance_pass = [&](const rel::PlanExecutor& exec,
                              engine::BlockCache* cache) {
@@ -125,7 +128,8 @@ Bundle TimeReleaseBundle(engine::ExecContext& ctx, const rel::Catalog& catalog,
         domain.engine = engine;
         domain.private_table = q.private_table;
         domain.replace_private_rows = &domain_rows;
-        domain.track_contributions = true;
+        domain.sample_rows = &all_domain;
+        domain.partitions = 1;
         domain.cache = &cache;
         UPA_CHECK(exec.Execute(q.plan, domain).ok());
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace upa::gt {
 
@@ -31,28 +32,33 @@ Result<GroundTruth> ExactPlanGroundTruth(
     UPA_CHECK_MSG(num_records == replace_private_rows->size(),
                   "num_records must match the replacement row count");
   }
-  // One provenance run gives f(x) and every record's additive influence.
-  rel::ExecOptions options;
-  options.private_table = private_table;
-  options.track_contributions = true;
-  options.replace_private_rows = replace_private_rows;
-  Result<rel::ExecResult> full = executor.Execute(plan, options);
+  // One provenance pass with every record sampled gives f(x) and every
+  // record's additive influence (0 for records that never reach the
+  // aggregate).
+  auto influences = [&](const std::vector<rel::Row>* rows, size_t n)
+      -> Result<rel::ExecResult> {
+    std::vector<size_t> all(n);
+    std::iota(all.begin(), all.end(), size_t{0});
+    rel::ExecOptions options;
+    options.private_table = private_table;
+    options.replace_private_rows = rows;
+    options.sample_rows = &all;
+    options.partitions = 1;
+    return executor.Execute(plan, options);
+  };
+  Result<rel::ExecResult> full = influences(replace_private_rows, num_records);
   if (!full.ok()) return full.status();
 
   GroundTruth gt;
   gt.output = full.value().output;
-  // Removal neighbours: f(x - r) = f(x) - influence(r), influence 0 for
-  // records that never reached the aggregate.
-  const auto& contributions = full.value().contributions;
+  // Removal neighbours: f(x - r) = f(x) - influence(r).
   gt.neighbour_outputs.reserve(num_records + n_additions);
-  for (size_t i = 0; i < num_records; ++i) {
-    auto it = contributions.find(i);
-    double influence = it == contributions.end() ? 0.0 : it->second;
+  for (double influence : full.value().sample_contributions) {
     gt.neighbour_outputs.push_back(gt.output - influence);
   }
 
   // Addition neighbours: run the plan once with the private table replaced
-  // by the synthetic rows; each row's contribution is its influence when
+  // by the synthetic rows; each row's influence is its influence when
   // added to x (the other tables are unchanged and joins are additive).
   if (n_additions > 0) {
     Rng rng = Rng::ForStream(seed, "gt/additions/" + private_table);
@@ -61,17 +67,9 @@ Result<GroundTruth> ExactPlanGroundTruth(
     for (size_t i = 0; i < n_additions; ++i) {
       synthetic.push_back(sample_domain_row(rng));
     }
-    rel::ExecOptions add_options;
-    add_options.private_table = private_table;
-    add_options.track_contributions = true;
-    add_options.replace_private_rows = &synthetic;
-    Result<rel::ExecResult> added = executor.Execute(plan, add_options);
+    Result<rel::ExecResult> added = influences(&synthetic, n_additions);
     if (!added.ok()) return added.status();
-    for (size_t i = 0; i < n_additions; ++i) {
-      auto it = added.value().contributions.find(i);
-      double influence = it == added.value().contributions.end()
-                             ? 0.0
-                             : it->second;
+    for (double influence : added.value().sample_contributions) {
       gt.neighbour_outputs.push_back(gt.output + influence);
     }
   }

@@ -1,7 +1,9 @@
 #include "queries/plan_query.h"
 
 #include <algorithm>
+#include <numeric>
 
+#include "common/cancel.h"
 #include "relational/optimizer.h"
 
 namespace upa::queries {
@@ -40,61 +42,66 @@ core::QueryInstance MakePlanQuery(
         // One block cache per release: its passes share the public side of
         // the plan, and nothing outlives the release.
         engine::BlockCache cache(&ctx->metrics());
+        // A pass cut short by the request's cancel token or deadline hands
+        // back the batches built so far; the runner's post-map check turns
+        // the trip into the release's status (and the service refunds the
+        // charge). Any other failure is a bug in the query.
+        auto tripped = [](const Status& status) {
+          const CancelToken* token = CancelScope::Current();
+          return token != nullptr && token->cancelled() &&
+                 (status.code() == StatusCode::kCancelled ||
+                  status.code() == StatusCode::kDeadlineExceeded);
+        };
 
         // --- 1. Provenance pass: one scan of the whole private table gives
         //        the per-partition aggregates of S' and M(s_i) for every
         //        sampled record (joinDP's index tracking).
-        {
-          rel::ExecOptions opts;
-          // Release passes ride the vectorized engine; the row oracle exists
-          // for the differential tests, not for production runs.
-          opts.engine = rel::ExecEngine::kColumnar;
-          opts.private_table = query.private_table;
-          opts.replace_private_rows = rows_override.get();
-          opts.sample_rows = &sample;
-          opts.partitions = num_partitions;
-          opts.cache = &cache;
-          Result<rel::ExecResult> r = ctx->TimePhase(
-              "upa/plan_provenance",
-              [&] { return executor->Execute(query.plan, opts); });
-          UPA_CHECK_MSG(r.ok(),
-                        "provenance pass failed: " + r.status().ToString());
-          out.sprime_partials.reserve(num_partitions);
-          for (double partial : r.value().partition_outputs) {
-            out.sprime_partials.push_back(core::Vec{partial});
-          }
-          out.sample_mapped.reserve(sample.size());
-          for (double c : r.value().sample_contributions) {
-            out.sample_mapped.push_back(core::Vec{c});
-          }
+        rel::ExecOptions opts;
+        // Release passes ride the vectorized engine; the row oracle exists
+        // for the differential tests, not for production runs.
+        opts.engine = rel::ExecEngine::kColumnar;
+        opts.private_table = query.private_table;
+        opts.replace_private_rows = rows_override.get();
+        opts.sample_rows = &sample;
+        opts.partitions = num_partitions;
+        opts.cache = &cache;
+        Result<rel::ExecResult> r = ctx->TimePhase(
+            "upa/plan_provenance",
+            [&] { return executor->Execute(query.plan, opts); });
+        if (!r.ok() && tripped(r.status())) return out;
+        UPA_CHECK_MSG(r.ok(),
+                      "provenance pass failed: " + r.status().ToString());
+        out.sprime_partials.reserve(num_partitions);
+        for (double partial : r.value().partition_outputs) {
+          out.sprime_partials.push_back(core::Vec{partial});
+        }
+        out.sample_mapped.reserve(sample.size());
+        for (double c : r.value().sample_contributions) {
+          out.sample_mapped.push_back(core::Vec{c});
         }
 
-        // --- 2. Domain pass: synthetic rows standing in for D \ x. A hinted
-        //        release asks for none, so it skips the pass entirely.
-        if (num_domain > 0) {
-          Rng rng = Rng::ForStream(seed, "upa/domain/" + query.name);
-          std::vector<rel::Row> synthetic;
-          synthetic.reserve(num_domain);
-          for (size_t i = 0; i < num_domain; ++i) {
-            synthetic.push_back(data->SampleRow(query.private_table, rng));
-          }
-          rel::ExecOptions opts;
-          opts.engine = rel::ExecEngine::kColumnar;
-          opts.private_table = query.private_table;
-          opts.replace_private_rows = &synthetic;
-          opts.track_contributions = true;
-          opts.cache = &cache;
-          Result<rel::ExecResult> r = ctx->TimePhase(
-              "upa/plan_domain",
-              [&] { return executor->Execute(query.plan, opts); });
-          UPA_CHECK_MSG(r.ok(), "domain run failed: " + r.status().ToString());
-          out.domain_mapped.reserve(num_domain);
-          for (size_t i = 0; i < num_domain; ++i) {
-            auto it = r.value().contributions.find(i);
-            out.domain_mapped.push_back(
-                core::Vec{it == r.value().contributions.end() ? 0.0
-                                                              : it->second});
-          }
+        // --- 2. Domain pass: synthetic rows standing in for D \ x, every
+        //        one of them sampled, so the same one pass gives each its
+        //        M(s̄_i). A hinted release asks for none and skips it.
+        if (num_domain == 0) return out;
+        Rng rng = Rng::ForStream(seed, "upa/domain/" + query.name);
+        std::vector<rel::Row> synthetic;
+        synthetic.reserve(num_domain);
+        for (size_t i = 0; i < num_domain; ++i) {
+          synthetic.push_back(data->SampleRow(query.private_table, rng));
+        }
+        std::vector<size_t> all(num_domain);
+        std::iota(all.begin(), all.end(), size_t{0});
+        opts.replace_private_rows = &synthetic;
+        opts.sample_rows = &all;
+        opts.partitions = 1;
+        r = ctx->TimePhase("upa/plan_domain",
+                           [&] { return executor->Execute(query.plan, opts); });
+        if (!r.ok() && tripped(r.status())) return out;
+        UPA_CHECK_MSG(r.ok(), "domain run failed: " + r.status().ToString());
+        out.domain_mapped.reserve(num_domain);
+        for (double c : r.value().sample_contributions) {
+          out.domain_mapped.push_back(core::Vec{c});
         }
         return out;
       };

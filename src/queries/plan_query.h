@@ -1,16 +1,20 @@
 // Adapter from a TPC-H logical plan to a UPA QueryInstance.
 //
 // execute_phases performs at most two engine passes of the plan (paper
-// §V-C), sharing one release-scoped block cache:
+// §V-C), sharing one release-scoped block cache. Both are the engine's one
+// provenance pass (rel::ExecOptions::sample_rows):
 //   1. Provenance pass — the plan over the whole private table, once. A
 //      surviving row that descends from a sampled record adds its weight to
 //      that record's slot (M(s_i), joinDP's index tracking); every other
 //      row adds it to its enforcer partition (Algorithm 1's ReduceByPar on
 //      S'). R(M(S')) is thus computed once, in the same scan as the sample.
 //   2. Domain pass — the plan over n synthetic private-table rows (the
-//      "record added from D \ x" neighbours). Only an unhinted release
-//      needs them (num_domain > 0); a hinted one reuses a cached
-//      sensitivity and skips the pass.
+//      "record added from D \ x" neighbours), every one of them sampled.
+//      Only an unhinted release needs them (num_domain > 0); a hinted one
+//      reuses a cached sensitivity and skips the pass.
+// A pass cut short by the request's cancel token or deadline returns the
+// batches built so far; the runner's post-map check turns the trip into
+// the release's status. Any other pass failure aborts.
 //
 // The mapped value of private record r is its additive contribution to the
 // aggregate (via join-index provenance); the reducer is scalar addition.

@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/cancel.h"
@@ -400,13 +399,56 @@ bool FragmentCanMatch(const CompiledExpr& pred, const ColumnarTable& table,
 // Vectorized evaluation
 // ---------------------------------------------------------------------------
 
-namespace {
+std::vector<BatchRange> BatchLayout(const ColumnarTable* bare,
+                                    size_t num_rows) {
+  std::vector<BatchRange> out;
+  if (bare != nullptr) {
+    const auto& frags = bare->fragments();
+    out.reserve(num_rows / kBatch + frags.size());
+    for (size_t f = 0; f < frags.size(); ++f) {
+      for (size_t b = frags[f].begin_row; b < frags[f].end_row; b += kBatch) {
+        out.push_back({static_cast<uint32_t>(b),
+                       static_cast<uint32_t>(
+                           std::min<size_t>(frags[f].end_row, b + kBatch)),
+                       static_cast<int32_t>(f)});
+      }
+    }
+    return out;
+  }
+  out.reserve((num_rows + kBatch - 1) / kBatch);
+  for (size_t b = 0; b < num_rows; b += kBatch) {
+    out.push_back({static_cast<uint32_t>(b),
+                   static_cast<uint32_t>(std::min(num_rows, b + kBatch)), -1});
+  }
+  return out;
+}
 
-/// Fixed kernel batch size. Batch boundaries depend only on the row count —
-/// never on the pool size — so per-batch outputs concatenate to the same
-/// sequence no matter how many threads run them (and every aggregate is
-/// exact, so even that much determinism is belt-and-braces).
-constexpr size_t kBatch = 4096;
+std::vector<uint8_t> MatchFragments(engine::ExecContext* ctx,
+                                    const CompiledExpr& pred,
+                                    const ColumnarTable& table) {
+  std::vector<uint8_t> match(table.fragments().size());
+  size_t skipped = 0;
+  for (size_t f = 0; f < match.size(); ++f) {
+    match[f] = FragmentCanMatch(pred, table, f) ? 1 : 0;
+    if (!match[f]) ++skipped;
+  }
+  if (skipped > 0) {
+    ctx->metrics().AddCounter("columnar/fragments_skipped", skipped);
+  }
+  ctx->metrics().AddCounter("columnar/fragments_scanned",
+                            match.size() - skipped);
+  return match;
+}
+
+void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
+               size_t grain, const std::function<void(size_t, size_t)>& fn) {
+  ThreadPool::MorselTimings timings;
+  const size_t morsels = ctx->pool().ParallelForMorsels(n, grain, fn, &timings);
+  ctx->metrics().RecordMorselRun(phase, timings.seconds);
+  ctx->metrics().AddPhaseTasks(phase, morsels);
+}
+
+namespace {
 
 constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
@@ -456,79 +498,31 @@ BatchInput BindColumns(const ColRel& rel,
 
 size_t NumBatches(size_t n) { return (n + kBatch - 1) / kBatch; }
 
-/// One contiguous batch of relation rows. `fragment` identifies the source
-/// fragment containing the batch when the relation is a bare scan (batches
-/// never straddle fragment boundaries there, so per-fragment skipping can
-/// drop whole batches), -1 when the relation has lost row alignment.
-struct BatchRange {
-  uint32_t begin = 0;
-  uint32_t end = 0;
-  int32_t fragment = -1;
-};
-
-/// True when relation row i IS physical row i of a single source and the
-/// schema maps 1:1 onto its columns — the precondition for consulting that
-/// source's zone maps (compiled col_pos == physical column position and
-/// fragment row ranges == relation row ranges).
-bool IsBareScan(const ColRel& rel) {
-  if (rel.sources.size() != 1) return false;
-  if (rel.sources[0].row_ids != rel.sources[0].table->identity()) return false;
+/// The bare scan's table when relation row i IS physical row i of a single
+/// source and the schema maps 1:1 onto its columns — the precondition for
+/// consulting that source's zone maps (compiled col_pos == physical column
+/// position and fragment row ranges == relation row ranges); else null.
+const ColumnarTable* BareScanTable(const ColRel& rel) {
+  if (rel.sources.size() != 1) return nullptr;
+  if (rel.sources[0].row_ids != rel.sources[0].table->identity()) {
+    return nullptr;
+  }
   for (size_t i = 0; i < rel.col_map.size(); ++i) {
-    if (rel.col_map[i].first != 0 || rel.col_map[i].second != i) return false;
-  }
-  return true;
-}
-
-/// Splits a relation into kernel batches. Bare scans get fragment-aligned
-/// batches; everything else gets the uniform kBatch grid. Either way the
-/// batches tile [0, num_rows) in row order, so per-batch selections
-/// concatenate to the same row sequence regardless of the layout chosen —
-/// fragment size can never change results, only skipping effectiveness.
-std::vector<BatchRange> BatchLayout(const ColRel& rel) {
-  std::vector<BatchRange> out;
-  if (IsBareScan(rel)) {
-    const auto& frags = rel.sources[0].table->fragments();
-    out.reserve(NumBatches(rel.num_rows) + frags.size());
-    for (size_t f = 0; f < frags.size(); ++f) {
-      for (size_t b = frags[f].begin_row; b < frags[f].end_row; b += kBatch) {
-        out.push_back({static_cast<uint32_t>(b),
-                       static_cast<uint32_t>(
-                           std::min<size_t>(frags[f].end_row, b + kBatch)),
-                       static_cast<int32_t>(f)});
-      }
+    if (rel.col_map[i].first != 0 || rel.col_map[i].second != i) {
+      return nullptr;
     }
-    return out;
   }
-  const size_t n = rel.num_rows;
-  out.reserve(NumBatches(n));
-  for (size_t b = 0; b < n; b += kBatch) {
-    out.push_back({static_cast<uint32_t>(b),
-                   static_cast<uint32_t>(std::min(n, b + kBatch)), -1});
-  }
-  return out;
-}
-
-/// Runs fn over morsels of [0, n) on the pool's shared-cursor scheduler and
-/// feeds the per-morsel durations into the metrics (duration histogram
-/// "morsel/<phase>", worst-seen "imbalance/<phase>" gauge, morsel count as
-/// the phase's task fan-out).
-void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
-               size_t grain, const std::function<void(size_t, size_t)>& fn) {
-  ThreadPool::MorselTimings timings;
-  const size_t morsels = ctx->pool().ParallelForMorsels(n, grain, fn, &timings);
-  ctx->metrics().RecordMorselRun(phase, timings.seconds);
-  ctx->metrics().AddPhaseTasks(phase, morsels);
+  return rel.sources[0].table.get();
 }
 
 class ColumnarEvaluator {
  public:
   ColumnarEvaluator(engine::ExecContext* ctx, const Catalog* catalog,
                     const ExecOptions& options)
-      : ctx_(ctx), catalog_(catalog), options_(options) {
-    engine_partitions_ = options.engine_partitions > 0
-                             ? options.engine_partitions
-                             : ctx->config().default_partitions;
-  }
+      : ctx_(ctx),
+        catalog_(catalog),
+        options_(options),
+        engine_partitions_(ctx->config().default_partitions) {}
 
   Result<ColRel> Eval(const PlanPtr& plan) {
     // Fully-public subtrees are identical across a release's passes, so
@@ -571,8 +565,8 @@ class ColumnarEvaluator {
   }
 
   Result<ColRel> EvalScan(const PlanPtr& plan) {
-    Result<ScanBinding> bindr = BindScanSource(ctx_, catalog_, plan->table,
-                                               options_, engine_partitions_);
+    Result<ScanBinding> bindr =
+        BindScanSource(ctx_, catalog_, plan->table, options_);
     if (!bindr.ok()) return bindr.status();
     ScanBinding bind = std::move(bindr).value();
 
@@ -603,27 +597,16 @@ class ColumnarEvaluator {
     const size_t n = child.num_rows;
     SelVector all(n);
     std::iota(all.begin(), all.end(), 0u);
-    const std::vector<BatchRange> layout = BatchLayout(child);
+    const ColumnarTable* bare = BareScanTable(child);
+    const std::vector<BatchRange> layout = BatchLayout(bare, n);
     const size_t nb = layout.size();
 
-    // Zone-map skipping (bare scans only): decide once per fragment whether
-    // any of its rows can satisfy the predicate. A skipped fragment's
-    // batches contribute empty selections — exactly what scanning them
-    // would have produced (FragmentCanMatch is conservative about aborts).
+    // Zone-map skipping (bare scans only): a skipped fragment's batches
+    // contribute empty selections — exactly what scanning them would have
+    // produced.
     std::vector<uint8_t> frag_match;
-    if (!layout.empty() && layout[0].fragment >= 0) {
-      const ColumnarTable& t = *child.sources[0].table;
-      frag_match.resize(t.fragments().size());
-      size_t skipped = 0;
-      for (size_t f = 0; f < frag_match.size(); ++f) {
-        frag_match[f] = FragmentCanMatch(pred, t, f) ? 1 : 0;
-        if (!frag_match[f]) ++skipped;
-      }
-      if (skipped > 0) {
-        ctx_->metrics().AddCounter("columnar/fragments_skipped", skipped);
-      }
-      ctx_->metrics().AddCounter("columnar/fragments_scanned",
-                                 frag_match.size() - skipped);
+    if (bare != nullptr && !layout.empty()) {
+      frag_match = MatchFragments(ctx_, pred, *bare);
     }
 
     std::vector<SelVector> hits(nb);
@@ -832,18 +815,7 @@ class ColumnarEvaluator {
   engine::ExecContext* ctx_;
   const Catalog* catalog_;
   const ExecOptions& options_;
-  size_t engine_partitions_;
-};
-
-/// Per-batch aggregation state, merged in batch order (merge order is
-/// irrelevant: exact sums commute; min/max are associative).
-struct BatchAgg {
-  ExactSum sum;
-  std::unordered_map<size_t, ExactSum> contrib;
-  std::vector<ExactSum> parts;
-  std::vector<SampleHit> hits;
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
+  const size_t engine_partitions_;
 };
 
 }  // namespace
@@ -864,12 +836,6 @@ void SamplePass::Add(size_t row, double weight) {
   sampled_parts_[row % sampled_parts_.size()].Add(weight);
 }
 
-std::vector<double> SamplePass::RoundSlots() const {
-  std::vector<double> out(slots_.size());
-  for (size_t k = 0; k < slots_.size(); ++k) out[k] = slots_[k].Round();
-  return out;
-}
-
 ExecResult SamplePass::Finish(const std::vector<ExactSum>& partition_sums,
                               size_t result_rows) const {
   ExecResult result;
@@ -883,23 +849,102 @@ ExecResult SamplePass::Finish(const std::vector<ExactSum>& partition_sums,
     total.Merge(result.partition_totals[p]);
   }
   result.output = total.Round();
-  result.sample_contributions = RoundSlots();
+  result.sample_contributions.reserve(slots_.size());
+  for (const ExactSum& slot : slots_) {
+    result.sample_contributions.push_back(slot.Round());
+  }
+  return result;
+}
+
+Status CheckAggregate(const PlanPtr& plan, const Schema& schema,
+                      const ExecOptions& options) {
+  const bool additive =
+      plan->agg == AggKind::kCount || plan->agg == AggKind::kSum;
+  if (!additive && options.sample_rows != nullptr) {
+    return Status::Unsupported(
+        "the one provenance pass requires an additive aggregate (Count or "
+        "Sum)");
+  }
+  if (plan->agg == AggKind::kCount) return Status::Ok();
+  if (plan->agg_expr == nullptr) {
+    return Status::InvalidArgument("aggregate missing expression");
+  }
+  if (!ExprColumnsExist(plan->agg_expr, schema)) {
+    return Status::InvalidArgument(
+        "aggregate expression references unknown column in " +
+        schema.ToString());
+  }
+  return Status::Ok();
+}
+
+Result<ExecResult> FinishAggregate(engine::ExecContext* ctx, AggKind agg,
+                                   const std::vector<BatchAcc>& accs,
+                                   SamplePass* sample) {
+  // A cancel tripped mid-run sheds morsels; never report the partial fold.
+  UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
+  size_t rows = 0;
+  for (const BatchAcc& a : accs) rows += a.rows;
+  if (sample != nullptr) {
+    // The RANGE ENFORCER's per-partition aggregation is a real record
+    // exchange in the row engine (ShuffleByKey over provenance-carrying
+    // rows); account the same round here.
+    ctx->metrics().AddShuffleRound();
+    ctx->metrics().AddShuffleRecords(rows);
+    std::vector<ExactSum> pid_sums(sample->partitions());
+    for (const BatchAcc& a : accs) {
+      for (const SampleHit& h : a.hits) sample->Add(h.row, h.weight);
+      for (size_t p = 0; p < a.parts.size(); ++p) pid_sums[p].Merge(a.parts[p]);
+    }
+    return sample->Finish(pid_sums, rows);
+  }
+
+  // An exact sum of ones rounds to exactly the count, so Count adds the
+  // row count once instead of a one per row.
+  ExactSum total;
+  if (agg == AggKind::kCount) {
+    total.Add(static_cast<double>(rows));
+  } else {
+    for (const BatchAcc& a : accs) total.Merge(a.sum);
+  }
+  ExecResult result;
+  result.result_rows = rows;
+  if (agg == AggKind::kCount || agg == AggKind::kSum) {
+    result.output = total.Round();
+    return result;
+  }
+  if (rows == 0) {
+    return Status::FailedPrecondition(
+        "Avg/Min/Max aggregate over an empty relation");
+  }
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  for (const BatchAcc& a : accs) {
+    mn = a.mn < mn ? a.mn : mn;
+    mx = a.mx > mx ? a.mx : mx;
+  }
+  switch (agg) {
+    case AggKind::kAvg:
+      result.output = total.Round() / static_cast<double>(rows);
+      break;
+    case AggKind::kMin:
+      result.output = mn;
+      break;
+    default:  // kMax
+      result.output = mx;
+      break;
+  }
   return result;
 }
 
 Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
                                    const Catalog* catalog,
                                    const std::string& table_name,
-                                   const ExecOptions& options,
-                                   size_t engine_partitions) {
+                                   const ExecOptions& options) {
   auto it = catalog->find(table_name);
   if (it == catalog->end()) {
     return Status::NotFound("unknown table: " + table_name);
   }
   const Table* table = it->second;
-  if (engine_partitions == 0) {
-    engine_partitions = ctx->config().default_partitions;
-  }
 
   ScanBinding bind;
   bind.is_private = !options.private_table.empty() &&
@@ -909,8 +954,8 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
       // Route through the caller's block cache so scan reuse across a
       // release's passes is observable in the hit/miss metrics (the Fig
       // 4(b) effect), exactly like the row engine's materialized-scan cache.
-      uint64_t key =
-          Mix64(table->uid()) ^ Mix64(kColScanTag + engine_partitions);
+      uint64_t key = Mix64(table->uid()) ^
+                     Mix64(kColScanTag + ctx->config().default_partitions);
       auto cached =
           options.cache->GetOrCompute<std::shared_ptr<const ColumnarTable>>(
               key, [&] { return table->Columnar(); });
@@ -921,35 +966,17 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
     bind.row_ids = bind.table->identity();
     return bind;
   }
-  // The private table's include/exclude/replace options are plain
-  // index-vector surgery: provenance is the row-index itself. The one
-  // provenance pass scans the identity, so it keeps the dense kernels.
+  // The private table's include/replace options are plain index-vector
+  // surgery: provenance is the row-index itself. The one provenance pass
+  // scans the identity, so it keeps the dense kernels.
   bind.table = options.replace_private_rows != nullptr
                    ? ColumnarTable::Build(table->schema(),
                                           *options.replace_private_rows)
                    : table->Columnar();
-  const size_t base_rows = bind.table->num_rows();
   if (options.include_rows != nullptr) {
-    auto sel = std::make_shared<SelVector>();
-    sel->reserve(options.include_rows->size());
-    for (size_t idx : *options.include_rows) {
-      UPA_CHECK_MSG(idx < base_rows, "include_rows out of range");
-      sel->push_back(static_cast<uint32_t>(idx));
-    }
-    bind.row_ids = std::move(sel);
-  } else if (options.exclude_rows != nullptr) {
-    const std::vector<size_t>& excl = *options.exclude_rows;
-    auto sel = std::make_shared<SelVector>();
-    sel->reserve(base_rows - std::min(base_rows, excl.size()));
-    size_t cursor = 0;
-    for (size_t i = 0; i < base_rows; ++i) {
-      if (cursor < excl.size() && excl[cursor] == i) {
-        ++cursor;
-        continue;
-      }
-      sel->push_back(static_cast<uint32_t>(i));
-    }
-    bind.row_ids = std::move(sel);
+    // Validated by PlanExecutor::Execute: sorted, distinct, in range.
+    bind.row_ids = std::make_shared<SelVector>(options.include_rows->begin(),
+                                               options.include_rows->end());
   } else {
     bind.row_ids = bind.table->identity();
   }
@@ -975,26 +1002,11 @@ Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
   Result<ColRel> relr = evaluator.Eval(plan->left);
   if (!relr.ok()) return relr.status();
   ColRel rel = std::move(relr.value());
-
-  const bool additive =
-      plan->agg == AggKind::kCount || plan->agg == AggKind::kSum;
-  if (!additive && (options.partitions > 0 || options.track_contributions)) {
-    return Status::Unsupported(
-        "provenance (partitions/contributions) requires an additive "
-        "aggregate (Count or Sum)");
-  }
-  const bool need_expr = plan->agg != AggKind::kCount;
-  if (need_expr && plan->agg_expr == nullptr) {
-    return Status::InvalidArgument("aggregate missing expression");
-  }
-  if (need_expr && !ExprColumnsExist(plan->agg_expr, rel.schema)) {
-    return Status::InvalidArgument(
-        "aggregate expression references unknown column in " +
-        rel.schema.ToString());
-  }
+  UPA_RETURN_IF_ERROR(CheckAggregate(plan, rel.schema, options));
 
   const size_t n = rel.num_rows;
   const size_t nb = NumBatches(n);
+  const bool need_expr = plan->agg != AggKind::kCount;
   std::vector<const Column*> cols = PhysicalColumns(rel);
   std::optional<CompiledExpr> weight;
   BatchInput in;
@@ -1005,145 +1017,57 @@ Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
   SelVector all(n);
   std::iota(all.begin(), all.end(), 0u);
 
-  const uint32_t* prov = rel.private_source >= 0
-                             ? rel.sources[rel.private_source].row_ids->data()
-                             : nullptr;
-  const size_t parts = options.partitions;
   // The one provenance pass (validated by PlanExecutor::Execute: the
   // private table is scanned, so every row has provenance).
   std::optional<SamplePass> sample;
+  const uint32_t* prov = nullptr;
   if (options.sample_rows != nullptr) {
-    sample.emplace(*options.sample_rows, parts);
+    sample.emplace(*options.sample_rows, options.partitions);
+    prov = rel.sources[rel.private_source].row_ids->data();
   }
+  const size_t parts = options.partitions;
+  const bool need_sum = !sample.has_value() && (plan->agg == AggKind::kSum ||
+                                                plan->agg == AggKind::kAvg);
+  const bool minmax =
+      plan->agg != AggKind::kCount && plan->agg != AggKind::kSum;
 
-  std::vector<BatchAgg> batches(nb);
+  std::vector<BatchAcc> accs(nb);
+  for (BatchAcc& a : accs) a.parts.resize(sample.has_value() ? parts : 0);
   MorselRun(ctx, "columnar/aggregate", nb, 0, [&](size_t b0, size_t b1) {
     std::vector<double> w;
     for (size_t b = b0; b < b1; ++b) {
       const size_t begin = b * kBatch, end = std::min(n, begin + kBatch);
       const size_t m = end - begin;
-      BatchAgg& agg = batches[b];
+      BatchAcc& acc = accs[b];
+      acc.rows = m;
       if (need_expr) {
         w.resize(m);
         ProjectKernel(*weight, in, all.data() + begin, m, w.data());
-      } else {
+      } else if (sample.has_value()) {
         w.assign(m, 1.0);  // Count
+      } else {
+        continue;  // Count: the total is the row count
       }
-      if (!additive) {
-        for (size_t i = 0; i < m; ++i) {
-          agg.sum.Add(w[i]);
-          agg.mn = w[i] < agg.mn ? w[i] : agg.mn;  // == std::min(mn, w)
-          agg.mx = w[i] > agg.mx ? w[i] : agg.mx;  // == std::max(mx, w)
+      for (size_t i = 0; i < m; ++i) {
+        if (need_sum) acc.sum.Add(w[i]);
+        if (minmax) {
+          acc.mn = w[i] < acc.mn ? w[i] : acc.mn;  // == std::min(mn, w)
+          acc.mx = w[i] > acc.mx ? w[i] : acc.mx;  // == std::max(mx, w)
         }
-        continue;
-      }
-      if (sample.has_value()) {
-        agg.parts.resize(parts);
-        for (size_t i = 0; i < m; ++i) {
-          const uint32_t r = prov[begin + i];
-          if (sample->Contains(r)) {
-            agg.hits.push_back({r, w[i]});
-          } else {
-            agg.parts[r % parts].Add(w[i]);
-          }
-        }
-        continue;
-      }
-      for (size_t i = 0; i < m; ++i) agg.sum.Add(w[i]);
-      if (prov != nullptr) {
-        if (options.track_contributions) {
-          for (size_t i = 0; i < m; ++i) agg.contrib[prov[begin + i]].Add(w[i]);
-        }
-        if (parts > 0) {
-          agg.parts.resize(parts);
-          for (size_t i = 0; i < m; ++i) {
-            agg.parts[prov[begin + i] % parts].Add(w[i]);
-          }
+        if (prov == nullptr) continue;
+        const uint32_t r = prov[begin + i];
+        if (sample->Contains(r)) {
+          acc.hits.push_back({r, w[i]});
+        } else {
+          acc.parts[r % parts].Add(w[i]);
         }
       }
     }
   });
   ctx->metrics().AddKernelBatches(nb);
   ctx->metrics().AddKernelRows(n);
-
-  if (sample.has_value()) {
-    ctx->metrics().AddShuffleRound();
-    ctx->metrics().AddShuffleRecords(n);
-    std::vector<ExactSum> pid_sums(parts);
-    for (const BatchAgg& b : batches) {
-      sample->Fold(b.hits);
-      if (b.parts.empty()) continue;
-      for (size_t p = 0; p < parts; ++p) pid_sums[p].Merge(b.parts[p]);
-    }
-    return sample->Finish(pid_sums, n);
-  }
-
-  ExecResult result;
-  result.result_rows = n;
-  ExactSum total;
-  for (const BatchAgg& b : batches) total.Merge(b.sum);
-
-  if (!additive) {
-    if (n == 0) {
-      return Status::FailedPrecondition(
-          "Avg/Min/Max aggregate over an empty relation");
-    }
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    for (const BatchAgg& b : batches) {
-      mn = b.mn < mn ? b.mn : mn;
-      mx = b.mx > mx ? b.mx : mx;
-    }
-    switch (plan->agg) {
-      case AggKind::kAvg:
-        result.output = total.Round() / static_cast<double>(n);
-        break;
-      case AggKind::kMin:
-        result.output = mn;
-        break;
-      default:  // kMax
-        result.output = mx;
-        break;
-    }
-    return result;
-  }
-
-  result.output = total.Round();
-  if (options.track_contributions) {
-    std::unordered_map<size_t, ExactSum> merged;
-    for (const BatchAgg& b : batches) {
-      for (const auto& [p, s] : b.contrib) merged[p].Merge(s);
-    }
-    result.contributions.reserve(merged.size());
-    for (const auto& [p, s] : merged) result.contributions[p] = s.Round();
-  }
-  if (parts > 0) {
-    // The RANGE ENFORCER's per-partition aggregation is a real record
-    // exchange in the row engine (ShuffleByKey over provenance-carrying
-    // rows); account the same round here.
-    ctx->metrics().AddShuffleRound();
-    ctx->metrics().AddShuffleRecords(prov != nullptr ? n : 0);
-    // partition_outputs[pid] = Round(base ⊕ Σ weights of pid's rows),
-    // where base covers rows without private provenance (here: all rows
-    // when the plan has no private scan, none otherwise — inner joins give
-    // every row of a private plan a provenance index).
-    ExactSum base;
-    if (prov == nullptr) base = total;
-    std::vector<ExactSum> pid_sums(parts);
-    if (prov != nullptr) {
-      for (const BatchAgg& b : batches) {
-        if (b.parts.empty()) continue;
-        for (size_t p = 0; p < parts; ++p) pid_sums[p].Merge(b.parts[p]);
-      }
-    }
-    result.partition_outputs.resize(parts);
-    for (size_t p = 0; p < parts; ++p) {
-      ExactSum t = base;
-      t.Merge(pid_sums[p]);
-      result.partition_outputs[p] = t.Round();
-    }
-  }
-  return result;
+  return FinishAggregate(ctx, plan->agg, accs,
+                         sample.has_value() ? &*sample : nullptr);
 }
 
 }  // namespace upa::rel

@@ -11,8 +11,8 @@
 //   * Late materialization — a relation in flight is a set of source
 //     ColumnarTables plus one row-index vector per source; filters and
 //     joins only re-index, they never copy cell data. The private table's
-//     include/exclude/replace options are plain index vectors, and
-//     provenance *is* the private source's row-index column.
+//     include/replace options are plain index vectors, and provenance *is*
+//     the private source's row-index column.
 //   * Batch kernels (kernels.h) — predicates evaluate into selection
 //     vectors, numeric projections into contiguous double buffers; no
 //     per-row std::function dispatch, no variant access in inner loops.
@@ -22,9 +22,13 @@
 //     results are bit-identical to the row oracle for any pool size. The
 //     differential harness (tests/relational_columnar_test.cpp) asserts
 //     exactly that.
+//   * One fold — the interpreted path and the fused kernels (fused.h)
+//     share everything below but their per-batch loops.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,9 +142,9 @@ bool FragmentCanMatch(const CompiledExpr& pred, const ColumnarTable& table,
 
 /// A scan bound for execution: the columnar form of a catalog table plus
 /// the row-index vector the relation starts from (the shared identity, or
-/// the private table's include/exclude/replace index surgery). Shared by
-/// the interpreted evaluator and the fused engine (relational/fused.h) so
-/// both paths read byte-identical inputs through identical cache keys.
+/// the private table's include/replace index surgery). Shared by the
+/// interpreted evaluator and the fused engine (relational/fused.h) so both
+/// paths read byte-identical inputs through identical cache keys.
 struct ScanBinding {
   std::shared_ptr<const ColumnarTable> table;
   std::shared_ptr<const SelVector> row_ids;
@@ -151,9 +155,49 @@ struct ScanBinding {
 
 /// Resolves `table_name` against the catalog and applies the private-table
 /// options exactly like the columnar scan operator (including the block
-/// cache for non-private scans when options.cache is set).
-/// `engine_partitions` must be the resolved parallelism (it is part of the
-/// scan cache key); pass 0 to use the context default.
+/// cache for non-private scans when options.cache is set, keyed by the
+/// context's default parallelism).
+Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
+                                   const Catalog* catalog,
+                                   const std::string& table_name,
+                                   const ExecOptions& options);
+
+// ---------------------------------------------------------------------------
+// The columnar fold, shared by the interpreted path and the fused kernels.
+
+/// Fixed kernel batch size. Batch boundaries depend only on the row count,
+/// never on the pool size.
+inline constexpr size_t kBatch = 4096;
+
+/// One contiguous batch of relation rows; `fragment` is its source fragment
+/// when the relation is a bare scan (batches never straddle one), else -1.
+struct BatchRange {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  int32_t fragment = -1;
+};
+
+/// Kernel batches tiling [0, num_rows) in order: aligned to the fragments
+/// of `bare` when the relation is a bare scan of that table (row i IS its
+/// physical row i), else the uniform kBatch grid. The layout never changes
+/// results, only how much zone-map skipping can drop.
+std::vector<BatchRange> BatchLayout(const ColumnarTable* bare,
+                                    size_t num_rows);
+
+/// Zone-map skipping over a bare scan of `table`: one flag per fragment, 0
+/// when FragmentCanMatch proves no row satisfies `pred`. Counts the skipped
+/// and scanned fragments in ctx's metrics.
+std::vector<uint8_t> MatchFragments(engine::ExecContext* ctx,
+                                    const CompiledExpr& pred,
+                                    const ColumnarTable& table);
+
+/// Runs fn over morsels of [0, n) on the pool's shared-cursor scheduler and
+/// records the "morsel/<phase>" durations and task fan-out. A tripped cancel
+/// token sheds morsels, so the output is partial until checked
+/// (FinishAggregate does).
+void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
+               size_t grain, const std::function<void(size_t, size_t)>& fn);
+
 /// A sampled private row's weight, collected per kernel batch during the
 /// one provenance pass and folded into its slot in batch order.
 struct SampleHit {
@@ -168,8 +212,8 @@ struct SampleHit {
 /// from kernel threads; Add() runs on the folding thread.
 class SamplePass {
  public:
-  /// `rows` must be sorted and distinct (ValidateSampleRows); `partitions`
-  /// is the enforcer partition count (> 0).
+  /// `rows` must be sorted and distinct (PlanExecutor::Execute checks);
+  /// `partitions` is the enforcer partition count (> 0).
   SamplePass(const std::vector<size_t>& rows, size_t partitions);
 
   bool Contains(size_t row) const {
@@ -177,14 +221,11 @@ class SamplePass {
   }
   /// Adds `weight` to the slot of sampled row `row`.
   void Add(size_t row, double weight);
-  void Fold(const std::vector<SampleHit>& hits) {
-    for (const SampleHit& h : hits) Add(h.row, h.weight);
-  }
-  /// The rounded slots, aligned with the sample rows.
-  std::vector<double> RoundSlots() const;
+  size_t partitions() const { return sampled_parts_.size(); }
   /// The pass's result from the per-partition sums of the unsampled rows:
-  /// partition_outputs, sample_contributions, partition_totals (both kinds
-  /// of row) and `output` as their exact total (no per-row total is kept).
+  /// partition_outputs, sample_contributions (the rounded slots, aligned
+  /// with the sample rows), partition_totals (both kinds of row) and
+  /// `output` as their exact total (no per-row total is kept).
   ExecResult Finish(const std::vector<ExactSum>& partition_sums,
                     size_t result_rows) const;
 
@@ -196,11 +237,31 @@ class SamplePass {
   std::vector<ExactSum> sampled_parts_;
 };
 
-Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
-                                   const Catalog* catalog,
-                                   const std::string& table_name,
-                                   const ExecOptions& options,
-                                   size_t engine_partitions);
+/// Per-batch aggregation state, merged in batch order (merge order is
+/// irrelevant: exact sums commute; min/max are associative).
+struct BatchAcc {
+  size_t rows = 0;  // rows that reached the aggregate
+  ExactSum sum;     // Sum / Avg outside the one pass
+  std::vector<ExactSum> parts;  // one pass: unsampled rows per partition,
+                                // sized by the caller before the run
+  std::vector<SampleHit> hits;  // one pass: sampled rows, in batch order
+  double mn = std::numeric_limits<double>::infinity();   // Avg / Min / Max
+  double mx = -std::numeric_limits<double>::infinity();  // Avg / Min / Max
+};
+
+/// The aggregate-level status checks, shared with the row oracle: the one
+/// pass needs Count or Sum (Unsupported), and Sum/Avg/Min/Max need an
+/// expression over known columns of `schema` (InvalidArgument).
+Status CheckAggregate(const PlanPtr& plan, const Schema& schema,
+                      const ExecOptions& options);
+
+/// The finish of a columnar run: the post-run cancel check (a partial fold
+/// is never reported), then SamplePass::Finish for a one pass (non-null
+/// `sample`), Avg/Min/Max (FailedPrecondition over no rows) or the plain
+/// total; Count's total is the row count.
+Result<ExecResult> FinishAggregate(engine::ExecContext* ctx, AggKind agg,
+                                   const std::vector<BatchAcc>& accs,
+                                   SamplePass* sample);
 
 /// Executes an Aggregate-rooted plan on the columnar engine. Root/option
 /// validation is PlanExecutor::Execute's job; this expects a well-formed

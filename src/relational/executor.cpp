@@ -7,10 +7,10 @@
 #include <list>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
+#include "common/cancel.h"
 #include "common/exact_sum.h"
 #include "common/hash.h"
 #include "engine/dataset.h"
@@ -45,11 +45,10 @@ class Evaluator {
  public:
   Evaluator(engine::ExecContext* ctx, const Catalog* catalog,
             const ExecOptions& options)
-      : ctx_(ctx), catalog_(catalog), options_(options) {
-    engine_partitions_ = options.engine_partitions > 0
-                             ? options.engine_partitions
-                             : ctx->config().default_partitions;
-  }
+      : ctx_(ctx),
+        catalog_(catalog),
+        options_(options),
+        engine_partitions_(ctx->config().default_partitions) {}
 
   Result<Rel> Eval(const PlanPtr& plan) {
     // Subtrees that never touch the private table are identical across a
@@ -123,8 +122,9 @@ class Evaluator {
     }
 
     // Base rows of the private table: the catalog's or the replacement's.
-    // include/exclude compose on top of the base (the one provenance pass
-    // scans all of it); provenance is the row's index within the base.
+    // include_rows (validated by Execute) selects from the base (the one
+    // provenance pass scans all of it); provenance is the row's index
+    // within the base.
     const std::vector<Row>* base = options_.replace_private_rows != nullptr
                                        ? options_.replace_private_rows
                                        : &table->rows();
@@ -132,19 +132,7 @@ class Evaluator {
     if (options_.include_rows != nullptr) {
       rows.reserve(options_.include_rows->size());
       for (size_t idx : *options_.include_rows) {
-        UPA_CHECK_MSG(idx < base->size(), "include_rows out of range");
         rows.push_back({(*base)[idx], idx});
-      }
-    } else if (options_.exclude_rows != nullptr) {
-      const std::vector<size_t>& excl = *options_.exclude_rows;
-      rows.reserve(base->size() - excl.size());
-      size_t cursor = 0;
-      for (size_t i = 0; i < base->size(); ++i) {
-        if (cursor < excl.size() && excl[cursor] == i) {
-          ++cursor;
-          continue;
-        }
-        rows.push_back({(*base)[i], i});
       }
     } else {
       rows.reserve(base->size());
@@ -241,28 +229,17 @@ class Evaluator {
   engine::ExecContext* ctx_;
   const Catalog* catalog_;
   const ExecOptions& options_;
-  size_t engine_partitions_;
+  const size_t engine_partitions_;
 };
 
-/// Checks ExecOptions::sample_rows against the other options and the
-/// private table's base rows (InvalidArgument on any misuse).
-Status ValidateSampleRows(const Catalog& catalog, const ExecOptions& options) {
-  if (options.include_rows != nullptr || options.exclude_rows != nullptr ||
-      options.track_contributions) {
-    return Status::InvalidArgument(
-        "sample_rows cannot be combined with include_rows, exclude_rows or "
-        "track_contributions");
-  }
-  if (options.private_table.empty()) {
-    return Status::InvalidArgument("sample_rows requires a private table");
-  }
-  if (options.partitions == 0) {
-    return Status::InvalidArgument("sample_rows requires partitions > 0");
-  }
-  const std::vector<size_t>& rows = *options.sample_rows;
+/// Checks a list of private-row indices (include_rows or sample_rows):
+/// sorted, distinct and within the private table's base rows.
+Status ValidateRowList(const Catalog& catalog, const ExecOptions& options,
+                       const std::vector<size_t>& rows,
+                       const std::string& what) {
   if (std::adjacent_find(rows.begin(), rows.end(),
                          std::greater_equal<size_t>()) != rows.end()) {
-    return Status::InvalidArgument("sample_rows must be sorted and distinct");
+    return Status::InvalidArgument(what + " must be sorted and distinct");
   }
   // An unknown private table is the engines' NotFound to report.
   auto it = catalog.find(options.private_table);
@@ -271,15 +248,43 @@ Status ValidateSampleRows(const Catalog& catalog, const ExecOptions& options) {
                            : it != catalog.end() ? it->second->NumRows()
                                                  : SIZE_MAX;
   if (!rows.empty() && rows.back() >= base_rows) {
-    return Status::InvalidArgument("sample_rows out of range");
+    return Status::InvalidArgument(what + " out of range");
   }
   return Status::Ok();
 }
 
-/// Avg / Min / Max: plain scalar results, no provenance semantics. The sum
-/// behind Avg is exact (ExactSum), so the result does not depend on row
+/// Checks the provenance options against each other and the private
+/// table's base rows (InvalidArgument on any misuse).
+Status ValidateOptions(const Catalog& catalog, const ExecOptions& options) {
+  if (options.include_rows != nullptr) {
+    UPA_RETURN_IF_ERROR(
+        ValidateRowList(catalog, options, *options.include_rows,
+                        "include_rows"));
+  }
+  if (options.sample_rows == nullptr) {
+    if (options.partitions > 0) {
+      return Status::InvalidArgument("partitions requires sample_rows");
+    }
+    return Status::Ok();
+  }
+  if (options.include_rows != nullptr) {
+    return Status::InvalidArgument(
+        "sample_rows cannot be combined with include_rows");
+  }
+  if (options.private_table.empty()) {
+    return Status::InvalidArgument("sample_rows requires a private table");
+  }
+  if (options.partitions == 0) {
+    return Status::InvalidArgument("sample_rows requires partitions > 0");
+  }
+  return ValidateRowList(catalog, options, *options.sample_rows,
+                         "sample_rows");
+}
+
+/// A run without provenance: the plain scalar aggregate. The sum behind
+/// Count/Sum/Avg is exact (ExactSum), so the result does not depend on row
 /// order — the columnar engine computes the bit-identical value.
-Result<ExecResult> ExecuteNonAdditive(
+Result<ExecResult> ExecutePlain(
     AggKind agg, const engine::Dataset<ProvRow>& data,
     const std::function<double(const Row&)>& weight_of) {
   ExecResult result;
@@ -295,6 +300,10 @@ Result<ExecResult> ExecuteNonAdditive(
       ++result.result_rows;
     }
   }
+  if (agg == AggKind::kCount || agg == AggKind::kSum) {
+    result.output = sum.Round();
+    return result;
+  }
   if (result.result_rows == 0) {
     return Status::FailedPrecondition(
         "Avg/Min/Max aggregate over an empty relation");
@@ -306,13 +315,75 @@ Result<ExecResult> ExecuteNonAdditive(
     case AggKind::kMin:
       result.output = mn;
       break;
-    case AggKind::kMax:
+    default:  // kMax
       result.output = mx;
       break;
-    default:
-      return Status::Internal("ExecuteNonAdditive on additive aggregate");
   }
   return result;
+}
+
+/// The row oracle: evaluates the plan row at a time, then folds the
+/// aggregate (the one provenance pass through a real partition shuffle).
+Result<ExecResult> ExecuteRowOracle(engine::ExecContext* ctx,
+                                    const Catalog* catalog, const PlanPtr& plan,
+                                    const ExecOptions& options) {
+  Evaluator evaluator(ctx, catalog, options);
+  Result<Rel> rel = evaluator.Eval(plan->left);
+  if (!rel.ok()) return rel.status();
+
+  const Schema& schema = rel.value().schema;
+  UPA_RETURN_IF_ERROR(CheckAggregate(plan, schema, options));
+  std::function<double(const Row&)> weight_of =
+      plan->agg == AggKind::kCount
+          ? [](const Row&) { return 1.0; }
+          : BindNumeric(plan->agg_expr, schema);
+  if (options.sample_rows == nullptr) {
+    return ExecutePlain(plan->agg, rel.value().data, weight_of);
+  }
+
+  // Weighted provenance pairs. Every accumulation below goes through
+  // ExactSum, whose result is independent of addition order — so the
+  // output, the sampled records' slots and the per-partition outputs are
+  // bit-identical across engine partitionings AND bit-identical to the
+  // columnar engine (the differential harness asserts both).
+  auto weighted = rel.value().data.Map([weight_of](const ProvRow& r) {
+    return std::pair<double, size_t>{weight_of(r.row), r.prov};
+  });
+
+  // The one provenance pass (Execute checked that the private table is
+  // scanned, so every row has provenance): sampled rows go to their slots,
+  // every other row through a *real* record shuffle to its partition. The
+  // RANGE ENFORCER "exchanges the data records which belong to the same
+  // partition between computers" (paper §VI-D), which is where the
+  // local-computation queries' overhead comes from.
+  SamplePass sample(*options.sample_rows, options.partitions);
+  size_t result_rows = 0;
+  for (size_t p = 0; p < weighted.NumPartitions(); ++p) {
+    for (const auto& [w, prov] : weighted.partition(p)) {
+      ++result_rows;
+      if (sample.Contains(prov)) sample.Add(prov, w);
+    }
+  }
+  // Map-side projection before the exchange (Spark prunes columns the
+  // downstream aggregation doesn't need): only (partition, weight)
+  // crosses the wire.
+  const size_t parts = options.partitions;
+  auto keyed = weighted
+                   .Filter([&sample](const std::pair<double, size_t>& wp) {
+                     return !sample.Contains(wp.second);
+                   })
+                   .Map([parts](const std::pair<double, size_t>& wp) {
+                     return std::pair<size_t, double>{wp.second % parts,
+                                                      wp.first};
+                   });
+  auto shuffled = engine::ShuffleByKey(keyed, parts);
+  std::vector<ExactSum> pid_sums(parts);
+  for (size_t p = 0; p < shuffled.NumPartitions(); ++p) {
+    for (const auto& [pid, w] : shuffled.partition(p)) {
+      pid_sums[pid].Add(w);
+    }
+  }
+  return sample.Finish(pid_sums, result_rows);
 }
 
 /// Heap bytes a plan pins, roughly: nodes, names, literals and IN sets.
@@ -499,6 +570,8 @@ Result<ExecResult> PlanExecutor::ExecuteOnePass(
     }
   }
   ctx_->metrics().AddMemoMiss();
+  // Only a finished pass fills the memo: a pass whose cancel token tripped
+  // fails in FinishAggregate instead of reporting a partial fold.
   Result<ExecResult> r = ExecuteColumnar(ctx_, catalog_, plan, options);
   if (!r.ok()) return r;
   const std::vector<ExactSum>& totals = r.value().partition_totals;
@@ -515,13 +588,7 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
   if (plan == nullptr || plan->kind != PlanKind::kAggregate) {
     return Status::InvalidArgument("plan root must be an Aggregate");
   }
-  if (options.include_rows != nullptr && options.exclude_rows != nullptr) {
-    return Status::InvalidArgument(
-        "include_rows and exclude_rows are mutually exclusive");
-  }
-  if (options.sample_rows != nullptr) {
-    UPA_RETURN_IF_ERROR(ValidateSampleRows(*catalog_, options));
-  }
+  UPA_RETURN_IF_ERROR(ValidateOptions(*catalog_, options));
   const bool needs_prov = !options.private_table.empty();
   if (needs_prov) {
     size_t scans = CountScansOf(plan, options.private_table);
@@ -544,120 +611,11 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
     }
     return ExecuteColumnar(ctx_, catalog_, plan, options);
   }
-
-  Evaluator evaluator(ctx_, catalog_, options);
-  Result<Rel> rel = evaluator.Eval(plan->left);
-  if (!rel.ok()) return rel.status();
-
-  const Schema& schema = rel.value().schema;
-  const bool additive =
-      plan->agg == AggKind::kCount || plan->agg == AggKind::kSum;
-  if (!additive && (options.partitions > 0 || options.track_contributions)) {
-    return Status::Unsupported(
-        "provenance (partitions/contributions) requires an additive "
-        "aggregate (Count or Sum)");
-  }
-  std::function<double(const Row&)> weight_of;
-  if (plan->agg == AggKind::kCount) {
-    weight_of = [](const Row&) { return 1.0; };
-  } else {
-    if (plan->agg_expr == nullptr) {
-      return Status::InvalidArgument("aggregate missing expression");
-    }
-    if (!ExprColumnsExist(plan->agg_expr, schema)) {
-      return Status::InvalidArgument(
-          "aggregate expression references unknown column in " +
-          schema.ToString());
-    }
-    weight_of = BindNumeric(plan->agg_expr, schema);
-  }
-  if (!additive) {
-    return ExecuteNonAdditive(plan->agg, rel.value().data, weight_of);
-  }
-
-  // Weighted provenance pairs. Every accumulation below goes through
-  // ExactSum, whose result is independent of addition order — so the
-  // output, the per-record contributions and the per-partition outputs are
-  // bit-identical across engine partitionings AND bit-identical to the
-  // columnar engine (the differential harness asserts both).
-  auto weighted = rel.value().data.Map([weight_of](const ProvRow& r) {
-    return std::pair<double, size_t>{weight_of(r.row), r.prov};
-  });
-
-  // The one provenance pass routes sampled rows to their slots here and
-  // keeps them out of the partition shuffle below.
-  std::optional<SamplePass> sample;
-  if (options.sample_rows != nullptr) {
-    sample.emplace(*options.sample_rows, options.partitions);
-  }
-  auto sampled = [&sample](size_t prov) {
-    return sample.has_value() && prov != kNoProv && sample->Contains(prov);
-  };
-
-  ExecResult result;
-  ExactSum output_sum;
-  std::unordered_map<size_t, ExactSum> contrib;
-  for (size_t p = 0; p < weighted.NumPartitions(); ++p) {
-    for (const auto& [w, prov] : weighted.partition(p)) {
-      output_sum.Add(w);
-      ++result.result_rows;
-      if (options.track_contributions && prov != kNoProv) {
-        contrib[prov].Add(w);
-      }
-      if (sampled(prov)) sample->Add(prov, w);
-    }
-  }
-  result.output = output_sum.Round();
-  if (options.track_contributions) {
-    result.contributions.reserve(contrib.size());
-    for (const auto& [prov, sum] : contrib) {
-      result.contributions[prov] = sum.Round();
-    }
-  }
-
-  if (options.partitions > 0) {
-    // Per-enforcer-partition aggregation goes through a *real* record
-    // shuffle: the RANGE ENFORCER "exchanges the data records which belong
-    // to the same partition between computers" (paper §VI-D), which is
-    // where the local-computation queries' overhead comes from.
-    const size_t parts = options.partitions;
-    // Rows with no private provenance count toward every partition (they
-    // are unaffected by any private record); summed once, added to all.
-    ExactSum base;
-    for (size_t p = 0; p < weighted.NumPartitions(); ++p) {
-      for (const auto& [w, prov] : weighted.partition(p)) {
-        if (prov == kNoProv) base.Add(w);
-      }
-    }
-    // Map-side projection before the exchange (Spark prunes columns the
-    // downstream aggregation doesn't need): only (partition, weight)
-    // crosses the wire.
-    auto keyed = weighted
-                     .Filter([&sampled](const std::pair<double, size_t>& wp) {
-                       return wp.second != kNoProv && !sampled(wp.second);
-                     })
-                     .Map([parts](const std::pair<double, size_t>& wp) {
-                       return std::pair<size_t, double>{wp.second % parts,
-                                                        wp.first};
-                     });
-    auto shuffled = engine::ShuffleByKey(keyed, parts);
-    std::vector<ExactSum> pid_sums(parts);
-    for (size_t p = 0; p < shuffled.NumPartitions(); ++p) {
-      for (const auto& [pid, w] : shuffled.partition(p)) {
-        pid_sums[pid].Add(w);
-      }
-    }
-    result.partition_outputs.resize(parts);
-    for (size_t pid = 0; pid < parts; ++pid) {
-      ExactSum t = base;
-      t.Merge(pid_sums[pid]);
-      result.partition_outputs[pid] = t.Round();
-    }
-  }
-  if (sample.has_value()) {
-    result.sample_contributions = sample->RoundSlots();
-  }
-  return result;
+  Result<ExecResult> r = ExecuteRowOracle(ctx_, catalog_, plan, options);
+  // The pool's helpers shed the chunks a tripped token catches, so a run
+  // that saw the trip holds a partial fold: never report it.
+  if (r.ok()) UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
+  return r;
 }
 
 }  // namespace upa::rel

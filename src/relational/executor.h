@@ -7,11 +7,12 @@
 // aggregate, each result row's weight is attributed to the private record
 // it descends from. Because the evaluated plans are inner-join SPJ trees
 // with additive aggregates (Count/Sum), removing private record r changes
-// the output by exactly -contribution[r] — which powers
-//   * UPA's one provenance pass (ExecOptions::sample_rows): a single scan of
-//     the whole private table that routes each surviving row's weight to
-//     its sampled record's slot or to its enforcer partition's sum,
-//   * the exhaustive exact ground truth and the synthetic-domain run.
+// the output by exactly -contribution[r]. Every engine tracks provenance
+// one way only, the one provenance pass (ExecOptions::sample_rows): a
+// single scan of the private table that routes each surviving row's
+// weight to its sampled record's slot or to its enforcer partition's sum.
+// UPA's release pass, its domain pass and the exhaustive ground truth (all
+// rows sampled) are each one such pass.
 //
 // The executor keeps one piece of state across calls, the cross-release S′
 // memo: a one pass it has run before scans only its sampled rows and
@@ -21,7 +22,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/exact_sum.h"
@@ -51,17 +51,13 @@ struct ExecOptions {
   /// The table must be scanned at most once in the plan.
   std::string private_table;
   /// If set: run with the private table restricted to exactly these row
-  /// indices (sorted). Mutually exclusive with exclude_rows. Indexes the
-  /// replacement rows when replace_private_rows is also set. Together with
-  /// exclude_rows this is the three-run reference the one provenance pass
-  /// (sample_rows) is tested against.
+  /// indices (sorted, distinct, within the base rows — the replacement rows
+  /// when replace_private_rows is also set). A run without some rows is an
+  /// include of their complement.
   const std::vector<size_t>* include_rows = nullptr;
-  /// If set: run with these row indices (sorted) removed. Indexes the
-  /// replacement rows when replace_private_rows is also set.
-  const std::vector<size_t>* exclude_rows = nullptr;
   /// If set: replace the private table's rows entirely (synthetic "record
   /// added" neighbours; churned datasets). Provenance = position in this
-  /// vector. include/exclude compose on top.
+  /// vector. include_rows and sample_rows compose on top.
   const std::vector<Row>* replace_private_rows = nullptr;
   /// If set: the one provenance pass. Sorted, distinct private-row indices
   /// (the UPA sample S). The whole private table is scanned once (only S on
@@ -69,8 +65,7 @@ struct ExecOptions {
   /// from a sampled record adds its weight to that record's slot of
   /// ExecResult::sample_contributions, every other row to its partition of
   /// partition_outputs. Requires an additive aggregate and partitions > 0;
-  /// cannot be combined with include_rows, exclude_rows or
-  /// track_contributions.
+  /// cannot be combined with include_rows.
   const std::vector<size_t>* sample_rows = nullptr;
   /// If set: cache non-private scans and fully-public plan subtrees here
   /// (keyed by table/plan identity + parallelism). The caller owns the
@@ -78,33 +73,24 @@ struct ExecOptions {
   /// single release, so they reuse the public side — the effect behind the
   /// paper's Fig 4(b) — and drops it with the release. Null: no caching.
   engine::BlockCache* cache = nullptr;
-  /// If > 0: also produce per-partition outputs, where private record i
-  /// belongs to partition i % partitions. Result rows with no private
-  /// provenance count toward every partition (they are unaffected by any
-  /// private record).
+  /// One provenance pass only (required there): the enforcer partition
+  /// count; private record i belongs to partition i % partitions.
   size_t partitions = 0;
-  /// Record per-private-record additive influence.
-  bool track_contributions = false;
-  /// Engine parallelism for this run (0 = context default).
-  size_t engine_partitions = 0;
 };
 
 struct ExecResult {
   /// The scalar aggregate (Count or Sum at the plan root).
   double output = 0.0;
-  /// Per-partition outputs (empty unless options.partitions > 0).
+  /// One provenance pass only: per-partition outputs over the unsampled
+  /// rows.
   std::vector<double> partition_outputs;
-  /// Private row index → additive influence on `output` (only rows that
-  /// reached the aggregate appear; absent rows have influence 0).
-  std::unordered_map<size_t, double> contributions;
   /// One provenance pass only: the additive influence of each sampled
   /// record, aligned with options.sample_rows (0 for records that never
-  /// reached the aggregate). partition_outputs then cover the other rows,
-  /// and `output` is the exact total over all of them.
+  /// reached the aggregate). `output` is the exact total over all rows.
   std::vector<double> sample_contributions;
-  /// One provenance pass on the columnar engine only: the exact sum x_j of
-  /// every surviving row's weight in partition j, sampled or not. `output`
-  /// is their rounded total; the S′ memo keeps them.
+  /// One provenance pass only: the exact sum x_j of every surviving row's
+  /// weight in partition j, sampled or not. `output` is their rounded
+  /// total; the S′ memo keeps them.
   std::vector<ExactSum> partition_totals;
   /// Rows that reached the aggregate.
   size_t result_rows = 0;
@@ -120,7 +106,11 @@ class PlanExecutor {
   PlanExecutor(engine::ExecContext* ctx, const Catalog* catalog);
 
   /// Executes a plan whose root is an Aggregate. Fails with
-  /// INVALID_ARGUMENT / NOT_FOUND / UNSUPPORTED on malformed plans.
+  /// INVALID_ARGUMENT / NOT_FOUND / UNSUPPORTED on malformed plans or
+  /// options (include_rows or sample_rows unsorted, duplicated or out of
+  /// range; partitions without sample_rows), and with the token's status
+  /// when the caller's CancelToken trips before the pass finishes: no
+  /// engine reports a partial fold.
   ///
   /// A columnar one provenance pass over the catalog's private table goes
   /// through the S′ memo, keyed by the plan's structure, the uid of every
@@ -129,7 +119,8 @@ class PlanExecutor {
   /// sampled rows and derives partition_outputs[j] = Round(x_j ⊖ sampled
   /// rows of j) by exact subtraction, bit-identical to the full pass. The
   /// row oracle, replace_private_rows and samples of more than half the
-  /// private table never touch the memo.
+  /// private table never touch the memo, and only a pass that finished
+  /// fills it.
   Result<ExecResult> Execute(const PlanPtr& plan,
                              const ExecOptions& options = {}) const;
 

@@ -2,26 +2,16 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/cancel.h"
-#include "common/exact_sum.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "relational/kernels.h"
 
 namespace upa::rel {
 
 namespace {
-
-/// Rows per kernel batch — the same granularity as the interpreted path
-/// (results never depend on it; it only sizes the selection scratch and
-/// the morsel work units).
-constexpr size_t kBatch = 4096;
 
 // ---------------------------------------------------------------------------
 // Specialized conjunct kernels
@@ -97,7 +87,7 @@ inline const double* NumPayload<double>(const FastArgs& a) {
 
 /// `Indirect` distinguishes a bare scan (relation row == physical row; the
 /// loop reads the payload contiguously) from a re-indexed one (private
-/// include/exclude surgery; one gather through `ids`).
+/// include_rows; one gather through `ids`).
 template <typename T, CmpKind K, bool Indirect>
 size_t DenseNumKernel(const FastArgs& a, const uint32_t* ids, uint32_t begin,
                       uint32_t end, uint32_t* out) {
@@ -400,19 +390,6 @@ WeightPlan CompileWeight(const ExprPtr& expr, const Schema& schema,
 // Accumulation
 // ---------------------------------------------------------------------------
 
-/// Per-batch aggregation state, the interpreted BatchAgg plus the survivor
-/// count (batches are merged in batch order; order is irrelevant — exact
-/// sums commute, min/max are associative).
-struct BatchAcc {
-  size_t rows = 0;
-  ExactSum sum;
-  std::unordered_map<size_t, ExactSum> contrib;
-  std::vector<ExactSum> parts;
-  std::vector<SampleHit> hits;
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-};
-
 /// Everything the per-batch loop needs, fixed per query.
 struct FusedQuery {
   std::vector<FusedConjunct> chain;
@@ -420,12 +397,11 @@ struct FusedQuery {
   bool need_expr = false;   // false: Count — no weight evaluation at all
   bool need_sum = false;    // Sum/Avg read the exact total; Min/Max don't
   bool minmax = false;      // Avg/Min/Max: track running min/max
-  const uint32_t* ids = nullptr;   // relation position -> physical row
-  const uint32_t* prov = nullptr;  // non-null iff the scan is the private
-                                   // table: provenance == ids
+  const uint32_t* ids = nullptr;  // relation position -> physical row
   size_t parts = 0;
-  bool track_contrib = false;
-  const SamplePass* sample = nullptr;  // the one provenance pass
+  // The one provenance pass: the scan is the private table, so ids are
+  // the provenance.
+  const SamplePass* sample = nullptr;
   BatchInput in;  // fallback kernels' column bindings
 };
 
@@ -435,7 +411,7 @@ struct FusedQuery {
 template <bool Dense, typename GetW>
 void AccumulateInto(const FusedQuery& q, BatchAcc& acc, const uint32_t* sel,
                     uint32_t begin, size_t m, GetW getw) {
-  const uint32_t* prov = q.prov;
+  const uint32_t* prov = q.sample != nullptr ? q.ids : nullptr;
   for (size_t i = 0; i < m; ++i) {
     const uint32_t pos = Dense ? begin + static_cast<uint32_t>(i) : sel[i];
     const double w = getw(i, pos);
@@ -446,16 +422,11 @@ void AccumulateInto(const FusedQuery& q, BatchAcc& acc, const uint32_t* sel,
     }
     if (prov == nullptr) continue;
     const uint32_t r = prov[pos];
-    if (q.sample != nullptr) {
-      if (q.sample->Contains(r)) {
-        acc.hits.push_back({r, w});
-      } else {
-        acc.parts[r % q.parts].Add(w);
-      }
-      continue;
+    if (q.sample->Contains(r)) {
+      acc.hits.push_back({r, w});
+    } else {
+      acc.parts[r % q.parts].Add(w);
     }
-    if (q.track_contrib) acc.contrib[r].Add(w);
-    if (q.parts > 0) acc.parts[r % q.parts].Add(w);
   }
 }
 
@@ -509,10 +480,9 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
 
   const uint32_t* sel = dense ? nullptr : s.cur.data();
   if (!q.need_expr) {
-    // Count: the total is the row count (an exact sum of ones rounds to
-    // exactly the count, so adding the count once at merge time is
-    // bit-identical); only provenance needs the per-row loop.
-    if (q.prov != nullptr && (q.track_contrib || q.parts > 0)) {
+    // Count: the total is the row count (FinishAggregate); only the one
+    // pass needs the per-row loop.
+    if (q.sample != nullptr) {
       auto one = [](size_t, uint32_t) { return 1.0; };
       if (dense) {
         AccumulateInto<true>(q, acc, sel, begin, m, one);
@@ -574,16 +544,6 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
   }
 }
 
-/// MorselRun's twin (columnar.cpp keeps its copy file-local): shared-cursor
-/// scheduling plus the per-phase duration histogram and task fan-out.
-void FusedMorselRun(engine::ExecContext* ctx, const std::string& phase,
-                    size_t n, const std::function<void(size_t, size_t)>& fn) {
-  ThreadPool::MorselTimings timings;
-  const size_t morsels = ctx->pool().ParallelForMorsels(n, 0, fn, &timings);
-  ctx->metrics().RecordMorselRun(phase, timings.seconds);
-  ctx->metrics().AddPhaseTasks(phase, morsels);
-}
-
 }  // namespace
 
 std::optional<FusedShape> FusableShape(const PlanPtr& plan) {
@@ -607,41 +567,22 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
                                 const Catalog* catalog, const PlanPtr& plan,
                                 const FusedShape& shape,
                                 const ExecOptions& options) {
-  const size_t engine_partitions = options.engine_partitions > 0
-                                       ? options.engine_partitions
-                                       : ctx->config().default_partitions;
-  Result<ScanBinding> bindr = BindScanSource(ctx, catalog, shape.table,
-                                             options, engine_partitions);
+  Result<ScanBinding> bindr =
+      BindScanSource(ctx, catalog, shape.table, options);
   if (!bindr.ok()) return bindr.status();
   const ScanBinding bind = std::move(bindr).value();
   const ColumnarTable& table = *bind.table;
   const Schema& schema = table.schema();
 
   // Status checks in the interpreted engine's order: filter references
-  // (innermost first, while evaluating up the chain), then the aggregate's
-  // provenance-compatibility and expression checks.
+  // (innermost first, while evaluating up the chain), then the aggregate's.
   for (const ExprPtr& c : shape.conjuncts) {
     if (!ExprColumnsExist(c, schema)) {
       return Status::InvalidArgument("filter references unknown column in " +
                                      c->ToString());
     }
   }
-  const bool additive =
-      plan->agg == AggKind::kCount || plan->agg == AggKind::kSum;
-  if (!additive && (options.partitions > 0 || options.track_contributions)) {
-    return Status::Unsupported(
-        "provenance (partitions/contributions) requires an additive "
-        "aggregate (Count or Sum)");
-  }
-  const bool need_expr = plan->agg != AggKind::kCount;
-  if (need_expr && plan->agg_expr == nullptr) {
-    return Status::InvalidArgument("aggregate missing expression");
-  }
-  if (need_expr && !ExprColumnsExist(plan->agg_expr, schema)) {
-    return Status::InvalidArgument(
-        "aggregate expression references unknown column in " +
-        schema.ToString());
-  }
+  UPA_RETURN_IF_ERROR(CheckAggregate(plan, schema, options));
 
   std::vector<const Column*> cols(schema.NumColumns());
   for (size_t i = 0; i < cols.size(); ++i) cols[i] = &table.column(i);
@@ -658,15 +599,13 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
 
   FusedQuery q;
   q.ids = ids;
-  q.prov = bind.is_private ? ids : nullptr;
   q.parts = options.partitions;
-  q.track_contrib = options.track_contributions;
   q.sample = sample.has_value() ? &*sample : nullptr;
-  q.need_expr = need_expr;
+  q.need_expr = plan->agg != AggKind::kCount;
   // The one pass folds its total from the partition and slot sums.
   q.need_sum = !sample.has_value() &&
                (plan->agg == AggKind::kSum || plan->agg == AggKind::kAvg);
-  q.minmax = !additive;
+  q.minmax = plan->agg != AggKind::kCount && plan->agg != AggKind::kSum;
   q.in.resize(cols.size());
   for (size_t i = 0; i < cols.size(); ++i) q.in[i] = {cols[i], ids};
   q.chain.reserve(shape.conjuncts.size());
@@ -674,158 +613,39 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
     q.chain.push_back(bare ? CompileConjunct<false>(c, schema, cols)
                            : CompileConjunct<true>(c, schema, cols));
   }
-  if (need_expr) q.weight = CompileWeight(plan->agg_expr, schema, cols);
+  if (q.need_expr) q.weight = CompileWeight(plan->agg_expr, schema, cols);
 
-  // Batch layout: fragment-aligned for bare scans (so zone-map skipping
-  // drops whole batches), the uniform grid otherwise. Either way batches
-  // tile [0, n) in row order — the survivor multiset per batch is a pure
-  // function of the data, so fragment size never changes results.
-  struct Batch {
-    uint32_t begin = 0, end = 0;
-    int32_t fragment = -1;
-  };
-  std::vector<Batch> layout;
-  if (bare) {
-    const auto& frags = table.fragments();
-    for (size_t f = 0; f < frags.size(); ++f) {
-      for (size_t b = frags[f].begin_row; b < frags[f].end_row; b += kBatch) {
-        layout.push_back({static_cast<uint32_t>(b),
-                          static_cast<uint32_t>(
-                              std::min<size_t>(frags[f].end_row, b + kBatch)),
-                          static_cast<int32_t>(f)});
-      }
-    }
-  } else {
-    for (size_t b = 0; b < n; b += kBatch) {
-      layout.push_back({static_cast<uint32_t>(b),
-                        static_cast<uint32_t>(std::min(n, b + kBatch)), -1});
-    }
-  }
+  const std::vector<BatchRange> layout =
+      BatchLayout(bare ? &table : nullptr, n);
 
   // Zone-map skipping consults the *conjoined* predicate — one decision
   // for the whole chain, where the interpreted path only skips on its
   // innermost filter — so the fused path can skip strictly more fragments.
-  // FragmentCanMatch is conservative about aborts, so each skip is
-  // output- and abort-equivalent to scanning the fragment.
   std::vector<uint8_t> frag_match;
   if (bare && !shape.conjuncts.empty() && !layout.empty()) {
     ExprPtr combined = shape.conjuncts[0];
     for (size_t i = 1; i < shape.conjuncts.size(); ++i) {
       combined = And(combined, shape.conjuncts[i]);
     }
-    const CompiledExpr zpred = CompileExpr(combined, schema, cols);
-    frag_match.resize(table.fragments().size());
-    size_t skipped = 0;
-    for (size_t f = 0; f < frag_match.size(); ++f) {
-      frag_match[f] = FragmentCanMatch(zpred, table, f) ? 1 : 0;
-      if (!frag_match[f]) ++skipped;
-    }
-    if (skipped > 0) {
-      ctx->metrics().AddCounter("columnar/fragments_skipped", skipped);
-    }
-    ctx->metrics().AddCounter("columnar/fragments_scanned",
-                              frag_match.size() - skipped);
+    frag_match =
+        MatchFragments(ctx, CompileExpr(combined, schema, cols), table);
   }
 
   const size_t nb = layout.size();
   std::vector<BatchAcc> accs(nb);
-  if (q.parts > 0 && q.prov != nullptr) {
-    for (BatchAcc& a : accs) a.parts.resize(q.parts);
-  }
-  FusedMorselRun(ctx, "columnar/fused", nb, [&](size_t b0, size_t b1) {
+  for (BatchAcc& a : accs) a.parts.resize(q.sample != nullptr ? q.parts : 0);
+  MorselRun(ctx, "columnar/fused", nb, 0, [&](size_t b0, size_t b1) {
     Scratch s;
     for (size_t b = b0; b < b1; ++b) {
-      const Batch& br = layout[b];
-      if (br.fragment >= 0 && !frag_match.empty() &&
-          !frag_match[br.fragment]) {
-        continue;
-      }
+      const BatchRange& br = layout[b];
+      if (!frag_match.empty() && !frag_match[br.fragment]) continue;
       ProcessBatch(q, br.begin, br.end, accs[b], s);
     }
   });
   ctx->metrics().AddKernelBatches(nb);
   ctx->metrics().AddKernelRows(n);
-  // A cancel tripped mid-run sheds morsels; never report the partial fold.
-  UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
-
-  size_t survivors = 0;
-  for (const BatchAcc& a : accs) survivors += a.rows;
-  if (sample.has_value()) {
-    ctx->metrics().AddShuffleRound();
-    ctx->metrics().AddShuffleRecords(survivors);
-    std::vector<ExactSum> pid_sums(q.parts);
-    for (const BatchAcc& a : accs) {
-      sample->Fold(a.hits);
-      for (size_t p = 0; p < q.parts; ++p) pid_sums[p].Merge(a.parts[p]);
-    }
-    return sample->Finish(pid_sums, survivors);
-  }
-  ExactSum total;
-  if (!need_expr) {
-    total.Add(static_cast<double>(survivors));
-  } else {
-    for (const BatchAcc& a : accs) total.Merge(a.sum);
-  }
-
-  ExecResult result;
-  result.result_rows = survivors;
-
-  if (!additive) {
-    if (survivors == 0) {
-      return Status::FailedPrecondition(
-          "Avg/Min/Max aggregate over an empty relation");
-    }
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    for (const BatchAcc& a : accs) {
-      mn = a.mn < mn ? a.mn : mn;
-      mx = a.mx > mx ? a.mx : mx;
-    }
-    switch (plan->agg) {
-      case AggKind::kAvg:
-        result.output = total.Round() / static_cast<double>(survivors);
-        break;
-      case AggKind::kMin:
-        result.output = mn;
-        break;
-      default:  // kMax
-        result.output = mx;
-        break;
-    }
-    return result;
-  }
-
-  result.output = total.Round();
-  if (options.track_contributions) {
-    std::unordered_map<size_t, ExactSum> merged;
-    for (const BatchAcc& a : accs) {
-      for (const auto& [p, s] : a.contrib) merged[p].Merge(s);
-    }
-    result.contributions.reserve(merged.size());
-    for (const auto& [p, s] : merged) result.contributions[p] = s.Round();
-  }
-  if (q.parts > 0) {
-    // Same accounting as the interpreted path: the per-partition fold is a
-    // real shuffle round in the row engine.
-    ctx->metrics().AddShuffleRound();
-    ctx->metrics().AddShuffleRecords(q.prov != nullptr ? survivors : 0);
-    ExactSum base;
-    if (q.prov == nullptr) base = total;
-    std::vector<ExactSum> pid_sums(q.parts);
-    if (q.prov != nullptr) {
-      for (const BatchAcc& a : accs) {
-        if (a.parts.empty()) continue;
-        for (size_t p = 0; p < q.parts; ++p) pid_sums[p].Merge(a.parts[p]);
-      }
-    }
-    result.partition_outputs.resize(q.parts);
-    for (size_t p = 0; p < q.parts; ++p) {
-      ExactSum t = base;
-      t.Merge(pid_sums[p]);
-      result.partition_outputs[p] = t.Round();
-    }
-  }
-  return result;
+  return FinishAggregate(ctx, plan->agg, accs,
+                         sample.has_value() ? &*sample : nullptr);
 }
 
 }  // namespace upa::rel

@@ -30,7 +30,10 @@
 //     predicate (abort-safe by construction), so a skipped fragment is
 //     output-equivalent to scanning it;
 //   * every accumulation goes through ExactSum with the interpreted
-//     path's exact per-row expressions (min/max NaN handling included).
+//     path's exact per-row expressions (min/max NaN handling included),
+//     into the interpreted path's per-batch accumulator, and the two
+//     paths share one finish (FinishAggregate: cancel check, one pass,
+//     Avg/Min/Max, plain total).
 // The SQL fuzzer (tests/relational_sql_fuzz_test.cpp) and the fused
 // differential suite assert all of this across thread counts and fragment
 // sizes.
@@ -65,8 +68,11 @@ std::optional<FusedShape> FusableShape(const PlanPtr& plan);
 
 /// Executes a fusible plan in a single pass. Expects `shape` from
 /// FusableShape(plan) and an Aggregate root; returns the same statuses and
-/// bit-identical results (outputs, partition_outputs, contributions,
-/// sample_contributions, result_rows) as the interpreted columnar path.
+/// bit-identical results (outputs, and for the one provenance pass
+/// partition_outputs and sample_contributions, result_rows) as the
+/// interpreted columnar path. Only the per-batch loop is its own: the batch
+/// layout, zone-map skip decision, accumulator and finish are the
+/// interpreted path's (relational/columnar.h).
 Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
                                 const Catalog* catalog, const PlanPtr& plan,
                                 const FusedShape& shape,

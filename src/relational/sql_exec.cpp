@@ -61,9 +61,8 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
                                    const SqlExecOptions& options) {
   const ExecOptions& eo = options.exec;
   if (!eo.private_table.empty() || eo.include_rows != nullptr ||
-      eo.exclude_rows != nullptr || eo.sample_rows != nullptr ||
-      eo.replace_private_rows != nullptr || eo.partitions > 0 ||
-      eo.track_contributions) {
+      eo.sample_rows != nullptr || eo.replace_private_rows != nullptr ||
+      eo.partitions > 0) {
     return Status::Unsupported(
         "ExecuteSelect runs public queries only; provenance and partition "
         "options belong to the scalar release path (ParseSql + "

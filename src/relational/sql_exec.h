@@ -20,9 +20,9 @@
 // RESOURCE_EXHAUSTED rather than running away.
 //
 // ExecuteSelect runs *public* queries: provenance options (private_table,
-// include/exclude/replace rows, partitions, contributions) are rejected —
-// the DP release path consumes single bare aggregates through ParseSql and
-// the service layer instead.
+// include/replace rows, the one provenance pass's sample_rows and
+// partitions) are rejected — the DP release path consumes single bare
+// aggregates through ParseSql and the service layer instead.
 #pragma once
 
 #include <string>

@@ -123,13 +123,16 @@ TEST_F(PlanGroundTruthTest, ExactMatchesNaiveOnEveryTpchQuery) {
         /*n_additions=*/0, 1);
     ASSERT_TRUE(exact.ok()) << q.name;
 
-    // Naive: re-run the plan excluding each of the first 40 records.
+    // Naive: re-run the plan over every record but i, for the first 40.
     size_t probe = std::min<size_t>(40, n);
     for (size_t i = 0; i < probe; ++i) {
-      std::vector<size_t> excl{i};
+      std::vector<size_t> rest;
+      for (size_t j = 0; j < n; ++j) {
+        if (j != i) rest.push_back(j);
+      }
       rel::ExecOptions opts;
       opts.private_table = q.private_table;
-      opts.exclude_rows = &excl;
+      opts.include_rows = &rest;
       auto r = executor_.Execute(q.plan, opts);
       ASSERT_TRUE(r.ok()) << q.name;
       EXPECT_NEAR(r.value().output, exact.value().neighbour_outputs[i], 1e-6)

@@ -1,13 +1,15 @@
 // MakePlanQuery's release passes: the one provenance pass, plus the domain
-// pass on unhinted releases only, checked against the three-run path they
-// replace; hinted and unhinted releases through UpaRunner; the block
-// cache's scope of exactly one release; and repeated releases answered
-// from the executor's S′ memo. The suite names are in CI's 7-row-fragment
-// and TSan filters.
+// pass (a one pass too) on unhinted releases only, checked against plain
+// runs over each record set; hinted and unhinted releases through
+// UpaRunner; the block cache's scope of exactly one release; repeated
+// releases answered from the executor's S′ memo; and a cancelled pass that
+// must never fill it. The suite names are in CI's 7-row-fragment and TSan
+// filters.
 #include "queries/plan_query.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -15,7 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
+#include "relational/plan.h"
 #include "relational/sql_parser.h"
 #include "upa/runner.h"
 
@@ -57,54 +62,50 @@ std::vector<tpch::TpchQuery> Templates() {
   return out;
 }
 
-/// The path the one pass replaced: an exclude run for S', an include run
-/// with contribution tracking for the sample, and the domain run, all on
-/// the unoptimized plan without a cache.
-core::MappedBatches ThreeRunPhases(const rel::PlanExecutor& exec,
-                                   const tpch::TpchQuery& q,
-                                   std::span<const size_t> sample_indices,
-                                   size_t num_partitions, size_t num_domain,
-                                   uint64_t seed) {
-  const std::vector<size_t> sample(sample_indices.begin(),
-                                   sample_indices.end());
-  core::MappedBatches out;
-  rel::ExecOptions sprime;
-  sprime.private_table = q.private_table;
-  sprime.exclude_rows = &sample;
-  sprime.partitions = num_partitions;
-  Result<rel::ExecResult> s = exec.Execute(q.plan, sprime);
-  EXPECT_TRUE(s.ok()) << s.status().ToString();
-  for (double p : s.value().partition_outputs) {
-    out.sprime_partials.push_back(core::Vec{p});
-  }
-
-  rel::ExecOptions include;
-  include.private_table = q.private_table;
-  include.include_rows = &sample;
-  include.track_contributions = true;
-  Result<rel::ExecResult> in = exec.Execute(q.plan, include);
-  EXPECT_TRUE(in.ok()) << in.status().ToString();
-  for (size_t idx : sample) {
-    auto it = in.value().contributions.find(idx);
-    out.sample_mapped.push_back(
-        core::Vec{it == in.value().contributions.end() ? 0.0 : it->second});
-  }
-
+/// The reference the passes are anchored to: plain row-oracle runs of the
+/// unoptimized plan over exactly each record set — partition j's unsampled
+/// records for S'_j, {s_k} for sampled record k, and {i} of the synthetic
+/// rows for domain record i.
+core::MappedBatches ReferencePhases(const rel::PlanExecutor& exec,
+                                    const tpch::TpchQuery& q,
+                                    std::span<const size_t> sample_indices,
+                                    size_t num_partitions, size_t num_domain,
+                                    uint64_t seed) {
   Rng rng = Rng::ForStream(seed, "upa/domain/" + q.name);
   std::vector<rel::Row> synthetic;
   for (size_t i = 0; i < num_domain; ++i) {
     synthetic.push_back(Data().SampleRow(q.private_table, rng));
   }
-  rel::ExecOptions domain;
-  domain.private_table = q.private_table;
-  domain.replace_private_rows = &synthetic;
-  domain.track_contributions = true;
-  Result<rel::ExecResult> d = exec.Execute(q.plan, domain);
-  EXPECT_TRUE(d.ok()) << d.status().ToString();
+  engine::BlockCache cache(nullptr);
+  auto output_over = [&](const std::vector<size_t>& rows,
+                         const std::vector<rel::Row>* replace) {
+    rel::ExecOptions opts;
+    opts.engine = rel::ExecEngine::kRowOracle;
+    opts.private_table = q.private_table;
+    opts.replace_private_rows = replace;
+    opts.include_rows = &rows;
+    opts.cache = &cache;
+    Result<rel::ExecResult> r = exec.Execute(q.plan, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return core::Vec{r.ok() ? r.value().output : 0.0};
+  };
+
+  core::MappedBatches out;
+  const size_t n = Data().table(q.private_table).NumRows();
+  std::vector<std::vector<size_t>> unsampled(num_partitions);
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::binary_search(sample_indices.begin(), sample_indices.end(), i)) {
+      unsampled[i % num_partitions].push_back(i);
+    }
+  }
+  for (const std::vector<size_t>& rows : unsampled) {
+    out.sprime_partials.push_back(output_over(rows, nullptr));
+  }
+  for (size_t idx : sample_indices) {
+    out.sample_mapped.push_back(output_over({idx}, nullptr));
+  }
   for (size_t i = 0; i < num_domain; ++i) {
-    auto it = d.value().contributions.find(i);
-    out.domain_mapped.push_back(
-        core::Vec{it == d.value().contributions.end() ? 0.0 : it->second});
+    out.domain_mapped.push_back(output_over({i}, &synthetic));
   }
   return out;
 }
@@ -129,8 +130,8 @@ std::vector<tpch::TpchQuery> AllCases() {
 }
 
 // Every mapped value execute_phases hands the runner is bit-identical to
-// the three-run path, for the TPC-H plans and the benchmark templates, on
-// 1 and 4 threads, with and without domain records.
+// plain runs over each record set, for the TPC-H plans and the benchmark
+// templates, on 1 and 4 threads, with and without domain records.
 TEST(PlanQueryOnePassTest, PhasesMatchThreeRunPath) {
   const rel::Catalog catalog = Data().catalog();
   for (size_t threads : {size_t{1}, size_t{4}}) {
@@ -150,7 +151,7 @@ TEST(PlanQueryOnePassTest, PhasesMatchThreeRunPath) {
                                    std::to_string(seed) + " domain=" +
                                    std::to_string(num_domain);
           core::MappedBatches want =
-              ThreeRunPhases(*executor, q, sample, 2, num_domain, seed);
+              ReferencePhases(*executor, q, sample, 2, num_domain, seed);
           core::MappedBatches got =
               instance.execute_phases(sample, 2, num_domain, seed);
           ExpectSameBatches(want.sprime_partials, got.sprime_partials,
@@ -290,6 +291,59 @@ TEST(PlanQueryMemoTest, RepeatedReleasesHitWithSameBits) {
           << q.name;
     }
   }
+}
+
+// A one pass whose deadline expires mid-run fails and leaves the S′ memo
+// empty, so the next pass of the plan on the same executor carries the bits
+// of an executor that never saw it. The join scans lineitem last, and its
+// columnar form is rebuilt behind a delay: the deadline passes after the
+// interpreted path's last node-entry check, and only the check after its
+// last morsel run can see it.
+TEST(PlanQueryMemoTest, CancelledPassNeverFillsTheMemo) {
+  const rel::Catalog catalog = Data().catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 2});
+  const rel::PlanPtr join = rel::CountPlan(
+      rel::JoinPlan(rel::ScanPlan("orders"), rel::ScanPlan("lineitem"),
+                    "o_orderkey", "l_orderkey"));
+  (void)Data().orders().Columnar();
+  (void)Data().lineitem().Columnar();
+  Data().lineitem().ReleaseCaches();
+  Rng rng = Rng::ForStream(9, "plan_query_test/cancelled");
+  const std::vector<size_t> sample =
+      rng.SampleWithoutReplacement(Data().lineitem().NumRows(), 100);
+  rel::ExecOptions opts;
+  opts.private_table = "lineitem";
+  opts.sample_rows = &sample;
+  opts.partitions = 2;
+
+  const rel::PlanExecutor exec(&ctx, &catalog);
+  {
+    ASSERT_TRUE(
+        Failpoints::Instance().Activate("columnar/build", "delay(200)").ok());
+    CancelToken token;
+    token.SetDeadlineAfterMillis(50);
+    CancelScope scope(&token);
+    Result<rel::ExecResult> r = exec.Execute(join, opts);
+    Failpoints::Instance().Deactivate("columnar/build");
+    ASSERT_FALSE(r.ok()) << "output " << r.value().output;
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(exec.MemoEntries(), 0u);
+
+  // Every output bit: the total, the row count, S' and the sample's slots.
+  auto bits = [](const rel::ExecResult& r) {
+    std::vector<uint64_t> out = {Bits(r.output), r.result_rows};
+    for (double d : r.partition_outputs) out.push_back(Bits(d));
+    for (double d : r.sample_contributions) out.push_back(Bits(d));
+    return out;
+  };
+  Result<rel::ExecResult> got = exec.Execute(join, opts);
+  Result<rel::ExecResult> want =
+      rel::PlanExecutor(&ctx, &catalog).Execute(join, opts);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(bits(want.value()), bits(got.value()));
+  EXPECT_EQ(exec.MemoEntries(), 1u);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 // partition output and per-record contribution, under any thread-pool
 // size. This suite asserts exactly that over
 //   * all seven TPC-H plan queries × the UPA option shapes (plain, the one
-//     provenance pass, domain-style replace+contributions, and the
-//     S'-style exclude / sample-style include runs the one pass is
-//     anchored to),
+//     provenance pass with a sample, with every record sampled and over a
+//     replaced private table, and plain runs over record sets — the
+//     reference the one pass is anchored to),
 //   * ~50 seeded random SPJ plans (chained equi-joins over the TPC-H
 //     schema graph, random typed predicates, all five aggregate kinds),
 // each executed under a 1-thread and a 4-thread engine. PlanQueryMemoTest
@@ -70,16 +70,6 @@ void ExpectBitIdentical(const ExecResult& want, const ExecResult& got,
         << "partition " << p << ": " << want.partition_outputs[p] << " vs "
         << got.partition_outputs[p];
   }
-  EXPECT_EQ(want.contributions.size(), got.contributions.size());
-  for (const auto& [idx, value] : want.contributions) {
-    auto it = got.contributions.find(idx);
-    if (it == got.contributions.end()) {
-      ADD_FAILURE() << "contribution for record " << idx << " missing";
-      continue;
-    }
-    EXPECT_EQ(Bits(value), Bits(it->second))
-        << "contribution[" << idx << "]: " << value << " vs " << it->second;
-  }
   ASSERT_EQ(want.sample_contributions.size(), got.sample_contributions.size());
   for (size_t k = 0; k < want.sample_contributions.size(); ++k) {
     EXPECT_EQ(Bits(want.sample_contributions[k]),
@@ -99,6 +89,56 @@ ExecOptions OnePass(const std::string& private_table,
   opts.partitions = partitions;
   return opts;
 }
+
+/// [0, n): every record of an n-row private table.
+std::vector<size_t> AllRows(size_t n) {
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  return rows;
+}
+
+/// The rows of [0, n) not in `rows` (sorted): a run without `rows`.
+std::vector<size_t> Complement(const std::vector<size_t>& rows, size_t n) {
+  std::vector<size_t> out;
+  size_t cursor = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (cursor < rows.size() && rows[cursor] == i) {
+      ++cursor;
+    } else {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
+/// A random record-set run: the relation is a random subset of the private
+/// table or its complement. A partitioned run is the one pass sampling the
+/// rest, so its partition outputs cover exactly the relation; a tracked
+/// one samples every record of the relation; any other is a plain include.
+struct SubsetRun {
+  std::vector<size_t> relation, rest;
+  size_t parts = 0;
+  bool track = false;
+
+  /// Draws in a fixed order: the subset, include-or-exclude, tracking, the
+  /// partition count.
+  SubsetRun(size_t n, Rng& rng)
+      : relation(rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1))),
+        rest(Complement(relation, n)) {
+    if (rng.Bernoulli(0.5)) relation.swap(rest);  // exclude the subset
+    track = rng.Bernoulli(0.5);
+    parts = rng.UniformU64(4);
+  }
+
+  ExecOptions Options(const std::string& private_table) const {
+    if (parts > 0) return OnePass(private_table, &rest, parts);
+    if (track) return OnePass(private_table, &relation, 1);
+    ExecOptions opts;
+    opts.private_table = private_table;
+    opts.include_rows = &relation;
+    return opts;
+  }
+};
 
 struct MemoDelta {
   uint64_t hits = 0, misses = 0;
@@ -230,46 +270,40 @@ TEST(ColumnarDifferentialTest, TpchQueriesAllOptionShapes) {
                  OnePass(q.private_table, &sample, 3));
     }
 
-    // Full-dataset run with contribution tracking.
+    // Every record sampled: each one's contribution from one scan.
     {
-      ExecOptions opts;
-      opts.private_table = q.private_table;
-      opts.track_contributions = true;
-      runner.Run(q.name + "/contrib", q.plan, opts);
+      const std::vector<size_t> all = AllRows(n);
+      runner.Run(q.name + "/contrib", q.plan,
+                 OnePass(q.private_table, &all, 1));
     }
 
-    // S'-style: a sampled set excluded, per-partition outputs.
+    // S'-style: per-partition outputs without a sampled set.
     {
       std::vector<size_t> excluded =
           rng.SampleWithoutReplacement(n, std::min<size_t>(n, 25));
-      ExecOptions opts;
-      opts.private_table = q.private_table;
-      opts.exclude_rows = &excluded;
-      opts.partitions = 3;
-      runner.Run(q.name + "/sprime", q.plan, opts);
+      runner.Run(q.name + "/sprime", q.plan,
+                 OnePass(q.private_table, &excluded, 3));
     }
 
-    // Sample-style: restricted to the sampled set, contributions tracked.
+    // Sample-style: restricted to the sampled set.
     {
       std::vector<size_t> included =
           rng.SampleWithoutReplacement(n, std::min<size_t>(n, 40));
       ExecOptions opts;
       opts.private_table = q.private_table;
       opts.include_rows = &included;
-      opts.track_contributions = true;
       runner.Run(q.name + "/sample", q.plan, opts);
     }
 
-    // Domain-style: private rows replaced wholesale (churned dataset).
+    // Domain-style: private rows replaced wholesale (churned dataset), every
+    // one of them sampled, like the release's domain pass.
     {
       std::vector<size_t> dropped =
           rng.SampleWithoutReplacement(n, std::min<size_t>(n, 10));
       std::vector<Row> churned = ds.RowsWithout(q.private_table, dropped);
-      ExecOptions opts;
-      opts.private_table = q.private_table;
+      const std::vector<size_t> all = AllRows(churned.size());
+      ExecOptions opts = OnePass(q.private_table, &all, 2);
       opts.replace_private_rows = &churned;
-      opts.track_contributions = true;
-      opts.partitions = 2;
       runner.Run(q.name + "/domain", q.plan, opts);
     }
   }
@@ -304,20 +338,16 @@ TEST(ColumnarDifferentialTest, TinyFragmentsBitIdentical) {
     const size_t n = ds.table(q.private_table).NumRows();
     std::vector<size_t> excluded =
         rng.SampleWithoutReplacement(n, std::min<size_t>(n, 25));
+    const std::vector<size_t> all = AllRows(n);
+    const std::vector<size_t> kept = Complement(excluded, n);
 
     std::vector<std::pair<std::string, ExecOptions>> shapes;
     shapes.push_back({"plain", ExecOptions{}});
+    shapes.push_back({"contrib", OnePass(q.private_table, &all, 3)});
     {
       ExecOptions opts;
       opts.private_table = q.private_table;
-      opts.track_contributions = true;
-      opts.partitions = 3;
-      shapes.push_back({"contrib", opts});
-    }
-    {
-      ExecOptions opts;
-      opts.private_table = q.private_table;
-      opts.exclude_rows = &excluded;
+      opts.include_rows = &kept;
       shapes.push_back({"sprime", opts});
     }
     shapes.push_back({"one-pass", OnePass(q.private_table, &excluded, 3)});
@@ -559,25 +589,13 @@ TEST(ColumnarDifferentialTest, RandomPlans) {
     const std::string priv = rp.tables[rng.UniformU64(rp.tables.size())];
     const size_t n = ds.table(priv).NumRows();
     {
-      ExecOptions opts;
-      opts.private_table = priv;
-      opts.track_contributions = true;
-      opts.partitions = 1 + rng.UniformU64(4);
-      runner.Run(label + "/contrib", rp.plan, opts);
+      const std::vector<size_t> all = AllRows(n);
+      runner.Run(label + "/contrib", rp.plan,
+                 OnePass(priv, &all, 1 + rng.UniformU64(4)));
     }
     if (rp.additive) {
-      std::vector<size_t> subset =
-          rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
-      ExecOptions opts;
-      opts.private_table = priv;
-      if (rng.Bernoulli(0.5)) {
-        opts.exclude_rows = &subset;
-      } else {
-        opts.include_rows = &subset;
-      }
-      opts.track_contributions = rng.Bernoulli(0.5);
-      opts.partitions = rng.UniformU64(4);
-      runner.Run(label + "/subset", rp.plan, opts);
+      const SubsetRun subset(n, rng);
+      runner.Run(label + "/subset", rp.plan, subset.Options(priv));
     }
     // The one pass; non-additive roots must be rejected identically.
     {
@@ -622,16 +640,16 @@ TEST(ColumnarDifferentialTest, ErrorParity) {
              ExecOptions{});
   // Min with provenance → Unsupported.
   {
-    ExecOptions opts;
-    opts.private_table = "nation";
-    opts.track_contributions = true;
+    const std::vector<size_t> all =
+        AllRows(Dataset().table("nation").NumRows());
     runner.Run("min-with-provenance",
-               MinPlan(ScanPlan("nation"), Col("n_nationkey")), opts);
+               MinPlan(ScanPlan("nation"), Col("n_nationkey")),
+               OnePass("nation", &all, 1));
   }
 }
 
 // ---------------------------------------------------------------------------
-// The one provenance pass against the three-run reference it replaces.
+// The one provenance pass against plain runs over each record set.
 
 // The release benchmark's three query templates (fixed literals), all with
 // lineitem as the privacy unit.
@@ -657,10 +675,10 @@ std::vector<std::pair<std::string, PlanPtr>> ReleaseTemplates(
 }
 
 // On every engine and pool size, one pass over the whole private table must
-// reproduce, bit for bit, the three runs it replaces: the plain run's
-// output and row count, the exclude run's partition outputs, and the
-// include run's per-record contributions (0 for records that never reach
-// the aggregate).
+// reproduce, bit for bit, plain row-oracle runs over exactly each record
+// set: the whole table's output and row count, partition j's output over
+// its unsampled rows, and each sampled record's contribution as the output
+// over that record alone (0 for records that never reach the aggregate).
 TEST(ColumnarDifferentialTest, OnePassMatchesThreeRunReference) {
   const tpch::TpchDataset& ds = Dataset();
   const Catalog catalog = ds.catalog();
@@ -706,26 +724,31 @@ TEST(ColumnarDifferentialTest, OnePassMatchesThreeRunReference) {
       base.engine = ExecEngine::kRowOracle;
       base.private_table = c.private_table;
       base.replace_private_rows = c.replace;
-
-      ExecOptions excl = base;
-      excl.exclude_rows = &sample;
-      excl.partitions = parts;
-      ExecOptions incl = base;
-      incl.include_rows = &sample;
-      incl.track_contributions = true;
+      // The reference runs share their public side through one cache.
+      engine::BlockCache cache(&ctx1.metrics());
+      auto output_over = [&](const std::vector<size_t>& rows) {
+        ExecOptions opts = base;
+        opts.include_rows = &rows;
+        opts.cache = &cache;
+        Result<ExecResult> r = exec1.Execute(c.plan, opts);
+        EXPECT_TRUE(r.ok()) << c.label << ": " << r.status().ToString();
+        return r.ok() ? r.value().output : 0.0;
+      };
       Result<ExecResult> plain = exec1.Execute(c.plan, base);
-      Result<ExecResult> sprime = exec1.Execute(c.plan, excl);
-      Result<ExecResult> sampled = exec1.Execute(c.plan, incl);
-      ASSERT_TRUE(plain.ok() && sprime.ok() && sampled.ok()) << c.label;
+      ASSERT_TRUE(plain.ok()) << c.label;
 
       ExecResult want;
       want.output = plain.value().output;
       want.result_rows = plain.value().result_rows;
-      want.partition_outputs = sprime.value().partition_outputs;
+      std::vector<std::vector<size_t>> unsampled(parts);
+      for (size_t row : Complement(sample, n)) {
+        unsampled[row % parts].push_back(row);
+      }
+      for (const std::vector<size_t>& rows : unsampled) {
+        want.partition_outputs.push_back(output_over(rows));
+      }
       for (size_t row : sample) {
-        auto it = sampled.value().contributions.find(row);
-        want.sample_contributions.push_back(
-            it == sampled.value().contributions.end() ? 0.0 : it->second);
+        want.sample_contributions.push_back(output_over({row}));
       }
 
       ExecOptions pass = base;
@@ -776,10 +799,7 @@ TEST(ColumnarDifferentialTest, OnePassRejectsOptionCombinations) {
 
   ExecOptions with_include = OnePass("nation", &sample, 2);
   with_include.include_rows = &sample;
-  ExecOptions with_exclude = OnePass("nation", &sample, 2);
-  with_exclude.exclude_rows = &sample;
-  ExecOptions with_contrib = OnePass("nation", &sample, 2);
-  with_contrib.track_contributions = true;
+  ExecOptions no_sample = OnePass("nation", nullptr, 2);
 
   struct Bad {
     std::string label;
@@ -789,8 +809,7 @@ TEST(ColumnarDifferentialTest, OnePassRejectsOptionCombinations) {
   };
   std::vector<Bad> bad = {
       {"with include_rows", sum, with_include, StatusCode::kInvalidArgument},
-      {"with exclude_rows", sum, with_exclude, StatusCode::kInvalidArgument},
-      {"with track_contributions", sum, with_contrib,
+      {"partitions without sample_rows", sum, no_sample,
        StatusCode::kInvalidArgument},
       {"no partitions", sum, OnePass("nation", &sample, 0),
        StatusCode::kInvalidArgument},
@@ -823,8 +842,8 @@ TEST(ColumnarDifferentialTest, OnePassRejectsOptionCombinations) {
 
 // ---------------------------------------------------------------------------
 // Cost-based optimizer differential: Optimize(plan) must reproduce the
-// unoptimized plan bit-for-bit — outputs, partition outputs and
-// contributions — under both engines and both pool sizes, for the TPC-H
+// unoptimized plan bit-for-bit — outputs, partition outputs and sampled
+// records' contributions — under both engines and both pool sizes, for the TPC-H
 // plans (hand-built AND lifted-to-SQL-shape) and for seeded random SPJ
 // plans. Join reorder, build-side hints and conjunct reordering are all
 // exercised through the same oracle.
@@ -851,20 +870,16 @@ TEST(OptimizerDifferentialTest, TpchPlansAllOptionShapes) {
                    ExecOptions{});
 
     {
-      ExecOptions opts;
-      opts.private_table = q.private_table;
-      opts.track_contributions = true;
+      const std::vector<size_t> all = AllRows(n);
+      const ExecOptions opts = OnePass(q.private_table, &all, 1);
       runner.RunPair(q.name + "/contrib", q.plan, optimized, opts);
       runner.RunPair(q.name + "/contrib-lifted", q.plan, from_lifted, opts);
     }
     {
       std::vector<size_t> excluded =
           rng.SampleWithoutReplacement(n, std::min<size_t>(n, 25));
-      ExecOptions opts;
-      opts.private_table = q.private_table;
-      opts.exclude_rows = &excluded;
-      opts.partitions = 3;
-      runner.RunPair(q.name + "/sprime", q.plan, optimized, opts);
+      runner.RunPair(q.name + "/sprime", q.plan, optimized,
+                     OnePass(q.private_table, &excluded, 3));
     }
     {
       std::vector<size_t> included =
@@ -872,7 +887,6 @@ TEST(OptimizerDifferentialTest, TpchPlansAllOptionShapes) {
       ExecOptions opts;
       opts.private_table = q.private_table;
       opts.include_rows = &included;
-      opts.track_contributions = true;
       runner.RunPair(q.name + "/sample", q.plan, optimized, opts);
     }
     {
@@ -918,26 +932,14 @@ TEST(OptimizerDifferentialTest, RandomPlans) {
                    ExecOptions{});
 
     {
-      ExecOptions opts;
-      opts.private_table = priv;
-      opts.track_contributions = true;
-      opts.partitions = 1 + rng.UniformU64(4);
-      runner.RunPair(label + "/contrib", rp.plan, optimized, opts);
+      const std::vector<size_t> all = AllRows(ds.table(priv).NumRows());
+      runner.RunPair(label + "/contrib", rp.plan, optimized,
+                     OnePass(priv, &all, 1 + rng.UniformU64(4)));
     }
     if (rp.additive) {
-      const size_t n = ds.table(priv).NumRows();
-      std::vector<size_t> subset =
-          rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
-      ExecOptions opts;
-      opts.private_table = priv;
-      if (rng.Bernoulli(0.5)) {
-        opts.exclude_rows = &subset;
-      } else {
-        opts.include_rows = &subset;
-      }
-      opts.track_contributions = rng.Bernoulli(0.5);
-      opts.partitions = rng.UniformU64(4);
-      runner.RunPair(label + "/subset", rp.plan, optimized, opts);
+      const SubsetRun subset(ds.table(priv).NumRows(), rng);
+      runner.RunPair(label + "/subset", rp.plan, optimized,
+                     subset.Options(priv));
     }
     {
       const size_t n = ds.table(priv).NumRows();

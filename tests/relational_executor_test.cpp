@@ -1,6 +1,6 @@
-// PlanExecutor correctness: SPJ semantics, provenance contributions,
-// partition outputs, and option handling — all validated against
-// straightforward hand computations and naive re-execution.
+// PlanExecutor correctness: SPJ semantics, the one provenance pass's
+// contributions and partition outputs, and option handling — all validated
+// against straightforward hand computations and naive re-execution.
 #include "relational/executor.h"
 
 #include <gtest/gtest.h>
@@ -93,40 +93,44 @@ TEST_F(ExecutorTest, JoinThenFilterOnBothSides) {
 TEST_F(ExecutorTest, ContributionsMatchPerRecordInfluence) {
   auto plan = CountPlan(
       JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"));
+  const std::vector<size_t> all{0, 1, 2, 3};
   ExecOptions opts;
   opts.private_table = "users";
-  opts.track_contributions = true;
+  opts.sample_rows = &all;
+  opts.partitions = 1;
   auto r = executor_->Execute(plan, opts);
   ASSERT_TRUE(r.ok());
   // user row 0 (uid 1) contributes 2 joined rows, rows 1 and 2 one each,
   // row 3 (uid 4) zero.
-  EXPECT_DOUBLE_EQ(r.value().contributions.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(r.value().contributions.at(1), 1.0);
-  EXPECT_DOUBLE_EQ(r.value().contributions.at(2), 1.0);
-  EXPECT_EQ(r.value().contributions.count(3), 0u);
+  EXPECT_EQ(r.value().sample_contributions,
+            (std::vector<double>{2.0, 1.0, 1.0, 0.0}));
 }
 
 TEST_F(ExecutorTest, ContributionsEqualNaiveRemoval) {
   auto plan = SumPlan(
       JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"),
       Col("weight"));
+  const std::vector<size_t> all{0, 1, 2, 3, 4};
   ExecOptions opts;
   opts.private_table = "clicks";
-  opts.track_contributions = true;
+  opts.sample_rows = &all;
+  opts.partitions = 1;
   auto full = executor_->Execute(plan, opts);
   ASSERT_TRUE(full.ok());
 
   for (size_t excluded = 0; excluded < clicks_->NumRows(); ++excluded) {
-    std::vector<size_t> excl{excluded};
+    std::vector<size_t> rest;
+    for (size_t i : all) {
+      if (i != excluded) rest.push_back(i);
+    }
     ExecOptions opts2;
     opts2.private_table = "clicks";
-    opts2.exclude_rows = &excl;
+    opts2.include_rows = &rest;
     auto without = executor_->Execute(plan, opts2);
     ASSERT_TRUE(without.ok());
-    auto it = full.value().contributions.find(excluded);
-    double influence = it == full.value().contributions.end() ? 0.0
-                                                              : it->second;
-    EXPECT_NEAR(without.value().output, full.value().output - influence,
+    EXPECT_NEAR(without.value().output,
+                full.value().output -
+                    full.value().sample_contributions[excluded],
                 1e-9)
         << "excluded row " << excluded;
   }
@@ -149,15 +153,17 @@ TEST_F(ExecutorTest, ReplacePrivateRowsSubstitutesContent) {
       {Value{int64_t{900}}, Value{int64_t{1}}, Value{100.0}},
       {Value{int64_t{901}}, Value{int64_t{2}}, Value{200.0}},
   };
+  const std::vector<size_t> both{0, 1};
   ExecOptions opts;
   opts.private_table = "clicks";
   opts.replace_private_rows = &synthetic;
-  opts.track_contributions = true;
+  opts.sample_rows = &both;
+  opts.partitions = 1;
   auto r = executor_->Execute(plan, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value().output, 300.0);
-  EXPECT_DOUBLE_EQ(r.value().contributions.at(0), 100.0);
-  EXPECT_DOUBLE_EQ(r.value().contributions.at(1), 200.0);
+  EXPECT_EQ(r.value().sample_contributions,
+            (std::vector<double>{100.0, 200.0}));
 }
 
 TEST_F(ExecutorTest, ReplacePlusIncludeComposes) {
@@ -180,8 +186,10 @@ TEST_F(ExecutorTest, ReplacePlusIncludeComposes) {
 TEST_F(ExecutorTest, PartitionOutputsSumToTotal) {
   auto plan = CountPlan(
       JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"));
+  const std::vector<size_t> none;
   ExecOptions opts;
   opts.private_table = "users";
+  opts.sample_rows = &none;
   opts.partitions = 2;
   auto r = executor_->Execute(plan, opts);
   ASSERT_TRUE(r.ok());
@@ -233,15 +241,38 @@ TEST_F(ExecutorTest, RejectsPrivateSelfJoin) {
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
 }
 
-TEST_F(ExecutorTest, RejectsIncludeAndExcludeTogether) {
-  auto plan = CountPlan(ScanPlan("users"));
-  std::vector<size_t> v{0};
-  ExecOptions opts;
-  opts.private_table = "users";
-  opts.include_rows = &v;
-  opts.exclude_rows = &v;
-  auto r = executor_->Execute(plan, opts);
-  EXPECT_FALSE(r.ok());
+// A malformed include_rows is the caller's error, never an engine abort.
+TEST_F(ExecutorTest, RejectsMalformedIncludeRows) {
+  auto plan = CountPlan(
+      JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"));
+  const std::vector<std::vector<size_t>> bad = {
+      {0, 4},     // users has 4 rows
+      {2, 1},     // unsorted
+      {1, 1, 2},  // duplicated
+  };
+  for (ExecEngine engine : {ExecEngine::kRowOracle, ExecEngine::kColumnar}) {
+    for (const std::vector<size_t>& rows : bad) {
+      ExecOptions opts;
+      opts.engine = engine;
+      opts.private_table = "users";
+      opts.include_rows = &rows;
+      auto r = executor_->Execute(plan, opts);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+    // Against a replaced private table, the range is the replacement's.
+    const std::vector<Row> one{{Value{int64_t{1}}, Value{int64_t{20}}}};
+    const std::vector<size_t> second{1};
+    ExecOptions opts;
+    opts.engine = engine;
+    opts.private_table = "users";
+    opts.replace_private_rows = &one;
+    opts.include_rows = &second;
+    auto r = executor_->Execute(plan, opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ExecutorTest, ScanCacheHitsOnRepeatedRuns) {
@@ -308,10 +339,11 @@ TEST_F(ExecutorTest, BothEnginesAgreeOnFixture) {
   auto plan = SumPlan(
       JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"),
       Mul(Col("weight"), Col("age")));
+  const std::vector<size_t> sample{1, 2};
   ExecOptions opts;
   opts.private_table = "users";
+  opts.sample_rows = &sample;
   opts.partitions = 2;
-  opts.track_contributions = true;
   auto row = opts, col = opts;
   row.engine = ExecEngine::kRowOracle;
   col.engine = ExecEngine::kColumnar;
@@ -321,15 +353,17 @@ TEST_F(ExecutorTest, BothEnginesAgreeOnFixture) {
   EXPECT_EQ(a.value().output, b.value().output);
   EXPECT_EQ(a.value().result_rows, b.value().result_rows);
   EXPECT_EQ(a.value().partition_outputs, b.value().partition_outputs);
-  EXPECT_EQ(a.value().contributions, b.value().contributions);
+  EXPECT_EQ(a.value().sample_contributions, b.value().sample_contributions);
 }
 
 TEST_F(ExecutorTest, DeterministicOutputsAcrossRuns) {
   auto plan = SumPlan(
       JoinPlan(ScanPlan("users"), ScanPlan("clicks"), "uid", "uid_ref"),
       Col("weight"));
+  const std::vector<size_t> none;
   ExecOptions opts;
   opts.private_table = "users";
+  opts.sample_rows = &none;
   opts.partitions = 2;
   auto a = executor_->Execute(plan, opts);
   auto b = executor_->Execute(plan, opts);

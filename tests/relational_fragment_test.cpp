@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -261,11 +262,11 @@ void ExpectSameResult(const ExecResult& want, const ExecResult& got) {
     EXPECT_EQ(Bits(want.partition_outputs[p]), Bits(got.partition_outputs[p]))
         << "partition " << p;
   }
-  ASSERT_EQ(want.contributions.size(), got.contributions.size());
-  for (const auto& [idx, value] : want.contributions) {
-    auto it = got.contributions.find(idx);
-    ASSERT_NE(it, got.contributions.end()) << "contribution " << idx;
-    EXPECT_EQ(Bits(value), Bits(it->second)) << "contribution " << idx;
+  ASSERT_EQ(want.sample_contributions.size(), got.sample_contributions.size());
+  for (size_t k = 0; k < want.sample_contributions.size(); ++k) {
+    EXPECT_EQ(Bits(want.sample_contributions[k]),
+              Bits(got.sample_contributions[k]))
+        << "sample slot " << k;
   }
 }
 
@@ -275,20 +276,23 @@ TEST(ColumnarDifferentialFragmentTest, ZipfSkewBitIdenticalAcrossLayouts) {
   Rng rng = Rng::ForStream(13, "fragment/zipf");
   std::vector<size_t> excluded =
       rng.SampleWithoutReplacement(data.fact_rows.size(), 60);
+  std::vector<size_t> all(data.fact_rows.size());
+  std::iota(all.begin(), all.end(), size_t{0});
 
-  // Option shapes per case: plain, contributions+partitions, exclusions.
+  // Option shapes per case: plain, and the one pass with every record
+  // sampled and with the excluded set sampled.
   auto shapes = [&](const ZipfCase& c) {
     std::vector<std::pair<std::string, ExecOptions>> out;
     out.push_back({"plain", ExecOptions{}});
     if (c.private_shapes) {
       ExecOptions contrib;
       contrib.private_table = "fact";
-      contrib.track_contributions = true;
+      contrib.sample_rows = &all;
       contrib.partitions = 3;
       out.push_back({"contrib", contrib});
       ExecOptions sprime;
       sprime.private_table = "fact";
-      sprime.exclude_rows = &excluded;
+      sprime.sample_rows = &excluded;
       sprime.partitions = 2;
       out.push_back({"sprime", sprime});
     }

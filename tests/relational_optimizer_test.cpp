@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "relational/card_est.h"
 #include "relational/cost_model.h"
@@ -122,18 +124,22 @@ TEST_F(OptimizerTest, OptimizedPlanPreservesContributions) {
   ASSERT_TRUE(plan.ok());
   PlanPtr optimized = PushDownFilters(plan.value(), catalog_);
 
+  // Every order sampled: the one pass reports each one's contribution.
+  std::vector<size_t> all(data_.orders().NumRows());
+  std::iota(all.begin(), all.end(), size_t{0});
   ExecOptions opts;
   opts.private_table = "orders";
-  opts.track_contributions = true;
+  opts.sample_rows = &all;
+  opts.partitions = 1;
   auto base = executor_.Execute(plan.value(), opts);
   auto opt = executor_.Execute(optimized, opts);
   ASSERT_TRUE(base.ok() && opt.ok());
-  EXPECT_EQ(base.value().contributions.size(),
-            opt.value().contributions.size());
-  for (const auto& [idx, infl] : base.value().contributions) {
-    auto it = opt.value().contributions.find(idx);
-    ASSERT_NE(it, opt.value().contributions.end()) << idx;
-    EXPECT_NEAR(it->second, infl, 1e-9);
+  ASSERT_EQ(base.value().sample_contributions.size(), all.size());
+  ASSERT_EQ(opt.value().sample_contributions.size(), all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_NEAR(opt.value().sample_contributions[i],
+                base.value().sample_contributions[i], 1e-9)
+        << i;
   }
 }
 

@@ -4,9 +4,13 @@
 // reference must agree on every aggregate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "relational/executor.h"
@@ -204,8 +208,11 @@ TEST_P(ExecutorFuzzSweep, ExecutorMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorFuzzSweep,
                          ::testing::Range<uint64_t>(0, 40));
 
-// Contribution fuzz: for additive aggregates, the executor's per-record
-// contributions must equal reference re-execution deltas.
+// Contribution fuzz: for additive aggregates, the one provenance pass must
+// match the reference interpreter on both engines — each record's
+// contribution (every record sampled) against the re-execution delta
+// without it, and each partition output (a random sample and partition
+// count) against the aggregate over that partition's unsampled records.
 class ContributionFuzzSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ContributionFuzzSweep, ContributionsMatchReferenceDeltas) {
@@ -219,30 +226,64 @@ TEST_P(ContributionFuzzSweep, ContributionsMatchReferenceDeltas) {
                          ScanPlan("t2"), "t1_k", "t2_k");
   fc.plan = rng.Bernoulli(0.5) ? CountPlan(rel)
                                : SumPlan(rel, Col("t2_x"));
+  const size_t n = fc.t1->NumRows();
+  const std::vector<size_t> sample =
+      rng.SampleWithoutReplacement(n, rng.UniformU64(n + 1));
+  const size_t parts = 1 + rng.UniformU64(4);
+
+  // Reference: rebuild t1 from the rows `keep` accepts.
+  auto ref_over = [&](const std::function<bool(size_t)>& keep) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+      if (keep(i)) rows.push_back(fc.t1->rows()[i]);
+    }
+    Table t1("t1", fc.t1->schema(), std::move(rows));
+    Catalog cat{{"t1", &t1}, {"t2", fc.t2.get()}};
+    return RefAggregate(fc.plan, cat);
+  };
+  const double full_ref = RefAggregate(fc.plan, fc.catalog);
+  std::vector<double> ref_without(n), ref_partition(parts);
+  for (size_t i = 0; i < n; ++i) {
+    ref_without[i] = ref_over([i](size_t j) { return j != i; });
+  }
+  for (size_t p = 0; p < parts; ++p) {
+    ref_partition[p] = ref_over([&](size_t i) {
+      return i % parts == p &&
+             !std::binary_search(sample.begin(), sample.end(), i);
+    });
+  }
 
   engine::ExecContext ctx(
       engine::ExecConfig{.threads = 2, .default_partitions = 2});
   PlanExecutor executor(&ctx, &fc.catalog);
-  ExecOptions opts;
-  opts.private_table = "t1";
-  opts.track_contributions = true;
-  auto full = executor.Execute(fc.plan, opts);
-  ASSERT_TRUE(full.ok());
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), size_t{0});
+  for (ExecEngine engine : {ExecEngine::kRowOracle, ExecEngine::kColumnar}) {
+    SCOPED_TRACE(engine == ExecEngine::kRowOracle ? "row" : "columnar");
+    ExecOptions opts;
+    opts.engine = engine;
+    opts.private_table = "t1";
+    opts.sample_rows = &all;
+    opts.partitions = 1;
+    auto full = executor.Execute(fc.plan, opts);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_EQ(full.value().sample_contributions.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(full_ref - full.value().sample_contributions[i],
+                  ref_without[i], 1e-9)
+          << "row " << i << " of " << PlanToString(fc.plan);
+    }
 
-  double full_ref = RefAggregate(fc.plan, fc.catalog);
-  for (size_t i = 0; i < fc.t1->NumRows(); ++i) {
-    // Reference: rebuild t1 without row i.
-    std::vector<Row> rows = fc.t1->rows();
-    rows.erase(rows.begin() + static_cast<long>(i));
-    Table without("t1", fc.t1->schema(), std::move(rows));
-    Catalog cat{{"t1", &without}, {"t2", fc.t2.get()}};
-    double ref_without = RefAggregate(fc.plan, cat);
-
-    auto it = full.value().contributions.find(i);
-    double influence = it == full.value().contributions.end() ? 0.0
-                                                              : it->second;
-    EXPECT_NEAR(full_ref - influence, ref_without, 1e-9)
-        << "row " << i << " of " << PlanToString(fc.plan);
+    opts.sample_rows = &sample;
+    opts.partitions = parts;
+    auto pass = executor.Execute(fc.plan, opts);
+    ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+    ASSERT_EQ(pass.value().partition_outputs.size(), parts);
+    for (size_t p = 0; p < parts; ++p) {
+      EXPECT_NEAR(pass.value().partition_outputs[p], ref_partition[p], 1e-9)
+          << "partition " << p << " of " << parts << ", "
+          << sample.size() << " sampled, " << PlanToString(fc.plan);
+    }
   }
 }
 

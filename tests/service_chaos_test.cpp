@@ -22,7 +22,11 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "queries/plan_query.h"
+#include "relational/executor.h"
 #include "service/service.h"
+#include "tpch/generator.h"
+#include "tpch/queries.h"
 #include "upa/simple_query.h"
 
 namespace upa::service {
@@ -133,6 +137,35 @@ TEST_F(ChaosTest, DeadlineExceededMidRunRefundsCharge) {
   // joined the registry.
   EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.0);
   EXPECT_EQ(service.DebugState("ds").registry.size(), 0u);
+  EXPECT_TRUE(service.accountant().VerifyConservation().ok());
+}
+
+// A SQL-plan release whose deadline expires inside the map phase: the
+// engine pass fails with the token's status, the release ends with
+// DEADLINE_EXCEEDED and a refund, and the service — the whole process —
+// stays up to serve the next request.
+TEST_F(ChaosTest, PlanQueryDeadlineInMapPhaseRefundsCharge) {
+  const tpch::TpchDataset data(tpch::TpchConfig{.num_orders = 300});
+  const rel::Catalog catalog = data.catalog();
+  auto executor = std::make_shared<const rel::PlanExecutor>(&Ctx(), &catalog);
+  const core::QueryInstance q1 =
+      queries::MakePlanQuery(&Ctx(), executor, &data, tpch::MakeQ1());
+  UpaService service(&Ctx(), FastConfig());
+
+  ASSERT_TRUE(
+      Failpoints::Instance().Activate("upa/phase_map", "delay(50)").ok());
+  QueryRequest request = MakeRequest("a", "ds", q1);
+  request.deadline_ms = 10;
+  auto result = service.Execute(request);
+  Failpoints::Instance().DeactivateAll();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.0);
+  EXPECT_EQ(service.DebugState("ds").registry.size(), 0u);
+
+  auto next = service.Execute(MakeRequest("a", "ds", q1, 2));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.05);
   EXPECT_TRUE(service.accountant().VerifyConservation().ok());
 }
 
