@@ -225,12 +225,8 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
 
   auto reject = [&](const Status& status, std::atomic<uint64_t>& counter) {
     counter.fetch_add(1, std::memory_order_relaxed);
-    net::WireResult result;
-    result.client_tag = query.client_tag;
-    result.code = status.code();
-    result.message = status.message();
-    result.retry_after_ms = status.retry_after_ms();
-    QueueClientWrite(conn, net::EncodeResultFrame(result));
+    QueueClientWrite(conn, net::EncodeResultFrame(
+                               net::WireResult::From(query.client_tag, status)));
   };
 
   if (link.state != ShardLink::State::kHealthy) {
@@ -476,14 +472,11 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
     ClientConn& conn = *conn_it->second;
     failed_over_inflight_.fetch_add(1, std::memory_order_relaxed);
     if (conn.inflight > 0) --conn.inflight;
-    net::WireResult result;
-    result.client_tag = route.client_tag;
-    result.code = StatusCode::kUnavailable;
-    result.message =
-        "shard " + std::to_string(link.index) + " lost: " + reason.message();
-    result.retry_after_ms =
-        std::max<int64_t>(1, static_cast<int64_t>(link.backoff_ms));
-    RespondToClient(conn, result);
+    Status lost = Status::Unavailable("shard " + std::to_string(link.index) +
+                                      " lost: " + reason.message());
+    lost.set_retry_after_ms(
+        std::max<int64_t>(1, static_cast<int64_t>(link.backoff_ms)));
+    RespondToClient(conn, net::WireResult::From(route.client_tag, lost));
   }
   link.inflight.clear();
   link.probe_outstanding = false;
@@ -519,13 +512,11 @@ void Router::ResendRoute(Route route) {
       link.conn->unsent_bytes() > net::kWriteBufferHighBytes) {
     rejected_backpressure_.fetch_add(1, std::memory_order_relaxed);
     if (conn.inflight > 0) --conn.inflight;
-    net::WireResult result;
-    result.client_tag = route.client_tag;
-    result.code = StatusCode::kResourceExhausted;
-    result.message = "shard " + std::to_string(shard) +
-                     " is at in-flight capacity after failover; retry";
-    result.retry_after_ms = 10;
-    RespondToClient(conn, result);
+    Status full = Status::ResourceExhausted(
+        "shard " + std::to_string(shard) +
+        " is at in-flight capacity after failover; retry");
+    full.set_retry_after_ms(10);
+    RespondToClient(conn, net::WireResult::From(route.client_tag, full));
     return;
   }
   const uint64_t router_tag = next_router_tag_++;
@@ -547,14 +538,12 @@ void Router::ExpireParked(Route& route, const ShardLink& link) {
   if (conn_it == connections_.end()) return;
   ClientConn& conn = *conn_it->second;
   if (conn.inflight > 0) --conn.inflight;
-  net::WireResult result;
-  result.client_tag = route.client_tag;
-  result.code = StatusCode::kUnavailable;
-  result.message = "shard " + std::to_string(link.index) +
-                   " did not recover within the retry window";
-  result.retry_after_ms =
-      std::max<int64_t>(1, static_cast<int64_t>(link.backoff_ms));
-  RespondToClient(conn, result);
+  Status expired = Status::Unavailable(
+      "shard " + std::to_string(link.index) +
+      " did not recover within the retry window");
+  expired.set_retry_after_ms(
+      std::max<int64_t>(1, static_cast<int64_t>(link.backoff_ms)));
+  RespondToClient(conn, net::WireResult::From(route.client_tag, expired));
 }
 
 double Router::JitteredBackoff(double ms) {

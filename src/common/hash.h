@@ -1,4 +1,4 @@
-// Hashing helpers: combination and 64-bit mixing for shuffle partitioning.
+// Hashing helpers: combination, 64-bit mixing (shuffle partitioning), FNV-1a.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +24,12 @@ inline uint64_t Mix64(uint64_t k) {
   return k;
 }
 
-/// FNV-1a over bytes.
-inline uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+/// FNV-1a 64 over bytes — the one copy: frame and journal checksums, file
+/// stems, RNG stream seeds. Pass a previous result as `state` to continue
+/// the hash over a second buffer (Fnv1a(b, Fnv1a(a)) == Fnv1a(a ++ b)).
+inline uint64_t Fnv1a(std::string_view bytes,
+                      uint64_t state = 0xcbf29ce484222325ULL) {
+  uint64_t h = state;
   for (char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;

@@ -5,23 +5,12 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/hash.h"
+
 namespace upa {
-namespace {
-
-uint64_t HashName(std::string_view name) {
-  // FNV-1a 64-bit over the stream name.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 Rng Rng::ForStream(uint64_t seed, std::string_view name) {
-  SplitMix64 mixer(seed ^ HashName(name));
+  SplitMix64 mixer(seed ^ Fnv1a(name));
   uint64_t s = mixer.Next();
   uint64_t stream = mixer.Next();
   return Rng(s, stream);

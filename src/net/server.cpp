@@ -249,12 +249,7 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
   uint64_t client_tag = query.client_tag;
 
   auto reject = [&](const Status& status) {
-    WireResult result;
-    result.client_tag = client_tag;
-    result.code = status.code();
-    result.message = status.message();
-    result.retry_after_ms = status.retry_after_ms();
-    QueueWrite(conn, EncodeResultFrame(result));
+    QueueWrite(conn, EncodeResultFrame(WireResult::From(client_tag, status)));
   };
 
   if (conn.inflight.size() >= config_.max_pipelined_per_connection) {
@@ -279,8 +274,9 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
   request.query = std::move(compiled).value();
   request.epsilon = query.epsilon;
   request.seed = query.seed;
-  request.fingerprint =
-      query.fingerprint != 0 ? query.fingerprint : Fnv1a(query.sql);
+  // The server picks the sensitivity-cache key; a client-chosen key could
+  // pin another query shape's range and sensitivity to this query.
+  request.fingerprint = Fnv1a(query.sql);
   request.deadline_ms = query.deadline_ms;
   request.cancel = token;
   request.client_nonce = query.client_nonce;
@@ -295,17 +291,8 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
       std::move(request),
       [this, mailbox, conn_id, seq,
        client_tag](Result<service::QueryResponse> outcome) {
-        WireResult result;
-        result.client_tag = client_tag;
-        if (outcome.ok()) {
-          result.code = StatusCode::kOk;
-          result.response = std::move(outcome).value();
-        } else {
-          result.code = outcome.status().code();
-          result.message = outcome.status().message();
-          result.retry_after_ms = outcome.status().retry_after_ms();
-        }
-        std::string bytes = EncodeResultFrame(result);
+        std::string bytes = EncodeResultFrame(
+            WireResult::From(client_tag, std::move(outcome)));
         std::lock_guard<std::mutex> lock(mailbox->mu);
         if (mailbox->loop == nullptr) {
           // Server torn down; the connection is gone anyway. Only the

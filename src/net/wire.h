@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       4     magic      0x55504157 ("UPAW", little-endian u32)
-//   4       1     version    kWireVersion (1)
+//   4       1     version    kWireVersion (2)
 //   5       1     type       FrameType
 //   6       2     reserved   must be 0
 //   8       4     payload_len  (little-endian; capped by the receiver)
@@ -17,22 +17,27 @@
 // field validation or fails the checksum. This is the property the wire
 // torture suite exercises exhaustively (tests/net_wire_test.cpp).
 //
-// Payload scalars are little-endian; doubles travel as their raw IEEE-754
-// bits (the same convention as the service journal — releases must be
-// bit-identical across the wire). Strings are u32 length + bytes.
+// Payloads are written and read with the shared byte codec
+// (common/bytes.h): little-endian scalars, doubles as raw IEEE-754 bits,
+// strings as u32 length + bytes.
 //
 // Request/response payloads:
 //   kQueryRequest   client_tag, tenant, dataset_id, epsilon, seed,
-//                   fingerprint, deadline_ms, sql, client_nonce,
-//                   client_seq (idempotency key; 0 = unkeyed)
-//   kQueryResponse  client_tag, status code + message, released value and
-//                   the full decision metadata of service::QueryResponse,
-//                   retry_after_ms backoff hint
+//                   deadline_ms, sql, client_nonce, client_seq
+//                   (idempotency key; 0 = unkeyed)
+//   kQueryResponse  client_tag, status code + message, the QueryResponse
+//                   in its one byte layout (service::EncodeResponse, the
+//                   same bytes a kRelease journal record keeps for
+//                   replays), retry_after_ms backoff hint
 //   kStatsRequest   (empty)
-//   kStatsResponse  client_tag(0), text
-//   kError          status code + message; the server closes the
-//                   connection after sending one (framing can no longer be
-//                   trusted once a frame was rejected).
+//   kStatsResponse  text
+//   kError          status code + message, retry_after_ms; the server
+//                   closes the connection after sending one (framing can
+//                   no longer be trusted once a frame was rejected).
+//
+// Version 2 dropped kQueryRequest's client-chosen cache fingerprint and
+// gave kQueryResponse the shared response layout; a version-1 peer gets
+// "unsupported wire version", never a misparse.
 //
 // `client_tag` is chosen by the client and echoed verbatim: responses may
 // complete out of submission order (two datasets pipelined on one
@@ -54,7 +59,7 @@
 namespace upa::net {
 
 inline constexpr uint32_t kWireMagic = 0x55504157u;  // "UPAW"
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 20;
 /// Default receiver-side cap on payload_len. A frame claiming more is
 /// rejected before any buffering commitment is made.
@@ -81,7 +86,6 @@ struct WireQuery {
   std::string dataset_id;
   double epsilon = 0.1;
   uint64_t seed = 0;
-  uint64_t fingerprint = 0;
   int64_t deadline_ms = 0;
   std::string sql;
   /// Idempotency key. (client_nonce, client_seq) with nonce != 0 names
@@ -103,6 +107,11 @@ struct WireResult {
   /// Backoff hint on kResourceExhausted / kUnavailable (0 = none).
   int64_t retry_after_ms = 0;
 
+  /// The wire form of a service outcome: its response when ok, else its
+  /// code, message and retry hint. status() is the inverse.
+  static WireResult From(uint64_t client_tag,
+                         Result<service::QueryResponse> outcome);
+
   bool ok() const { return code == StatusCode::kOk; }
   Status status() const {
     if (ok()) return Status::Ok();
@@ -110,50 +119,6 @@ struct WireResult {
     st.set_retry_after_ms(retry_after_ms);
     return st;
   }
-};
-
-/// FNV-1a 64 over arbitrary bytes (seed continuation form, so the header
-/// prefix and payload can be folded in one pass).
-uint64_t WireChecksum(std::string_view bytes,
-                      uint64_t seed = 0xcbf29ce484222325ULL);
-
-/// Bounds-checked little-endian payload reader. Every getter fails with
-/// kInvalidArgument instead of reading past the end.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
-
-  Status GetU8(uint8_t* out);
-  Status GetU32(uint32_t* out);
-  Status GetU64(uint64_t* out);
-  Status GetI64(int64_t* out);
-  Status GetDouble(double* out);  // raw IEEE-754 bits
-  Status GetString(std::string* out);
-  /// Rejects trailing bytes — a valid payload is consumed exactly.
-  Status ExpectEnd() const;
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-/// Little-endian payload writer (appends to an internal buffer).
-class PayloadWriter {
- public:
-  void PutU8(uint8_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v);
-  void PutDouble(double v);  // raw IEEE-754 bits
-  void PutString(std::string_view s);
-
-  std::string Take() { return std::move(out_); }
-  const std::string& bytes() const { return out_; }
-
- private:
-  std::string out_;
 };
 
 /// Wrap a payload in a checksummed frame, ready to write to a socket.

@@ -6,10 +6,11 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
 
@@ -19,156 +20,93 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB sanity bound
-// Snapshot format v2 appends the dedup-window section; v1 snapshots (from
-// before idempotency keys existed) are still readable with an empty window.
-constexpr char kSnapshotMagicV1[8] = {'U', 'P', 'A', 'S', 'N', 'A', 'P', '1'};
-constexpr char kSnapshotMagicV2[8] = {'U', 'P', 'A', 'S', 'N', 'A', 'P', '2'};
+constexpr size_t kFrameHeaderBytes = 4 + 8;       // u32 len, u64 fnv1a
+// 8 raw bytes ("2": the snapshot layout with the dedup window).
+constexpr std::string_view kSnapshotMagic = "UPASNAP2";
 
-uint64_t BitsFromDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
+/// A u32 count, then that many doubles. Each element is read before it is
+/// stored, so a lying count fails the decode instead of allocating.
+void PutDoubles(PayloadWriter* w, const std::vector<double>& values) {
+  w->PutU32(static_cast<uint32_t>(values.size()));
+  for (double v : values) w->PutDouble(v);
 }
 
-double DoubleFromBits(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void AppendU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+Status GetDoubles(PayloadReader* r, std::vector<double>* out) {
+  uint32_t count = 0;
+  UPA_RETURN_IF_ERROR(r->GetU32(&count));
+  out->clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    double v = 0.0;
+    UPA_RETURN_IF_ERROR(r->GetDouble(&v));
+    out->push_back(v);
   }
-}
-
-void AppendU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-/// Bounds-checked little-endian cursor over a byte buffer.
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *v = r;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string* out) {
-    if (pos_ + n > size_) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == size_; }
-  size_t pos() const { return pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-std::string EncodePayload(const JournalRecord& record) {
-  std::string payload;
-  AppendU8(payload, static_cast<uint8_t>(record.type));
-  AppendU64(payload, record.qid);
-  AppendU64(payload, BitsFromDouble(record.epsilon));
-  AppendU64(payload, record.epoch);
-  AppendU32(payload, static_cast<uint32_t>(record.partition_outputs.size()));
-  for (double v : record.partition_outputs) {
-    AppendU64(payload, BitsFromDouble(v));
-  }
-  AppendU32(payload, static_cast<uint32_t>(record.dataset_id.size()));
-  payload.append(record.dataset_id);
-  AppendU64(payload, record.nonce);
-  AppendU64(payload, record.key_seq);
-  AppendU64(payload, record.request_hash);
-  AppendU32(payload, static_cast<uint32_t>(record.response_blob.size()));
-  payload.append(record.response_blob);
-  return payload;
-}
-
-bool DecodePayload(const std::string& payload, JournalRecord* record) {
-  Reader r(payload.data(), payload.size());
-  uint8_t type = 0;
-  uint64_t eps_bits = 0;
-  uint32_t vec_len = 0;
-  uint32_t id_len = 0;
-  if (!r.ReadU8(&type) || !r.ReadU64(&record->qid) || !r.ReadU64(&eps_bits) ||
-      !r.ReadU64(&record->epoch) || !r.ReadU32(&vec_len)) {
-    return false;
-  }
-  if (type < static_cast<uint8_t>(JournalRecord::Type::kOpen) ||
-      type > static_cast<uint8_t>(JournalRecord::Type::kExpire)) {
-    return false;
-  }
-  record->type = static_cast<JournalRecord::Type>(type);
-  record->epsilon = DoubleFromBits(eps_bits);
-  record->partition_outputs.clear();
-  record->partition_outputs.reserve(vec_len);
-  for (uint32_t i = 0; i < vec_len; ++i) {
-    uint64_t bits = 0;
-    if (!r.ReadU64(&bits)) return false;
-    record->partition_outputs.push_back(DoubleFromBits(bits));
-  }
-  if (!r.ReadU32(&id_len)) return false;
-  if (!r.ReadBytes(id_len, &record->dataset_id)) return false;
-  // Records written before idempotency keys end here; treat them as
-  // unkeyed. (Offset arithmetic in recovery uses on-disk sizes, never a
-  // re-encode, so the shorter legacy form replays correctly.)
-  record->nonce = 0;
-  record->key_seq = 0;
-  record->request_hash = 0;
-  record->response_blob.clear();
-  if (r.AtEnd()) return true;
-  uint32_t blob_len = 0;
-  if (!r.ReadU64(&record->nonce) || !r.ReadU64(&record->key_seq) ||
-      !r.ReadU64(&record->request_hash) || !r.ReadU32(&blob_len) ||
-      !r.ReadBytes(blob_len, &record->response_blob)) {
-    return false;
-  }
-  return r.AtEnd();
+  return Status::Ok();
 }
 
 std::string FrameRecord(const JournalRecord& record) {
-  std::string payload = EncodePayload(record);
-  std::string frame;
-  frame.reserve(payload.size() + 12);
-  AppendU32(frame, static_cast<uint32_t>(payload.size()));
-  AppendU64(frame, Fnv1a(payload));
-  frame.append(payload);
-  return frame;
+  PayloadWriter payload;
+  payload.PutU8(static_cast<uint8_t>(record.type));
+  payload.PutU64(record.qid);
+  payload.PutDouble(record.epsilon);
+  payload.PutU64(record.epoch);
+  PutDoubles(&payload, record.partition_outputs);
+  payload.PutString(record.dataset_id);
+  payload.PutU64(record.nonce);
+  payload.PutU64(record.key_seq);
+  payload.PutU64(record.request_hash);
+  payload.PutString(record.response_blob);
+
+  PayloadWriter frame;
+  frame.PutU32(static_cast<uint32_t>(payload.bytes().size()));
+  frame.PutU64(Fnv1a(payload.bytes()));
+  frame.PutBytes(payload.bytes());
+  return frame.Take();
+}
+
+Status DecodePayload(std::string_view payload, JournalRecord* record) {
+  PayloadReader r(payload);
+  uint8_t type = 0;
+  UPA_RETURN_IF_ERROR(r.GetU8(&type));
+  if (type < static_cast<uint8_t>(JournalRecord::Type::kOpen) ||
+      type > static_cast<uint8_t>(JournalRecord::Type::kExpire)) {
+    return Status::InvalidArgument("unknown record type " +
+                                   std::to_string(type));
+  }
+  record->type = static_cast<JournalRecord::Type>(type);
+  UPA_RETURN_IF_ERROR(r.GetU64(&record->qid));
+  UPA_RETURN_IF_ERROR(r.GetDouble(&record->epsilon));
+  UPA_RETURN_IF_ERROR(r.GetU64(&record->epoch));
+  UPA_RETURN_IF_ERROR(GetDoubles(&r, &record->partition_outputs));
+  UPA_RETURN_IF_ERROR(r.GetString(&record->dataset_id));
+  UPA_RETURN_IF_ERROR(r.GetU64(&record->nonce));
+  UPA_RETURN_IF_ERROR(r.GetU64(&record->key_seq));
+  UPA_RETURN_IF_ERROR(r.GetU64(&record->request_hash));
+  UPA_RETURN_IF_ERROR(r.GetString(&record->response_blob));
+  return r.ExpectEnd();
+}
+
+Status DecodeSnapshotBody(std::string_view body, DatasetDurableState* state,
+                          uint64_t* covered) {
+  PayloadReader r(body);
+  uint32_t count = 0;
+  UPA_RETURN_IF_ERROR(r.GetString(&state->dataset_id));
+  UPA_RETURN_IF_ERROR(r.GetU64(&state->epoch));
+  UPA_RETURN_IF_ERROR(r.GetDouble(&state->charged_total));
+  UPA_RETURN_IF_ERROR(r.GetDouble(&state->refunded_total));
+  UPA_RETURN_IF_ERROR(r.GetU64(covered));
+  UPA_RETURN_IF_ERROR(r.GetU32(&count));
+  for (uint32_t i = 0; i < count; ++i) {
+    UPA_RETURN_IF_ERROR(GetDoubles(&r, &state->registry.emplace_back()));
+  }
+  UPA_RETURN_IF_ERROR(r.GetU32(&count));
+  for (uint32_t i = 0; i < count; ++i) {
+    DedupDurableEntry& entry = state->dedup.emplace_back();
+    UPA_RETURN_IF_ERROR(r.GetU64(&entry.nonce));
+    UPA_RETURN_IF_ERROR(r.GetU64(&entry.seq));
+    UPA_RETURN_IF_ERROR(r.GetU64(&entry.request_hash));
+    UPA_RETURN_IF_ERROR(r.GetString(&entry.response_blob));
+  }
+  return r.ExpectEnd();
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {
@@ -395,22 +333,37 @@ Result<std::vector<JournalRecord>> Journal::ReadAll(
   const std::string& data = data_or.value();
 
   std::vector<JournalRecord> records;
-  Reader r(data.data(), data.size());
-  while (!r.AtEnd()) {
-    uint32_t len = 0;
-    uint64_t checksum = 0;
-    std::string payload;
-    JournalRecord rec;
-    if (!r.ReadU32(&len) || !r.ReadU64(&checksum) || len > kMaxPayloadBytes ||
-        !r.ReadBytes(len, &payload) || Fnv1a(payload) != checksum ||
-        !DecodePayload(payload, &rec)) {
-      // Torn tail: the process died mid-append. Everything before the
-      // last intact record is trusted; the fragment is discarded.
+  uint64_t offset = 0;
+  while (offset < data.size()) {
+    std::string_view rest = std::string_view(data).substr(offset);
+    // Torn tail: the process died mid-append, leaving a short header, an
+    // impossible length or a checksum mismatch. Everything before the
+    // last intact record is trusted; the fragment is discarded.
+    const bool short_header = rest.size() < kFrameHeaderBytes;
+    const uint32_t len = short_header ? 0 : LoadU32(rest.data());
+    if (short_header || len > kMaxPayloadBytes ||
+        rest.size() - kFrameHeaderBytes < len ||
+        Fnv1a(rest.substr(kFrameHeaderBytes, len)) !=
+            LoadU64(rest.data() + 4)) {
       if (torn_tail != nullptr) *torn_tail = true;
       break;
     }
-    if (intact_bytes != nullptr) *intact_bytes = r.pos();
-    if (frame_ends != nullptr) frame_ends->push_back(r.pos());
+    // A torn write cannot produce a matching checksum, so a frame that
+    // passes it yet does not decode is a format this binary does not know.
+    // Cutting it off would drop every later record, charges included:
+    // refuse the whole journal instead, and leave the file alone.
+    JournalRecord rec;
+    Status decoded =
+        DecodePayload(rest.substr(kFrameHeaderBytes, len), &rec);
+    if (!decoded.ok()) {
+      return Status::Internal("journal '" + path +
+                              "': undecodable record at offset " +
+                              std::to_string(offset) + ": " +
+                              decoded.message());
+    }
+    offset += kFrameHeaderBytes + len;
+    if (intact_bytes != nullptr) *intact_bytes = offset;
+    if (frame_ends != nullptr) frame_ends->push_back(offset);
     records.push_back(std::move(rec));
   }
   return records;
@@ -419,32 +372,28 @@ Result<std::vector<JournalRecord>> Journal::ReadAll(
 Status WriteSnapshot(const std::string& dir, const DatasetDurableState& state,
                      uint64_t covered_bytes, bool fsync) {
   UPA_FAILPOINT("journal/snapshot");
-  std::string body;
-  AppendU32(body, static_cast<uint32_t>(state.dataset_id.size()));
-  body.append(state.dataset_id);
-  AppendU64(body, state.epoch);
-  AppendU64(body, BitsFromDouble(state.charged_total));
-  AppendU64(body, BitsFromDouble(state.refunded_total));
-  AppendU64(body, covered_bytes);
-  AppendU32(body, static_cast<uint32_t>(state.registry.size()));
-  for (const auto& prior : state.registry) {
-    AppendU32(body, static_cast<uint32_t>(prior.size()));
-    for (double v : prior) AppendU64(body, BitsFromDouble(v));
-  }
-  AppendU32(body, static_cast<uint32_t>(state.dedup.size()));
+  PayloadWriter body;
+  body.PutString(state.dataset_id);
+  body.PutU64(state.epoch);
+  body.PutDouble(state.charged_total);
+  body.PutDouble(state.refunded_total);
+  body.PutU64(covered_bytes);
+  body.PutU32(static_cast<uint32_t>(state.registry.size()));
+  for (const auto& prior : state.registry) PutDoubles(&body, prior);
+  body.PutU32(static_cast<uint32_t>(state.dedup.size()));
   for (const auto& entry : state.dedup) {
-    AppendU64(body, entry.nonce);
-    AppendU64(body, entry.seq);
-    AppendU64(body, entry.request_hash);
-    AppendU32(body, static_cast<uint32_t>(entry.response_blob.size()));
-    body.append(entry.response_blob);
+    body.PutU64(entry.nonce);
+    body.PutU64(entry.seq);
+    body.PutU64(entry.request_hash);
+    body.PutString(entry.response_blob);
   }
 
-  std::string file;
-  file.append(kSnapshotMagicV2, sizeof(kSnapshotMagicV2));
-  AppendU64(file, Fnv1a(body));
-  file.append(body);
-  return WriteFileAtomic(SnapshotPath(dir, state.dataset_id), file, fsync);
+  PayloadWriter file;
+  file.PutBytes(kSnapshotMagic);
+  file.PutU64(Fnv1a(body.bytes()));
+  file.PutBytes(body.bytes());
+  return WriteFileAtomic(SnapshotPath(dir, state.dataset_id), file.bytes(),
+                         fsync);
 }
 
 Result<DatasetDurableState> ReadSnapshot(const std::string& path,
@@ -452,69 +401,21 @@ Result<DatasetDurableState> ReadSnapshot(const std::string& path,
   auto data_or = ReadWholeFile(path);
   UPA_RETURN_IF_ERROR(data_or.status());
   const std::string& data = data_or.value();
-  if (data.size() < sizeof(kSnapshotMagicV2) + 8) {
+  const size_t header_bytes = kSnapshotMagic.size() + 8;  // magic, fnv1a
+  if (data.size() < header_bytes || !data.starts_with(kSnapshotMagic)) {
     return Status::Internal("snapshot '" + path + "': bad magic");
   }
-  bool v2 = std::memcmp(data.data(), kSnapshotMagicV2,
-                        sizeof(kSnapshotMagicV2)) == 0;
-  bool v1 = !v2 && std::memcmp(data.data(), kSnapshotMagicV1,
-                               sizeof(kSnapshotMagicV1)) == 0;
-  if (!v1 && !v2) {
-    return Status::Internal("snapshot '" + path + "': bad magic");
-  }
-  Reader header(data.data() + sizeof(kSnapshotMagicV2), 8);
-  uint64_t checksum = 0;
-  header.ReadU64(&checksum);
-  const char* body = data.data() + sizeof(kSnapshotMagicV2) + 8;
-  size_t body_size = data.size() - sizeof(kSnapshotMagicV2) - 8;
-  if (Fnv1a(std::string_view(body, body_size)) != checksum) {
+  std::string_view body = std::string_view(data).substr(header_bytes);
+  if (Fnv1a(body) != LoadU64(data.data() + kSnapshotMagic.size())) {
     return Status::Internal("snapshot '" + path + "': checksum mismatch");
   }
 
   DatasetDurableState state;
-  Reader r(body, body_size);
-  uint32_t id_len = 0;
-  uint64_t charged_bits = 0;
-  uint64_t refunded_bits = 0;
   uint64_t covered = 0;
-  uint32_t registry_len = 0;
-  bool ok = r.ReadU32(&id_len) && r.ReadBytes(id_len, &state.dataset_id) &&
-            r.ReadU64(&state.epoch) && r.ReadU64(&charged_bits) &&
-            r.ReadU64(&refunded_bits) && r.ReadU64(&covered) &&
-            r.ReadU32(&registry_len);
-  if (ok) {
-    state.charged_total = DoubleFromBits(charged_bits);
-    state.refunded_total = DoubleFromBits(refunded_bits);
-    state.registry.reserve(registry_len);
-    for (uint32_t i = 0; ok && i < registry_len; ++i) {
-      uint32_t n = 0;
-      ok = r.ReadU32(&n);
-      std::vector<double> prior;
-      prior.reserve(ok ? n : 0);
-      for (uint32_t j = 0; ok && j < n; ++j) {
-        uint64_t bits = 0;
-        ok = r.ReadU64(&bits);
-        if (ok) prior.push_back(DoubleFromBits(bits));
-      }
-      if (ok) state.registry.push_back(std::move(prior));
-    }
-  }
-  // v1 snapshots predate the dedup window; they end after the registry.
-  if (ok && v2) {
-    uint32_t dedup_len = 0;
-    ok = r.ReadU32(&dedup_len);
-    state.dedup.reserve(ok ? dedup_len : 0);
-    for (uint32_t i = 0; ok && i < dedup_len; ++i) {
-      DedupDurableEntry entry;
-      uint32_t blob_len = 0;
-      ok = r.ReadU64(&entry.nonce) && r.ReadU64(&entry.seq) &&
-           r.ReadU64(&entry.request_hash) && r.ReadU32(&blob_len) &&
-           r.ReadBytes(blob_len, &entry.response_blob);
-      if (ok) state.dedup.push_back(std::move(entry));
-    }
-  }
-  if (!ok || !r.AtEnd()) {
-    return Status::Internal("snapshot '" + path + "': truncated body");
+  Status decoded = DecodeSnapshotBody(body, &state, &covered);
+  if (!decoded.ok()) {
+    return Status::Internal("snapshot '" + path +
+                            "': undecodable body: " + decoded.message());
   }
   if (covered_bytes != nullptr) *covered_bytes = covered;
   return state;
@@ -559,17 +460,12 @@ Result<DatasetDurableState> RecoverDataset(const std::string& dir,
       }
     }
     if (covered > intact_bytes) covered = intact_bytes;
-    // Replay only records past the snapshot's coverage, walking the
-    // on-disk byte offsets ReadAll reported (a record written by an older
-    // binary can be shorter than a re-encode of it would be today, so
-    // re-framing is not a size authority).
-    uint64_t offset = 0;
+    // Replay only records past the snapshot's coverage; record i starts
+    // where record i - 1 ended.
     const auto& records = records_or.value();
     for (size_t i = 0; i < records.size(); ++i) {
+      if ((i == 0 ? 0 : frame_ends[i - 1]) < covered) continue;
       const auto& rec = records[i];
-      bool beyond_snapshot = offset >= covered;
-      offset = frame_ends[i];
-      if (!beyond_snapshot) continue;
       if (rec.type == JournalRecord::Type::kOpen &&
           rec.dataset_id != dataset_id) {
         return Status::Internal("journal '" + journal_path +

@@ -9,7 +9,8 @@
 // bit-identically: doubles travel as raw IEEE-754 bits, and the registry
 // preserves registration order (Enforce iterates priors in order).
 //
-// Record wire format (little-endian):
+// Record format, written and read with the shared byte codec
+// (common/bytes.h: little-endian, doubles as raw IEEE-754 bits):
 //
 //   [u32 payload_len][u64 fnv1a(payload)][payload]
 //   payload := u8 type, u64 qid, u64 epsilon_bits, u64 epoch,
@@ -19,13 +20,16 @@
 //              u32 blob_len, blob_len bytes    (idempotency key + serialized
 //                                               response; kRelease/kExpire)
 //
-// A torn tail (partial header, impossible length, checksum mismatch —
-// the process died mid-append) ends replay at the last intact record;
-// everything before it is trusted, everything after discarded. A charge
-// with no matching release/refund at the end of replay is a query that
-// died in flight: nothing was acknowledged to the analyst (the service
-// appends the release record BEFORE resolving the response), so recovery
-// refunds it — exactly the two-phase in-memory semantics, made durable.
+// A torn tail (short header, impossible length, checksum mismatch — the
+// process died mid-append) ends replay at the last intact record, and
+// recovery truncates the file there. A checksum-valid record that does
+// not decode is no torn write but a format this binary does not know:
+// reading and recovery fail with kInternal and the file is left alone. A
+// charge with no matching release/refund at the end of replay is a query
+// that died in flight: nothing was acknowledged to the analyst (the
+// service appends the release record BEFORE resolving the response), so
+// recovery refunds it — exactly the two-phase in-memory semantics, made
+// durable.
 //
 // The snapshot file (atomic write-then-rename) compacts replay: it stores
 // the full recovered state plus `covered_bytes`, the journal offset it
@@ -129,14 +133,14 @@ class Journal {
   /// an FNV-1a suffix so distinct ids never collide after sanitizing.
   static std::string FileStem(const std::string& dataset_id);
 
-  /// Reads every intact record; stops (without error) at a torn tail.
+  /// Reads every intact record; stops (without error) at a torn tail, and
+  /// fails with kInternal at a checksum-valid record it cannot decode.
   /// `torn_tail` reports whether trailing bytes were discarded and
   /// `intact_bytes` the offset of the last intact record's end — recovery
   /// truncates the file there, because frames appended after a fragment
   /// would be unreachable (readers stop at the first bad frame).
   /// `frame_ends`, when non-null, receives each record's end offset in the
-  /// file — the on-disk size authority recovery walks (legacy records are
-  /// shorter than a re-encode of the same record would be).
+  /// file, which recovery walks to skip what a snapshot covers.
   static Result<std::vector<JournalRecord>> ReadAll(
       const std::string& path, bool* torn_tail = nullptr,
       uint64_t* intact_bytes = nullptr,
@@ -173,7 +177,9 @@ Result<DatasetDurableState> RecoverDataset(const std::string& dir,
                                            const std::string& dataset_id,
                                            bool compact, bool fsync = true);
 
-/// Scans `dir` for journals and recovers every dataset found.
+/// Scans `dir` for journals and recovers every dataset found. Fails at the
+/// first journal or snapshot that does not recover (no open header, an
+/// undecodable record, a corrupt snapshot).
 Result<std::vector<DatasetDurableState>> RecoverAll(const std::string& dir,
                                                     bool compact,
                                                     bool fsync = true);

@@ -3,100 +3,76 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
 
 namespace upa::service {
-namespace {
 
-// Little-endian scalar helpers for the response blob. Doubles travel as
-// raw IEEE-754 bits so a replayed response is byte-identical to the first
-// delivery (same convention as the journal and the wire).
-void BlobPutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+void EncodeResponse(const QueryResponse& r, PayloadWriter* out) {
+  out->PutDouble(r.released);
+  out->PutDouble(r.epsilon);
+  out->PutDouble(r.local_sensitivity);
+  out->PutDouble(r.out_range.lo);
+  out->PutDouble(r.out_range.hi);
+  out->PutU64((r.attack_suspected ? 1u : 0u) |
+              (r.degenerate_sensitivity ? 2u : 0u) |
+              (r.sensitivity_cache_hit ? 4u : 0u));
+  out->PutU64(static_cast<uint64_t>(r.records_removed));
+  out->PutU64(r.dataset_epoch);
+  out->PutDouble(r.queue_seconds);
+  out->PutDouble(r.seconds.sample);
+  out->PutDouble(r.seconds.map);
+  out->PutDouble(r.seconds.reduce);
+  out->PutDouble(r.seconds.enforce);
+  out->PutDouble(r.seconds.total);
 }
 
-void BlobPutDouble(std::string& out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  BlobPutU64(out, bits);
-}
-
-bool BlobGetU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(static_cast<unsigned char>(in[*pos + i]))
-         << (8 * i);
-  }
-  *pos += 8;
-  *v = r;
-  return true;
-}
-
-bool BlobGetDouble(const std::string& in, size_t* pos, double* v) {
-  uint64_t bits = 0;
-  if (!BlobGetU64(in, pos, &bits)) return false;
-  std::memcpy(v, &bits, sizeof(*v));
-  return true;
-}
-
-}  // namespace
-
-std::string EncodeResponseBlob(const QueryResponse& r) {
-  std::string out;
-  out.reserve(15 * 8);
-  BlobPutDouble(out, r.released);
-  BlobPutDouble(out, r.epsilon);
-  BlobPutDouble(out, r.local_sensitivity);
-  BlobPutDouble(out, r.out_range.lo);
-  BlobPutDouble(out, r.out_range.hi);
-  uint64_t flags = (r.attack_suspected ? 1u : 0u) |
-                   (r.degenerate_sensitivity ? 2u : 0u) |
-                   (r.sensitivity_cache_hit ? 4u : 0u);
-  BlobPutU64(out, flags);
-  BlobPutU64(out, static_cast<uint64_t>(r.records_removed));
-  BlobPutU64(out, r.dataset_epoch);
-  BlobPutDouble(out, r.queue_seconds);
-  BlobPutDouble(out, r.seconds.sample);
-  BlobPutDouble(out, r.seconds.map);
-  BlobPutDouble(out, r.seconds.reduce);
-  BlobPutDouble(out, r.seconds.enforce);
-  BlobPutDouble(out, r.seconds.total);
-  return out;
-}
-
-Status DecodeResponseBlob(const std::string& blob, QueryResponse* out) {
-  size_t pos = 0;
+Status DecodeResponse(PayloadReader* in, QueryResponse* out) {
+  constexpr uint64_t kKnownFlags = 1u | 2u | 4u;  // as EncodeResponse sets
   uint64_t flags = 0;
   uint64_t removed = 0;
-  bool ok = BlobGetDouble(blob, &pos, &out->released) &&
-            BlobGetDouble(blob, &pos, &out->epsilon) &&
-            BlobGetDouble(blob, &pos, &out->local_sensitivity) &&
-            BlobGetDouble(blob, &pos, &out->out_range.lo) &&
-            BlobGetDouble(blob, &pos, &out->out_range.hi) &&
-            BlobGetU64(blob, &pos, &flags) &&
-            BlobGetU64(blob, &pos, &removed) &&
-            BlobGetU64(blob, &pos, &out->dataset_epoch) &&
-            BlobGetDouble(blob, &pos, &out->queue_seconds) &&
-            BlobGetDouble(blob, &pos, &out->seconds.sample) &&
-            BlobGetDouble(blob, &pos, &out->seconds.map) &&
-            BlobGetDouble(blob, &pos, &out->seconds.reduce) &&
-            BlobGetDouble(blob, &pos, &out->seconds.enforce) &&
-            BlobGetDouble(blob, &pos, &out->seconds.total);
-  if (!ok || pos != blob.size()) {
-    return Status::Internal("journaled response blob is corrupt (" +
-                            std::to_string(blob.size()) + " bytes)");
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->released));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->epsilon));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->local_sensitivity));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->out_range.lo));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->out_range.hi));
+  UPA_RETURN_IF_ERROR(in->GetU64(&flags));
+  if ((flags & ~kKnownFlags) != 0) {
+    return Status::InvalidArgument("unknown response flag bits " +
+                                   std::to_string(flags & ~kKnownFlags));
   }
+  UPA_RETURN_IF_ERROR(in->GetU64(&removed));
+  UPA_RETURN_IF_ERROR(in->GetU64(&out->dataset_epoch));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->queue_seconds));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->seconds.sample));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->seconds.map));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->seconds.reduce));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->seconds.enforce));
+  UPA_RETURN_IF_ERROR(in->GetDouble(&out->seconds.total));
   out->attack_suspected = (flags & 1u) != 0;
   out->degenerate_sensitivity = (flags & 2u) != 0;
   out->sensitivity_cache_hit = (flags & 4u) != 0;
   out->records_removed = static_cast<size_t>(removed);
+  return Status::Ok();
+}
+
+std::string EncodeResponseBlob(const QueryResponse& response) {
+  PayloadWriter w;
+  EncodeResponse(response, &w);
+  return w.Take();
+}
+
+Status DecodeResponseBlob(std::string_view blob, QueryResponse* out) {
+  PayloadReader r(blob);
+  Status decoded = DecodeResponse(&r, out);
+  if (decoded.ok()) decoded = r.ExpectEnd();
+  if (!decoded.ok()) {
+    return Status::Internal("journaled response blob is corrupt (" +
+                            std::to_string(blob.size()) +
+                            " bytes): " + decoded.message());
+  }
   return Status::Ok();
 }
 
@@ -105,16 +81,14 @@ uint64_t RequestKeyHash(const QueryRequest& request) {
   // tenant/dataset scope, the query shape, epsilon and the noise seed. A
   // key re-submitted with any of these changed is a client bug, not a
   // retry, and must not be answered with the cached response.
-  std::string bytes;
-  BlobPutU64(bytes, Fnv1a(request.tenant));
-  BlobPutU64(bytes, Fnv1a(request.dataset_id));
-  BlobPutU64(bytes, Fnv1a(request.query.name));
-  uint64_t eps_bits = 0;
-  std::memcpy(&eps_bits, &request.epsilon, sizeof(eps_bits));
-  BlobPutU64(bytes, eps_bits);
-  BlobPutU64(bytes, request.seed);
-  BlobPutU64(bytes, request.fingerprint);
-  return Fnv1a(bytes);
+  PayloadWriter w;
+  w.PutU64(Fnv1a(request.tenant));
+  w.PutU64(Fnv1a(request.dataset_id));
+  w.PutU64(Fnv1a(request.query.name));
+  w.PutDouble(request.epsilon);
+  w.PutU64(request.seed);
+  w.PutU64(request.fingerprint);
+  return Fnv1a(w.bytes());
 }
 
 Status ValidateServiceConfig(const ServiceConfig& config) {
@@ -221,44 +195,38 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
     auto recovered_or = RecoverAll(config_.journal_dir, /*compact=*/true,
                                    config_.journal_fsync);
     if (!recovered_or.ok()) {
+      // Recovery stops at the first bad file, so no dataset's ledger or
+      // registry was restored, and a file it could not read may name no
+      // dataset at all. Serving anything would charge against a full
+      // budget and an empty registry: the service goes inert instead.
       recovery_status_ = recovered_or.status();
       ctx_->metrics().AddCounter("service/journal_errors");
-    } else {
-      for (auto& state : recovered_or.value()) {
-        auto ds = std::make_shared<DatasetState>();
-        ds->epoch = state.epoch;
-        ds->enforcer->RestoreRegistry(std::move(state.registry));
-        // Rebuild the dedup window from the journaled keys, oldest first
-        // so the in-memory LRU order matches completion order. Recovery
-        // may return more keys than the window holds (kExpire frames for
-        // the overflow were lost with the crash); keep the newest.
-        size_t keep = std::min(state.dedup.size(), config_.dedup_window);
-        for (size_t i = state.dedup.size() - keep; i < state.dedup.size();
-             ++i) {
-          auto& src = state.dedup[i];
-          DedupTable::Entry entry;
-          entry.request_hash = src.request_hash;
-          entry.blob = std::move(src.response_blob);
-          ds->dedup.Insert({src.nonce, src.seq}, std::move(entry),
-                           config_.dedup_window, nullptr);
-        }
-        ctx_->metrics().AddCounter("service/recovered_dedup_keys", keep);
-        accountant_.RestoreLedger(state.dataset_id, state.charged_total,
-                                  state.refunded_total);
-        auto journal_or = Journal::Open(config_.journal_dir, state.dataset_id,
-                                        config_.journal_fsync);
-        if (journal_or.ok()) {
-          ds->journal = std::move(journal_or).value();
-        } else {
-          ds->journal_status = journal_or.status();
-          ctx_->metrics().AddCounter("service/journal_errors");
-        }
-        ctx_->metrics().AddCounter("service/recovered_datasets");
-        ctx_->metrics().AddCounter("service/recovered_refunds",
-                                   state.recovered_refunds.size());
-        std::lock_guard<std::mutex> lock(datasets_mu_);
-        datasets_[state.dataset_id] = std::move(ds);
+      return;
+    }
+    for (auto& state : recovered_or.value()) {
+      std::shared_ptr<DatasetState> ds = DatasetFor(state.dataset_id);
+      ds->epoch = state.epoch;
+      ds->enforcer->RestoreRegistry(std::move(state.registry));
+      // Rebuild the dedup window from the journaled keys, oldest first
+      // so the in-memory LRU order matches completion order. Recovery
+      // may return more keys than the window holds (kExpire frames for
+      // the overflow were lost with the crash); keep the newest.
+      size_t keep = std::min(state.dedup.size(), config_.dedup_window);
+      for (size_t i = state.dedup.size() - keep; i < state.dedup.size();
+           ++i) {
+        auto& src = state.dedup[i];
+        DedupTable::Entry entry;
+        entry.request_hash = src.request_hash;
+        entry.blob = std::move(src.response_blob);
+        ds->dedup.Insert({src.nonce, src.seq}, std::move(entry),
+                         config_.dedup_window, nullptr);
       }
+      ctx_->metrics().AddCounter("service/recovered_dedup_keys", keep);
+      accountant_.RestoreLedger(state.dataset_id, state.charged_total,
+                                state.refunded_total);
+      ctx_->metrics().AddCounter("service/recovered_datasets");
+      ctx_->metrics().AddCounter("service/recovered_refunds",
+                                 state.recovered_refunds.size());
     }
   }
 
@@ -317,8 +285,8 @@ void UpaService::SubmitAsync(QueryRequest request, Callback done) {
 }
 
 void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
-  if (!config_status_.ok()) {
-    Resolve(*pending, config_status_);
+  if (!inert_status().ok()) {
+    Resolve(*pending, inert_status());
     return;
   }
 
@@ -469,7 +437,7 @@ std::shared_ptr<UpaService::DatasetState> UpaService::DatasetFor(
   auto& slot = datasets_[dataset_id];
   if (!slot) {
     slot = std::make_shared<DatasetState>();
-    if (!config_.journal_dir.empty()) {
+    if (!config_.journal_dir.empty() && inert_status().ok()) {
       auto journal_or = Journal::Open(config_.journal_dir, dataset_id,
                                       config_.journal_fsync);
       if (journal_or.ok()) {
@@ -803,6 +771,10 @@ std::string UpaService::StatsReport() const {
   out << "== upa service ==\n";
   if (!config_.shard_name.empty()) {
     out << "shard: " << config_.shard_name << "\n";
+  }
+  if (!inert_status().ok()) {
+    out << "inert (every submission is refused): "
+        << inert_status().ToString() << "\n";
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -16,7 +16,8 @@
 //   - optionally (ServiceConfig::journal_dir) a durable journal of every
 //     charge/release/refund/epoch-bump, replayed on construction so a
 //     restarted service resumes with a bit-identical registry and ledger
-//     (see journal.h for the crash-consistency protocol).
+//     (see journal.h for the crash-consistency protocol). A journal dir
+//     that does not recover leaves the service inert (recovery_status()).
 //
 // Admission and ordering:
 //   - at most `max_in_flight` queries execute at once (global), and at
@@ -60,10 +61,12 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "dp/accountant.h"
@@ -165,12 +168,19 @@ struct QueryResponse {
   core::PhaseSeconds seconds;
 };
 
-/// Bit-exact (de)serialization of a QueryResponse for the journal's
-/// kRelease blob: a replayed key must return the original response
-/// byte-identically, across process death. Doubles travel as raw IEEE-754
-/// bits, same as the rest of the journal.
+/// The one byte layout of a QueryResponse: released, epsilon,
+/// local_sensitivity, out_range lo/hi; a u64 flag word (attack_suspected 1,
+/// degenerate_sensitivity 2, sensitivity_cache_hit 4; unknown bits are
+/// rejected); records_removed, dataset_epoch; queue_seconds and the five
+/// phase timings. A kRelease record keeps it as the response blob a replay
+/// returns, and the wire's result payload carries it, so both are
+/// bit-identical to the first delivery.
+void EncodeResponse(const QueryResponse& response, PayloadWriter* out);
+Status DecodeResponse(PayloadReader* in, QueryResponse* out);
+
+/// The response blob: exactly one EncodeResponse (kInternal if not).
 std::string EncodeResponseBlob(const QueryResponse& response);
-Status DecodeResponseBlob(const std::string& blob, QueryResponse* out);
+Status DecodeResponseBlob(std::string_view blob, QueryResponse* out);
 
 /// The hash an idempotency key is bound to: a key re-submitted with a
 /// different request (tenant/query/epsilon/seed/fingerprint) is rejected
@@ -219,8 +229,11 @@ class UpaService {
   engine::ExecContext* ctx() { return ctx_; }
   const ServiceConfig& config() const { return config_; }
 
-  /// Non-OK when journal recovery failed at construction (the service
-  /// still serves datasets whose journals did recover).
+  /// Non-OK when journal recovery failed at construction. Recovery stops
+  /// at the first bad file and restores no dataset, so the service is then
+  /// inert: every submission resolves with this status, nothing is
+  /// charged, run or journaled (BumpEpoch included), and StatsReport says
+  /// why.
   const Status& recovery_status() const { return recovery_status_; }
 
   /// ValidateServiceConfig's verdict on the construction config. Non-OK
@@ -345,6 +358,10 @@ class UpaService {
   /// fail fast instead of occupying backlog until dispatch.
   void WatchdogLoop();
   void CountCancelMetric(StatusCode code);
+  /// Why the service refuses everything: an invalid config or recovery.
+  const Status& inert_status() const {
+    return config_status_.ok() ? recovery_status_ : config_status_;
+  }
 
   engine::ExecContext* ctx_;
   ServiceConfig config_;

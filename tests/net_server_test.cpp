@@ -151,7 +151,6 @@ WireQuery MakeWireQuery(const std::string& tenant, const std::string& dataset,
   query.dataset_id = dataset;
   query.epsilon = 0.1;
   query.seed = seed;
-  query.fingerprint = Fnv1a(sql);
   query.sql = sql;
   return query;
 }

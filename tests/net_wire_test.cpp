@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "net/wire.h"
 
@@ -71,7 +73,7 @@ WireQuery RandomQuery(Rng& rng) {
   q.dataset_id = RandomString(rng, 24);
   q.epsilon = RandomDouble(rng);
   q.seed = rng.NextU64();
-  q.fingerprint = rng.NextU64();
+  (void)rng.NextU64();  // keeps the later fields' draws where they were
   q.deadline_ms = static_cast<int64_t>(rng.NextU64());
   q.sql = RandomString(rng, 200);
   return q;
@@ -132,7 +134,6 @@ void ExpectQueriesBitIdentical(const WireQuery& a, const WireQuery& b) {
   EXPECT_EQ(a.dataset_id, b.dataset_id);
   EXPECT_EQ(Bits(a.epsilon), Bits(b.epsilon));
   EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.sql, b.sql);
 }
@@ -189,6 +190,76 @@ TEST(NetWire, ResultFramesRoundTripBitIdentically) {
     ASSERT_TRUE(DecodeResultPayload(frames[0].payload, &decoded).ok());
     ExpectResultsBitIdentical(result, decoded);
   }
+}
+
+TEST(NetWire, VersionTwoResultFrameRoundTripsEveryFieldBitForBit) {
+  WireResult result;
+  result.client_tag = 0x0123456789abcdefULL;
+  result.code = StatusCode::kOk;
+  result.message = std::string("ok\0\xff", 4);
+  service::QueryResponse& r = result.response;
+  uint64_t nan_bits = 0x7ff80000c0ffee01ULL;
+  std::memcpy(&r.released, &nan_bits, sizeof(nan_bits));
+  r.epsilon = -0.0;
+  r.local_sensitivity = std::numeric_limits<double>::denorm_min();
+  r.out_range.lo = -std::numeric_limits<double>::infinity();
+  r.out_range.hi = 1e308;
+  r.attack_suspected = true;
+  r.records_removed = 64;
+  r.degenerate_sensitivity = true;
+  r.sensitivity_cache_hit = true;
+  r.dataset_epoch = ~uint64_t{0};
+  r.queue_seconds = 0.25;
+  r.seconds = {1.0, 2.0, 3.0, 4.0, 10.0};
+  result.retry_after_ms = -7;
+
+  std::string bytes = EncodeResultFrame(result);
+  ASSERT_EQ(static_cast<uint8_t>(bytes[4]), 2);
+  ASSERT_EQ(kWireVersion, 2);
+  FrameAssembler assembler;
+  assembler.Feed(bytes);
+  Frame frame;
+  Status error = Status::Ok();
+  ASSERT_EQ(assembler.Next(&frame, &error), FrameAssembler::Outcome::kFrame);
+  WireResult decoded;
+  ASSERT_TRUE(DecodeResultPayload(frame.payload, &decoded).ok());
+  ExpectResultsBitIdentical(result, decoded);
+  EXPECT_EQ(decoded.retry_after_ms, -7);
+  // Between the status and retry_after_ms sits exactly the journal's
+  // response blob: one layout for the wire and the dedup window.
+  std::string status_prefix = frame.payload.substr(0, 8 + 1 + 4 + 4);
+  EXPECT_EQ(frame.payload.substr(status_prefix.size(),
+                                 frame.payload.size() - status_prefix.size() -
+                                     8),
+            service::EncodeResponseBlob(r));
+}
+
+TEST(NetWire, ResponseFlagBitsTheDecoderDoesNotKnowAreRejected) {
+  std::string blob = service::EncodeResponseBlob(service::QueryResponse{});
+  blob[5 * 8] = static_cast<char>(0x08);  // low byte of the flag word
+  service::QueryResponse response;
+  EXPECT_FALSE(service::DecodeResponseBlob(blob, &response).ok());
+}
+
+TEST(NetWire, VersionOneFrameWithAValidChecksumIsAnUnsupportedVersion) {
+  // A version-1 frame, checksummed exactly as its sender would have.
+  PayloadWriter header;
+  header.PutU32(kWireMagic);
+  header.PutU8(1);
+  header.PutU8(static_cast<uint8_t>(FrameType::kStatsRequest));
+  header.PutU8(0);
+  header.PutU8(0);
+  header.PutU32(0);
+  header.PutU64(Fnv1a(header.bytes()));
+  FrameAssembler assembler;
+  assembler.Feed(header.bytes());
+  Frame frame;
+  Status error = Status::Ok();
+  ASSERT_EQ(assembler.Next(&frame, &error), FrameAssembler::Outcome::kError);
+  EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(error.message().find("unsupported wire version 1"),
+            std::string::npos)
+      << error.ToString();
 }
 
 TEST(NetWire, StatsAndErrorFramesRoundTrip) {

@@ -14,6 +14,9 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -386,6 +389,87 @@ TEST_F(ChaosTest, JournalAppendFaultsKeepDiskAndMemoryConsistent) {
   // cumulative totals may legitimately differ — the live balance must not.
   EXPECT_NEAR(recovered.DebugState("ds").budget.spent, live["ds"].spent,
               1e-9);
+}
+
+// A failed recovery must leave the service inert. Recovery stops at the
+// first bad file, so no dataset's ledger or registry is restored; serving
+// anything would charge against a full budget and an empty registry.
+// Scenario: the dataset's budget of 1.0 is spent by one release, a clean
+// restart correctly refuses the next one, then `poison` damages the
+// journal directory. After the next restart nothing may be released,
+// charged or journaled, and /stats says why.
+void ExpectPoisonedRecoveryIsInert(const std::string& dir,
+                                   const std::function<void()>& poison) {
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir;
+  config.journal_fsync = false;
+  config.budget_per_dataset = 1.0;
+  auto full_budget = [] {
+    QueryRequest request = MakeRequest("a", "ds", CountQuery(2000));
+    request.epsilon = 1.0;
+    return request;
+  };
+  {
+    UpaService service(&Ctx(), config);
+    ASSERT_TRUE(service.Execute(full_budget()).ok());
+  }
+  {
+    UpaService service(&Ctx(), config);
+    ASSERT_TRUE(service.recovery_status().ok())
+        << service.recovery_status().ToString();
+    EXPECT_EQ(service.Execute(full_budget()).status().code(),
+              StatusCode::kOutOfRange);
+  }
+  poison();
+  const std::string journal =
+      (fs::path(dir) / (Journal::FileStem("ds") + ".journal")).string();
+  const uint64_t journal_bytes = fs::file_size(journal);
+
+  UpaService service(&Ctx(), config);
+  const Status recovery = service.recovery_status();
+  ASSERT_FALSE(recovery.ok());
+  Result<QueryResponse> again = service.Execute(full_budget());
+  ASSERT_FALSE(again.ok()) << "released against an unrecovered ledger";
+  EXPECT_EQ(again.status().code(), recovery.code());
+  EXPECT_EQ(again.status().message(), recovery.message());
+  service.BumpEpoch("ds");
+  EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.0);
+  EXPECT_EQ(fs::file_size(journal), journal_bytes);
+  EXPECT_NE(service.StatsReport().find(recovery.message()), std::string::npos)
+      << service.StatsReport();
+}
+
+TEST_F(ChaosTest, HeaderlessJournalLeavesTheServiceInert) {
+  ExpectPoisonedRecoveryIsInert(dir_, [this] {
+    // The dataset's own intact records minus the kOpen frame that names
+    // the dataset: [u32 len][u64 fnv1a][payload] each.
+    std::ifstream in(fs::path(dir_) / (Journal::FileStem("ds") + ".journal"),
+                     std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_GE(bytes.size(), 4u);
+    size_t open_frame = 12;
+    for (int i = 0; i < 4; ++i) {
+      open_frame += size_t{static_cast<unsigned char>(bytes[i])} << (8 * i);
+    }
+    ASSERT_LT(open_frame, bytes.size());
+    std::ofstream out(fs::path(dir_) / "other.journal", std::ios::binary);
+    out << bytes.substr(open_frame);
+  });
+}
+
+TEST_F(ChaosTest, CorruptSnapshotLeavesTheServiceInert) {
+  ExpectPoisonedRecoveryIsInert(dir_, [this] {
+    const std::string snapshot =
+        (fs::path(dir_) / (Journal::FileStem("ds") + ".snapshot")).string();
+    std::FILE* f = std::fopen(snapshot.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 20, SEEK_SET);
+    int byte = std::fgetc(f);
+    std::fseek(f, 20, SEEK_SET);
+    std::fputc(byte ^ 0x01, f);
+    std::fclose(f);
+  });
 }
 
 // Crash-and-recover: the child process aborts inside the journal append

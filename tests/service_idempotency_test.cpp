@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -64,6 +65,54 @@ uint64_t Bits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+// The response blob rides every keyed kRelease record and every snapshot's
+// dedup window, so its bytes are an on-disk format. A fixed response with
+// every flag set must encode to exactly these bytes and decode back to
+// the same bits.
+TEST(ServiceIdempotencyTest, ResponseBlobBytesArePinned) {
+  QueryResponse r;
+  r.released = -0.0;
+  r.epsilon = 0.5;
+  r.local_sensitivity = 5e-324;
+  r.out_range.lo = -std::numeric_limits<double>::infinity();
+  r.out_range.hi = 1e308;
+  r.attack_suspected = true;
+  r.records_removed = 64;
+  r.degenerate_sensitivity = true;
+  r.sensitivity_cache_hit = true;
+  r.dataset_epoch = 0x0102030405060708ULL;
+  r.queue_seconds = 0.25;
+  r.seconds.sample = 1.0;
+  r.seconds.map = 2.0;
+  r.seconds.reduce = 3.0;
+  r.seconds.enforce = 4.0;
+  r.seconds.total = 10.0;
+
+  std::string blob = EncodeResponseBlob(r);
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : blob) {
+    hex.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  // released, epsilon, local_sensitivity, out_range lo/hi, the flag word
+  // (attack 1 | degenerate 2 | cache hit 4), records_removed,
+  // dataset_epoch, queue_seconds and the five phase timings.
+  EXPECT_EQ(hex,
+            "0000000000000080000000000000e03f0100000000000000000000000000f0ff"
+            "a0c8eb85f3cce17f070000000000000040000000000000000807060504030201"
+            "000000000000d03f000000000000f03f00000000000000400000000000000840"
+            "00000000000010400000000000002440");
+
+  QueryResponse decoded;
+  ASSERT_TRUE(DecodeResponseBlob(blob, &decoded).ok());
+  EXPECT_EQ(EncodeResponseBlob(decoded), blob);
+  EXPECT_TRUE(decoded.attack_suspected);
+  EXPECT_TRUE(decoded.degenerate_sensitivity);
+  EXPECT_TRUE(decoded.sensitivity_cache_hit);
+  EXPECT_EQ(decoded.records_removed, 64u);
 }
 
 TEST(ServiceIdempotencyTest, RetryOfCompletedKeyReplaysWithoutCharging) {

@@ -10,8 +10,11 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/hash.h"
 
 namespace upa::service {
 namespace {
@@ -59,6 +62,36 @@ JournalRecord Refund(uint64_t qid, double eps) {
   rec.qid = qid;
   rec.epsilon = eps;
   return rec;
+}
+
+/// Lower-case hex of `bytes`, for golden-byte comparisons.
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  return out;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::string data;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return data;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+  std::fclose(f);
+  return data;
+}
+
+/// A quiet NaN carrying a payload: the codec must keep every bit.
+double NanWithPayload() {
+  uint64_t bits = 0x7ff80000c0ffee01ULL;
+  double v = 0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 TEST_F(JournalTest, RoundTripsRecordsBitExactly) {
@@ -302,6 +335,54 @@ TEST_F(JournalTest, TornTailIsTruncatedSoNewAppendsAreReachable) {
   ASSERT_EQ(final_or.value().registry.size(), 1u);
 }
 
+// A torn write cannot produce a matching checksum, so a checksum-valid
+// frame the reader cannot decode is a format this binary does not know
+// (say, a record type from a newer binary). Treating it as a torn tail
+// would cut every later record, charges included, and hand spent budget
+// back. Recovery must refuse it and leave the file alone.
+TEST_F(JournalTest, ChecksumValidUndecodableRecordFailsRecoveryUntouched) {
+  std::string path;
+  {
+    auto journal = std::move(Journal::Open(dir_, "ds").value());
+    path = journal->path();
+    ASSERT_TRUE(journal->Append(Charge(1, 0.25)).ok());
+  }
+  // Record type 7, otherwise the shape of a charge without key fields.
+  std::string payload(1 + 8 + 8 + 8 + 4 + 4, '\0');
+  payload[0] = 7;
+  std::string frame;
+  auto put_le = [&frame](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      frame.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put_le(payload.size(), 4);
+  put_le(Fnv1a(payload), 8);
+  frame += payload;
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
+  std::fclose(f);
+  {
+    auto journal = std::move(Journal::Open(dir_, "ds").value());
+    ASSERT_TRUE(journal->Append(Charge(2, 0.5)).ok());
+    ASSERT_TRUE(journal->Append(Charge(3, 0.125)).ok());
+  }
+  ASSERT_EQ(fs::file_size(path), 339u);
+
+  EXPECT_EQ(Journal::ReadAll(path).status().code(), StatusCode::kInternal);
+  auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
+  EXPECT_EQ(state_or.status().code(), StatusCode::kInternal)
+      << (state_or.ok() ? "recovered charged_total " +
+                              std::to_string(state_or.value().charged_total)
+                        : state_or.status().ToString());
+  EXPECT_EQ(RecoverAll(dir_, /*compact=*/true).status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(fs::file_size(path), 339u);
+  EXPECT_FALSE(fs::exists(
+      fs::path(dir_) / (Journal::FileStem("ds") + ".snapshot")));
+}
+
 TEST_F(JournalTest, RecoverAllFindsEveryDataset) {
   for (const std::string& id : {"alpha", "beta", "sales/2026 Q1"}) {
     auto journal = std::move(Journal::Open(dir_, id).value());
@@ -327,6 +408,93 @@ TEST_F(JournalTest, FileStemSanitizesAndDisambiguates) {
   // Same sanitized prefix, different hash suffix: no collision.
   EXPECT_NE(a, b);
   EXPECT_EQ(Journal::FileStem("x"), Journal::FileStem("x"));
+}
+
+// The journal and snapshot bytes are an on-disk format: every existing
+// journal recovers only while they stay exactly as written. These golden
+// tests pin one record of each type and one snapshot, with fields that
+// stress the encoding (-0.0, the smallest denormal, a NaN payload, a
+// non-empty idempotency key and response blob).
+TEST_F(JournalTest, GoldenBytesOfEveryRecordType) {
+  std::string path;
+  {
+    auto journal_or = Journal::Open(dir_, "gold", /*fsync=*/false);
+    ASSERT_TRUE(journal_or.ok()) << journal_or.status().ToString();
+    auto journal = std::move(journal_or).value();
+    path = journal->path();
+    ASSERT_TRUE(journal->Append(Charge(1, -0.0)).ok());
+    JournalRecord release =
+        Release(1, 5e-324, {NanWithPayload(), -0.0, 5e-324});
+    release.nonce = 0x1122334455667788ULL;
+    release.key_seq = 9;
+    release.request_hash = 0xfeedfacecafebeefULL;
+    release.response_blob = std::string("blob\0\xff", 6);
+    ASSERT_TRUE(journal->Append(release).ok());
+    ASSERT_TRUE(journal->Append(Refund(2, NanWithPayload())).ok());
+    JournalRecord bump;
+    bump.type = JournalRecord::Type::kEpochBump;
+    bump.epoch = 0x0102030405060708ULL;
+    ASSERT_TRUE(journal->Append(bump).ok());
+    JournalRecord expire;
+    expire.type = JournalRecord::Type::kExpire;
+    expire.nonce = 0x1122334455667788ULL;
+    expire.key_seq = 9;
+    ASSERT_TRUE(journal->Append(expire).ok());
+  }
+  // One frame per line: [u32 len][u64 fnv1a][payload].
+  const std::string expected = std::string() +
+      // kOpen "gold"
+      "410000007e7b11b8e0e30c800100000000000000000000000000000000000000"
+      "00000000000000000004000000676f6c64000000000000000000000000000000"
+      "00000000000000000000000000" +
+      // kCharge qid 1, epsilon -0.0
+      "3d000000849bf7de67f091040201000000000000000000000000000080000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000" +
+      // kRelease with three outputs, a key and a 6-byte blob
+      "5b000000629458b7d7eafb630301000000000000000100000000000000000000"
+      "00000000000300000001eeffc00000f87f000000000000008001000000000000"
+      "000000000088776655443322110900000000000000efbefecacefaedfe060000"
+      "00626c6f6200ff" +
+      // kRefund qid 2, epsilon NaN with payload
+      "3d000000386032c19c90603d04020000000000000001eeffc00000f87f000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000" +
+      // kEpochBump
+      "3d000000f8b8e18fd813d8d00500000000000000000000000000000000080706"
+      "0504030201000000000000000000000000000000000000000000000000000000"
+      "000000000000000000" +
+      // kExpire
+      "3d00000010beca5bed6178b00600000000000000000000000000000000000000"
+      "0000000000000000000000000088776655443322110900000000000000000000"
+      "000000000000000000";
+  EXPECT_EQ(Hex(FileBytes(path)), expected);
+}
+
+TEST_F(JournalTest, GoldenBytesOfASnapshotWithADedupWindow) {
+  DatasetDurableState state;
+  state.dataset_id = "gold";
+  state.epoch = 3;
+  state.charged_total = 0.75;
+  state.refunded_total = 5e-324;
+  state.registry = {{NanWithPayload(), -0.0}, {}};
+  DedupDurableEntry entry;
+  entry.nonce = 0x1122334455667788ULL;
+  entry.seq = 9;
+  entry.request_hash = 0xfeedfacecafebeefULL;
+  entry.response_blob = "xy";
+  state.dedup.push_back(entry);
+  ASSERT_TRUE(WriteSnapshot(dir_, state, 0x1234, /*fsync=*/false).ok());
+  std::string path =
+      (fs::path(dir_) / (Journal::FileStem("gold") + ".snapshot")).string();
+  // magic, fnv1a(body), then the body: id, epoch, charged, refunded,
+  // covered bytes, registry, dedup window.
+  const std::string expected =
+      "555041534e4150328c4d9b52d3d0546a04000000676f6c640300000000000000"
+      "000000000000e83f010000000000000034120000000000000200000002000000"
+      "01eeffc00000f87f000000000000008000000000010000008877665544332211"
+      "0900000000000000efbefecacefaedfe020000007879";
+  EXPECT_EQ(Hex(FileBytes(path)), expected);
 }
 
 TEST_F(JournalTest, RecoverAllOnMissingDirIsEmpty) {
