@@ -3,10 +3,11 @@
 //   usage: journal_dump <journal-file> [...]
 //
 //   open     qid=0 dataset=ds-1
-//   charge   qid=3 eps=0.100000
-//   release  qid=3 eps=0.100000 outputs=4 nonce=0xdeadbeef seq=2 blob=96B
-//   refund   qid=4 eps=0.100000
-//   expire   nonce=0xdeadbeef seq=1
+//   release  qid=0 eps=0.100000 outputs=4 nonce=0xdeadbeef seq=2 blob=96B
+//   expire   qid=0 nonce=0xdeadbeef seq=1
+//
+// Journals written by older binaries also hold `charge` and `refund`
+// lines (with the qid that paired them to a release); recovery skips them.
 //
 // The exactly-once drill greps this output to assert that every
 // idempotency key was released exactly once across crash + replay — the

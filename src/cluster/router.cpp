@@ -454,8 +454,8 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
   // Routed-but-unanswered queries: the shard may or may not have journaled
   // the release, but nothing was delivered. A keyed query with retry
   // budget left is parked — its idempotency key makes the eventual re-send
-  // safe either way (journaled → replay; not journaled → the dangling
-  // charge is refunded by recovery and the query re-runs). Everything else
+  // safe either way (journaled → replay; not journaled → nothing was
+  // charged durably and the query re-runs). Everything else
   // fails back to the client as unresolved.
   for (auto& [router_tag, route] : link.inflight) {
     total_inflight_.fetch_sub(1, std::memory_order_acq_rel);

@@ -8,8 +8,11 @@ namespace upa::dp {
 
 Status PrivacyAccountant::Charge(const std::string& dataset_id,
                                  double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  // NaN fails every comparison: without the isfinite check it would pass
+  // `epsilon <= 0.0` and the budget test, and switch the dataset's budget
+  // off for good.
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
   }
   std::lock_guard lock(mu_);
   Ledger& ledger = ledgers_[dataset_id];
@@ -27,8 +30,9 @@ Status PrivacyAccountant::Charge(const std::string& dataset_id,
 
 Status PrivacyAccountant::Refund(const std::string& dataset_id,
                                  double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("refund epsilon must be positive");
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument(
+        "refund epsilon must be finite and positive");
   }
   std::lock_guard lock(mu_);
   auto it = ledgers_.find(dataset_id);

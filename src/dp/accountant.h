@@ -6,15 +6,18 @@
 // "the analyst keeps conducting queries on one dataset" in UPA's threat
 // model (§III).
 //
-// Two-phase semantics: the service charges a query before it runs and
-// refunds it if the run fails (or is cancelled / hits its deadline) before
-// anything was released. Besides the live `spent` balance, the accountant
-// keeps the cumulative charge/refund ledger, so the conservation invariant
+// Two-phase semantics, in memory: the service charges a query before it
+// runs and refunds it if the run fails (or is cancelled / hits its
+// deadline) before anything was released. Only a release is journaled, and
+// it carries its ε, so after a restart the ledger is Σ released ε with
+// nothing refunded. Besides the live `spent` balance, the accountant keeps
+// the cumulative charge/refund ledger, so the conservation invariant
 //
 //   spent == charged_total − refunded_total   (and 0 ≤ spent ≤ budget)
 //
 // can be audited at any point (VerifyConservation) — the chaos suite calls
-// it after every fault schedule and recovery cycle.
+// it after every fault schedule and recovery cycle. Charge and Refund
+// accept only a finite, positive ε.
 #pragma once
 
 #include <map>
@@ -37,8 +40,9 @@ class PrivacyAccountant {
   explicit PrivacyAccountant(double total_budget)
       : total_budget_(total_budget) {}
 
-  /// Try to consume `epsilon` from the budget of `dataset_id`.
-  /// Fails with OUT_OF_RANGE when the budget would be exceeded.
+  /// Try to consume `epsilon` from the budget of `dataset_id`. Fails with
+  /// INVALID_ARGUMENT unless `epsilon` is finite and positive, and with
+  /// OUT_OF_RANGE when the budget would be exceeded.
   Status Charge(const std::string& dataset_id, double epsilon);
 
   /// Return `epsilon` to the budget of `dataset_id` — the second half of

@@ -190,18 +190,18 @@ std::string SnapshotPath(const std::string& dir,
 /// Applies one replayed record to the accumulating state. kOpen is a file
 /// header, not a mutation; an unknown dataset_id mismatch is a corruption
 /// signal handled by the caller.
-void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state,
-                 std::map<uint64_t, double>* pending) {
+void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state) {
   switch (rec.type) {
     case JournalRecord::Type::kOpen:
       break;
     case JournalRecord::Type::kCharge:
-      state->charged_total += rec.epsilon;
-      (*pending)[rec.qid] = rec.epsilon;
+    case JournalRecord::Type::kRefund:
+      // Legacy: their releases carry the ε too, so skipping them recovers
+      // the spent budget their writer had.
       break;
     case JournalRecord::Type::kRelease:
+      state->charged_total += rec.epsilon;
       state->registry.push_back(rec.partition_outputs);
-      pending->erase(rec.qid);
       if (rec.nonce != 0) {
         DedupDurableEntry entry;
         entry.nonce = rec.nonce;
@@ -210,10 +210,6 @@ void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state,
         entry.response_blob = rec.response_blob;
         state->dedup.push_back(std::move(entry));
       }
-      break;
-    case JournalRecord::Type::kRefund:
-      state->refunded_total += rec.epsilon;
-      pending->erase(rec.qid);
       break;
     case JournalRecord::Type::kEpochBump:
       state->epoch = rec.epoch;
@@ -260,20 +256,30 @@ Result<std::unique_ptr<Journal>> Journal::Open(const std::string& dir,
                             "': " + ec.message());
   }
   std::string path = JournalPath(dir, dataset_id);
-  bool fresh = !fs::exists(path);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
+  // A fresh journal takes its final name only once its kOpen frame is
+  // appended: a crash before the rename leaves a tmp file that recovery
+  // skips and the next Open overwrites, never a `.journal` without header.
+  const bool fresh = !fs::exists(path);
+  std::string open_path = fresh ? path + ".tmp" : path;
+  std::FILE* f = std::fopen(open_path.c_str(), fresh ? "wb" : "ab");
   if (f == nullptr) {
-    return Status::Internal("cannot open journal '" + path + "'");
+    return Status::Internal("cannot open journal '" + open_path + "'");
   }
-  std::unique_ptr<Journal> journal(new Journal(std::move(path), f, fsync));
+  std::unique_ptr<Journal> journal(new Journal(open_path, f, fsync));
   if (fresh) {
     JournalRecord open;
     open.type = JournalRecord::Type::kOpen;
     open.dataset_id = dataset_id;
     UPA_RETURN_IF_ERROR(journal->Append(open));
-    // fdatasync makes the kOpen frame durable, but a brand-new file also
-    // needs its directory entry on disk, or the whole journal vanishes
-    // with a power cut.
+    fs::rename(open_path, path, ec);
+    if (ec) {
+      return Status::Internal("rename '" + open_path + "' -> '" + path +
+                              "': " + ec.message());
+    }
+    journal->path_ = std::move(path);
+    // fdatasync makes the kOpen frame durable, but the renamed directory
+    // entry also needs a sync, or the whole journal vanishes with a power
+    // cut.
     if (fsync) UPA_RETURN_IF_ERROR(SyncDir(dir));
   }
   return journal;
@@ -350,7 +356,7 @@ Result<std::vector<JournalRecord>> Journal::ReadAll(
     }
     // A torn write cannot produce a matching checksum, so a frame that
     // passes it yet does not decode is a format this binary does not know.
-    // Cutting it off would drop every later record, charges included:
+    // Cutting it off would drop every later record, releases included:
     // refuse the whole journal instead, and leave the file alone.
     JournalRecord rec;
     Status decoded =
@@ -442,7 +448,6 @@ Result<DatasetDurableState> RecoverDataset(const std::string& dir,
   } else if (snap_or.status().code() != StatusCode::kNotFound) {
     return snap_or.status();
   }
-  std::map<uint64_t, double> pending;
   uint64_t intact_bytes = 0;
   if (journal_exists) {
     bool torn = false;
@@ -471,18 +476,8 @@ Result<DatasetDurableState> RecoverDataset(const std::string& dir,
         return Status::Internal("journal '" + journal_path +
                                 "' names dataset '" + rec.dataset_id + "'");
       }
-      ApplyRecord(rec, &state, &pending);
+      ApplyRecord(rec, &state);
     }
-  }
-
-  // Dangling charges: the query was charged but neither released nor
-  // refunded before the crash. Nothing was acknowledged (release records
-  // precede promise resolution), so the charge is returned — exactly once,
-  // because recovery either compacts the resolution into a snapshot or
-  // re-derives the same dangling set deterministically next time.
-  for (const auto& [qid, eps] : pending) {
-    state.refunded_total += eps;
-    state.recovered_refunds[qid] = eps;
   }
 
   if (compact) {

@@ -1,13 +1,13 @@
 // Durable enforcer/budget journal (per dataset).
 //
-// Every privacy-critical mutation the service performs — budget charges,
-// releases (which register the query's partition outputs in the Algorithm 2
-// enforcer registry), refunds, and data-epoch bumps — is appended to a
-// per-dataset journal file before the response is acknowledged to the
+// Every privacy-critical mutation the service performs — a release (one
+// kRelease: the partition outputs it registers in the Algorithm 2 enforcer
+// registry, and its ε), an epoch bump, a dedup-window expiry — is appended
+// to a per-dataset journal file before the response is acknowledged to the
 // client. A restarted service replays the journal and reconstructs the
-// enforcer registry, the privacy accountant's ledger and the epoch
-// bit-identically: doubles travel as raw IEEE-754 bits, and the registry
-// preserves registration order (Enforce iterates priors in order).
+// enforcer registry, the privacy accountant's ledger (Σ released ε) and
+// the epoch bit-identically: doubles travel as raw IEEE-754 bits, and the
+// registry preserves registration order (Enforce iterates priors in order).
 //
 // Record format, written and read with the shared byte codec
 // (common/bytes.h: little-endian, doubles as raw IEEE-754 bits):
@@ -25,11 +25,11 @@
 // recovery truncates the file there. A checksum-valid record that does
 // not decode is no torn write but a format this binary does not know:
 // reading and recovery fail with kInternal and the file is left alone. A
-// charge with no matching release/refund at the end of replay is a query
-// that died in flight: nothing was acknowledged to the analyst (the
-// service appends the release record BEFORE resolving the response), so
-// recovery refunds it — exactly the two-phase in-memory semantics, made
-// durable.
+// query that died in flight left no record (its charge lived in memory,
+// and the release record precedes the response), so recovery has nothing
+// to refund. Legacy kCharge/kRefund records decode and replay as no-ops.
+// A fresh journal is renamed from `<stem>.journal.tmp` once its kOpen
+// frame is durable, so a `.journal` without one is corruption.
 //
 // The snapshot file (atomic write-then-rename) compacts replay: it stores
 // the full recovered state plus `covered_bytes`, the journal offset it
@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,14 +52,14 @@ namespace upa::service {
 struct JournalRecord {
   enum class Type : uint8_t {
     kOpen = 1,       // file header: names the dataset
-    kCharge = 2,     // qid charged `epsilon` against the dataset's budget
-    kRelease = 3,    // qid released; partition_outputs joined the registry
-    kRefund = 4,     // qid's charge was returned (failure/cancel/deadline)
+    kCharge = 2,     // legacy (no longer written); replayed as a no-op
+    kRelease = 3,    // spent `epsilon`; partition_outputs joined the registry
+    kRefund = 4,     // legacy (no longer written); replayed as a no-op
     kEpochBump = 5,  // dataset data changed; `epoch` is the new value
     kExpire = 6,     // idempotency key (nonce, key_seq) left the dedup window
   };
 
-  Type type = Type::kCharge;
+  Type type = Type::kRelease;
   uint64_t qid = 0;
   double epsilon = 0.0;
   uint64_t epoch = 0;
@@ -94,9 +93,6 @@ struct DatasetDurableState {
   double refunded_total = 0.0;
   /// Registered prior-query outputs in registration order.
   std::vector<std::vector<double>> registry;
-  /// Charges that were still in flight when the journal ended (crash):
-  /// recovery refunds them (qid → epsilon). Kept for observability.
-  std::map<uint64_t, double> recovered_refunds;
   /// Completed idempotency keys in completion order (oldest first): every
   /// keyed kRelease minus the keys a later kExpire retired. The service
   /// rebuilds its dedup window from this so replay survives process death.
@@ -108,8 +104,9 @@ struct DatasetDurableState {
 class Journal {
  public:
   /// Opens (creating if needed) `<dir>/<FileStem(dataset_id)>.journal` for
-  /// appending; a fresh file gets a kOpen header record (and, with `fsync`,
-  /// the directory entry is synced so the new file survives power loss).
+  /// appending; a fresh file gets its kOpen header as `<stem>.journal.tmp`
+  /// and is renamed into place (with `fsync`, the directory entry is synced
+  /// so the new file survives power loss).
   /// `fsync = false` trades crash-durability for speed (bench off-path).
   static Result<std::unique_ptr<Journal>> Open(const std::string& dir,
                                                const std::string& dataset_id,
@@ -126,6 +123,9 @@ class Journal {
   /// the sync (abort there = crash with the record absent / written but
   /// possibly unsynced / durable).
   Status Append(const JournalRecord& record);
+
+  /// True once a failed write closed the journal (every Append then fails).
+  bool closed() const { std::lock_guard lock(mu_); return file_ == nullptr; }
 
   const std::string& path() const { return path_; }
 
@@ -151,7 +151,7 @@ class Journal {
       : path_(std::move(path)), file_(file), fsync_(fsync) {}
 
   std::string path_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::FILE* file_ = nullptr;
   bool fsync_ = true;
 };
@@ -170,9 +170,9 @@ Result<DatasetDurableState> ReadSnapshot(const std::string& path,
                                          uint64_t* covered_bytes);
 
 /// Full recovery for one dataset: snapshot (if any) + journal replay past
-/// `covered_bytes`, dangling charges refunded. `compact` then writes a
-/// fresh snapshot absorbing the whole journal (synced unless `fsync` is
-/// off).
+/// `covered_bytes`; each kRelease adds its ε to `charged_total`, and a torn
+/// tail is cut off the file. `compact` then writes a fresh snapshot
+/// absorbing the whole journal (synced unless `fsync` is off).
 Result<DatasetDurableState> RecoverDataset(const std::string& dir,
                                            const std::string& dataset_id,
                                            bool compact, bool fsync = true);

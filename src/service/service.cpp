@@ -225,8 +225,6 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
       accountant_.RestoreLedger(state.dataset_id, state.charged_total,
                                 state.refunded_total);
       ctx_->metrics().AddCounter("service/recovered_datasets");
-      ctx_->metrics().AddCounter("service/recovered_refunds",
-                                 state.recovered_refunds.size());
     }
   }
 
@@ -453,7 +451,7 @@ std::shared_ptr<UpaService::DatasetState> UpaService::DatasetFor(
 
 Result<QueryResponse> UpaService::RunOne(Pending& pending,
                                          double queue_seconds) {
-  QueryRequest& request = pending.request;
+  const QueryRequest& request = pending.request;
   Stopwatch total;
   engine::ExecMetrics& metrics = ctx_->metrics();
   metrics.AddCounter("service/queries");
@@ -461,9 +459,58 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
 
   // Install the request's token for this thread; ParallelFor re-installs
   // it inside every chunk task, so the whole run tree sees it.
-  CancelToken* token = pending.token.get();
-  CancelScope cancel_scope(token);
+  CancelScope cancel_scope(pending.token.get());
 
+  // The dispatcher admits one request per dataset at a time, so from here
+  // to return the dataset's budget, registry and cache see no concurrent
+  // release. ds->mu is taken only for short epoch/cache sections inside
+  // Prepare and Commit — never across the run (see DatasetState::mu).
+  Result<Ticket> prepared = Prepare(request);
+  if (!prepared.ok()) return prepared.status();
+  Ticket& ticket = prepared.value();
+  if (ticket.replay.has_value()) return *std::move(ticket.replay);
+
+  // Crash-injection sites for the exactly-once chaos orchestrator: a
+  // SIGKILL at any of the three leaves a different phase of the
+  // charge→run→commit protocol behind, and recovery + a keyed retry must
+  // land on "released exactly once" from all of them. Here the charge
+  // exists in memory only.
+  UPA_FAILPOINT_HIT("service/pre_run");
+
+  core::UpaConfig upa_config = config_.upa;
+  upa_config.epsilon = request.epsilon;
+  core::UpaRunner runner(upa_config);
+  runner.share_enforcer(ticket.ds->enforcer);
+  Result<core::UpaRunResult> run = runner.Run(
+      request.query, request.seed, ticket.cache_hit ? &ticket.hint : nullptr);
+  Result<QueryResponse> response = run.status();
+  if (run.ok()) {
+    // Run done, release not yet durable.
+    UPA_FAILPOINT_HIT("service/post_run_pre_release_append");
+    response = Commit(request, ticket, run.value(), queue_seconds);
+  } else if (run.status().code() == StatusCode::kCancelled ||
+             run.status().code() == StatusCode::kDeadlineExceeded) {
+    CountCancelMetric(run.status().code());
+  }
+  if (!response.ok()) {
+    // Nothing was released: the runner's last cancellation check sits
+    // before the enforcer Register, and Commit fails only when its kRelease
+    // append did, so no output reaches the analyst and nothing is durable.
+    // The charge was only ever made in memory; it is handed back there.
+    accountant_.Refund(request.dataset_id, request.epsilon);
+    metrics.AddCounter("service/refunds");
+    return response;
+  }
+  metrics.RecordLatency("service/total", total.ElapsedSeconds());
+  // Release durable + dedup window updated, response not yet delivered: a
+  // crash here is the pure replay case — the retry must return these
+  // exact bytes without charging again.
+  UPA_FAILPOINT_HIT("service/post_release_pre_ack");
+  return response;
+}
+
+Result<UpaService::Ticket> UpaService::Prepare(const QueryRequest& request) {
+  engine::ExecMetrics& metrics = ctx_->metrics();
   // Pre-flight: a query that expired in the queue is failed before any
   // charge, so there is nothing to refund.
   Status pre = CancelScope::CheckCurrent();
@@ -472,11 +519,9 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
     return pre;
   }
 
-  // The dispatcher admits one request per dataset at a time, so from here
-  // to return the dataset's budget, registry and cache see no concurrent
-  // release. ds->mu is taken only for short epoch/cache sections — never
-  // across the run (see DatasetState::mu).
-  std::shared_ptr<DatasetState> ds = DatasetFor(request.dataset_id);
+  Ticket ticket;
+  ticket.ds = DatasetFor(request.dataset_id);
+  DatasetState& ds = *ticket.ds;
 
   // Exactly-once replay: a key that already completed is answered from the
   // dedup window with the journaled response — byte-identical, before the
@@ -484,18 +529,18 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
   // acknowledged release can never spend budget (or double-register the
   // output). The key is bound to a request hash: reusing it for a
   // different request is a client bug, rejected rather than replayed.
-  bool keyed = request.client_nonce != 0 && config_.dedup_window > 0;
-  uint64_t request_hash = keyed ? RequestKeyHash(request) : 0;
-  if (keyed) {
+  ticket.keyed = request.client_nonce != 0 && config_.dedup_window > 0;
+  if (ticket.keyed) {
+    ticket.request_hash = RequestKeyHash(request);
     DedupTable::Entry entry;
     bool hit = false;
     {
-      std::lock_guard<std::mutex> ds_lock(ds->mu);
-      hit = ds->dedup.Lookup({request.client_nonce, request.client_seq},
-                             &entry);
+      std::lock_guard<std::mutex> ds_lock(ds.mu);
+      hit = ds.dedup.Lookup({request.client_nonce, request.client_seq},
+                            &entry);
     }
     if (hit) {
-      if (entry.request_hash != request_hash) {
+      if (entry.request_hash != ticket.request_hash) {
         metrics.AddCounter("service/dedup_key_mismatch");
         return Status::InvalidArgument(
             "idempotency key (" + std::to_string(request.client_nonce) +
@@ -509,19 +554,21 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
         return decoded;
       }
       metrics.AddCounter("service/dedup_replays");
-      return replay;
+      ticket.replay = std::move(replay);
+      return ticket;
     }
   }
 
-  if (!config_.journal_dir.empty() && ds->journal == nullptr) {
-    // Durability was requested but this dataset's journal is broken:
-    // failing the query is the conservative choice (running it would
-    // silently lose the mutation on restart).
+  if (!config_.journal_dir.empty() &&
+      (ds.journal == nullptr || ds.journal->closed())) {
+    // Durability was requested but this dataset's journal failed to open
+    // or was closed by a failed write: failing the query before the charge
+    // is the conservative choice (its release could never become durable).
     metrics.AddCounter("service/journal_errors");
-    return ds->journal_status.ok()
+    return ds.journal_status.ok()
                ? Status::Internal("journal unavailable for '" +
                                   request.dataset_id + "'")
-               : ds->journal_status;
+               : ds.journal_status;
   }
 
   Status charged = accountant_.Charge(request.dataset_id, request.epsilon);
@@ -530,81 +577,25 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
     return charged;
   }
 
-  // Crash-injection sites for the exactly-once chaos orchestrator: a
-  // SIGKILL at any of the four leaves the journal in a different phase of
-  // the charge→run→release protocol, and recovery + a keyed retry must
-  // land on "released exactly once" from all of them.
-  UPA_FAILPOINT_HIT("service/charge_pre_append");
-
-  // Two-phase + journal: the charge is durable before the run starts; a
-  // crash from here on leaves a dangling charge that recovery refunds.
-  uint64_t qid = next_qid_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (ds->journal != nullptr) {
-    JournalRecord rec;
-    rec.type = JournalRecord::Type::kCharge;
-    rec.qid = qid;
-    rec.epsilon = request.epsilon;
-    Status journaled = ds->journal->Append(rec);
-    if (!journaled.ok()) {
-      accountant_.Refund(request.dataset_id, request.epsilon);
-      metrics.AddCounter("service/refunds");
-      metrics.AddCounter("service/journal_errors");
-      return journaled;
-    }
-  }
-  UPA_FAILPOINT_HIT("service/post_append_pre_run");
-
-  uint64_t fingerprint = request.fingerprint != 0
-                             ? request.fingerprint
-                             : Fnv1a(request.query.name);
-  SensitivityCache::Key key{0, 0};
-  core::SensitivityHint hint;
-  bool cache_hit = false;
-  uint64_t epoch = 0;
+  ticket.fingerprint = request.fingerprint != 0 ? request.fingerprint
+                                                : Fnv1a(request.query.name);
   {
-    std::lock_guard<std::mutex> ds_lock(ds->mu);
-    epoch = ds->epoch;
-    key = {fingerprint, epoch};
-    cache_hit = ds->cache.Lookup(key, &hint);
+    std::lock_guard<std::mutex> ds_lock(ds.mu);
+    ticket.epoch = ds.epoch;
+    ticket.cache_hit =
+        ds.cache.Lookup({ticket.fingerprint, ticket.epoch}, &ticket.hint);
   }
-  metrics.AddCounter(cache_hit ? "service/sens_cache_hit"
-                               : "service/sens_cache_miss");
+  metrics.AddCounter(ticket.cache_hit ? "service/sens_cache_hit"
+                                      : "service/sens_cache_miss");
+  return ticket;
+}
 
-  core::UpaConfig upa_config = config_.upa;
-  upa_config.epsilon = request.epsilon;
-  core::UpaRunner runner(upa_config);
-  runner.share_enforcer(ds->enforcer);
-
-  Result<core::UpaRunResult> run =
-      runner.Run(request.query, request.seed, cache_hit ? &hint : nullptr);
-  if (!run.ok()) {
-    // Nothing was released — the runner's last cancellation check sits
-    // before the enforcer Register — so the budget is handed back
-    // (two-phase charge), durable before the caller learns the outcome.
-    accountant_.Refund(request.dataset_id, request.epsilon);
-    metrics.AddCounter("service/refunds");
-    StatusCode code = run.status().code();
-    if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded) {
-      CountCancelMetric(code);
-    }
-    if (ds->journal != nullptr) {
-      JournalRecord rec;
-      rec.type = JournalRecord::Type::kRefund;
-      rec.qid = qid;
-      rec.epsilon = request.epsilon;
-      if (!ds->journal->Append(rec).ok()) {
-        // The refund record was lost, so the journal shows a dangling
-        // charge — which recovery refunds. Disk and memory agree either
-        // way; just count it.
-        metrics.AddCounter("service/journal_errors");
-      }
-    }
-    return run.status();
-  }
-  const core::UpaRunResult& result = run.value();
-  UPA_FAILPOINT_HIT("service/post_run_pre_release_append");
-
+Result<QueryResponse> UpaService::Commit(const QueryRequest& request,
+                                         const Ticket& ticket,
+                                         const core::UpaRunResult& result,
+                                         double queue_seconds) {
+  engine::ExecMetrics& metrics = ctx_->metrics();
+  DatasetState& ds = *ticket.ds;
   QueryResponse response;
   response.released = result.released_output;
   response.epsilon = request.epsilon;
@@ -613,69 +604,63 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
   response.attack_suspected = result.enforcer.attack_suspected;
   response.records_removed = result.enforcer.records_removed;
   response.degenerate_sensitivity = result.degenerate_sensitivity;
-  response.sensitivity_cache_hit = cache_hit;
-  response.dataset_epoch = epoch;
+  response.sensitivity_cache_hit = ticket.cache_hit;
+  response.dataset_epoch = ticket.epoch;
   response.queue_seconds = queue_seconds;
   response.seconds = result.seconds;
   // The exact bytes a replay of this key must return, frozen before the
   // release record is written so journal and window always agree.
-  std::string response_blob = keyed ? EncodeResponseBlob(response) : "";
+  std::string response_blob =
+      ticket.keyed ? EncodeResponseBlob(response) : "";
 
-  if (ds->journal != nullptr) {
-    // The release becomes durable BEFORE the response resolves: an
-    // unacknowledged release must look like it never happened, and an
-    // acknowledged one must survive a crash. The record carries the
-    // idempotency key and the serialized response, so recovery can answer
-    // a retried key byte-identically without running anything.
+  if (ds.journal != nullptr) {
+    // The release and its charge become durable as this one record, BEFORE
+    // the response resolves: an unacknowledged release must look like it
+    // never happened, and an acknowledged one must survive a crash. The
+    // record carries the idempotency key and the serialized response, so
+    // recovery can answer a retried key byte-identically without running
+    // anything.
     JournalRecord rec;
     rec.type = JournalRecord::Type::kRelease;
-    rec.qid = qid;
     rec.epsilon = request.epsilon;
     rec.partition_outputs = result.partition_outputs;
     rec.nonce = request.client_nonce;
     rec.key_seq = request.client_seq;
-    rec.request_hash = request_hash;
+    rec.request_hash = ticket.request_hash;
     rec.response_blob = response_blob;
-    Status journaled = ds->journal->Append(rec);
+    Status journaled = ds.journal->Append(rec);
     if (!journaled.ok()) {
-      // The analyst never sees this output (we return the error), so the
-      // charge is refunded. The in-memory registry keeps the stray prior
-      // until restart — strictly conservative: an extra prior can only
-      // trigger more enforcement, never less.
-      accountant_.Refund(request.dataset_id, request.epsilon);
-      metrics.AddCounter("service/refunds");
+      // The analyst never sees this output (the caller returns the error
+      // and refunds the charge). The in-memory registry keeps the stray
+      // prior until restart — strictly conservative: an extra prior can
+      // only trigger more enforcement, never less.
       metrics.AddCounter("service/journal_errors");
-      JournalRecord refund;
-      refund.type = JournalRecord::Type::kRefund;
-      refund.qid = qid;
-      refund.epsilon = request.epsilon;
-      (void)ds->journal->Append(refund);
       return journaled;
     }
   }
 
   std::vector<DedupTable::Key> evicted;
   {
-    std::lock_guard<std::mutex> ds_lock(ds->mu);
+    std::lock_guard<std::mutex> ds_lock(ds.mu);
     // Fill the cache only if the data didn't change mid-run: a BumpEpoch
     // that raced the run makes this sensitivity stale on arrival.
-    if (!cache_hit && ds->epoch == epoch) {
-      ds->cache.Insert(key,
-                       core::SensitivityHint{result.local_sensitivity,
-                                             result.out_range,
-                                             result.degenerate_sensitivity},
-                       config_.sensitivity_cache_capacity);
+    if (!ticket.cache_hit && ds.epoch == ticket.epoch) {
+      ds.cache.Insert({ticket.fingerprint, ticket.epoch},
+                      core::SensitivityHint{result.local_sensitivity,
+                                            result.out_range,
+                                            result.degenerate_sensitivity},
+                      config_.sensitivity_cache_capacity);
     }
-    if (keyed) {
+    if (ticket.keyed) {
       DedupTable::Entry entry;
-      entry.request_hash = request_hash;
+      entry.request_hash = ticket.request_hash;
       entry.blob = std::move(response_blob);
-      ds->dedup.Insert({request.client_nonce, request.client_seq},
-                       std::move(entry), config_.dedup_window, &evicted);
+      ds.dedup.Insert({request.client_nonce, request.client_seq},
+                      std::move(entry), config_.dedup_window, &evicted);
     }
-    ++ds->queries;
+    ++ds.queries;
   }
-  if (ds->journal != nullptr) {
+  if (ds.journal != nullptr) {
     // Journal the eviction so the durable window tracks the in-memory one
     // (recovery otherwise re-trims deterministically — a lost kExpire can
     // widen the recovered window, never corrupt it).
@@ -684,7 +669,7 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
       expire.type = JournalRecord::Type::kExpire;
       expire.nonce = gone.first;
       expire.key_seq = gone.second;
-      if (!ds->journal->Append(expire).ok()) {
+      if (!ds.journal->Append(expire).ok()) {
         metrics.AddCounter("service/journal_errors");
         break;  // journal is poisoned; further appends would fail too
       }
@@ -696,16 +681,10 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
   if (result.enforcer.attack_suspected) {
     metrics.AddCounter("service/attacks_suspected");
   }
-
   metrics.RecordLatency("upa/sample", result.seconds.sample);
   metrics.RecordLatency("upa/map", result.seconds.map);
   metrics.RecordLatency("upa/reduce", result.seconds.reduce);
   metrics.RecordLatency("upa/enforce", result.seconds.enforce);
-  metrics.RecordLatency("service/total", total.ElapsedSeconds());
-  // Release durable + dedup window updated, response not yet delivered: a
-  // crash here is the pure replay case — the retry must return these
-  // exact bytes without charging again.
-  UPA_FAILPOINT_HIT("service/post_release_pre_ack");
   return response;
 }
 

@@ -5,19 +5,20 @@
 // What the service owns, per dataset:
 //   - the RANGE ENFORCER registry (Algorithm 2 state shared by every query
 //     over that dataset, whoever submits it),
-//   - the privacy budget (one PrivacyAccountant across datasets, with
-//     charge/refund two-phase semantics: a query is charged before it runs
-//     and refunded if it fails before releasing anything),
+//   - the privacy budget (one PrivacyAccountant across datasets: a query is
+//     charged in memory before it runs and refunded in memory if it fails
+//     before releasing anything),
 //   - a data epoch plus an LRU cache of inferred sensitivities/output
 //     ranges keyed by query fingerprint × epoch: a repeated query shape on
 //     unchanged data skips phase 3b's exclusion scans and the normal fit —
 //     the expensive half of a run — and releases bit-identically to the
 //     full run (see core::SensitivityHint),
 //   - optionally (ServiceConfig::journal_dir) a durable journal of every
-//     charge/release/refund/epoch-bump, replayed on construction so a
-//     restarted service resumes with a bit-identical registry and ledger
-//     (see journal.h for the crash-consistency protocol). A journal dir
-//     that does not recover leaves the service inert (recovery_status()).
+//     release (one record with its outputs and ε) and epoch bump, replayed
+//     on construction so a restarted service resumes with a bit-identical
+//     registry and a ledger of Σ released ε (see journal.h for the
+//     crash-consistency protocol). A journal dir that does not recover
+//     leaves the service inert (recovery_status()).
 //
 // Admission and ordering:
 //   - at most `max_in_flight` queries execute at once (global), and at
@@ -49,7 +50,6 @@
 // (StatsReport) used by examples/sql_console.cpp.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -59,6 +59,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -345,6 +346,19 @@ class UpaService {
     Status journal_status = Status::Ok();
   };
 
+  /// What Prepare hands the run and Commit.
+  struct Ticket {
+    std::shared_ptr<DatasetState> ds;
+    bool keyed = false;  // idempotency key live, bound to request_hash
+    uint64_t request_hash = 0;
+    uint64_t fingerprint = 0;  // sensitivity-cache key: fingerprint, epoch
+    uint64_t epoch = 0;
+    core::SensitivityHint hint;
+    bool cache_hit = false;
+    /// A completed key's frozen response: returned, nothing charged or run.
+    std::optional<QueryResponse> replay;
+  };
+
   std::shared_ptr<DatasetState> DatasetFor(const std::string& dataset_id);
   /// Dispatch queued requests while a global slot is free; at most one
   /// in-flight request per tenant (keeps each tenant FIFO) and at most one
@@ -353,7 +367,18 @@ class UpaService {
   /// dataset waits — head-of-line order is what makes per-dataset request
   /// order deterministic. Called with `mu_` held.
   void MaybeDispatchLocked();
+  /// Prepare, run, Commit; a failed run or commit refunds in memory.
   Result<QueryResponse> RunOne(Pending& pending, double queue_seconds);
+  /// The pre-flight cancel check, the dedup replay, the journal gate, the
+  /// in-memory charge and the sensitivity-cache lookup.
+  Result<Ticket> Prepare(const QueryRequest& request);
+  /// Builds the response and its blob, appends the kRelease (the only code
+  /// that writes one), fills the cache and the dedup window, journals its
+  /// expiries and counts. Fails only when the kRelease append does.
+  Result<QueryResponse> Commit(const QueryRequest& request,
+                               const Ticket& ticket,
+                               const core::UpaRunResult& result,
+                               double queue_seconds);
   /// Prunes queued requests whose token tripped (deadline/cancel) so they
   /// fail fast instead of occupying backlog until dispatch.
   void WatchdogLoop();
@@ -379,11 +404,6 @@ class UpaService {
 
   mutable std::mutex datasets_mu_;
   std::map<std::string, std::shared_ptr<DatasetState>> datasets_;
-
-  /// Journal record ids, unique within this process lifetime; recovery
-  /// compacts the journal, so restarting from 1 cannot collide with
-  /// replayed records.
-  std::atomic<uint64_t> next_qid_{0};
 
   std::condition_variable watchdog_cv_;  // paired with mu_
   bool watchdog_stop_ = false;           // guarded by mu_

@@ -5,10 +5,11 @@
 // The two properties under test are the cluster's whole durability story:
 //   1. Kill-mid-release conservation: a shard SIGKILLed while a query is
 //      executing must recover to EXACTLY the acknowledged state — the
-//      in-flight query's charge is refunded by journal recovery, released
-//      bits for subsequent queries match a never-killed control shard, and
-//      the budget arithmetic proves no charge leaked (a leak would flip a
-//      later admission decision, which the test drives to the edge).
+//      in-flight query's charge lived in memory only and dies with the
+//      process, released bits for subsequent queries match a never-killed
+//      control shard, and the budget arithmetic proves no charge leaked (a
+//      leak would flip a later admission decision, which the test drives
+//      to the edge).
 //   2. Acknowledged-append durability: with journal fsync on, a SIGKILL
 //      immediately after Append returns Ok (the journal/after_append abort
 //      failpoint, which now fires AFTER fdatasync) must never lose the
@@ -108,9 +109,9 @@ class ClusterChaosTest : public ::testing::Test {
 TEST_F(ClusterChaosTest, KillMidReleaseRecoversBitIdenticalToControl) {
   // Budget arithmetic as the conservation oracle (epsilon 0.1/query,
   // budget 0.65): phase 1 spends 0.4 on both shards. The victim's killed
-  // in-flight query charges 0.1 more (0.5 durable) — recovery MUST refund
-  // it, or phase 3's two queries (0.2) would blow the budget at 0.7 and
-  // the final admission would flip to OUT_OF_RANGE.
+  // in-flight query charges 0.1 more in memory only — recovery MUST come
+  // back at 0.4, or phase 3's two queries (0.2) would blow the budget at
+  // 0.7 and the final admission would flip to OUT_OF_RANGE.
   const double kBudget = 0.65;
   auto victim_port = PickFreePort();
   auto control_port = PickFreePort();
@@ -231,9 +232,9 @@ TEST_F(ClusterChaosTest, MalformedToyQueryIsRefusedAndShardSurvives) {
 }
 
 TEST_F(ClusterChaosTest, SigkillRightAfterDurableAppendLosesNothing) {
-  // The shard aborts at journal/after_append hit 3 — kOpen(1), kCharge(2),
-  // kRelease(3) — i.e. immediately after the RELEASE record's fdatasync
-  // returned, before any response is sent. The restarted shard must treat
+  // The shard aborts at journal/after_append hit 2 — kOpen(1), kRelease(2)
+  // — i.e. immediately after the RELEASE record's fdatasync returned,
+  // before any response is sent. The restarted shard must treat
   // that release as fully committed: its charge sticks (0.2 spent), so a
   // third 0.1 query over a 0.25 budget is rejected. Losing the record
   // would leave 0.1 spent and admit it.
@@ -246,16 +247,15 @@ TEST_F(ClusterChaosTest, SigkillRightAfterDurableAppendLosesNothing) {
   ShardSupervisor supervisor(opts);
   auto crashy = supervisor.Launch(ShardSpec(
       port.value(), dir_ + "/j", kBudget,
-      {"UPA_FAILPOINTS=journal/after_append=abort:every(3)"}));
+      {"UPA_FAILPOINTS=journal/after_append=abort:every(2)"}));
   ASSERT_TRUE(crashy.ok()) << crashy.status().ToString();
 
   std::unique_ptr<net::Client> client = DialShard(port.value());
   ASSERT_NE(client, nullptr);
 
-  // Query 1 commits appends 1 (kOpen) and 2 (kCharge)... and would hit 3
-  // (its own kRelease)! Order the workload so the abort lands exactly on
-  // the first query's release append: that query is never acknowledged,
-  // yet its release must survive.
+  // Query 1 commits append 1 (kOpen) and then hits 2 with its own
+  // kRelease: the abort lands exactly on the first query's release append.
+  // That query is never acknowledged, yet its release must survive.
   auto q1 = client->Query(MakeQuery("x", "count:500", 1));
   // The process died after syncing the release: the client sees a
   // transport-level failure, never a response.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -45,6 +46,16 @@ TEST(AccountantTest, RejectsNonPositiveEpsilon) {
   PrivacyAccountant acc(1.0);
   EXPECT_EQ(acc.Charge("ds", 0.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(acc.Charge("ds", -0.1).code(), StatusCode::kInvalidArgument);
+  // Not finite: a NaN charge would pass every budget comparison and leave
+  // spent = NaN, which admits everything after it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(acc.Charge("ds", std::numeric_limits<double>::quiet_NaN()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(acc.Charge("ds", kInf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(acc.Charge("ds", -kInf).code(), StatusCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(acc.Spent("ds"), 0.0);
+  EXPECT_TRUE(acc.Charge("ds", 1.0).ok());
+  EXPECT_EQ(acc.Charge("ds", 0.5).code(), StatusCode::kOutOfRange);
 }
 
 TEST(AccountantTest, UnknownDatasetHasZeroSpent) {
@@ -87,7 +98,13 @@ TEST(AccountantTest, RefundRejectsUnknownDatasetAndBadEpsilon) {
   EXPECT_TRUE(acc.Charge("ds", 0.5).ok());
   EXPECT_EQ(acc.Refund("ds", 0.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(acc.Refund("ds", -0.1).code(), StatusCode::kInvalidArgument);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(acc.Refund("ds", std::numeric_limits<double>::quiet_NaN()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(acc.Refund("ds", kInf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(acc.Refund("ds", -kInf).code(), StatusCode::kInvalidArgument);
   EXPECT_DOUBLE_EQ(acc.Spent("ds"), 0.5);  // failed refunds change nothing
+  EXPECT_DOUBLE_EQ(acc.Checkpoint("ds").refunded_total, 0.0);
 }
 
 TEST(AccountantTest, CheckpointTracksChargedAndRefundedTotals) {

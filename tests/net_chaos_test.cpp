@@ -251,14 +251,14 @@ TEST_F(NetCrashDeathTest, ServerKilledMidReleaseRecoversBitIdentically) {
         Server server(&service, CountCompiler(), {});
         Status started = server.Start();
         UPA_CHECK_MSG(started.ok(), started.ToString());
-        // Journal appends: kOpen (1), kCharge (2), kRelease (3) — abort
-        // the instant the release is durable, before the response frame
-        // leaves the server.
+        // Journal appends: kOpen (1), kRelease (2) — abort the instant
+        // the release is durable, before the response frame leaves the
+        // server.
         Failpoints::Instance().Activate(
             "journal/after_append",
             Failpoints::Spec{.action = Failpoints::Action::kAbort,
                              .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 3});
+                             .every_n = 2});
         auto connected = Client::Connect("127.0.0.1", server.port());
         UPA_CHECK(connected.ok());
         (void)connected.value()->Query(

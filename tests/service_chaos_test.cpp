@@ -7,7 +7,7 @@
 //   - a cancelled/failed/deadline-exceeded query refunds its charge and
 //     registers nothing,
 //   - recovery reconstructs the enforcer registry bit-identically and the
-//     ledger totals exactly as journaled,
+//     ledger as Σ released ε, exactly,
 //   - the service keeps draining (no deadlock) with faults active.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <functional>
 #include <iterator>
 #include <future>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -263,11 +264,15 @@ TEST_F(ChaosTest, InjectedPhaseErrorsAlwaysRefund) {
 // The tentpole scenario: several crash-free service generations under a
 // seeded fault schedule, each followed by a restart from the journal.
 // Every generation asserts conservation; every restart asserts the
-// recovered registry/ledger is bit-identical to the pre-shutdown state.
+// recovered registry and epoch are bit-identical to the pre-shutdown
+// state. A failed run refunds in memory only and leaves no durable trace,
+// so the recovered ledger is the releases' ε summed in order — charged
+// exactly that, refunded nothing — and `spent` matches the live one.
 TEST_F(ChaosTest, SeededFaultScheduleSurvivesRestarts) {
   constexpr uint64_t kSeed = 20260806;
   const std::vector<std::string> datasets = {"dsA", "dsB"};
   std::map<std::string, size_t> expected_registry;
+  std::map<std::string, double> released_epsilon;
   std::map<std::string, UpaService::DatasetDurableDebug> before_restart;
 
   ServiceConfig config = FastConfig();
@@ -284,11 +289,8 @@ TEST_F(ChaosTest, SeededFaultScheduleSurvivesRestarts) {
       UpaService::DatasetDurableDebug recovered = service.DebugState(id);
       EXPECT_EQ(recovered.epoch, expected.epoch) << id;
       ExpectRegistryBitIdentical(recovered.registry, expected.registry);
-      EXPECT_EQ(recovered.budget.charged_total, expected.budget.charged_total)
-          << id;
-      EXPECT_EQ(recovered.budget.refunded_total,
-                expected.budget.refunded_total)
-          << id;
+      EXPECT_EQ(recovered.budget.charged_total, released_epsilon[id]) << id;
+      EXPECT_EQ(recovered.budget.refunded_total, 0.0) << id;
       EXPECT_NEAR(recovered.budget.spent, expected.budget.spent, 1e-9) << id;
     }
 
@@ -329,7 +331,10 @@ TEST_F(ChaosTest, SeededFaultScheduleSurvivesRestarts) {
     }
     for (auto& [dataset, future] : futures) {
       auto result = future.get();
-      if (result.ok()) ++expected_registry[dataset];
+      if (result.ok()) {
+        ++expected_registry[dataset];
+        released_epsilon[dataset] += result.value().epsilon;
+      }
     }
     Failpoints::Instance().DeactivateAll();
 
@@ -354,8 +359,9 @@ TEST_F(ChaosTest, SeededFaultScheduleSurvivesRestarts) {
   for (const auto& [id, expected] : before_restart) {
     UpaService::DatasetDurableDebug recovered = final_service.DebugState(id);
     ExpectRegistryBitIdentical(recovered.registry, expected.registry);
-    EXPECT_EQ(recovered.budget.charged_total, expected.budget.charged_total);
-    EXPECT_EQ(recovered.budget.refunded_total, expected.budget.refunded_total);
+    EXPECT_EQ(recovered.budget.charged_total, released_epsilon[id]) << id;
+    EXPECT_EQ(recovered.budget.refunded_total, 0.0) << id;
+    EXPECT_NEAR(recovered.budget.spent, expected.budget.spent, 1e-9) << id;
   }
 }
 
@@ -385,7 +391,7 @@ TEST_F(ChaosTest, JournalAppendFaultsKeepDiskAndMemoryConsistent) {
   UpaService recovered(&Ctx(), config);
   ASSERT_TRUE(recovered.recovery_status().ok());
   ASSERT_TRUE(recovered.accountant().VerifyConservation().ok());
-  // A failed charge-append refunds in memory but journals nothing, so the
+  // A failed release append refunds in memory and journals nothing, so the
   // cumulative totals may legitimately differ — the live balance must not.
   EXPECT_NEAR(recovered.DebugState("ds").budget.spent, live["ds"].spent,
               1e-9);
@@ -472,12 +478,56 @@ TEST_F(ChaosTest, CorruptSnapshotLeavesTheServiceInert) {
   });
 }
 
-// Crash-and-recover: the child process aborts inside the journal append
-// (after the record is durable); the parent then recovers from the same
-// journal dir and must see exactly the acknowledged state.
+// A NaN ε must be refused before anything is charged, run or journaled.
+// NaN fails every comparison: charged, it would make spent NaN and let
+// every later budget check pass, and the noisy run would abort the process
+// in the Laplace mechanism.
+TEST_F(ChaosTest, NanEpsilonIsRefusedAndTheBudgetHolds) {
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir_;
+  config.budget_per_dataset = 1.0;
+  config.upa.add_noise = true;
+  auto request = [](double epsilon, uint64_t seed) {
+    QueryRequest r = MakeRequest("a", "ds", CountQuery(2000), seed);
+    r.epsilon = epsilon;
+    return r;
+  };
+  {
+    UpaService service(&Ctx(), config);
+    auto refused = service.Execute(
+        request(std::numeric_limits<double>::quiet_NaN(), 1));
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+    EXPECT_EQ(service.accountant().Spent("ds"), 0.0);
+  }
+  auto records = Journal::ReadAll(
+      (fs::path(dir_) / (Journal::FileStem("ds") + ".journal")).string());
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records.value().size(), 1u);
+  EXPECT_EQ(records.value()[0].type, JournalRecord::Type::kOpen);
+
+  UpaService service(&Ctx(), config);
+  ASSERT_TRUE(service.recovery_status().ok())
+      << service.recovery_status().ToString();
+  size_t released = 0;
+  for (uint64_t i = 0; i < 5; ++i) {
+    auto result = service.Execute(request(0.5, 10 + i));
+    if (result.ok()) {
+      ++released;
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+    }
+  }
+  EXPECT_EQ(released, 2u);
+  EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 1.0);
+}
+
+// Crash-and-recover: the child process aborts at a protocol or journal
+// fault site; the parent then recovers from the same journal dir and must
+// see exactly the acknowledged state.
 using ServiceCrashDeathTest = ChaosTest;
 
-TEST_F(ServiceCrashDeathTest, AbortAfterChargeAppendRecoversWithRefund) {
+TEST_F(ServiceCrashDeathTest, AbortBeforeRunRecoversWithNothingCharged) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   std::string dir = dir_;
   EXPECT_DEATH(
@@ -487,19 +537,18 @@ TEST_F(ServiceCrashDeathTest, AbortAfterChargeAppendRecoversWithRefund) {
         ServiceConfig config = FastConfig();
         config.journal_dir = dir;
         UpaService service(&Ctx(), config);
-        // Journal appends for a fresh dataset: kOpen (hit 1), kCharge
-        // (hit 2) — abort right after the charge is durable.
+        // Charged in memory, nothing run, nothing durable but the kOpen.
         Failpoints::Instance().Activate(
-            "journal/after_append",
+            "service/pre_run",
             Failpoints::Spec{.action = Failpoints::Action::kAbort,
                              .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 2});
+                             .every_n = 1});
         (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
       },
       "injected abort");
 
-  // Parent: the journal holds kOpen + a dangling charge. Recovery refunds
-  // it exactly once; nothing was released, nothing registers.
+  // Parent: the charge died with the process. Nothing was released,
+  // nothing registers, and nothing is charged or refunded.
   ServiceConfig config = FastConfig();
   config.journal_dir = dir;
   UpaService service(&Ctx(), config);
@@ -507,9 +556,9 @@ TEST_F(ServiceCrashDeathTest, AbortAfterChargeAppendRecoversWithRefund) {
       << service.recovery_status().ToString();
   UpaService::DatasetDurableDebug debug = service.DebugState("ds");
   EXPECT_EQ(debug.registry.size(), 0u);
-  EXPECT_DOUBLE_EQ(debug.budget.charged_total, 0.05);
-  EXPECT_DOUBLE_EQ(debug.budget.refunded_total, 0.05);
-  EXPECT_DOUBLE_EQ(debug.budget.spent, 0.0);
+  EXPECT_EQ(debug.budget.charged_total, 0.0);
+  EXPECT_EQ(debug.budget.refunded_total, 0.0);
+  EXPECT_EQ(debug.budget.spent, 0.0);
   EXPECT_TRUE(service.accountant().VerifyConservation().ok());
 }
 
@@ -521,13 +570,13 @@ TEST_F(ServiceCrashDeathTest, AbortAfterReleaseAppendRecoversTheRelease) {
         ServiceConfig config = FastConfig();
         config.journal_dir = dir;
         UpaService service(&Ctx(), config);
-        // kOpen (1), kCharge (2), kRelease (3): the release is durable,
-        // the crash hits before the response resolves.
+        // kOpen (1), kRelease (2): the release is durable, the crash hits
+        // before the response resolves.
         Failpoints::Instance().Activate(
             "journal/after_append",
             Failpoints::Spec{.action = Failpoints::Action::kAbort,
                              .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 3});
+                             .every_n = 2});
         (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
       },
       "injected abort");
@@ -556,7 +605,7 @@ TEST_F(ServiceCrashDeathTest, AbortBetweenFlushAndFsyncConservesEitherWay) {
         config.journal_dir = dir;
         UpaService service(&Ctx(), config);
         // before_sync fires once per append with journal_fsync on: kOpen
-        // (hit 1), kCharge (hit 2). Abort at hit 2 — the charge frame has
+        // (hit 1), kRelease (hit 2). Abort at hit 2 — the release frame has
         // reached the kernel but fdatasync has not run, the exact window
         // the durability fix closes.
         Failpoints::Instance().Activate(
@@ -571,18 +620,58 @@ TEST_F(ServiceCrashDeathTest, AbortBetweenFlushAndFsyncConservesEitherWay) {
   // Whether the unsynced frame survived is a property of the crash (an
   // abort keeps the page cache; power loss may not). The contract is
   // weaker than after_append's — nothing was acknowledged, so recovery
-  // only has to conserve: no release registered, no budget spent, every
-  // charge that did land refunded.
+  // only has to conserve: the release is registered and charged together
+  // or not at all.
   ServiceConfig config = FastConfig();
   config.journal_dir = dir;
   UpaService service(&Ctx(), config);
   ASSERT_TRUE(service.recovery_status().ok())
       << service.recovery_status().ToString();
   UpaService::DatasetDurableDebug debug = service.DebugState("ds");
-  EXPECT_EQ(debug.registry.size(), 0u);
-  EXPECT_DOUBLE_EQ(debug.budget.spent, 0.0);
-  EXPECT_DOUBLE_EQ(debug.budget.charged_total, debug.budget.refunded_total);
+  const size_t released = debug.registry.size();
+  EXPECT_LE(released, 1u);
+  EXPECT_DOUBLE_EQ(debug.budget.spent, 0.05 * static_cast<double>(released));
+  EXPECT_EQ(debug.budget.refunded_total, 0.0);
   EXPECT_TRUE(service.accountant().VerifyConservation().ok());
+}
+
+// A crash inside Journal::Open, before a fresh journal's kOpen frame is
+// written, must leave no headerless `.journal` behind: recovery refuses
+// such a file, and the restarted service would refuse every dataset.
+TEST_F(ServiceCrashDeathTest, AbortInsideJournalOpenRecoversAndServes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::string dir = dir_;
+  EXPECT_DEATH(
+      {
+        ServiceConfig config = FastConfig();
+        config.journal_dir = dir;
+        UpaService service(&Ctx(), config);
+        // A fresh dataset's first append is its journal's kOpen header.
+        Failpoints::Instance().Activate(
+            "journal/before_append",
+            Failpoints::Spec{.action = Failpoints::Action::kAbort,
+                             .trigger = Failpoints::Trigger::kEveryN,
+                             .every_n = 1});
+        (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
+      },
+      "injected abort");
+
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir;
+  {
+    UpaService service(&Ctx(), config);
+    ASSERT_TRUE(service.recovery_status().ok())
+        << service.recovery_status().ToString();
+    auto released = service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
+    ASSERT_TRUE(released.ok()) << released.status().ToString();
+  }
+  // The journal the retry created is a real one: the release survives.
+  UpaService service(&Ctx(), config);
+  ASSERT_TRUE(service.recovery_status().ok())
+      << service.recovery_status().ToString();
+  UpaService::DatasetDurableDebug debug = service.DebugState("ds");
+  EXPECT_EQ(debug.registry.size(), 1u);
+  EXPECT_DOUBLE_EQ(debug.budget.spent, 0.05);
 }
 
 TEST_F(ServiceCrashDeathTest, AbortBeforeSnapshotRenameKeepsOldStateIntact) {

@@ -1,5 +1,6 @@
 // Journal wire format, torn-tail handling, snapshots, and recovery
-// semantics (dangling charges refund exactly once; replay is bit-exact).
+// semantics (the ledger is Σ released ε; legacy charge/refund records
+// replay as no-ops; replay is bit-exact; every byte prefix recovers).
 #include "service/journal.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -39,6 +41,8 @@ class JournalTest : public ::testing::Test {
   std::string dir_;
 };
 
+// Charge and Refund records are no longer written, but journals written by
+// older binaries hold them, so recovery must still read them.
 JournalRecord Charge(uint64_t qid, double eps) {
   JournalRecord rec;
   rec.type = JournalRecord::Type::kCharge;
@@ -62,6 +66,11 @@ JournalRecord Refund(uint64_t qid, double eps) {
   rec.qid = qid;
   rec.epsilon = eps;
   return rec;
+}
+
+/// The live balance a restarted accountant gets from recovered totals.
+double Spent(const DatasetDurableState& state) {
+  return state.charged_total - state.refunded_total;
 }
 
 /// Lower-case hex of `bytes`, for golden-byte comparisons.
@@ -235,6 +244,9 @@ TEST_F(JournalTest, CorruptSnapshotIsRejected) {
             StatusCode::kNotFound);
 }
 
+// A legacy journal: each release was bracketed by a charge, and a failed
+// run by a refund. Only the releases count now, and they recover the spent
+// budget the charge/refund replay gave: 0.1 + 0.3.
 TEST_F(JournalTest, RecoveryReplaysChargesReleasesRefunds) {
   {
     auto journal = std::move(Journal::Open(dir_, "ds").value());
@@ -248,34 +260,29 @@ TEST_F(JournalTest, RecoveryReplaysChargesReleasesRefunds) {
   auto state_or = RecoverDataset(dir_, "ds", /*compact=*/false);
   ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
   const DatasetDurableState& state = state_or.value();
-  EXPECT_DOUBLE_EQ(state.charged_total, 0.1 + 0.2 + 0.3);
-  EXPECT_DOUBLE_EQ(state.refunded_total, 0.2);
+  EXPECT_NEAR(Spent(state), 0.4, 1e-12);
+  EXPECT_EQ(state.charged_total, 0.1 + 0.3);
+  EXPECT_EQ(state.refunded_total, 0.0);
   ASSERT_EQ(state.registry.size(), 2u);
   EXPECT_EQ(state.registry[0], (std::vector<double>{4.0, 5.0}));
   EXPECT_EQ(state.registry[1], (std::vector<double>{6.0, 7.0}));
-  EXPECT_TRUE(state.recovered_refunds.empty());
 }
 
+// A legacy journal whose writer died between a charge and its release: the
+// charge was never acknowledged, so nothing is spent — on the first
+// recovery and on the second, which starts from the compacted snapshot.
 TEST_F(JournalTest, DanglingChargeIsRefundedExactlyOnce) {
   {
     auto journal = std::move(Journal::Open(dir_, "ds").value());
     ASSERT_TRUE(journal->Append(Charge(1, 0.1)).ok());
     // Crash: no release, no refund.
   }
-  auto first_or = RecoverDataset(dir_, "ds", /*compact=*/true);
-  ASSERT_TRUE(first_or.ok());
-  EXPECT_DOUBLE_EQ(first_or.value().charged_total, 0.1);
-  EXPECT_DOUBLE_EQ(first_or.value().refunded_total, 0.1);
-  ASSERT_EQ(first_or.value().recovered_refunds.size(), 1u);
-  EXPECT_DOUBLE_EQ(first_or.value().recovered_refunds.at(1), 0.1);
-
-  // A second recovery loads the compacted snapshot: the refund is already
-  // baked in, and must not be applied again.
-  auto second_or = RecoverDataset(dir_, "ds", /*compact=*/true);
-  ASSERT_TRUE(second_or.ok());
-  EXPECT_DOUBLE_EQ(second_or.value().charged_total, 0.1);
-  EXPECT_DOUBLE_EQ(second_or.value().refunded_total, 0.1);
-  EXPECT_TRUE(second_or.value().recovered_refunds.empty());
+  for (int recovery = 0; recovery < 2; ++recovery) {
+    auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
+    ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
+    EXPECT_NEAR(Spent(state_or.value()), 0.0, 1e-12) << recovery;
+    EXPECT_TRUE(state_or.value().registry.empty()) << recovery;
+  }
 }
 
 TEST_F(JournalTest, CompactionCoversReplayAndAcceptsNewAppends) {
@@ -312,12 +319,11 @@ TEST_F(JournalTest, TornTailIsTruncatedSoNewAppendsAreReachable) {
       (fs::path(dir_) / (Journal::FileStem("ds") + ".journal")).string();
   fs::resize_file(path, fs::file_size(path) - 3);
 
-  // Recovery drops the fragment (charge 2) and refunds the dangling
-  // charge 1.
+  // Recovery drops the fragment (charge 2); the dangling legacy charge 1
+  // spends nothing.
   auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
   ASSERT_TRUE(state_or.ok());
-  EXPECT_DOUBLE_EQ(state_or.value().charged_total, 0.1);
-  EXPECT_DOUBLE_EQ(state_or.value().refunded_total, 0.1);
+  EXPECT_NEAR(Spent(state_or.value()), 0.0, 1e-12);
 
   // Appends after the truncation land on a clean tail and replay fine.
   {
@@ -331,14 +337,133 @@ TEST_F(JournalTest, TornTailIsTruncatedSoNewAppendsAreReachable) {
   EXPECT_FALSE(torn);
   auto final_or = RecoverDataset(dir_, "ds", /*compact=*/false);
   ASSERT_TRUE(final_or.ok());
-  EXPECT_DOUBLE_EQ(final_or.value().charged_total, 0.1 + 0.5);
+  EXPECT_NEAR(Spent(final_or.value()), 0.5, 1e-12);
   ASSERT_EQ(final_or.value().registry.size(), 1u);
+  EXPECT_EQ(final_or.value().registry[0], (std::vector<double>{1.0, 2.0}));
+}
+
+// A crash can stop an append at any byte, so every byte prefix of a
+// journal is a file recovery may meet. Each must recover to the state of
+// its last whole record (registry, charge, epoch and dedup window), with
+// the file cut exactly at that record's end; a prefix too short to hold
+// the kOpen header names no dataset, and RecoverAll refuses it.
+TEST_F(JournalTest, EveryBytePrefixRecoversTheLastWholeRecord) {
+  struct Expected {
+    uint64_t end = 0;  // file size once the record is whole
+    std::vector<std::vector<double>> registry;
+    double charged_total = 0.0;
+    uint64_t epoch = 0;
+    std::vector<DedupDurableEntry> window;  // oldest first
+  };
+  constexpr size_t kWindow = 2;
+  std::vector<Expected> script;  // one entry per whole record
+  std::string path;
+  {
+    auto journal_or = Journal::Open(dir_, "ds", /*fsync=*/false);
+    ASSERT_TRUE(journal_or.ok()) << journal_or.status().ToString();
+    auto journal = std::move(journal_or).value();
+    path = journal->path();
+    Expected state;
+    auto whole = [&] {
+      state.end = fs::file_size(path);
+      script.push_back(state);
+    };
+    whole();  // the kOpen header
+    for (uint64_t seq = 1; seq <= 4; ++seq) {
+      JournalRecord release =
+          Release(0, 0.125 * static_cast<double>(seq),
+                  {1.5 * static_cast<double>(seq), -0.0});
+      release.nonce = 0xabc;
+      release.key_seq = seq;
+      release.request_hash = 1000 + seq;
+      release.response_blob =
+          std::string(3 * seq, static_cast<char>('a' + seq));
+      ASSERT_TRUE(journal->Append(release).ok());
+      state.registry.push_back(release.partition_outputs);
+      state.charged_total += release.epsilon;
+      state.window.push_back({release.nonce, release.key_seq,
+                              release.request_hash, release.response_blob});
+      whole();
+      if (seq == 2) {
+        JournalRecord bump;
+        bump.type = JournalRecord::Type::kEpochBump;
+        bump.epoch = 5;
+        ASSERT_TRUE(journal->Append(bump).ok());
+        state.epoch = 5;
+        whole();
+      }
+      if (state.window.size() > kWindow) {
+        JournalRecord expire;
+        expire.type = JournalRecord::Type::kExpire;
+        expire.nonce = state.window.front().nonce;
+        expire.key_seq = state.window.front().seq;
+        ASSERT_TRUE(journal->Append(expire).ok());
+        state.window.erase(state.window.begin());
+        whole();
+      }
+    }
+  }
+  ASSERT_EQ(script.size(), 1u + 4u + 1u + 2u);
+  const std::string bytes = FileBytes(path);
+  ASSERT_EQ(bytes.size(), script.back().end);
+
+  const std::string copy_dir = (fs::path(dir_) / "prefix").string();
+  const std::string copy =
+      (fs::path(copy_dir) / fs::path(path).filename()).string();
+  const Expected nothing;
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    fs::remove_all(copy_dir);
+    fs::create_directories(copy_dir);
+    {
+      std::ofstream out(copy, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(len));
+    }
+    const Expected* want = &nothing;
+    for (const Expected& e : script) {
+      if (e.end <= len) want = &e;
+    }
+    if (want == &nothing) {
+      EXPECT_EQ(RecoverAll(copy_dir, /*compact=*/false, /*fsync=*/false)
+                    .status()
+                    .code(),
+                StatusCode::kInternal)
+          << "prefix " << len;
+      EXPECT_EQ(fs::file_size(copy), len) << "prefix " << len;
+    }
+
+    auto state_or =
+        RecoverDataset(copy_dir, "ds", /*compact=*/false, /*fsync=*/false);
+    ASSERT_TRUE(state_or.ok()) << "prefix " << len << ": "
+                               << state_or.status().ToString();
+    const DatasetDurableState& got = state_or.value();
+    EXPECT_EQ(fs::file_size(copy), want->end) << "prefix " << len;
+    EXPECT_EQ(got.registry, want->registry) << "prefix " << len;
+    EXPECT_EQ(got.charged_total, want->charged_total) << "prefix " << len;
+    EXPECT_EQ(got.refunded_total, 0.0) << "prefix " << len;
+    EXPECT_EQ(got.epoch, want->epoch) << "prefix " << len;
+    ASSERT_EQ(got.dedup.size(), want->window.size()) << "prefix " << len;
+    for (size_t i = 0; i < got.dedup.size(); ++i) {
+      EXPECT_EQ(got.dedup[i].seq, want->window[i].seq) << "prefix " << len;
+      EXPECT_EQ(got.dedup[i].nonce, want->window[i].nonce);
+      EXPECT_EQ(got.dedup[i].request_hash, want->window[i].request_hash);
+      EXPECT_EQ(got.dedup[i].response_blob, want->window[i].response_blob);
+    }
+
+    if (want != &nothing) {
+      auto all_or = RecoverAll(copy_dir, /*compact=*/false, /*fsync=*/false);
+      ASSERT_TRUE(all_or.ok()) << "prefix " << len << ": "
+                               << all_or.status().ToString();
+      ASSERT_EQ(all_or.value().size(), 1u);
+      EXPECT_EQ(all_or.value()[0].registry, want->registry);
+      EXPECT_EQ(all_or.value()[0].charged_total, want->charged_total);
+    }
+  }
 }
 
 // A torn write cannot produce a matching checksum, so a checksum-valid
 // frame the reader cannot decode is a format this binary does not know
 // (say, a record type from a newer binary). Treating it as a torn tail
-// would cut every later record, charges included, and hand spent budget
+// would cut every later record, releases included, and hand spent budget
 // back. Recovery must refuse it and leave the file alone.
 TEST_F(JournalTest, ChecksumValidUndecodableRecordFailsRecoveryUntouched) {
   std::string path;
