@@ -84,24 +84,6 @@ void BM_ShuffleByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_ShuffleByKey)->Arg(10000)->Arg(100000);
 
-void BM_ReduceByKey(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(5);
-  std::vector<std::pair<int, double>> kv(n);
-  for (auto& [k, v] : kv) {
-    k = static_cast<int>(rng.UniformU64(100));
-    v = 1.0;
-  }
-  auto ds = Dataset<std::pair<int, double>>::FromVector(&Ctx(), kv);
-  for (auto _ : state) {
-    auto reduced = upa::engine::ReduceByKey(
-        ds, [](double a, double b) { return a + b; }, 4);
-    benchmark::DoNotOptimize(reduced.Count());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ReduceByKey)->Arg(10000)->Arg(100000);
-
 // ParallelForChunks throughput at a given pool size — the primitive the
 // UPA runner's phase-3b/4 pipeline fans out on. Work per index is a small
 // vector accumulation, the shape of a per-neighbour Combine+OutputOf.

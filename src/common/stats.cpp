@@ -1,8 +1,7 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstddef>
 
 #include "common/status.h"
 
@@ -15,68 +14,19 @@ double Mean(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-namespace {
-double SumSquaredDeviations(std::span<const double> xs) {
+double VariancePopulation(std::span<const double> xs) {
+  if (xs.size() <= 1) return 0.0;
   double m = Mean(xs);
   double ss = 0.0;
   for (double x : xs) {
     double d = x - m;
     ss += d * d;
   }
-  return ss;
-}
-}  // namespace
-
-double VariancePopulation(std::span<const double> xs) {
-  if (xs.size() <= 1) return 0.0;
-  return SumSquaredDeviations(xs) / static_cast<double>(xs.size());
-}
-
-double VarianceSample(std::span<const double> xs) {
-  if (xs.size() <= 1) return 0.0;
-  return SumSquaredDeviations(xs) / static_cast<double>(xs.size() - 1);
+  return ss / static_cast<double>(xs.size());
 }
 
 double StdDevPopulation(std::span<const double> xs) {
   return std::sqrt(VariancePopulation(xs));
-}
-
-double StdDevSample(std::span<const double> xs) {
-  return std::sqrt(VarianceSample(xs));
-}
-
-double Min(std::span<const double> xs) {
-  UPA_CHECK_MSG(!xs.empty(), "Min of empty span");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double Max(std::span<const double> xs) {
-  UPA_CHECK_MSG(!xs.empty(), "Max of empty span");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double Percentile(std::span<const double> xs, double p) {
-  UPA_CHECK_MSG(!xs.empty(), "Percentile of empty span");
-  UPA_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double Rmse(std::span<const double> a, std::span<const double> b) {
-  UPA_CHECK_MSG(a.size() == b.size(), "Rmse requires equal lengths");
-  if (a.empty()) return 0.0;
-  double ss = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    ss += d * d;
-  }
-  return std::sqrt(ss / static_cast<double>(a.size()));
 }
 
 double RelativeRmse(std::span<const double> estimates,
@@ -102,27 +52,6 @@ double CoverageFraction(std::span<const double> xs, double lo, double hi) {
     if (x >= lo && x <= hi) ++inside;
   }
   return static_cast<double>(inside) / static_cast<double>(xs.size());
-}
-
-std::string Summary::ToString() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.6g sd=%.6g min=%.6g p50=%.6g p99=%.6g max=%.6g",
-                count, mean, stddev, min, p50, p99, max);
-  return buf;
-}
-
-Summary Summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.mean = Mean(xs);
-  s.stddev = StdDevSample(xs);
-  s.min = Min(xs);
-  s.p50 = Percentile(xs, 50.0);
-  s.p99 = Percentile(xs, 99.0);
-  s.max = Max(xs);
-  return s;
 }
 
 }  // namespace upa

@@ -1,12 +1,9 @@
-// Descriptive statistics used throughout the evaluation harness:
-// means, variance, percentiles, RMSE (the paper's accuracy metric, §VI-B),
-// and compact summaries.
+// Descriptive statistics used throughout the evaluation harness: means,
+// variance, relative RMSE (the paper's accuracy metric, §VI-B) and interval
+// coverage.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace upa {
 
@@ -15,21 +12,7 @@ double Mean(std::span<const double> xs);
 /// Population variance (divides by N). Returns 0 for N <= 1.
 double VariancePopulation(std::span<const double> xs);
 
-/// Sample variance (divides by N-1). Returns 0 for N <= 1.
-double VarianceSample(std::span<const double> xs);
-
 double StdDevPopulation(std::span<const double> xs);
-double StdDevSample(std::span<const double> xs);
-
-double Min(std::span<const double> xs);
-double Max(std::span<const double> xs);
-
-/// Empirical percentile with linear interpolation, p in [0, 100].
-/// Sorts a copy; O(n log n).
-double Percentile(std::span<const double> xs, double p);
-
-/// Root mean square error between two equal-length series.
-double Rmse(std::span<const double> a, std::span<const double> b);
 
 /// RMSE of (a_i - b_i) / b_i, i.e. the relative error the paper reports
 /// ("UPA incurred on average 3.81% RMSE"). Entries where |b_i| < eps are
@@ -40,20 +23,5 @@ double RelativeRmse(std::span<const double> estimates,
 /// Fraction of xs lying inside [lo, hi] (inclusive). The paper's Figure 3
 /// coverage metric.
 double CoverageFraction(std::span<const double> xs, double lo, double hi);
-
-/// Five-number-style summary used by the bench harness.
-struct Summary {
-  size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-
-  std::string ToString() const;
-};
-
-Summary Summarize(std::span<const double> xs);
 
 }  // namespace upa

@@ -104,23 +104,6 @@ size_t ThreadPool::ParallelForChunks(
   return futures.size();
 }
 
-double ThreadPool::MorselTimings::SumSeconds() const {
-  return std::accumulate(seconds.begin(), seconds.end(), 0.0);
-}
-
-double ThreadPool::MorselTimings::MaxSeconds() const {
-  double mx = 0.0;
-  for (double s : seconds) mx = std::max(mx, s);
-  return mx;
-}
-
-double ThreadPool::MorselTimings::Imbalance() const {
-  if (seconds.size() <= 1) return 1.0;
-  const double sum = SumSeconds();
-  if (sum <= 0.0) return 1.0;
-  return MaxSeconds() * static_cast<double>(seconds.size()) / sum;
-}
-
 size_t ThreadPool::ParallelForMorsels(
     size_t n, size_t grain, const std::function<void(size_t, size_t)>& fn,
     MorselTimings* timings) {

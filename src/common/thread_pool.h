@@ -61,16 +61,10 @@ class ThreadPool {
                            const std::function<void(size_t, size_t)>& fn);
 
   /// Per-morsel wall-clock samples from one ParallelForMorsels call, for
-  /// the engine's duration histograms and the max/mean imbalance gauge.
+  /// the engine's duration histograms and the max/mean imbalance gauge
+  /// (engine::ExecMetrics::RecordMorselRun).
   struct MorselTimings {
     std::vector<double> seconds;  // one entry per executed morsel
-    double SumSeconds() const;
-    double MaxSeconds() const;
-    /// max/mean over the executed morsels (1.0 when <= 1 morsel ran): how
-    /// much longer the slowest morsel ran than the average one. With static
-    /// chunking this is the stall factor of the whole phase; with morsel
-    /// stealing it only bounds the tail of one worker.
-    double Imbalance() const;
   };
 
   /// Morsel-driven parallel-for: workers (plus the calling thread) pull

@@ -1,7 +1,5 @@
 #include "dp/mechanism.h"
 
-#include <algorithm>
-
 #include "common/status.h"
 
 namespace upa::dp {
@@ -22,14 +20,6 @@ std::vector<double> LaplaceMechanism(const std::vector<double>& values,
     out.push_back(LaplaceMechanism(v, sensitivity, epsilon, rng));
   }
   return out;
-}
-
-double ClampedLaplaceRelease(double value, const Interval& range,
-                             double epsilon, Rng& rng, double min_width) {
-  UPA_CHECK_MSG(min_width >= 0.0, "min_width must be non-negative");
-  double clamped = range.Clamp(value);
-  double width = std::max(range.width(), min_width);
-  return LaplaceMechanism(clamped, width, epsilon, rng);
 }
 
 }  // namespace upa::dp

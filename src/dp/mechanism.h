@@ -1,7 +1,8 @@
 // Differential-privacy output mechanisms.
 //
 // UPA releases `Output + Lap(localSen / ε)` after clamping the output into
-// the inferred range Ô_f (Algorithm 1 output line; Algorithm 2 lines 17–18).
+// the inferred range Ô_f (Algorithm 1 output line; Algorithm 2 lines 17–18):
+// core::UpaRunner clamps, then calls LaplaceMechanism.
 // Vector-valued queries (LR weights, KMeans centroids) are perturbed
 // per-coordinate with the same scale, matching the Laplace mechanism with
 // the inferred sensitivity budgeted per released coordinate.
@@ -9,7 +10,6 @@
 
 #include <vector>
 
-#include "common/normal_fit.h"
 #include "common/rng.h"
 
 namespace upa::dp {
@@ -23,18 +23,5 @@ double LaplaceMechanism(double value, double sensitivity, double epsilon,
 std::vector<double> LaplaceMechanism(const std::vector<double>& values,
                                      double sensitivity, double epsilon,
                                      Rng& rng);
-
-/// Clamp-then-perturb: the release path UPA uses. The raw value is first
-/// constrained into `range` (RANGE ENFORCER lines 17–18) — which is what
-/// makes the sensitivity bound sound — then Laplace noise is added.
-///
-/// `min_width` floors the noise scale's numerator: a degenerate fit with
-/// range.width() == 0 would otherwise release the clamped value exactly,
-/// with no noise at all. Mirrors UpaConfig::min_sensitivity so the
-/// mechanism layer is honest even when called outside the runner.
-inline constexpr double kMinReleaseWidth = 1e-9;
-double ClampedLaplaceRelease(double value, const Interval& range,
-                             double epsilon, Rng& rng,
-                             double min_width = kMinReleaseWidth);
 
 }  // namespace upa::dp

@@ -1,10 +1,10 @@
 // Dataset<T>: the engine's RDD.
 //
 // A Dataset is an immutable, partitioned, in-memory collection. Narrow
-// transformations (Map/Filter/FlatMap) run one task per partition on the
-// context's thread pool; wide operations (reduce-by-key, join — see
-// shuffle.h) exchange records between partitions through an explicit
-// shuffle stage, like Spark's stage boundary.
+// transformations (Map/Filter) run one task per partition on the context's
+// thread pool; wide operations (shuffle by key, hash join — see shuffle.h)
+// exchange records between partitions through an explicit shuffle stage,
+// like Spark's stage boundary.
 //
 // All user-supplied operators are expected to be pure; the commutativity /
 // associativity contract that UPA relies on (paper §II-C) is verified for
@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "engine/context.h"
 
@@ -103,40 +102,14 @@ class Dataset {
     return Dataset<T>(ctx_, std::move(out));
   }
 
-  /// Narrow transformation: fn returns a vector of outputs per element.
-  template <typename Fn,
-            typename Vec = std::invoke_result_t<Fn, const T&>,
-            typename U = typename Vec::value_type>
-  Dataset<U> FlatMap(Fn fn) const {
-    std::vector<std::vector<U>> out(NumPartitions());
-    RunPerPartition([&](size_t p) {
-      const Partition& in = (*partitions_)[p];
-      for (const T& v : in) {
-        Vec produced = fn(v);
-        for (auto& u : produced) out[p].push_back(std::move(u));
-      }
-      ctx_->metrics().AddRecords(in.size());
-    });
-    return Dataset<U>(ctx_, std::move(out));
-  }
-
   /// Action: reduce all elements with a commutative-associative combine.
   /// `identity` must be a two-sided identity of `combine` (empty partitions
   /// contribute it to the final combine). Returns `identity` for an empty
-  /// dataset. Partitions reduce in parallel, then partials combine in
-  /// partition order (deterministic).
+  /// dataset. Partitions reduce in parallel (the "ReduceByPar" of
+  /// Algorithm 1), then partials combine in partition order
+  /// (deterministic).
   template <typename Combine>
   T Reduce(Combine combine, T identity) const {
-    std::vector<T> partials = ReducePerPartition(combine, identity);
-    T acc = identity;
-    for (T& partial : partials) acc = combine(std::move(acc), partial);
-    return acc;
-  }
-
-  /// Per-partition partial reductions (the "ReduceByPar" of Algorithm 1):
-  /// one partial per partition, empty partitions yield `identity`.
-  template <typename Combine>
-  std::vector<T> ReducePerPartition(Combine combine, T identity) const {
     std::vector<T> partials(NumPartitions(), identity);
     RunPerPartition([&](size_t p) {
       const Partition& in = (*partitions_)[p];
@@ -145,7 +118,9 @@ class Dataset {
       partials[p] = std::move(acc);
       ctx_->metrics().AddRecords(in.size());
     });
-    return partials;
+    T acc = identity;
+    for (T& partial : partials) acc = combine(std::move(acc), partial);
+    return acc;
   }
 
   /// Action: materialize all elements in partition order.
@@ -156,22 +131,6 @@ class Dataset {
       out.insert(out.end(), p.begin(), p.end());
     }
     return out;
-  }
-
-  /// Uniform sample of k distinct elements (by global index).
-  std::vector<T> Sample(Rng& rng, size_t k) const {
-    std::vector<T> all = Collect();
-    UPA_CHECK_MSG(k <= all.size(), "sample larger than dataset");
-    std::vector<size_t> idx = rng.SampleWithoutReplacement(all.size(), k);
-    std::vector<T> out;
-    out.reserve(k);
-    for (size_t i : idx) out.push_back(all[i]);
-    return out;
-  }
-
-  /// Rebalance into `num_partitions` parts (narrow re-slice, no hash).
-  Dataset<T> Repartition(size_t num_partitions) const {
-    return FromVector(ctx_, Collect(), num_partitions);
   }
 
  private:

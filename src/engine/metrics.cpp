@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace upa::engine {
 
@@ -48,16 +47,6 @@ HistogramSnapshot HistogramSnapshot::operator-(
   return d;
 }
 
-std::string HistogramSnapshot::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean=%.3fms p50=%.3fms p99=%.3fms max=%.3fms",
-                static_cast<unsigned long long>(count), MeanSeconds() * 1e3,
-                QuantileSeconds(0.5) * 1e3, QuantileSeconds(0.99) * 1e3,
-                max_seconds * 1e3);
-  return buf;
-}
-
 MetricsSnapshot MetricsSnapshot::operator-(const MetricsSnapshot& base) const {
   MetricsSnapshot d;
   d.tasks_launched = tasks_launched - base.tasks_launched;
@@ -90,50 +79,6 @@ MetricsSnapshot MetricsSnapshot::operator-(const MetricsSnapshot& base) const {
   return d;
 }
 
-std::string MetricsSnapshot::ToString() const {
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "tasks=%llu records=%llu shuffles=%llu shuffled_records=%llu "
-                "kernel_batches=%llu kernel_rows=%llu cache_hit_rate=%.1f%% "
-                "memo_hits=%llu memo_misses=%llu",
-                static_cast<unsigned long long>(tasks_launched),
-                static_cast<unsigned long long>(records_processed),
-                static_cast<unsigned long long>(shuffle_rounds),
-                static_cast<unsigned long long>(shuffle_records),
-                static_cast<unsigned long long>(kernel_batches),
-                static_cast<unsigned long long>(kernel_rows),
-                cache_hit_rate() * 100.0,
-                static_cast<unsigned long long>(memo_hits),
-                static_cast<unsigned long long>(memo_misses));
-  std::string out = buf;
-  for (const auto& [name, secs] : phase_seconds) {
-    char pbuf[96];
-    std::snprintf(pbuf, sizeof(pbuf), " %s=%.3fms", name.c_str(), secs * 1e3);
-    out += pbuf;
-  }
-  for (const auto& [name, tasks] : phase_tasks) {
-    char pbuf[96];
-    std::snprintf(pbuf, sizeof(pbuf), " %s.tasks=%llu", name.c_str(),
-                  static_cast<unsigned long long>(tasks));
-    out += pbuf;
-  }
-  for (const auto& [name, n] : counters) {
-    char pbuf[96];
-    std::snprintf(pbuf, sizeof(pbuf), " %s=%llu", name.c_str(),
-                  static_cast<unsigned long long>(n));
-    out += pbuf;
-  }
-  for (const auto& [name, hist] : latency) {
-    out += " " + name + "{" + hist.ToString() + "}";
-  }
-  for (const auto& [name, value] : gauges) {
-    char pbuf[96];
-    std::snprintf(pbuf, sizeof(pbuf), " %s=%.3f", name.c_str(), value);
-    out += pbuf;
-  }
-  return out;
-}
-
 void ExecMetrics::AddPhaseSeconds(const std::string& phase, double seconds) {
   std::lock_guard lock(phase_mu_);
   phase_seconds_[phase] += seconds;
@@ -156,17 +101,6 @@ void ExecMetrics::RecordLatency(const std::string& name, double seconds) {
   hist.sum_seconds += seconds;
   hist.max_seconds = std::max(hist.max_seconds, seconds);
   hist.buckets[HistogramSnapshot::BucketOf(seconds)] += 1;
-}
-
-void ExecMetrics::SetGauge(const std::string& name, double value) {
-  std::lock_guard lock(phase_mu_);
-  gauges_[name] = value;
-}
-
-void ExecMetrics::MaxGauge(const std::string& name, double value) {
-  std::lock_guard lock(phase_mu_);
-  double& g = gauges_[name];
-  g = std::max(g, value);
 }
 
 void ExecMetrics::RecordMorselRun(const std::string& phase,
@@ -210,25 +144,6 @@ MetricsSnapshot ExecMetrics::Snapshot() const {
     s.gauges = gauges_;
   }
   return s;
-}
-
-void ExecMetrics::Reset() {
-  tasks_.store(0);
-  records_.store(0);
-  shuffle_rounds_.store(0);
-  shuffle_records_.store(0);
-  cache_hits_.store(0);
-  cache_misses_.store(0);
-  kernel_batches_.store(0);
-  kernel_rows_.store(0);
-  memo_hits_.store(0);
-  memo_misses_.store(0);
-  std::lock_guard lock(phase_mu_);
-  phase_seconds_.clear();
-  phase_tasks_.clear();
-  counters_.clear();
-  latency_.clear();
-  gauges_.clear();
 }
 
 }  // namespace upa::engine

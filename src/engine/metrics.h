@@ -40,9 +40,6 @@ struct HistogramSnapshot {
   double MeanSeconds() const { return count == 0 ? 0.0 : sum_seconds / count; }
 
   HistogramSnapshot operator-(const HistogramSnapshot& base) const;
-
-  /// "count=12 mean=1.2ms p50=0.9ms p99=4.1ms max=5.0ms"
-  std::string ToString() const;
 };
 
 /// Point-in-time copy of all counters. Subtractable to get per-query deltas.
@@ -77,9 +74,9 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> latency;
   /// Point-in-time gauges (doubles, last-write-wins; not subtractable —
   /// operator- copies the later value). "imbalance/<phase>" is the worst
-  /// max/mean morsel-duration ratio seen for that phase since Reset: 1.0
-  /// means perfectly balanced work, thread_count means one morsel carried
-  /// the entire phase.
+  /// max/mean morsel-duration ratio seen for that phase: 1.0 means
+  /// perfectly balanced work, thread_count means one morsel carried the
+  /// entire phase.
   std::map<std::string, double> gauges;
 
   MetricsSnapshot operator-(const MetricsSnapshot& base) const;
@@ -89,8 +86,6 @@ struct MetricsSnapshot {
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) /
                                   static_cast<double>(total);
   }
-
-  std::string ToString() const;
 };
 
 /// Thread-safe counters. One instance lives in each ExecContext.
@@ -125,10 +120,6 @@ class ExecMetrics {
   void AddCounter(const std::string& name, uint64_t n = 1);
   /// Record one latency observation into the named histogram.
   void RecordLatency(const std::string& name, double seconds);
-  /// Set a point-in-time gauge (last-write-wins).
-  void SetGauge(const std::string& name, double value);
-  /// Keep the larger of the existing gauge and `value` (worst-seen gauges).
-  void MaxGauge(const std::string& name, double value);
   /// Record one morsel-driven parallel section: every duration in
   /// `morsel_seconds` lands in the "morsel/<phase>" histogram and the
   /// run's max/mean imbalance updates the worst-seen "imbalance/<phase>"
@@ -137,7 +128,6 @@ class ExecMetrics {
                        const std::vector<double>& morsel_seconds);
 
   MetricsSnapshot Snapshot() const;
-  void Reset();
 
  private:
   std::atomic<uint64_t> tasks_{0};

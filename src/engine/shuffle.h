@@ -1,5 +1,4 @@
-// Wide (shuffle) operations: redistribution by key, reduce-by-key, and
-// hash join.
+// Wide (shuffle) operations: redistribution by key and hash join.
 //
 // Each wide operation is a stage boundary: records physically move between
 // partition buffers according to Mix64(hash(key)) % partitions, and the
@@ -44,45 +43,6 @@ Dataset<std::pair<K, V>> ShuffleByKey(const Dataset<std::pair<K, V>>& input,
   return Dataset<std::pair<K, V>>(ctx, std::move(out));
 }
 
-/// ReduceByKey: shuffle then combine values per key with a
-/// commutative-associative combine. Result has one pair per distinct key.
-template <typename K, typename V, typename Combine>
-Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& input,
-                                     Combine combine,
-                                     size_t num_partitions = 0) {
-  // Map-side pre-aggregation (Spark's combiner) to cut shuffle volume.
-  Dataset<std::pair<K, V>> pre = [&] {
-    std::vector<std::vector<std::pair<K, V>>> parts(input.NumPartitions());
-    ExecContext* ctx = input.context();
-    ctx->metrics().AddTasks(input.NumPartitions());
-    ctx->pool().ParallelFor(input.NumPartitions(), [&](size_t p) {
-      std::unordered_map<K, V> agg;
-      for (const auto& [k, v] : input.partition(p)) {
-        auto [it, inserted] = agg.try_emplace(k, v);
-        if (!inserted) it->second = combine(std::move(it->second), v);
-      }
-      parts[p].assign(agg.begin(), agg.end());
-      ctx->metrics().AddRecords(input.partition(p).size());
-    });
-    return Dataset<std::pair<K, V>>(ctx, std::move(parts));
-  }();
-
-  Dataset<std::pair<K, V>> shuffled = ShuffleByKey(pre, num_partitions);
-
-  ExecContext* ctx = shuffled.context();
-  std::vector<std::vector<std::pair<K, V>>> out(shuffled.NumPartitions());
-  ctx->metrics().AddTasks(shuffled.NumPartitions());
-  ctx->pool().ParallelFor(shuffled.NumPartitions(), [&](size_t p) {
-    std::unordered_map<K, V> agg;
-    for (const auto& [k, v] : shuffled.partition(p)) {
-      auto [it, inserted] = agg.try_emplace(k, v);
-      if (!inserted) it->second = combine(std::move(it->second), v);
-    }
-    out[p].assign(agg.begin(), agg.end());
-  });
-  return Dataset<std::pair<K, V>>(ctx, std::move(out));
-}
-
 /// Inner hash join on key: emits (k, (v, w)) for every matching pair.
 template <typename K, typename V, typename W>
 Dataset<std::pair<K, std::pair<V, W>>> HashJoin(
@@ -110,26 +70,6 @@ Dataset<std::pair<K, std::pair<V, W>>> HashJoin(
     }
     ctx->metrics().AddRecords(ls.partition(p).size() +
                               rs.partition(p).size());
-  });
-  return Dataset<Out>(ctx, std::move(out));
-}
-
-/// GroupByKey: shuffle then gather all values per key.
-template <typename K, typename V>
-Dataset<std::pair<K, std::vector<V>>> GroupByKey(
-    const Dataset<std::pair<K, V>>& input, size_t num_partitions = 0) {
-  Dataset<std::pair<K, V>> shuffled = ShuffleByKey(input, num_partitions);
-  ExecContext* ctx = shuffled.context();
-  using Out = std::pair<K, std::vector<V>>;
-  std::vector<std::vector<Out>> out(shuffled.NumPartitions());
-  ctx->metrics().AddTasks(shuffled.NumPartitions());
-  ctx->pool().ParallelFor(shuffled.NumPartitions(), [&](size_t p) {
-    std::unordered_map<K, std::vector<V>> groups;
-    for (const auto& [k, v] : shuffled.partition(p)) {
-      groups[k].push_back(v);
-    }
-    out[p].reserve(groups.size());
-    for (auto& [k, vs] : groups) out[p].push_back({k, std::move(vs)});
   });
   return Dataset<Out>(ctx, std::move(out));
 }

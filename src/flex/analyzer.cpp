@@ -1,7 +1,5 @@
 #include "flex/analyzer.h"
 
-#include <cmath>
-
 namespace upa::flex {
 namespace {
 
@@ -79,35 +77,6 @@ FlexResult AnalyzeFlex(const rel::PlanPtr& plan, const rel::Catalog& catalog) {
   result.supported = true;
   result.local_sensitivity = sensitivity;
   return result;
-}
-
-FlexResult AnalyzeFlexSmooth(const rel::PlanPtr& plan,
-                             const rel::Catalog& catalog, double beta,
-                             size_t max_distance) {
-  FlexResult base = AnalyzeFlex(plan, catalog);
-  if (!base.supported) return base;
-
-  // LS(k): every join factor's frequencies can grow by k records that all
-  // pile onto the most frequent key.
-  auto ls_at = [&base](size_t k) {
-    double s = 1.0;
-    for (const JoinFactor& j : base.joins) {
-      s *= (static_cast<double>(j.left_max_frequency) + k) *
-           (static_cast<double>(j.right_max_frequency) + k);
-    }
-    return s;
-  };
-
-  double smooth = 0.0;
-  for (size_t k = 0; k <= max_distance; ++k) {
-    double candidate = std::exp(-beta * static_cast<double>(k)) * ls_at(k);
-    smooth = std::max(smooth, candidate);
-    // The polynomial LS(k) is eventually dominated by e^{-βk}; once the
-    // candidate has decayed to a negligible fraction of the max, stop.
-    if (k > 8 && candidate < smooth * 1e-6) break;
-  }
-  base.local_sensitivity = smooth;
-  return base;
 }
 
 }  // namespace upa::flex

@@ -43,15 +43,4 @@ struct FlexResult {
 /// Statically analyze `plan` against the catalog's column metadata.
 FlexResult AnalyzeFlex(const rel::PlanPtr& plan, const rel::Catalog& catalog);
 
-/// FLEX's smooth-sensitivity variant (paper §II-B: "FLEX infers both local
-/// sensitivity and smooth sensitivity"). Smooth sensitivity maximizes
-/// e^{-βk} · LS(k) over the distance k to the dataset, where FLEX's static
-/// local sensitivity at distance k multiplies (max_frequency + k) per join
-/// column (k added records can all share the most frequent key).
-/// Returns an unsupported FlexResult for non-count queries, like
-/// AnalyzeFlex. beta is typically ε / (2 ln(2/δ)).
-FlexResult AnalyzeFlexSmooth(const rel::PlanPtr& plan,
-                             const rel::Catalog& catalog, double beta,
-                             size_t max_distance = 1000);
-
 }  // namespace upa::flex

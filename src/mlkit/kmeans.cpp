@@ -87,13 +87,6 @@ core::SimpleQuerySpec<MlPoint> MakeKMeansSpec(
   return q;
 }
 
-core::QueryInstance MakeKMeansQuery(
-    engine::ExecContext* ctx, const MlDataset& data, KMeansSpec spec,
-    std::shared_ptr<const std::vector<MlPoint>> records_override) {
-  return core::MakeSimpleQuery(
-      MakeKMeansSpec(ctx, data, std::move(spec), std::move(records_override)));
-}
-
 Centroids LloydIterations(const std::vector<MlPoint>& points, Centroids init,
                           size_t iterations) {
   Centroids current = std::move(init);

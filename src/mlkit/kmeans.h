@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "mlkit/datagen.h"
-#include "upa/query_instance.h"
 #include "upa/simple_query.h"
 
 namespace upa::ml {
@@ -38,10 +37,6 @@ core::Vec KMeansPost(const KMeansSpec& spec, const core::Vec& reduced);
 
 /// See MakeLinRegSpec for the spec/override rationale.
 core::SimpleQuerySpec<MlPoint> MakeKMeansSpec(
-    engine::ExecContext* ctx, const MlDataset& data, KMeansSpec spec,
-    std::shared_ptr<const std::vector<MlPoint>> records_override = nullptr);
-
-core::QueryInstance MakeKMeansQuery(
     engine::ExecContext* ctx, const MlDataset& data, KMeansSpec spec,
     std::shared_ptr<const std::vector<MlPoint>> records_override = nullptr);
 

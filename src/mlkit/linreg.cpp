@@ -52,13 +52,6 @@ core::SimpleQuerySpec<MlPoint> MakeLinRegSpec(
   return q;
 }
 
-core::QueryInstance MakeLinRegQuery(
-    engine::ExecContext* ctx, const MlDataset& data, LinRegSpec spec,
-    std::shared_ptr<const std::vector<MlPoint>> records_override) {
-  return core::MakeSimpleQuery(
-      MakeLinRegSpec(ctx, data, std::move(spec), std::move(records_override)));
-}
-
 std::vector<double> LinRegStep(const LinRegSpec& spec,
                                const std::vector<MlPoint>& points) {
   core::Vec reduced = core::VecSum::Identity();

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "mlkit/datagen.h"
-#include "upa/query_instance.h"
 #include "upa/simple_query.h"
 
 namespace upa::ml {
@@ -35,11 +34,6 @@ core::Vec LinRegPost(const LinRegSpec& spec, const core::Vec& reduced);
 /// `records_override` substitutes the record set (e.g. a churned copy)
 /// while keeping the dataset's distribution as the domain sampler.
 core::SimpleQuerySpec<MlPoint> MakeLinRegSpec(
-    engine::ExecContext* ctx, const MlDataset& data, LinRegSpec spec,
-    std::shared_ptr<const std::vector<MlPoint>> records_override = nullptr);
-
-/// The full QueryInstance over a dataset.
-core::QueryInstance MakeLinRegQuery(
     engine::ExecContext* ctx, const MlDataset& data, LinRegSpec spec,
     std::shared_ptr<const std::vector<MlPoint>> records_override = nullptr);
 

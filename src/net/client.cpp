@@ -257,39 +257,4 @@ Result<std::string> Client::Stats(int64_t timeout_ms) {
   }
 }
 
-Result<ClientPool> ClientPool::Dial(const std::string& host, uint16_t port,
-                                    size_t size, int64_t timeout_ms) {
-  // Phase 1: launch every handshake before waiting on any of them.
-  std::vector<int> fds;
-  fds.reserve(size);
-  auto close_all = [&fds] {
-    for (int fd : fds) {
-      if (fd >= 0) ::close(fd);
-    }
-  };
-  for (size_t i = 0; i < size; ++i) {
-    Result<int> fd_or = StartConnect(host, port);
-    if (!fd_or.ok()) {
-      close_all();
-      return fd_or.status();
-    }
-    fds.push_back(fd_or.value());
-  }
-  // Phase 2: confirm each under one shared deadline.
-  int64_t deadline_ns = NowNanos() + timeout_ms * 1000000;
-  ClientPool pool;
-  pool.clients_.reserve(size);
-  for (size_t i = 0; i < size; ++i) {
-    Status ready = WaitReady(fds[i], POLLOUT, deadline_ns);
-    Status finished = ready.ok() ? FinishConnect(fds[i]) : ready;
-    if (!finished.ok()) {
-      close_all();
-      return finished;
-    }
-    pool.clients_.push_back(Client::FromConnectedFd(fds[i]));
-    fds[i] = -1;  // ownership transferred
-  }
-  return pool;
-}
-
 }  // namespace upa::net

@@ -31,7 +31,7 @@ class Client {
   static Result<std::unique_ptr<Client>> Connect(const std::string& host,
                                                  uint16_t port,
                                                  int64_t timeout_ms = 5000);
-  /// Wraps an already-connected non-blocking socket (ClientPool, tests).
+  /// Wraps an already-connected non-blocking socket (tests' scripted peers).
   /// Takes ownership of `fd`.
   static std::unique_ptr<Client> FromConnectedFd(int fd);
   ~Client();
@@ -98,22 +98,6 @@ class Client {
   /// connection; latched here so every later call fails the same way
   /// instead of reading garbage.
   Status broken_ = Status::Ok();
-};
-
-/// A set of independent connections to one server, dialed concurrently:
-/// all TCP handshakes are started non-blocking before any is waited on, so
-/// pool setup costs one round trip, not `size` of them. Hand each worker
-/// thread its own exclusive Client — the pool itself adds no locking.
-class ClientPool {
- public:
-  static Result<ClientPool> Dial(const std::string& host, uint16_t port,
-                                 size_t size, int64_t timeout_ms = 5000);
-
-  size_t size() const { return clients_.size(); }
-  Client& at(size_t i) { return *clients_[i]; }
-
- private:
-  std::vector<std::unique_ptr<Client>> clients_;
 };
 
 }  // namespace upa::net

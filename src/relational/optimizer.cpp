@@ -490,18 +490,6 @@ PlanPtr BuildSidePass(const PlanPtr& plan, const CardinalityEstimator& est,
 
 }  // namespace
 
-std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr) {
-  std::vector<ExprPtr> out;
-  if (expr != nullptr) SplitInto(expr, out);
-  return out;
-}
-
-std::vector<std::string> ReferencedColumns(const ExprPtr& expr) {
-  std::set<std::string> cols;
-  CollectColumns(expr, cols);
-  return {cols.begin(), cols.end()};
-}
-
 PlanPtr PushDownFilters(const PlanPtr& plan, const Catalog& catalog) {
   UPA_CHECK(plan != nullptr);
   // Conjuncts that fit nowhere (e.g. unknown columns) re-attach at the

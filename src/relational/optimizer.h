@@ -68,10 +68,4 @@ PlanPtr PushDownFilters(const PlanPtr& plan, const Catalog& catalog);
 /// Semantically identical for the inner-join plans the engine runs.
 PlanPtr LiftFilters(const PlanPtr& plan);
 
-/// Splits a predicate into top-level AND conjuncts (exposed for tests).
-std::vector<ExprPtr> SplitConjuncts(const ExprPtr& expr);
-
-/// All column names referenced by an expression (exposed for tests).
-std::vector<std::string> ReferencedColumns(const ExprPtr& expr);
-
 }  // namespace upa::rel

@@ -47,30 +47,6 @@ Table::Table(std::string name, Schema schema, std::vector<Row> rows)
   }
 }
 
-Table::Table(const Table& other)
-    : name_(other.name_),
-      schema_(other.schema_),
-      rows_(other.rows_),
-      uid_(other.uid_) {
-  std::lock_guard lock(other.cache_mu_);
-  stats_cache_ = other.stats_cache_;
-  columnar_ = other.columnar_;
-}
-
-Table::Table(Table&& other) noexcept
-    : name_(std::move(other.name_)),
-      schema_(std::move(other.schema_)),
-      rows_(std::move(other.rows_)),
-      uid_(other.uid_) {
-  // Hold the source's cache mutex while stealing its caches, mirroring the
-  // copy constructor: a concurrent StatsFor/Columnar on `other` must not
-  // race the steal (moving from a table another thread still uses is
-  // dubious, but it must not be a data race).
-  std::lock_guard lock(other.cache_mu_);
-  stats_cache_ = std::move(other.stats_cache_);
-  columnar_ = std::move(other.columnar_);
-}
-
 ColumnStats Table::StatsFor(const std::string& column) const {
   {
     std::lock_guard lock(cache_mu_);

@@ -42,11 +42,10 @@ class Table {
  public:
   Table(std::string name, Schema schema, std::vector<Row> rows);
 
-  // Copies/moves carry the caches but get a fresh mutex (a mutex is not
-  // movable). Tables are immutable, so a copy keeps the source's uid: the
-  // uid's only job is to never alias *different* data.
-  Table(const Table& other);
-  Table(Table&& other) noexcept;
+  // A table is shared by pointer (Catalog) and never copied or moved: its
+  // uid and memoized caches stay with the one object that owns the rows.
+  Table(const Table&) = delete;
+  Table(Table&&) = delete;
   Table& operator=(const Table&) = delete;
   Table& operator=(Table&&) = delete;
 

@@ -202,7 +202,10 @@ void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state) {
     case JournalRecord::Type::kRelease:
       state->charged_total += rec.epsilon;
       state->registry.push_back(rec.partition_outputs);
-      if (rec.nonce != 0) {
+      // Only a keyed release carries a response blob. An unkeyed release
+      // journaled by an older build still names its request's key, without
+      // a blob: that key never entered a window, so it must not enter this.
+      if (rec.nonce != 0 && !rec.response_blob.empty()) {
         DedupDurableEntry entry;
         entry.nonce = rec.nonce;
         entry.seq = rec.key_seq;

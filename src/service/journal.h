@@ -66,7 +66,8 @@ struct JournalRecord {
   std::vector<double> partition_outputs;  // kRelease only
   std::string dataset_id;                 // kOpen only
   /// Idempotency key of the request that produced this release (0 = the
-  /// request carried no key). On kRelease the full serialized response
+  /// release was not keyed: the request carried no key, or the dedup
+  /// window is off). On a keyed kRelease the full serialized response
   /// rides along in `response_blob` so a retried key can be answered
   /// byte-identically after a crash; kExpire names the key whose entry
   /// aged out of the dedup window.

@@ -9,6 +9,17 @@
 #include "common/hash.h"
 
 namespace upa::service {
+namespace {
+
+/// Backoff hint stamped on backlog rejections (Status::retry_after_ms,
+/// carried to clients in the wire error frame).
+constexpr int64_t kRetryAfterHintMs = 50;
+
+/// Poll period of the watchdog that prunes queued requests whose deadline
+/// expired before dispatch (in-flight deadline checks are cooperative).
+constexpr double kWatchdogIntervalMs = 2.0;
+
+}  // namespace
 
 void EncodeResponse(const QueryResponse& r, PayloadWriter* out) {
   out->PutDouble(r.released);
@@ -108,73 +119,7 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
         "ServiceConfig::budget_per_dataset must be finite and >= 0, got " +
         std::to_string(config.budget_per_dataset));
   }
-  if (!std::isfinite(config.watchdog_interval_ms) ||
-      config.watchdog_interval_ms < 0.0) {
-    return Status::InvalidArgument(
-        "ServiceConfig::watchdog_interval_ms must be finite and >= 0, got " +
-        std::to_string(config.watchdog_interval_ms));
-  }
   return Status::Ok();
-}
-
-bool UpaService::SensitivityCache::Lookup(const Key& key,
-                                          core::SensitivityHint* out) {
-  auto it = index.find(key);
-  if (it == index.end()) return false;
-  entries.splice(entries.begin(), entries, it->second);
-  *out = entries.front().second;
-  return true;
-}
-
-void UpaService::SensitivityCache::Insert(const Key& key,
-                                          const core::SensitivityHint& hint,
-                                          size_t capacity) {
-  if (capacity == 0) return;
-  auto it = index.find(key);
-  if (it != index.end()) {
-    it->second->second = hint;
-    entries.splice(entries.begin(), entries, it->second);
-    return;
-  }
-  entries.emplace_front(key, hint);
-  index[key] = entries.begin();
-  while (entries.size() > capacity) {
-    index.erase(entries.back().first);
-    entries.pop_back();
-  }
-}
-
-void UpaService::SensitivityCache::Clear() {
-  entries.clear();
-  index.clear();
-}
-
-bool UpaService::DedupTable::Lookup(const Key& key, Entry* out) {
-  auto it = index.find(key);
-  if (it == index.end()) return false;
-  entries.splice(entries.begin(), entries, it->second);
-  *out = entries.front().second;
-  ++replays;
-  return true;
-}
-
-void UpaService::DedupTable::Insert(const Key& key, Entry entry,
-                                    size_t capacity,
-                                    std::vector<Key>* evicted) {
-  if (capacity == 0) return;
-  auto it = index.find(key);
-  if (it != index.end()) {
-    it->second->second = std::move(entry);
-    entries.splice(entries.begin(), entries, it->second);
-    return;
-  }
-  entries.emplace_front(key, std::move(entry));
-  index[key] = entries.begin();
-  while (entries.size() > capacity) {
-    if (evicted != nullptr) evicted->push_back(entries.back().first);
-    index.erase(entries.back().first);
-    entries.pop_back();
-  }
 }
 
 UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
@@ -215,11 +160,10 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
       for (size_t i = state.dedup.size() - keep; i < state.dedup.size();
            ++i) {
         auto& src = state.dedup[i];
-        DedupTable::Entry entry;
-        entry.request_hash = src.request_hash;
-        entry.blob = std::move(src.response_blob);
-        ds->dedup.Insert({src.nonce, src.seq}, std::move(entry),
-                         config_.dedup_window, nullptr);
+        ds->dedup.Insert({src.nonce, src.seq},
+                         DedupEntry{src.request_hash,
+                                    std::move(src.response_blob)},
+                         config_.dedup_window);
       }
       ctx_->metrics().AddCounter("service/recovered_dedup_keys", keep);
       accountant_.RestoreLedger(state.dataset_id, state.charged_total,
@@ -228,9 +172,7 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
     }
   }
 
-  if (config_.watchdog_interval_ms > 0.0) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
+  watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
 UpaService::~UpaService() {
@@ -333,7 +275,7 @@ void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
         std::to_string(config_.max_queue_per_tenant) + " queued)");
     // Advise the client when to come back instead of leaving it guessing;
     // the hint rides the wire error frame as retry_after_ms.
-    full.set_retry_after_ms(config_.retry_after_hint_ms);
+    full.set_retry_after_ms(kRetryAfterHintMs);
     Resolve(*pending, full);
     return;
   }
@@ -394,8 +336,7 @@ void UpaService::WatchdogLoop() {
   while (!watchdog_stop_) {
     watchdog_cv_.wait_for(
         lock,
-        std::chrono::duration<double, std::milli>(
-            config_.watchdog_interval_ms),
+        std::chrono::duration<double, std::milli>(kWatchdogIntervalMs),
         [this] { return watchdog_stop_; });
     if (watchdog_stop_) break;
 
@@ -433,17 +374,20 @@ std::shared_ptr<UpaService::DatasetState> UpaService::DatasetFor(
     const std::string& dataset_id) {
   std::lock_guard<std::mutex> lock(datasets_mu_);
   auto& slot = datasets_[dataset_id];
-  if (!slot) {
-    slot = std::make_shared<DatasetState>();
-    if (!config_.journal_dir.empty() && inert_status().ok()) {
-      auto journal_or = Journal::Open(config_.journal_dir, dataset_id,
-                                      config_.journal_fsync);
-      if (journal_or.ok()) {
-        slot->journal = std::move(journal_or).value();
-      } else {
-        slot->journal_status = journal_or.status();
-        ctx_->metrics().AddCounter("service/journal_errors");
-      }
+  if (!slot) slot = std::make_shared<DatasetState>();
+  // Only the caller holding datasets_mu_ writes `journal`, and only while
+  // it is null, so reading it here without `mu` is safe.
+  if (slot->journal == nullptr && !config_.journal_dir.empty() &&
+      inert_status().ok()) {
+    auto journal_or = Journal::Open(config_.journal_dir, dataset_id,
+                                    config_.journal_fsync);
+    std::lock_guard<std::mutex> ds_lock(slot->mu);
+    if (journal_or.ok()) {
+      slot->journal = std::move(journal_or).value();
+      slot->journal_status = Status::Ok();
+    } else {
+      slot->journal_status = journal_or.status();
+      ctx_->metrics().AddCounter("service/journal_errors");
     }
   }
   return slot;
@@ -532,12 +476,13 @@ Result<UpaService::Ticket> UpaService::Prepare(const QueryRequest& request) {
   ticket.keyed = request.client_nonce != 0 && config_.dedup_window > 0;
   if (ticket.keyed) {
     ticket.request_hash = RequestKeyHash(request);
-    DedupTable::Entry entry;
+    DedupEntry entry;
     bool hit = false;
     {
       std::lock_guard<std::mutex> ds_lock(ds.mu);
       hit = ds.dedup.Lookup({request.client_nonce, request.client_seq},
                             &entry);
+      if (hit) ++ds.dedup_replays;
     }
     if (hit) {
       if (entry.request_hash != ticket.request_hash) {
@@ -559,16 +504,24 @@ Result<UpaService::Ticket> UpaService::Prepare(const QueryRequest& request) {
     }
   }
 
-  if (!config_.journal_dir.empty() &&
-      (ds.journal == nullptr || ds.journal->closed())) {
+  if (!config_.journal_dir.empty()) {
     // Durability was requested but this dataset's journal failed to open
     // or was closed by a failed write: failing the query before the charge
     // is the conservative choice (its release could never become durable).
-    metrics.AddCounter("service/journal_errors");
-    return ds.journal_status.ok()
-               ? Status::Internal("journal unavailable for '" +
-                                  request.dataset_id + "'")
-               : ds.journal_status;
+    Status unavailable = Status::Ok();
+    {
+      std::lock_guard<std::mutex> ds_lock(ds.mu);
+      if (ds.journal == nullptr || ds.journal->closed()) {
+        unavailable = ds.journal_status.ok()
+                          ? Status::Internal("journal unavailable for '" +
+                                             request.dataset_id + "'")
+                          : ds.journal_status;
+      }
+    }
+    if (!unavailable.ok()) {
+      metrics.AddCounter("service/journal_errors");
+      return unavailable;
+    }
   }
 
   Status charged = accountant_.Charge(request.dataset_id, request.epsilon);
@@ -624,10 +577,12 @@ Result<QueryResponse> UpaService::Commit(const QueryRequest& request,
     rec.type = JournalRecord::Type::kRelease;
     rec.epsilon = request.epsilon;
     rec.partition_outputs = result.partition_outputs;
-    rec.nonce = request.client_nonce;
-    rec.key_seq = request.client_seq;
-    rec.request_hash = ticket.request_hash;
-    rec.response_blob = response_blob;
+    if (ticket.keyed) {
+      rec.nonce = request.client_nonce;
+      rec.key_seq = request.client_seq;
+      rec.request_hash = ticket.request_hash;
+      rec.response_blob = response_blob;
+    }
     Status journaled = ds.journal->Append(rec);
     if (!journaled.ok()) {
       // The analyst never sees this output (the caller returns the error
@@ -639,7 +594,7 @@ Result<QueryResponse> UpaService::Commit(const QueryRequest& request,
     }
   }
 
-  std::vector<DedupTable::Key> evicted;
+  std::vector<Lru<DedupEntry>::Key> evicted;
   {
     std::lock_guard<std::mutex> ds_lock(ds.mu);
     // Fill the cache only if the data didn't change mid-run: a BumpEpoch
@@ -652,11 +607,10 @@ Result<QueryResponse> UpaService::Commit(const QueryRequest& request,
                       config_.sensitivity_cache_capacity);
     }
     if (ticket.keyed) {
-      DedupTable::Entry entry;
-      entry.request_hash = ticket.request_hash;
-      entry.blob = std::move(response_blob);
-      ds.dedup.Insert({request.client_nonce, request.client_seq},
-                      std::move(entry), config_.dedup_window, &evicted);
+      evicted = ds.dedup.Insert(
+          {request.client_nonce, request.client_seq},
+          DedupEntry{ticket.request_hash, std::move(response_blob)},
+          config_.dedup_window);
     }
     ++ds.queries;
   }
@@ -779,7 +733,7 @@ std::string UpaService::StatsReport() const {
           << " registry=" << ds->enforcer->registry_size()
           << " cached_sens=" << ds->cache.size()
           << " dedup_keys=" << ds->dedup.size()
-          << " dedup_replays=" << ds->dedup.replays
+          << " dedup_replays=" << ds->dedup_replays
           << " spent=" << accountant_.Spent(id)
           << " remaining=" << accountant_.Remaining(id)
           << (ds->journal != nullptr ? " [journaled]" : "") << "\n";

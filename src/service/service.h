@@ -100,22 +100,15 @@ struct ServiceConfig {
   /// StatsReport so an operator can tell shard dumps apart). Empty for
   /// standalone servers.
   std::string shard_name;
-  /// Poll period of the watchdog that prunes queued requests whose
-  /// deadline expired before dispatch. 0 disables the watchdog (in-flight
-  /// deadline checks are unaffected — those are cooperative).
-  double watchdog_interval_ms = 2.0;
   /// Per-dataset LRU window of completed idempotency keys. A re-submitted
   /// key inside the window replays the journaled response byte-identically
   /// without touching the accountant; eviction is journaled (kExpire) so
   /// the window is crash-consistent. 0 disables dedup (keys are ignored).
   size_t dedup_window = 1024;
-  /// Backoff hint stamped on backlog rejections (Status::retry_after_ms,
-  /// carried to clients in the wire error frame). 0 = no hint.
-  int64_t retry_after_hint_ms = 50;
 };
 
-/// Rejects nonsensical configurations (zero admission/queue limits,
-/// negative or non-finite budget / watchdog period) with kInvalidArgument.
+/// Rejects nonsensical configurations (zero admission/queue limits, a
+/// negative or non-finite budget) with kInvalidArgument.
 /// UpaService runs it at construction and fails every submission with the
 /// verdict rather than accepting a config that could never serve a query.
 Status ValidateServiceConfig(const ServiceConfig& config);
@@ -287,41 +280,58 @@ class UpaService {
     uint64_t cancelled = 0;
   };
 
-  /// One dataset's sensitivity LRU: (fingerprint, epoch) → hint, most
-  /// recently used at the front. Guarded by DatasetState::mu.
-  struct SensitivityCache {
+  /// A bounded LRU map over (u64, u64) keys, most recently used at the
+  /// front: each dataset's sensitivity cache and its idempotency window.
+  /// Guarded by DatasetState::mu.
+  template <typename Value>
+  class Lru {
+   public:
     using Key = std::pair<uint64_t, uint64_t>;
-    std::list<std::pair<Key, core::SensitivityHint>> entries;
-    std::map<Key, decltype(entries)::iterator> index;
 
-    bool Lookup(const Key& key, core::SensitivityHint* out);
-    void Insert(const Key& key, const core::SensitivityHint& hint,
-                size_t capacity);
-    void Clear();
-    size_t size() const { return entries.size(); }
+    /// Found → copies the value out and moves the key to the front.
+    bool Lookup(const Key& key, Value* out) {
+      auto it = index_.find(key);
+      if (it == index_.end()) return false;
+      entries_.splice(entries_.begin(), entries_, it->second);
+      *out = entries_.front().second;
+      return true;
+    }
+    /// Inserts (or refreshes) `key` at the front and returns the keys
+    /// evicted beyond `capacity`. Capacity 0 stores nothing.
+    std::vector<Key> Insert(const Key& key, Value value, size_t capacity) {
+      std::vector<Key> evicted;
+      if (capacity == 0) return evicted;
+      auto it = index_.find(key);
+      if (it != index_.end()) {
+        it->second->second = std::move(value);
+        entries_.splice(entries_.begin(), entries_, it->second);
+        return evicted;
+      }
+      entries_.emplace_front(key, std::move(value));
+      index_[key] = entries_.begin();
+      while (entries_.size() > capacity) {
+        evicted.push_back(entries_.back().first);
+        index_.erase(entries_.back().first);
+        entries_.pop_back();
+      }
+      return evicted;
+    }
+    void Clear() {
+      entries_.clear();
+      index_.clear();
+    }
+    size_t size() const { return entries_.size(); }
+
+   private:
+    std::list<std::pair<Key, Value>> entries_;
+    std::map<Key, typename decltype(entries_)::iterator> index_;
   };
 
-  /// One dataset's LRU window of completed idempotency keys:
-  /// (nonce, seq) → (request_hash, serialized response), most recently
-  /// completed/replayed at the front. Guarded by DatasetState::mu.
-  struct DedupTable {
-    using Key = std::pair<uint64_t, uint64_t>;
-    struct Entry {
-      uint64_t request_hash = 0;
-      std::string blob;
-    };
-    std::list<std::pair<Key, Entry>> entries;
-    std::map<Key, decltype(entries)::iterator> index;
-    uint64_t replays = 0;  // lookups answered from the window
-
-    /// Found → copies the entry out and moves the key to the LRU front.
-    bool Lookup(const Key& key, Entry* out);
-    /// Inserts (or refreshes) a completed key; evicted keys — beyond
-    /// `capacity` — land in `evicted` so the caller can journal their
-    /// kExpire records.
-    void Insert(const Key& key, Entry entry, size_t capacity,
-                std::vector<Key>* evicted);
-    size_t size() const { return entries.size(); }
+  /// A completed idempotency key's binding: the request it first named and
+  /// the serialized response a replay returns.
+  struct DedupEntry {
+    uint64_t request_hash = 0;
+    std::string blob;
   };
 
   struct DatasetState {
@@ -336,12 +346,17 @@ class UpaService {
         std::make_shared<core::RangeEnforcer>();
     uint64_t epoch = 0;
     uint64_t queries = 0;
-    SensitivityCache cache;
-    /// Completed idempotency keys (bounded by ServiceConfig::dedup_window).
-    DedupTable dedup;
-    /// Durable journal; null when durability is off or the journal failed
-    /// to open (then journal_status carries the error and queries on this
-    /// dataset fail rather than silently losing durability).
+    /// (fingerprint, epoch) → inferred sensitivity and output range.
+    Lru<core::SensitivityHint> cache;
+    /// (nonce, seq) of completed idempotency keys (bounded by
+    /// ServiceConfig::dedup_window).
+    Lru<DedupEntry> dedup;
+    uint64_t dedup_replays = 0;  // lookups answered from the window
+    /// Durable journal; null when durability is off or the last open
+    /// failed (then journal_status carries the error, queries on this
+    /// dataset fail rather than silently losing durability, and the next
+    /// DatasetFor retries the open). Written under `mu` as well as
+    /// datasets_mu_.
     std::unique_ptr<Journal> journal;
     Status journal_status = Status::Ok();
   };
@@ -359,6 +374,9 @@ class UpaService {
     std::optional<QueryResponse> replay;
   };
 
+  /// The dataset's state, created on first use. The one place that opens
+  /// a journal: whenever durability is on and the dataset has none yet
+  /// (a failed open is retried; a journal a failed write closed is not).
   std::shared_ptr<DatasetState> DatasetFor(const std::string& dataset_id);
   /// Dispatch queued requests while a global slot is free; at most one
   /// in-flight request per tenant (keeps each tenant FIFO) and at most one

@@ -30,12 +30,6 @@ GroupSensitivityEstimate FromSorted(const std::vector<double>& sorted,
 
 }  // namespace
 
-GroupSensitivityEstimate EstimateGroupSensitivity(
-    std::span<const double> neighbour_outputs, double f_x, size_t k) {
-  UPA_CHECK_MSG(k >= 1, "group size must be at least 1");
-  return FromSorted(SortedInfluences(neighbour_outputs, f_x), f_x, k);
-}
-
 std::vector<GroupSensitivityEstimate> GroupSensitivitySweep(
     std::span<const double> neighbour_outputs, double f_x, size_t max_k) {
   UPA_CHECK_MSG(max_k >= 1, "max_k must be at least 1");

@@ -35,14 +35,12 @@ struct GroupSensitivityEstimate {
   std::vector<double> top_influences;
 };
 
-/// Estimates k-group sensitivity from one UPA run's sampled-neighbour
-/// outputs. `f_x` is the query output the neighbours were sampled around
-/// (UpaRunResult::raw_output before enforcement; the neighbour list is
-/// UpaRunResult::neighbour_outputs). k must be >= 1.
-GroupSensitivityEstimate EstimateGroupSensitivity(
-    std::span<const double> neighbour_outputs, double f_x, size_t k);
-
-/// Sweep k = 1..max_k (inclusive), reusing one sort of the influences.
+/// Estimates k-group sensitivity for every k = 1..max_k (inclusive; entry
+/// k-1 is group size k) from one UPA run's sampled-neighbour outputs,
+/// reusing one sort of the influences. `f_x` is the query output the
+/// neighbours were sampled around (UpaRunResult::raw_output before
+/// enforcement; the neighbour list is UpaRunResult::neighbour_outputs).
+/// max_k must be >= 1.
 std::vector<GroupSensitivityEstimate> GroupSensitivitySweep(
     std::span<const double> neighbour_outputs, double f_x, size_t max_k);
 

@@ -26,14 +26,6 @@ size_t RangeEnforcer::CountDifferences(const std::vector<double>& current,
   return diff;
 }
 
-EnforcerDecision RangeEnforcer::Enforce(
-    std::vector<double>& partition_outputs,
-    const std::function<std::vector<double>(size_t total_removed)>&
-        recompute) {
-  std::lock_guard lock(mu_);
-  return EnforceLocked(partition_outputs, recompute);
-}
-
 EnforcerDecision RangeEnforcer::EnforceLocked(
     std::vector<double>& partition_outputs,
     const std::function<std::vector<double>(size_t total_removed)>&
@@ -79,11 +71,6 @@ EnforcerDecision RangeEnforcer::EnforceLocked(
   return decision;
 }
 
-void RangeEnforcer::Register(std::vector<double> partition_outputs) {
-  std::lock_guard lock(mu_);
-  RegisterLocked(std::move(partition_outputs));
-}
-
 void RangeEnforcer::RegisterLocked(std::vector<double> partition_outputs) {
   prior_.push_back(std::move(partition_outputs));
 }
@@ -91,11 +78,6 @@ void RangeEnforcer::RegisterLocked(std::vector<double> partition_outputs) {
 size_t RangeEnforcer::registry_size() const {
   std::lock_guard lock(mu_);
   return prior_.size();
-}
-
-void RangeEnforcer::Reset() {
-  std::lock_guard lock(mu_);
-  prior_.clear();
 }
 
 std::vector<std::vector<double>> RangeEnforcer::RegistrySnapshot() const {

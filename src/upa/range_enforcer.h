@@ -20,11 +20,11 @@
 // which upper-bounds the achievable local sensitivity and yields the ε-iDP
 // proof of §IV-C.
 //
-// Thread safety: Enforce / Register / registry_size / Reset each lock an
-// internal mutex, so a registry may be shared between runners. A release
-// path needs Enforce and the subsequent Register to see the registry
-// atomically (no other query may register in between); use Session, which
-// holds the registry lock across that window.
+// Thread safety: a registry may be shared between runners. A release path
+// needs Enforce and the subsequent Register to see the registry atomically
+// (no other query may register in between), so both go through Session,
+// which holds the registry lock across that window. The snapshot, restore
+// and size accessors each take the same lock.
 #pragma once
 
 #include <cstddef>
@@ -64,24 +64,7 @@ class RangeEnforcer {
   RangeEnforcer(const RangeEnforcer&) = delete;
   RangeEnforcer& operator=(const RangeEnforcer&) = delete;
 
-  /// Runs Algorithm 2's comparison + removal loop to a fixpoint.
-  ///
-  /// `partition_outputs` is the current query's per-partition output value
-  /// (updated in place if records are removed). `recompute(total_removed)`
-  /// must return the partition outputs after removing `total_removed`
-  /// records from the current input's sample set. `recompute` runs with
-  /// the registry lock held.
-  EnforcerDecision Enforce(
-      std::vector<double>& partition_outputs,
-      const std::function<std::vector<double>(size_t total_removed)>&
-          recompute);
-
-  /// Records the final partition outputs of an answered query
-  /// (Algorithm 2 lines 19–21).
-  void Register(std::vector<double> partition_outputs);
-
   size_t registry_size() const;
-  void Reset();
 
   /// Copy of the registered per-partition outputs, in registration order
   /// (order matters: Enforce iterates the registry in this order). Used by
@@ -95,19 +78,27 @@ class RangeEnforcer {
 
   /// Holds the registry lock across an Enforce → Register window so the
   /// pair is atomic with respect to other sessions sharing the registry.
-  /// Release paths (UpaRunner, the service) go through here; standalone
-  /// Enforce/Register stay valid for single-owner use.
+  /// The only way to enforce or register (UpaRunner, the service).
   class Session {
    public:
     explicit Session(RangeEnforcer& enforcer)
         : enforcer_(enforcer), lock_(enforcer.mu_) {}
 
+    /// Runs Algorithm 2's comparison + removal loop to a fixpoint.
+    ///
+    /// `partition_outputs` is the current query's per-partition output
+    /// value (updated in place if records are removed).
+    /// `recompute(total_removed)` must return the partition outputs after
+    /// removing `total_removed` records from the current input's sample
+    /// set. `recompute` runs with the registry lock held.
     EnforcerDecision Enforce(
         std::vector<double>& partition_outputs,
         const std::function<std::vector<double>(size_t total_removed)>&
             recompute) {
       return enforcer_.EnforceLocked(partition_outputs, recompute);
     }
+    /// Records the final partition outputs of an answered query
+    /// (Algorithm 2 lines 19–21).
     void Register(std::vector<double> partition_outputs) {
       enforcer_.RegisterLocked(std::move(partition_outputs));
     }

@@ -10,17 +10,4 @@ double L2Norm(const Vec& v) {
   return std::sqrt(ss);
 }
 
-double L1Distance(const Vec& a, const Vec& b) {
-  const Vec& longer = a.size() >= b.size() ? a : b;
-  const Vec& shorter = a.size() >= b.size() ? b : a;
-  UPA_CHECK_MSG(shorter.empty() || shorter.size() == longer.size(),
-                "L1Distance requires equal dimensions (or one identity)");
-  double d = 0.0;
-  for (size_t i = 0; i < longer.size(); ++i) {
-    double s = i < shorter.size() ? shorter[i] : 0.0;
-    d += std::fabs(longer[i] - s);
-  }
-  return d;
-}
-
 }  // namespace upa::core

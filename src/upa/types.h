@@ -69,7 +69,4 @@ inline double ScalarOf(const Vec& v) { return v.empty() ? 0.0 : v[0]; }
 /// L2 norm — the default scalarizer for vector-valued ML outputs.
 double L2Norm(const Vec& v);
 
-/// L1 distance between two vectors of equal dimension (empty = zeros).
-double L1Distance(const Vec& a, const Vec& b);
-
 }  // namespace upa::core

@@ -104,7 +104,7 @@ TEST(RngTest, NormalMomentsMatch) {
   std::vector<double> xs(50000);
   for (auto& x : xs) x = rng.Normal(2.0, 3.0);
   EXPECT_NEAR(Mean(xs), 2.0, 0.05);
-  EXPECT_NEAR(StdDevSample(xs), 3.0, 0.05);
+  EXPECT_NEAR(StdDevPopulation(xs), 3.0, 0.05);
 }
 
 TEST(RngTest, LaplaceIsSymmetricWithRightScale) {
@@ -113,7 +113,7 @@ TEST(RngTest, LaplaceIsSymmetricWithRightScale) {
   for (auto& x : xs) x = rng.Laplace(2.0);
   EXPECT_NEAR(Mean(xs), 0.0, 0.05);
   // Var of Laplace(b) is 2 b^2 = 8 → sd ~ 2.828.
-  EXPECT_NEAR(StdDevSample(xs), std::sqrt(8.0), 0.1);
+  EXPECT_NEAR(StdDevPopulation(xs), std::sqrt(8.0), 0.1);
 }
 
 TEST(RngTest, LaplaceZeroScaleIsZero) {

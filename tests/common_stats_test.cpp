@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
-
-#include "common/rng.h"
 
 namespace upa {
 namespace {
@@ -19,47 +16,12 @@ TEST(MeanTest, BasicAndEmpty) {
 TEST(VarianceTest, PopulationVsSample) {
   std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(VariancePopulation(xs), 4.0);
-  EXPECT_NEAR(VarianceSample(xs), 4.571428571, 1e-9);
   EXPECT_DOUBLE_EQ(StdDevPopulation(xs), 2.0);
 }
 
 TEST(VarianceTest, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(VariancePopulation(std::vector<double>{}), 0.0);
   EXPECT_DOUBLE_EQ(VariancePopulation(std::vector<double>{5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(VarianceSample(std::vector<double>{5.0}), 0.0);
-}
-
-TEST(MinMaxTest, Basic) {
-  std::vector<double> xs{3.0, -1.0, 7.0, 0.5};
-  EXPECT_DOUBLE_EQ(Min(xs), -1.0);
-  EXPECT_DOUBLE_EQ(Max(xs), 7.0);
-}
-
-TEST(PercentileTest, InterpolatesLinearly) {
-  std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 100.0), 40.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), 25.0);
-  EXPECT_NEAR(Percentile(xs, 25.0), 17.5, 1e-12);
-}
-
-TEST(PercentileTest, SingleElement) {
-  std::vector<double> xs{42.0};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 1.0), 42.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 99.0), 42.0);
-}
-
-TEST(PercentileTest, UnsortedInputIsHandled) {
-  std::vector<double> xs{40.0, 10.0, 30.0, 20.0};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), 25.0);
-}
-
-TEST(RmseTest, KnownValue) {
-  std::vector<double> a{1.0, 2.0, 3.0};
-  std::vector<double> b{2.0, 2.0, 5.0};
-  // errors: -1, 0, -2 → mean square 5/3.
-  EXPECT_NEAR(Rmse(a, b), std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(Rmse(std::vector<double>{}, std::vector<double>{}), 0.0);
 }
 
 TEST(RelativeRmseTest, MatchesHandComputation) {
@@ -88,38 +50,6 @@ TEST(CoverageTest, CountsInclusiveInterval) {
   EXPECT_DOUBLE_EQ(CoverageFraction(xs, 5.0, 6.0), 0.0);
   EXPECT_DOUBLE_EQ(CoverageFraction(std::vector<double>{}, 0.0, 1.0), 0.0);
 }
-
-TEST(SummaryTest, FieldsAreConsistent) {
-  Rng rng(77);
-  std::vector<double> xs(5000);
-  for (auto& x : xs) x = rng.Normal(10.0, 2.0);
-  Summary s = Summarize(xs);
-  EXPECT_EQ(s.count, xs.size());
-  EXPECT_NEAR(s.mean, 10.0, 0.2);
-  EXPECT_NEAR(s.stddev, 2.0, 0.2);
-  EXPECT_LE(s.min, s.p50);
-  EXPECT_LE(s.p50, s.p99);
-  EXPECT_LE(s.p99, s.max);
-  EXPECT_FALSE(s.ToString().empty());
-}
-
-// Property sweep: percentile is monotone in p for random data.
-class PercentileMonotoneSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(PercentileMonotoneSweep, MonotoneInP) {
-  Rng rng(GetParam());
-  std::vector<double> xs(200);
-  for (auto& x : xs) x = rng.UniformDouble(-50.0, 50.0);
-  double prev = Percentile(xs, 0.0);
-  for (double p = 5.0; p <= 100.0; p += 5.0) {
-    double cur = Percentile(xs, p);
-    EXPECT_GE(cur, prev) << "p=" << p;
-    prev = cur;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PercentileMonotoneSweep,
-                         ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace upa

@@ -251,9 +251,7 @@ TEST(ThreadPoolTest, MorselTimingsOnePerExecutedMorsel) {
       100, 9, [](size_t, size_t) {}, &timings);
   EXPECT_EQ(morsels, 12u);
   EXPECT_EQ(timings.seconds.size(), 12u);
-  EXPECT_GE(timings.Imbalance(), 1.0);
-  EXPECT_GE(timings.SumSeconds(), 0.0);
-  EXPECT_GE(timings.MaxSeconds(), 0.0);
+  for (double s : timings.seconds) EXPECT_GE(s, 0.0);
 }
 
 TEST(ThreadPoolTest, NestedSubmitFromTaskDoesNotDeadlock) {

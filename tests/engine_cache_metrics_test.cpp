@@ -108,25 +108,12 @@ TEST(ExecMetricsTest, PhaseDeltaSubtracts) {
   EXPECT_DOUBLE_EQ(delta.phase_seconds.at("map"), 0.5);
 }
 
-TEST(ExecMetricsTest, ResetZeroesEverything) {
-  ExecMetrics m;
-  m.AddTasks(1);
-  m.AddCacheHit();
-  m.AddPhaseSeconds("x", 1.0);
-  m.Reset();
-  auto snap = m.Snapshot();
-  EXPECT_EQ(snap.tasks_launched, 0u);
-  EXPECT_EQ(snap.cache_hits, 0u);
-  EXPECT_TRUE(snap.phase_seconds.empty());
-}
-
 TEST(ExecMetricsTest, HitRateEdgeCases) {
   MetricsSnapshot s;
   EXPECT_DOUBLE_EQ(s.cache_hit_rate(), 0.0);
   s.cache_hits = 3;
   s.cache_misses = 1;
   EXPECT_DOUBLE_EQ(s.cache_hit_rate(), 0.75);
-  EXPECT_FALSE(s.ToString().empty());
 }
 
 TEST(ExecMetricsTest, NamedCountersAccumulateAndSubtract) {
@@ -171,7 +158,6 @@ TEST(HistogramTest, QuantilesTrackObservations) {
   EXPECT_GE(hist.QuantileSeconds(0.99), 5e-4);
   // Quantiles never exceed the observed max.
   EXPECT_LE(hist.QuantileSeconds(1.0), hist.max_seconds);
-  EXPECT_FALSE(hist.ToString().empty());
 }
 
 TEST(HistogramTest, SnapshotSubtractionIsolatesNewObservations) {

@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <string>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace upa::engine {
 namespace {
@@ -77,16 +78,6 @@ TEST(DatasetTest, FilterAllOut) {
   EXPECT_EQ(none.Count(), 0u);
 }
 
-TEST(DatasetTest, FlatMapExpandsElements) {
-  auto ds = Dataset<int>::FromVector(&Ctx(), {1, 2, 3}, 2);
-  auto expanded = ds.FlatMap([](const int& v) {
-    return std::vector<int>(static_cast<size_t>(v), v);
-  });
-  EXPECT_EQ(expanded.Count(), 6u);  // 1 + 2 + 3
-  auto out = expanded.Collect();
-  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 1 + 4 + 9);
-}
-
 TEST(DatasetTest, ReduceSumsAcrossPartitions) {
   auto ds = Dataset<int>::FromVector(&Ctx(), Iota(1000), 8);
   int sum = ds.Reduce([](int a, int b) { return a + b; }, 0);
@@ -108,46 +99,6 @@ TEST(DatasetTest, ReduceWithMaxMonoid) {
   int m = ds.Reduce([](int a, int b) { return std::max(a, b); },
                     std::numeric_limits<int>::min());
   EXPECT_EQ(m, 9);
-}
-
-TEST(DatasetTest, ReducePerPartitionMatchesManual) {
-  auto ds = Dataset<int>::FromVector(&Ctx(), Iota(10), 3);
-  auto partials =
-      ds.ReducePerPartition([](int a, int b) { return a + b; }, 0);
-  ASSERT_EQ(partials.size(), 3u);
-  int total = 0;
-  for (int p : partials) total += p;
-  EXPECT_EQ(total, 45);
-  // Each partial equals the sum of its own partition.
-  for (size_t p = 0; p < ds.NumPartitions(); ++p) {
-    int expect = 0;
-    for (int v : ds.partition(p)) expect += v;
-    EXPECT_EQ(partials[p], expect);
-  }
-}
-
-TEST(DatasetTest, SampleIsDistinctSubset) {
-  Rng rng(5);
-  auto ds = Dataset<int>::FromVector(&Ctx(), Iota(200), 4);
-  auto sample = ds.Sample(rng, 20);
-  EXPECT_EQ(sample.size(), 20u);
-  std::set<int> uniq(sample.begin(), sample.end());
-  EXPECT_EQ(uniq.size(), 20u);
-  for (int v : sample) {
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 200);
-  }
-}
-
-TEST(DatasetTest, RepartitionKeepsContents) {
-  auto ds = Dataset<int>::FromVector(&Ctx(), Iota(37), 3);
-  auto re = ds.Repartition(9);
-  EXPECT_EQ(re.NumPartitions(), 9u);
-  auto a = ds.Collect();
-  auto b = re.Collect();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
 }
 
 TEST(DatasetTest, ChainedPipeline) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -48,46 +47,6 @@ TEST(ShuffleByKeyTest, CountsShuffleMetrics) {
   EXPECT_EQ(delta.shuffle_records, 3u);
 }
 
-TEST(ReduceByKeyTest, SumsPerKey) {
-  std::vector<KV> data;
-  for (int i = 0; i < 60; ++i) data.push_back({i % 3, 1});
-  auto ds = Dataset<KV>::FromVector(&Ctx(), data, 4);
-  auto reduced = ReduceByKey(ds, [](int a, int b) { return a + b; }, 4);
-  auto out = reduced.Collect();
-  std::map<int, int> by_key(out.begin(), out.end());
-  EXPECT_EQ(by_key.size(), 3u);
-  EXPECT_EQ(by_key[0], 20);
-  EXPECT_EQ(by_key[1], 20);
-  EXPECT_EQ(by_key[2], 20);
-}
-
-TEST(ReduceByKeyTest, OnePairPerDistinctKey) {
-  std::vector<KV> data{{5, 1}, {5, 2}, {6, 3}};
-  auto ds = Dataset<KV>::FromVector(&Ctx(), data, 2);
-  auto reduced = ReduceByKey(ds, [](int a, int b) { return a + b; });
-  EXPECT_EQ(reduced.Count(), 2u);
-}
-
-TEST(ReduceByKeyTest, EmptyInput) {
-  auto ds = Dataset<KV>::FromVector(&Ctx(), {}, 2);
-  auto reduced = ReduceByKey(ds, [](int a, int b) { return a + b; });
-  EXPECT_EQ(reduced.Count(), 0u);
-}
-
-TEST(ReduceByKeyTest, MapSideCombinerCutsShuffleVolume) {
-  ExecContext local(ExecConfig{.threads = 2, .default_partitions = 2});
-  // 1000 records but only 4 distinct keys: the combiner should shrink the
-  // shuffle to at most keys x partitions records.
-  std::vector<KV> data;
-  for (int i = 0; i < 1000; ++i) data.push_back({i % 4, 1});
-  auto ds = Dataset<KV>::FromVector(&local, data, 2);
-  auto before = local.metrics().Snapshot();
-  ReduceByKey(ds, [](int a, int b) { return a + b; }, 2);
-  auto delta = local.metrics().Snapshot() - before;
-  EXPECT_LE(delta.shuffle_records, 8u);  // 4 keys x 2 map partitions
-  EXPECT_EQ(delta.shuffle_rounds, 1u);
-}
-
 TEST(HashJoinTest, InnerJoinProducesAllPairs) {
   std::vector<std::pair<int, std::string>> left{{1, "a"}, {2, "b"}, {2, "c"}};
   std::vector<std::pair<int, double>> right{{2, 0.5}, {2, 1.5}, {3, 9.0}};
@@ -122,19 +81,6 @@ TEST(HashJoinTest, TriggersTwoShuffleRounds) {
   HashJoin(l, r, 2);
   auto delta = local.metrics().Snapshot() - before;
   EXPECT_EQ(delta.shuffle_rounds, 2u);
-}
-
-TEST(GroupByKeyTest, GathersAllValues) {
-  std::vector<KV> data{{1, 10}, {2, 20}, {1, 11}, {1, 12}};
-  auto ds = Dataset<KV>::FromVector(&Ctx(), data, 3);
-  auto grouped = GroupByKey(ds, 2);
-  std::map<int, std::vector<int>> by_key;
-  for (auto& [k, vs] : grouped.Collect()) {
-    std::sort(vs.begin(), vs.end());
-    by_key[k] = vs;
-  }
-  EXPECT_EQ(by_key[1], (std::vector<int>{10, 11, 12}));
-  EXPECT_EQ(by_key[2], (std::vector<int>{20}));
 }
 
 // Join-cardinality property sweep: |join| == sum over keys of

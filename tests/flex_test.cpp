@@ -124,38 +124,6 @@ TEST_F(FlexTpchTest, MultiJoinQueriesBlowUp) {
   EXPECT_GT(q21.local_sensitivity, 100.0 * q4.local_sensitivity);
 }
 
-TEST_F(FlexTest, SmoothSensitivityAtLeastLocal) {
-  auto plan = CountPlan(
-      JoinPlan(ScanPlan("left"), ScanPlan("right"), "lk", "rk"));
-  auto local = AnalyzeFlex(plan, catalog_);
-  auto smooth = AnalyzeFlexSmooth(plan, catalog_, /*beta=*/0.05);
-  ASSERT_TRUE(local.supported && smooth.supported);
-  // Smooth sensitivity maximizes over distances including k=0, so it is
-  // never below the static local sensitivity.
-  EXPECT_GE(smooth.local_sensitivity, local.local_sensitivity);
-}
-
-TEST_F(FlexTest, SmoothSensitivityDecreasesWithBeta) {
-  auto plan = CountPlan(
-      JoinPlan(ScanPlan("left"), ScanPlan("right"), "lk", "rk"));
-  auto loose = AnalyzeFlexSmooth(plan, catalog_, 0.01);
-  auto tight = AnalyzeFlexSmooth(plan, catalog_, 1.0);
-  ASSERT_TRUE(loose.supported && tight.supported);
-  EXPECT_GE(loose.local_sensitivity, tight.local_sensitivity);
-}
-
-TEST_F(FlexTest, SmoothSensitivityNoJoinIsOne) {
-  auto smooth = AnalyzeFlexSmooth(CountPlan(ScanPlan("left")), catalog_, 0.1);
-  ASSERT_TRUE(smooth.supported);
-  EXPECT_DOUBLE_EQ(smooth.local_sensitivity, 1.0);
-}
-
-TEST_F(FlexTest, SmoothSensitivityUnsupportedForSum) {
-  auto smooth =
-      AnalyzeFlexSmooth(SumPlan(ScanPlan("left"), Col("lk")), catalog_, 0.1);
-  EXPECT_FALSE(smooth.supported);
-}
-
 TEST_F(FlexTpchTest, JoinFactorsAreResolvedToTables) {
   auto q21 = AnalyzeFlex(tpch::MakeQ21().plan, catalog_);
   ASSERT_TRUE(q21.supported);

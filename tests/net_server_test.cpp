@@ -662,40 +662,5 @@ TEST(NetClientEdge, FailedConnectsLeakNoFds) {
   EXPECT_EQ(CountOpenFds(), before);
 }
 
-TEST(NetClientEdge, ClientPoolHandsOutIndependentConnections) {
-  ServerHarness harness;
-  auto pool = ClientPool::Dial("127.0.0.1", harness.server.port(), 4);
-  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-  ASSERT_EQ(pool.value().size(), 4u);
-  // Each connection works on its own; tags are per-connection, so the same
-  // auto-assigned tag on different pool members must not interfere.
-  for (size_t i = 0; i < pool.value().size(); ++i) {
-    auto result = pool.value().at(i).Query(
-        MakeWireQuery("t", "ds" + std::to_string(i), "count:200", i + 1));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result.value().ok());
-  }
-}
-
-TEST(NetClientEdge, ClientPoolDialFailureClosesEveryPartialConnection) {
-  int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(probe, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const uint16_t dead_port = ntohs(addr.sin_port);
-  ::close(probe);
-
-  const size_t before = CountOpenFds();
-  auto pool = ClientPool::Dial("127.0.0.1", dead_port, 8, /*timeout_ms=*/500);
-  EXPECT_FALSE(pool.ok());
-  EXPECT_EQ(CountOpenFds(), before);
-}
-
 }  // namespace
 }  // namespace upa::net

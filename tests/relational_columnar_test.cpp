@@ -1089,10 +1089,6 @@ TEST(PlanQueryMemoTest, KeyCoversLiteralsPartitionsAndTableUids) {
   EXPECT_EQ(run(join_count(Lit(4.0)), 2).misses, 1u);  // 4 and 4.0 differ
   EXPECT_EQ(run(base, 3).misses, 1u);
 
-  const Table copy(ds.table("lineitem"));
-  catalog["lineitem"] = &copy;
-  EXPECT_EQ(run(base, 2).hits, 1u);
-
   const Table fewer_lineitems("lineitem", ds.table("lineitem").schema(),
                               ds.RowsWithout("lineitem", {0, 2}));
   catalog["lineitem"] = &fewer_lineitems;

@@ -18,25 +18,6 @@
 namespace upa::rel {
 namespace {
 
-TEST(SplitConjunctsTest, SplitsNestedAnds) {
-  auto e = And(And(Eq(Col("a"), Lit(int64_t{1})), Lt(Col("b"), Lit(2.0))),
-               Gt(Col("c"), Lit(3.0)));
-  auto parts = SplitConjuncts(e);
-  EXPECT_EQ(parts.size(), 3u);
-}
-
-TEST(SplitConjunctsTest, OrIsNotSplit) {
-  auto e = Or(Eq(Col("a"), Lit(int64_t{1})), Eq(Col("b"), Lit(int64_t{2})));
-  EXPECT_EQ(SplitConjuncts(e).size(), 1u);
-}
-
-TEST(ReferencedColumnsTest, CollectsAllColumns) {
-  auto e = And(Eq(Col("x"), Lit(int64_t{1})), Lt(Add(Col("y"), Col("z")),
-                                                 Lit(5.0)));
-  auto cols = ReferencedColumns(e);
-  EXPECT_EQ(cols.size(), 3u);
-}
-
 class OptimizerTest : public ::testing::Test {
  protected:
   OptimizerTest()

@@ -121,21 +121,6 @@ TEST(TableStatsTest, FractionBelowInterpolates) {
   }
 }
 
-TEST(TableStatsTest, CopyCarriesCachesAndUid) {
-  Table t = MakeTable();
-  auto built = t.Columnar();
-  size_t mf = t.MaxFrequency("k");
-
-  Table copy(t);
-  EXPECT_EQ(copy.uid(), t.uid());  // same immutable data → same identity
-  EXPECT_EQ(copy.Columnar().get(), built.get());
-  EXPECT_EQ(copy.MaxFrequency("k"), mf);
-
-  Table moved(std::move(copy));
-  EXPECT_EQ(moved.uid(), t.uid());
-  EXPECT_EQ(moved.Columnar().get(), built.get());
-}
-
 TEST(TableStatsTest, ReleaseCachesRebuildsUnderNewFragmentSize) {
   struct FragmentRowsGuard {
     size_t saved = DefaultFragmentRows();

@@ -216,9 +216,7 @@ TEST_F(ChaosTest, PreCancelledRequestNeverCharges) {
 }
 
 TEST_F(ChaosTest, WatchdogPrunesQueuedExpiredRequests) {
-  ServiceConfig config = FastConfig();
-  config.watchdog_interval_ms = 1.0;
-  UpaService service(&Ctx(), config);
+  UpaService service(&Ctx(), FastConfig());
 
   // Tenant a holds the dataset in flight with a slow query; tenant b's
   // request can't dispatch (one in-flight per dataset) and its deadline
@@ -395,6 +393,41 @@ TEST_F(ChaosTest, JournalAppendFaultsKeepDiskAndMemoryConsistent) {
   // cumulative totals may legitimately differ — the live balance must not.
   EXPECT_NEAR(recovered.DebugState("ds").budget.spent, live["ds"].spent,
               1e-9);
+}
+
+// A journal that fails to open must not pin its error on the dataset: once
+// the fault is gone, the next request opens the journal and releases, and
+// that release survives a restart.
+TEST_F(ChaosTest, FailedJournalOpenIsRetriedByTheNextRequest) {
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir_;
+  config.journal_fsync = false;
+  std::vector<std::vector<double>> registry;
+  {
+    UpaService service(&Ctx(), config);
+    ASSERT_TRUE(Failpoints::Instance()
+                    .Activate("journal/before_append",
+                              "error(internal,transient)")
+                    .ok());
+    Result<QueryResponse> first =
+        service.Execute(MakeRequest("a", "fresh", CountQuery(2000), 1));
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().message(), "transient");
+    Failpoints::Instance().Deactivate("journal/before_append");
+
+    Result<QueryResponse> second =
+        service.Execute(MakeRequest("a", "fresh", CountQuery(2000), 2));
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_DOUBLE_EQ(service.accountant().Spent("fresh"), 0.05);
+    registry = service.DebugState("fresh").registry;
+    ASSERT_EQ(registry.size(), 1u);
+  }
+  UpaService recovered(&Ctx(), config);
+  ASSERT_TRUE(recovered.recovery_status().ok())
+      << recovered.recovery_status().ToString();
+  EXPECT_DOUBLE_EQ(recovered.accountant().Spent("fresh"), 0.05);
+  ExpectRegistryBitIdentical(recovered.DebugState("fresh").registry,
+                             registry);
 }
 
 // A failed recovery must leave the service inert. Recovery stops at the

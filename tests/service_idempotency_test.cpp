@@ -201,5 +201,67 @@ TEST(ServiceIdempotencyTest, RecoveryRebuildsWindowAndRepaysRetries) {
   fs::remove_all(dir, ec);
 }
 
+// A keyed request released while the window is off journals no key, so a
+// restart with the window on runs (and charges) the key's retry instead of
+// refusing it as a reuse.
+TEST(ServiceIdempotencyTest, KeyReleasedWithWindowOffRunsAfterRestart) {
+  char tmp[] = "/tmp/upa-idem-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmp), nullptr);
+  const std::string dir = tmp;
+
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir;
+  config.journal_fsync = false;
+  config.dedup_window = 0;
+  {
+    UpaService service(&Ctx(), config);
+    ASSERT_TRUE(service.Execute(KeyedRequest("ds", 5, 1)).ok());
+  }
+  config.dedup_window = 16;
+  {
+    UpaService service(&Ctx(), config);
+    EXPECT_EQ(service.DedupWindowSize("ds"), 0u);
+    auto retry = service.Execute(KeyedRequest("ds", 5, 1));
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_NEAR(service.accountant().Spent("ds"), 0.2, 1e-12);
+    EXPECT_EQ(service.DedupWindowSize("ds"), 1u);
+  }
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// Older builds journaled an unkeyed release with its request's key but no
+// response blob. Recovery must not put such a key in the window.
+TEST(ServiceIdempotencyTest, KeyWithoutResponseBlobStaysOutOfTheWindow) {
+  char tmp[] = "/tmp/upa-idem-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmp), nullptr);
+  const std::string dir = tmp;
+  {
+    auto journal = Journal::Open(dir, "ds", /*fsync=*/false);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    JournalRecord release;
+    release.type = JournalRecord::Type::kRelease;
+    release.epsilon = 0.1;
+    release.partition_outputs = {1.0, 2.0};
+    release.nonce = 5;
+    release.key_seq = 1;
+    ASSERT_TRUE(journal.value()->Append(release).ok());
+  }
+
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir;
+  config.journal_fsync = false;
+  UpaService service(&Ctx(), config);
+  ASSERT_TRUE(service.recovery_status().ok())
+      << service.recovery_status().ToString();
+  EXPECT_EQ(service.DedupWindowSize("ds"), 0u);
+  EXPECT_NEAR(service.accountant().Spent("ds"), 0.1, 1e-12);
+  EXPECT_EQ(service.DebugState("ds").registry.size(), 1u);
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 }  // namespace
 }  // namespace upa::service

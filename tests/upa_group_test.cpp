@@ -11,9 +11,15 @@
 namespace upa::core {
 namespace {
 
+/// The sweep's estimate for group size k (its last entry).
+GroupSensitivityEstimate EstimateAt(std::span<const double> neighbours,
+                                    double f_x, size_t k) {
+  return GroupSensitivitySweep(neighbours, f_x, k).back();
+}
+
 TEST(GroupSensitivityTest, K1EqualsMaxInfluence) {
   std::vector<double> neighbours{9.0, 10.5, 10.0, 7.0};  // f_x = 10
-  auto est = EstimateGroupSensitivity(neighbours, 10.0, 1);
+  auto est = EstimateAt(neighbours, 10.0, 1);
   EXPECT_DOUBLE_EQ(est.sensitivity, 3.0);  // |7 - 10|
   EXPECT_EQ(est.group_size, 1u);
   ASSERT_EQ(est.top_influences.size(), 1u);
@@ -22,22 +28,22 @@ TEST(GroupSensitivityTest, K1EqualsMaxInfluence) {
 
 TEST(GroupSensitivityTest, KSumsTopInfluences) {
   std::vector<double> neighbours{9.0, 10.5, 10.0, 7.0};
-  auto est = EstimateGroupSensitivity(neighbours, 10.0, 2);
+  auto est = EstimateAt(neighbours, 10.0, 2);
   EXPECT_DOUBLE_EQ(est.sensitivity, 3.0 + 1.0);
-  auto est3 = EstimateGroupSensitivity(neighbours, 10.0, 3);
+  auto est3 = EstimateAt(neighbours, 10.0, 3);
   EXPECT_DOUBLE_EQ(est3.sensitivity, 3.0 + 1.0 + 0.5);
 }
 
 TEST(GroupSensitivityTest, KLargerThanSampleSaturates) {
   std::vector<double> neighbours{9.0, 11.0};
-  auto est = EstimateGroupSensitivity(neighbours, 10.0, 10);
+  auto est = EstimateAt(neighbours, 10.0, 10);
   EXPECT_DOUBLE_EQ(est.sensitivity, 2.0);
   EXPECT_EQ(est.top_influences.size(), 2u);
 }
 
 TEST(GroupSensitivityTest, RangeIsCenteredOnFx) {
   std::vector<double> neighbours{8.0, 12.0};
-  auto est = EstimateGroupSensitivity(neighbours, 10.0, 1);
+  auto est = EstimateAt(neighbours, 10.0, 1);
   EXPECT_DOUBLE_EQ(est.out_range.lo, 8.0);
   EXPECT_DOUBLE_EQ(est.out_range.hi, 12.0);
 }
@@ -51,15 +57,6 @@ TEST(GroupSensitivityTest, SweepIsMonotoneNonDecreasing) {
   for (size_t k = 1; k < sweep.size(); ++k) {
     EXPECT_GE(sweep[k].sensitivity, sweep[k - 1].sensitivity) << "k=" << k;
     EXPECT_EQ(sweep[k].group_size, k + 1);
-  }
-}
-
-TEST(GroupSensitivityTest, SweepConsistentWithPointQueries) {
-  std::vector<double> neighbours{9.0, 10.5, 10.0, 7.0};
-  auto sweep = GroupSensitivitySweep(neighbours, 10.0, 3);
-  for (size_t k = 1; k <= 3; ++k) {
-    auto point = EstimateGroupSensitivity(neighbours, 10.0, k);
-    EXPECT_DOUBLE_EQ(sweep[k - 1].sensitivity, point.sensitivity);
   }
 }
 
@@ -86,8 +83,8 @@ TEST(GroupSensitivityTest, CountQueryGroupSensitivityIsK) {
   ASSERT_TRUE(result.ok());
 
   for (size_t k : {1u, 5u, 20u}) {
-    auto est = EstimateGroupSensitivity(result.value().neighbour_outputs,
-                                        result.value().raw_output, k);
+    auto est = EstimateAt(result.value().neighbour_outputs,
+                          result.value().raw_output, k);
     EXPECT_DOUBLE_EQ(est.sensitivity, static_cast<double>(k)) << "k=" << k;
   }
 }
@@ -117,8 +114,8 @@ TEST(GroupSensitivityTest, MatchesExactGroupRemovalOnSumQuery) {
   ASSERT_TRUE(result.ok());
 
   const size_t k = 3;
-  auto est = EstimateGroupSensitivity(result.value().neighbour_outputs,
-                                      result.value().raw_output, k);
+  auto est = EstimateAt(result.value().neighbour_outputs,
+                        result.value().raw_output, k);
   // Exact: sum of the k largest record values... except additions (fresh
   // domain records) can exceed the k-th largest record. The estimate must
   // be at least the removal-side exact value.

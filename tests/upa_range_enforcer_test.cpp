@@ -2,10 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace upa::core {
 namespace {
+
+using Recompute = std::function<std::vector<double>(size_t total_removed)>;
+
+// A Session per call: the registry has no other way in.
+EnforcerDecision Enforce(RangeEnforcer& enforcer, std::vector<double>& outputs,
+                         const Recompute& recompute) {
+  return RangeEnforcer::Session(enforcer).Enforce(outputs, recompute);
+}
+
+void Register(RangeEnforcer& enforcer, std::vector<double> outputs) {
+  RangeEnforcer::Session(enforcer).Register(std::move(outputs));
+}
 
 // A recompute callback that shifts both partition outputs by the number of
 // removed records (mimics a count query: removing records changes counts).
@@ -20,7 +34,7 @@ auto CountLikeRecompute(std::vector<double> base) {
 TEST(RangeEnforcerTest, FirstQueryIsNeverAnAttack) {
   RangeEnforcer enforcer;
   std::vector<double> outputs{10.0, 20.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_FALSE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 0u);
   EXPECT_EQ(decision.prior_queries_checked, 0u);
@@ -29,19 +43,19 @@ TEST(RangeEnforcerTest, FirstQueryIsNeverAnAttack) {
 TEST(RangeEnforcerTest, RegisterGrowsRegistry) {
   RangeEnforcer enforcer;
   EXPECT_EQ(enforcer.registry_size(), 0u);
-  enforcer.Register({1.0, 2.0});
-  enforcer.Register({3.0, 4.0});
+  Register(enforcer, {1.0, 2.0});
+  Register(enforcer, {3.0, 4.0});
   EXPECT_EQ(enforcer.registry_size(), 2u);
-  enforcer.Reset();
+  enforcer.RestoreRegistry({});
   EXPECT_EQ(enforcer.registry_size(), 0u);
 }
 
 TEST(RangeEnforcerTest, BothPartitionsDifferentIsCase1) {
   RangeEnforcer enforcer;
-  enforcer.Register({10.0, 20.0});
+  Register(enforcer, {10.0, 20.0});
   // Differs on both partitions: the inputs differ by >= 2 records.
   std::vector<double> outputs{11.0, 21.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_FALSE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 0u);
   EXPECT_EQ(decision.prior_queries_checked, 1u);
@@ -49,10 +63,10 @@ TEST(RangeEnforcerTest, BothPartitionsDifferentIsCase1) {
 
 TEST(RangeEnforcerTest, OneEqualPartitionTriggersRemoval) {
   RangeEnforcer enforcer;
-  enforcer.Register({10.0, 20.0});
+  Register(enforcer, {10.0, 20.0});
   // Partition 1 matches a prior query: possible neighbouring attack.
   std::vector<double> outputs{10.0, 21.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_GE(decision.records_removed, 2u);
   // After removal, both partitions must differ from the prior entry.
@@ -62,34 +76,34 @@ TEST(RangeEnforcerTest, OneEqualPartitionTriggersRemoval) {
 
 TEST(RangeEnforcerTest, IdenticalResubmissionTriggersRemoval) {
   RangeEnforcer enforcer;
-  enforcer.Register({5.0, 5.0});
+  Register(enforcer, {5.0, 5.0});
   std::vector<double> outputs{5.0, 5.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 2u);  // one round suffices here
 }
 
 TEST(RangeEnforcerTest, ChecksAllPriorQueries) {
   RangeEnforcer enforcer;
-  enforcer.Register({1.0, 2.0});
-  enforcer.Register({3.0, 4.0});
-  enforcer.Register({5.0, 6.0});
+  Register(enforcer, {1.0, 2.0});
+  Register(enforcer, {3.0, 4.0});
+  Register(enforcer, {5.0, 6.0});
   std::vector<double> outputs{100.0, 200.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_EQ(decision.prior_queries_checked, 3u);
   EXPECT_FALSE(decision.attack_suspected);
 }
 
 TEST(RangeEnforcerTest, RemovalLoopEscalatesUntilSeparated) {
   RangeEnforcer enforcer;
-  enforcer.Register({10.0, 20.0});
+  Register(enforcer, {10.0, 20.0});
   std::vector<double> outputs{10.0, 20.0};
   // Recompute that only separates after 6 removed records.
   auto stubborn = [](size_t removed) {
     if (removed < 6) return std::vector<double>{10.0, 20.0};
     return std::vector<double>{-1.0, -2.0};
   };
-  auto decision = enforcer.Enforce(outputs, stubborn);
+  auto decision = Enforce(enforcer, outputs, stubborn);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 6u);
   EXPECT_FALSE(decision.removal_capped);
@@ -97,10 +111,10 @@ TEST(RangeEnforcerTest, RemovalLoopEscalatesUntilSeparated) {
 
 TEST(RangeEnforcerTest, DegenerateConstantQueryHitsCap) {
   RangeEnforcer enforcer(1e-9, /*max_removals=*/8);
-  enforcer.Register({1.0, 1.0});
+  Register(enforcer, {1.0, 1.0});
   std::vector<double> outputs{1.0, 1.0};
   auto constant = [](size_t) { return std::vector<double>{1.0, 1.0}; };
-  auto decision = enforcer.Enforce(outputs, constant);
+  auto decision = Enforce(enforcer, outputs, constant);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_TRUE(decision.removal_capped);
   EXPECT_LE(decision.records_removed, 8u);
@@ -110,11 +124,11 @@ TEST(RangeEnforcerTest, RemovalCapStopsScanningFurtherPriors) {
   // Once the cap is hit against one prior, the enforcer must bail out of
   // the whole pass rather than keep burning removals against later priors.
   RangeEnforcer enforcer(1e-9, /*max_removals=*/4);
-  enforcer.Register({1.0, 1.0});
-  enforcer.Register({1.0, 1.0});
+  Register(enforcer, {1.0, 1.0});
+  Register(enforcer, {1.0, 1.0});
   std::vector<double> outputs{1.0, 1.0};
   auto constant = [](size_t) { return std::vector<double>{1.0, 1.0}; };
-  auto decision = enforcer.Enforce(outputs, constant);
+  auto decision = Enforce(enforcer, outputs, constant);
   EXPECT_TRUE(decision.removal_capped);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_LE(decision.records_removed, 4u);
@@ -125,13 +139,13 @@ TEST(RangeEnforcerTest, CapExactlyAtBoundaryIsNotCapped) {
   // Separation achieved with exactly max_removals removed records: the
   // decision reports the removals but not the cap.
   RangeEnforcer enforcer(1e-9, /*max_removals=*/6);
-  enforcer.Register({10.0, 20.0});
+  Register(enforcer, {10.0, 20.0});
   std::vector<double> outputs{10.0, 20.0};
   auto separates_at_six = [](size_t removed) {
     if (removed < 6) return std::vector<double>{10.0, 20.0};
     return std::vector<double>{-1.0, -2.0};
   };
-  auto decision = enforcer.Enforce(outputs, separates_at_six);
+  auto decision = Enforce(enforcer, outputs, separates_at_six);
   EXPECT_FALSE(decision.removal_capped);
   EXPECT_EQ(decision.records_removed, 6u);
 }
@@ -140,18 +154,18 @@ TEST(RangeEnforcerTest, ShorterPriorArityCountsEveryPartitionAsDifferent) {
   // A prior registered under a smaller partitioning config must count as
   // differing on every *current* partition, never index out of range.
   RangeEnforcer enforcer;
-  enforcer.Register({5.0});
+  Register(enforcer, {5.0});
   std::vector<double> outputs{5.0, 5.0, 5.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_FALSE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 0u);
 }
 
 TEST(RangeEnforcerTest, LongerPriorArityAlsoTriviallyDiffers) {
   RangeEnforcer enforcer;
-  enforcer.Register({5.0, 5.0, 5.0, 5.0});
+  Register(enforcer, {5.0, 5.0, 5.0, 5.0});
   std::vector<double> outputs{5.0, 5.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_FALSE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 0u);
 }
@@ -160,10 +174,10 @@ TEST(RangeEnforcerTest, MixedArityAndMatchingPriorsStillEnforce) {
   // An arity-mismatched prior must not mask a genuine repeat: the matching
   // prior still triggers the removal loop.
   RangeEnforcer enforcer;
-  enforcer.Register({7.0, 7.0, 7.0});  // different config, ignored
-  enforcer.Register({10.0, 20.0});     // genuine repeat target
+  Register(enforcer, {7.0, 7.0, 7.0});  // different config, ignored
+  Register(enforcer, {10.0, 20.0});     // genuine repeat target
   std::vector<double> outputs{10.0, 20.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_GE(decision.records_removed, 2u);
   EXPECT_EQ(decision.prior_queries_checked, 2u);
@@ -179,9 +193,9 @@ TEST(RangeEnforcerTest, ToleranceAbsorbsFloatNoise) {
 
 TEST(RangeEnforcerTest, DifferentArityPriorTriviallyDiffers) {
   RangeEnforcer enforcer;
-  enforcer.Register({1.0, 2.0, 3.0});  // registered under another config
+  Register(enforcer, {1.0, 2.0, 3.0});  // registered under another config
   std::vector<double> outputs{1.0, 2.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_FALSE(decision.attack_suspected);
 }
 
@@ -192,8 +206,8 @@ TEST(RangeEnforcerTest, RemovalReCollidingWithEarlierPriorReachesFixpoint) {
   // silently violating Algorithm 2's "differs on >= 2 partitions from
   // every prior" invariant. The fixpoint loop must keep removing.
   RangeEnforcer enforcer;
-  enforcer.Register({10.0, 20.0});  // prior A
-  enforcer.Register({12.0, 22.0});  // prior B
+  Register(enforcer, {10.0, 20.0});  // prior A
+  Register(enforcer, {12.0, 22.0});  // prior B
   std::vector<double> outputs{10.0, 20.0};
   // removed=2 → separated from A but identical to B; removed=4 →
   // separated from B but identical to A again; removed=6 → clear of both.
@@ -202,7 +216,7 @@ TEST(RangeEnforcerTest, RemovalReCollidingWithEarlierPriorReachesFixpoint) {
     if (removed == 4) return std::vector<double>{10.0, 20.0};
     return std::vector<double>{5.0, 15.0};
   };
-  auto decision = enforcer.Enforce(outputs, recompute);
+  auto decision = Enforce(enforcer, outputs, recompute);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_EQ(decision.records_removed, 6u);
   EXPECT_GE(decision.fixpoint_passes, 2u);
@@ -221,10 +235,10 @@ TEST(RangeEnforcerTest, RemovalReCollidingWithEarlierPriorReachesFixpoint) {
 
 TEST(RangeEnforcerTest, FixpointIsOnePassWithoutRecollision) {
   RangeEnforcer enforcer;
-  enforcer.Register({1.0, 2.0});
-  enforcer.Register({3.0, 4.0});
+  Register(enforcer, {1.0, 2.0});
+  Register(enforcer, {3.0, 4.0});
   std::vector<double> outputs{100.0, 200.0};
-  auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+  auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
   EXPECT_FALSE(decision.attack_suspected);
   EXPECT_EQ(decision.fixpoint_passes, 1u);
 }
@@ -233,28 +247,30 @@ TEST(RangeEnforcerTest, FixpointLoopStillRespectsRemovalCap) {
   // A recompute that oscillates between the two priors forever must be cut
   // off by the cap, not loop endlessly.
   RangeEnforcer enforcer(1e-9, /*max_removals=*/8);
-  enforcer.Register({10.0, 20.0});
-  enforcer.Register({12.0, 22.0});
+  Register(enforcer, {10.0, 20.0});
+  Register(enforcer, {12.0, 22.0});
   std::vector<double> outputs{10.0, 20.0};
   auto oscillate = [](size_t removed) {
     return (removed / 2) % 2 == 1 ? std::vector<double>{12.0, 22.0}
                                   : std::vector<double>{10.0, 20.0};
   };
-  auto decision = enforcer.Enforce(outputs, oscillate);
+  auto decision = Enforce(enforcer, outputs, oscillate);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_TRUE(decision.removal_capped);
   EXPECT_LE(decision.records_removed, 8u);
 }
 
+// One session held across Enforce → Register decides exactly as a session
+// per call does when nothing else touches the registry.
 TEST(RangeEnforcerTest, SessionEnforceRegisterMatchesStandalone) {
   RangeEnforcer standalone;
-  standalone.Register({10.0, 20.0});
+  Register(standalone, {10.0, 20.0});
   std::vector<double> a{10.0, 21.0};
-  auto expect = standalone.Enforce(a, CountLikeRecompute(a));
-  standalone.Register(a);
+  auto expect = Enforce(standalone, a, CountLikeRecompute(a));
+  Register(standalone, a);
 
   RangeEnforcer sessioned;
-  sessioned.Register({10.0, 20.0});
+  Register(sessioned, {10.0, 20.0});
   std::vector<double> b{10.0, 21.0};
   EnforcerDecision got;
   {
@@ -272,14 +288,14 @@ TEST(RangeEnforcerTest, SequenceOfQueriesAccumulates) {
   RangeEnforcer enforcer;
   for (int i = 0; i < 5; ++i) {
     std::vector<double> outputs{static_cast<double>(i), 100.0 + i};
-    auto decision = enforcer.Enforce(outputs, CountLikeRecompute(outputs));
+    auto decision = Enforce(enforcer, outputs, CountLikeRecompute(outputs));
     EXPECT_FALSE(decision.attack_suspected) << "i=" << i;
-    enforcer.Register(outputs);
+    Register(enforcer, outputs);
   }
   EXPECT_EQ(enforcer.registry_size(), 5u);
   // Now replay the first query exactly: attack suspected.
   std::vector<double> replay{0.0, 100.0};
-  auto decision = enforcer.Enforce(replay, CountLikeRecompute(replay));
+  auto decision = Enforce(enforcer, replay, CountLikeRecompute(replay));
   EXPECT_TRUE(decision.attack_suspected);
 }
 

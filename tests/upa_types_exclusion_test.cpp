@@ -45,8 +45,6 @@ TEST(ScalarHelpersTest, ScalarOfAndNorms) {
   EXPECT_DOUBLE_EQ(ScalarOf(VecSum::Identity()), 0.0);
   EXPECT_DOUBLE_EQ(L2Norm(Vec{3.0, 4.0}), 5.0);
   EXPECT_DOUBLE_EQ(L2Norm({}), 0.0);
-  EXPECT_DOUBLE_EQ(L1Distance(Vec{1.0, 2.0}, Vec{3.0, 0.0}), 4.0);
-  EXPECT_DOUBLE_EQ(L1Distance(Vec{1.0, -2.0}, {}), 3.0);
 }
 
 // Commutativity + associativity of the shipped reducer — the properties
