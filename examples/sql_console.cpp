@@ -48,8 +48,7 @@ std::string FormatCell(const rel::Value& v) {
 int RunWide(engine::ExecContext& ctx, const tpch::TpchDataset& data,
             const std::string& sql) {
   rel::Catalog catalog = data.catalog();
-  rel::SqlExecOptions opts;
-  Result<rel::SqlResultSet> result = rel::ExecuteSql(&ctx, catalog, sql, opts);
+  Result<rel::SqlResultSet> result = rel::ExecuteSql(&ctx, catalog, sql);
   if (!result.ok()) {
     std::fprintf(stderr, "execution error: %s\n",
                  result.status().ToString().c_str());

@@ -13,7 +13,7 @@
 // Usage:
 //   upa_shard [--port N] [--port-file PATH] [--journal-dir DIR]
 //             [--shard-name NAME] [--threads N] [--max-in-flight N]
-//             [--sample-n N] [--budget EPS] [--no-fsync]
+//             [--sample-n N] [--budget EPS]
 //
 // Prints "READY <port>" on stdout once listening (after journal replay),
 // then serves until SIGTERM/SIGINT. UPA_FAILPOINTS is honoured via the
@@ -142,8 +142,6 @@ int main(int argc, char** argv) {
       svc_cfg.upa.sample_n = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--budget") {
       svc_cfg.budget_per_dataset = std::atof(next());
-    } else if (arg == "--no-fsync") {
-      svc_cfg.journal_fsync = false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;

@@ -9,15 +9,28 @@
 #include "common/timer.h"
 
 namespace upa::cluster {
+namespace {
+
+/// Open client connections; surplus accepts are closed on arrival.
+constexpr size_t kMaxConnections = 1024;
+/// Per-attempt connect timeout of a shard dial.
+constexpr double kDialTimeoutMs = 2000.0;
+/// How long a shard may take to answer a health probe.
+constexpr double kHealthProbeTimeoutMs = 2000.0;
+/// Period of the loop's tick: dial, probe and parked-route deadlines.
+constexpr double kTickIntervalMs = 5.0;
+
+}  // namespace
 
 Router::Router(std::vector<ShardAddress> shards, RouterConfig config)
     : shard_addrs_(std::move(shards)),
       config_(std::move(config)),
+      backoff_(config_.backoff_initial_ms, config_.backoff_max_ms,
+               config_.backoff_jitter_seed),
       ring_(shard_addrs_.empty() ? 1 : shard_addrs_.size(),
             config_.ring_vnodes) {
   healthy_ = std::make_unique<std::atomic<bool>[]>(shard_addrs_.size());
   for (size_t i = 0; i < shard_addrs_.size(); ++i) healthy_[i] = false;
-  jitter_state_ = config_.backoff_jitter_seed;
 }
 
 Router::~Router() { Stop(); }
@@ -26,9 +39,6 @@ Status Router::Start() {
   if (started_) return Status::InvalidArgument("router already started");
   if (shard_addrs_.empty()) {
     return Status::InvalidArgument("router requires at least one shard");
-  }
-  if (config_.max_connections == 0 || config_.max_inflight_per_shard == 0) {
-    return Status::InvalidArgument("connection/in-flight caps must be > 0");
   }
 
   Result<net::ListenSocket> listener = net::Listen(config_.host, config_.port);
@@ -39,7 +49,7 @@ Status Router::Start() {
   for (size_t i = 0; i < shard_addrs_.size(); ++i) {
     links_[i].index = i;
     links_[i].addr = shard_addrs_[i];
-    links_[i].backoff_ms = config_.backoff_initial_ms;
+    links_[i].backoff_ms = backoff_.initial_ms();
     links_[i].next_dial_ns = 0;  // dial on the first tick
   }
 
@@ -51,7 +61,7 @@ Status Router::Start() {
           if (readable) HandleAccept();
         });
     UPA_CHECK_MSG(registered.ok(), registered.ToString());
-    loop_.SetTickHandler(config_.tick_interval_ms, [this] { OnTick(); });
+    loop_.SetTickHandler(kTickIntervalMs, [this] { OnTick(); });
     // Dial every shard right away instead of waiting for the first tick.
     for (ShardLink& link : links_) StartDial(link);
     loop_.Run();
@@ -143,11 +153,9 @@ std::string Router::StatsText() const {
 
 void Router::HandleAccept() {
   net::AcceptAll(
-      listener_.fd, connections_.size(), config_.max_connections,
-      [this](int fd) {
+      listener_.fd, connections_.size(), kMaxConnections, [this](int fd) {
         const uint64_t id = next_conn_id_++;
-        auto conn = std::make_unique<ClientConn>(id, loop_, fd,
-                                                 config_.max_frame_bytes);
+        auto conn = std::make_unique<ClientConn>(id, loop_, fd);
         Status watched = conn->io.Watch(
             /*want_write=*/false,
             [this, id](bool readable, bool writable, bool error) {
@@ -240,7 +248,7 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
     reject(unavailable, rejected_unavailable_);
     return;
   }
-  if (link.inflight.size() >= config_.max_inflight_per_shard ||
+  if (link.inflight.size() >= kMaxInflightPerShard ||
       link.conn->unsent_bytes() > net::kWriteBufferHighBytes) {
     Status full =
         Status::ResourceExhausted("shard " + std::to_string(shard) +
@@ -306,13 +314,12 @@ void Router::StartDial(ShardLink& link) {
     return;
   }
   // A dialled link always reads: the shard's responses are what drain it.
-  link.conn = std::make_unique<net::FramedConn>(
-      loop_, fd_or.value(), net::kDefaultMaxFrameBytes,
-      /*backpressure=*/false);
+  link.conn = std::make_unique<net::FramedConn>(loop_, fd_or.value(),
+                                                 /*backpressure=*/false);
   link.probe_outstanding = false;
   link.state = ShardLink::State::kConnecting;
   link.dial_deadline_ns =
-      now + static_cast<int64_t>(config_.dial_timeout_ms * 1e6);
+      now + static_cast<int64_t>(kDialTimeoutMs * 1e6);
   const size_t shard = link.index;
   Status watched = link.conn->Watch(
       /*want_write=*/true,
@@ -400,7 +407,7 @@ void Router::ProcessShardFrames(ShardLink& link) {
         link.probe_outstanding = false;
         if (link.state == ShardLink::State::kProbing) {
           link.state = ShardLink::State::kHealthy;
-          link.backoff_ms = config_.backoff_initial_ms;
+          link.backoff_ms = backoff_.initial_ms();
           healthy_[link.index].store(true, std::memory_order_release);
           // Recovery barrier passed: the shard answered, so its journal
           // replay is complete — parked routes can re-send now.
@@ -441,7 +448,7 @@ void Router::SendProbe(ShardLink& link) {
   link.last_probe_ns = NowNanos();
   link.probe_deadline_ns =
       link.last_probe_ns +
-      static_cast<int64_t>(config_.health_probe_timeout_ms * 1e6);
+      static_cast<int64_t>(kHealthProbeTimeoutMs * 1e6);
   QueueShardWrite(link, net::EncodeStatsRequestFrame());
 }
 
@@ -508,7 +515,7 @@ void Router::ResendRoute(Route route) {
     link.parked.push_back(std::move(route));
     return;
   }
-  if (link.inflight.size() >= config_.max_inflight_per_shard ||
+  if (link.inflight.size() >= kMaxInflightPerShard ||
       link.conn->unsent_bytes() > net::kWriteBufferHighBytes) {
     rejected_backpressure_.fetch_add(1, std::memory_order_relaxed);
     if (conn.inflight > 0) --conn.inflight;
@@ -546,24 +553,10 @@ void Router::ExpireParked(Route& route, const ShardLink& link) {
   RespondToClient(conn, net::WireResult::From(route.client_tag, expired));
 }
 
-double Router::JitteredBackoff(double ms) {
-  if (config_.backoff_jitter <= 0.0) return ms;
-  // Deterministic 64-bit LCG (loop thread only): cheap, seedable, and
-  // reproducible across runs for the chaos harnesses.
-  jitter_state_ = jitter_state_ * 6364136223846793005ULL +
-                  1442695040888963407ULL;
-  const double u =
-      static_cast<double>((jitter_state_ >> 33) & 0xFFFFFFu) /
-      static_cast<double>(0x1000000u);
-  const double j = std::min(config_.backoff_jitter, 1.0);
-  return ms * (1.0 - j / 2.0 + j * u);
-}
-
 void Router::ScheduleRedial(ShardLink& link, int64_t now) {
   link.state = ShardLink::State::kBackoff;
   link.next_dial_ns =
-      now + static_cast<int64_t>(JitteredBackoff(link.backoff_ms) * 1e6);
-  link.backoff_ms = std::min(link.backoff_ms * 2.0, config_.backoff_max_ms);
+      now + static_cast<int64_t>(backoff_.Next(&link.backoff_ms) * 1e6);
 }
 
 void Router::OnTick() {

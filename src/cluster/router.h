@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "cluster/ring.h"
+#include "common/backoff.h"
 #include "net/conn.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
@@ -60,24 +61,13 @@ struct RouterConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral (read back via port()).
   uint16_t port = 0;
-  size_t max_connections = 1024;
-  /// Cap on a client's frame payload (see wire.h). Shard links keep the
-  /// protocol default, so a shard's stats replies fit whatever the cap.
-  size_t max_frame_bytes = net::kDefaultMaxFrameBytes;
-  /// Per-shard cap on routed-but-unanswered queries (or a shard link with
-  /// more than net::kWriteBufferHighBytes unsent); overflow is rejected
-  /// with kResourceExhausted (backpressure, not queueing).
-  size_t max_inflight_per_shard = 128;
-  /// Shard dial: per-attempt connect timeout and the redial backoff range.
-  double dial_timeout_ms = 2000.0;
+  /// Redial backoff range for a lost shard link (see JitteredBackoff).
   double backoff_initial_ms = 20.0;
   double backoff_max_ms = 2000.0;
   /// Health probes: a reconnected shard must answer one before taking
   /// traffic; healthy-but-idle shards are probed every interval. 0
   /// disables idle probing (the connect-time probe always runs).
   double health_probe_interval_ms = 500.0;
-  double health_probe_timeout_ms = 2000.0;
-  double tick_interval_ms = 5.0;
   /// Budget-safe failover retry: an in-flight query carrying an
   /// idempotency key (client_nonce != 0) is PARKED when its shard link
   /// dies and re-sent — same key, so a completed release replays instead
@@ -90,17 +80,20 @@ struct RouterConfig {
   /// fail fast — without a key a re-send could double-spend budget.
   size_t retry_limit = 2;
   double retry_timeout_ms = 3000.0;
-  /// Redial backoff jitter fraction in [0, 1]: each backoff interval is
-  /// scaled by a deterministic pseudo-random factor in [1-j/2, 1+j/2] so
-  /// multiple routers (or many links after a correlated failure) do not
-  /// redial a recovering shard in lockstep.
-  double backoff_jitter = 0.5;
+  /// Seeds the redial jitter, so that multiple routers (or many links
+  /// after a correlated failure) do not redial a recovering shard in
+  /// lockstep.
   uint64_t backoff_jitter_seed = 0x7570612d6a697474ULL;
   size_t ring_vnodes = 64;
 };
 
 class Router {
  public:
+  /// Per-shard cap on routed-but-unanswered queries (or a shard link with
+  /// more than net::kWriteBufferHighBytes unsent); overflow is rejected
+  /// with kResourceExhausted (backpressure, not queueing).
+  static constexpr size_t kMaxInflightPerShard = 128;
+
   Router(std::vector<ShardAddress> shards, RouterConfig config = {});
   ~Router();  // Stop()
 
@@ -149,8 +142,8 @@ class Router {
 
  private:
   struct ClientConn {
-    ClientConn(uint64_t id, net::EventLoop& loop, int fd, size_t max_frame)
-        : id(id), io(loop, fd, max_frame, /*backpressure=*/true) {}
+    ClientConn(uint64_t id, net::EventLoop& loop, int fd)
+        : id(id), io(loop, fd, /*backpressure=*/true) {}
     const uint64_t id;
     net::FramedConn io;
     /// Queries routed to a shard and not yet answered back to this client.
@@ -218,14 +211,12 @@ class Router {
   void ResendRoute(Route route);
   /// Fails a parked route back to its client (recovery window elapsed).
   void ExpireParked(Route& route, const ShardLink& link);
-  /// Next backoff interval for the link, jittered; advances the
-  /// deterministic jitter stream (loop thread only).
-  double JitteredBackoff(double ms);
   void ScheduleRedial(ShardLink& link, int64_t now);
   void OnTick();
 
   std::vector<ShardAddress> shard_addrs_;
   RouterConfig config_;
+  JitteredBackoff backoff_;  // loop thread only
   ConsistentHashRing ring_;
   net::EventLoop loop_;
   std::thread loop_thread_;
@@ -251,7 +242,6 @@ class Router {
   std::atomic<uint64_t> retried_{0};
   std::atomic<uint64_t> retry_exhausted_{0};
   std::atomic<uint64_t> retry_parked_{0};
-  uint64_t jitter_state_ = 0;  // loop thread only
   std::function<uint64_t(size_t)> respawn_counter_;
   /// Routed-but-unanswered queries across all shards (drain probe).
   std::atomic<uint64_t> total_inflight_{0};

@@ -7,7 +7,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -15,6 +14,14 @@
 #include "net/conn.h"
 
 namespace upa::cluster {
+namespace {
+
+/// A shard alive this long is considered stable: its backoff resets.
+constexpr double kStableAfterMs = 5000.0;
+/// Liveness poll period of the monitor thread.
+constexpr double kPollIntervalMs = 20.0;
+
+}  // namespace
 
 Result<uint16_t> PickFreePort() {
   Result<net::ListenSocket> probe = net::Listen("127.0.0.1", 0);
@@ -26,21 +33,10 @@ Result<uint16_t> PickFreePort() {
 ShardSupervisor::ShardSupervisor() : ShardSupervisor(Options()) {}
 
 ShardSupervisor::ShardSupervisor(Options options)
-    : options_(std::move(options)) {
-  jitter_state_ = options_.backoff_jitter_seed;
+    : options_(std::move(options)),
+      backoff_(options_.backoff_initial_ms, options_.backoff_max_ms,
+               options_.backoff_jitter_seed) {
   monitor_ = std::thread([this] { MonitorLoop(); });
-}
-
-double ShardSupervisor::JitteredMs(double ms) {
-  if (options_.backoff_jitter <= 0.0) return ms;
-  // Deterministic 64-bit LCG: seedable so chaos runs reproduce.
-  jitter_state_ = jitter_state_ * 6364136223846793005ULL +
-                  1442695040888963407ULL;
-  const double u =
-      static_cast<double>((jitter_state_ >> 33) & 0xFFFFFFu) /
-      static_cast<double>(0x1000000u);
-  const double j = std::min(options_.backoff_jitter, 1.0);
-  return ms * (1.0 - j / 2.0 + j * u);
 }
 
 ShardSupervisor::~ShardSupervisor() {
@@ -84,7 +80,7 @@ Result<size_t> ShardSupervisor::Launch(ShardProcessSpec spec) {
   Slot slot;
   slot.spec = std::move(spec);
   slot.pid = pid_or.value();
-  slot.backoff_ms = options_.backoff_initial_ms;
+  slot.backoff_ms = backoff_.initial_ms();
   slot.spawned_at_ns = NowNanos();
   slots_.push_back(std::move(slot));
   return slots_.size() - 1;
@@ -146,15 +142,14 @@ void ShardSupervisor::MonitorLoop() {
             // the supervisor.
             const double uptime_ms =
                 static_cast<double>(now - slot.spawned_at_ns) / 1e6;
-            if (uptime_ms >= options_.stable_after_ms) {
-              slot.backoff_ms = options_.backoff_initial_ms;
+            if (uptime_ms >= kStableAfterMs) {
+              slot.backoff_ms = backoff_.initial_ms();
             }
             slot.pid = -1;
             if (options_.auto_restart) {
               slot.respawn_at_ns =
-                  now + static_cast<int64_t>(JitteredMs(slot.backoff_ms) * 1e6);
-              slot.backoff_ms =
-                  std::min(slot.backoff_ms * 2.0, options_.backoff_max_ms);
+                  now +
+                  static_cast<int64_t>(backoff_.Next(&slot.backoff_ms) * 1e6);
             }
           }
         } else if (slot.respawn_at_ns != 0 && now >= slot.respawn_at_ns) {
@@ -167,15 +162,14 @@ void ShardSupervisor::MonitorLoop() {
           } else {
             // Spawn itself failed (fork pressure): retry after backoff.
             slot.respawn_at_ns =
-                now + static_cast<int64_t>(JitteredMs(slot.backoff_ms) * 1e6);
-            slot.backoff_ms =
-                std::min(slot.backoff_ms * 2.0, options_.backoff_max_ms);
+                now +
+                static_cast<int64_t>(backoff_.Next(&slot.backoff_ms) * 1e6);
           }
         }
       }
     }
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        options_.poll_interval_ms));
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(kPollIntervalMs));
   }
 }
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/status.h"
 
 namespace upa::cluster {
@@ -40,20 +41,15 @@ struct ShardProcessSpec {
 class ShardSupervisor {
  public:
   struct Options {
-    /// Respawn delay after the first death; doubles per consecutive death.
+    /// Respawn delay after the first death; doubles per consecutive death
+    /// (see JitteredBackoff).
     double backoff_initial_ms = 50.0;
     /// Upper bound for the respawn delay.
     double backoff_max_ms = 2000.0;
-    /// Jitter fraction in [0, 1]: each respawn delay is scaled by a
-    /// deterministic pseudo-random factor in [1-j/2, 1+j/2], so shards
-    /// felled by one correlated failure (OOM sweep, machine reboot) do
-    /// not replay their journals and re-register in lockstep.
-    double backoff_jitter = 0.5;
+    /// Seeds the respawn jitter, so shards felled by one correlated
+    /// failure (OOM sweep, machine reboot) do not replay their journals
+    /// and re-register in lockstep.
     uint64_t backoff_jitter_seed = 0x73757065722d6a69ULL;
-    /// A shard alive this long is considered stable: its backoff resets.
-    double stable_after_ms = 5000.0;
-    /// Liveness poll period of the monitor thread.
-    double poll_interval_ms = 20.0;
     /// Respawn dead shards automatically. Off = launch-only supervision
     /// (the chaos tests restart explicitly to control timing).
     bool auto_restart = true;
@@ -99,14 +95,12 @@ class ShardSupervisor {
 
   void MonitorLoop();
   static Result<pid_t> Spawn(const ShardProcessSpec& spec);
-  /// Jittered respawn delay; advances the jitter stream (mu_ held).
-  double JitteredMs(double ms);
 
   Options options_;
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
   bool stopping_ = false;
-  uint64_t jitter_state_ = 0;  // mu_ held
+  JitteredBackoff backoff_;  // mu_ held
   std::thread monitor_;
 };
 

@@ -9,11 +9,12 @@
 // replays bit-identically from its seed.
 //
 // Activation is per-site, via the API (Failpoints::Activate) or the
-// UPA_FAILPOINTS environment variable:
+// UPA_FAILPOINTS environment variable, a ';'-separated list of
+// site=spec activations, for example:
 //
-//   UPA_FAILPOINTS="upa/phase_reduce=error(internal):every(3);\
-//                   journal/after_append=abort:every(5);\
-//                   threadpool/task=delay(2):prob(0.25,42)"
+//   UPA_FAILPOINTS="upa/phase_reduce=error(internal):every(3)"
+//   UPA_FAILPOINTS="journal/after_append=abort:every(5);net/read=delay(2)"
+//   UPA_FAILPOINTS="threadpool/task=delay(2):prob(0.25,42)"
 //
 // Spec grammar (whitespace-free):  <action>[:<trigger>]
 //   action  := error(<code>[,<message>]) | delay(<millis>) | abort | kill
@@ -23,8 +24,7 @@
 //              "cancelled", "resource_exhausted", ...)
 //
 // Cost when nothing is active: UPA_FAILPOINT compiles to one relaxed
-// atomic load and a predictable branch (measured in bench_engine_micro);
-// compiling with -DUPA_FAILPOINTS_ENABLED=0 removes even that.
+// atomic load and a predictable branch (measured in bench_engine_micro).
 #pragma once
 
 #include <atomic>
@@ -35,10 +35,6 @@
 #include <string>
 
 #include "common/status.h"
-
-#ifndef UPA_FAILPOINTS_ENABLED
-#define UPA_FAILPOINTS_ENABLED 1
-#endif
 
 namespace upa {
 
@@ -115,7 +111,6 @@ class Failpoints {
 /// Fault-injection site in a Status/Result-returning function: when the
 /// site is active and fires with an error action, the enclosing function
 /// returns the injected Status.
-#if UPA_FAILPOINTS_ENABLED
 #define UPA_FAILPOINT(site)                                          \
   do {                                                               \
     if (::upa::Failpoints::Instance().AnyActive()) {                 \
@@ -132,11 +127,3 @@ class Failpoints {
       (void)::upa::Failpoints::Instance().Evaluate(site);            \
     }                                                                \
   } while (0)
-#else
-#define UPA_FAILPOINT(site) \
-  do {                      \
-  } while (0)
-#define UPA_FAILPOINT_HIT(site) \
-  do {                          \
-  } while (0)
-#endif

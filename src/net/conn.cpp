@@ -146,13 +146,11 @@ Status FinishConnect(int fd) {
   return Status::Ok();
 }
 
-FramedConn::FramedConn(EventLoop& loop, int fd, size_t max_frame_bytes,
-                       bool backpressure)
+FramedConn::FramedConn(EventLoop& loop, int fd, bool backpressure)
     : loop_(loop),
       fd_(fd),
       backpressure_(backpressure),
-      last_io_ns_(NowNanos()),
-      assembler_(max_frame_bytes) {}
+      last_io_ns_(NowNanos()) {}
 
 FramedConn::~FramedConn() {
   if (watched_) loop_.UnregisterFd(fd_);

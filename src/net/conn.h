@@ -79,8 +79,7 @@ class FramedConn {
   /// reads above kWriteBufferHighBytes unsent: right for an accepted peer
   /// that stops reading its responses, wrong for a dialled link, whose
   /// responses are what frees the peer to read more.
-  FramedConn(EventLoop& loop, int fd, size_t max_frame_bytes,
-             bool backpressure);
+  FramedConn(EventLoop& loop, int fd, bool backpressure);
   /// Unregisters the fd from the loop and closes it.
   ~FramedConn();
 

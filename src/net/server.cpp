@@ -13,6 +13,9 @@
 namespace upa::net {
 namespace {
 
+/// Granularity of the idle scan.
+constexpr double kTickIntervalMs = 20.0;
+
 /// The "net/decode" fault site: an injected error aborts the connection
 /// as if the frame had failed to decode.
 Status DecodeFault() {
@@ -41,15 +44,9 @@ Status Server::Start() {
   if (!compiler_) {
     return Status::InvalidArgument("server requires a query compiler");
   }
-  if (config_.max_connections == 0) {
-    return Status::InvalidArgument("max_connections must be positive");
-  }
   if (config_.max_pipelined_per_connection == 0) {
     return Status::InvalidArgument(
         "max_pipelined_per_connection must be positive");
-  }
-  if (config_.max_frame_bytes < kFrameHeaderBytes) {
-    return Status::InvalidArgument("max_frame_bytes is below a frame header");
   }
 
   Result<ListenSocket> listener = Listen(config_.host, config_.port);
@@ -64,9 +61,7 @@ Status Server::Start() {
           if (readable) HandleAccept();
         });
     UPA_CHECK_MSG(registered.ok(), registered.ToString());
-    if (config_.tick_interval_ms > 0.0) {
-      loop_.SetTickHandler(config_.tick_interval_ms, [this] { OnTick(); });
-    }
+    loop_.SetTickHandler(kTickIntervalMs, [this] { OnTick(); });
     loop_.Run();
     // Loop exited: tear down every fd on the owning thread.
     for (auto& [id, conn] : connections_) {
@@ -147,11 +142,9 @@ std::string Server::StatsText() const {
 
 void Server::HandleAccept() {
   size_t rejected = AcceptAll(
-      listener_.fd, connections_.size(), config_.max_connections,
-      [this](int fd) {
+      listener_.fd, connections_.size(), kMaxConnections, [this](int fd) {
         const uint64_t id = next_conn_id_++;
-        auto conn = std::make_unique<Connection>(id, loop_, fd,
-                                                 config_.max_frame_bytes);
+        auto conn = std::make_unique<Connection>(id, loop_, fd);
         Status watched = conn->io.Watch(
             /*want_write=*/false,
             [this, id](bool readable, bool writable, bool error) {

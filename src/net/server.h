@@ -10,10 +10,10 @@
 //     loop with RunInLoop — the only cross-thread entry point.
 //
 // Protection at the socket boundary:
-//   - max_connections: surplus accepts are closed immediately,
-//   - max_frame_bytes: an oversize length prefix is rejected before any
-//     buffering commitment (kError frame, then close — a corrupt
-//     length-prefixed stream cannot be resynchronised),
+//   - kMaxConnections: surplus accepts are closed immediately,
+//   - kDefaultMaxFrameBytes (wire.h): an oversize length prefix is
+//     rejected before any buffering commitment (kError frame, then close —
+//     a corrupt length-prefixed stream cannot be resynchronised),
 //   - max_pipelined_per_connection: surplus queries are answered with
 //     RESOURCE_EXHAUSTED instead of queued without bound,
 //   - write backpressure: a connection whose outbound buffer exceeds
@@ -52,17 +52,11 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with port() after Start().
   uint16_t port = 0;
-  /// Open-connection cap; surplus accepts are closed on arrival.
-  size_t max_connections = 256;
-  /// Frame payload cap enforced before buffering (see wire.h).
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// In-flight queries per connection; surplus get RESOURCE_EXHAUSTED.
   size_t max_pipelined_per_connection = 64;
   /// Reap connections with no activity (bytes, responses, in-flight work)
   /// for this long. 0 disables.
   double idle_timeout_ms = 0.0;
-  /// Granularity of the idle scan.
-  double tick_interval_ms = 20.0;
 };
 
 /// Compiles a decoded wire query into the QueryInstance the service runs.
@@ -75,6 +69,9 @@ using QueryCompiler =
 
 class Server {
  public:
+  /// Open-connection cap; surplus accepts are closed on arrival.
+  static constexpr size_t kMaxConnections = 256;
+
   /// `service` and `compiler` must outlive the server.
   Server(service::UpaService* service, QueryCompiler compiler,
          ServerConfig config = {});
@@ -98,7 +95,7 @@ class Server {
 
   struct Stats {
     uint64_t accepted = 0;
-    uint64_t rejected_connections = 0;  // over max_connections / failpoint
+    uint64_t rejected_connections = 0;  // over kMaxConnections / failpoint
     uint64_t frames_in = 0;
     uint64_t frames_out = 0;
     uint64_t protocol_errors = 0;  // bad frames / payloads (incl. oversize)
@@ -113,8 +110,8 @@ class Server {
 
  private:
   struct Connection {
-    Connection(uint64_t id, EventLoop& loop, int fd, size_t max_frame_bytes)
-        : id(id), io(loop, fd, max_frame_bytes, /*backpressure=*/true) {}
+    Connection(uint64_t id, EventLoop& loop, int fd)
+        : id(id), io(loop, fd, /*backpressure=*/true) {}
     const uint64_t id;
     FramedConn io;
     /// In-flight request cancel handles, keyed by server-side sequence

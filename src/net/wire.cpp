@@ -191,10 +191,10 @@ FrameAssembler::Outcome FrameAssembler::Next(Frame* frame, Status* error) {
     return poison(Status::InvalidArgument("nonzero reserved frame bytes"));
   }
   uint32_t payload_len = LoadU32(view.data() + 8);
-  if (payload_len > max_frame_bytes_) {
+  if (payload_len > kDefaultMaxFrameBytes) {
     return poison(Status::ResourceExhausted(
         "frame payload of " + std::to_string(payload_len) +
-        " bytes exceeds the " + std::to_string(max_frame_bytes_) +
+        " bytes exceeds the " + std::to_string(kDefaultMaxFrameBytes) +
         "-byte limit"));
   }
   if (view.size() < kFrameHeaderBytes + payload_len) return Outcome::kNeedMore;

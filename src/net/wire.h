@@ -7,7 +7,7 @@
 //   4       1     version    kWireVersion (2)
 //   5       1     type       FrameType
 //   6       2     reserved   must be 0
-//   8       4     payload_len  (little-endian; capped by the receiver)
+//   8       4     payload_len  (little-endian; at most kDefaultMaxFrameBytes)
 //   12      8     checksum   FNV-1a 64 over header[0..12) ++ payload
 //   20      len   payload
 //
@@ -61,8 +61,8 @@ namespace upa::net {
 inline constexpr uint32_t kWireMagic = 0x55504157u;  // "UPAW"
 inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 20;
-/// Default receiver-side cap on payload_len. A frame claiming more is
-/// rejected before any buffering commitment is made.
+/// Receiver-side cap on payload_len, at every end of every link. A frame
+/// claiming more is rejected before any buffering commitment is made.
 inline constexpr size_t kDefaultMaxFrameBytes = 1u << 20;
 
 enum class FrameType : uint8_t {
@@ -145,9 +145,6 @@ class FrameAssembler {
  public:
   enum class Outcome { kNeedMore, kFrame, kError };
 
-  explicit FrameAssembler(size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   void Feed(std::string_view bytes);
 
   /// kFrame: `*frame` holds the next complete frame. kNeedMore: the buffer
@@ -158,7 +155,6 @@ class FrameAssembler {
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
-  size_t max_frame_bytes_;
   std::string buffer_;
   size_t consumed_ = 0;  // bytes of buffer_ already handed out as frames
   Status latched_error_ = Status::Ok();

@@ -520,14 +520,10 @@ PlanPtr Optimize(const PlanPtr& plan, const Catalog& catalog,
     return n;
   }
   const CardinalityEstimator est(&catalog);
-  PlanPtr p = plan;
-  if (options.pushdown) p = PushDownFilters(p, catalog);
-  if (options.reorder_joins) p = ReorderJoins(p, catalog, est);
-  if (options.order_conjuncts) p = OrderConjunctsPass(p, est);
-  if (options.choose_build_side) {
-    p = BuildSidePass(p, est, options.private_table);
-  }
-  return p;
+  PlanPtr p = PushDownFilters(plan, catalog);
+  p = ReorderJoins(p, catalog, est);
+  p = OrderConjunctsPass(p, est);
+  return BuildSidePass(p, est, options.private_table);
 }
 
 }  // namespace upa::rel

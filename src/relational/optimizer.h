@@ -28,26 +28,12 @@
 
 namespace upa::rel {
 
-/// Knobs for Optimize. The defaults enable everything; Disabled() is the
-/// off-switch differential tests and benchmarks use to obtain the
-/// unoptimized baseline of the same plan.
 struct OptimizerOptions {
-  bool pushdown = true;
-  bool reorder_joins = true;
-  bool order_conjuncts = true;
-  bool choose_build_side = true;
   /// When set, joins with this table on either side keep BuildSide::kAuto:
   /// UPA's passes resize the private side at runtime (the domain pass
   /// swaps in n synthetic rows), so static estimates would mispredict the
   /// build side.
   std::string private_table;
-
-  static OptimizerOptions Disabled() {
-    OptimizerOptions o;
-    o.pushdown = o.reorder_joins = o.order_conjuncts = o.choose_build_side =
-        false;
-    return o;
-  }
 };
 
 /// Returns a semantically identical plan: filters pushed down, join trees

@@ -11,17 +11,18 @@
 namespace upa::rel {
 namespace {
 
+/// Cap on candidate groups (the cross product of per-key distinct values).
+/// Exceeding it fails with RESOURCE_EXHAUSTED.
+constexpr size_t kMaxGroups = 4096;
+
 std::string AggRefName(size_t i) { return "$agg" + std::to_string(i); }
 
 /// One scalar aggregate run: optimize, then execute.
 Result<double> RunPlan(const PlanExecutor& executor, const Catalog& catalog,
-                       PlanPtr plan, const SqlExecOptions& options) {
-  if (options.optimize) {
-    OptimizerOptions opt;
-    opt.private_table = options.exec.private_table;
-    plan = Optimize(plan, catalog, opt);
-  }
-  Result<ExecResult> run = executor.Execute(plan, options.exec);
+                       const PlanPtr& plan, ExecEngine exec_engine) {
+  ExecOptions options;
+  options.engine = exec_engine;
+  Result<ExecResult> run = executor.Execute(Optimize(plan, catalog), options);
   if (!run.ok()) return run.status();
   return run.value().output;
 }
@@ -58,16 +59,7 @@ int TotalOrderCompare(const Value& a, const Value& b) {
 Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
                                    const Catalog& catalog,
                                    const SqlSelect& stmt,
-                                   const SqlExecOptions& options) {
-  const ExecOptions& eo = options.exec;
-  if (!eo.private_table.empty() || eo.include_rows != nullptr ||
-      eo.sample_rows != nullptr || eo.replace_private_rows != nullptr ||
-      eo.partitions > 0) {
-    return Status::Unsupported(
-        "ExecuteSelect runs public queries only; provenance and partition "
-        "options belong to the scalar release path (ParseSql + "
-        "PlanExecutor)");
-  }
+                                   ExecEngine exec_engine) {
   if (stmt.relation == nullptr) {
     return Status::InvalidArgument("statement has no FROM relation");
   }
@@ -95,11 +87,10 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
     for (const Row& row : table->rows()) {
       if (seen.insert(row[col]).second) distinct.push_back(row[col]);
     }
-    if (groups.size() * std::max<size_t>(distinct.size(), 1) >
-        options.max_groups) {
+    if (groups.size() * std::max<size_t>(distinct.size(), 1) > kMaxGroups) {
       return Status::ResourceExhausted(
-          "candidate group count exceeds max_groups (" +
-          std::to_string(options.max_groups) + "); add a WHERE clause or "
+          "candidate group count exceeds the cap of " +
+          std::to_string(kMaxGroups) + "; add a WHERE clause or "
           "group by lower-cardinality columns");
     }
     std::vector<Row> expanded;
@@ -142,7 +133,7 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
     bool have_count = false;
     if (grouped) {
       Result<double> probe =
-          RunPlan(executor, catalog, CountPlan(rel), options);
+          RunPlan(executor, catalog, CountPlan(rel), exec_engine);
       if (!probe.ok()) return probe.status();
       count = probe.value();
       have_count = true;
@@ -156,7 +147,7 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
         continue;
       }
       Result<double> out =
-          RunPlan(executor, catalog, PlanForAgg(rel, slot), options);
+          RunPlan(executor, catalog, PlanForAgg(rel, slot), exec_engine);
       if (!out.ok()) return out.status();
       row.push_back(Value{out.value()});
     }
@@ -217,10 +208,10 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
 Result<SqlResultSet> ExecuteSql(engine::ExecContext* ctx,
                                 const Catalog& catalog,
                                 const std::string& sql,
-                                const SqlExecOptions& options) {
+                                ExecEngine exec_engine) {
   Result<SqlSelect> stmt = ParseSqlSelect(sql);
   if (!stmt.ok()) return stmt.status();
-  return ExecuteSelect(ctx, catalog, stmt.value(), options);
+  return ExecuteSelect(ctx, catalog, stmt.value(), exec_engine);
 }
 
 }  // namespace upa::rel

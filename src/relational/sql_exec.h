@@ -16,12 +16,11 @@
 // run reuses the whole engine (fused kernels, scan cache, zone maps), and
 // the per-group plans differ only in one pushed-down equality conjunct, so
 // the public scan cache carries the shared work. The candidate-group cross
-// product is capped (SqlExecOptions::max_groups) and overflow fails with
+// product is capped (4096 groups) and overflow fails with
 // RESOURCE_EXHAUSTED rather than running away.
 //
-// ExecuteSelect runs *public* queries: provenance options (private_table,
-// include/replace rows, the one provenance pass's sample_rows and
-// partitions) are rejected — the DP release path consumes single bare
+// ExecuteSelect runs *public* queries, each plan through the cost-based
+// optimizer: no provenance — the DP release path consumes single bare
 // aggregates through ParseSql and the service layer instead.
 #pragma once
 
@@ -35,17 +34,6 @@
 
 namespace upa::rel {
 
-struct SqlExecOptions {
-  /// Engine options for every scalar aggregate run. Provenance fields must
-  /// be unset (see file comment).
-  ExecOptions exec;
-  /// Run each plan through the cost-based optimizer first.
-  bool optimize = true;
-  /// Cap on candidate groups (the cross product of per-key distinct
-  /// values). Exceeding it fails with RESOURCE_EXHAUSTED.
-  size_t max_groups = 4096;
-};
-
 /// A materialized query result: one column per select item (display names
 /// from the item's alias or source text), one row per group — or exactly
 /// one row for scalar (non-grouped) queries.
@@ -54,17 +42,17 @@ struct SqlResultSet {
   std::vector<Row> rows;
 };
 
-/// Executes a parsed SELECT. See the file comment for the lowering.
-Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
-                                   const Catalog& catalog,
-                                   const SqlSelect& stmt,
-                                   const SqlExecOptions& options = {});
+/// Executes a parsed SELECT, every scalar aggregate run on `exec_engine`.
+/// See the file comment for the lowering.
+Result<SqlResultSet> ExecuteSelect(
+    engine::ExecContext* ctx, const Catalog& catalog, const SqlSelect& stmt,
+    ExecEngine exec_engine = ExecEngine::kColumnar);
 
 /// Parse + execute in one step.
 Result<SqlResultSet> ExecuteSql(engine::ExecContext* ctx,
                                 const Catalog& catalog,
                                 const std::string& sql,
-                                const SqlExecOptions& options = {});
+                                ExecEngine exec_engine = ExecEngine::kColumnar);
 
 /// Total-order comparator over Values, safe for std::sort (unlike the
 /// engine's Compare, whose NaN-equals-everything contract breaks strict

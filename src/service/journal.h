@@ -66,11 +66,10 @@ struct JournalRecord {
   std::vector<double> partition_outputs;  // kRelease only
   std::string dataset_id;                 // kOpen only
   /// Idempotency key of the request that produced this release (0 = the
-  /// release was not keyed: the request carried no key, or the dedup
-  /// window is off). On a keyed kRelease the full serialized response
-  /// rides along in `response_blob` so a retried key can be answered
-  /// byte-identically after a crash; kExpire names the key whose entry
-  /// aged out of the dedup window.
+  /// request carried no key). On a keyed kRelease the full serialized
+  /// response rides along in `response_blob` so a retried key can be
+  /// answered byte-identically after a crash; kExpire names the key whose
+  /// entry aged out of the dedup window.
   uint64_t nonce = 0;
   uint64_t key_seq = 0;
   uint64_t request_hash = 0;   // binds the key to the request it first named

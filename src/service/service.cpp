@@ -156,14 +156,14 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
       // so the in-memory LRU order matches completion order. Recovery
       // may return more keys than the window holds (kExpire frames for
       // the overflow were lost with the crash); keep the newest.
-      size_t keep = std::min(state.dedup.size(), config_.dedup_window);
+      size_t keep = std::min(state.dedup.size(), kDedupWindow);
       for (size_t i = state.dedup.size() - keep; i < state.dedup.size();
            ++i) {
         auto& src = state.dedup[i];
         ds->dedup.Insert({src.nonce, src.seq},
                          DedupEntry{src.request_hash,
                                     std::move(src.response_blob)},
-                         config_.dedup_window);
+                         kDedupWindow);
       }
       ctx_->metrics().AddCounter("service/recovered_dedup_keys", keep);
       accountant_.RestoreLedger(state.dataset_id, state.charged_total,
@@ -200,19 +200,12 @@ void UpaService::CountCancelMetric(StatusCode code) {
   }
 }
 
-void UpaService::Resolve(Pending& pending, Result<QueryResponse> result) {
-  if (pending.done) {
-    pending.done(std::move(result));
-  } else {
-    pending.promise.set_value(std::move(result));
-  }
-}
-
 std::future<Result<QueryResponse>> UpaService::Submit(QueryRequest request) {
-  auto pending = std::make_shared<Pending>();
-  pending->request = std::move(request);
-  std::future<Result<QueryResponse>> future = pending->promise.get_future();
-  Enqueue(std::move(pending));
+  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
+  std::future<Result<QueryResponse>> future = promise->get_future();
+  SubmitAsync(std::move(request), [promise](Result<QueryResponse> result) {
+    promise->set_value(std::move(result));
+  });
   return future;
 }
 
@@ -221,12 +214,8 @@ void UpaService::SubmitAsync(QueryRequest request, Callback done) {
   auto pending = std::make_shared<Pending>();
   pending->request = std::move(request);
   pending->done = std::move(done);
-  Enqueue(std::move(pending));
-}
-
-void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
   if (!inert_status().ok()) {
-    Resolve(*pending, inert_status());
+    pending->done(inert_status());
     return;
   }
 
@@ -236,7 +225,7 @@ void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
     Status injected = Failpoints::Instance().Evaluate("service/admit");
     if (!injected.ok()) {
       ctx_->metrics().AddCounter("service/rejected");
-      Resolve(*pending, injected);
+      pending->done(injected);
       return;
     }
   }
@@ -253,7 +242,7 @@ void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
     Status st = pending->token->Check();
     if (!st.ok()) {
       CountCancelMetric(st.code());
-      Resolve(*pending, st);
+      pending->done(st);
       return;
     }
   }
@@ -261,8 +250,7 @@ void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
   std::unique_lock<std::mutex> lock(mu_);
   if (shutting_down_) {
     lock.unlock();
-    Resolve(*pending,
-            Status::FailedPrecondition("service is shutting down"));
+    pending->done(Status::FailedPrecondition("service is shutting down"));
     return;
   }
   TenantState& tenant = tenants_[pending->request.tenant];
@@ -276,7 +264,7 @@ void UpaService::Enqueue(std::shared_ptr<Pending> pending) {
     // Advise the client when to come back instead of leaving it guessing;
     // the hint rides the wire error frame as retry_after_ms.
     full.set_retry_after_ms(kRetryAfterHintMs);
-    Resolve(*pending, full);
+    pending->done(full);
     return;
   }
   ++tenant.submitted;
@@ -324,7 +312,7 @@ void UpaService::MaybeDispatchLocked() {
         }
         // After the bookkeeping above the service may be destroyed at any
         // time; `pending` is self-owned, so resolving the outcome is safe.
-        Resolve(*pending, std::move(result));
+        pending->done(std::move(result));
       });
       if (in_flight_ >= config_.max_in_flight) break;
     }
@@ -363,7 +351,7 @@ void UpaService::WatchdogLoop() {
       for (auto& p : expired) {
         Status st = p->token->status();
         CountCancelMetric(st.code());
-        Resolve(*p, st);
+        p->done(st);
       }
       lock.lock();
     }
@@ -473,7 +461,7 @@ Result<UpaService::Ticket> UpaService::Prepare(const QueryRequest& request) {
   // acknowledged release can never spend budget (or double-register the
   // output). The key is bound to a request hash: reusing it for a
   // different request is a client bug, rejected rather than replayed.
-  ticket.keyed = request.client_nonce != 0 && config_.dedup_window > 0;
+  ticket.keyed = request.client_nonce != 0;
   if (ticket.keyed) {
     ticket.request_hash = RequestKeyHash(request);
     DedupEntry entry;
@@ -604,13 +592,13 @@ Result<QueryResponse> UpaService::Commit(const QueryRequest& request,
                       core::SensitivityHint{result.local_sensitivity,
                                             result.out_range,
                                             result.degenerate_sensitivity},
-                      config_.sensitivity_cache_capacity);
+                      kSensitivityCacheCapacity);
     }
     if (ticket.keyed) {
       evicted = ds.dedup.Insert(
           {request.client_nonce, request.client_seq},
           DedupEntry{ticket.request_hash, std::move(response_blob)},
-          config_.dedup_window);
+          kDedupWindow);
     }
     ++ds.queries;
   }
@@ -634,6 +622,11 @@ Result<QueryResponse> UpaService::Commit(const QueryRequest& request,
   }
   if (result.enforcer.attack_suspected) {
     metrics.AddCounter("service/attacks_suspected");
+  }
+  // A release that went out at the enforcer's removal cap may still be a
+  // neighbour of a prior query (§IV-C); count it so it leaves a trace.
+  if (result.enforcer.removal_capped) {
+    metrics.AddCounter("service/enforcer_capped");
   }
   metrics.RecordLatency("upa/sample", result.seconds.sample);
   metrics.RecordLatency("upa/map", result.seconds.map);

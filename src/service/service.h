@@ -45,9 +45,10 @@
 // Observability: per-phase latency histograms (service/queue,
 // service/total, upa/sample|map|reduce|enforce) and named counters
 // (admissions, rejections, cache hits/misses, refunds, cancellations,
-// deadline misses, journal errors, suspected attacks) recorded in the
-// ExecContext's engine::Metrics, plus a "/stats"-style text dump
-// (StatsReport) used by examples/sql_console.cpp.
+// deadline misses, journal errors, suspected attacks, releases at the
+// enforcer's removal cap) recorded in the ExecContext's engine::Metrics,
+// plus a "/stats"-style text dump (StatsReport) used by
+// examples/sql_console.cpp.
 #pragma once
 
 #include <condition_variable>
@@ -86,8 +87,6 @@ struct ServiceConfig {
   size_t max_in_flight = 4;
   /// Bound on each tenant's backlog; overflow is rejected.
   size_t max_queue_per_tenant = 256;
-  /// Capacity of each dataset's sensitivity LRU cache (0 disables reuse).
-  size_t sensitivity_cache_capacity = 64;
   /// When non-empty, every budget/registry mutation is journaled here and
   /// replayed on construction (crash-safe durability; see journal.h).
   std::string journal_dir;
@@ -100,11 +99,6 @@ struct ServiceConfig {
   /// StatsReport so an operator can tell shard dumps apart). Empty for
   /// standalone servers.
   std::string shard_name;
-  /// Per-dataset LRU window of completed idempotency keys. A re-submitted
-  /// key inside the window replays the journaled response byte-identically
-  /// without touching the accountant; eviction is journaled (kExpire) so
-  /// the window is crash-consistent. 0 disables dedup (keys are ignored).
-  size_t dedup_window = 1024;
 };
 
 /// Rejects nonsensical configurations (zero admission/queue limits, a
@@ -183,6 +177,14 @@ uint64_t RequestKeyHash(const QueryRequest& request);
 
 class UpaService {
  public:
+  /// Capacity of each dataset's sensitivity LRU cache.
+  static constexpr size_t kSensitivityCacheCapacity = 64;
+  /// Per-dataset LRU window of completed idempotency keys. A re-submitted
+  /// key inside the window replays the journaled response byte-identically
+  /// without touching the accountant; eviction is journaled (kExpire) so
+  /// the window is crash-consistent.
+  static constexpr size_t kDedupWindow = 1024;
+
   explicit UpaService(engine::ExecContext* ctx, ServiceConfig config = {});
   /// Drains: blocks until every admitted request has completed.
   ~UpaService();
@@ -190,20 +192,19 @@ class UpaService {
   UpaService(const UpaService&) = delete;
   UpaService& operator=(const UpaService&) = delete;
 
-  /// Enqueue a request on its tenant's FIFO queue. The future resolves
-  /// when the release completes (or is rejected/fails). Rejections
-  /// (backlog full, shutdown, already-cancelled) resolve immediately.
-  std::future<Result<QueryResponse>> Submit(QueryRequest request);
-
   /// Completion signature for SubmitAsync.
   using Callback = std::function<void(Result<QueryResponse>)>;
 
-  /// Callback flavour of Submit, for callers that must not block a thread
-  /// per pending request (the network front door's event loop). `done`
-  /// runs exactly once: on an engine pool thread when the query executed,
-  /// or inline on the submitting thread for immediate rejections (backlog
-  /// full, shutdown, dead-on-arrival). It must not block.
+  /// Enqueue a request on its tenant's FIFO queue. `done` runs exactly
+  /// once: on an engine pool thread when the query executed, or inline on
+  /// the submitting thread for immediate rejections (backlog full,
+  /// shutdown, dead-on-arrival). It must not block: callers that must not
+  /// hold a thread per pending request (the network front door's event
+  /// loop) use it directly.
   void SubmitAsync(QueryRequest request, Callback done);
+
+  /// SubmitAsync with a callback that fulfils the returned future.
+  std::future<Result<QueryResponse>> Submit(QueryRequest request);
 
   /// Submit + wait. Do not call from inside an engine pool task.
   Result<QueryResponse> Execute(QueryRequest request);
@@ -252,20 +253,13 @@ class UpaService {
  private:
   struct Pending {
     QueryRequest request;
-    std::promise<Result<QueryResponse>> promise;
-    /// When set (SubmitAsync), the outcome goes through the callback and
-    /// the promise is never touched.
+    /// Receives the outcome, exactly once.
     Callback done;
     Stopwatch queued;
     /// Cancellation handle: the caller's token, or service-created when
     /// only deadline_ms was set. Null when neither was requested.
     std::shared_ptr<CancelToken> token;
   };
-
-  /// Deliver the outcome through whichever channel the submission chose.
-  static void Resolve(Pending& pending, Result<QueryResponse> result);
-  /// Shared admission path behind Submit/SubmitAsync.
-  void Enqueue(std::shared_ptr<Pending> pending);
 
   struct TenantState {
     // shared_ptr: the in-flight task keeps its Pending alive past service
@@ -297,10 +291,9 @@ class UpaService {
       return true;
     }
     /// Inserts (or refreshes) `key` at the front and returns the keys
-    /// evicted beyond `capacity`. Capacity 0 stores nothing.
+    /// evicted beyond `capacity`.
     std::vector<Key> Insert(const Key& key, Value value, size_t capacity) {
       std::vector<Key> evicted;
-      if (capacity == 0) return evicted;
       auto it = index_.find(key);
       if (it != index_.end()) {
         it->second->second = std::move(value);
@@ -349,7 +342,7 @@ class UpaService {
     /// (fingerprint, epoch) → inferred sensitivity and output range.
     Lru<core::SensitivityHint> cache;
     /// (nonce, seq) of completed idempotency keys (bounded by
-    /// ServiceConfig::dedup_window).
+    /// kDedupWindow).
     Lru<DedupEntry> dedup;
     uint64_t dedup_replays = 0;  // lookups answered from the window
     /// Durable journal; null when durability is off or the last open

@@ -10,7 +10,7 @@ namespace upa::core {
 bool RangeEnforcer::NearlyEqual(double a, double b) const {
   if (a == b) return true;
   double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-  return std::fabs(a - b) <= tolerance_ * scale;
+  return std::fabs(a - b) <= kTolerance * scale;
 }
 
 size_t RangeEnforcer::CountDifferences(const std::vector<double>& current,
@@ -42,7 +42,7 @@ EnforcerDecision RangeEnforcer::EnforceLocked(
   // j < k — so after any removal the scan restarts until a full pass over
   // the registry performs no removal (or the cap is hit). Termination:
   // each extra pass implies at least one removal, and removals are
-  // monotone and capped by max_removals_.
+  // monotone and capped by kMaxRemovals.
   size_t total_removed = 0;
   bool removed_this_pass = true;
   while (removed_this_pass && !decision.removal_capped) {
@@ -55,7 +55,7 @@ EnforcerDecision RangeEnforcer::EnforceLocked(
       // recompute.
       while (diff < 2) {
         decision.attack_suspected = true;
-        if (total_removed + 2 > max_removals_) {
+        if (total_removed + 2 > kMaxRemovals) {
           decision.removal_capped = true;
           break;
         }

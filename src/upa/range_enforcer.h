@@ -54,13 +54,14 @@ struct EnforcerDecision {
 
 class RangeEnforcer {
  public:
-  /// `tolerance` is the relative tolerance for "same output value" —
-  /// deterministic re-aggregation of identical partitions is bitwise
-  /// equal, so this only needs to absorb benign float noise.
-  /// `max_removals` caps the total records removed per enforcement.
-  explicit RangeEnforcer(double tolerance = 1e-9, size_t max_removals = 64)
-      : tolerance_(tolerance), max_removals_(max_removals) {}
+  /// Relative tolerance for "same output value": deterministic
+  /// re-aggregation of identical partitions is bitwise equal, so this only
+  /// needs to absorb benign float noise.
+  static constexpr double kTolerance = 1e-9;
+  /// Cap on the total records removed per enforcement.
+  static constexpr size_t kMaxRemovals = 64;
 
+  RangeEnforcer() = default;
   RangeEnforcer(const RangeEnforcer&) = delete;
   RangeEnforcer& operator=(const RangeEnforcer&) = delete;
 
@@ -119,8 +120,6 @@ class RangeEnforcer {
   size_t CountDifferences(const std::vector<double>& current,
                           const std::vector<double>& prior) const;
 
-  double tolerance_;
-  size_t max_removals_;
   mutable std::mutex mu_;
   std::vector<std::vector<double>> prior_;
 };

@@ -11,6 +11,13 @@
 namespace upa::core {
 namespace {
 
+/// Percentiles of the fitted normal that bound Ô_f: Algorithm 1's
+/// [P1, P99].
+constexpr double kLoPercentile = 1.0;
+constexpr double kHiPercentile = 99.0;
+/// Enforcer partitions: Algorithm 2 splits the input into two.
+constexpr size_t kEnforcerPartitions = 2;
+
 /// Reduces the sampled records of each enforcer partition, excluding the
 /// last `removed` sample records (the enforcer's removal order is
 /// deterministic: newest-index first). Each partition accumulates its own
@@ -20,9 +27,8 @@ namespace {
 /// it waits for this registry.
 std::vector<Vec> SamplePartitionPartials(
     const std::vector<Vec>& sample_mapped,
-    const std::vector<size_t>& sample_partition, size_t num_partitions,
-    size_t removed) {
-  std::vector<Vec> partials(num_partitions, VecSum::Identity());
+    const std::vector<size_t>& sample_partition, size_t removed) {
+  std::vector<Vec> partials(kEnforcerPartitions, VecSum::Identity());
   size_t keep = sample_mapped.size() > removed
                     ? sample_mapped.size() - removed
                     : 0;
@@ -50,15 +56,6 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     return Status::InvalidArgument("query '" + query.name +
                                    "': missing ExecContext");
   }
-  // Percentile misconfiguration would otherwise abort deep inside the
-  // quantile math; reject it as a recoverable error at the API boundary.
-  if (!(config_.lo_percentile > 0.0 && config_.hi_percentile < 100.0 &&
-        config_.lo_percentile < config_.hi_percentile)) {
-    return Status::InvalidArgument(
-        "query '" + query.name +
-        "': percentiles must satisfy 0 < lo < hi < 100");
-  }
-  const size_t num_partitions = std::max<size_t>(2, config_.enforcer_partitions);
 
   UpaRunResult result;
   Stopwatch total_watch;
@@ -81,7 +78,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
       sampler.SampleWithoutReplacement(query.num_records, n);
   std::vector<size_t> sample_partition(n);
   for (size_t i = 0; i < n; ++i) {
-    sample_partition[i] = sample_indices[i] % num_partitions;
+    sample_partition[i] = sample_indices[i] % kEnforcerPartitions;
   }
   result.seconds.sample = phase_watch.ElapsedSeconds();
 
@@ -92,8 +89,8 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   UPA_FAILPOINT("upa/phase_map");
   phase_watch.Reset();
   const size_t num_domain = hint == nullptr ? n : 0;
-  MappedBatches batches =
-      query.execute_phases(sample_indices, num_partitions, num_domain, seed);
+  MappedBatches batches = query.execute_phases(
+      sample_indices, kEnforcerPartitions, num_domain, seed);
   result.seconds.map = phase_watch.ElapsedSeconds();
   // A token that tripped mid-map leaves partially-built batches behind
   // (ParallelFor skips the remaining chunks), so the cancellation must be
@@ -104,7 +101,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
         "query '" + query.name +
         "': execute_phases returned wrong sample batch size");
   }
-  if (batches.sprime_partials.size() != num_partitions) {
+  if (batches.sprime_partials.size() != kEnforcerPartitions) {
     return Status::Internal(
         "query '" + query.name +
         "': execute_phases returned wrong partition count");
@@ -155,9 +152,8 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     result.out_range = hint->out_range;
     result.degenerate_sensitivity = hint->degenerate;
   } else if (config_.sensitivity_rule == SensitivityRule::kOutputRange) {
-    result.out_range =
-        NormalPercentileInterval(result.neighbour_outputs,
-                                 config_.lo_percentile, config_.hi_percentile);
+    result.out_range = NormalPercentileInterval(
+        result.neighbour_outputs, kLoPercentile, kHiPercentile);
     result.local_sensitivity = result.out_range.width();
   } else {
     // Influence rules: Definition II.1 evaluated on the sampled
@@ -179,7 +175,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
       NormalParams fit = FitNormalMle(influences);
       result.local_sensitivity = std::max(
           result.local_sensitivity,
-          std::max(0.0, NormalQuantile(fit, config_.hi_percentile / 100.0)));
+          std::max(0.0, NormalQuantile(fit, kHiPercentile / 100.0)));
     }
     result.out_range = Interval{f_x - result.local_sensitivity,
                                 f_x + result.local_sensitivity};
@@ -188,17 +184,17 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   // Degenerate-sensitivity floor: when every sampled neighbour produced
   // the same output, local_sensitivity is 0 and the Laplace scale would be
   // 0 too — the clamped value would be released exactly, noiselessly.
-  if (result.local_sensitivity < config_.min_sensitivity) {
+  if (result.local_sensitivity < kMinSensitivity) {
     result.degenerate_sensitivity = true;
-    result.local_sensitivity = config_.min_sensitivity;
+    result.local_sensitivity = kMinSensitivity;
     if (config_.sensitivity_rule == SensitivityRule::kOutputRange) {
       // Keep the rule's invariant width == local_sensitivity.
       double mid = 0.5 * (result.out_range.lo + result.out_range.hi);
-      result.out_range = Interval{mid - 0.5 * config_.min_sensitivity,
-                                  mid + 0.5 * config_.min_sensitivity};
+      result.out_range = Interval{mid - 0.5 * kMinSensitivity,
+                                  mid + 0.5 * kMinSensitivity};
     } else {
-      result.out_range = Interval{f_x - config_.min_sensitivity,
-                                  f_x + config_.min_sensitivity};
+      result.out_range =
+          Interval{f_x - kMinSensitivity, f_x + kMinSensitivity};
     }
   }
 
@@ -206,9 +202,9 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   // inline: the enforcer calls this with the registry lock held.
   auto partition_outputs_for = [&](size_t removed) {
     std::vector<Vec> sample_partials = SamplePartitionPartials(
-        batches.sample_mapped, sample_partition, num_partitions, removed);
-    std::vector<double> outs(num_partitions);
-    for (size_t j = 0; j < num_partitions; ++j) {
+        batches.sample_mapped, sample_partition, removed);
+    std::vector<double> outs(kEnforcerPartitions);
+    for (size_t j = 0; j < kEnforcerPartitions; ++j) {
       outs[j] = query.OutputOf(
           VecSum::Combine(batches.sprime_partials[j], sample_partials[j]));
     }
@@ -232,9 +228,9 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     if (result.enforcer.records_removed > 0) {
       // x was shrunk: recompute the reduced value without the removed
       // sample records (newest-index-first removal order).
-      std::vector<Vec> kept_partials = SamplePartitionPartials(
-          batches.sample_mapped, sample_partition, num_partitions,
-          result.enforcer.records_removed);
+      std::vector<Vec> kept_partials =
+          SamplePartitionPartials(batches.sample_mapped, sample_partition,
+                                  result.enforcer.records_removed);
       Vec r_s_kept = VecSum::Identity();
       for (Vec& p : kept_partials) {
         r_s_kept = VecSum::Combine(std::move(r_s_kept), p);

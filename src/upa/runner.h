@@ -64,22 +64,18 @@ struct UpaConfig {
   SensitivityRule sensitivity_rule = SensitivityRule::kSampledMax;
   /// Privacy budget per release (the paper evaluates at 0.1).
   double epsilon = 0.1;
-  /// Percentiles of the fitted normal defining Ô_f.
-  double lo_percentile = 1.0;
-  double hi_percentile = 99.0;
-  /// Enforcer partition count (the paper uses two).
-  size_t enforcer_partitions = 2;
   /// Disable to measure Algorithm 1 alone (ablation only; no iDP claim).
   bool enable_enforcer = true;
   /// Disable to inspect the un-noised pipeline in tests.
   bool add_noise = true;
-  /// Floor for the inferred local sensitivity. A degenerate query whose
-  /// sampled neighbours all produce the same output would otherwise infer
-  /// sensitivity 0 and release the exact clamped value with Laplace scale
-  /// 0 — no noise at all. The floor keeps the release mechanism honest;
-  /// `UpaRunResult::degenerate_sensitivity` reports when it engaged.
-  double min_sensitivity = 1e-9;
 };
+
+/// Floor for the inferred local sensitivity. A degenerate query whose
+/// sampled neighbours all produce the same output would otherwise infer
+/// sensitivity 0 and release the exact clamped value with Laplace scale 0
+/// — no noise at all. The floor keeps the release mechanism honest;
+/// `UpaRunResult::degenerate_sensitivity` reports when it engaged.
+inline constexpr double kMinSensitivity = 1e-9;
 
 struct PhaseSeconds {
   double sample = 0.0;   // phase 1
@@ -105,9 +101,9 @@ struct UpaRunResult {
   /// Final per-partition outputs (what the enforcer registers).
   std::vector<double> partition_outputs;
   EnforcerDecision enforcer;
-  /// True when the inferred sensitivity fell below UpaConfig::
-  /// min_sensitivity (all sampled neighbours produced identical outputs)
-  /// and the floor was applied. local_sensitivity/out_range reflect the
+  /// True when the inferred sensitivity fell below kMinSensitivity (all
+  /// sampled neighbours produced identical outputs) and the floor was
+  /// applied. local_sensitivity/out_range reflect the
   /// floored values.
   bool degenerate_sensitivity = false;
   PhaseSeconds seconds;

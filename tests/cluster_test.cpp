@@ -26,6 +26,7 @@
 
 #include "cluster/ring.h"
 #include "cluster/shard_process.h"
+#include "common/backoff.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "upa/simple_query.h"
@@ -101,10 +102,11 @@ bool WaitFor(const std::function<bool()>& pred) {
 
 /// One in-process shard: service + wire server + gate.
 struct Shard {
-  explicit Shard(service::ServiceConfig cfg = FastConfig())
+  explicit Shard(service::ServiceConfig cfg = FastConfig(),
+                 net::ServerConfig net_cfg = {})
       : gate(std::make_shared<std::atomic<bool>>(false)),
         service(&Ctx(), cfg),
-        server(&service, ToyCompiler(gate)) {
+        server(&service, ToyCompiler(gate), net_cfg) {
     Status started = server.Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
@@ -124,6 +126,39 @@ net::WireQuery MakeQuery(const std::string& dataset, const std::string& sql,
   query.seed = seed;
   query.sql = sql;
   return query;
+}
+
+// ---------------------------------------------------------------------------
+// Backoff.
+
+// The first redial and respawn delays for the default bounds and seeds,
+// as the router's and the supervisor's own copies of this backoff gave
+// them before the two shared one.
+TEST(JitteredBackoffTest, DefaultSeedsKeepTheRouterAndSupervisorDelays) {
+  const RouterConfig router;
+  JitteredBackoff redial(router.backoff_initial_ms, router.backoff_max_ms,
+                         router.backoff_jitter_seed);
+  double interval = redial.initial_ms();
+  for (double expected :
+       {16.2181556224823, 46.97221040725708, 60.772709846496582,
+        159.74007129669189, 275.33212661743164, 676.58205032348633,
+        1104.0507125854492, 2011.5208625793457}) {
+    EXPECT_EQ(redial.Next(&interval), expected);
+  }
+  EXPECT_EQ(interval, router.backoff_max_ms);
+
+  const ShardSupervisor::Options supervisor;
+  JitteredBackoff respawn(supervisor.backoff_initial_ms,
+                          supervisor.backoff_max_ms,
+                          supervisor.backoff_jitter_seed);
+  interval = respawn.initial_ms();
+  for (double expected :
+       {62.416352331638336, 121.91611528396606, 186.60858869552612,
+        318.26233863830566, 822.19276428222656, 1906.7668437957764,
+        2387.7289891242981, 1824.1318464279175}) {
+    EXPECT_EQ(respawn.Next(&interval), expected);
+  }
+  EXPECT_EQ(interval, supervisor.backoff_max_ms);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,10 +327,15 @@ TEST(ClusterRouterTest, FourShardClusterIsBitIdenticalToOneService) {
 }
 
 TEST(ClusterRouterTest, PerShardInFlightCapRejectsWithResourceExhausted) {
-  Shard shard;
-  RouterConfig cfg;
-  cfg.max_inflight_per_shard = 1;
-  Router router({shard.address()}, cfg);
+  constexpr size_t kCap = Router::kMaxInflightPerShard;
+  // Every routed query rides the router's one link to the shard, so the
+  // shard must pipeline more than the router's cap, or it refuses first.
+  service::ServiceConfig svc_cfg = FastConfig();
+  svc_cfg.budget_per_dataset = 1e9;
+  net::ServerConfig net_cfg;
+  net_cfg.max_pipelined_per_connection = 2 * kCap;
+  Shard shard(svc_cfg, net_cfg);
+  Router router({shard.address()});
   ASSERT_TRUE(router.Start().ok());
   ASSERT_TRUE(WaitFor([&] { return router.ShardHealthy(0); }));
 
@@ -303,20 +343,27 @@ TEST(ClusterRouterTest, PerShardInFlightCapRejectsWithResourceExhausted) {
   ASSERT_TRUE(connected.ok());
   std::unique_ptr<net::Client> client = std::move(connected).value();
 
-  // First query parks behind the gate; the second overflows the cap.
-  auto tag1 = client->Send(MakeQuery("ds", "gate:200", 1));
-  ASSERT_TRUE(tag1.ok());
-  ASSERT_TRUE(WaitFor([&] { return router.stats().routed == 1; }));
-  auto tag2 = client->Send(MakeQuery("ds", "count:200", 2));
+  // The first query parks behind the gate and the rest queue behind it on
+  // the shard, which fills the cap; the next query overflows it.
+  std::vector<uint64_t> gated;
+  for (size_t i = 0; i < kCap; ++i) {
+    auto tag = client->Send(MakeQuery("ds", "gate:200", i + 1));
+    ASSERT_TRUE(tag.ok());
+    gated.push_back(tag.value());
+  }
+  ASSERT_TRUE(WaitFor([&] { return router.stats().routed == kCap; }));
+  auto tag2 = client->Send(MakeQuery("ds", "count:200", kCap + 1));
   ASSERT_TRUE(tag2.ok());
   auto rejected = client->Await(tag2.value());
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   EXPECT_EQ(rejected.value().code, StatusCode::kResourceExhausted);
 
   shard.gate->store(true, std::memory_order_release);
-  auto first = client->Await(tag1.value());
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(first.value().ok()) << first.value().status().ToString();
+  for (uint64_t tag : gated) {
+    auto result = client->Await(tag);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result.value().ok()) << result.value().status().ToString();
+  }
   EXPECT_EQ(router.stats().rejected_backpressure, 1u);
   router.Stop();
 }

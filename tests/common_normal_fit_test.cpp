@@ -94,8 +94,8 @@ TEST(NormalPercentileIntervalTest, DegenerateDataGivesPointInterval) {
 // Degenerate fit: identical observations have population stddev 0, and
 // every quantile of the fitted "normal" collapses onto the mean. The
 // interval must come back as the zero-width point [c, c] — this is exactly
-// the constant-query case whose zero sensitivity UpaConfig::min_sensitivity
-// floors downstream.
+// the constant-query case whose zero sensitivity the runner's
+// kMinSensitivity floors downstream.
 TEST(NormalPercentileIntervalTest, ZeroStddevCollapsesToPoint) {
   std::vector<double> xs(500, 3.25);
   NormalParams fit = FitNormalMle(xs);

@@ -131,7 +131,9 @@ TEST(AccountantTest, VerifyConservationHoldsThroughChargeRefundCycles) {
   EXPECT_TRUE(acc.VerifyConservation().ok());  // empty accountant
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(acc.Charge("a", 0.07).ok());
-    if (i % 3 != 0) ASSERT_TRUE(acc.Refund("a", 0.07).ok());
+    if (i % 3 != 0) {
+      ASSERT_TRUE(acc.Refund("a", 0.07).ok());
+    }
     ASSERT_TRUE(acc.Charge("b", 0.01).ok());
     ASSERT_TRUE(acc.VerifyConservation().ok()) << "iteration " << i;
   }

@@ -254,11 +254,9 @@ TEST_F(NetCrashDeathTest, ServerKilledMidReleaseRecoversBitIdentically) {
         // Journal appends: kOpen (1), kRelease (2) — abort the instant
         // the release is durable, before the response frame leaves the
         // server.
-        Failpoints::Instance().Activate(
-            "journal/after_append",
-            Failpoints::Spec{.action = Failpoints::Action::kAbort,
-                             .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 2});
+        UPA_CHECK(Failpoints::Instance()
+                      .Activate("journal/after_append", "abort:every(2)")
+                      .ok());
         auto connected = Client::Connect("127.0.0.1", server.port());
         UPA_CHECK(connected.ok());
         (void)connected.value()->Query(

@@ -343,26 +343,31 @@ TEST(NetServer, PipelineCapRejectsExcessRequestsWithResourceExhausted) {
 }
 
 TEST(NetServer, ConnectionCapClosesSurplusClients) {
-  ServerConfig net_cfg;
-  net_cfg.max_connections = 1;
-  ServerHarness harness(net_cfg);
-  auto first = harness.Connect();
+  ServerHarness harness;
+  std::vector<std::unique_ptr<Client>> open;
+  open.push_back(harness.Connect());
   ASSERT_TRUE(
-      first->Query(MakeWireQuery("t", "ds", "count:100", 1)).ok());
-  // The second connection is accepted then immediately closed.
-  auto second = harness.Connect();
-  auto result = second->Query(MakeWireQuery("t", "ds", "count:100", 2));
+      open[0]->Query(MakeWireQuery("t", "ds", "count:100", 1)).ok());
+  // Fill the cap, and wait until the server holds every connection.
+  while (open.size() < Server::kMaxConnections) {
+    open.push_back(harness.Connect());
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    return harness.server.stats().open_connections == Server::kMaxConnections;
+  }));
+  // The connection past the cap is accepted then immediately closed.
+  auto surplus = harness.Connect();
+  auto result = surplus->Query(MakeWireQuery("t", "ds", "count:100", 2));
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(WaitFor(
       [&] { return harness.server.stats().rejected_connections >= 1; }));
   // The first connection still works.
-  EXPECT_TRUE(first->Query(MakeWireQuery("t", "ds", "count:100", 3)).ok());
+  EXPECT_TRUE(open[0]->Query(MakeWireQuery("t", "ds", "count:100", 3)).ok());
 }
 
 TEST(NetServer, IdleConnectionsAreReaped) {
   ServerConfig net_cfg;
   net_cfg.idle_timeout_ms = 50;
-  net_cfg.tick_interval_ms = 10;
   ServerHarness harness(net_cfg);
   auto client = harness.Connect();
   ASSERT_TRUE(WaitFor([&] { return harness.server.stats().idle_closed >= 1; }));
@@ -406,15 +411,10 @@ void PrintTo(FrontDoor door, std::ostream* os) {
 /// A fresh served stack, reached either at the server itself or through a
 /// router whose only shard is that server.
 struct FrontDoorStack {
-  explicit FrontDoorStack(FrontDoor door,
-                          size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : shard(ServerConfig{.max_frame_bytes = max_frame_bytes}) {
+  explicit FrontDoorStack(FrontDoor door) {
     if (door == FrontDoor::kServer) return;
-    cluster::RouterConfig cfg;
-    cfg.max_frame_bytes = max_frame_bytes;
     router = std::make_unique<cluster::Router>(
-        std::vector<cluster::ShardAddress>{{"127.0.0.1", shard.server.port()}},
-        cfg);
+        std::vector<cluster::ShardAddress>{{"127.0.0.1", shard.server.port()}});
     Status started = router->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
     EXPECT_TRUE(WaitFor([&] { return router->ShardHealthy(0); }));
@@ -449,11 +449,15 @@ struct FrontDoorStack {
 class NetServerFrontDoor : public ::testing::TestWithParam<FrontDoor> {};
 
 TEST_P(NetServerFrontDoor, OversizeFrameIsRejectedWithErrorAndClose) {
-  FrontDoorStack stack(GetParam(), /*max_frame_bytes=*/1024);
+  FrontDoorStack stack(GetParam());
   auto client = stack.Connect();
-  WireQuery big = MakeWireQuery("t", "ds", "count:100", 1);
-  big.sql.assign(4096, 'x');
-  ASSERT_TRUE(client->SendBytes(EncodeQueryFrame(big)).ok());
+  // A header declaring one byte over the cap condemns the stream before
+  // any of its payload arrives.
+  const std::string big = EncodeFrame(
+      FrameType::kQueryRequest, std::string(kDefaultMaxFrameBytes + 1, 'x'));
+  ASSERT_TRUE(
+      client->SendBytes(std::string_view(big).substr(0, kFrameHeaderBytes))
+          .ok());
   auto frame = client->ReadFrame();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   ASSERT_EQ(frame.value().type, FrameType::kError);

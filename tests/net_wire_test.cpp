@@ -437,10 +437,9 @@ TEST(NetWire, TrailingPayloadBytesAreRejected) {
 }
 
 TEST(NetWire, OversizeFrameIsRejectedBeforeBuffering) {
-  FrameAssembler assembler(/*max_frame_bytes=*/1024);
-  WireQuery query;
-  query.sql.assign(4096, 'x');
-  std::string big = EncodeQueryFrame(query);
+  FrameAssembler assembler;
+  const std::string big = EncodeFrame(
+      FrameType::kQueryRequest, std::string(kDefaultMaxFrameBytes + 1, 'x'));
   // Feed only the header: the length field alone must condemn the frame.
   assembler.Feed(std::string_view(big).substr(0, kFrameHeaderBytes));
   Frame frame;

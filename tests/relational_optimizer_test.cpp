@@ -315,24 +315,14 @@ TEST_F(OptimizerTest, CostModelChargesForFilterAndJoin) {
 
 // --- Cost-based rewrites ---------------------------------------------------
 
-TEST_F(OptimizerTest, DisabledOptionsReturnPlanUnchanged) {
-  for (const auto& q : tpch::AllTpchQueries()) {
-    EXPECT_EQ(Optimize(q.plan, catalog_, OptimizerOptions::Disabled()).get(),
-              q.plan.get())
-        << q.name;
-  }
-}
-
 TEST_F(OptimizerTest, ConjunctsOrderedBySelectivity) {
   // An equality on a high-ndv key is far more selective than qty >= 0
   // (which keeps everything): ordering must put the equality first.
-  OptimizerOptions opt = OptimizerOptions::Disabled();
-  opt.order_conjuncts = true;
   PlanPtr plan = CountPlan(
       FilterPlan(ScanPlan("lineitem"),
                  And(Ge(Col("l_quantity"), Lit(0.0)),
                      Eq(Col("l_orderkey"), Lit(int64_t{7})))));
-  PlanPtr optimized = Optimize(plan, catalog_, opt);
+  PlanPtr optimized = Optimize(plan, catalog_);
   std::string s = PlanToString(optimized);
   EXPECT_LT(s.find("l_orderkey"), s.find("l_quantity")) << s;
 }

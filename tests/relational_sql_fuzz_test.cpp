@@ -266,10 +266,9 @@ TEST(SqlFuzzDifferentialTest, RandomQueriesBitIdenticalAcrossEngines) {
   {
     engine::ExecContext ctx(
         engine::ExecConfig{.threads = 1, .default_partitions = 1});
-    SqlExecOptions opts;
-    opts.exec.engine = ExecEngine::kRowOracle;
     for (size_t i = 0; i < queries.size(); ++i) {
-      Result<SqlResultSet> r = ExecuteSql(&ctx, catalog, queries[i], opts);
+      Result<SqlResultSet> r =
+          ExecuteSql(&ctx, catalog, queries[i], ExecEngine::kRowOracle);
       oracle_status[i] = r.status();
       ASSERT_TRUE(r.ok() ||
                   r.status().code() == StatusCode::kFailedPrecondition)
@@ -284,12 +283,11 @@ TEST(SqlFuzzDifferentialTest, RandomQueriesBitIdenticalAcrossEngines) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       engine::ExecContext ctx(
           engine::ExecConfig{.threads = threads, .default_partitions = threads});
-      SqlExecOptions opts;
-      opts.exec.engine = ExecEngine::kColumnar;
       for (size_t i = 0; i < queries.size(); ++i) {
         std::string what = queries[i] + " [frag=" + std::to_string(frag) +
                            " threads=" + std::to_string(threads) + "]";
-        Result<SqlResultSet> r = ExecuteSql(&ctx, catalog, queries[i], opts);
+        Result<SqlResultSet> r =
+            ExecuteSql(&ctx, catalog, queries[i], ExecEngine::kColumnar);
         if (!oracle_status[i].ok()) {
           ASSERT_FALSE(r.ok()) << what;
           EXPECT_EQ(oracle_status[i].code(), r.status().code()) << what;
@@ -338,9 +336,8 @@ TEST(SqlFuzzDifferentialTest, MutatedQueriesFailCleanly) {
     }
     // The only contract: a clean Status or a clean result, never a crash
     // or an abort. (Mutations can leave the string valid.)
-    SqlExecOptions opts;
-    opts.exec.engine = ExecEngine::kColumnar;
-    Result<SqlResultSet> r = ExecuteSql(&ctx, catalog, sql, opts);
+    Result<SqlResultSet> r =
+        ExecuteSql(&ctx, catalog, sql, ExecEngine::kColumnar);
     if (!r.ok()) {
       ++parse_failures;
       EXPECT_FALSE(r.status().message().empty()) << sql;

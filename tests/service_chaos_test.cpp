@@ -571,11 +571,9 @@ TEST_F(ServiceCrashDeathTest, AbortBeforeRunRecoversWithNothingCharged) {
         config.journal_dir = dir;
         UpaService service(&Ctx(), config);
         // Charged in memory, nothing run, nothing durable but the kOpen.
-        Failpoints::Instance().Activate(
-            "service/pre_run",
-            Failpoints::Spec{.action = Failpoints::Action::kAbort,
-                             .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 1});
+        UPA_CHECK(Failpoints::Instance()
+                      .Activate("service/pre_run", "abort")
+                      .ok());
         (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
       },
       "injected abort");
@@ -605,11 +603,9 @@ TEST_F(ServiceCrashDeathTest, AbortAfterReleaseAppendRecoversTheRelease) {
         UpaService service(&Ctx(), config);
         // kOpen (1), kRelease (2): the release is durable, the crash hits
         // before the response resolves.
-        Failpoints::Instance().Activate(
-            "journal/after_append",
-            Failpoints::Spec{.action = Failpoints::Action::kAbort,
-                             .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 2});
+        UPA_CHECK(Failpoints::Instance()
+                      .Activate("journal/after_append", "abort:every(2)")
+                      .ok());
         (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
       },
       "injected abort");
@@ -641,11 +637,9 @@ TEST_F(ServiceCrashDeathTest, AbortBetweenFlushAndFsyncConservesEitherWay) {
         // (hit 1), kRelease (hit 2). Abort at hit 2 — the release frame has
         // reached the kernel but fdatasync has not run, the exact window
         // the durability fix closes.
-        Failpoints::Instance().Activate(
-            "journal/before_sync",
-            Failpoints::Spec{.action = Failpoints::Action::kAbort,
-                             .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 2});
+        UPA_CHECK(Failpoints::Instance()
+                      .Activate("journal/before_sync", "abort:every(2)")
+                      .ok());
         (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
       },
       "injected abort");
@@ -680,11 +674,9 @@ TEST_F(ServiceCrashDeathTest, AbortInsideJournalOpenRecoversAndServes) {
         config.journal_dir = dir;
         UpaService service(&Ctx(), config);
         // A fresh dataset's first append is its journal's kOpen header.
-        Failpoints::Instance().Activate(
-            "journal/before_append",
-            Failpoints::Spec{.action = Failpoints::Action::kAbort,
-                             .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 1});
+        UPA_CHECK(Failpoints::Instance()
+                      .Activate("journal/before_append", "abort")
+                      .ok());
         (void)service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
       },
       "injected abort");
@@ -724,11 +716,9 @@ TEST_F(ServiceCrashDeathTest, AbortBeforeSnapshotRenameKeepsOldStateIntact) {
         // rename. snapshot_sync sits after the tmp fsync, before the
         // rename — abort there models a crash mid-compaction: the tmp is
         // complete but unpublished.
-        Failpoints::Instance().Activate(
-            "journal/snapshot_sync",
-            Failpoints::Spec{.action = Failpoints::Action::kAbort,
-                             .trigger = Failpoints::Trigger::kEveryN,
-                             .every_n = 1});
+        UPA_CHECK(Failpoints::Instance()
+                      .Activate("journal/snapshot_sync", "abort")
+                      .ok());
         ServiceConfig config = FastConfig();
         config.journal_dir = dir;
         UpaService service(&Ctx(), config);

@@ -509,7 +509,7 @@ TEST_F(JournalTest, ChecksumValidUndecodableRecordFailsRecoveryUntouched) {
 }
 
 TEST_F(JournalTest, RecoverAllFindsEveryDataset) {
-  for (const std::string& id : {"alpha", "beta", "sales/2026 Q1"}) {
+  for (const char* id : {"alpha", "beta", "sales/2026 Q1"}) {
     auto journal = std::move(Journal::Open(dir_, id).value());
     ASSERT_TRUE(journal->Append(Charge(1, 0.1)).ok());
     ASSERT_TRUE(journal->Append(Release(1, 0.1, {1.0, 2.0})).ok());

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "upa/simple_query.h"
 
 namespace upa::service {
@@ -135,14 +136,17 @@ TEST(ServiceTest, BumpEpochInvalidatesCachedSensitivities) {
 
 TEST(ServiceTest, LruEvictsOldestFingerprint) {
   ServiceConfig config = FastConfig();
-  config.sensitivity_cache_capacity = 2;
+  config.budget_per_dataset = 100.0;
   UpaService service(&Ctx(), config);
-  for (uint64_t fp = 1; fp <= 3; ++fp) {
+  constexpr uint64_t kFingerprints =
+      UpaService::kSensitivityCacheCapacity + 1;
+  for (uint64_t fp = 1; fp <= kFingerprints; ++fp) {
     QueryRequest request = MakeRequest("a", "ds", CountQuery(2000), fp);
     request.fingerprint = fp;
     ASSERT_TRUE(service.Execute(request).ok());
   }
-  EXPECT_EQ(service.CachedSensitivities("ds"), 2u);
+  EXPECT_EQ(service.CachedSensitivities("ds"),
+            UpaService::kSensitivityCacheCapacity);
   // fp=1 was evicted: querying it again misses.
   QueryRequest request = MakeRequest("a", "ds", CountQuery(2000), 9);
   request.fingerprint = 1;
@@ -152,18 +156,50 @@ TEST(ServiceTest, LruEvictsOldestFingerprint) {
 }
 
 TEST(ServiceTest, FailedRunRefundsItsCharge) {
-  // lo_percentile = 0 makes every run fail inside the runner (recoverable
-  // INVALID_ARGUMENT) — after the failure the budget must be untouched.
-  ServiceConfig config = FastConfig();
-  config.upa.sensitivity_rule = core::SensitivityRule::kOutputRange;
-  config.upa.lo_percentile = 0.0;
-  UpaService service(&Ctx(), config);
+  // The injected fault fails the run inside the runner, after the charge
+  // (recoverable INVALID_ARGUMENT) — after the failure the budget must be
+  // untouched.
+  UpaService service(&Ctx(), FastConfig());
+  ASSERT_TRUE(Failpoints::Instance()
+                  .Activate("upa/phase_sample", "error(invalid_argument)")
+                  .ok());
   auto result = service.Execute(MakeRequest("a", "ds", CountQuery(1000)));
+  Failpoints::Instance().DeactivateAll();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.0);
   EXPECT_DOUBLE_EQ(service.accountant().Remaining("ds"),
                    service.config().budget_per_dataset);
+}
+
+// Every repeat of one COUNT on one dataset matches the registry's priors,
+// so releases need more and more removals, until one goes out at the
+// enforcer's removal cap. No release below the cap is counted; the one
+// counted removed as many records as the cap allows.
+TEST(ServiceTest, ReleaseAtTheRemovalCapIsCounted) {
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 4});
+  ServiceConfig config = FastConfig();
+  config.budget_per_dataset = 100.0;
+  UpaService service(&ctx, config);
+  auto capped = [&] {
+    return ctx.metrics().Snapshot().counters["service/enforcer_capped"];
+  };
+  constexpr size_t kCap = core::RangeEnforcer::kMaxRemovals;
+  size_t removed = 0;
+  for (uint64_t seed = 1; seed <= 200 && capped() == 0; ++seed) {
+    auto result =
+        service.Execute(MakeRequest("a", "ds", CountQuery(5000), seed));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    removed = result.value().records_removed;
+    if (removed < kCap) {
+      EXPECT_EQ(capped(), 0u) << "release " << seed;
+    }
+  }
+  EXPECT_GT(capped(), 0u);
+  EXPECT_EQ(removed, kCap);
+  EXPECT_NE(service.StatsReport().find("service/enforcer_capped"),
+            std::string::npos);
 }
 
 TEST(ServiceTest, ExhaustedBudgetDeniesQueries) {

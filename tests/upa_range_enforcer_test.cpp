@@ -110,20 +110,20 @@ TEST(RangeEnforcerTest, RemovalLoopEscalatesUntilSeparated) {
 }
 
 TEST(RangeEnforcerTest, DegenerateConstantQueryHitsCap) {
-  RangeEnforcer enforcer(1e-9, /*max_removals=*/8);
+  RangeEnforcer enforcer;
   Register(enforcer, {1.0, 1.0});
   std::vector<double> outputs{1.0, 1.0};
   auto constant = [](size_t) { return std::vector<double>{1.0, 1.0}; };
   auto decision = Enforce(enforcer, outputs, constant);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_TRUE(decision.removal_capped);
-  EXPECT_LE(decision.records_removed, 8u);
+  EXPECT_LE(decision.records_removed, RangeEnforcer::kMaxRemovals);
 }
 
 TEST(RangeEnforcerTest, RemovalCapStopsScanningFurtherPriors) {
   // Once the cap is hit against one prior, the enforcer must bail out of
   // the whole pass rather than keep burning removals against later priors.
-  RangeEnforcer enforcer(1e-9, /*max_removals=*/4);
+  RangeEnforcer enforcer;
   Register(enforcer, {1.0, 1.0});
   Register(enforcer, {1.0, 1.0});
   std::vector<double> outputs{1.0, 1.0};
@@ -131,23 +131,25 @@ TEST(RangeEnforcerTest, RemovalCapStopsScanningFurtherPriors) {
   auto decision = Enforce(enforcer, outputs, constant);
   EXPECT_TRUE(decision.removal_capped);
   EXPECT_TRUE(decision.attack_suspected);
-  EXPECT_LE(decision.records_removed, 4u);
+  EXPECT_LE(decision.records_removed, RangeEnforcer::kMaxRemovals);
   EXPECT_EQ(decision.prior_queries_checked, 2u);
 }
 
 TEST(RangeEnforcerTest, CapExactlyAtBoundaryIsNotCapped) {
-  // Separation achieved with exactly max_removals removed records: the
+  // Separation achieved with exactly kMaxRemovals removed records: the
   // decision reports the removals but not the cap.
-  RangeEnforcer enforcer(1e-9, /*max_removals=*/6);
+  RangeEnforcer enforcer;
   Register(enforcer, {10.0, 20.0});
   std::vector<double> outputs{10.0, 20.0};
-  auto separates_at_six = [](size_t removed) {
-    if (removed < 6) return std::vector<double>{10.0, 20.0};
+  auto separates_at_cap = [](size_t removed) {
+    if (removed < RangeEnforcer::kMaxRemovals) {
+      return std::vector<double>{10.0, 20.0};
+    }
     return std::vector<double>{-1.0, -2.0};
   };
-  auto decision = Enforce(enforcer, outputs, separates_at_six);
+  auto decision = Enforce(enforcer, outputs, separates_at_cap);
   EXPECT_FALSE(decision.removal_capped);
-  EXPECT_EQ(decision.records_removed, 6u);
+  EXPECT_EQ(decision.records_removed, RangeEnforcer::kMaxRemovals);
 }
 
 TEST(RangeEnforcerTest, ShorterPriorArityCountsEveryPartitionAsDifferent) {
@@ -184,7 +186,7 @@ TEST(RangeEnforcerTest, MixedArityAndMatchingPriorsStillEnforce) {
 }
 
 TEST(RangeEnforcerTest, ToleranceAbsorbsFloatNoise) {
-  RangeEnforcer enforcer(1e-9);
+  RangeEnforcer enforcer;
   EXPECT_TRUE(enforcer.NearlyEqual(1.0, 1.0 + 1e-13));
   EXPECT_TRUE(enforcer.NearlyEqual(1e6, 1e6 * (1.0 + 1e-12)));
   EXPECT_FALSE(enforcer.NearlyEqual(1.0, 1.001));
@@ -246,7 +248,7 @@ TEST(RangeEnforcerTest, FixpointIsOnePassWithoutRecollision) {
 TEST(RangeEnforcerTest, FixpointLoopStillRespectsRemovalCap) {
   // A recompute that oscillates between the two priors forever must be cut
   // off by the cap, not loop endlessly.
-  RangeEnforcer enforcer(1e-9, /*max_removals=*/8);
+  RangeEnforcer enforcer;
   Register(enforcer, {10.0, 20.0});
   Register(enforcer, {12.0, 22.0});
   std::vector<double> outputs{10.0, 20.0};
@@ -257,7 +259,7 @@ TEST(RangeEnforcerTest, FixpointLoopStillRespectsRemovalCap) {
   auto decision = Enforce(enforcer, outputs, oscillate);
   EXPECT_TRUE(decision.attack_suspected);
   EXPECT_TRUE(decision.removal_capped);
-  EXPECT_LE(decision.records_removed, 8u);
+  EXPECT_LE(decision.records_removed, RangeEnforcer::kMaxRemovals);
 }
 
 // One session held across Enforce → Register decides exactly as a session
