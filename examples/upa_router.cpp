@@ -4,8 +4,10 @@
 //
 //   upa_router <listen-port> <host:port> [<host:port> ...]
 //
-// Prints "READY <port>" once listening, then serves until SIGTERM/SIGINT.
-// Clients connect to the router exactly as they would to a single server:
+// Prints "READY <port>" once listening, then serves until SIGTERM/SIGINT,
+// and prints its stats on the way out. Its client side is the same
+// net::Server a shard runs, so clients connect to the router exactly as
+// they would to a single server:
 //
 //   upa_client <router-port> "count:1000" some_dataset
 //
@@ -63,6 +65,8 @@ int main(int argc, char** argv) {
   int sig = 0;
   sigwait(&sigs, &sig);
   router.Stop();
-  std::printf("%s", router.StatsText().c_str());
+  // What a stats request got last: the router's block, then its door's.
+  std::printf("%s%s", router.StatsText().c_str(),
+              router.server().StatsText().c_str());
   return 0;
 }

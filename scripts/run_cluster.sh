@@ -6,7 +6,8 @@
 # health probe readmits it, the full pre-kill workload is replayed and the
 # released values must match the pre-kill run bit-for-bit (the repeat-query
 # defense serves the journaled release, so any lost registry state would
-# change the output).
+# change the output). Last, the router's /stats must carry the "== net =="
+# block of the net::Server its clients reach, with frames counted.
 #
 # With --kill-during-release the script instead runs the exactly-once
 # drill: one shard with a failpoint that SIGKILLs it AFTER appending the
@@ -194,5 +195,11 @@ if ! diff -u "$WORK/before.txt" "$WORK/after.txt"; then
   exit 1
 fi
 
-"$CLIENT_BIN" "$ROUTER_PORT" --stats | sed -n '1,12p'
+# The router answers its clients through net::Server: its stats end with
+# that server's "== net ==" block, which counted this run's client frames.
+STATS=$("$CLIENT_BIN" "$ROUTER_PORT" --stats)
+echo "$STATS"
+[[ "$STATS" == *"== net =="* ]] || { echo "FAIL: router stats lack '== net =='"; exit 1; }
+FRAMES_IN=$(awk '/^== net ==/{net=1} net && $1 == "frames_in" {print $2; exit}' <<<"$STATS")
+[ "${FRAMES_IN:-0}" -gt 0 ] || { echo "FAIL: router frames_in is '${FRAMES_IN:-}'"; exit 1; }
 echo "PASS: failover + bit-identical journal recovery"

@@ -1,7 +1,5 @@
 #include "cluster/router.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <sstream>
 #include <utility>
@@ -11,14 +9,10 @@
 namespace upa::cluster {
 namespace {
 
-/// Open client connections; surplus accepts are closed on arrival.
-constexpr size_t kMaxConnections = 1024;
 /// Per-attempt connect timeout of a shard dial.
 constexpr double kDialTimeoutMs = 2000.0;
 /// How long a shard may take to answer a health probe.
 constexpr double kHealthProbeTimeoutMs = 2000.0;
-/// Period of the loop's tick: dial, probe and parked-route deadlines.
-constexpr double kTickIntervalMs = 5.0;
 
 }  // namespace
 
@@ -28,74 +22,42 @@ Router::Router(std::vector<ShardAddress> shards, RouterConfig config)
       backoff_(config_.backoff_initial_ms, config_.backoff_max_ms,
                config_.backoff_jitter_seed),
       ring_(shard_addrs_.empty() ? 1 : shard_addrs_.size(),
-            config_.ring_vnodes) {
+            config_.ring_vnodes),
+      server_(
+          net::Handler{
+              [this](net::PendingQuery pending, net::WireQuery query) {
+                RouteQuery(std::move(pending), std::move(query));
+              },
+              [this] { return StatsText(); }, [this] { OnTick(); }},
+          net::ServerConfig{.host = config_.host, .port = config_.port}) {
   healthy_ = std::make_unique<std::atomic<bool>[]>(shard_addrs_.size());
-  for (size_t i = 0; i < shard_addrs_.size(); ++i) healthy_[i] = false;
-}
-
-Router::~Router() { Stop(); }
-
-Status Router::Start() {
-  if (started_) return Status::InvalidArgument("router already started");
-  if (shard_addrs_.empty()) {
-    return Status::InvalidArgument("router requires at least one shard");
-  }
-
-  Result<net::ListenSocket> listener = net::Listen(config_.host, config_.port);
-  UPA_RETURN_IF_ERROR(listener.status());
-  listener_ = listener.value();
-
   links_.resize(shard_addrs_.size());
   for (size_t i = 0; i < shard_addrs_.size(); ++i) {
+    healthy_[i] = false;
     links_[i].index = i;
     links_[i].addr = shard_addrs_[i];
     links_[i].backoff_ms = backoff_.initial_ms();
     links_[i].next_dial_ns = 0;  // dial on the first tick
   }
+}
 
-  started_ = true;
-  loop_thread_ = std::thread([this] {
-    Status registered = loop_.RegisterFd(
-        listener_.fd, /*want_read=*/true, /*want_write=*/false,
-        [this](bool readable, bool, bool) {
-          if (readable) HandleAccept();
-        });
-    UPA_CHECK_MSG(registered.ok(), registered.ToString());
-    loop_.SetTickHandler(kTickIntervalMs, [this] { OnTick(); });
-    // Dial every shard right away instead of waiting for the first tick.
-    for (ShardLink& link : links_) StartDial(link);
-    loop_.Run();
-    // Loop exited: tear everything down on the owning thread.
-    connections_.clear();
-    for (ShardLink& link : links_) link.conn.reset();
-    loop_.UnregisterFd(listener_.fd);
-    ::close(listener_.fd);
-  });
+Router::~Router() { Stop(); }
+
+Status Router::Start() {
+  if (shard_addrs_.empty()) {
+    return Status::InvalidArgument("router requires at least one shard");
+  }
+  UPA_RETURN_IF_ERROR(server_.Start());
+  // Dial every shard right away instead of waiting for the first tick.
+  server_.loop().RunInLoop([this] { OnTick(); });
   return Status::Ok();
 }
 
 void Router::Stop() {
-  if (!started_ || stopped_) return;
-  stopped_ = true;
-  // Drain: give routed queries (parked ones included, via the per-client
-  // count) a chance to come back and flush out.
-  net::Drain(
-      loop_, listener_.fd, [this] { HandleAccept(); },
-      [this] {
-        std::vector<uint64_t> ids;
-        ids.reserve(connections_.size());
-        for (const auto& [id, conn] : connections_) ids.push_back(id);
-        for (uint64_t id : ids) HandleClientReadable(id);
-      },
-      [this] {
-        if (total_inflight_.load(std::memory_order_acquire) != 0) return false;
-        for (const auto& [id, conn] : connections_) {
-          if (conn->inflight > 0 || !conn->io.Idle()) return false;
-        }
-        return true;
-      });
-  loop_.Stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
+  // The server's drain waits for every routed and parked query to be
+  // answered; once its loop thread has joined, the links close here.
+  server_.Stop();
+  for (ShardLink& link : links_) link.conn.reset();
 }
 
 bool Router::ShardHealthy(size_t shard) const {
@@ -105,8 +67,6 @@ bool Router::ShardHealthy(size_t shard) const {
 
 Router::Stats Router::stats() const {
   Stats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.open_connections = open_connections_.load(std::memory_order_relaxed);
   s.routed = routed_.load(std::memory_order_relaxed);
   s.replies = replies_.load(std::memory_order_relaxed);
   s.rejected_unavailable =
@@ -116,7 +76,6 @@ Router::Stats Router::stats() const {
   s.shard_reconnects = shard_reconnects_.load(std::memory_order_relaxed);
   s.failed_over_inflight =
       failed_over_inflight_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.retried = retried_.load(std::memory_order_relaxed);
   s.retry_exhausted = retry_exhausted_.load(std::memory_order_relaxed);
   s.retry_parked = retry_parked_.load(std::memory_order_relaxed);
@@ -127,17 +86,13 @@ std::string Router::StatsText() const {
   Stats s = stats();
   std::ostringstream os;
   os << "== upa router ==\n"
-     << "  port                  " << listener_.port << "\n"
      << "  shards                " << shard_addrs_.size() << "\n"
-     << "  open_connections      " << s.open_connections << "\n"
-     << "  accepted              " << s.accepted << "\n"
      << "  routed                " << s.routed << "\n"
      << "  replies               " << s.replies << "\n"
      << "  rejected_unavailable  " << s.rejected_unavailable << "\n"
      << "  rejected_backpressure " << s.rejected_backpressure << "\n"
      << "  shard_reconnects      " << s.shard_reconnects << "\n"
      << "  failed_over_inflight  " << s.failed_over_inflight << "\n"
-     << "  protocol_errors       " << s.protocol_errors << "\n"
      << "  retried               " << s.retried << "\n"
      << "  retry_exhausted       " << s.retry_exhausted << "\n"
      << "  retry_parked          " << s.retry_parked << "\n";
@@ -151,90 +106,14 @@ std::string Router::StatsText() const {
   return os.str();
 }
 
-void Router::HandleAccept() {
-  net::AcceptAll(
-      listener_.fd, connections_.size(), kMaxConnections, [this](int fd) {
-        const uint64_t id = next_conn_id_++;
-        auto conn = std::make_unique<ClientConn>(id, loop_, fd);
-        Status watched = conn->io.Watch(
-            /*want_write=*/false,
-            [this, id](bool readable, bool writable, bool error) {
-              auto it = connections_.find(id);
-              if (it == connections_.end()) return;
-              if (error) {
-                CloseClient(id);
-                return;
-              }
-              if (writable) FlushClient(*it->second);
-              if (readable) HandleClientReadable(id);
-            });
-        if (!watched.ok()) return false;
-        connections_[id] = std::move(conn);
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        open_connections_.store(connections_.size(),
-                                std::memory_order_relaxed);
-        return true;
-      });
-}
-
-void Router::HandleClientReadable(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  ClientConn& conn = *it->second;
-  Status read = conn.io.Read([&] {
-    ProcessClientFrames(conn);
-    return connections_.count(conn_id) != 0;  // frames may close it
-  });
-  if (!read.ok()) CloseClient(conn_id);
-}
-
-void Router::ProcessClientFrames(ClientConn& conn) {
-  const uint64_t conn_id = conn.id;
-  for (;;) {
-    net::Frame frame;
-    Status error = Status::Ok();
-    net::FrameAssembler::Outcome outcome = conn.io.NextFrame(&frame, &error);
-    if (outcome == net::FrameAssembler::Outcome::kNeedMore) return;
-    if (outcome == net::FrameAssembler::Outcome::kError) {
-      AbortClient(conn, error);
-      return;
-    }
-    switch (frame.type) {
-      case net::FrameType::kQueryRequest: {
-        net::WireQuery query;
-        Status decoded = net::DecodeQueryPayload(frame.payload, &query);
-        if (!decoded.ok()) {
-          AbortClient(conn, decoded);
-          return;
-        }
-        RouteQuery(conn, std::move(query));
-        break;
-      }
-      case net::FrameType::kStatsRequest: {
-        // The router answers stats itself (its own counters + shard link
-        // states) rather than fanning out to every shard: the dump stays
-        // cheap and available even while shards are down.
-        QueueClientWrite(conn, net::EncodeStatsResponseFrame(StatsText()));
-        break;
-      }
-      default: {
-        AbortClient(conn, Status::InvalidArgument(
-                              "unexpected frame type from client"));
-        return;
-      }
-    }
-    if (connections_.find(conn_id) == connections_.end()) return;
-  }
-}
-
-void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
+void Router::RouteQuery(net::PendingQuery pending, net::WireQuery query) {
   const size_t shard = ring_.ShardFor(query.dataset_id);
   ShardLink& link = links_[shard];
 
   auto reject = [&](const Status& status, std::atomic<uint64_t>& counter) {
     counter.fetch_add(1, std::memory_order_relaxed);
-    QueueClientWrite(conn, net::EncodeResultFrame(
-                               net::WireResult::From(query.client_tag, status)));
+    server_.Answer(pending, net::EncodeResultFrame(net::WireResult::From(
+                                query.client_tag, status)));
   };
 
   if (link.state != ShardLink::State::kHealthy) {
@@ -260,7 +139,7 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
 
   const uint64_t router_tag = next_router_tag_++;
   Route route;
-  route.conn_id = conn.id;
+  route.pending = std::move(pending);
   route.client_tag = query.client_tag;
   if (query.client_nonce != 0 && config_.retry_limit > 0) {
     // Keyed: keep the original query so a failover can re-send it. The
@@ -268,42 +147,19 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
     route.retries_left = config_.retry_limit;
     route.query = query;
   }
-  ++conn.inflight;
-  total_inflight_.fetch_add(1, std::memory_order_acq_rel);
   routed_.fetch_add(1, std::memory_order_relaxed);
   query.client_tag = router_tag;
   link.inflight[router_tag] = std::move(route);
   QueueShardWrite(link, net::EncodeQueryFrame(query));
 }
 
-void Router::RespondToClient(ClientConn& conn,
-                             const net::WireResult& result) {
+bool Router::Reply(const Route& route, net::WireResult result) {
+  result.client_tag = route.client_tag;
+  if (!server_.Answer(route.pending, net::EncodeResultFrame(result))) {
+    return false;
+  }
   replies_.fetch_add(1, std::memory_order_relaxed);
-  QueueClientWrite(conn, net::EncodeResultFrame(result));
-}
-
-void Router::QueueClientWrite(ClientConn& conn, std::string bytes) {
-  conn.io.Append(std::move(bytes));
-  FlushClient(conn);
-}
-
-void Router::FlushClient(ClientConn& conn) {
-  Status flushed = conn.io.Flush();
-  if (!flushed.ok() || conn.io.Finished()) CloseClient(conn.id);
-}
-
-void Router::AbortClient(ClientConn& conn, const Status& error) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  conn.io.CloseAfterFlush();
-  QueueClientWrite(conn, net::EncodeErrorFrame(error));
-}
-
-void Router::CloseClient(uint64_t conn_id) {
-  // Routed queries stay in flight on their shards; when the responses
-  // come back the routes resolve to a gone connection and are dropped
-  // (the shard has already released/charged — the client walked away).
-  if (connections_.erase(conn_id) == 0) return;  // closes the socket
-  open_connections_.store(connections_.size(), std::memory_order_relaxed);
+  return true;
 }
 
 void Router::StartDial(ShardLink& link) {
@@ -314,8 +170,8 @@ void Router::StartDial(ShardLink& link) {
     return;
   }
   // A dialled link always reads: the shard's responses are what drain it.
-  link.conn = std::make_unique<net::FramedConn>(loop_, fd_or.value(),
-                                                 /*backpressure=*/false);
+  link.conn = std::make_unique<net::FramedConn>(
+      server_.loop(), fd_or.value(), /*backpressure=*/false);
   link.probe_outstanding = false;
   link.state = ShardLink::State::kConnecting;
   link.dial_deadline_ns =
@@ -391,16 +247,9 @@ void Router::ProcessShardFrames(ShardLink& link) {
                               "shard response for unknown router tag"));
           return;
         }
-        Route route = route_it->second;
+        Route route = std::move(route_it->second);
         link.inflight.erase(route_it);
-        total_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        auto conn_it = connections_.find(route.conn_id);
-        if (conn_it != connections_.end()) {
-          ClientConn& conn = *conn_it->second;
-          if (conn.inflight > 0) --conn.inflight;
-          result.client_tag = route.client_tag;
-          RespondToClient(conn, result);
-        }
+        Reply(route, std::move(result));
         break;
       }
       case net::FrameType::kStatsResponse: {
@@ -463,12 +312,10 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
   // budget left is parked — its idempotency key makes the eventual re-send
   // safe either way (journaled → replay; not journaled → nothing was
   // charged durably and the query re-runs). Everything else
-  // fails back to the client as unresolved.
+  // fails back to the client as unresolved. A client that left gets no
+  // park: a re-send would spend budget on a release nobody receives.
   for (auto& [router_tag, route] : link.inflight) {
-    total_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    auto conn_it = connections_.find(route.conn_id);
-    if (conn_it == connections_.end()) continue;
-    if (route.retries_left > 0) {
+    if (route.retries_left > 0 && !route.pending.cancel->cancelled()) {
       --route.retries_left;
       route.park_deadline_ns =
           now + static_cast<int64_t>(config_.retry_timeout_ms * 1e6);
@@ -476,14 +323,13 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
       link.parked.push_back(std::move(route));
       continue;
     }
-    ClientConn& conn = *conn_it->second;
-    failed_over_inflight_.fetch_add(1, std::memory_order_relaxed);
-    if (conn.inflight > 0) --conn.inflight;
     Status lost = Status::Unavailable("shard " + std::to_string(link.index) +
                                       " lost: " + reason.message());
     lost.set_retry_after_ms(
         std::max<int64_t>(1, static_cast<int64_t>(link.backoff_ms)));
-    RespondToClient(conn, net::WireResult::From(route.client_tag, lost));
+    if (Reply(route, net::WireResult::From(route.client_tag, lost))) {
+      failed_over_inflight_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   link.inflight.clear();
   link.probe_outstanding = false;
@@ -499,13 +345,17 @@ void Router::FlushParked(ShardLink& link) {
 
 void Router::ResendRoute(Route route) {
   retry_parked_.fetch_sub(1, std::memory_order_relaxed);
-  auto conn_it = connections_.find(route.conn_id);
-  if (conn_it == connections_.end()) return;  // client left while parked
+  if (route.pending.cancel->cancelled()) {
+    // The client left while parked: settle the server's in-flight count
+    // (the frame is dropped) and send nothing to the shard.
+    Reply(route, net::WireResult::From(
+                     route.client_tag, Status::Cancelled("client left")));
+    return;
+  }
   // Re-resolve the ring — the route must land wherever the dataset lives
   // NOW, not on the link it happened to be parked against.
   const size_t shard = ring_.ShardFor(route.query.dataset_id);
   ShardLink& link = links_[shard];
-  ClientConn& conn = *conn_it->second;
   if (link.state != ShardLink::State::kHealthy) {
     // The re-send raced another failure (or resolved to a different,
     // still-down shard): keep waiting on that link's recovery under the
@@ -518,19 +368,17 @@ void Router::ResendRoute(Route route) {
   if (link.inflight.size() >= kMaxInflightPerShard ||
       link.conn->unsent_bytes() > net::kWriteBufferHighBytes) {
     rejected_backpressure_.fetch_add(1, std::memory_order_relaxed);
-    if (conn.inflight > 0) --conn.inflight;
     Status full = Status::ResourceExhausted(
         "shard " + std::to_string(shard) +
         " is at in-flight capacity after failover; retry");
     full.set_retry_after_ms(10);
-    RespondToClient(conn, net::WireResult::From(route.client_tag, full));
+    Reply(route, net::WireResult::From(route.client_tag, full));
     return;
   }
   const uint64_t router_tag = next_router_tag_++;
   net::WireQuery query = route.query;
   query.client_tag = router_tag;
   retried_.fetch_add(1, std::memory_order_relaxed);
-  total_inflight_.fetch_add(1, std::memory_order_acq_rel);
   link.inflight[router_tag] = std::move(route);
   QueueShardWrite(link, net::EncodeQueryFrame(query));
 }
@@ -541,16 +389,12 @@ void Router::ExpireParked(Route& route, const ShardLink& link) {
   // An expired retry is still a failover failure as far as observers are
   // concerned — the retry machinery defers failures, it never hides them.
   failed_over_inflight_.fetch_add(1, std::memory_order_relaxed);
-  auto conn_it = connections_.find(route.conn_id);
-  if (conn_it == connections_.end()) return;
-  ClientConn& conn = *conn_it->second;
-  if (conn.inflight > 0) --conn.inflight;
   Status expired = Status::Unavailable(
       "shard " + std::to_string(link.index) +
       " did not recover within the retry window");
   expired.set_retry_after_ms(
       std::max<int64_t>(1, static_cast<int64_t>(link.backoff_ms)));
-  RespondToClient(conn, net::WireResult::From(route.client_tag, expired));
+  Reply(route, net::WireResult::From(route.client_tag, expired));
 }
 
 void Router::ScheduleRedial(ShardLink& link, int64_t now) {

@@ -5,18 +5,18 @@
 // registry, epoch and journal for its dataset subset, so the router holds
 // no privacy state and can be restarted freely.
 //
-// Mechanics (mirrors net::Server's threading contract):
-//   - one EventLoop thread owns every fd: the listen socket, all client
-//     connections and all shard links. No locks on the data path; the only
-//     cross-thread values are the stats atomics.
-//   - client query frames are decoded just enough to read the dataset id,
-//     re-tagged with a router-unique tag (two clients may use the same
-//     client_tag), and re-encoded onto the owning shard's link; responses
-//     are re-tagged back. Doubles travel as raw IEEE bits through the
-//     decode/encode round trip, so routing is bit-invisible.
-//   - client connections and shard links are net::FramedConns (conn.h):
-//     the same accept cap, read loop, write backpressure and drain as the
-//     server, and the same "net/*" fault sites.
+// Mechanics:
+//   - the router's client side IS a net::Server (server.h): its listen
+//     socket, accept cap, framing, per-connection pipeline cap, "net/*"
+//     fault sites, counters and drain. The router is its Handler: it takes
+//     each decoded query and answers it, on the server's loop thread.
+//   - the shard links live on that same loop, so one thread owns every fd
+//     and there are no locks on the data path; the only cross-thread
+//     values are the stats atomics.
+//   - a query is re-tagged with a router-unique tag (two clients may use
+//     the same client_tag) and re-encoded onto the owning shard's link;
+//     responses are re-tagged back. Doubles travel as raw IEEE bits
+//     through the decode/encode round trip, so routing is bit-invisible.
 //   - per-shard backpressure: a shard at its in-flight cap (or with a
 //     backed-up write buffer) rejects further queries with
 //     kResourceExhausted, the same code the server uses for pipeline
@@ -41,13 +41,12 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/ring.h"
 #include "common/backoff.h"
 #include "net/conn.h"
-#include "net/event_loop.h"
+#include "net/server.h"
 #include "net/wire.h"
 
 namespace upa::cluster {
@@ -58,8 +57,9 @@ struct ShardAddress {
 };
 
 struct RouterConfig {
+  /// Where the router's net::Server listens for clients. 0 = ephemeral
+  /// (read back via port()).
   std::string host = "127.0.0.1";
-  /// 0 = ephemeral (read back via port()).
   uint16_t port = 0;
   /// Redial backoff range for a lost shard link (see JitteredBackoff).
   double backoff_initial_ms = 20.0;
@@ -91,8 +91,10 @@ class Router {
  public:
   /// Per-shard cap on routed-but-unanswered queries (or a shard link with
   /// more than net::kWriteBufferHighBytes unsent); overflow is rejected
-  /// with kResourceExhausted (backpressure, not queueing).
-  static constexpr size_t kMaxInflightPerShard = 128;
+  /// with kResourceExhausted (backpressure, not queueing). Every query for
+  /// a shard rides one link, so the cap is what a default shard accepts
+  /// per connection.
+  static constexpr size_t kMaxInflightPerShard = net::kDefaultMaxPipelined;
 
   Router(std::vector<ShardAddress> shards, RouterConfig config = {});
   ~Router();  // Stop()
@@ -100,26 +102,28 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
+  /// Starts the client-facing server and dials every shard.
   Status Start();
+  /// Drains the server (routed and parked queries come back first), then
+  /// closes the shard links. Idempotent.
   void Stop();
 
-  uint16_t port() const { return listener_.port; }
+  uint16_t port() const { return server_.port(); }
   const ConsistentHashRing& ring() const { return ring_; }
+  /// The client-facing door: its counters and its "== net ==" block.
+  const net::Server& server() const { return server_; }
 
   /// True once the shard's link passed its health probe (and the link is
   /// still up). Thread-safe.
   bool ShardHealthy(size_t shard) const;
 
   struct Stats {
-    uint64_t accepted = 0;
-    uint64_t open_connections = 0;
     uint64_t routed = 0;
     uint64_t replies = 0;
     uint64_t rejected_unavailable = 0;
     uint64_t rejected_backpressure = 0;
     uint64_t shard_reconnects = 0;
     uint64_t failed_over_inflight = 0;
-    uint64_t protocol_errors = 0;
     /// Keyed queries re-sent to a recovered shard.
     uint64_t retried = 0;
     /// Parked queries whose shard did not recover within the retry window
@@ -130,6 +134,10 @@ class Router {
     uint64_t retry_parked = 0;
   };
   Stats stats() const;
+  /// The "== upa router ==" block: routing counters and shard link states.
+  /// A stats request gets it ahead of the server's "== net ==" block; the
+  /// router answers from its own state rather than fanning out to the
+  /// shards, so the dump stays cheap and available while shards are down.
   std::string StatsText() const;
 
   /// Optional per-shard respawn-count source (e.g. the process
@@ -141,17 +149,9 @@ class Router {
   }
 
  private:
-  struct ClientConn {
-    ClientConn(uint64_t id, net::EventLoop& loop, int fd)
-        : id(id), io(loop, fd, /*backpressure=*/true) {}
-    const uint64_t id;
-    net::FramedConn io;
-    /// Queries routed to a shard and not yet answered back to this client.
-    size_t inflight = 0;
-  };
-
   struct Route {
-    uint64_t conn_id = 0;
+    /// The client's side of the query, answered through the server.
+    net::PendingQuery pending;
     uint64_t client_tag = 0;
     /// Original query (still carrying the client's own tag), kept only
     /// for keyed routes so a failover can re-send it verbatim.
@@ -182,18 +182,12 @@ class Router {
   };
 
   // Loop-thread only.
-  void HandleAccept();
-  void HandleClientReadable(uint64_t conn_id);
-  void ProcessClientFrames(ClientConn& conn);
-  void RouteQuery(ClientConn& conn, net::WireQuery query);
-  void RespondToClient(ClientConn& conn, const net::WireResult& result);
-  /// Queues `bytes` and flushes; like FlushClient, may close `conn`.
-  void QueueClientWrite(ClientConn& conn, std::string bytes);
-  /// Closes the client on a hard send failure or once its final flush
-  /// completes; callers must not touch `conn` afterwards.
-  void FlushClient(ClientConn& conn);
-  void AbortClient(ClientConn& conn, const Status& error);
-  void CloseClient(uint64_t conn_id);
+  /// The server's query handler.
+  void RouteQuery(net::PendingQuery pending, net::WireQuery query);
+  /// Answers `route`'s client with `result` under its own tag. False when
+  /// the client has left: the answer is dropped (a departed client is not
+  /// chased to its shard, which has released and charged regardless).
+  bool Reply(const Route& route, net::WireResult result);
 
   void StartDial(ShardLink& link);
   void HandleShardEvent(size_t shard, bool readable, bool writable,
@@ -218,33 +212,22 @@ class Router {
   RouterConfig config_;
   JitteredBackoff backoff_;  // loop thread only
   ConsistentHashRing ring_;
-  net::EventLoop loop_;
-  std::thread loop_thread_;
-  bool started_ = false;
-  bool stopped_ = false;
-  net::ListenSocket listener_;
+  net::Server server_;
 
-  uint64_t next_conn_id_ = 1;
   uint64_t next_router_tag_ = 1;
-  std::map<uint64_t, std::unique_ptr<ClientConn>> connections_;
-  std::vector<ShardLink> links_;
+  std::vector<ShardLink> links_;  // destroyed before the server's loop
 
   std::unique_ptr<std::atomic<bool>[]> healthy_;
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> open_connections_{0};
   std::atomic<uint64_t> routed_{0};
   std::atomic<uint64_t> replies_{0};
   std::atomic<uint64_t> rejected_unavailable_{0};
   std::atomic<uint64_t> rejected_backpressure_{0};
   std::atomic<uint64_t> shard_reconnects_{0};
   std::atomic<uint64_t> failed_over_inflight_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> retried_{0};
   std::atomic<uint64_t> retry_exhausted_{0};
   std::atomic<uint64_t> retry_parked_{0};
   std::function<uint64_t(size_t)> respawn_counter_;
-  /// Routed-but-unanswered queries across all shards (drain probe).
-  std::atomic<uint64_t> total_inflight_{0};
 };
 
 }  // namespace upa::cluster

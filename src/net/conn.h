@@ -1,6 +1,6 @@
-// The socket core under net::Server and cluster::Router: listening,
-// accepting, dialling, and non-blocking framed connections on one
-// EventLoop.
+// The socket core under net::Server and the cluster router's shard links:
+// listening, accepting, dialling, and non-blocking framed connections on
+// one EventLoop.
 //
 // It owns the policy every framed connection shares:
 //   - accept: non-blocking sockets with TCP_NODELAY, under a cap on open

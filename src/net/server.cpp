@@ -13,9 +13,6 @@
 namespace upa::net {
 namespace {
 
-/// Granularity of the idle scan.
-constexpr double kTickIntervalMs = 20.0;
-
 /// The "net/decode" fault site: an injected error aborts the connection
 /// as if the frame had failed to decode.
 Status DecodeFault() {
@@ -25,24 +22,30 @@ Status DecodeFault() {
 
 }  // namespace
 
-Server::Server(service::UpaService* service, QueryCompiler compiler,
-               ServerConfig config)
-    : service_(service),
-      compiler_(std::move(compiler)),
+Server::Server(Handler handler, ServerConfig config)
+    : handler_(std::move(handler)),
       config_(std::move(config)),
       mailbox_(std::make_shared<Mailbox>()) {
   mailbox_->loop = &loop_;
+}
+
+Server::Server(service::UpaService* service, QueryCompiler compiler,
+               ServerConfig config)
+    : Server(Handler{}, std::move(config)) {
+  if (service == nullptr || !compiler) return;  // Start() refuses
+  handler_.query = [this, service, compiler = std::move(compiler)](
+                       PendingQuery pending, WireQuery query) {
+    SubmitToService(*service, compiler, std::move(pending), std::move(query));
+  };
+  handler_.stats = [service] { return service->StatsReport(); };
 }
 
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
   if (started_) return Status::InvalidArgument("server already started");
-  if (service_ == nullptr) {
-    return Status::InvalidArgument("server requires a service");
-  }
-  if (!compiler_) {
-    return Status::InvalidArgument("server requires a query compiler");
+  if (!handler_.query || !handler_.stats) {
+    return Status::InvalidArgument("server requires a query handler");
   }
   if (config_.max_pipelined_per_connection == 0) {
     return Status::InvalidArgument(
@@ -95,7 +98,7 @@ void Server::Stop() {
           return false;
         }
         for (const auto& [id, conn] : connections_) {
-          if (!conn->inflight.empty() || !conn->io.Idle()) return false;
+          if (!conn->io.Idle()) return false;
         }
         return true;
       });
@@ -219,7 +222,7 @@ void Server::ProcessFrames(Connection& conn) {
         break;
       }
       case FrameType::kStatsRequest: {
-        std::string text = service_->StatsReport();
+        std::string text = handler_.stats();
         text += StatsText();
         QueueWrite(conn, EncodeStatsResponseFrame(text));
         break;
@@ -238,28 +241,30 @@ void Server::ProcessFrames(Connection& conn) {
 }
 
 void Server::DispatchQuery(Connection& conn, WireQuery query) {
-  uint64_t conn_id = conn.id;
-  uint64_t client_tag = query.client_tag;
-
-  auto reject = [&](const Status& status) {
-    QueueWrite(conn, EncodeResultFrame(WireResult::From(client_tag, status)));
-  };
-
   if (conn.inflight.size() >= config_.max_pipelined_per_connection) {
-    reject(Status::ResourceExhausted(
-        "too many pipelined requests on this connection"));
+    Status full = Status::ResourceExhausted(
+        "too many pipelined requests on this connection");
+    QueueWrite(conn,
+               EncodeResultFrame(WireResult::From(query.client_tag, full)));
     return;
   }
+  PendingQuery pending{conn.id, next_req_seq_++,
+                       std::make_shared<CancelToken>()};
+  conn.inflight[pending.seq] = pending.cancel;
+  mailbox_->pending_requests.fetch_add(1, std::memory_order_acq_rel);
+  handler_.query(std::move(pending), std::move(query));
+}
 
-  Result<core::QueryInstance> compiled = compiler_(query);
+void Server::SubmitToService(service::UpaService& service,
+                             const QueryCompiler& compiler,
+                             PendingQuery pending, WireQuery query) {
+  const uint64_t client_tag = query.client_tag;
+  Result<core::QueryInstance> compiled = compiler(query);
   if (!compiled.ok()) {
-    reject(compiled.status());
+    Answer(pending,
+           EncodeResultFrame(WireResult::From(client_tag, compiled.status())));
     return;
   }
-
-  uint64_t seq = next_req_seq_++;
-  auto token = std::make_shared<CancelToken>();
-  conn.inflight[seq] = token;
 
   service::QueryRequest request;
   request.tenant = query.tenant;
@@ -271,19 +276,18 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
   // pin another query shape's range and sensitivity to this query.
   request.fingerprint = Fnv1a(query.sql);
   request.deadline_ms = query.deadline_ms;
-  request.cancel = token;
+  request.cancel = pending.cancel;
   request.client_nonce = query.client_nonce;
   request.client_seq = query.client_seq;
 
-  mailbox_->pending_requests.fetch_add(1, std::memory_order_acq_rel);
   // The completion runs on an engine pool thread (or inline for immediate
   // rejections). It encodes there — keeping serialization off the loop —
   // and posts finished bytes through the mailbox.
   auto mailbox = mailbox_;
-  service_->SubmitAsync(
+  service.SubmitAsync(
       std::move(request),
-      [this, mailbox, conn_id, seq,
-       client_tag](Result<service::QueryResponse> outcome) {
+      [this, mailbox, pending = std::move(pending),
+       client_tag](Result<service::QueryResponse> outcome) mutable {
         std::string bytes = EncodeResultFrame(
             WireResult::From(client_tag, std::move(outcome)));
         std::lock_guard<std::mutex> lock(mailbox->mu);
@@ -293,21 +297,21 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
           mailbox->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
           return;
         }
-        mailbox->loop->RunInLoop(
-            [this, conn_id, seq, bytes = std::move(bytes)]() mutable {
-              CompleteRequest(conn_id, seq, std::move(bytes));
-            });
+        mailbox->loop->RunInLoop([this, pending = std::move(pending),
+                                  bytes = std::move(bytes)]() mutable {
+          Answer(pending, std::move(bytes));
+        });
       });
 }
 
-void Server::CompleteRequest(uint64_t conn_id, uint64_t seq,
-                             std::string bytes) {
+bool Server::Answer(const PendingQuery& pending, std::string frame) {
   mailbox_->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;  // client went away mid-request
+  auto it = connections_.find(pending.conn_id);
+  if (it == connections_.end()) return false;  // client went away
   Connection& conn = *it->second;
-  conn.inflight.erase(seq);
-  QueueWrite(conn, std::move(bytes));
+  conn.inflight.erase(pending.seq);
+  QueueWrite(conn, std::move(frame));
+  return true;
 }
 
 void Server::QueueWrite(Connection& conn, std::string bytes) {
@@ -327,8 +331,8 @@ void Server::CloseConnection(uint64_t conn_id) {
   for (auto& [seq, token] : it->second->inflight) {
     disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
     // The service observes the trip at its next cooperative check and
-    // refunds the charge (nothing was released). The completion callback
-    // still fires; CompleteRequest drops it — the connection is gone.
+    // refunds the charge (nothing was released). The handler still
+    // answers; Answer drops it — the connection is gone.
     token->Cancel(StatusCode::kCancelled, "client disconnected");
   }
   connections_.erase(it);  // closes the socket
@@ -336,6 +340,7 @@ void Server::CloseConnection(uint64_t conn_id) {
 }
 
 void Server::OnTick() {
+  if (handler_.tick) handler_.tick();
   if (config_.idle_timeout_ms <= 0.0) return;
   int64_t now = NowNanos();
   int64_t budget_ns = static_cast<int64_t>(config_.idle_timeout_ms * 1e6);

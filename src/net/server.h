@@ -1,13 +1,21 @@
-// TCP front door for UpaService: non-blocking acceptor + wire-protocol
-// connections on a single-threaded EventLoop.
+// The TCP front door: non-blocking acceptor + wire-protocol connections on
+// a single-threaded EventLoop, for a shard's UpaService and for the cluster
+// router's clients alike.
+//
+// The server owns the sockets, the framing, the caps and the drain; one
+// seam, a Handler, decides what a decoded query means. The service
+// constructor fills it with the release path; cluster::Router fills it with
+// its routing.
 //
 // Threading contract (DESIGN.md §8):
 //   - the LOOP THREAD owns the listen socket and every connection: it
 //     accepts, reads, frames, decodes, and writes. It never runs a query.
-//   - decoded requests are handed to UpaService::SubmitAsync; the release
-//     pipeline runs on the ENGINE POOL. The completion callback encodes
-//     the response on the pool thread and posts the bytes back to the
-//     loop with RunInLoop — the only cross-thread entry point.
+//   - the handler takes each decoded query on the loop thread and answers
+//     it exactly once, with its result frame, through Answer() on the loop
+//     thread. The service path hands the query to UpaService::SubmitAsync;
+//     the release pipeline runs on the ENGINE POOL, and the completion
+//     encodes the response on the pool thread and posts the bytes back to
+//     the loop with RunInLoop — the only cross-thread entry point.
 //
 // Protection at the socket boundary:
 //   - kMaxConnections: surplus accepts are closed immediately,
@@ -48,12 +56,15 @@
 
 namespace upa::net {
 
+/// The default cap on queries in flight per connection.
+inline constexpr size_t kDefaultMaxPipelined = 64;
+
 struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with port() after Start().
   uint16_t port = 0;
   /// In-flight queries per connection; surplus get RESOURCE_EXHAUSTED.
-  size_t max_pipelined_per_connection = 64;
+  size_t max_pipelined_per_connection = kDefaultMaxPipelined;
   /// Reap connections with no activity (bytes, responses, in-flight work)
   /// for this long. 0 disables.
   double idle_timeout_ms = 0.0;
@@ -67,12 +78,41 @@ struct ServerConfig {
 using QueryCompiler =
     std::function<Result<core::QueryInstance>(const WireQuery&)>;
 
+/// A query a client is waiting on: what Server::Answer takes back.
+struct PendingQuery {
+  uint64_t conn_id = 0;
+  /// Server-side sequence number (client_tags may collide; these never do).
+  uint64_t seq = 0;
+  /// Tripped when the client disconnects or the server stops.
+  std::shared_ptr<CancelToken> cancel;
+};
+
+/// Where the server sends what its clients ask for. Every member runs on
+/// the loop thread.
+struct Handler {
+  /// Takes a decoded query, which it must answer exactly once, with its
+  /// result frame, through Server::Answer on the loop thread — at once or
+  /// later.
+  std::function<void(PendingQuery, WireQuery)> query;
+  /// The text a stats request gets ahead of the "== net ==" block.
+  std::function<std::string()> stats;
+  /// Runs every Server::kTickIntervalMs; may be empty.
+  std::function<void()> tick;
+};
+
 class Server {
  public:
   /// Open-connection cap; surplus accepts are closed on arrival.
   static constexpr size_t kMaxConnections = 256;
+  /// Period of the loop's tick: the idle scan, and the handler's tick (the
+  /// router's dial, probe and parked-route deadlines).
+  static constexpr double kTickIntervalMs = 5.0;
 
-  /// `service` and `compiler` must outlive the server.
+  /// Serves `handler`; whatever it captures must outlive the server.
+  explicit Server(Handler handler, ServerConfig config = {});
+  /// Serves `service`: compiles each query, runs it with
+  /// UpaService::SubmitAsync and answers with the response. `service`
+  /// must outlive the server.
   Server(service::UpaService* service, QueryCompiler compiler,
          ServerConfig config = {});
   /// Stops (gracefully draining) if still running.
@@ -92,6 +132,14 @@ class Server {
 
   /// The bound port (valid after a successful Start()).
   uint16_t port() const { return listener_.port; }
+
+  /// The loop the server runs on. A handler may watch fds of its own on
+  /// it, from the loop thread (or RunInLoop).
+  EventLoop& loop() { return loop_; }
+
+  /// Answers `pending` with its result `frame`. Loop thread only. Returns
+  /// false, and drops the frame, when the client has already left.
+  bool Answer(const PendingQuery& pending, std::string frame);
 
   struct Stats {
     uint64_t accepted = 0;
@@ -121,10 +169,11 @@ class Server {
 
   /// Liveness bridge between pool-thread completions and the loop: the
   /// callback takes the lock, and posts only while `loop` is non-null.
-  /// ~Server nulls it before tearing the loop down. pending_requests lives
-  /// here (not on the Server) because a completion that loses the drain
-  /// race still decrements it after ~Server has finished — the shared_ptr
-  /// keeps the Mailbox alive; nothing else would keep the Server alive.
+  /// ~Server nulls it before tearing the loop down. pending_requests, the
+  /// queries handed to the handler and not yet answered, lives here (not
+  /// on the Server) because a completion that loses the drain race still
+  /// decrements it after ~Server has finished — the shared_ptr keeps the
+  /// Mailbox alive; nothing else would keep the Server alive.
   struct Mailbox {
     std::mutex mu;
     EventLoop* loop = nullptr;
@@ -135,7 +184,13 @@ class Server {
   void HandleAccept();
   void HandleReadable(uint64_t conn_id);
   void ProcessFrames(Connection& conn);
+  /// Applies the pipeline cap, then hands the query to the handler.
   void DispatchQuery(Connection& conn, WireQuery query);
+  /// The service constructor's handler: compile, SubmitAsync, encode on
+  /// the pool, post the bytes through the mailbox.
+  void SubmitToService(service::UpaService& service,
+                       const QueryCompiler& compiler, PendingQuery pending,
+                       WireQuery query);
   /// Queues `bytes` and flushes. Like Flush, may close the connection.
   void QueueWrite(Connection& conn, std::string bytes);
   /// Closes the connection on a hard send failure or once its final
@@ -148,11 +203,8 @@ class Server {
   /// callers must not touch `conn` afterwards.
   void AbortConnection(Connection& conn, const Status& error);
   void OnTick();
-  /// Completion re-entry: response bytes for (conn_id, seq).
-  void CompleteRequest(uint64_t conn_id, uint64_t seq, std::string bytes);
 
-  service::UpaService* service_;
-  QueryCompiler compiler_;
+  Handler handler_;
   ServerConfig config_;
 
   EventLoop loop_;

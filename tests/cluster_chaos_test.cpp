@@ -25,6 +25,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -286,7 +288,8 @@ TEST_F(ClusterChaosTest, SigkillRightAfterDurableAppendLosesNothing) {
 /// Minimal scriptable shard impostor: a raw TCP listener that answers the
 /// router's health probes like a real shard, but can be told to answer the
 /// next query with a BOGUS router tag — the stale-reply poisoning case the
-/// router must treat as link death, not deliver to some other client.
+/// router must treat as link death, not deliver to some other client — or
+/// to hold the next query unanswered and then close the link.
 class FakeShard {
  public:
   FakeShard() {
@@ -322,6 +325,12 @@ class FakeShard {
   /// Answer the next query with a wrong tag (one-shot).
   std::atomic<bool> poison_next_query{true};
   std::atomic<int> honest_answers{0};
+  /// Hold the next query unanswered (one-shot): `holding` turns true when
+  /// it arrives, and the link closes once `drop_held_link` is set.
+  std::atomic<bool> hold_next_query{false};
+  std::atomic<bool> holding{false};
+  std::atomic<bool> drop_held_link{false};
+  std::atomic<int> queries_seen{0};
 
  private:
   void Serve() {
@@ -364,6 +373,15 @@ class FakeShard {
         } else if (frame.type == net::FrameType::kQueryRequest) {
           net::WireQuery query;
           if (!net::DecodeQueryPayload(frame.payload, &query).ok()) return;
+          queries_seen.fetch_add(1, std::memory_order_relaxed);
+          if (hold_next_query.exchange(false)) {
+            holding.store(true, std::memory_order_release);
+            while (!drop_held_link.load(std::memory_order_acquire) &&
+                   !stop_.load(std::memory_order_acquire)) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            return;  // Serve closes the link
+          }
           net::WireResult result;
           if (poison_next_query.exchange(false)) {
             result.client_tag = query.client_tag + 0x1000;
@@ -407,6 +425,57 @@ TEST_F(ClusterChaosTest, StaleShardReplyPoisonsLinkAndKeyedQueryRetries) {
   const Router::Stats stats = router.stats();
   EXPECT_GE(stats.shard_reconnects, 1u);
   EXPECT_GE(stats.retried, 1u);
+  router.Stop();
+}
+
+/// The counter printed as "  <name>  <value>" in a /stats text, or -1.
+int64_t StatsCounter(const std::string& text, const std::string& name) {
+  const size_t at = text.find("  " + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + name.size() + 3));
+}
+
+TEST_F(ClusterChaosTest, ClientGoneBeforeItsShardDiesIsNeitherParkedNorResent) {
+  // A keyed query is on its shard, its client leaves, and only then does
+  // the link die. Parking the route would re-send it after recovery and
+  // spend budget on a release nobody receives.
+  FakeShard fake;
+  fake.poison_next_query = false;
+  fake.hold_next_query = true;
+  RouterConfig cfg;
+  cfg.health_probe_interval_ms = 0;  // the held link answers no probes
+  // Once failed, the link stays down for the rest of the test, so a
+  // parked route would stay in view instead of being re-sent.
+  cfg.backoff_initial_ms = 60000.0;
+  cfg.backoff_max_ms = 60000.0;
+  Router router({{"127.0.0.1", fake.port()}}, cfg);
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(WaitFor([&] { return router.ShardHealthy(0); }));
+
+  std::unique_ptr<net::Client> leaving = DialShard(router.port());
+  ASSERT_NE(leaving, nullptr);
+  ASSERT_TRUE(leaving->Send(MakeQuery("x", "count:100", 1)).ok());
+  ASSERT_TRUE(WaitFor([&] { return fake.holding.load(); }));
+  leaving.reset();
+
+  // The router has seen the close once the observer is its only client.
+  std::unique_ptr<net::Client> observer = DialShard(router.port());
+  ASSERT_NE(observer, nullptr);
+  ASSERT_TRUE(WaitFor([&] {
+    auto stats = observer->Stats();
+    return stats.ok() && StatsCounter(stats.value(), "open_connections") == 1;
+  }));
+
+  fake.drop_held_link.store(true, std::memory_order_release);
+  ASSERT_TRUE(WaitFor([&] { return router.stats().shard_reconnects >= 1; }));
+  // The loop answers this only after it has finished failing the link.
+  auto stats = observer->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(StatsCounter(stats.value(), "retry_parked"), 0) << stats.value();
+  EXPECT_EQ(StatsCounter(stats.value(), "retried"), 0) << stats.value();
+  EXPECT_EQ(StatsCounter(stats.value(), "failed_over_inflight"), 0)
+      << stats.value();
+  EXPECT_EQ(fake.queries_seen.load(), 1);
   router.Stop();
 }
 

@@ -8,13 +8,15 @@
 // budget ledgers per dataset — sharding adds placement and transport,
 // never semantics. The rest covers the protection edges: per-shard
 // backpressure (kResourceExhausted), dead-shard rejection (kUnavailable),
-// in-flight failover when a shard dies mid-query, and the health-probe
-// gate on reconnect.
+// in-flight failover when a shard dies mid-query, a client that leaves
+// mid-route, and the health-probe gate on reconnect.
 #include "cluster/router.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -22,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/ring.h"
@@ -98,6 +101,13 @@ bool WaitFor(const std::function<bool()>& pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// The counter printed as "  <name>  <value>" in a /stats text, or -1.
+int64_t StatsCounter(const std::string& text, const std::string& name) {
+  const size_t at = text.find("  " + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + name.size() + 3));
 }
 
 /// One in-process shard: service + wire server + gate.
@@ -328,44 +338,92 @@ TEST(ClusterRouterTest, FourShardClusterIsBitIdenticalToOneService) {
 
 TEST(ClusterRouterTest, PerShardInFlightCapRejectsWithResourceExhausted) {
   constexpr size_t kCap = Router::kMaxInflightPerShard;
-  // Every routed query rides the router's one link to the shard, so the
-  // shard must pipeline more than the router's cap, or it refuses first.
+  // A default shard: every routed query rides the router's one link to
+  // it, so the router's cap must not exceed what the shard takes per
+  // connection, or the shard refuses first and the router never sees it.
   service::ServiceConfig svc_cfg = FastConfig();
   svc_cfg.budget_per_dataset = 1e9;
-  net::ServerConfig net_cfg;
-  net_cfg.max_pipelined_per_connection = 2 * kCap;
-  Shard shard(svc_cfg, net_cfg);
+  Shard shard(svc_cfg);
   Router router({shard.address()});
   ASSERT_TRUE(router.Start().ok());
   ASSERT_TRUE(WaitFor([&] { return router.ShardHealthy(0); }));
 
-  auto connected = net::Client::Connect("127.0.0.1", router.port());
-  ASSERT_TRUE(connected.ok());
-  std::unique_ptr<net::Client> client = std::move(connected).value();
+  // Two client connections share the load, so neither reaches the
+  // router's own per-connection pipeline cap.
+  std::vector<std::unique_ptr<net::Client>> clients;
+  for (int i = 0; i < 2; ++i) {
+    auto connected = net::Client::Connect("127.0.0.1", router.port());
+    ASSERT_TRUE(connected.ok());
+    clients.push_back(std::move(connected).value());
+  }
 
   // The first query parks behind the gate and the rest queue behind it on
   // the shard, which fills the cap; the next query overflows it.
-  std::vector<uint64_t> gated;
+  std::vector<std::pair<net::Client*, uint64_t>> gated;
   for (size_t i = 0; i < kCap; ++i) {
+    net::Client* client = clients[i % 2].get();
     auto tag = client->Send(MakeQuery("ds", "gate:200", i + 1));
     ASSERT_TRUE(tag.ok());
-    gated.push_back(tag.value());
+    gated.emplace_back(client, tag.value());
   }
   ASSERT_TRUE(WaitFor([&] { return router.stats().routed == kCap; }));
-  auto tag2 = client->Send(MakeQuery("ds", "count:200", kCap + 1));
+  auto tag2 = clients[0]->Send(MakeQuery("ds", "count:200", kCap + 1));
   ASSERT_TRUE(tag2.ok());
-  auto rejected = client->Await(tag2.value());
+  auto rejected = clients[0]->Await(tag2.value());
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   EXPECT_EQ(rejected.value().code, StatusCode::kResourceExhausted);
 
   shard.gate->store(true, std::memory_order_release);
-  for (uint64_t tag : gated) {
+  for (auto [client, tag] : gated) {
     auto result = client->Await(tag);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result.value().ok()) << result.value().status().ToString();
   }
   EXPECT_EQ(router.stats().rejected_backpressure, 1u);
   router.Stop();
+}
+
+// A client that leaves while its query is on a shard costs nothing: the
+// shard's reply is dropped, the router keeps serving, and Stop() does not
+// wait out the drain timeout for an answer nobody will read.
+TEST(ClusterRouterTest, ClientLeavingMidRouteDropsTheReplyAndLeaksNothing) {
+  Shard shard;
+  Router router({shard.address()});
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(WaitFor([&] { return router.ShardHealthy(0); }));
+
+  auto leaving = net::Client::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(leaving.ok());
+  ASSERT_TRUE(leaving.value()->Send(MakeQuery("ds", "gate:200", 1)).ok());
+  ASSERT_TRUE(WaitFor([&] { return router.stats().routed == 1; }));
+  leaving.value().reset();
+
+  // Wait until the router has seen the close: the fresh client is then
+  // the only open connection.
+  auto connected = net::Client::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(connected.ok());
+  std::unique_ptr<net::Client> fresh = std::move(connected).value();
+  ASSERT_TRUE(WaitFor([&] {
+    auto stats = fresh->Stats();
+    return stats.ok() && StatsCounter(stats.value(), "open_connections") == 1;
+  }));
+
+  shard.gate->store(true, std::memory_order_release);
+  auto result = fresh->Query(MakeQuery("ds", "count:100", 2));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.value().ok()) << result.value().status().ToString();
+
+  // Stop() drains until the orphaned reply is in too; a route that was
+  // never accounted as answered would hold it for the whole drain timeout.
+  const auto stop_start = std::chrono::steady_clock::now();
+  router.Stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - stop_start)
+                           .count();
+  EXPECT_LT(stop_ms, net::kDrainTimeoutMs / 5);
+  // Both queries reached the shard; only the fresh client got a reply.
+  EXPECT_EQ(router.stats().routed, 2u);
+  EXPECT_EQ(router.stats().replies, 1u);
 }
 
 TEST(ClusterRouterTest, DeadShardRejectsWithUnavailable) {

@@ -9,7 +9,7 @@
 // pipelining caps, mid-request disconnects (budget refunded, connection
 // reaped), idle reaping, the connection cap, and graceful stop. Framing,
 // slow writers and graceful stop run against both front doors: the server
-// alone and a cluster::Router in front of it.
+// alone and a cluster::Router in front of it, and so does /stats.
 #include "net/server.h"
 
 #include <dirent.h>
@@ -375,16 +375,6 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   EXPECT_FALSE(frame.ok());
 }
 
-TEST(NetServer, StatsTravelOverTheWire) {
-  ServerHarness harness;
-  auto client = harness.Connect();
-  ASSERT_TRUE(client->Query(MakeWireQuery("t", "ds", "count:500", 1)).ok());
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_NE(stats.value().find("== net =="), std::string::npos);
-  EXPECT_NE(stats.value().find("datasets:"), std::string::npos);
-}
-
 TEST(NetServer, UncompilableQueryIsAnsweredNotDropped) {
   ServerHarness harness;
   auto client = harness.Connect();
@@ -396,9 +386,9 @@ TEST(NetServer, UncompilableQueryIsAnsweredNotDropped) {
 }
 
 // ---------------------------------------------------------------------------
-// Front doors: the server and a router in front of it share one socket core
-// (net/conn.h), so framing errors, slow writers and graceful stop must
-// behave the same at both.
+// Front doors: a router's client side is a net::Server too, so framing
+// errors, slow writers, graceful stop and /stats must behave the same at
+// the server alone and at a router in front of it.
 // ---------------------------------------------------------------------------
 
 enum class FrontDoor { kServer, kRouter };
@@ -429,8 +419,8 @@ struct FrontDoorStack {
   }
 
   uint64_t protocol_errors() const {
-    return router != nullptr ? router->stats().protocol_errors
-                             : shard.server.stats().protocol_errors;
+    const Server& door = router != nullptr ? router->server() : shard.server;
+    return door.stats().protocol_errors;
   }
 
   /// Graceful stop of the door the client talks to.
@@ -519,6 +509,29 @@ TEST_P(NetServerFrontDoor, GracefulStopDrainsInFlightResponses) {
                              << result.status().ToString();
     EXPECT_TRUE(result.value().ok()) << "cycle " << cycle;
   }
+}
+
+// Each door answers /stats with its own block first — the service's
+// report at the server, the routing counters and shard states at the
+// router — then the "== net ==" block of the server the client reached.
+TEST_P(NetServerFrontDoor, StatsTravelOverTheWire) {
+  FrontDoorStack stack(GetParam());
+  auto client = stack.Connect();
+  ASSERT_TRUE(client->Query(MakeWireQuery("t", "ds", "count:500", 1)).ok());
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::string& text = stats.value();
+  const size_t net = text.find("== net ==");
+  ASSERT_NE(net, std::string::npos) << text;
+  if (stack.router != nullptr) {
+    EXPECT_LT(text.find("upa router"), net) << text;
+    EXPECT_LT(text.find("healthy"), net) << text;
+  } else {
+    EXPECT_LT(text.find("datasets:"), net) << text;
+  }
+  const size_t frames_in = text.find("frames_in", net);
+  ASSERT_NE(frames_in, std::string::npos) << text;
+  EXPECT_GE(std::stoull(text.substr(frames_in + 9)), 1u) << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(FrontDoors, NetServerFrontDoor,
