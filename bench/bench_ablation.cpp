@@ -30,23 +30,20 @@ void AblationExclusion() {
   TablePrinter table(
       {"n", "naive (ms)", "scan (ms)", "speedup", "max |diff|"});
   Rng rng(7);
+  constexpr size_t kDim = 4;
   for (size_t n : {100u, 300u, 1000u, 3000u, 10000u}) {
-    std::vector<core::Vec> mapped(n, core::Vec(4));
-    for (auto& m : mapped) {
-      for (double& v : m) v = rng.UniformDouble(-1, 1);
-    }
+    std::vector<double> mapped(n * kDim);
+    for (double& v : mapped) v = rng.UniformDouble(-1, 1);
     Stopwatch naive_watch;
-    auto naive = core::NaiveExclusionAggregate(mapped);
+    auto naive = core::NaiveExclusionAggregate(mapped, kDim);
     double naive_ms = naive_watch.ElapsedMillis();
     Stopwatch scan_watch;
-    auto scan = core::ExclusionAggregate(mapped);
+    auto scan = core::ExclusionAggregate(mapped, kDim);
     double scan_ms = scan_watch.ElapsedMillis();
 
     double max_diff = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < 4; ++j) {
-        max_diff = std::max(max_diff, std::fabs(naive[i][j] - scan[i][j]));
-      }
+    for (size_t i = 0; i < n * kDim; ++i) {
+      max_diff = std::max(max_diff, std::fabs(naive[i] - scan[i]));
     }
     table.AddRow({std::to_string(n), TablePrinter::FormatDouble(naive_ms, 2),
                   TablePrinter::FormatDouble(scan_ms, 2),

@@ -96,11 +96,10 @@ Bundle TimeReleaseBundle(engine::ExecContext& ctx, const rel::Catalog& catalog,
   Rng rng = Rng::ForStream(seed, "bench_exec/phases/" + q.name);
   std::vector<size_t> sample =
       rng.SampleWithoutReplacement(n, std::min(sample_n, n));
-  std::vector<rel::Row> domain_rows;
-  for (size_t i = 0; i < std::min(sample_n, n); ++i) {
-    domain_rows.push_back(data.SampleRow(q.private_table, rng));
-  }
-  std::vector<size_t> all_domain(domain_rows.size());
+  Result<std::shared_ptr<const rel::ColumnarTable>> domain_rows =
+      data.SampleColumns(q.private_table, std::min(sample_n, n), rng);
+  UPA_CHECK(domain_rows.ok());
+  std::vector<size_t> all_domain(domain_rows.value()->num_rows());
   std::iota(all_domain.begin(), all_domain.end(), size_t{0});
 
   auto provenance_pass = [&](const rel::PlanExecutor& exec,
@@ -127,7 +126,7 @@ Bundle TimeReleaseBundle(engine::ExecContext& ctx, const rel::Catalog& catalog,
         rel::ExecOptions domain;
         domain.engine = engine;
         domain.private_table = q.private_table;
-        domain.replace_private_rows = &domain_rows;
+        domain.replace_private_rows = domain_rows.value().get();
         domain.sample_rows = &all_domain;
         domain.partitions = 1;
         domain.cache = &cache;

@@ -73,7 +73,8 @@ Router::Stats Router::stats() const {
       rejected_unavailable_.load(std::memory_order_relaxed);
   s.rejected_backpressure =
       rejected_backpressure_.load(std::memory_order_relaxed);
-  s.shard_reconnects = shard_reconnects_.load(std::memory_order_relaxed);
+  s.shard_link_failures =
+      shard_link_failures_.load(std::memory_order_relaxed);
   s.failed_over_inflight =
       failed_over_inflight_.load(std::memory_order_relaxed);
   s.retried = retried_.load(std::memory_order_relaxed);
@@ -91,7 +92,7 @@ std::string Router::StatsText() const {
      << "  replies               " << s.replies << "\n"
      << "  rejected_unavailable  " << s.rejected_unavailable << "\n"
      << "  rejected_backpressure " << s.rejected_backpressure << "\n"
-     << "  shard_reconnects      " << s.shard_reconnects << "\n"
+     << "  shard_link_failures   " << s.shard_link_failures << "\n"
      << "  failed_over_inflight  " << s.failed_over_inflight << "\n"
      << "  retried               " << s.retried << "\n"
      << "  retry_exhausted       " << s.retry_exhausted << "\n"
@@ -304,7 +305,7 @@ void Router::SendProbe(ShardLink& link) {
 void Router::FailShard(ShardLink& link, const Status& reason) {
   link.conn.reset();
   healthy_[link.index].store(false, std::memory_order_release);
-  shard_reconnects_.fetch_add(1, std::memory_order_relaxed);
+  shard_link_failures_.fetch_add(1, std::memory_order_relaxed);
   const int64_t now = NowNanos();
 
   // Routed-but-unanswered queries: the shard may or may not have journaled

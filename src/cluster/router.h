@@ -122,7 +122,10 @@ class Router {
     uint64_t replies = 0;
     uint64_t rejected_unavailable = 0;
     uint64_t rejected_backpressure = 0;
-    uint64_t shard_reconnects = 0;
+    /// Shard links that failed: a dropped link, a failed or timed-out
+    /// dial, a failed health probe. One killed shard can count more than
+    /// once (its link drops, then a redial fails while it restarts).
+    uint64_t shard_link_failures = 0;
     uint64_t failed_over_inflight = 0;
     /// Keyed queries re-sent to a recovered shard.
     uint64_t retried = 0;
@@ -222,7 +225,7 @@ class Router {
   std::atomic<uint64_t> replies_{0};
   std::atomic<uint64_t> rejected_unavailable_{0};
   std::atomic<uint64_t> rejected_backpressure_{0};
-  std::atomic<uint64_t> shard_reconnects_{0};
+  std::atomic<uint64_t> shard_link_failures_{0};
   std::atomic<uint64_t> failed_over_inflight_{0};
   std::atomic<uint64_t> retried_{0};
   std::atomic<uint64_t> retry_exhausted_{0};

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "relational/columnar.h"
+
 namespace upa::gt {
 
 void GroundTruth::FinalizeFrom(double fx) {
@@ -27,15 +29,15 @@ Result<GroundTruth> ExactPlanGroundTruth(
     const std::string& private_table, size_t num_records,
     const std::function<rel::Row(Rng&)>& sample_domain_row,
     size_t n_additions, uint64_t seed,
-    const std::vector<rel::Row>* replace_private_rows) {
+    const rel::ColumnarTable* replace_private_rows) {
   if (replace_private_rows != nullptr) {
-    UPA_CHECK_MSG(num_records == replace_private_rows->size(),
+    UPA_CHECK_MSG(num_records == replace_private_rows->num_rows(),
                   "num_records must match the replacement row count");
   }
   // One provenance pass with every record sampled gives f(x) and every
   // record's additive influence (0 for records that never reach the
   // aggregate).
-  auto influences = [&](const std::vector<rel::Row>* rows, size_t n)
+  auto influences = [&](const rel::ColumnarTable* rows, size_t n)
       -> Result<rel::ExecResult> {
     std::vector<size_t> all(n);
     std::iota(all.begin(), all.end(), size_t{0});
@@ -67,7 +69,10 @@ Result<GroundTruth> ExactPlanGroundTruth(
     for (size_t i = 0; i < n_additions; ++i) {
       synthetic.push_back(sample_domain_row(rng));
     }
-    Result<rel::ExecResult> added = influences(&synthetic, n_additions);
+    // The pass over x above found the private table in the catalog.
+    const rel::Schema& schema = executor.catalog().at(private_table)->schema();
+    Result<rel::ExecResult> added = influences(
+        rel::ColumnarTable::Build(schema, synthetic).get(), n_additions);
     if (!added.ok()) return added.status();
     for (double influence : added.value().sample_contributions) {
       gt.neighbour_outputs.push_back(gt.output + influence);

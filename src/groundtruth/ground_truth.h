@@ -44,12 +44,14 @@ struct GroundTruth {
 
 /// Exact-incremental ground truth for a plan query. `num_records` is the
 /// size of the private table (or of `replace_private_rows` when given).
+/// The addition neighbours are rows of `sample_domain_row`, built into
+/// columns against the private table's schema.
 Result<GroundTruth> ExactPlanGroundTruth(
     const rel::PlanExecutor& executor, const rel::PlanPtr& plan,
     const std::string& private_table, size_t num_records,
     const std::function<rel::Row(Rng&)>& sample_domain_row,
     size_t n_additions, uint64_t seed,
-    const std::vector<rel::Row>* replace_private_rows = nullptr);
+    const rel::ColumnarTable* replace_private_rows = nullptr);
 
 /// Naive ground truth from a rerun closure: run(excluded) must return the
 /// query output with record `excluded` removed (or the full output for

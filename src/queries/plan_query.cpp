@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/cancel.h"
+#include "relational/columnar.h"
 #include "relational/optimizer.h"
 
 namespace upa::queries {
@@ -11,7 +12,7 @@ namespace upa::queries {
 core::QueryInstance MakePlanQuery(
     engine::ExecContext* ctx, std::shared_ptr<const rel::PlanExecutor> executor,
     const tpch::TpchDataset* data, const tpch::TpchQuery& query,
-    std::shared_ptr<const std::vector<rel::Row>> private_rows_override,
+    std::shared_ptr<const rel::ColumnarTable> private_rows_override,
     bool optimize) {
   UPA_CHECK(ctx != nullptr && executor != nullptr && data != nullptr);
 
@@ -26,7 +27,7 @@ core::QueryInstance MakePlanQuery(
   instance.name = query.name;
   instance.ctx = ctx;
   instance.num_records = private_rows_override != nullptr
-                             ? private_rows_override->size()
+                             ? private_rows_override->num_rows()
                              : data->table(query.private_table).NumRows();
   // Count/Sum queries release the aggregate itself: post = identity,
   // scalarize = first coordinate (defaults).
@@ -45,12 +46,17 @@ core::QueryInstance MakePlanQuery(
         // A pass cut short by the request's cancel token or deadline hands
         // back the batches built so far; the runner's post-map check turns
         // the trip into the release's status (and the service refunds the
-        // charge). Any other failure is a bug in the query.
-        auto tripped = [](const Status& status) {
+        // charge). Any other failure is the query's (an unknown column,
+        // say): it rides back as the batches' status, which the runner
+        // returns in place of a release.
+        auto failed = [&out](const Status& status) {
           const CancelToken* token = CancelScope::Current();
-          return token != nullptr && token->cancelled() &&
-                 (status.code() == StatusCode::kCancelled ||
-                  status.code() == StatusCode::kDeadlineExceeded);
+          const bool tripped =
+              token != nullptr && token->cancelled() &&
+              (status.code() == StatusCode::kCancelled ||
+               status.code() == StatusCode::kDeadlineExceeded);
+          if (!tripped) out.status = status;
+          return std::move(out);
         };
 
         // --- 1. Provenance pass: one scan of the whole private table gives
@@ -68,41 +74,30 @@ core::QueryInstance MakePlanQuery(
         Result<rel::ExecResult> r = ctx->TimePhase(
             "upa/plan_provenance",
             [&] { return executor->Execute(query.plan, opts); });
-        if (!r.ok() && tripped(r.status())) return out;
-        UPA_CHECK_MSG(r.ok(),
-                      "provenance pass failed: " + r.status().ToString());
-        out.sprime_partials.reserve(num_partitions);
-        for (double partial : r.value().partition_outputs) {
-          out.sprime_partials.push_back(core::Vec{partial});
-        }
-        out.sample_mapped.reserve(sample.size());
-        for (double c : r.value().sample_contributions) {
-          out.sample_mapped.push_back(core::Vec{c});
-        }
+        if (!r.ok()) return failed(r.status());
+        // Each record maps to its one additive contribution (dim 1), so the
+        // pass's own buffers are the batches.
+        out.sprime_partials.values = std::move(r.value().partition_outputs);
+        out.sample_mapped.values = std::move(r.value().sample_contributions);
 
-        // --- 2. Domain pass: synthetic rows standing in for D \ x, every
-        //        one of them sampled, so the same one pass gives each its
-        //        M(s̄_i). A hinted release asks for none and skips it.
+        // --- 2. Domain pass: synthetic rows standing in for D \ x, drawn
+        //        straight into columns, every one of them sampled, so the
+        //        same one pass gives each its M(s̄_i). A hinted release asks
+        //        for none and skips it.
         if (num_domain == 0) return out;
         Rng rng = Rng::ForStream(seed, "upa/domain/" + query.name);
-        std::vector<rel::Row> synthetic;
-        synthetic.reserve(num_domain);
-        for (size_t i = 0; i < num_domain; ++i) {
-          synthetic.push_back(data->SampleRow(query.private_table, rng));
-        }
+        Result<std::shared_ptr<const rel::ColumnarTable>> synthetic =
+            data->SampleColumns(query.private_table, num_domain, rng);
+        if (!synthetic.ok()) return failed(synthetic.status());
         std::vector<size_t> all(num_domain);
         std::iota(all.begin(), all.end(), size_t{0});
-        opts.replace_private_rows = &synthetic;
+        opts.replace_private_rows = synthetic.value().get();
         opts.sample_rows = &all;
         opts.partitions = 1;
         r = ctx->TimePhase("upa/plan_domain",
                            [&] { return executor->Execute(query.plan, opts); });
-        if (!r.ok() && tripped(r.status())) return out;
-        UPA_CHECK_MSG(r.ok(), "domain run failed: " + r.status().ToString());
-        out.domain_mapped.reserve(num_domain);
-        for (double c : r.value().sample_contributions) {
-          out.domain_mapped.push_back(core::Vec{c});
-        }
+        if (!r.ok()) return failed(r.status());
+        out.domain_mapped.values = std::move(r.value().sample_contributions);
         return out;
       };
   return instance;

@@ -9,15 +9,20 @@
 //      row adds it to its enforcer partition (Algorithm 1's ReduceByPar on
 //      S'). R(M(S')) is thus computed once, in the same scan as the sample.
 //   2. Domain pass — the plan over n synthetic private-table rows (the
-//      "record added from D \ x" neighbours), every one of them sampled.
-//      Only an unhinted release needs them (num_domain > 0); a hinted one
+//      "record added from D \ x" neighbours), drawn straight into columns
+//      (tpch::TpchDataset::SampleColumns), every one of them sampled. Only
+//      an unhinted release needs them (num_domain > 0); a hinted one
 //      reuses a cached sensitivity and skips the pass.
 // A pass cut short by the request's cancel token or deadline returns the
 // batches built so far; the runner's post-map check turns the trip into
-// the release's status. Any other pass failure aborts.
+// the release's status. Any other pass failure (an unknown column or join
+// key, a table with no record domain) becomes MappedBatches::status,
+// which the runner returns: a bad query fails its release, not the
+// process.
 //
 // The mapped value of private record r is its additive contribution to the
-// aggregate (via join-index provenance); the reducer is scalar addition.
+// aggregate (via join-index provenance); the reducer is scalar addition,
+// so every batch has dimension 1 and is the pass's own result buffer.
 #pragma once
 
 #include <memory>
@@ -31,7 +36,8 @@
 namespace upa::queries {
 
 /// `private_rows_override`, when set, substitutes the private table's rows
-/// (a churned copy) for every phase run; sample indices address it.
+/// (a churned copy, built into columns once) for every phase run; sample
+/// indices address it.
 ///
 /// By default the plan passes through the cost-based optimizer first
 /// (relational/optimizer.h) with the query's private table exempted from
@@ -41,7 +47,7 @@ namespace upa::queries {
 core::QueryInstance MakePlanQuery(
     engine::ExecContext* ctx, std::shared_ptr<const rel::PlanExecutor> executor,
     const tpch::TpchDataset* data, const tpch::TpchQuery& query,
-    std::shared_ptr<const std::vector<rel::Row>> private_rows_override =
+    std::shared_ptr<const rel::ColumnarTable> private_rows_override =
         nullptr,
     bool optimize = true);
 

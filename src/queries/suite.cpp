@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/dataset.h"
+#include "relational/columnar.h"
 
 namespace upa::queries {
 
@@ -116,7 +117,7 @@ Result<gt::GroundTruth> QuerySuite::ComputeGroundTruth(
                                       seed);
   }
   const tpch::TpchQuery& query = PlanFor(name);
-  const std::vector<rel::Row>* replacement =
+  const rel::ColumnarTable* replacement =
       churn != nullptr ? churn->plan_rows.get() : nullptr;
   return gt::ExactPlanGroundTruth(
       *executor_, query.plan, query.private_table,
@@ -169,8 +170,8 @@ ChurnedData QuerySuite::MakeChurn(const std::string& name, size_t remove_count,
   UPA_CHECK(remove_count <= n);
   std::vector<size_t> removed =
       rng.SampleWithoutReplacement(n, remove_count);
-  churn.plan_rows = std::make_shared<const std::vector<rel::Row>>(
-      tpch_->RowsWithout(table, removed));
+  churn.plan_rows = rel::ColumnarTable::Build(
+      tpch_->table(table).schema(), tpch_->RowsWithout(table, removed));
   return churn;
 }
 
@@ -184,7 +185,7 @@ size_t QuerySuite::NumPrivateRecords(const std::string& name,
     return ml_->points()->size();
   }
   if (churn != nullptr && churn->plan_rows != nullptr) {
-    return churn->plan_rows->size();
+    return churn->plan_rows->num_rows();
   }
   return tpch_->table(info.private_table).NumRows();
 }

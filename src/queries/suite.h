@@ -39,7 +39,8 @@ struct QueryInfo {
 /// `removed` random records dropped (the per-run record churn of the
 /// paper's Fig 2(b) methodology).
 struct ChurnedData {
-  std::shared_ptr<const std::vector<rel::Row>> plan_rows;
+  /// The churned private table, built into columns once.
+  std::shared_ptr<const rel::ColumnarTable> plan_rows;
   std::shared_ptr<const std::vector<ml::MlPoint>> ml_points;
   size_t removed = 0;
 };

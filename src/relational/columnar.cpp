@@ -57,20 +57,88 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(
     Schema schema, const std::vector<Row>& rows, size_t fragment_rows) {
   // No Status channel here (delay/abort actions only; see failpoint.h).
   UPA_FAILPOINT_HIT("columnar/build");
-  auto ct = std::shared_ptr<ColumnarTable>(new ColumnarTable());
-  ct->schema_ = std::move(schema);
-  ct->num_rows_ = rows.size();
-  UPA_CHECK_MSG(rows.size() < std::numeric_limits<uint32_t>::max(),
-                "table too large for columnar row ids");
-  const size_t ncols = ct->schema_.NumColumns();
+  const size_t ncols = schema.NumColumns();
   for (const Row& row : rows) {
     UPA_CHECK_MSG(row.size() == ncols, "row arity mismatch in columnar build");
   }
+  Builder builder(std::move(schema), rows.size());
+  for (const Row& row : rows) {
+    for (const Value& cell : row) builder.Cell(cell);
+  }
+  return std::move(builder).Finish(fragment_rows);
+}
+
+Row ColumnarTable::RowAt(size_t i) const {
+  Row row;
+  row.reserve(columns_.size());
+  for (const Column& col : columns_) {
+    switch (col.type) {
+      case ValueType::kInt: row.emplace_back(col.ints[i]); break;
+      case ValueType::kDouble: row.emplace_back(col.doubles[i]); break;
+      case ValueType::kString:
+        row.emplace_back((*col.dict)[col.codes[i]]);
+        break;
+    }
+  }
+  return row;
+}
+
+ColumnarTable::Builder::Builder(Schema schema, size_t expected_rows)
+    : schema_(std::move(schema)), drafts_(schema_.NumColumns()) {
+  for (size_t c = 0; c < drafts_.size(); ++c) {
+    switch (schema_.column(c).type) {
+      case ValueType::kInt: drafts_[c].ints.reserve(expected_rows); break;
+      case ValueType::kDouble: drafts_[c].doubles.reserve(expected_rows); break;
+      case ValueType::kString: drafts_[c].strings.reserve(expected_rows); break;
+    }
+  }
+}
+
+void ColumnarTable::Builder::Cell(const Value& v) {
+  switch (TypeOf(v)) {
+    case ValueType::kInt: Int(std::get<int64_t>(v)); break;
+    case ValueType::kDouble: Double(std::get<double>(v)); break;
+    case ValueType::kString: String(std::get<std::string>(v)); break;
+  }
+}
+
+void ColumnarTable::Builder::Draft::AddInt(int64_t v) {
+  has_numeric = true;
+  if (is_double) {
+    doubles.push_back(static_cast<double>(v));  // == AsNumeric
+  } else {
+    ints.push_back(v);
+  }
+}
+
+void ColumnarTable::Builder::Draft::AddDouble(double v) {
+  has_numeric = true;
+  if (!is_double) {
+    is_double = true;
+    doubles.reserve(std::max(ints.capacity(), ints.size() + 1));
+    for (int64_t i : ints) doubles.push_back(static_cast<double>(i));
+    ints = {};
+  }
+  doubles.push_back(v);
+}
+
+std::shared_ptr<const ColumnarTable> ColumnarTable::Builder::Finish(
+    size_t fragment_rows) && {
+  const size_t ncols = drafts_.size();
+  UPA_CHECK_MSG(ncols == 0 ? cells_ == 0 : cells_ % ncols == 0,
+                "row arity mismatch in columnar build");
+  const size_t num_rows = ncols == 0 ? 0 : cells_ / ncols;
+  UPA_CHECK_MSG(num_rows < std::numeric_limits<uint32_t>::max(),
+                "table too large for columnar row ids");
+  auto ct = std::shared_ptr<ColumnarTable>(new ColumnarTable());
+  ct->schema_ = std::move(schema_);
+  ct->num_rows_ = num_rows;
 
   ct->columns_.resize(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     Column& col = ct->columns_[c];
-    if (rows.empty()) {
+    Draft& draft = drafts_[c];
+    if (num_rows == 0) {
       // No cells to inspect: use the declared type (comparisons against an
       // empty column never execute, but compilation needs a dictionary).
       col.type = ct->schema_.column(c).type;
@@ -79,53 +147,38 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(
       }
       continue;
     }
-    bool has_string = false, has_double = false, has_numeric = false;
-    for (const Row& row : rows) {
-      switch (TypeOf(row[c])) {
-        case ValueType::kString: has_string = true; break;
-        case ValueType::kDouble: has_double = true; has_numeric = true; break;
-        case ValueType::kInt: has_numeric = true; break;
-      }
-    }
     // Columns are typed by their *actual* cells, not the declared schema
     // type: an all-int64 column stays an int column even when declared
     // double, so strict accessors (AsInt join keys) behave like the row
     // oracle. A column mixing strings with numerics has no single physical
     // type — the row store tolerates that lazily, columnar storage cannot.
-    UPA_CHECK_MSG(!(has_string && has_numeric),
+    UPA_CHECK_MSG(draft.strings.empty() || !draft.has_numeric,
                   "column mixes string and numeric cells: " +
                       ct->schema_.column(c).name);
-    if (has_string) {
+    if (!draft.strings.empty()) {
       col.type = ValueType::kString;
-      auto dict = std::make_shared<std::vector<std::string>>();
-      dict->reserve(rows.size());
-      for (const Row& row : rows) {
-        dict->push_back(std::get<std::string>(row[c]));
-      }
-      std::sort(dict->begin(), dict->end());
-      dict->erase(std::unique(dict->begin(), dict->end()), dict->end());
-      dict->shrink_to_fit();
-      col.codes.reserve(rows.size());
-      for (const Row& row : rows) {
-        const std::string& s = std::get<std::string>(row[c]);
+      // The sorted, distinct cells are the dictionary; a cell's code is its
+      // rank among them, so code order == string order.
+      std::vector<std::string_view> sorted = draft.strings;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      col.codes.reserve(num_rows);
+      for (std::string_view cell : draft.strings) {
         col.codes.push_back(static_cast<uint32_t>(
-            std::lower_bound(dict->begin(), dict->end(), s) - dict->begin()));
+            std::lower_bound(sorted.begin(), sorted.end(), cell) -
+            sorted.begin()));
       }
-      col.dict = std::move(dict);
-    } else if (has_double) {
+      col.dict = std::make_shared<const std::vector<std::string>>(
+          sorted.begin(), sorted.end());
+    } else if (draft.is_double) {
       col.type = ValueType::kDouble;
-      col.doubles.reserve(rows.size());
-      for (const Row& row : rows) col.doubles.push_back(AsNumeric(row[c]));
+      col.doubles = std::move(draft.doubles);
     } else {
       col.type = ValueType::kInt;
-      col.ints.reserve(rows.size());
-      for (const Row& row : rows) {
-        col.ints.push_back(std::get<int64_t>(row[c]));
-      }
+      col.ints = std::move(draft.ints);
     }
   }
 
-  const size_t num_rows = rows.size();
   const size_t frag_rows =
       fragment_rows == 0 ? DefaultFragmentRows() : fragment_rows;
   ct->fragment_rows_ = frag_rows;
@@ -446,6 +499,7 @@ void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
   const size_t morsels = ctx->pool().ParallelForMorsels(n, grain, fn, &timings);
   ctx->metrics().RecordMorselRun(phase, timings.seconds);
   ctx->metrics().AddPhaseTasks(phase, morsels);
+  ctx->metrics().AddTasks(morsels);
 }
 
 namespace {
@@ -830,10 +884,33 @@ SamplePass::SamplePass(const std::vector<size_t>& rows, size_t partitions)
 }
 
 void SamplePass::Add(size_t row, double weight) {
-  const size_t slot =
-      std::lower_bound(rows_.begin(), rows_.end(), row) - rows_.begin();
-  slots_[slot].Add(weight);
+  Slot& slot =
+      slots_[std::lower_bound(rows_.begin(), rows_.end(), row) - rows_.begin()];
+  if (slot.adds == 0) {
+    slot.weight = weight;
+    slot.adds = 1;
+  } else {
+    if (slot.adds == 1) {
+      slot.spilled = static_cast<uint32_t>(spilled_.size());
+      spilled_.emplace_back().Add(slot.weight);
+      slot.adds = kSpilled;
+    }
+    spilled_[slot.spilled].Add(weight);
+  }
   sampled_parts_[row % sampled_parts_.size()].Add(weight);
+}
+
+double SamplePass::Round(const Slot& slot) const {
+  switch (slot.adds) {
+    case 0:
+      return 0.0;
+    case 1:
+      // What an ExactSum of one value rounds to.
+      return std::isnan(slot.weight) ? std::numeric_limits<double>::quiet_NaN()
+                                     : slot.weight;
+    default:
+      return spilled_[slot.spilled].Round();
+  }
 }
 
 ExecResult SamplePass::Finish(const std::vector<ExactSum>& partition_sums,
@@ -850,8 +927,8 @@ ExecResult SamplePass::Finish(const std::vector<ExactSum>& partition_sums,
   }
   result.output = total.Round();
   result.sample_contributions.reserve(slots_.size());
-  for (const ExactSum& slot : slots_) {
-    result.sample_contributions.push_back(slot.Round());
+  for (const Slot& slot : slots_) {
+    result.sample_contributions.push_back(Round(slot));
   }
   return result;
 }
@@ -969,9 +1046,12 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
   // The private table's include/replace options are plain index-vector
   // surgery: provenance is the row-index itself. The one provenance pass
   // scans the identity, so it keeps the dense kernels.
+  // A replacement outlives the pass (ExecOptions' contract), so it is bound
+  // without taking ownership.
   bind.table = options.replace_private_rows != nullptr
-                   ? ColumnarTable::Build(table->schema(),
-                                          *options.replace_private_rows)
+                   ? std::shared_ptr<const ColumnarTable>(
+                         std::shared_ptr<const ColumnarTable>(),
+                         options.replace_private_rows)
                    : table->Columnar();
   if (options.include_rows != nullptr) {
     // Validated by PlanExecutor::Execute: sorted, distinct, in range.

@@ -31,6 +31,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/exact_sum.h"
@@ -97,16 +98,25 @@ struct Column {
 
 class ColumnarTable {
  public:
+  class Builder;
+
   /// Builds the columnar form of `rows` against `schema`, partitioned into
-  /// fragments of `fragment_rows` rows (0 → DefaultFragmentRows()). Aborts
-  /// on columns mixing string and numeric cells (the row store tolerates
-  /// them lazily; columnar storage is typed per column).
+  /// fragments of `fragment_rows` rows (0 → DefaultFragmentRows()): feeds
+  /// every cell to a Builder. Aborts on columns mixing string and numeric
+  /// cells (the row store tolerates them lazily; columnar storage is typed
+  /// per column).
   static std::shared_ptr<const ColumnarTable> Build(
       Schema schema, const std::vector<Row>& rows, size_t fragment_rows = 0);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   const Column& column(size_t i) const { return columns_[i]; }
+
+  /// Row `i` read back out of the columns, one Value per cell of its
+  /// column's type (the row oracle's view of a table that was built
+  /// straight into columns). Value-identical to the row the cells came
+  /// from whenever every cell of a column had the same type.
+  Row RowAt(size_t i) const;
 
   /// Fragment directory: ceil(num_rows / fragment_rows) contiguous row
   /// ranges with zone maps (empty for an empty table).
@@ -128,6 +138,57 @@ class ColumnarTable {
   std::vector<Column> columns_;
   std::vector<FragmentInfo> fragments_;
   std::shared_ptr<const SelVector> identity_;
+};
+
+/// The one way a ColumnarTable is made. Cells arrive row-major, one call
+/// per cell in schema order, and land in typed columns; Finish sorts the
+/// string dictionaries and cuts the fragments and their zone maps. Build
+/// feeds it rows; a domain draw (tpch::TpchDataset::SampleColumns) feeds it
+/// the drawn values directly, so no rel::Row is made for them.
+///
+/// A column is typed by its cells, not its declared type: int cells make
+/// an int column until a double arrives, which turns the column into
+/// doubles (earlier int cells cast as AsNumeric does). A column with no
+/// cells takes its declared type. String cells are views: what they point
+/// at must outlive Finish.
+class ColumnarTable::Builder {
+ public:
+  /// `expected_rows` only sizes the column buffers.
+  Builder(Schema schema, size_t expected_rows);
+
+  void Int(int64_t v) { Next().AddInt(v); }
+  void Double(double v) { Next().AddDouble(v); }
+  void String(std::string_view v) { Next().AddString(v); }
+  void Cell(const Value& v);
+
+  /// Aborts unless every row is whole, when a column mixes string and
+  /// numeric cells, or past 2^32 - 1 rows. `fragment_rows` as in Build.
+  std::shared_ptr<const ColumnarTable> Finish(size_t fragment_rows = 0) &&;
+
+ private:
+  struct Draft {
+    bool is_double = false;
+    bool has_numeric = false;
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<std::string_view> strings;
+
+    void AddInt(int64_t v);
+    void AddDouble(double v);
+    void AddString(std::string_view v) { strings.push_back(v); }
+  };
+
+  Draft& Next() {
+    Draft& d = drafts_[next_];
+    if (++next_ == drafts_.size()) next_ = 0;
+    ++cells_;
+    return d;
+  }
+
+  Schema schema_;
+  std::vector<Draft> drafts_;
+  size_t next_ = 0;
+  size_t cells_ = 0;
 };
 
 /// Zone-map test: true when some row of `table`'s fragment `frag` *might*
@@ -192,7 +253,8 @@ std::vector<uint8_t> MatchFragments(engine::ExecContext* ctx,
                                     const ColumnarTable& table);
 
 /// Runs fn over morsels of [0, n) on the pool's shared-cursor scheduler and
-/// records the "morsel/<phase>" durations and task fan-out. A tripped cancel
+/// records the "morsel/<phase>" durations and task fan-out; each morsel
+/// counts as one launched engine task (tasks_launched). A tripped cancel
 /// token sheds morsels, so the output is partial until checked
 /// (FinishAggregate does).
 void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
@@ -210,6 +272,13 @@ struct SampleHit {
 /// private rows, one exact slot sum per sampled record, and the sampled
 /// rows' exact sum per enforcer partition. Contains() is read-only and safe
 /// from kernel threads; Add() runs on the folding thread.
+///
+/// The slots are one flat array. A slot that got one weight holds it
+/// inline and rounds to it (a NaN to the canonical quiet NaN, as
+/// ExactSum::Round does); only a second add moves the slot into an
+/// ExactSum. Every sampled row of a Count or of a Sum over one scan gets
+/// exactly one weight, so such a pass makes no per-record allocation. An
+/// empty slot rounds to +0.0.
 class SamplePass {
  public:
   /// `rows` must be sorted and distinct (PlanExecutor::Execute checks);
@@ -230,10 +299,20 @@ class SamplePass {
                     size_t result_rows) const;
 
  private:
+  struct Slot {
+    double weight = 0.0;   // the one weight, while adds == 1
+    uint32_t adds = 0;     // 0, 1, or kSpilled
+    uint32_t spilled = 0;  // index into spilled_, once adds == kSpilled
+  };
+  static constexpr uint32_t kSpilled = 2;
+
+  double Round(const Slot& slot) const;
+
   const std::vector<size_t>& rows_;
   size_t limit_ = 0;
   std::vector<uint64_t> bits_;
-  std::vector<ExactSum> slots_;
+  std::vector<Slot> slots_;
+  std::vector<ExactSum> spilled_;
   std::vector<ExactSum> sampled_parts_;
 };
 

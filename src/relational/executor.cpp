@@ -121,22 +121,25 @@ class Evaluator {
       return Rel{ScanNonPrivate(table), table->schema()};
     }
 
-    // Base rows of the private table: the catalog's or the replacement's.
-    // include_rows (validated by Execute) selects from the base (the one
-    // provenance pass scans all of it); provenance is the row's index
-    // within the base.
-    const std::vector<Row>* base = options_.replace_private_rows != nullptr
-                                       ? options_.replace_private_rows
-                                       : &table->rows();
+    // Base rows of the private table: the catalog's, or the replacement's
+    // read back out of its columns. include_rows (validated by Execute)
+    // selects from the base (the one provenance pass scans all of it);
+    // provenance is the row's index within the base.
+    const ColumnarTable* replaced = options_.replace_private_rows;
+    auto base_row = [&](size_t i) {
+      return replaced != nullptr ? replaced->RowAt(i) : table->rows()[i];
+    };
     std::vector<ProvRow> rows;
     if (options_.include_rows != nullptr) {
       rows.reserve(options_.include_rows->size());
       for (size_t idx : *options_.include_rows) {
-        rows.push_back({(*base)[idx], idx});
+        rows.push_back({base_row(idx), idx});
       }
     } else {
-      rows.reserve(base->size());
-      for (size_t i = 0; i < base->size(); ++i) rows.push_back({(*base)[i], i});
+      const size_t n =
+          replaced != nullptr ? replaced->num_rows() : table->NumRows();
+      rows.reserve(n);
+      for (size_t i = 0; i < n; ++i) rows.push_back({base_row(i), i});
     }
     return Rel{engine::Dataset<ProvRow>::FromVector(ctx_, std::move(rows),
                                                     engine_partitions_),
@@ -244,7 +247,7 @@ Status ValidateRowList(const Catalog& catalog, const ExecOptions& options,
   // An unknown private table is the engines' NotFound to report.
   auto it = catalog.find(options.private_table);
   const size_t base_rows = options.replace_private_rows != nullptr
-                               ? options.replace_private_rows->size()
+                               ? options.replace_private_rows->num_rows()
                            : it != catalog.end() ? it->second->NumRows()
                                                  : SIZE_MAX;
   if (!rows.empty() && rows.back() >= base_rows) {
@@ -256,6 +259,22 @@ Status ValidateRowList(const Catalog& catalog, const ExecOptions& options,
 /// Checks the provenance options against each other and the private
 /// table's base rows (InvalidArgument on any misuse).
 Status ValidateOptions(const Catalog& catalog, const ExecOptions& options) {
+  if (options.replace_private_rows != nullptr) {
+    auto it = catalog.find(options.private_table);
+    const std::vector<ColumnDef>& got =
+        options.replace_private_rows->schema().columns();
+    if (it != catalog.end() &&
+        !std::equal(got.begin(), got.end(),
+                    it->second->schema().columns().begin(),
+                    it->second->schema().columns().end(),
+                    [](const ColumnDef& a, const ColumnDef& b) {
+                      return a.name == b.name && a.type == b.type;
+                    })) {
+      return Status::InvalidArgument(
+          "replace_private_rows does not have the columns of " +
+          options.private_table);
+    }
+  }
   if (options.include_rows != nullptr) {
     UPA_RETURN_IF_ERROR(
         ValidateRowList(catalog, options, *options.include_rows,

@@ -56,9 +56,12 @@ struct ExecOptions {
   /// include of their complement.
   const std::vector<size_t>* include_rows = nullptr;
   /// If set: replace the private table's rows entirely (synthetic "record
-  /// added" neighbours; churned datasets). Provenance = position in this
-  /// vector. include_rows and sample_rows compose on top.
-  const std::vector<Row>* replace_private_rows = nullptr;
+  /// added" neighbours, drawn straight into columns; churned datasets,
+  /// built into columns once). Its columns must be the private table's.
+  /// Provenance = row position in this table; the row oracle reads its rows
+  /// back out of the columns (ColumnarTable::RowAt). include_rows and
+  /// sample_rows compose on top.
+  const ColumnarTable* replace_private_rows = nullptr;
   /// If set: the one provenance pass. Sorted, distinct private-row indices
   /// (the UPA sample S). The whole private table is scanned once (only S on
   /// an S′ memo hit, see PlanExecutor::Execute); a surviving row descending
@@ -126,6 +129,9 @@ class PlanExecutor {
 
   /// Entries in the S′ memo (at most kMemoCapacity).
   size_t MemoEntries() const;
+
+  /// The tables plans run against.
+  const Catalog& catalog() const { return *catalog_; }
 
  private:
   Result<ExecResult> ExecuteOnePass(const PlanPtr& plan,

@@ -1,8 +1,11 @@
 #include "tpch/generator.h"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "common/status.h"
+#include "relational/columnar.h"
 
 namespace upa::tpch {
 
@@ -72,6 +75,136 @@ const T& PickUniform(const std::vector<T>& pool, Rng& rng) {
   return pool[rng.UniformU64(pool.size())];
 }
 
+/// Appends records to `rows`, one rel::Row per `columns` cells. The other
+/// sink is rel::ColumnarTable::Builder, which appends them to typed columns.
+class RowSink {
+ public:
+  RowSink(std::vector<Row>& rows, size_t columns)
+      : rows_(rows), columns_(columns) {}
+  void Int(int64_t v) { Next().emplace_back(v); }
+  void Double(double v) { Next().emplace_back(v); }
+  void String(std::string_view v) { Next().emplace_back(std::string(v)); }
+
+ private:
+  /// The row the next cell belongs to: a new one once the last is whole.
+  Row& Next() {
+    if (rows_.empty() || rows_.back().size() == columns_) {
+      rows_.emplace_back().reserve(columns_);
+    }
+    return rows_.back();
+  }
+
+  std::vector<Row>& rows_;
+  const size_t columns_;
+};
+
+// One definition of each table's draws, written through a sink (RowSink or
+// rel::ColumnarTable::Builder) in schema order. One draw per statement:
+// the order of a call's arguments is unspecified, and the draws must come
+// in the same order whichever sink takes them.
+
+template <typename Sink>
+void DrawLineitem(const TpchConfig& config, Rng& rng, int64_t orderkey,
+                  Sink& out) {
+  out.Int(orderkey);
+  out.Int(static_cast<int64_t>(
+      rng.Zipf(config.num_parts(), config.reference_skew)));
+  out.Int(static_cast<int64_t>(
+      rng.Zipf(config.num_suppliers(), config.reference_skew)));
+  const double quantity = 1.0 + static_cast<double>(rng.UniformU64(50));
+  out.Double(quantity);
+  out.Double(quantity * rng.UniformDouble(900.0, 1100.0));
+  out.Double(0.01 * static_cast<double>(rng.UniformU64(11)));  // 0..0.10
+  const int64_t shipdate = rng.UniformInt(0, kDateSpanDays - 1);
+  out.Int(shipdate);
+  out.Int(std::min<int64_t>(kDateSpanDays - 1,
+                            shipdate + rng.UniformInt(0, 60)));
+  out.Int(std::min<int64_t>(kDateSpanDays - 1,
+                            shipdate + rng.UniformInt(1, 45)));
+  out.String(rng.Bernoulli(0.25) ? "R" : "N");
+}
+
+template <typename Sink>
+void DrawOrders(const TpchConfig& config, Rng& rng, int64_t orderkey,
+                Sink& out) {
+  out.Int(orderkey);
+  out.Int(static_cast<int64_t>(1 + rng.UniformU64(config.num_customers())));
+  out.Int(rng.UniformInt(0, kDateSpanDays - 1));
+  out.String(PickUniform(OrderPriorities(), rng));
+  out.String(rng.Bernoulli(0.45) ? "F" : "O");
+}
+
+template <typename Sink>
+void DrawCustomer(Rng& rng, int64_t custkey, Sink& out) {
+  out.Int(custkey);
+  out.Int(static_cast<int64_t>(rng.UniformU64(TpchConfig::kNumNations)));
+  out.String(PickUniform(MarketSegments(), rng));
+}
+
+template <typename Sink>
+void DrawPart(Rng& rng, int64_t partkey, Sink& out) {
+  out.Int(partkey);
+  out.String(PickUniform(Brands(), rng));
+  out.String(PickUniform(PartTypes(), rng));
+  out.Int(static_cast<int64_t>(1 + rng.UniformU64(50)));
+}
+
+template <typename Sink>
+void DrawSupplier(Rng& rng, int64_t suppkey, Sink& out) {
+  out.Int(suppkey);
+  // Round-robin nation assignment guarantees every nation has suppliers at
+  // any scale (Q11/Q21 filter on specific nations).
+  out.Int((suppkey - 1) % TpchConfig::kNumNations);
+  out.Int(rng.Bernoulli(0.05) ? 1 : 0);
+}
+
+template <typename Sink>
+void DrawPartsupp(Rng& rng, int64_t partkey, int64_t suppkey, Sink& out) {
+  out.Int(partkey);
+  out.Int(suppkey);
+  out.Int(static_cast<int64_t>(1 + rng.UniformU64(9999)));
+  out.Double(rng.UniformDouble(1.0, 1000.0));
+}
+
+/// Draws `n` records of `table` from its record domain D into `out`, each
+/// a key and then its table's draws. False for a table with no domain
+/// (nation).
+template <typename Sink>
+bool DrawDomain(const TpchConfig& config, const std::string& table, size_t n,
+                Rng& rng, Sink& out) {
+  // A fresh key beyond the generated range [1, count]: a new record, not a
+  // duplicate of an existing one.
+  auto fresh_key = [&rng](size_t count) {
+    return static_cast<int64_t>(count + 1 + rng.UniformU64(count));
+  };
+  auto skewed_key = [&](size_t count) {
+    return static_cast<int64_t>(rng.Zipf(count, config.reference_skew));
+  };
+  if (table != "lineitem" && table != "orders" && table != "partsupp" &&
+      table != "customer" && table != "supplier" && table != "part") {
+    return false;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (table == "lineitem") {
+      const auto orderkey =
+          static_cast<int64_t>(1 + rng.UniformU64(config.num_orders));
+      DrawLineitem(config, rng, orderkey, out);
+    } else if (table == "orders") {
+      DrawOrders(config, rng, fresh_key(config.num_orders), out);
+    } else if (table == "partsupp") {
+      const int64_t partkey = skewed_key(config.num_parts());
+      DrawPartsupp(rng, partkey, skewed_key(config.num_suppliers()), out);
+    } else if (table == "customer") {
+      DrawCustomer(rng, fresh_key(config.num_customers()), out);
+    } else if (table == "supplier") {
+      DrawSupplier(rng, fresh_key(config.num_suppliers()), out);
+    } else {
+      DrawPart(rng, fresh_key(config.num_parts()), out);
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 const std::vector<std::string>& Brands() {
@@ -111,64 +244,6 @@ const std::vector<std::string>& NationNames() {
   return kNations;
 }
 
-Row TpchDataset::MakeLineitemRow(Rng& rng, int64_t orderkey) const {
-  int64_t partkey = static_cast<int64_t>(
-      rng.Zipf(config_.num_parts(), config_.reference_skew));
-  int64_t suppkey = static_cast<int64_t>(
-      rng.Zipf(config_.num_suppliers(), config_.reference_skew));
-  double quantity = 1.0 + static_cast<double>(rng.UniformU64(50));
-  double price = quantity * rng.UniformDouble(900.0, 1100.0);
-  double discount = 0.01 * static_cast<double>(rng.UniformU64(11));  // 0..0.10
-  int64_t shipdate = rng.UniformInt(0, kDateSpanDays - 1);
-  int64_t commitdate =
-      std::min<int64_t>(kDateSpanDays - 1, shipdate + rng.UniformInt(0, 60));
-  int64_t receiptdate =
-      std::min<int64_t>(kDateSpanDays - 1, shipdate + rng.UniformInt(1, 45));
-  std::string returnflag = rng.Bernoulli(0.25) ? "R" : "N";
-  return Row{Value{orderkey},    Value{partkey},    Value{suppkey},
-             Value{quantity},    Value{price},      Value{discount},
-             Value{shipdate},    Value{commitdate}, Value{receiptdate},
-             Value{returnflag}};
-}
-
-Row TpchDataset::MakeOrdersRow(Rng& rng, int64_t orderkey) const {
-  int64_t custkey =
-      static_cast<int64_t>(1 + rng.UniformU64(config_.num_customers()));
-  int64_t orderdate = rng.UniformInt(0, kDateSpanDays - 1);
-  std::string priority = PickUniform(OrderPriorities(), rng);
-  std::string status = rng.Bernoulli(0.45) ? "F" : "O";
-  return Row{Value{orderkey}, Value{custkey}, Value{orderdate},
-             Value{priority}, Value{status}};
-}
-
-Row TpchDataset::MakeCustomerRow(Rng& rng, int64_t custkey) const {
-  int64_t nationkey =
-      static_cast<int64_t>(rng.UniformU64(TpchConfig::kNumNations));
-  return Row{Value{custkey}, Value{nationkey},
-             Value{PickUniform(MarketSegments(), rng)}};
-}
-
-Row TpchDataset::MakePartRow(Rng& rng, int64_t partkey) const {
-  return Row{Value{partkey}, Value{PickUniform(Brands(), rng)},
-             Value{PickUniform(PartTypes(), rng)},
-             Value{static_cast<int64_t>(1 + rng.UniformU64(50))}};
-}
-
-Row TpchDataset::MakeSupplierRow(Rng& rng, int64_t suppkey) const {
-  // Round-robin nation assignment guarantees every nation has suppliers at
-  // any scale (Q11/Q21 filter on specific nations).
-  int64_t nationkey = (suppkey - 1) % TpchConfig::kNumNations;
-  int64_t complaint = rng.Bernoulli(0.05) ? 1 : 0;
-  return Row{Value{suppkey}, Value{nationkey}, Value{complaint}};
-}
-
-Row TpchDataset::MakePartsuppRow(Rng& rng, int64_t partkey,
-                                 int64_t suppkey) const {
-  return Row{Value{partkey}, Value{suppkey},
-             Value{static_cast<int64_t>(1 + rng.UniformU64(9999))},
-             Value{rng.UniformDouble(1.0, 1000.0)}};
-}
-
 TpchDataset::TpchDataset(TpchConfig config) : config_(config) {
   Rng rng = Rng::ForStream(config_.seed, "tpch/generator");
 
@@ -183,28 +258,30 @@ TpchDataset::TpchDataset(TpchConfig config) : config_(config) {
 
   // supplier
   std::vector<Row> suppliers;
+  RowSink supplier_rows(suppliers, SupplierSchema().NumColumns());
   for (size_t i = 1; i <= config_.num_suppliers(); ++i) {
-    suppliers.push_back(MakeSupplierRow(rng, static_cast<int64_t>(i)));
+    DrawSupplier(rng, static_cast<int64_t>(i), supplier_rows);
   }
   supplier_ = std::make_unique<Table>("supplier", SupplierSchema(),
                                       std::move(suppliers));
 
   // part
   std::vector<Row> parts;
+  RowSink part_rows(parts, PartSchema().NumColumns());
   for (size_t i = 1; i <= config_.num_parts(); ++i) {
-    parts.push_back(MakePartRow(rng, static_cast<int64_t>(i)));
+    DrawPart(rng, static_cast<int64_t>(i), part_rows);
   }
   part_ = std::make_unique<Table>("part", PartSchema(), std::move(parts));
 
   // partsupp: each part supplied by 1-4 Zipf-picked suppliers.
   std::vector<Row> partsupps;
+  RowSink partsupp_rows(partsupps, PartsuppSchema().NumColumns());
   for (size_t p = 1; p <= config_.num_parts(); ++p) {
     size_t n_sup = 1 + rng.UniformU64(4);
     for (size_t s = 0; s < n_sup; ++s) {
       int64_t suppkey = static_cast<int64_t>(
           rng.Zipf(config_.num_suppliers(), config_.reference_skew));
-      partsupps.push_back(
-          MakePartsuppRow(rng, static_cast<int64_t>(p), suppkey));
+      DrawPartsupp(rng, static_cast<int64_t>(p), suppkey, partsupp_rows);
     }
   }
   partsupp_ = std::make_unique<Table>("partsupp", PartsuppSchema(),
@@ -212,8 +289,9 @@ TpchDataset::TpchDataset(TpchConfig config) : config_(config) {
 
   // customer
   std::vector<Row> customers;
+  RowSink customer_rows(customers, CustomerSchema().NumColumns());
   for (size_t i = 1; i <= config_.num_customers(); ++i) {
-    customers.push_back(MakeCustomerRow(rng, static_cast<int64_t>(i)));
+    DrawCustomer(rng, static_cast<int64_t>(i), customer_rows);
   }
   customer_ = std::make_unique<Table>("customer", CustomerSchema(),
                                       std::move(customers));
@@ -221,11 +299,13 @@ TpchDataset::TpchDataset(TpchConfig config) : config_(config) {
   // orders + lineitem (Zipf-skewed lineitems per order).
   std::vector<Row> orders;
   std::vector<Row> lineitems;
+  RowSink order_rows(orders, OrdersSchema().NumColumns());
+  RowSink lineitem_rows(lineitems, LineitemSchema().NumColumns());
   for (size_t o = 1; o <= config_.num_orders; ++o) {
-    orders.push_back(MakeOrdersRow(rng, static_cast<int64_t>(o)));
+    DrawOrders(config_, rng, static_cast<int64_t>(o), order_rows);
     size_t n_items = rng.Zipf(config_.max_lineitems_per_order, 0.8);
     for (size_t l = 0; l < n_items; ++l) {
-      lineitems.push_back(MakeLineitemRow(rng, static_cast<int64_t>(o)));
+      DrawLineitem(config_, rng, static_cast<int64_t>(o), lineitem_rows);
     }
   }
   orders_ = std::make_unique<Table>("orders", OrdersSchema(),
@@ -242,50 +322,39 @@ rel::Catalog TpchDataset::catalog() const {
       {"nation", nation_.get()}};
 }
 
+const rel::Table* TpchDataset::FindTable(const std::string& name) const {
+  for (const std::unique_ptr<rel::Table>* t :
+       {&lineitem_, &orders_, &customer_, &part_, &supplier_, &partsupp_,
+        &nation_}) {
+    if ((*t)->name() == name) return t->get();
+  }
+  return nullptr;
+}
+
 const rel::Table& TpchDataset::table(const std::string& name) const {
-  rel::Catalog cat = catalog();
-  auto it = cat.find(name);
-  UPA_CHECK_MSG(it != cat.end(), "unknown TPC-H table: " + name);
-  return *it->second;
+  const rel::Table* t = FindTable(name);
+  UPA_CHECK_MSG(t != nullptr, "unknown TPC-H table: " + name);
+  return *t;
 }
 
 rel::Row TpchDataset::SampleRow(const std::string& name, Rng& rng) const {
-  if (name == "lineitem") {
-    int64_t orderkey =
-        static_cast<int64_t>(1 + rng.UniformU64(config_.num_orders));
-    return MakeLineitemRow(rng, orderkey);
+  std::vector<Row> rows;
+  RowSink sink(rows, table(name).schema().NumColumns());
+  UPA_CHECK_MSG(DrawDomain(config_, name, 1, rng, sink),
+                "SampleRow: unsupported table " + name);
+  return std::move(rows.front());
+}
+
+Result<std::shared_ptr<const rel::ColumnarTable>> TpchDataset::SampleColumns(
+    const std::string& name, size_t n, Rng& rng) const {
+  const rel::Table* t = FindTable(name);
+  if (t == nullptr) return Status::NotFound("unknown TPC-H table: " + name);
+  rel::ColumnarTable::Builder columns(t->schema(), n);
+  if (!DrawDomain(config_, name, n, rng, columns)) {
+    return Status::Unsupported("table " + name +
+                               " has no record domain to draw from");
   }
-  if (name == "orders") {
-    // A fresh order gets a fresh key beyond the existing range (a new
-    // record, not a duplicate of an existing one).
-    int64_t orderkey = static_cast<int64_t>(
-        config_.num_orders + 1 + rng.UniformU64(config_.num_orders));
-    return MakeOrdersRow(rng, orderkey);
-  }
-  if (name == "partsupp") {
-    int64_t partkey = static_cast<int64_t>(
-        rng.Zipf(config_.num_parts(), config_.reference_skew));
-    int64_t suppkey = static_cast<int64_t>(
-        rng.Zipf(config_.num_suppliers(), config_.reference_skew));
-    return MakePartsuppRow(rng, partkey, suppkey);
-  }
-  if (name == "customer") {
-    return MakeCustomerRow(
-        rng, static_cast<int64_t>(config_.num_customers() + 1 +
-                                  rng.UniformU64(config_.num_customers())));
-  }
-  if (name == "supplier") {
-    return MakeSupplierRow(
-        rng, static_cast<int64_t>(config_.num_suppliers() + 1 +
-                                  rng.UniformU64(config_.num_suppliers())));
-  }
-  if (name == "part") {
-    return MakePartRow(
-        rng, static_cast<int64_t>(config_.num_parts() + 1 +
-                                  rng.UniformU64(config_.num_parts())));
-  }
-  UPA_CHECK_MSG(false, "SampleRow: unsupported table " + name);
-  return {};
+  return std::move(columns).Finish();
 }
 
 std::vector<rel::Row> TpchDataset::RowsWithout(

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "relational/table.h"
 
 namespace upa::tpch {
@@ -64,8 +65,18 @@ class TpchDataset {
   const rel::Table& table(const std::string& name) const;
 
   /// Draws a fresh, distribution-plausible row for `table` — a record from
-  /// the record domain D that is not (necessarily) in the dataset.
+  /// the record domain D that is not (necessarily) in the dataset. Defined
+  /// for lineitem, orders, partsupp, customer, supplier and part; aborts on
+  /// any other table.
   rel::Row SampleRow(const std::string& table, Rng& rng) const;
+
+  /// Draws `n` domain records of `table` straight into columns: the same
+  /// draws, in the same order, as `n` calls of SampleRow, finished by
+  /// ColumnarTable::Builder, so the result is what
+  /// ColumnarTable::Build(schema, those rows) gives, with no rel::Row made.
+  /// Unsupported for a table SampleRow does not support.
+  Result<std::shared_ptr<const rel::ColumnarTable>> SampleColumns(
+      const std::string& table, size_t n, Rng& rng) const;
 
   /// Returns a copy of `table`'s rows with `indices` (sorted) removed —
   /// convenience for building churned datasets in benches/tests.
@@ -73,12 +84,8 @@ class TpchDataset {
                                     const std::vector<size_t>& indices) const;
 
  private:
-  rel::Row MakeLineitemRow(Rng& rng, int64_t orderkey) const;
-  rel::Row MakeOrdersRow(Rng& rng, int64_t orderkey) const;
-  rel::Row MakeCustomerRow(Rng& rng, int64_t custkey) const;
-  rel::Row MakePartRow(Rng& rng, int64_t partkey) const;
-  rel::Row MakeSupplierRow(Rng& rng, int64_t suppkey) const;
-  rel::Row MakePartsuppRow(Rng& rng, int64_t partkey, int64_t suppkey) const;
+  /// The table named `name`, or null.
+  const rel::Table* FindTable(const std::string& name) const;
 
   TpchConfig config_;
   std::unique_ptr<rel::Table> lineitem_, orders_, customer_, part_, supplier_,

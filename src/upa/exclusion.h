@@ -19,26 +19,37 @@
 // the calling thread: the work is O(n·dim), far below one pool round-trip
 // at the paper's n.
 //
+// The values are flat (VecRows): n rows of dim doubles in one buffer, and
+// every scan array is one more buffer, so no combine allocates. The
+// reducer's identity is a row of -0.0, which every sum passes through
+// unchanged, so the folds need no branch for it and give the bits the
+// per-record Vec scan gave; which results hold no value at all is the
+// caller's to track.
+//
 // NaiveExclusionAggregate keeps the paper's loop as the reference the scan
 // must agree with to float tolerance (tested); bench_ablation measures the
 // gap.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "upa/types.h"
 
 namespace upa::core {
 
-/// excl[i] = R over {mapped[j] : j != i}, by the block scan. mapped must
-/// be non-empty.
-std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped);
+/// Row i of the result = R over {row j of `mapped` : j != i}, by the block
+/// scan. `mapped` holds n ≥ 1 rows of `dim` values.
+std::vector<double> ExclusionAggregate(std::span<const double> mapped,
+                                       size_t dim);
 
-/// The paper's loop: recombines the n-1 other values for each i (O(n²)).
-/// mapped must be non-empty.
-std::vector<Vec> NaiveExclusionAggregate(const std::vector<Vec>& mapped);
+/// The paper's loop: recombines the n-1 other rows for each i (O(n²)).
+/// `mapped` holds n ≥ 1 rows of `dim` values.
+std::vector<double> NaiveExclusionAggregate(std::span<const double> mapped,
+                                            size_t dim);
 
-/// Total reduction R(mapped).
-Vec TotalAggregate(const std::vector<Vec>& mapped);
+/// Total reduction R over the rows of `rows` (of `dim` values each): the
+/// identity, an empty Vec, when no row holds a value.
+Vec TotalAggregate(const VecRows& rows, size_t dim);
 
 }  // namespace upa::core

@@ -16,22 +16,33 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/context.h"
 #include "upa/types.h"
 
 namespace upa::core {
 
-/// What `execute_phases` returns.
+/// What `execute_phases` returns: three flat batches of mapped values, all
+/// of dimension `dim` (see VecRows), and the status of the passes that
+/// made them.
 struct MappedBatches {
+  /// Values per row in every batch below (≥ 1). A query whose every record
+  /// maps to the identity still says 1: its rows are identity rows.
+  size_t dim = 1;
   /// Reduced value of each enforcer partition of S' (the records that were
   /// NOT sampled). Partition of record i is i % num_partitions. This is
   /// Algorithm 1's {R^(s')_j} — computed once and reused everywhere.
-  std::vector<Vec> sprime_partials;
+  VecRows sprime_partials;
   /// M(s_i) for each sampled record, aligned with `sample_indices`.
-  std::vector<Vec> sample_mapped;
+  VecRows sample_mapped;
   /// M(s̄_i) for each synthetic record drawn from the domain D \ x
   /// (the "added record" side of the neighbour sampling).
-  std::vector<Vec> domain_mapped;
+  VecRows domain_mapped;
+  /// Not OK when a pass failed for a reason other than the request's
+  /// cancel token (a query naming an unknown column, say): the batches are
+  /// then partial, and the runner returns this status in place of a
+  /// release.
+  Status status;
 };
 
 struct QueryInstance {
@@ -61,15 +72,16 @@ struct QueryInstance {
   /// Defaults to ScalarOf (first coordinate).
   std::function<double(const Vec&)> scalarize;
 
-  /// Apply post with the identity default.
-  Vec Post(const Vec& v) const { return post ? post(v) : v; }
   /// Apply scalarize with the default.
   double Scalarize(const Vec& v) const {
     return scalarize ? scalarize(v) : ScalarOf(v);
   }
   /// f(reduced) = scalarize(post(reduced)): the query's released output
-  /// for a given reduced value.
-  double OutputOf(const Vec& reduced) const { return Scalarize(Post(reduced)); }
+  /// for a given reduced value. Without a post step, `reduced` itself is
+  /// scalarized (no copy).
+  double OutputOf(const Vec& reduced) const {
+    return post ? Scalarize(post(reduced)) : Scalarize(reduced);
+  }
 };
 
 }  // namespace upa::core

@@ -20,23 +20,53 @@ constexpr size_t kEnforcerPartitions = 2;
 
 /// Reduces the sampled records of each enforcer partition, excluding the
 /// last `removed` sample records (the enforcer's removal order is
-/// deterministic: newest-index first). Each partition accumulates its own
-/// records in ascending sample order. This runs under the registry lock,
-/// so it never touches the engine pool: a pool waiter may pick up another
-/// request's task, which then blocks on a lock a /stats reader holds while
-/// it waits for this registry.
-std::vector<Vec> SamplePartitionPartials(
-    const std::vector<Vec>& sample_mapped,
-    const std::vector<size_t>& sample_partition, size_t removed) {
-  std::vector<Vec> partials(kEnforcerPartitions, VecSum::Identity());
-  size_t keep = sample_mapped.size() > removed
-                    ? sample_mapped.size() - removed
-                    : 0;
+/// deterministic: newest-index first), into row j of `partials`, whose
+/// storage is reused across calls. Each partition accumulates its own
+/// records in ascending sample order; a partition none of whose kept
+/// records holds a value is an identity row. This runs under the registry
+/// lock, so it never touches the engine pool: a pool waiter may pick up
+/// another request's task, which then blocks on a lock a /stats reader
+/// holds while it waits for this registry.
+void SamplePartitionPartials(const VecRows& sample_mapped, size_t dim,
+                             const std::vector<size_t>& sample_partition,
+                             size_t removed, VecRows& partials) {
+  partials.values.assign(kEnforcerPartitions * dim, -0.0);
+  partials.identity.assign(kEnforcerPartitions, 1);
+  const size_t n = sample_partition.size();
+  const size_t keep = n > removed ? n - removed : 0;
   for (size_t i = 0; i < keep; ++i) {
-    Vec& acc = partials[sample_partition[i]];
-    acc = VecSum::Combine(std::move(acc), sample_mapped[i]);
+    const size_t j = sample_partition[i];
+    double* acc = partials.values.data() + j * dim;
+    const double* row = sample_mapped.values.data() + i * dim;
+    for (size_t d = 0; d < dim; ++d) acc[d] = CellSum(acc[d], row[d]);
+    if (!sample_mapped.IsIdentity(i)) partials.identity[j] = 0;
   }
-  return partials;
+}
+
+/// out = a ⊕ b over dim values, reusing out's storage: the identity (an
+/// empty out) when `has_value` says neither side holds a value. A null `a`
+/// is the identity, and so is a row of -0.0 cells, which the sum passes
+/// through unchanged.
+void CombineInto(const double* a, const double* b, size_t dim,
+                 bool has_value, Vec& out) {
+  if (!has_value) {
+    out.clear();
+    return;
+  }
+  out.resize(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    out[d] = CellSum(a == nullptr ? -0.0 : a[d], b[d]);
+  }
+}
+
+/// The cells of a reduced value, or null for the identity.
+const double* CellsOf(const Vec& v) { return v.empty() ? nullptr : v.data(); }
+
+/// True when `rows` holds exactly `count` rows of dim values (and one flag
+/// per row, if it flags any).
+bool HasRows(const VecRows& rows, size_t count, size_t dim) {
+  return rows.values.size() == count * dim &&
+         (rows.identity.empty() || rows.identity.size() == count);
 }
 
 }  // namespace
@@ -95,45 +125,59 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   // A token that tripped mid-map leaves partially-built batches behind
   // (ParallelFor skips the remaining chunks), so the cancellation must be
   // surfaced before the shape checks get a chance to call it corruption.
+  // So must a pass that failed: the query, not the runner, was at fault.
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
-  if (batches.sample_mapped.size() != n) {
+  UPA_RETURN_IF_ERROR(batches.status);
+  const size_t dim = batches.dim;
+  const VecRows& sample = batches.sample_mapped;
+  const VecRows& domain = batches.domain_mapped;
+  if (dim == 0 || !HasRows(sample, n, dim)) {
     return Status::Internal(
         "query '" + query.name +
         "': execute_phases returned wrong sample batch size");
   }
-  if (batches.sprime_partials.size() != kEnforcerPartitions) {
+  if (!HasRows(batches.sprime_partials, kEnforcerPartitions, dim)) {
     return Status::Internal(
         "query '" + query.name +
         "': execute_phases returned wrong partition count");
+  }
+  const size_t num_added = domain.values.size() / dim;
+  if (!HasRows(domain, num_added, dim)) {
+    return Status::Internal(
+        "query '" + query.name +
+        "': execute_phases returned a ragged domain batch");
   }
 
   // ---- Phase 3b: Union-Preserving Reduce --------------------------------
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
   UPA_FAILPOINT("upa/phase_reduce");
   phase_watch.Reset();
-  Vec r_sprime = VecSum::Identity();
-  for (const Vec& partial : batches.sprime_partials) {
-    r_sprime = VecSum::Combine(std::move(r_sprime), partial);
-  }
-  Vec r_s = TotalAggregate(batches.sample_mapped);
-  Vec f_vec = VecSum::Combine(r_sprime, r_s);
+  const Vec r_sprime = TotalAggregate(batches.sprime_partials, dim);
+  Vec f_vec = VecSum::Combine(r_sprime, TotalAggregate(sample, dim));
 
   // Sampled-neighbour outputs: removals f(x - s_i), additions f(x + s̄_i),
   // derived from the per-exclusion reductions R(S \ s_i). They only feed
   // the sensitivity fit, so a hinted run skips them entirely — the
   // expensive part of a repeated query shape.
   // Phases 3b/4 run inline: their work is O(n·dim), well below one pool
-  // round-trip at the paper's n.
+  // round-trip at the paper's n. One Vec holds each neighbour's reduced
+  // value in turn.
+  Vec neighbour;
   if (hint == nullptr) {
-    std::vector<Vec> excl = ExclusionAggregate(batches.sample_mapped);
-    result.neighbour_outputs.reserve(n + batches.domain_mapped.size());
+    const std::vector<double> excl = ExclusionAggregate(sample.values, dim);
+    const size_t sample_values = sample.CountValues(n);
+    result.neighbour_outputs.reserve(n + num_added);
     for (size_t i = 0; i < n; ++i) {
-      result.neighbour_outputs.push_back(
-          query.OutputOf(VecSum::Combine(r_sprime, excl[i])));
+      // R(S \ s_i) holds a value iff some other sampled record does.
+      const bool others = sample_values > (sample.IsIdentity(i) ? 0 : 1);
+      CombineInto(CellsOf(r_sprime), excl.data() + i * dim, dim,
+                  !r_sprime.empty() || others, neighbour);
+      result.neighbour_outputs.push_back(query.OutputOf(neighbour));
     }
-    for (const Vec& added : batches.domain_mapped) {
-      result.neighbour_outputs.push_back(
-          query.OutputOf(VecSum::Combine(f_vec, added)));
+    for (size_t j = 0; j < num_added; ++j) {
+      CombineInto(CellsOf(f_vec), domain.values.data() + j * dim, dim,
+                  !f_vec.empty() || !domain.IsIdentity(j), neighbour);
+      result.neighbour_outputs.push_back(query.OutputOf(neighbour));
     }
   }
   result.seconds.reduce = phase_watch.ElapsedSeconds();
@@ -199,14 +243,19 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   }
 
   // Per-partition outputs f(x_j) = output of R(S'_j) ⊕ R(S_j), computed
-  // inline: the enforcer calls this with the registry lock held.
+  // inline: the enforcer calls this with the registry lock held. The
+  // partials and the combined value reuse their storage across calls.
+  const VecRows& sprime = batches.sprime_partials;
+  VecRows partials;
   auto partition_outputs_for = [&](size_t removed) {
-    std::vector<Vec> sample_partials = SamplePartitionPartials(
-        batches.sample_mapped, sample_partition, removed);
+    SamplePartitionPartials(sample, dim, sample_partition, removed, partials);
     std::vector<double> outs(kEnforcerPartitions);
     for (size_t j = 0; j < kEnforcerPartitions; ++j) {
-      outs[j] = query.OutputOf(
-          VecSum::Combine(batches.sprime_partials[j], sample_partials[j]));
+      CombineInto(sprime.values.data() + j * dim,
+                  partials.values.data() + j * dim, dim,
+                  !sprime.IsIdentity(j) || !partials.IsIdentity(j),
+                  neighbour);
+      outs[j] = query.OutputOf(neighbour);
     }
     return outs;
   };
@@ -228,14 +277,9 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     if (result.enforcer.records_removed > 0) {
       // x was shrunk: recompute the reduced value without the removed
       // sample records (newest-index-first removal order).
-      std::vector<Vec> kept_partials =
-          SamplePartitionPartials(batches.sample_mapped, sample_partition,
-                                  result.enforcer.records_removed);
-      Vec r_s_kept = VecSum::Identity();
-      for (Vec& p : kept_partials) {
-        r_s_kept = VecSum::Combine(std::move(r_s_kept), p);
-      }
-      f_vec = VecSum::Combine(r_sprime, r_s_kept);
+      SamplePartitionPartials(sample, dim, sample_partition,
+                              result.enforcer.records_removed, partials);
+      f_vec = VecSum::Combine(r_sprime, TotalAggregate(partials, dim));
     }
     session.Register(result.partition_outputs);
   }

@@ -9,6 +9,7 @@
 // run) are mapped as small datasets of their own.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -20,6 +21,32 @@
 #include "upa/query_instance.h"
 
 namespace upa::core {
+
+/// The flat batches of Vec-mapped records: every row takes the dimension
+/// of the first value that has one (1 when none does), an empty Vec stays
+/// the identity, and any other length aborts, as VecSum::Combine would.
+inline MappedBatches FlattenMapped(const std::vector<Vec>& sprime_partials,
+                                   const std::vector<Vec>& sample_mapped,
+                                   const std::vector<Vec>& domain_mapped) {
+  MappedBatches out;
+  for (const std::vector<Vec>* batch :
+       {&sprime_partials, &sample_mapped, &domain_mapped}) {
+    auto it = std::find_if(batch->begin(), batch->end(),
+                           [](const Vec& v) { return !v.empty(); });
+    if (it != batch->end()) {
+      out.dim = it->size();
+      break;
+    }
+  }
+  for (const auto& [batch, rows] :
+       {std::pair{&sprime_partials, &out.sprime_partials},
+        std::pair{&sample_mapped, &out.sample_mapped},
+        std::pair{&domain_mapped, &out.domain_mapped}}) {
+    rows->values.reserve(batch->size() * out.dim);
+    for (const Vec& v : *batch) rows->Append(v, out.dim);
+  }
+  return out;
+}
 
 template <typename Record>
 struct SimpleQuerySpec {
@@ -56,7 +83,6 @@ QueryInstance MakeSimpleQuery(SimpleQuerySpec<Record> spec) {
                          size_t num_partitions, size_t num_domain,
                          uint64_t seed) {
     const std::vector<Record>& records = *spec.records;
-    MappedBatches out;
 
     // S' = records not in the sample, tagged with their enforcer
     // partition (record i belongs to partition i % num_partitions).
@@ -76,7 +102,8 @@ QueryInstance MakeSimpleQuery(SimpleQuerySpec<Record> spec) {
     // RANGE ENFORCER exchanges same-partition records between workers
     // (paper §VI-D), which is the overhead source for local-computation
     // queries.
-    out.sprime_partials = spec.ctx->TimePhase("upa/map_sprime", [&] {
+    std::vector<Vec> sprime_partials;
+    sprime_partials = spec.ctx->TimePhase("upa/map_sprime", [&] {
       auto shuffled = engine::ShuffleByKey(
           engine::Dataset<std::pair<size_t, Record>>::FromVector(
               spec.ctx, std::move(sprime)),
@@ -97,7 +124,7 @@ QueryInstance MakeSimpleQuery(SimpleQuerySpec<Record> spec) {
     std::vector<Record> sampled;
     sampled.reserve(sample_indices.size());
     for (size_t idx : sample_indices) sampled.push_back(records[idx]);
-    out.sample_mapped = spec.ctx->TimePhase("upa/map_sample", [&] {
+    std::vector<Vec> sample_mapped = spec.ctx->TimePhase("upa/map_sample", [&] {
       return engine::Dataset<Record>::FromVector(spec.ctx, std::move(sampled))
           .Map(spec.map_record)
           .Collect();
@@ -105,19 +132,21 @@ QueryInstance MakeSimpleQuery(SimpleQuerySpec<Record> spec) {
 
     // Synthetic domain records (D \ x side of the neighbour sampling); a
     // hinted run asks for none.
-    if (num_domain == 0) return out;
+    if (num_domain == 0) {
+      return FlattenMapped(sprime_partials, sample_mapped, {});
+    }
     Rng domain_rng = Rng::ForStream(seed, "upa/domain/" + spec.name);
     std::vector<Record> domain;
     domain.reserve(num_domain);
     for (size_t i = 0; i < num_domain; ++i) {
       domain.push_back(spec.sample_domain(domain_rng));
     }
-    out.domain_mapped = spec.ctx->TimePhase("upa/map_domain", [&] {
+    std::vector<Vec> domain_mapped = spec.ctx->TimePhase("upa/map_domain", [&] {
       return engine::Dataset<Record>::FromVector(spec.ctx, std::move(domain))
           .Map(spec.map_record)
           .Collect();
     });
-    return out;
+    return FlattenMapped(sprime_partials, sample_mapped, domain_mapped);
   };
   return q;
 }

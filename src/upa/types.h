@@ -15,7 +15,9 @@
 // the property tests verify.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -60,6 +62,39 @@ struct VecSum {
     for (const Vec& v : values) acc = Combine(std::move(acc), v);
     return acc;
   }
+};
+
+/// One cell of a ⊕ b, bit for bit what `a[i] += b[i]` gives on x86 when a
+/// is the first operand: a NaN sum is a's NaN if a is one, else b's, else
+/// (inf meeting -inf) the hardware's. Written out because a compiler may
+/// put either operand of a + b first, and a NaN's sign follows that choice.
+/// (Quiet NaNs, the only kind arithmetic makes; the hardware would quiet a
+/// signalling one.)
+inline double CellSum(double a, double b) {
+  const double sum = a + b;
+  if (!std::isnan(sum)) [[likely]] return sum;
+  return std::isnan(a) ? a : std::isnan(b) ? b : sum;
+}
+
+/// Mapped values of one dimension in one row-major buffer: row i is
+/// values[i·dim, (i+1)·dim). A row may hold the reducer's identity, the
+/// empty Vec ("no value"). Its cells are -0.0, the one double that leaves
+/// every sum it joins bit-for-bit unchanged (0.0 does not: 0.0 + -0.0 is
+/// +0.0), so folds over rows need no branch; `identity` flags it, so a
+/// fold over identity rows alone still reads as no value.
+struct VecRows {
+  std::vector<double> values;
+  /// One flag per row, or empty when no row holds the identity.
+  std::vector<uint8_t> identity;
+
+  bool IsIdentity(size_t row) const {
+    return !identity.empty() && identity[row] != 0;
+  }
+  /// Rows holding a value.
+  size_t CountValues(size_t rows) const;
+  /// Appends `v` as one row of `dim` values: the identity when `v` is
+  /// empty, and an abort for any other length but dim.
+  void Append(const Vec& v, size_t dim);
 };
 
 /// Returns v[0] for 1-dimensional values; the default scalarizer for

@@ -423,7 +423,7 @@ TEST_F(ClusterChaosTest, StaleShardReplyPoisonsLinkAndKeyedQueryRetries) {
   EXPECT_TRUE(result.value().ok()) << result.value().message;
   EXPECT_GE(fake.honest_answers.load(), 1);
   const Router::Stats stats = router.stats();
-  EXPECT_GE(stats.shard_reconnects, 1u);
+  EXPECT_GE(stats.shard_link_failures, 1u);
   EXPECT_GE(stats.retried, 1u);
   router.Stop();
 }
@@ -467,7 +467,7 @@ TEST_F(ClusterChaosTest, ClientGoneBeforeItsShardDiesIsNeitherParkedNorResent) {
   }));
 
   fake.drop_held_link.store(true, std::memory_order_release);
-  ASSERT_TRUE(WaitFor([&] { return router.stats().shard_reconnects >= 1; }));
+  ASSERT_TRUE(WaitFor([&] { return router.stats().shard_link_failures >= 1; }));
   // The loop answers this only after it has finished failing the link.
   auto stats = observer->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

@@ -557,7 +557,7 @@ TEST(ClusterRouterTest, ReconnectsAfterShardRestartAtSameAddress) {
   auto result = client->Query(MakeQuery("ds", "count:300", 3));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().ok()) << result.value().status().ToString();
-  EXPECT_GE(router.stats().shard_reconnects, 1u);
+  EXPECT_GE(router.stats().shard_link_failures, 1u);
   router.Stop();
   server2.Stop();
 }

@@ -41,9 +41,9 @@ TEST(DeathTest, LaplaceRejectsNegativeSensitivity) {
 }
 
 TEST(DeathTest, ExclusionRejectsEmptySample) {
-  std::vector<core::Vec> empty;
-  EXPECT_DEATH(core::ExclusionAggregate(empty), "empty sample");
-  EXPECT_DEATH(core::NaiveExclusionAggregate(empty), "empty sample");
+  std::vector<double> empty;
+  EXPECT_DEATH(core::ExclusionAggregate(empty, 1), "empty sample");
+  EXPECT_DEATH(core::NaiveExclusionAggregate(empty, 1), "empty sample");
 }
 
 TEST(DeathTest, PercentileIntervalRejectsBoundaryPercentiles) {

@@ -20,6 +20,7 @@
 #include "common/cancel.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "relational/columnar.h"
 #include "relational/plan.h"
 #include "relational/sql_parser.h"
 #include "upa/runner.h"
@@ -76,9 +77,13 @@ core::MappedBatches ReferencePhases(const rel::PlanExecutor& exec,
   for (size_t i = 0; i < num_domain; ++i) {
     synthetic.push_back(Data().SampleRow(q.private_table, rng));
   }
+  // The row oracle reads these rows back out of their columns.
+  const std::shared_ptr<const rel::ColumnarTable> synthetic_table =
+      rel::ColumnarTable::Build(Data().table(q.private_table).schema(),
+                                synthetic);
   engine::BlockCache cache(nullptr);
   auto output_over = [&](const std::vector<size_t>& rows,
-                         const std::vector<rel::Row>* replace) {
+                         const rel::ColumnarTable* replace) {
     rel::ExecOptions opts;
     opts.engine = rel::ExecEngine::kRowOracle;
     opts.private_table = q.private_table;
@@ -87,7 +92,7 @@ core::MappedBatches ReferencePhases(const rel::PlanExecutor& exec,
     opts.cache = &cache;
     Result<rel::ExecResult> r = exec.Execute(q.plan, opts);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return core::Vec{r.ok() ? r.value().output : 0.0};
+    return r.ok() ? r.value().output : 0.0;
   };
 
   core::MappedBatches out;
@@ -99,27 +104,28 @@ core::MappedBatches ReferencePhases(const rel::PlanExecutor& exec,
     }
   }
   for (const std::vector<size_t>& rows : unsampled) {
-    out.sprime_partials.push_back(output_over(rows, nullptr));
+    out.sprime_partials.values.push_back(output_over(rows, nullptr));
   }
   for (size_t idx : sample_indices) {
-    out.sample_mapped.push_back(output_over({idx}, nullptr));
+    out.sample_mapped.values.push_back(output_over({idx}, nullptr));
   }
   for (size_t i = 0; i < num_domain; ++i) {
-    out.domain_mapped.push_back(output_over({i}, &synthetic));
+    out.domain_mapped.values.push_back(
+        output_over({i}, synthetic_table.get()));
   }
   return out;
 }
 
-void ExpectSameBatches(const std::vector<core::Vec>& want,
-                       const std::vector<core::Vec>& got,
+/// Both batches hold the same rows, bit for bit (every plan query's rows
+/// are one value each, none of them the identity).
+void ExpectSameBatches(const core::VecRows& want, const core::VecRows& got,
                        const std::string& what) {
-  ASSERT_EQ(want.size(), got.size()) << what;
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i].size(), got[i].size()) << what << "[" << i << "]";
-    for (size_t j = 0; j < want[i].size(); ++j) {
-      EXPECT_EQ(Bits(want[i][j]), Bits(got[i][j]))
-          << what << "[" << i << "]: " << want[i][j] << " vs " << got[i][j];
-    }
+  ASSERT_EQ(want.values.size(), got.values.size()) << what;
+  EXPECT_EQ(want.identity, got.identity) << what;
+  for (size_t i = 0; i < want.values.size(); ++i) {
+    EXPECT_EQ(Bits(want.values[i]), Bits(got.values[i]))
+        << what << "[" << i << "]: " << want.values[i] << " vs "
+        << got.values[i];
   }
 }
 
@@ -154,6 +160,8 @@ TEST(PlanQueryOnePassTest, PhasesMatchThreeRunPath) {
               ReferencePhases(*executor, q, sample, 2, num_domain, seed);
           core::MappedBatches got =
               instance.execute_phases(sample, 2, num_domain, seed);
+          ASSERT_TRUE(got.status.ok()) << what << ": " << got.status.ToString();
+          EXPECT_EQ(got.dim, 1u) << what;
           ExpectSameBatches(want.sprime_partials, got.sprime_partials,
                             what + " S'");
           ExpectSameBatches(want.sample_mapped, got.sample_mapped,
@@ -163,6 +171,58 @@ TEST(PlanQueryOnePassTest, PhasesMatchThreeRunPath) {
         }
       }
     }
+  }
+}
+
+// A query a pass cannot run (an unknown filter column, SUM column or join
+// key) fails its release with the pass's INVALID_ARGUMENT instead of
+// aborting the process, registers nothing, and the next release on the
+// same runner and executor goes through. So does a private table with no
+// record domain to draw the domain pass from (UNSUPPORTED).
+TEST(PlanQueryPassErrorTest, AFailedPassFailsTheReleaseNotTheProcess) {
+  const rel::Catalog catalog = Data().catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 2});
+  auto executor = std::make_shared<const rel::PlanExecutor>(&ctx, &catalog);
+  core::UpaConfig config;
+  config.add_noise = false;
+  core::UpaRunner runner(config);
+  auto instance = [&](const char* sql, const char* private_table) {
+    Result<rel::PlanPtr> parsed = rel::ParseSql(sql);
+    EXPECT_TRUE(parsed.ok()) << sql;
+    tpch::TpchQuery query;
+    query.name = sql;
+    query.plan = parsed.ok() ? parsed.value() : nullptr;
+    query.private_table = private_table;
+    return MakePlanQuery(&ctx, executor, &Data(), query);
+  };
+  struct Case {
+    const char* sql;
+    const char* private_table;
+    StatusCode code;
+  };
+  for (const Case& c : {
+           Case{"SELECT COUNT(*) FROM lineitem WHERE no_such_col > 1",
+                "lineitem", StatusCode::kInvalidArgument},
+           Case{"SELECT SUM(no_such_col) FROM lineitem", "lineitem",
+                StatusCode::kInvalidArgument},
+           Case{"SELECT COUNT(*) FROM lineitem JOIN orders ON "
+                "l_orderkey = o_nokey",
+                "lineitem", StatusCode::kInvalidArgument},
+           Case{"SELECT COUNT(*) FROM nation", "nation",
+                StatusCode::kUnsupported},
+       }) {
+    Result<core::UpaRunResult> r =
+        runner.Run(instance(c.sql, c.private_table), 1);
+    ASSERT_FALSE(r.ok()) << c.sql;
+    EXPECT_EQ(r.status().code(), c.code)
+        << c.sql << ": " << r.status().ToString();
+    EXPECT_EQ(runner.enforcer().registry_size(), 0u) << c.sql;
+  }
+  for (const tpch::TpchQuery& q : Templates()) {
+    Result<core::UpaRunResult> r =
+        runner.Run(MakePlanQuery(&ctx, executor, &Data(), q), 2);
+    ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
   }
 }
 

@@ -90,6 +90,15 @@ ExecOptions OnePass(const std::string& private_table,
   return opts;
 }
 
+/// `table` without the rows `dropped`, built into columns once: a churned
+/// private table, as ExecOptions::replace_private_rows takes it.
+std::shared_ptr<const ColumnarTable> Churned(
+    const tpch::TpchDataset& ds, const std::string& table,
+    const std::vector<size_t>& dropped) {
+  return ColumnarTable::Build(ds.table(table).schema(),
+                              ds.RowsWithout(table, dropped));
+}
+
 /// [0, n): every record of an n-row private table.
 std::vector<size_t> AllRows(size_t n) {
   std::vector<size_t> rows(n);
@@ -300,10 +309,10 @@ TEST(ColumnarDifferentialTest, TpchQueriesAllOptionShapes) {
     {
       std::vector<size_t> dropped =
           rng.SampleWithoutReplacement(n, std::min<size_t>(n, 10));
-      std::vector<Row> churned = ds.RowsWithout(q.private_table, dropped);
-      const std::vector<size_t> all = AllRows(churned.size());
+      const auto churned = Churned(ds, q.private_table, dropped);
+      const std::vector<size_t> all = AllRows(churned->num_rows());
       ExecOptions opts = OnePass(q.private_table, &all, 2);
-      opts.replace_private_rows = &churned;
+      opts.replace_private_rows = churned.get();
       runner.Run(q.name + "/domain", q.plan, opts);
     }
   }
@@ -693,7 +702,7 @@ TEST(ColumnarDifferentialTest, OnePassMatchesThreeRunReference) {
     std::string label;
     PlanPtr plan;
     std::string private_table;
-    const std::vector<Row>* replace = nullptr;
+    const ColumnarTable* replace = nullptr;
   };
   std::vector<Case> cases;
   for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
@@ -705,13 +714,13 @@ TEST(ColumnarDifferentialTest, OnePassMatchesThreeRunReference) {
   // A churned private table (the replace_private_rows override).
   std::vector<size_t> dropped = rng.SampleWithoutReplacement(
       ds.table("lineitem").NumRows(), 30);
-  const std::vector<Row> churned = ds.RowsWithout("lineitem", dropped);
+  const auto churned = Churned(ds, "lineitem", dropped);
   cases.push_back({"churned " + cases.back().label, cases.back().plan,
-                   "lineitem", &churned});
+                   "lineitem", churned.get()});
 
   for (const Case& c : cases) {
     const size_t n = c.replace != nullptr
-                         ? c.replace->size()
+                         ? c.replace->num_rows()
                          : ds.table(c.private_table).NumRows();
     std::vector<std::vector<size_t>> samples = {
         rng.SampleWithoutReplacement(n, std::min<size_t>(n, 40)),
@@ -1174,12 +1183,12 @@ TEST(PlanQueryMemoTest, OverridesAndRowOracleBypassTheMemo) {
   PlanExecutor exec(&ctx, &catalog);
   const PlanPtr plan = ReleaseTemplates(catalog).back().second;
   const std::vector<size_t> sample = {4, 8, 15, 16, 23, 42};
-  const std::vector<Row> churned = ds.RowsWithout("lineitem", {1, 2, 3});
+  const auto churned = Churned(ds, "lineitem", {1, 2, 3});
 
   ExecOptions oracle = OnePass("lineitem", &sample, 2);
   oracle.engine = ExecEngine::kRowOracle;
   ExecOptions replaced = OnePass("lineitem", &sample, 2);
-  replaced.replace_private_rows = &churned;
+  replaced.replace_private_rows = churned.get();
   ExecOptions replaced_oracle = replaced;
   replaced_oracle.engine = ExecEngine::kRowOracle;
   std::vector<size_t> most(ds.table("lineitem").NumRows() / 2 + 1);
@@ -1361,6 +1370,73 @@ TEST(PlanQueryMemoTest, ConcurrentHitsAndFillsAreSafe) {
   }
   EXPECT_GT(ctx.metrics().Snapshot().memo_hits, 0u);
   EXPECT_EQ(exec.MemoEntries(), plans.size());
+}
+
+// SamplePass keeps a slot that got one weight inline and moves it into an
+// ExactSum only on a second add. Either way a slot rounds to what one
+// ExactSum of its weights rounds to: one weight to itself (a NaN to the
+// canonical quiet NaN, -0.0 and ±inf kept), spilled slots to the exact sum,
+// an empty slot to +0.0. The per-partition sums see every weight too.
+TEST(SampleSlotDifferentialTest, OneAddAndSpilledSlotsMatchExactSum) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {-0.0, 0.0, kNaN, -kNaN, kInf, -kInf,
+                                        1e308, -1e-320, 0.1};
+  Rng rng(41);
+  const std::vector<size_t> rows = {0, 3, 4, 9, 17, 18, 40, 41, 63, 64, 100};
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t parts = 1 + trial % 3;
+    SamplePass pass(rows, parts);
+    std::vector<ExactSum> want(rows.size());
+    std::vector<ExactSum> want_parts(parts);
+    for (size_t k = 0; k < rows.size(); ++k) {
+      // Mostly one add; some slots get none, some spill.
+      const uint64_t adds = trial % 4 == 0 ? rng.UniformU64(4)
+                            : rng.Bernoulli(0.8) ? 1
+                                                 : rng.UniformU64(5);
+      for (uint64_t a = 0; a < adds; ++a) {
+        const double w = rng.Bernoulli(0.3)
+                             ? specials[rng.UniformU64(specials.size())]
+                             : rng.UniformDouble(-1e6, 1e6);
+        pass.Add(rows[k], w);
+        want[k].Add(w);
+        want_parts[rows[k] % parts].Add(w);
+      }
+    }
+    const ExecResult got =
+        pass.Finish(std::vector<ExactSum>(parts), /*result_rows=*/0);
+    ASSERT_EQ(got.sample_contributions.size(), rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      EXPECT_EQ(Bits(got.sample_contributions[k]), Bits(want[k].Round()))
+          << "trial " << trial << " slot " << k;
+    }
+    ASSERT_EQ(got.partition_totals.size(), parts);
+    for (size_t p = 0; p < parts; ++p) {
+      EXPECT_EQ(Bits(got.partition_totals[p].Round()),
+                Bits(want_parts[p].Round()))
+          << "trial " << trial << " partition " << p;
+    }
+  }
+}
+
+// Every morsel of a columnar pass is a launched engine task: a one pass,
+// fused or interpreted, raises tasks_launched by exactly the tasks its
+// phases fanned out to.
+TEST(ColumnarMetricsTest, OnePassCountsEveryMorselAsATask) {
+  const Catalog catalog = Dataset().catalog();
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 4, .default_partitions = 4});
+  const PlanExecutor exec(&ctx, &catalog);
+  const std::vector<size_t> sample = {1, 5, 8, 13, 21, 34, 55};
+  for (const auto& [sql, plan] : ReleaseTemplates(catalog)) {
+    const engine::MetricsSnapshot before = ctx.metrics().Snapshot();
+    ASSERT_TRUE(exec.Execute(plan, OnePass("lineitem", &sample, 2)).ok());
+    const engine::MetricsSnapshot delta = ctx.metrics().Snapshot() - before;
+    uint64_t phase_tasks = 0;
+    for (const auto& [phase, tasks] : delta.phase_tasks) phase_tasks += tasks;
+    EXPECT_GT(phase_tasks, 0u) << sql;
+    EXPECT_EQ(delta.tasks_launched, phase_tasks) << sql;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 
+#include "relational/columnar.h"
 #include "relational/plan.h"
 
 namespace upa::rel {
@@ -149,14 +150,16 @@ TEST_F(ExecutorTest, IncludeRowsRestrictsPrivateTable) {
 
 TEST_F(ExecutorTest, ReplacePrivateRowsSubstitutesContent) {
   auto plan = SumPlan(ScanPlan("clicks"), Col("weight"));
-  std::vector<Row> synthetic{
-      {Value{int64_t{900}}, Value{int64_t{1}}, Value{100.0}},
-      {Value{int64_t{901}}, Value{int64_t{2}}, Value{200.0}},
-  };
+  const auto synthetic = ColumnarTable::Build(
+      catalog_.at("clicks")->schema(),
+      {
+          {Value{int64_t{900}}, Value{int64_t{1}}, Value{100.0}},
+          {Value{int64_t{901}}, Value{int64_t{2}}, Value{200.0}},
+      });
   const std::vector<size_t> both{0, 1};
   ExecOptions opts;
   opts.private_table = "clicks";
-  opts.replace_private_rows = &synthetic;
+  opts.replace_private_rows = synthetic.get();
   opts.sample_rows = &both;
   opts.partitions = 1;
   auto r = executor_->Execute(plan, opts);
@@ -166,17 +169,38 @@ TEST_F(ExecutorTest, ReplacePrivateRowsSubstitutesContent) {
             (std::vector<double>{100.0, 200.0}));
 }
 
+// A replacement must have the private table's columns: both engines read
+// it against that table's schema.
+TEST_F(ExecutorTest, ReplacementWithOtherColumnsIsRejected) {
+  auto plan = SumPlan(ScanPlan("clicks"), Col("weight"));
+  const auto users = ColumnarTable::Build(
+      catalog_.at("users")->schema(),
+      {{Value{int64_t{1}}, Value{int64_t{20}}}});
+  for (ExecEngine engine : {ExecEngine::kRowOracle, ExecEngine::kColumnar}) {
+    ExecOptions opts;
+    opts.engine = engine;
+    opts.private_table = "clicks";
+    opts.replace_private_rows = users.get();
+    auto r = executor_->Execute(plan, opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+}
+
 TEST_F(ExecutorTest, ReplacePlusIncludeComposes) {
   auto plan = SumPlan(ScanPlan("clicks"), Col("weight"));
-  std::vector<Row> synthetic{
-      {Value{int64_t{900}}, Value{int64_t{1}}, Value{100.0}},
-      {Value{int64_t{901}}, Value{int64_t{2}}, Value{200.0}},
-      {Value{int64_t{902}}, Value{int64_t{3}}, Value{400.0}},
-  };
+  const auto synthetic = ColumnarTable::Build(
+      catalog_.at("clicks")->schema(),
+      {
+          {Value{int64_t{900}}, Value{int64_t{1}}, Value{100.0}},
+          {Value{int64_t{901}}, Value{int64_t{2}}, Value{200.0}},
+          {Value{int64_t{902}}, Value{int64_t{3}}, Value{400.0}},
+      });
   std::vector<size_t> include{1};
   ExecOptions opts;
   opts.private_table = "clicks";
-  opts.replace_private_rows = &synthetic;
+  opts.replace_private_rows = synthetic.get();
   opts.include_rows = &include;
   auto r = executor_->Execute(plan, opts);
   ASSERT_TRUE(r.ok());
@@ -262,12 +286,14 @@ TEST_F(ExecutorTest, RejectsMalformedIncludeRows) {
           << r.status().ToString();
     }
     // Against a replaced private table, the range is the replacement's.
-    const std::vector<Row> one{{Value{int64_t{1}}, Value{int64_t{20}}}};
+    const auto one = ColumnarTable::Build(
+        catalog_.at("users")->schema(),
+        {{Value{int64_t{1}}, Value{int64_t{20}}}});
     const std::vector<size_t> second{1};
     ExecOptions opts;
     opts.engine = engine;
     opts.private_table = "users";
-    opts.replace_private_rows = &one;
+    opts.replace_private_rows = one.get();
     opts.include_rows = &second;
     auto r = executor_->Execute(plan, opts);
     ASSERT_FALSE(r.ok());

@@ -28,6 +28,7 @@
 #include "common/failpoint.h"
 #include "queries/plan_query.h"
 #include "relational/executor.h"
+#include "relational/sql_parser.h"
 #include "service/service.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
@@ -170,6 +171,65 @@ TEST_F(ChaosTest, PlanQueryDeadlineInMapPhaseRefundsCharge) {
   auto next = service.Execute(MakeRequest("a", "ds", q1, 2));
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.05);
+  EXPECT_TRUE(service.accountant().VerifyConservation().ok());
+}
+
+// SQL whose one pass fails: an unknown filter column, an unknown SUM
+// column, an unknown join key. Each fails its release with the pass's
+// INVALID_ARGUMENT; before, each aborted the process.
+const char* const kPassErrorSql[] = {
+    "SELECT COUNT(*) FROM lineitem WHERE no_such_col > 1",
+    "SELECT SUM(no_such_col) FROM lineitem",
+    "SELECT COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_nokey",
+};
+
+core::QueryInstance SqlQuery(const tpch::TpchDataset& data,
+                             std::shared_ptr<const rel::PlanExecutor> executor,
+                             const std::string& sql,
+                             const std::string& private_table) {
+  Result<rel::PlanPtr> parsed = rel::ParseSql(sql);
+  EXPECT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+  tpch::TpchQuery query;
+  query.name = sql;
+  query.plan = parsed.ok() ? parsed.value() : nullptr;
+  query.private_table = private_table;
+  return queries::MakePlanQuery(&Ctx(), std::move(executor), &data, query);
+}
+
+// A SQL release whose pass fails for a reason other than the request's
+// token ends with the pass's status and a refund: nothing registers, and
+// the service (the whole process) serves the next release on the dataset.
+// A private table with no record domain fails its domain pass the same way.
+TEST_F(ChaosTest, PassErrorFailsTheReleaseAndRefundsTheCharge) {
+  const tpch::TpchDataset data(tpch::TpchConfig{.num_orders = 300});
+  const rel::Catalog catalog = data.catalog();
+  auto executor = std::make_shared<const rel::PlanExecutor>(&Ctx(), &catalog);
+  UpaService service(&Ctx(), FastConfig());
+  uint64_t seed = 1;
+  for (const char* sql : kPassErrorSql) {
+    auto result = service.Execute(MakeRequest(
+        "a", "lineitem", SqlQuery(data, executor, sql, "lineitem"), seed++));
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << result.status().ToString();
+    EXPECT_DOUBLE_EQ(service.accountant().Spent("lineitem"), 0.0) << sql;
+    EXPECT_EQ(service.DebugState("lineitem").registry.size(), 0u) << sql;
+  }
+  auto nation = service.Execute(MakeRequest(
+      "a", "nation",
+      SqlQuery(data, executor, "SELECT COUNT(*) FROM nation", "nation"),
+      seed++));
+  ASSERT_FALSE(nation.ok());
+  EXPECT_EQ(nation.status().code(), StatusCode::kUnsupported)
+      << nation.status().ToString();
+  EXPECT_DOUBLE_EQ(service.accountant().Spent("nation"), 0.0);
+
+  auto next = service.Execute(MakeRequest(
+      "a", "lineitem",
+      SqlQuery(data, executor, "SELECT COUNT(*) FROM lineitem", "lineitem"),
+      seed++));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_DOUBLE_EQ(service.accountant().Spent("lineitem"), 0.05);
   EXPECT_TRUE(service.accountant().VerifyConservation().ok());
 }
 

@@ -122,7 +122,7 @@ TEST(UpaRunnerTest, SensitivityHintReleasesBitIdentically) {
                              size_t num_domain, uint64_t seed) {
     domain_requests.push_back(num_domain);
     MappedBatches out = inner(sample, parts, num_domain, seed);
-    EXPECT_EQ(out.domain_mapped.size(), num_domain);
+    EXPECT_EQ(out.domain_mapped.values.size(), num_domain * out.dim);
     return out;
   };
   auto fast = hinted.Run(query, 11, &hint);
@@ -138,6 +138,53 @@ TEST(UpaRunnerTest, SensitivityHintReleasesBitIdentically) {
   // The skipped work is observable: no neighbour outputs were computed.
   EXPECT_TRUE(fast.value().neighbour_outputs.empty());
   EXPECT_EQ(reference.value().neighbour_outputs.size(), 400u);
+}
+
+// A record may map to the empty Vec, the reducer's identity (a dp_api UDF
+// can return one). In the flat batches it stays the identity: it adds
+// nothing, and a reduction over identity records alone is the identity,
+// which the query's scalarize sees as an empty Vec, not as zeros.
+TEST(UpaRunnerTest, EmptyMappedRecordsStayTheIdentity) {
+  // Records 0..9, all sampled (S' is empty); odd ones map to the identity.
+  SimpleQuerySpec<int> spec;
+  spec.name = "identity";
+  spec.ctx = &Ctx();
+  auto records = std::make_shared<std::vector<int>>(10);
+  std::iota(records->begin(), records->end(), 0);
+  spec.records = records;
+  auto map = [](const int& r) {
+    return r % 2 == 0 ? Vec{double(r), 2.0 * r} : Vec{};
+  };
+  spec.map_record = map;
+  spec.sample_domain = [](Rng& rng) {
+    return static_cast<int>(rng.UniformU64(10));
+  };
+  spec.scalarize = [](const Vec& v) { return v.empty() ? 42.0 : v[0] + v[1]; };
+
+  UpaRunner runner(NoNoiseConfig());
+  auto result = runner.Run(MakeSimpleQuery(spec), 3);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const UpaRunResult& r = result.value();
+  EXPECT_EQ(r.reduced, (Vec{20.0, 40.0}));
+  EXPECT_DOUBLE_EQ(r.raw_output, 60.0);
+  // Partition 1 holds only odd records: its reduced value is the identity.
+  EXPECT_EQ(r.partition_outputs, (std::vector<double>{60.0, 42.0}));
+  ASSERT_EQ(r.neighbour_outputs.size(), 20u);
+  for (size_t i = 0; i < 10; ++i) {
+    const double want = i % 2 == 0 ? 60.0 - 3.0 * i : 60.0;
+    EXPECT_DOUBLE_EQ(r.neighbour_outputs[i], want) << "removal " << i;
+  }
+
+  // Every record maps to the identity: so does every reduction.
+  spec.map_record = [](const int&) { return Vec{}; };
+  UpaRunner empty_runner(NoNoiseConfig());
+  auto empty = empty_runner.Run(MakeSimpleQuery(spec), 3);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty.value().reduced.empty());
+  EXPECT_DOUBLE_EQ(empty.value().raw_output, 42.0);
+  EXPECT_EQ(empty.value().partition_outputs,
+            (std::vector<double>{42.0, 42.0}));
+  for (double y : empty.value().neighbour_outputs) EXPECT_DOUBLE_EQ(y, 42.0);
 }
 
 TEST(UpaRunnerTest, SharedEnforcerSeesOtherRunnersRegistrations) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -67,27 +73,42 @@ TEST(VecSumPropertyTest, CommutativeAndAssociative) {
   }
 }
 
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
 TEST(ExclusionTest, SingleElementExcludesToIdentity) {
-  std::vector<Vec> mapped{{7.0}};
-  for (const auto& excl :
-       {NaiveExclusionAggregate(mapped), ExclusionAggregate(mapped)}) {
+  const std::vector<double> mapped{7.0};
+  // The identity row is -0.0: every output of a one-row scan is that row.
+  for (const auto& excl : {NaiveExclusionAggregate(mapped, 1),
+                           ExclusionAggregate(mapped, 1)}) {
     ASSERT_EQ(excl.size(), 1u);
-    EXPECT_EQ(excl[0], VecSum::Identity());
+    EXPECT_EQ(Bits(excl[0]), Bits(-0.0));
   }
 }
 
 TEST(ExclusionTest, KnownSmallCase) {
-  std::vector<Vec> mapped{{1.0}, {2.0}, {4.0}};
-  auto excl = ExclusionAggregate(mapped);
+  const std::vector<double> mapped{1.0, 2.0, 4.0};
+  auto excl = ExclusionAggregate(mapped, 1);
   ASSERT_EQ(excl.size(), 3u);
-  EXPECT_DOUBLE_EQ(excl[0][0], 6.0);
-  EXPECT_DOUBLE_EQ(excl[1][0], 5.0);
-  EXPECT_DOUBLE_EQ(excl[2][0], 3.0);
+  EXPECT_DOUBLE_EQ(excl[0], 6.0);
+  EXPECT_DOUBLE_EQ(excl[1], 5.0);
+  EXPECT_DOUBLE_EQ(excl[2], 3.0);
 }
 
 TEST(ExclusionTest, TotalAggregateMatchesSum) {
-  std::vector<Vec> mapped{{1.0, 10.0}, {2.0, 20.0}, {3.0, 30.0}};
-  EXPECT_EQ(TotalAggregate(mapped), (Vec{6.0, 60.0}));
+  const VecRows mapped{{1.0, 10.0, 2.0, 20.0, 3.0, 30.0}, {}};
+  EXPECT_EQ(TotalAggregate(mapped, 2), (Vec{6.0, 60.0}));
+  // Identity rows alone reduce to the identity, not to -0.0 cells.
+  VecRows nothing;
+  nothing.Append({}, 2);
+  nothing.Append({}, 2);
+  EXPECT_EQ(TotalAggregate(nothing, 2), VecSum::Identity());
+}
+
+/// n rows of `dim` uniform values in [-10, 10), row-major.
+std::vector<double> RandomRows(Rng& rng, size_t n, size_t dim) {
+  std::vector<double> rows(n * dim);
+  for (double& v : rows) v = rng.UniformDouble(-10, 10);
+  return rows;
 }
 
 // Property: for every element, excl[i] ⊕ m[i] == total.
@@ -97,19 +118,15 @@ class ExclusionInvariantSweep
 TEST_P(ExclusionInvariantSweep, ExclusionPlusSelfIsTotal) {
   auto [n, dim] = GetParam();
   Rng rng(300 + n + dim);
-  std::vector<Vec> mapped(n, Vec(dim));
-  for (auto& m : mapped) {
-    for (double& v : m) v = rng.UniformDouble(-10, 10);
-  }
-  Vec total = TotalAggregate(mapped);
-  for (const auto& excl :
-       {NaiveExclusionAggregate(mapped), ExclusionAggregate(mapped)}) {
-    ASSERT_EQ(excl.size(), static_cast<size_t>(n));
+  const std::vector<double> mapped = RandomRows(rng, n, dim);
+  const Vec total = TotalAggregate(VecRows{mapped, {}}, dim);
+  for (const auto& excl : {NaiveExclusionAggregate(mapped, dim),
+                           ExclusionAggregate(mapped, dim)}) {
+    ASSERT_EQ(excl.size(), mapped.size());
     for (int i = 0; i < n; ++i) {
-      Vec restored = VecSum::Combine(excl[i], mapped[i]);
-      ASSERT_EQ(restored.size(), total.size());
-      for (size_t j = 0; j < total.size(); ++j) {
-        EXPECT_NEAR(restored[j], total[j], 1e-9) << "i=" << i << " j=" << j;
+      for (int j = 0; j < dim; ++j) {
+        const double restored = excl[i * dim + j] + mapped[i * dim + j];
+        EXPECT_NEAR(restored, total[j], 1e-9) << "i=" << i << " j=" << j;
       }
     }
   }
@@ -124,13 +141,13 @@ INSTANTIATE_TEST_SUITE_P(
 // pool, each call on its own copy of the input: the runner calls it inline
 // on whichever service worker runs the release, so it must be a pure
 // function of its input with no shared state.
-std::vector<std::vector<Vec>> ScanOnWorkers(const std::vector<Vec>& mapped,
-                                            size_t threads) {
+std::vector<std::vector<double>> ScanOnWorkers(
+    const std::vector<double>& mapped, size_t dim, size_t threads) {
   ThreadPool pool(threads);
-  std::vector<std::vector<Vec>> out(threads);
+  std::vector<std::vector<double>> out(threads);
   pool.ParallelFor(threads, [&](size_t t) {
-    std::vector<Vec> copy = mapped;
-    out[t] = ExclusionAggregate(copy);
+    std::vector<double> copy = mapped;
+    out[t] = ExclusionAggregate(copy, dim);
   });
   return out;
 }
@@ -142,21 +159,18 @@ class StrategyAgreementSweep : public ::testing::TestWithParam<int> {};
 TEST_P(StrategyAgreementSweep, NaiveEqualsScanEqualsParallelScan) {
   int n = GetParam();
   Rng rng(500 + n);
-  std::vector<Vec> mapped(n, Vec(2));
-  for (auto& m : mapped) {
-    m[0] = rng.UniformDouble(-1, 1);
-    m[1] = rng.Normal(0, 3);
-  }
-  auto naive = NaiveExclusionAggregate(mapped);
-  auto scan = ExclusionAggregate(mapped);
-  ASSERT_EQ(naive.size(), scan.size());
+  std::vector<double> mapped(2 * n);
   for (int i = 0; i < n; ++i) {
-    ASSERT_EQ(naive[i].size(), scan[i].size());
-    for (size_t j = 0; j < naive[i].size(); ++j) {
-      EXPECT_NEAR(naive[i][j], scan[i][j], 1e-9);
-    }
+    mapped[2 * i] = rng.UniformDouble(-1, 1);
+    mapped[2 * i + 1] = rng.Normal(0, 3);
   }
-  for (const std::vector<Vec>& par : ScanOnWorkers(mapped, 4)) {
+  auto naive = NaiveExclusionAggregate(mapped, 2);
+  auto scan = ExclusionAggregate(mapped, 2);
+  ASSERT_EQ(naive.size(), scan.size());
+  for (size_t i = 0; i < naive.size(); ++i) {
+    EXPECT_NEAR(naive[i], scan[i], 1e-9);
+  }
+  for (const std::vector<double>& par : ScanOnWorkers(mapped, 2, 4)) {
     EXPECT_EQ(par, scan);
   }
 }
@@ -172,15 +186,13 @@ class ParallelScanDeterminismSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ParallelScanDeterminismSweep, BitIdenticalAcrossPoolSizes) {
   int n = GetParam();
   Rng rng(900 + n);
-  std::vector<Vec> mapped(n, Vec(3));
-  for (auto& m : mapped) {
-    for (double& v : m) v = rng.Normal(0, 5);
-  }
-  auto reference = ExclusionAggregate(mapped);
+  std::vector<double> mapped(3 * n);
+  for (double& v : mapped) v = rng.Normal(0, 5);
+  auto reference = ExclusionAggregate(mapped, 3);
   for (size_t threads : {1u, 2u, 4u, 7u}) {
-    // operator== on Vec compares doubles exactly: bit-identity, not
+    // operator== on the buffers compares doubles exactly: bit-identity, not
     // tolerance.
-    for (const std::vector<Vec>& par : ScanOnWorkers(mapped, threads)) {
+    for (const std::vector<double>& par : ScanOnWorkers(mapped, 3, threads)) {
       EXPECT_EQ(par, reference) << "threads=" << threads;
     }
   }
@@ -188,6 +200,156 @@ TEST_P(ParallelScanDeterminismSweep, BitIdenticalAcrossPoolSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ParallelScanDeterminismSweep,
                          ::testing::Values(1, 2, 63, 64, 65, 500, 1000));
+
+// The per-record Vec scan the flat one replaced, kept here as the
+// reference it must match bit for bit: one Vec per prefix, suffix and
+// combine, the empty Vec as the identity.
+std::vector<Vec> VecScanReference(const std::vector<Vec>& mapped) {
+  constexpr size_t kMaxBlocks = 64;  // ExclusionAggregate's block bound
+  const size_t n = mapped.size();
+  const size_t per = std::max<size_t>(1, (n + kMaxBlocks - 1) / kMaxBlocks);
+  const size_t blocks = (n + per - 1) / per;
+  auto block_range = [&](size_t c) {
+    return std::pair<size_t, size_t>{c * per, std::min(n, (c + 1) * per)};
+  };
+  std::vector<std::vector<Vec>> local_prefix(blocks), local_suffix(blocks);
+  for (size_t c = 0; c < blocks; ++c) {
+    auto [b, e] = block_range(c);
+    const size_t len = e - b;
+    local_prefix[c].resize(len + 1);
+    local_suffix[c].resize(len + 1);
+    for (size_t k = 0; k < len; ++k) {
+      local_prefix[c][k + 1] =
+          VecSum::Combine(local_prefix[c][k], mapped[b + k]);
+    }
+    for (size_t k = len; k-- > 0;) {
+      local_suffix[c][k] =
+          VecSum::Combine(local_suffix[c][k + 1], mapped[b + k]);
+    }
+  }
+  std::vector<Vec> before(blocks), after(blocks);
+  for (size_t c = 1; c < blocks; ++c) {
+    before[c] = VecSum::Combine(before[c - 1], local_prefix[c - 1].back());
+  }
+  for (size_t c = blocks - 1; c-- > 0;) {
+    after[c] = VecSum::Combine(after[c + 1], local_suffix[c + 1].front());
+  }
+  std::vector<Vec> out(n);
+  for (size_t c = 0; c < blocks; ++c) {
+    auto [b, e] = block_range(c);
+    for (size_t k = 0; k < e - b; ++k) {
+      out[b + k] = VecSum::Combine(
+          VecSum::Combine(before[c], local_prefix[c][k]),
+          VecSum::Combine(local_suffix[c][k + 1], after[c]));
+    }
+  }
+  return out;
+}
+
+/// One mapped record: mostly uniform values, with -0.0, +0.0, NaN, ±inf
+/// and (when `allow_empty`) the empty Vec mixed in.
+Vec SpecialRecord(Rng& rng, size_t dim, bool allow_empty) {
+  if (allow_empty && rng.Bernoulli(0.15)) return {};
+  Vec v(dim);
+  for (double& x : v) {
+    const uint64_t pick = rng.UniformU64(40);
+    x = pick == 0   ? -0.0
+        : pick == 1 ? 0.0
+        : pick == 2 ? std::numeric_limits<double>::quiet_NaN()
+        : pick == 3 ? std::numeric_limits<double>::infinity()
+        : pick == 4 ? -std::numeric_limits<double>::infinity()
+        : pick < 15 ? -0.0 * rng.UniformDouble(0, 1)  // more signed zeros
+                    : rng.UniformDouble(-1e3, 1e3);
+  }
+  return v;
+}
+
+/// Bits of a flat row, and of the reference's Vec (the identity: -0.0s).
+/// Every NaN reads as one value: the Vec scan's `a[i] += b[i]` leaves the
+/// sign of a NaN sum to the operand order the compiler picks, which
+/// differs between this repository's optimized and sanitizer builds.
+uint64_t CellBits(double d) {
+  return std::isnan(d) ? Bits(std::numeric_limits<double>::quiet_NaN())
+                       : Bits(d);
+}
+std::vector<uint64_t> RowBits(const double* row, size_t dim) {
+  std::vector<uint64_t> bits(dim);
+  for (size_t d = 0; d < dim; ++d) bits[d] = CellBits(row[d]);
+  return bits;
+}
+std::vector<uint64_t> VecBits(const Vec& v, size_t dim) {
+  return v.empty() ? std::vector<uint64_t>(dim, Bits(-0.0))
+                   : RowBits(v.data(), dim);
+}
+
+// The flat folds fix what the Vec scan left to the compiler: a NaN sum is
+// its first NaN operand, else the hardware's NaN for inf - inf.
+TEST(ExclusionDifferentialTest, CellSumPropagatesTheFirstNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Bits(CellSum(-nan, nan)), Bits(-nan));
+  EXPECT_EQ(Bits(CellSum(nan, -nan)), Bits(nan));
+  EXPECT_EQ(Bits(CellSum(1.0, -nan)), Bits(-nan));
+  EXPECT_TRUE(std::isnan(CellSum(inf, -inf)));
+  EXPECT_EQ(Bits(CellSum(-0.0, -0.0)), Bits(-0.0));
+  EXPECT_EQ(Bits(CellSum(-0.0, 0.0)), Bits(0.0));
+  EXPECT_EQ(Bits(CellSum(2.5, -0.0)), Bits(2.5));
+}
+
+// The flat scan against the Vec scan it replaced, bit for bit but for a
+// NaN's sign, and against the paper's loop: dim 1 and dim > 1, signed
+// zeros, NaN, ±inf, records that map to the empty Vec (flattened to
+// identity rows), and n = 1 to past the 64-block bound.
+TEST(ExclusionDifferentialTest, FlatScanMatchesVecScanBitForBit) {
+  Rng rng(77);
+  for (size_t dim : {size_t{1}, size_t{3}}) {
+    for (size_t n : {size_t{1}, size_t{2}, size_t{5}, size_t{64},
+                     size_t{65}, size_t{130}, size_t{1000}}) {
+      for (bool allow_empty : {false, true}) {
+        std::vector<Vec> records(n);
+        VecRows flat;
+        for (Vec& r : records) {
+          r = SpecialRecord(rng, dim, allow_empty);
+          flat.Append(r, dim);
+        }
+        const std::vector<Vec> want = VecScanReference(records);
+        const std::vector<double> got = ExclusionAggregate(flat.values, dim);
+        const std::vector<double> naive =
+            NaiveExclusionAggregate(flat.values, dim);
+        ASSERT_EQ(got.size(), n * dim);
+        for (size_t i = 0; i < n; ++i) {
+          const std::string what = "dim=" + std::to_string(dim) +
+                                   " n=" + std::to_string(n) +
+                                   " i=" + std::to_string(i);
+          EXPECT_EQ(RowBits(got.data() + i * dim, dim), VecBits(want[i], dim))
+              << what;
+          // An output is the identity iff no other record holds a value.
+          const size_t others = flat.CountValues(n) - !flat.IsIdentity(i);
+          EXPECT_EQ(want[i].empty(), others == 0) << what;
+          for (size_t d = 0; d < dim; ++d) {
+            const double s = got[i * dim + d], v = naive[i * dim + d];
+            // A NaN's sign depends on the order it arose in (inf - inf
+            // or a NaN operand), so only NaN-ness is order-free.
+            if (std::isnan(s)) {
+              EXPECT_TRUE(std::isnan(v)) << what;
+            } else if (std::isinf(s)) {
+              EXPECT_EQ(s, v) << what;
+            } else {
+              EXPECT_NEAR(s, v, 1e-6 * std::max(1.0, std::fabs(v))) << what;
+            }
+          }
+        }
+        // The total, by the same left fold.
+        Vec want_total = VecSum::Reduce(records);
+        Vec got_total = TotalAggregate(flat, dim);
+        ASSERT_EQ(want_total.size(), got_total.size());
+        for (size_t d = 0; d < want_total.size(); ++d) {
+          EXPECT_EQ(CellBits(want_total[d]), CellBits(got_total[d]));
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace upa::core
