@@ -84,17 +84,18 @@ void BM_ShuffleByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_ShuffleByKey)->Arg(10000)->Arg(100000);
 
-// ParallelForChunks throughput at a given pool size — the primitive the
-// UPA runner's phase-3b/4 pipeline fans out on. Work per index is a small
-// vector accumulation, the shape of a per-neighbour Combine+OutputOf.
-void BM_ParallelForChunks(benchmark::State& state) {
+// ParallelForMorsels throughput at a given pool size (default grain) — the
+// pool's one parallel-for, which the columnar kernels and every
+// ParallelFor fan out on. Work per index is a small vector accumulation,
+// the shape of a per-neighbour Combine+OutputOf.
+void BM_ParallelForMorsels(benchmark::State& state) {
   upa::ThreadPool pool(static_cast<size_t>(state.range(0)));
   const size_t n = 4096;
   const size_t dim = 64;
   std::vector<std::vector<double>> vecs(n, std::vector<double>(dim, 1.0));
   std::vector<double> out(n);
   for (auto _ : state) {
-    pool.ParallelForChunks(n, [&](size_t begin, size_t end) {
+    pool.ParallelForMorsels(n, 0, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         double acc = 0.0;
         for (double v : vecs[i]) acc += v;
@@ -105,7 +106,7 @@ void BM_ParallelForChunks(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ParallelForChunks)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ParallelForMorsels)->Arg(1)->Arg(2)->Arg(4);
 
 // Nested fan-out from inside a worker — exercises the help-run path that
 // makes ParallelFor reentrant (and used to deadlock).

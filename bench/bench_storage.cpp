@@ -1,26 +1,21 @@
-// Storage-layer benchmarks: fragmented columnar scans and morsel scheduling.
+// Storage-layer benchmark: morsel scheduling.
 //
-//   1. scan_skipping — a selective filter over a key-ordered table, run
-//      monolithic (one fragment, zone maps useless) vs fragmented (default
-//      8K-row fragments, ~98% of fragments pruned by the zone maps). Both
-//      runs produce bit-identical outputs; only the wall clock moves.
-//   2. morsel_vs_static — the scheduling experiment: per-item work drawn
-//      from a Zipf-like 1/(rank+1) profile, sorted worst-first (exactly the
-//      shape a key-ordered skewed join produces). Static contiguous chunks
-//      strand most of the work on one worker; the shared-cursor morsel loop
-//      load-balances it. Two numbers are reported: wall clock measured on
-//      this host (which degenerates to ~1.0x on a single-core machine,
-//      where any schedule executes serially), and a deterministic makespan
-//      model at 8 virtual workers — the machine-independent headline the
-//      >= 1.3x acceptance target applies to; the measured ratio approaches
-//      it as physical cores increase.
+// morsel_vs_static — the scheduling experiment: per-item work drawn from a
+// Zipf-like 1/(rank+1) profile, sorted worst-first (exactly the shape a
+// key-ordered skewed join produces). The static arm hands each worker one
+// contiguous chunk (a morsel run whose grain is ⌈items / workers⌉), which
+// strands most of the work on one worker; the grain-1 morsel loop
+// load-balances it. Two numbers are reported: wall clock measured on this
+// host (which degenerates to ~1.0x on a single-core machine, where any
+// schedule executes serially), and a deterministic makespan model at 8
+// virtual workers — the machine-independent headline the >= 1.3x
+// acceptance target applies to; the measured ratio approaches it as
+// physical cores increase.
 //
-// Emits BENCH_storage.json (override with UPA_BENCH_JSON). Knobs:
-// UPA_ORDERS (scan rows = max(20000, 100 × orders)), UPA_RUNS, UPA_THREADS
-// (src/bench_util/harness.h).
+// Emits BENCH_storage.json (override with UPA_BENCH_JSON). Knobs: UPA_RUNS,
+// UPA_THREADS (src/bench_util/harness.h).
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -33,12 +28,6 @@
 #include "common/status.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "engine/context.h"
-#include "relational/columnar.h"
-#include "relational/executor.h"
-#include "relational/expr.h"
-#include "relational/plan.h"
-#include "relational/table.h"
 
 using namespace upa;
 
@@ -55,73 +44,6 @@ std::string JsonNum(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
-
-// ---------------------------------------------------------------------------
-// 1. Fragmented vs monolithic scan under a selective filter.
-
-struct ScanResult {
-  double seconds = 0.0;
-  double output = 0.0;
-  uint64_t fragments_scanned = 0;
-  uint64_t fragments_skipped = 0;
-};
-
-ScanResult TimeSelectiveScan(size_t rows, size_t fragment_rows, size_t threads,
-                             size_t runs) {
-  struct FragGuard {
-    size_t saved = rel::DefaultFragmentRows();
-    ~FragGuard() { rel::SetDefaultFragmentRows(saved); }
-  } guard;
-  rel::SetDefaultFragmentRows(fragment_rows);
-
-  // Key-ordered rows: zone maps on "key" are tight intervals, so a
-  // selective range predicate prunes all but the leading fragments.
-  rel::Schema schema({{"key", rel::ValueType::kInt},
-                      {"val", rel::ValueType::kDouble}});
-  std::vector<rel::Row> data;
-  data.reserve(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    data.push_back({rel::Value{static_cast<int64_t>(i)},
-                    rel::Value{0.125 * static_cast<double>(i % 97)}});
-  }
-  rel::Table table("events", schema, data);
-  rel::Catalog catalog{{"events", &table}};
-
-  const int64_t cutoff = static_cast<int64_t>(rows / 50);  // ~2% selectivity
-  rel::PlanPtr plan = rel::SumPlan(
-      rel::FilterPlan(rel::ScanPlan("events"),
-                      rel::Lt(rel::Col("key"), rel::Lit(cutoff))),
-      rel::Col("val"));
-
-  engine::ExecContext ctx(
-      engine::ExecConfig{.threads = threads, .default_partitions = 4});
-  rel::PlanExecutor exec(&ctx, &catalog);
-  rel::ExecOptions opts;
-  opts.engine = rel::ExecEngine::kColumnar;
-
-  table.Columnar();  // materialize outside the timed region
-
-  ScanResult best;
-  best.seconds = 1e100;
-  for (size_t r = 0; r < runs; ++r) {
-    const double t0 = Now();
-    Result<rel::ExecResult> res = exec.Execute(plan, opts);
-    const double dt = Now() - t0;
-    UPA_CHECK_MSG(res.ok(), "scan bench failed: " + res.status().ToString());
-    if (dt < best.seconds) {
-      best.seconds = dt;
-      best.output = res.value().output;
-    }
-  }
-  engine::MetricsSnapshot snap = ctx.metrics().Snapshot();
-  // Counters accumulate over the repetitions; report per-run figures.
-  best.fragments_scanned = snap.counters["columnar/fragments_scanned"] / runs;
-  best.fragments_skipped = snap.counters["columnar/fragments_skipped"] / runs;
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// 2. Morsel-driven vs static-chunk scheduling under Zipf-skewed work.
 
 uint64_t SpinWork(uint64_t x, size_t iters) {
   for (size_t i = 0; i < iters; ++i) {
@@ -158,11 +80,11 @@ SchedResult TimeScheduling(size_t threads, size_t runs) {
 
   SchedResult best;
   best.threads = pool.thread_count();
-  // Makespan model: static = the contiguous chunks ParallelForChunks hands
-  // out (worker w owns one chunk, finishing at its chunk's total work);
-  // morsel = greedy pull off a shared cursor (each item goes to the worker
-  // that frees up first — what ParallelForMorsels converges to when
-  // per-item cost dominates the cursor fetch).
+  // Makespan model: static = one contiguous chunk per worker (worker w
+  // owns one chunk, finishing at its chunk's total work); morsel = greedy
+  // pull off a shared cursor (each item goes to the worker that frees up
+  // first — what grain-1 ParallelForMorsels converges to when per-item
+  // cost dominates the cursor fetch).
   {
     const size_t per = (kItems + kModelWorkers - 1) / kModelWorkers;
     for (size_t w = 0; w < kModelWorkers; ++w) {
@@ -192,12 +114,11 @@ SchedResult TimeScheduling(size_t threads, size_t runs) {
       }
       sink.fetch_xor(acc, std::memory_order_relaxed);
     };
+    // The static arm's grain gives each puller one contiguous chunk.
+    const size_t grain =
+        morsel ? 1 : (kItems + best.threads - 1) / best.threads;
     const double t0 = Now();
-    if (morsel) {
-      pool.ParallelForMorsels(kItems, 1, body);
-    } else {
-      pool.ParallelForChunks(kItems, body);
-    }
+    pool.ParallelForMorsels(kItems, grain, body);
     return std::pair<double, uint64_t>{Now() - t0, sink.load()};
   };
 
@@ -219,34 +140,8 @@ SchedResult TimeScheduling(size_t threads, size_t runs) {
 
 int main() {
   bench::BenchEnv env = bench::BenchEnv::FromEnv();
-  bench::PrintBanner("Fragmented storage, morsel scheduling", env);
+  bench::PrintBanner("Morsel scheduling", env);
 
-  const size_t scan_rows = std::max<size_t>(20000, env.orders * 100);
-
-  // --- 1. scan_skipping
-  ScanResult mono =
-      TimeSelectiveScan(scan_rows, scan_rows, env.threads, env.runs);
-  ScanResult frag = TimeSelectiveScan(scan_rows, 8192, env.threads, env.runs);
-  UPA_CHECK_MSG(std::bit_cast<uint64_t>(mono.output) ==
-                    std::bit_cast<uint64_t>(frag.output),
-                "fragmented scan changed the output");
-  const double scan_speedup =
-      mono.seconds / std::max(1e-9, frag.seconds);
-  {
-    TablePrinter t({"layout", "fragments", "skipped", "time (ms)", "speedup"});
-    t.AddRow({"monolithic", std::to_string(mono.fragments_scanned),
-              std::to_string(mono.fragments_skipped),
-              TablePrinter::FormatDouble(mono.seconds * 1e3, 3), "1.00"});
-    t.AddRow({"8K fragments",
-              std::to_string(frag.fragments_scanned + frag.fragments_skipped),
-              std::to_string(frag.fragments_skipped),
-              TablePrinter::FormatDouble(frag.seconds * 1e3, 3),
-              TablePrinter::FormatDouble(scan_speedup, 2)});
-    t.Print("Selective scan (~2% of " + std::to_string(scan_rows) +
-            " key-ordered rows), min over runs");
-  }
-
-  // --- 2. morsel_vs_static
   SchedResult sched = TimeScheduling(env.threads, env.runs);
   const double measured_speedup =
       sched.static_seconds / std::max(1e-9, sched.morsel_seconds);
@@ -279,13 +174,7 @@ int main() {
   std::fprintf(
       f,
       "{\n  \"experiment\": \"storage\",\n"
-      "  \"orders\": %zu,\n  \"runs\": %zu,\n  \"threads\": %zu,\n"
-      "  \"scan_skipping\": {\n"
-      "    \"rows\": %zu,\n"
-      "    \"monolithic_ms\": %s,\n    \"fragmented_ms\": %s,\n"
-      "    \"speedup\": %s,\n"
-      "    \"fragments_scanned\": %llu,\n    \"fragments_skipped\": %llu\n"
-      "  },\n"
+      "  \"runs\": %zu,\n  \"threads\": %zu,\n"
       "  \"morsel_vs_static\": {\n"
       "    \"measured_static_ms\": %s,\n    \"measured_morsel_ms\": %s,\n"
       "    \"measured_speedup\": %s,\n"
@@ -293,11 +182,7 @@ int main() {
       "    \"static_makespan\": %s,\n    \"morsel_makespan\": %s,\n"
       "    \"speedup\": %s\n"
       "  }\n}\n",
-      env.orders, env.runs, sched.threads, scan_rows,
-      JsonNum(mono.seconds * 1e3).c_str(), JsonNum(frag.seconds * 1e3).c_str(),
-      JsonNum(scan_speedup).c_str(),
-      static_cast<unsigned long long>(frag.fragments_scanned),
-      static_cast<unsigned long long>(frag.fragments_skipped),
+      env.runs, sched.threads,
       JsonNum(sched.static_seconds * 1e3).c_str(),
       JsonNum(sched.morsel_seconds * 1e3).c_str(),
       JsonNum(measured_speedup).c_str(), kModelWorkers,

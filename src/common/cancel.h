@@ -3,7 +3,7 @@
 // A CancelToken carries a "stop now" signal (client cancellation, service
 // watchdog, or an attached deadline) to a running query. Cancellation is
 // cooperative: hot loops poll the token at natural boundaries —
-// ThreadPool::ParallelFor chunk boundaries, columnar kernel batches, and
+// ThreadPool morsel boundaries, columnar kernel batches, and
 // between UpaRunner phases — and bail out with StatusCode::kCancelled /
 // kDeadlineExceeded. Nothing is released after a check observes the
 // cancellation, which is what lets the service refund the budget charge
@@ -11,8 +11,8 @@
 //
 // Tokens reach the workers through a thread-local CancelScope stack rather
 // than through every call signature: the service installs the request's
-// token around the run, and ParallelForChunks re-installs the caller's
-// token inside each chunk task (chunks execute on other pool threads).
+// token around the run, and ParallelForMorsels re-installs the caller's
+// token inside each helper task (helpers execute on other pool threads).
 #pragma once
 
 #include <atomic>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <numeric>
 
 #include "common/cancel.h"
 #include "common/failpoint.h"
@@ -43,65 +42,10 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   return fut;
 }
 
-size_t ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  return ParallelForChunks(n, [&fn](size_t begin, size_t end) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+  ParallelForMorsels(n, 1, [&fn](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) fn(i);
   });
-}
-
-size_t ThreadPool::ParallelForChunks(
-    size_t n, const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return 0;
-  // Cooperative cancellation: chunks are the polling boundary. Each chunk
-  // re-installs the caller's token on the worker that runs it (tokens ride
-  // a thread-local scope, not the call signature) and is skipped once the
-  // token trips — the caller is abandoning the result anyway, so skipped
-  // chunks only shed work; the caller converts the trip into a Status.
-  CancelToken* token = CancelScope::Current();
-  size_t chunks = std::min(n, thread_count());
-  if (chunks <= 1) {
-    if (token == nullptr || token->Check().ok()) fn(0, n);
-    return 1;
-  }
-  size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = c * per;
-    size_t end = std::min(n, begin + per);
-    if (begin >= end) break;
-    futures.push_back(Submit([&fn, begin, end, token] {
-      CancelScope scope(token);
-      if (token == nullptr || token->Check().ok()) fn(begin, end);
-    }));
-  }
-  // Wait for every chunk before propagating any error: chunks reference
-  // caller stack state, so unwinding while siblings still run would be a
-  // use-after-scope.
-  //
-  // While waiting, help-run queued tasks. A plain future::get() here would
-  // deadlock when the caller is itself a pool worker: the sibling chunks sit
-  // in the queue waiting for this very thread. Draining the queue instead
-  // guarantees progress on any pool size, including a 1-thread pool whose
-  // single worker calls ParallelFor recursively.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      if (!TryRunOneTask()) {
-        // Queue empty but our chunk still running on another worker; a short
-        // timed wait (not a bare get()) keeps us responsive to tasks that
-        // the running chunk may itself enqueue.
-        f.wait_for(std::chrono::milliseconds(1));
-      }
-    }
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return futures.size();
 }
 
 size_t ThreadPool::ParallelForMorsels(
@@ -156,11 +100,15 @@ size_t ThreadPool::ParallelForMorsels(
         drain();
       }));
     }
-    // The caller participates, then waits with the same help-run loop as
-    // ParallelForChunks (a bare get() would deadlock when the caller is a
-    // pool worker and its helpers sit behind it in the queue). Errors are
-    // propagated only after every helper finished: morsels reference the
-    // caller's stack state.
+    // The caller participates, then waits for every helper before
+    // propagating any error: morsels reference the caller's stack state,
+    // so unwinding while helpers still run would be a use-after-scope.
+    //
+    // While waiting, help-run queued tasks. A plain future::get() here
+    // would deadlock when the caller is itself a pool worker: its helpers
+    // sit in the queue waiting for this very thread. Draining the queue
+    // instead guarantees progress on any pool size, including a 1-thread
+    // pool whose single worker calls ParallelFor recursively.
     std::exception_ptr first_error;
     try {
       drain();
@@ -171,6 +119,9 @@ size_t ThreadPool::ParallelForMorsels(
       while (f.wait_for(std::chrono::seconds(0)) !=
              std::future_status::ready) {
         if (!TryRunOneTask()) {
+          // Queue empty but the helper still runs on another worker; a
+          // short timed wait (not a bare get()) keeps us responsive to
+          // tasks that the running morsel may itself enqueue.
           f.wait_for(std::chrono::milliseconds(1));
         }
       }

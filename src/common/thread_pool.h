@@ -5,22 +5,21 @@
 // defaults to the hardware concurrency and can be overridden (the CI box for
 // this repo has a single core; correctness does not depend on parallelism).
 //
-// ParallelFor / ParallelForChunks / ParallelForMorsels are safe to call from
-// inside a pool worker: while a caller waits for its helpers it help-runs
-// queued tasks instead of blocking, so nested parallelism cannot deadlock
-// even on a 1-thread pool.
+// ParallelForMorsels is the one parallel-for: workers pull fixed-grain
+// morsels off a shared atomic cursor, so a worker stuck on a heavy morsel
+// only delays its own morsel while the others drain the rest. Morsel
+// boundaries depend only on (n, grain) — never on the pool size or pull
+// order — so callers writing disjoint slots per index get bit-identical
+// results at any thread count. ParallelFor is a morsel run with grain 1:
+// one index per morsel.
 //
-// ParallelForChunks splits [0, n) statically into ~thread_count chunks; one
-// slow chunk stalls the whole call (bad under skew). ParallelForMorsels is
-// the load-balanced alternative: workers pull fixed-grain morsels off a
-// shared atomic cursor, so a worker stuck on a heavy morsel only delays its
-// own morsel while the others drain the rest. Morsel boundaries depend only
-// on (n, grain) — never on the pool size or pull order — so callers writing
-// disjoint slots per index get bit-identical results at any thread count.
+// Both are safe to call from inside a pool worker: while a caller waits for
+// its helpers it help-runs queued tasks instead of blocking, so nested
+// parallelism cannot deadlock even on a 1-thread pool.
 //
-// Cooperative cancellation: all helpers poll the caller's CancelScope
-// token at chunk/morsel boundaries — once the token trips, not-yet-started
-// work is skipped (the caller converts the trip into kCancelled /
+// Cooperative cancellation: every helper polls the caller's CancelScope
+// token at morsel boundaries — once the token trips, not-yet-pulled
+// morsels are skipped (the caller converts the trip into kCancelled /
 // kDeadlineExceeded and discards the partial result). See common/cancel.h.
 #pragma once
 
@@ -49,16 +48,10 @@ class ThreadPool {
   /// Enqueue a task; the future resolves when it completes.
   std::future<void> Submit(std::function<void()> task);
 
-  /// Run fn(i) for i in [0, n), partitioned into ~thread_count chunks, and
-  /// wait for all of them. Exceptions in fn propagate to the caller.
-  /// Returns the number of chunk tasks the work was split into (1 when run
-  /// inline). May be called from inside a pool worker (see file comment).
-  size_t ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Run fn(chunk_begin, chunk_end) over contiguous chunks and wait.
-  /// Returns the number of chunk tasks (1 when run inline).
-  size_t ParallelForChunks(size_t n,
-                           const std::function<void(size_t, size_t)>& fn);
+  /// Run fn(i) for i in [0, n), one index per morsel, and wait for all of
+  /// them. Exceptions in fn propagate to the caller. May be called from
+  /// inside a pool worker (see file comment).
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Per-morsel wall-clock samples from one ParallelForMorsels call, for
   /// the engine's duration histograms and the max/mean imbalance gauge

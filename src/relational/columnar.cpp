@@ -1,7 +1,6 @@
 #include "relational/columnar.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "common/cancel.h"
-#include "common/env.h"
 #include "common/exact_sum.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -21,40 +19,11 @@
 namespace upa::rel {
 
 // ---------------------------------------------------------------------------
-// Fragment size knob
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr size_t kDefaultFragmentRows = 64 * 1024;
-std::atomic<size_t> g_fragment_rows{0};  // 0 = not yet initialized
-}  // namespace
-
-size_t DefaultFragmentRows() {
-  size_t v = g_fragment_rows.load(std::memory_order_relaxed);
-  if (v == 0) {
-    v = static_cast<size_t>(std::max<int64_t>(
-        1, EnvInt("UPA_FRAGMENT_ROWS",
-                  static_cast<int64_t>(kDefaultFragmentRows))));
-    g_fragment_rows.store(v, std::memory_order_relaxed);
-  }
-  return v;
-}
-
-void SetDefaultFragmentRows(size_t rows) {
-  if (rows == 0) {
-    g_fragment_rows.store(0, std::memory_order_relaxed);
-    (void)DefaultFragmentRows();
-    return;
-  }
-  g_fragment_rows.store(rows, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // ColumnarTable
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const ColumnarTable> ColumnarTable::Build(
-    Schema schema, const std::vector<Row>& rows, size_t fragment_rows) {
+    Schema schema, const std::vector<Row>& rows) {
   // No Status channel here (delay/abort actions only; see failpoint.h).
   UPA_FAILPOINT_HIT("columnar/build");
   const size_t ncols = schema.NumColumns();
@@ -65,7 +34,7 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(
   for (const Row& row : rows) {
     for (const Value& cell : row) builder.Cell(cell);
   }
-  return std::move(builder).Finish(fragment_rows);
+  return std::move(builder).Finish();
 }
 
 Row ColumnarTable::RowAt(size_t i) const {
@@ -122,8 +91,7 @@ void ColumnarTable::Builder::Draft::AddDouble(double v) {
   doubles.push_back(v);
 }
 
-std::shared_ptr<const ColumnarTable> ColumnarTable::Builder::Finish(
-    size_t fragment_rows) && {
+std::shared_ptr<const ColumnarTable> ColumnarTable::Builder::Finish() && {
   const size_t ncols = drafts_.size();
   UPA_CHECK_MSG(ncols == 0 ? cells_ == 0 : cells_ % ncols == 0,
                 "row arity mismatch in columnar build");
@@ -179,319 +147,15 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Builder::Finish(
     }
   }
 
-  const size_t frag_rows =
-      fragment_rows == 0 ? DefaultFragmentRows() : fragment_rows;
-  ct->fragment_rows_ = frag_rows;
   auto ident = std::make_shared<SelVector>(num_rows);
   std::iota(ident->begin(), ident->end(), 0u);
   ct->identity_ = std::move(ident);
-
-  ct->fragments_.reserve((num_rows + frag_rows - 1) / frag_rows);
-  for (size_t begin = 0; begin < num_rows; begin += frag_rows) {
-    const size_t end = std::min(num_rows, begin + frag_rows);
-    FragmentInfo frag;
-    frag.begin_row = static_cast<uint32_t>(begin);
-    frag.end_row = static_cast<uint32_t>(end);
-    frag.cols.resize(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      const Column& col = ct->columns_[c];
-      FragmentColStats& st = frag.cols[c];
-      switch (col.type) {
-        case ValueType::kInt: {
-          // Bounds over the kernel's comparison domain: NumCmpFilter casts
-          // int cells to double, and double(int64) is monotonic, so the
-          // cast of the min/max bounds every cast cell.
-          st.numeric_valid = true;
-          st.min = static_cast<double>(col.ints[begin]);
-          st.max = st.min;
-          for (size_t i = begin; i < end; ++i) {
-            const double v = static_cast<double>(col.ints[i]);
-            st.min = std::min(st.min, v);
-            st.max = std::max(st.max, v);
-          }
-          break;
-        }
-        case ValueType::kDouble: {
-          st.numeric_valid = true;
-          st.min = std::numeric_limits<double>::infinity();
-          st.max = -std::numeric_limits<double>::infinity();
-          for (size_t i = begin; i < end; ++i) {
-            const double v = col.doubles[i];
-            if (std::isnan(v)) {
-              // NaN defeats interval reasoning (every comparison on it is
-              // false); publish no bounds rather than unsound ones.
-              st.numeric_valid = false;
-              break;
-            }
-            st.min = std::min(st.min, v);
-            st.max = std::max(st.max, v);
-          }
-          break;
-        }
-        case ValueType::kString: {
-          st.codes_valid = true;
-          st.min_code = col.codes[begin];
-          st.max_code = st.min_code;
-          for (size_t i = begin; i < end; ++i) {
-            const uint32_t code = col.codes[i];
-            st.min_code = std::min(st.min_code, code);
-            st.max_code = std::max(st.max_code, code);
-          }
-          break;
-        }
-      }
-    }
-    ct->fragments_.push_back(std::move(frag));
-  }
   return ct;
-}
-
-// ---------------------------------------------------------------------------
-// Fragment skipping (zone maps)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// What a predicate subtree can evaluate to over a fragment: `can_true`
-/// false means provably no row satisfies it, `can_false` false means
-/// provably every row does, and either claim additionally guarantees the
-/// evaluation that produces it is abort-free. `safe` means evaluating the
-/// subtree on any subset of the fragment's rows cannot abort — the
-/// precondition for concluding anything from a *sibling*'s bounds (an
-/// AND whose rhs is unsatisfiable still evaluates its lhs on every row).
-/// Defaults are the sound "don't know".
-struct MatchBounds {
-  bool can_true = true;
-  bool can_false = true;
-  bool safe = false;
-};
-
-struct NumInterval {
-  bool valid = false;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// True when projecting the operand to doubles can never abort: bare
-/// numeric columns and numeric literals. Arithmetic can divide by zero and
-/// string operands trip ProjectKernel's type check, so both stay false.
-bool OperandSafe(const CompiledExpr& e) {
-  return (e.kind == Expr::Kind::kLiteral || e.kind == Expr::Kind::kColumn) &&
-         !e.is_string;
-}
-
-/// Interval of a comparison operand in the kernel's double domain. Only
-/// bare columns and numeric literals yield intervals; arithmetic operands
-/// (whose evaluation could even abort, e.g. division) stay unknown.
-NumInterval OperandInterval(const CompiledExpr& e, const FragmentInfo& frag) {
-  NumInterval iv;
-  if (e.kind == Expr::Kind::kLiteral && !e.is_string) {
-    if (!std::isnan(e.num_lit)) {  // NaN comparisons defeat interval logic
-      iv = {true, e.num_lit, e.num_lit};
-    }
-  } else if (e.kind == Expr::Kind::kColumn && !e.is_string) {
-    const FragmentColStats& st = frag.cols[e.col_pos];
-    if (st.numeric_valid) iv = {true, st.min, st.max};
-  }
-  return iv;
-}
-
-/// Sign test used by the string comparison kernels.
-bool SignSatisfies(BinOp op, int c) {
-  switch (op) {
-    case BinOp::kLt: return c < 0;
-    case BinOp::kLe: return c <= 0;
-    case BinOp::kGt: return c > 0;
-    case BinOp::kGe: return c >= 0;
-    case BinOp::kEq: return c == 0;
-    default: return c != 0;  // kNe
-  }
-}
-
-/// Interval tables mirror the kernels exactly: numeric comparisons run in
-/// the double domain (kLe is !(x>y), kEq is !(x<y)&&!(x>y)), string
-/// col-vs-lit comparisons run on dictionary codes against the compiled
-/// [lit_lb, lit_ub) thresholds.
-MatchBounds CmpBounds(const CompiledExpr& e, const FragmentInfo& frag) {
-  if (e.mixed_cmp) {
-    // String-vs-numeric: Eq is uniformly false and Ne uniformly true (no
-    // abort); the ordered forms abort on evaluation, so they must never be
-    // the basis of a skip nor count as safe for a sibling's.
-    if (e.op == BinOp::kEq) return {false, true, true};
-    if (e.op == BinOp::kNe) return {true, false, true};
-    return {};
-  }
-  if (e.str_cmp) {
-    // Every string-vs-string comparison form is abort-free.
-    if (e.str_form == CompiledExpr::StrForm::kLitLit) {
-      const bool sat = SignSatisfies(e.op, e.lit_cmp);
-      return {sat, !sat, true};
-    }
-    if (e.str_form != CompiledExpr::StrForm::kColLit) return {true, true, true};
-    const FragmentColStats& st = frag.cols[e.lhs->col_pos];
-    if (!st.codes_valid) return {true, true, true};
-    const uint32_t mc = st.min_code, xc = st.max_code;
-    const uint32_t lb = e.lit_lb, ub = e.lit_ub;
-    const bool found = lb < ub;
-    switch (e.op) {
-      case BinOp::kLt: return {mc < lb, xc >= lb, true};
-      case BinOp::kLe: return {mc < ub, xc >= ub, true};
-      case BinOp::kGt: return {xc >= ub, mc < ub, true};
-      case BinOp::kGe: return {xc >= lb, mc < lb, true};
-      case BinOp::kEq:
-        return {found && mc <= lb && lb <= xc,
-                !(found && mc == xc && mc == lb), true};
-      default:  // kNe
-        return {!found || !(mc == xc && mc == lb),
-                found && mc <= lb && lb <= xc, true};
-    }
-  }
-  const bool safe = OperandSafe(*e.lhs) && OperandSafe(*e.rhs);
-  const NumInterval l = OperandInterval(*e.lhs, frag);
-  const NumInterval r = OperandInterval(*e.rhs, frag);
-  if (!l.valid || !r.valid) return {true, true, safe};
-  const bool point = l.lo == l.hi && r.lo == r.hi && l.lo == r.lo;
-  switch (e.op) {
-    case BinOp::kLt: return {l.lo < r.hi, l.hi >= r.lo, safe};
-    case BinOp::kLe: return {l.lo <= r.hi, l.hi > r.lo, safe};
-    case BinOp::kGt: return {l.hi > r.lo, l.lo <= r.hi, safe};
-    case BinOp::kGe: return {l.hi >= r.lo, l.lo < r.hi, safe};
-    case BinOp::kEq: return {l.lo <= r.hi && r.lo <= l.hi, !point, safe};
-    default:  // kNe
-      return {!point, l.lo <= r.hi && r.lo <= l.hi, safe};
-  }
-}
-
-MatchBounds PredicateBounds(const CompiledExpr& e, const FragmentInfo& frag) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral: {
-      if (e.is_string) return {};  // aborts when evaluated — never skip
-      const bool truthy = e.num_lit != 0.0;
-      return {truthy, !truthy, true};
-    }
-    case Expr::Kind::kColumn: {
-      if (e.is_string) return {};  // aborts when evaluated — never skip
-      const FragmentColStats& st = frag.cols[e.col_pos];
-      if (!st.numeric_valid) return {true, true, true};
-      // Truthy iff != 0 (int cells compare as int, but double(int64) is
-      // monotonic so the all-zero / no-zero facts carry over exactly).
-      return {!(st.min == 0.0 && st.max == 0.0),
-              st.min <= 0.0 && 0.0 <= st.max, true};
-    }
-    case Expr::Kind::kNot: {
-      const MatchBounds c = PredicateBounds(*e.lhs, frag);
-      return {c.can_false, c.can_true, c.safe};
-    }
-    case Expr::Kind::kInSet: {
-      // The kernel projects lhs even when the set can't match, so lhs-side
-      // aborts still fire; only bare-column / numeric-literal lhs is safe.
-      const CompiledExpr& l = *e.lhs;
-      const bool safe = OperandSafe(l) || l.kind == Expr::Kind::kColumn;
-      if (l.is_string && l.kind == Expr::Kind::kColumn) {
-        const FragmentColStats& st = frag.cols[l.col_pos];
-        if (!st.codes_valid) return {true, true, safe};
-        for (uint32_t c : e.code_set) {
-          if (st.min_code <= c && c <= st.max_code) return {true, true, safe};
-        }
-        return {false, true, safe};  // no set element's code can occur here
-      }
-      if (l.kind == Expr::Kind::kColumn && !l.is_string) {
-        const FragmentColStats& st = frag.cols[l.col_pos];
-        if (!st.numeric_valid) return {true, true, safe};
-        for (double s : e.num_set) {
-          // Membership is Compare(v, s) == 0 in the double domain.
-          if (!(s < st.min) && !(s > st.max)) return {true, true, safe};
-        }
-        return {false, true, safe};
-      }
-      return {true, true, safe};  // literal/arithmetic lhs: no leverage
-    }
-    case Expr::Kind::kBinary:
-      break;
-  }
-  switch (e.op) {
-    case BinOp::kAnd: {
-      // The kernels evaluate lhs first and rhs only on surviving rows, so
-      // "lhs unsatisfiable" alone justifies the skip even when rhs would
-      // abort (it would have seen zero rows). The converse needs care:
-      // "rhs unsatisfiable" only justifies a skip when evaluating lhs on
-      // the fragment provably cannot abort.
-      const MatchBounds l = PredicateBounds(*e.lhs, frag);
-      const MatchBounds r = PredicateBounds(*e.rhs, frag);
-      return {l.can_true && (r.can_true || !l.safe),
-              l.can_false || r.can_false, l.safe && r.safe};
-    }
-    case BinOp::kOr: {
-      // Dual of And: "lhs satisfied by every row" alone proves the Or (rhs
-      // sees zero rows), while "rhs satisfied by every row" additionally
-      // needs lhs evaluation to be abort-free.
-      const MatchBounds l = PredicateBounds(*e.lhs, frag);
-      const MatchBounds r = PredicateBounds(*e.rhs, frag);
-      return {l.can_true || r.can_true,
-              l.can_false && (r.can_false || !l.safe),
-              l.safe && r.safe};
-    }
-    case BinOp::kAdd:
-    case BinOp::kSub:
-    case BinOp::kMul:
-    case BinOp::kDiv:
-      return {};  // arithmetic truthiness: no interval reasoning, may abort
-    default:
-      return CmpBounds(e, frag);
-  }
-}
-
-}  // namespace
-
-bool FragmentCanMatch(const CompiledExpr& pred, const ColumnarTable& table,
-                      size_t frag) {
-  return PredicateBounds(pred, table.fragments()[frag]).can_true;
 }
 
 // ---------------------------------------------------------------------------
 // Vectorized evaluation
 // ---------------------------------------------------------------------------
-
-std::vector<BatchRange> BatchLayout(const ColumnarTable* bare,
-                                    size_t num_rows) {
-  std::vector<BatchRange> out;
-  if (bare != nullptr) {
-    const auto& frags = bare->fragments();
-    out.reserve(num_rows / kBatch + frags.size());
-    for (size_t f = 0; f < frags.size(); ++f) {
-      for (size_t b = frags[f].begin_row; b < frags[f].end_row; b += kBatch) {
-        out.push_back({static_cast<uint32_t>(b),
-                       static_cast<uint32_t>(
-                           std::min<size_t>(frags[f].end_row, b + kBatch)),
-                       static_cast<int32_t>(f)});
-      }
-    }
-    return out;
-  }
-  out.reserve((num_rows + kBatch - 1) / kBatch);
-  for (size_t b = 0; b < num_rows; b += kBatch) {
-    out.push_back({static_cast<uint32_t>(b),
-                   static_cast<uint32_t>(std::min(num_rows, b + kBatch)), -1});
-  }
-  return out;
-}
-
-std::vector<uint8_t> MatchFragments(engine::ExecContext* ctx,
-                                    const CompiledExpr& pred,
-                                    const ColumnarTable& table) {
-  std::vector<uint8_t> match(table.fragments().size());
-  size_t skipped = 0;
-  for (size_t f = 0; f < match.size(); ++f) {
-    match[f] = FragmentCanMatch(pred, table, f) ? 1 : 0;
-    if (!match[f]) ++skipped;
-  }
-  if (skipped > 0) {
-    ctx->metrics().AddCounter("columnar/fragments_skipped", skipped);
-  }
-  ctx->metrics().AddCounter("columnar/fragments_scanned",
-                            match.size() - skipped);
-  return match;
-}
 
 void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
                size_t grain, const std::function<void(size_t, size_t)>& fn) {
@@ -548,25 +212,6 @@ BatchInput BindColumns(const ColRel& rel,
     in[i] = {cols[i], rel.sources[rel.col_map[i].first].row_ids->data()};
   }
   return in;
-}
-
-size_t NumBatches(size_t n) { return (n + kBatch - 1) / kBatch; }
-
-/// The bare scan's table when relation row i IS physical row i of a single
-/// source and the schema maps 1:1 onto its columns — the precondition for
-/// consulting that source's zone maps (compiled col_pos == physical column
-/// position and fragment row ranges == relation row ranges); else null.
-const ColumnarTable* BareScanTable(const ColRel& rel) {
-  if (rel.sources.size() != 1) return nullptr;
-  if (rel.sources[0].row_ids != rel.sources[0].table->identity()) {
-    return nullptr;
-  }
-  for (size_t i = 0; i < rel.col_map.size(); ++i) {
-    if (rel.col_map[i].first != 0 || rel.col_map[i].second != i) {
-      return nullptr;
-    }
-  }
-  return rel.sources[0].table.get();
 }
 
 class ColumnarEvaluator {
@@ -651,25 +296,12 @@ class ColumnarEvaluator {
     const size_t n = child.num_rows;
     SelVector all(n);
     std::iota(all.begin(), all.end(), 0u);
-    const ColumnarTable* bare = BareScanTable(child);
-    const std::vector<BatchRange> layout = BatchLayout(bare, n);
-    const size_t nb = layout.size();
-
-    // Zone-map skipping (bare scans only): a skipped fragment's batches
-    // contribute empty selections — exactly what scanning them would have
-    // produced.
-    std::vector<uint8_t> frag_match;
-    if (bare != nullptr && !layout.empty()) {
-      frag_match = MatchFragments(ctx_, pred, *bare);
-    }
-
+    const size_t nb = NumBatches(n);
     std::vector<SelVector> hits(nb);
     MorselRun(ctx_, "columnar/filter", nb, 0, [&](size_t b0, size_t b1) {
       for (size_t b = b0; b < b1; ++b) {
-        const BatchRange& br = layout[b];
-        if (br.fragment >= 0 && !frag_match[br.fragment]) continue;
-        FilterKernel(pred, in, all.data() + br.begin, br.end - br.begin,
-                     hits[b]);
+        const size_t begin = b * kBatch, end = std::min(n, begin + kBatch);
+        FilterKernel(pred, in, all.data() + begin, end - begin, hits[b]);
       }
     });
     ctx_->metrics().AddKernelBatches(nb);

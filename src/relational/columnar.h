@@ -16,12 +16,13 @@
 //   * Batch kernels (kernels.h) — predicates evaluate into selection
 //     vectors, numeric projections into contiguous double buffers; no
 //     per-row std::function dispatch, no variant access in inner loops.
-//   * Deterministic parallelism — operators run per fixed-size batch on
-//     the engine ThreadPool (chunk boundaries depend only on row count),
-//     and every aggregate goes through ExactSum (common/exact_sum.h), so
-//     results are bit-identical to the row oracle for any pool size. The
-//     differential harness (tests/relational_columnar_test.cpp) asserts
-//     exactly that.
+//   * Deterministic parallelism — every scan, bare or derived, fused or
+//     interpreted, walks one grid of kBatch-row batches, run as morsels on
+//     the engine ThreadPool (batch boundaries depend only on the row
+//     count), and every aggregate goes through ExactSum
+//     (common/exact_sum.h), so results are bit-identical to the row oracle
+//     for any pool size. The differential harness
+//     (tests/relational_columnar_test.cpp) asserts exactly that.
 //   * One fold — the interpreted path and the fused kernels (fused.h)
 //     share everything below but their per-batch loops.
 #pragma once
@@ -44,44 +45,9 @@
 
 namespace upa::rel {
 
-struct CompiledExpr;  // kernels.h (which includes this header)
-
 /// Selection / row-index vector: positions are uint32 (tables are checked
 /// to fit; 4B rows ought to be enough for one in-memory partition).
 using SelVector = std::vector<uint32_t>;
-
-/// Rows per columnar fragment. Initialized once from UPA_FRAGMENT_ROWS
-/// (default 65536); SetDefaultFragmentRows overrides it (tests and benches
-/// sweep fragment sizes — results are bit-identical across all of them,
-/// only skipping effectiveness and scheduling granularity change).
-size_t DefaultFragmentRows();
-void SetDefaultFragmentRows(size_t rows);  // 0 → re-read the environment
-
-/// Per-fragment, per-column zone map entry. `numeric` bounds are over the
-/// kernel's value domain (int cells compared as double, exactly like
-/// NumCmpFilter's casts), `code` bounds over dictionary codes (the
-/// dictionary is order-preserving, so code order == string order). A
-/// column whose cells defeat interval reasoning (NaN) publishes no bounds.
-struct FragmentColStats {
-  bool numeric_valid = false;
-  double min = 0.0;
-  double max = 0.0;
-  bool codes_valid = false;
-  uint32_t min_code = 0;
-  uint32_t max_code = 0;
-};
-
-/// One fragment of a ColumnarTable: a contiguous row range plus the zone
-/// maps filters consult to skip it. Fragments are views — the column
-/// payloads stay physically contiguous, so late-materialized row ids keep
-/// O(1) access.
-struct FragmentInfo {
-  uint32_t begin_row = 0;
-  uint32_t end_row = 0;
-  std::vector<FragmentColStats> cols;
-
-  uint32_t num_rows() const { return end_row - begin_row; }
-};
 
 /// One typed column. Exactly one payload vector is populated, chosen by
 /// the *actual* cell types (not the declared schema type): all-int64 cells
@@ -100,13 +66,11 @@ class ColumnarTable {
  public:
   class Builder;
 
-  /// Builds the columnar form of `rows` against `schema`, partitioned into
-  /// fragments of `fragment_rows` rows (0 → DefaultFragmentRows()): feeds
-  /// every cell to a Builder. Aborts on columns mixing string and numeric
-  /// cells (the row store tolerates them lazily; columnar storage is typed
-  /// per column).
+  /// Builds the columnar form of `rows` against `schema`: feeds every cell
+  /// to a Builder. Aborts on columns mixing string and numeric cells (the
+  /// row store tolerates them lazily; columnar storage is typed per column).
   static std::shared_ptr<const ColumnarTable> Build(
-      Schema schema, const std::vector<Row>& rows, size_t fragment_rows = 0);
+      Schema schema, const std::vector<Row>& rows);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
@@ -117,11 +81,6 @@ class ColumnarTable {
   /// straight into columns). Value-identical to the row the cells came
   /// from whenever every cell of a column had the same type.
   Row RowAt(size_t i) const;
-
-  /// Fragment directory: ceil(num_rows / fragment_rows) contiguous row
-  /// ranges with zone maps (empty for an empty table).
-  const std::vector<FragmentInfo>& fragments() const { return fragments_; }
-  size_t fragment_rows() const { return fragment_rows_; }
 
   /// Shared identity row-index vector [0, num_rows) — the row_ids of a
   /// full scan, shared across every scan of this table.
@@ -134,17 +93,15 @@ class ColumnarTable {
 
   Schema schema_;
   size_t num_rows_ = 0;
-  size_t fragment_rows_ = 0;
   std::vector<Column> columns_;
-  std::vector<FragmentInfo> fragments_;
   std::shared_ptr<const SelVector> identity_;
 };
 
 /// The one way a ColumnarTable is made. Cells arrive row-major, one call
 /// per cell in schema order, and land in typed columns; Finish sorts the
-/// string dictionaries and cuts the fragments and their zone maps. Build
-/// feeds it rows; a domain draw (tpch::TpchDataset::SampleColumns) feeds it
-/// the drawn values directly, so no rel::Row is made for them.
+/// string dictionaries. Build feeds it rows; a domain draw
+/// (tpch::TpchDataset::SampleColumns) feeds it the drawn values directly,
+/// so no rel::Row is made for them.
 ///
 /// A column is typed by its cells, not its declared type: int cells make
 /// an int column until a double arrives, which turns the column into
@@ -162,8 +119,8 @@ class ColumnarTable::Builder {
   void Cell(const Value& v);
 
   /// Aborts unless every row is whole, when a column mixes string and
-  /// numeric cells, or past 2^32 - 1 rows. `fragment_rows` as in Build.
-  std::shared_ptr<const ColumnarTable> Finish(size_t fragment_rows = 0) &&;
+  /// numeric cells, or past 2^32 - 1 rows.
+  std::shared_ptr<const ColumnarTable> Finish() &&;
 
  private:
   struct Draft {
@@ -190,16 +147,6 @@ class ColumnarTable::Builder {
   size_t next_ = 0;
   size_t cells_ = 0;
 };
-
-/// Zone-map test: true when some row of `table`'s fragment `frag` *might*
-/// satisfy `pred` as a filter predicate; false only when provably no row
-/// can (so skipping the fragment is output-equivalent to scanning it —
-/// including abort behaviour: predicates whose evaluation can abort, e.g.
-/// mixed string/numeric ordered comparisons, are never the basis of a
-/// skip). `pred` must be compiled against the table's own schema with
-/// schema position == physical column position (a bare scan).
-bool FragmentCanMatch(const CompiledExpr& pred, const ColumnarTable& table,
-                      size_t frag);
 
 /// A scan bound for execution: the columnar form of a catalog table plus
 /// the row-index vector the relation starts from (the shared identity, or
@@ -230,27 +177,9 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
 /// never on the pool size.
 inline constexpr size_t kBatch = 4096;
 
-/// One contiguous batch of relation rows; `fragment` is its source fragment
-/// when the relation is a bare scan (batches never straddle one), else -1.
-struct BatchRange {
-  uint32_t begin = 0;
-  uint32_t end = 0;
-  int32_t fragment = -1;
-};
-
-/// Kernel batches tiling [0, num_rows) in order: aligned to the fragments
-/// of `bare` when the relation is a bare scan of that table (row i IS its
-/// physical row i), else the uniform kBatch grid. The layout never changes
-/// results, only how much zone-map skipping can drop.
-std::vector<BatchRange> BatchLayout(const ColumnarTable* bare,
-                                    size_t num_rows);
-
-/// Zone-map skipping over a bare scan of `table`: one flag per fragment, 0
-/// when FragmentCanMatch proves no row satisfies `pred`. Counts the skipped
-/// and scanned fragments in ctx's metrics.
-std::vector<uint8_t> MatchFragments(engine::ExecContext* ctx,
-                                    const CompiledExpr& pred,
-                                    const ColumnarTable& table);
+/// Kernel batches covering [0, n): batch b is rows [b * kBatch,
+/// min(n, (b + 1) * kBatch)), for every scan, bare or derived.
+inline size_t NumBatches(size_t n) { return (n + kBatch - 1) / kBatch; }
 
 /// Runs fn over morsels of [0, n) on the pool's shared-cursor scheduler and
 /// records the "morsel/<phase>" durations and task fan-out; each morsel

@@ -239,10 +239,10 @@ BinOp MirrorCmp(BinOp op) {
 }
 
 /// One filter node of the fused chain: a compiled predicate (always — the
-/// zone maps and the fallback both need it) plus, when the shape matched,
-/// the specialized kernel pair. A null `dense` means the conjunct runs on
-/// the interpreted FilterKernel — same code, same aborts, just with the
-/// survivor list materialized.
+/// specialization reads it and the fallback runs it) plus, when the shape
+/// matched, the specialized kernel pair. A null `dense` means the conjunct
+/// runs on the interpreted FilterKernel — same code, same aborts, just
+/// with the survivor list materialized.
 struct FusedConjunct {
   CompiledExpr pred;
   DenseFn dense = nullptr;
@@ -591,7 +591,7 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
   const size_t n = bind.row_ids->size();
 
   // The one provenance pass scans the identity (a bare scan), so it runs
-  // the dense conjunct kernels with zone-map skipping.
+  // the dense conjunct kernels.
   std::optional<SamplePass> sample;
   if (options.sample_rows != nullptr) {
     sample.emplace(*options.sample_rows, options.partitions);
@@ -615,31 +615,15 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
   }
   if (q.need_expr) q.weight = CompileWeight(plan->agg_expr, schema, cols);
 
-  const std::vector<BatchRange> layout =
-      BatchLayout(bare ? &table : nullptr, n);
-
-  // Zone-map skipping consults the *conjoined* predicate — one decision
-  // for the whole chain, where the interpreted path only skips on its
-  // innermost filter — so the fused path can skip strictly more fragments.
-  std::vector<uint8_t> frag_match;
-  if (bare && !shape.conjuncts.empty() && !layout.empty()) {
-    ExprPtr combined = shape.conjuncts[0];
-    for (size_t i = 1; i < shape.conjuncts.size(); ++i) {
-      combined = And(combined, shape.conjuncts[i]);
-    }
-    frag_match =
-        MatchFragments(ctx, CompileExpr(combined, schema, cols), table);
-  }
-
-  const size_t nb = layout.size();
+  const size_t nb = NumBatches(n);
   std::vector<BatchAcc> accs(nb);
   for (BatchAcc& a : accs) a.parts.resize(q.sample != nullptr ? q.parts : 0);
   MorselRun(ctx, "columnar/fused", nb, 0, [&](size_t b0, size_t b1) {
     Scratch s;
     for (size_t b = b0; b < b1; ++b) {
-      const BatchRange& br = layout[b];
-      if (!frag_match.empty() && !frag_match[br.fragment]) continue;
-      ProcessBatch(q, br.begin, br.end, accs[b], s);
+      const size_t begin = b * kBatch, end = std::min(n, begin + kBatch);
+      ProcessBatch(q, static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
+                   accs[b], s);
     }
   });
   ctx->metrics().AddKernelBatches(nb);

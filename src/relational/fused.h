@@ -8,7 +8,7 @@
 // once, specializes the hot conjuncts (column type × comparison op, dense
 // and indirected, via templates resolved through function pointers) and the
 // aggregate accumulation (aggregate kind × weight form), and emits one loop
-// that reads each fragment's columns exactly once, evaluates the conjunct
+// that reads each batch's columns exactly once, evaluates the conjunct
 // chain with short-circuit selection, and accumulates survivors directly
 // into ExactSum — no iota vectors, no per-node selection storage, no
 // intermediate relation.
@@ -26,17 +26,13 @@
 //     string/numeric ordered compares) fire iff they fire interpreted;
 //   * conjuncts that don't match a fast shape fall back to the *same*
 //     FilterKernel / ProjectKernel the interpreted path runs;
-//   * zone-map skipping consults FragmentCanMatch on the conjoined
-//     predicate (abort-safe by construction), so a skipped fragment is
-//     output-equivalent to scanning it;
 //   * every accumulation goes through ExactSum with the interpreted
 //     path's exact per-row expressions (min/max NaN handling included),
 //     into the interpreted path's per-batch accumulator, and the two
 //     paths share one finish (FinishAggregate: cancel check, one pass,
 //     Avg/Min/Max, plain total).
 // The SQL fuzzer (tests/relational_sql_fuzz_test.cpp) and the fused
-// differential suite assert all of this across thread counts and fragment
-// sizes.
+// differential suite assert all of this across thread counts.
 #pragma once
 
 #include <optional>
@@ -71,8 +67,8 @@ std::optional<FusedShape> FusableShape(const PlanPtr& plan);
 /// bit-identical results (outputs, and for the one provenance pass
 /// partition_outputs and sample_contributions, result_rows) as the
 /// interpreted columnar path. Only the per-batch loop is its own: the batch
-/// layout, zone-map skip decision, accumulator and finish are the
-/// interpreted path's (relational/columnar.h).
+/// grid, accumulator and finish are the interpreted path's
+/// (relational/columnar.h).
 Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
                                 const Catalog* catalog, const PlanPtr& plan,
                                 const FusedShape& shape,

@@ -13,7 +13,7 @@
 // the row-expression machinery (relational/expr.h).
 //
 // This is deliberately the simple, obviously-correct lowering: each scalar
-// run reuses the whole engine (fused kernels, scan cache, zone maps), and
+// run reuses the whole engine (fused kernels, scan cache), and
 // the per-group plans differ only in one pushed-down equality conjunct, so
 // the public scan cache carries the shared work. The candidate-group cross
 // product is capped (4096 groups) and overflow fails with

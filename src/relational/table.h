@@ -81,7 +81,7 @@ class Table {
 
   /// Drops the memoized columnar form and column statistics. Shared_ptr
   /// copies held by in-flight queries stay valid; the next Columnar() call
-  /// rebuilds under the current default fragment size. Thread-safe.
+  /// builds a fresh instance of the same columns. Thread-safe.
   void ReleaseCaches() const;
 
  private:

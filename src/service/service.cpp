@@ -390,7 +390,7 @@ Result<QueryResponse> UpaService::RunOne(Pending& pending,
   UPA_FAILPOINT("service/run");
 
   // Install the request's token for this thread; ParallelFor re-installs
-  // it inside every chunk task, so the whole run tree sees it.
+  // it inside every helper task, so the whole run tree sees it.
   CancelScope cancel_scope(pending.token.get());
 
   // The dispatcher admits one request per dataset at a time, so from here

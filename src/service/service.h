@@ -35,7 +35,7 @@
 //
 // Deadlines and cancellation: a request may carry `deadline_ms` and/or a
 // caller-held CancelToken. Cancellation is cooperative — the token is
-// checked between runner phases, at ParallelFor chunk boundaries and
+// checked between runner phases, at ParallelFor morsel boundaries and
 // between plan nodes — and interacts with the budget as "refund iff
 // nothing was released": the runner's last check sits immediately before
 // the enforcer Register, so a cancelled run can never have released and

@@ -123,7 +123,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
       sample_indices, kEnforcerPartitions, num_domain, seed);
   result.seconds.map = phase_watch.ElapsedSeconds();
   // A token that tripped mid-map leaves partially-built batches behind
-  // (ParallelFor skips the remaining chunks), so the cancellation must be
+  // (ParallelFor skips the remaining morsels), so the cancellation must be
   // surfaced before the shape checks get a chance to call it corruption.
   // So must a pass that failed: the query, not the runner, was at fault.
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());

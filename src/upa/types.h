@@ -26,18 +26,31 @@ namespace upa::core {
 
 using Vec = std::vector<double>;
 
+/// One cell of a ⊕ b, bit for bit what `a[i] += b[i]` gives on x86 when a
+/// is the first operand: a NaN sum is a's NaN if a is one, else b's, else
+/// (inf meeting -inf) the hardware's. Written out because a compiler may
+/// put either operand of a + b first, and a NaN's sign follows that choice.
+/// (Quiet NaNs, the only kind arithmetic makes; the hardware would quiet a
+/// signalling one.)
+inline double CellSum(double a, double b) {
+  const double sum = a + b;
+  if (!std::isnan(sum)) [[likely]] return sum;
+  return std::isnan(a) ? a : std::isnan(b) ? b : sum;
+}
+
 /// Element-wise-sum monoid over Vec. The empty vector is the identity, so
 /// reductions over empty partitions need no special casing.
 struct VecSum {
   /// Identity element.
   static Vec Identity() { return {}; }
 
-  /// a ⊕ b. Either side may be the empty identity.
+  /// a ⊕ b. Either side may be the empty identity. Each cell sums through
+  /// CellSum, so a NaN sum's sign does not depend on the build.
   static Vec Combine(Vec a, const Vec& b) {
     if (a.empty()) return b;
     if (b.empty()) return a;
     UPA_CHECK_MSG(a.size() == b.size(), "VecSum requires equal dimensions");
-    for (size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+    for (size_t i = 0; i < a.size(); ++i) a[i] = CellSum(a[i], b[i]);
     return a;
   }
 
@@ -63,18 +76,6 @@ struct VecSum {
     return acc;
   }
 };
-
-/// One cell of a ⊕ b, bit for bit what `a[i] += b[i]` gives on x86 when a
-/// is the first operand: a NaN sum is a's NaN if a is one, else b's, else
-/// (inf meeting -inf) the hardware's. Written out because a compiler may
-/// put either operand of a + b first, and a NaN's sign follows that choice.
-/// (Quiet NaNs, the only kind arithmetic makes; the hardware would quiet a
-/// signalling one.)
-inline double CellSum(double a, double b) {
-  const double sum = a + b;
-  if (!std::isnan(sum)) [[likely]] return sum;
-  return std::isnan(a) ? a : std::isnan(b) ? b : sum;
-}
 
 /// Mapped values of one dimension in one row-major buffer: row i is
 /// values[i·dim, (i+1)·dim). A row may hold the reducer's identity, the

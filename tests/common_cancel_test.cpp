@@ -1,5 +1,5 @@
 // CancelToken / CancelScope semantics and their integration with
-// ThreadPool::ParallelFor chunk boundaries.
+// ThreadPool morsel boundaries.
 #include "common/cancel.h"
 
 #include <gtest/gtest.h>
@@ -90,14 +90,14 @@ TEST(CancelParallelForTest, CancelledTokenSkipsAllChunks) {
   token.Cancel();
   CancelScope scope(&token);
   std::atomic<size_t> processed{0};
-  pool.ParallelForChunks(10000, [&](size_t begin, size_t end) {
+  pool.ParallelForMorsels(10000, 0, [&](size_t begin, size_t end) {
     processed.fetch_add(end - begin, std::memory_order_relaxed);
   });
   EXPECT_EQ(processed.load(), 0u);
 }
 
 TEST(CancelParallelForTest, CancelledTokenSkipsInlinePath) {
-  // n == 1 takes the inline path (no chunk tasks); the token still gates it.
+  // n == 1 runs inline (no helper task); the token still gates it.
   ThreadPool pool(1);
   CancelToken token;
   token.Cancel(StatusCode::kDeadlineExceeded, "too late");
@@ -114,24 +114,24 @@ TEST(CancelParallelForTest, WorkerThreadsSeeCallersToken) {
   CancelToken token;
   CancelScope scope(&token);
   std::atomic<size_t> with_token{0};
-  std::atomic<size_t> chunks{0};
-  pool.ParallelForChunks(1000, [&](size_t, size_t) {
-    chunks.fetch_add(1, std::memory_order_relaxed);
+  std::atomic<size_t> morsels{0};
+  pool.ParallelForMorsels(1000, 0, [&](size_t, size_t) {
+    morsels.fetch_add(1, std::memory_order_relaxed);
     if (CancelScope::Current() == &token) {
       with_token.fetch_add(1, std::memory_order_relaxed);
     }
   });
-  // ParallelForChunks re-installs the caller's token inside every chunk
-  // task, whichever pool thread runs it.
-  EXPECT_EQ(with_token.load(), chunks.load());
-  EXPECT_GT(chunks.load(), 0u);
+  // ParallelForMorsels re-installs the caller's token inside every helper
+  // task, so every morsel sees it, whichever pool thread runs it.
+  EXPECT_EQ(with_token.load(), morsels.load());
+  EXPECT_GT(morsels.load(), 0u);
 }
 
 TEST(CancelParallelForTest, NoTokenRunsEverything) {
   ThreadPool pool(2);
   ASSERT_EQ(CancelScope::Current(), nullptr);
   std::atomic<size_t> processed{0};
-  pool.ParallelForChunks(1000, [&](size_t begin, size_t end) {
+  pool.ParallelForMorsels(1000, 0, [&](size_t begin, size_t end) {
     processed.fetch_add(end - begin, std::memory_order_relaxed);
   });
   EXPECT_EQ(processed.load(), 1000u);

@@ -58,24 +58,6 @@ TEST(ThreadPoolTest, ParallelForZeroIsNoOp) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ParallelForChunksPartitionExactly) {
-  ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> chunks;
-  pool.ParallelForChunks(103, [&](size_t b, size_t e) {
-    std::lock_guard lock(mu);
-    chunks.push_back({b, e});
-  });
-  std::sort(chunks.begin(), chunks.end());
-  size_t expected_begin = 0;
-  for (auto [b, e] : chunks) {
-    EXPECT_EQ(b, expected_begin);
-    EXPECT_GT(e, b);
-    expected_begin = e;
-  }
-  EXPECT_EQ(expected_begin, 103u);
-}
-
 TEST(ThreadPoolTest, ParallelForSumMatchesSerial) {
   ThreadPool pool(8);
   std::vector<long> values(10000);
@@ -152,15 +134,6 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesExceptions) {
                                   });
                                 }),
                std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelForChunksReportsChunkCount) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.ParallelForChunks(0, [](size_t, size_t) {}), 0u);
-  EXPECT_EQ(pool.ParallelForChunks(1, [](size_t, size_t) {}), 1u);
-  size_t launched = pool.ParallelForChunks(100, [](size_t, size_t) {});
-  EXPECT_GE(launched, 2u);
-  EXPECT_LE(launched, 4u);
 }
 
 TEST(ThreadPoolTest, MorselsCoverEveryIndexExactlyOnce) {

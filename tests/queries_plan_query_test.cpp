@@ -3,8 +3,7 @@
 // runs over each record set; hinted and unhinted releases through
 // UpaRunner; the block cache's scope of exactly one release; repeated
 // releases answered from the executor's S′ memo; and a cancelled pass that
-// must never fill it. The suite names are in CI's 7-row-fragment and TSan
-// filters.
+// must never fill it. The suite names are in CI's TSan filter.
 #include "queries/plan_query.h"
 
 #include <gtest/gtest.h>

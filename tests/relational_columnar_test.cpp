@@ -10,6 +10,8 @@
 //     reference the one pass is anchored to),
 //   * ~50 seeded random SPJ plans (chained equi-joins over the TPC-H
 //     schema graph, random typed predicates, all five aggregate kinds),
+//   * tables of several kBatch-row batches: non-finite values on every
+//     batch edge, and a Zipf-skewed join,
 // each executed under a 1-thread and a 4-thread engine. PlanQueryMemoTest
 // holds the executor's cross-release S′ memo to the same standard: a one
 // pass answered from the memo matches the full pass and the row oracle.
@@ -25,7 +27,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -318,61 +322,243 @@ TEST(ColumnarDifferentialTest, TpchQueriesAllOptionShapes) {
   }
 }
 
-// Same TPC-H queries with the storage layer forced to 7-row fragments: the
-// fragment directory, zone-map skipping and fragment-aligned batching must
-// all be invisible in the outputs. A fresh dataset is generated because
-// Table memoizes its columnar form — the shared Dataset() tables may
-// already be materialized at the default fragment size.
-TEST(ColumnarDifferentialTest, TinyFragmentsBitIdentical) {
-  struct FragGuard {
-    size_t saved = DefaultFragmentRows();
-    ~FragGuard() { SetDefaultFragmentRows(saved); }
-  } guard;
-  SetDefaultFragmentRows(7);
+// ---------------------------------------------------------------------------
+// Folds across kBatch-row batches.
 
-  tpch::TpchDataset ds(tpch::TpchConfig{.num_orders = 120,
-                                        .max_lineitems_per_order = 4,
-                                        .reference_skew = 1.1,
-                                        .seed = 11});
-  Catalog catalog = ds.catalog();
-  engine::ExecContext ctx1(
-      engine::ExecConfig{.threads = 1, .default_partitions = 1});
-  engine::ExecContext ctx4(
-      engine::ExecConfig{.threads = 4, .default_partitions = 4});
-  PlanExecutor exec1(&ctx1, &catalog);
-  PlanExecutor exec4(&ctx4, &catalog);
-  Rng rng = Rng::ForStream(11, "columnar_diff/tiny_fragments");
+// A table of 3 × kBatch + 17 rows whose first and last rows of every batch
+// carry NaN of both signs, ±inf, ±0.0, ±DBL_MAX and subnormals, so every
+// per-batch fold (sums, partition sums, sample hits, min/max) merges
+// values from several batches and from batch edges. Count, Sum, Avg, Min
+// and Max over filter chains run fused and interpreted, plain and as the
+// one pass, at 1 and 4 threads, bit for bit against the 1-thread row
+// oracle.
+TEST(ColumnarDifferentialTest, BatchEdgesBitIdentical) {
+  constexpr size_t kRows = 3 * kBatch + 17;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const double edge[] = {kNan, -kNan, kInf, -kInf, 0.0,
+                         -0.0, kMax, -kMax, kSub, -kSub};
+  constexpr size_t kEdge = std::size(edge);
+  std::vector<Row> rows;
+  for (size_t i = 0; i < kRows; ++i) {
+    const size_t begin = i / kBatch * kBatch;
+    const size_t end = std::min(kRows, begin + kBatch);
+    // Interior values climb by 3 per batch, so the extremes of a finite
+    // chain sit in different batches.
+    double v = 0.125 * static_cast<double>(i % 89) - 5.0 +
+               3.0 * static_cast<double>(i / kBatch);
+    if (i - begin < kEdge) v = edge[i - begin];
+    if (end - i <= kEdge) v = edge[end - i - 1];
+    rows.push_back({Value{static_cast<int64_t>(i)}, Value{v},
+                    Value{std::string(1, static_cast<char>('a' + i % 3))}});
+  }
+  Table t("t",
+          Schema({{"id", ValueType::kInt},
+                  {"v", ValueType::kDouble},
+                  {"g", ValueType::kString}}),
+          std::move(rows));
+  const Catalog catalog{{"t", &t}};
 
-  for (const tpch::TpchQuery& q : tpch::AllTpchQueries()) {
-    const size_t n = ds.table(q.private_table).NumRows();
-    std::vector<size_t> excluded =
-        rng.SampleWithoutReplacement(n, std::min<size_t>(n, 25));
-    const std::vector<size_t> all = AllRows(n);
-    const std::vector<size_t> kept = Complement(excluded, n);
-
-    std::vector<std::pair<std::string, ExecOptions>> shapes;
-    shapes.push_back({"plain", ExecOptions{}});
-    shapes.push_back({"contrib", OnePass(q.private_table, &all, 3)});
-    {
-      ExecOptions opts;
-      opts.private_table = q.private_table;
-      opts.include_rows = &kept;
-      shapes.push_back({"sprime", opts});
+  // Innermost filter first. Under the engine's comparison contract a NaN
+  // compares equal to everything, so `v < 1e300` drops NaNs and `v <= 0`
+  // keeps them. Only "finite" keeps most rows: a sum holding a non-finite
+  // value costs ExactSum one partial per add, so the others keep few.
+  const PlanPtr scan = ScanPlan("t");
+  const std::vector<std::pair<std::string, PlanPtr>> chains = {
+      {"finite", FilterPlan(FilterPlan(scan, Lt(Col("v"), Lit(1e300))),
+                            Gt(Col("v"), Lit(-1e300)))},
+      {"high-inf", FilterPlan(FilterPlan(scan, Ge(Col("v"), Lit(5.5))),
+                              Gt(Col("v"), Lit(-1e300)))},
+      {"low-inf",
+       FilterPlan(FilterPlan(FilterPlan(scan, Lt(Col("v"), Lit(1e300))),
+                             Le(Col("v"), Lit(-4.5))),
+                  Ne(Col("g"), Lit("b")))},
+      {"edges",
+       FilterPlan(
+           FilterPlan(FilterPlan(scan, Ge(Col("id"), Lit(int64_t{kBatch - 8}))),
+                      Lt(Col("id"), Lit(int64_t{2 * kBatch + 8}))),
+           Le(Col("v"), Lit(0.0)))},
+  };
+  // The one pass's sample: every special-valued row on either side of a
+  // batch edge, and one interior row per batch.
+  std::vector<size_t> sample;
+  for (size_t i = 0; i < kRows; ++i) {
+    const size_t offset = i % kBatch;
+    if (offset < kEdge || offset >= kBatch - kEdge || i + kEdge >= kRows ||
+        offset == 500) {
+      sample.push_back(i);
     }
-    shapes.push_back({"one-pass", OnePass(q.private_table, &excluded, 3)});
+  }
+  const ExecOptions pass = OnePass("t", &sample, 3);
 
-    for (auto& [shape, opts] : shapes) {
-      opts.engine = ExecEngine::kRowOracle;
-      Result<ExecResult> oracle = exec1.Execute(q.plan, opts);
-      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-      for (PlanExecutor* exec : {&exec1, &exec4}) {
-        opts.engine = ExecEngine::kColumnar;
-        Result<ExecResult> got = exec->Execute(q.plan, opts);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectBitIdentical(oracle.value(), got.value(),
-                           q.name + "/" + shape +
-                               (exec == &exec1 ? " [frag=7 threads=1]"
-                                               : " [frag=7 threads=4]"));
+  struct Run {
+    std::string label;
+    PlanPtr plan;
+    ExecOptions options;
+    ExecResult want;
+  };
+  std::vector<Run> runs;
+  for (const auto& [name, chain] : chains) {
+    const ExprPtr v = Col("v");
+    runs.push_back({name + " count", CountPlan(chain), {}, {}});
+    runs.push_back({name + " sum", SumPlan(chain, v), {}, {}});
+    runs.push_back({name + " avg", AvgPlan(chain, v), {}, {}});
+    runs.push_back({name + " min", MinPlan(chain, v), {}, {}});
+    runs.push_back({name + " max", MaxPlan(chain, v), {}, {}});
+    runs.push_back({name + " count/one-pass", CountPlan(chain), pass, {}});
+    runs.push_back({name + " sum/one-pass", SumPlan(chain, v), pass, {}});
+  }
+  {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = 1, .default_partitions = 1});
+    const PlanExecutor exec(&ctx, &catalog);
+    for (Run& run : runs) {
+      run.options.engine = ExecEngine::kRowOracle;
+      Result<ExecResult> want = exec.Execute(run.plan, run.options);
+      ASSERT_TRUE(want.ok()) << run.label << ": " << want.status().ToString();
+      run.want = std::move(want).value();
+    }
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = threads, .default_partitions = threads});
+    const PlanExecutor exec(&ctx, &catalog);
+    for (Run& run : runs) {
+      const std::string where =
+          run.label + " threads=" + std::to_string(threads);
+      run.options.engine = ExecEngine::kColumnar;
+      Result<ExecResult> fused = exec.Execute(run.plan, run.options);
+      Result<ExecResult> interp =
+          ExecuteColumnarInterpreted(&ctx, &catalog, run.plan, run.options);
+      ASSERT_TRUE(fused.ok()) << where << ": " << fused.status().ToString();
+      ASSERT_TRUE(interp.ok()) << where << ": " << interp.status().ToString();
+      ExpectBitIdentical(run.want, fused.value(), where + " [fused]");
+      ExpectBitIdentical(run.want, interp.value(), where + " [interpreted]");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Zipf-skew differential: a key-ordered table whose join fan-out and
+// selectivities are wildly uneven across its batches (the skew morsel
+// scheduling exists for), bit-identical at 1 and 4 threads.
+
+struct ZipfData {
+  Schema fact_schema{{{"f_key", ValueType::kInt},
+                      {"f_val", ValueType::kDouble},
+                      {"f_cat", ValueType::kString}}};
+  Schema dim_schema{
+      {{"d_key", ValueType::kInt}, {"d_weight", ValueType::kDouble}}};
+  std::vector<Row> fact_rows;
+  std::vector<Row> dim_rows;
+
+  ZipfData() {
+    // Key k appears ~2000/(k+1) times and rows are emitted in key order, so
+    // the first batch carries enormous join fan-out and the last almost
+    // none.
+    constexpr int64_t kKeys = 40;
+    for (int64_t k = 0; k < kKeys; ++k) {
+      const int64_t copies = std::max<int64_t>(1, 2000 / (k + 1));
+      for (int64_t i = 0; i < copies; ++i) {
+        fact_rows.push_back(
+            {Value{k}, Value{0.25 * static_cast<double>((i * 7 + k) % 101)},
+             Value{std::string(k % 5 == 0 ? "hot" : "cold")}});
+      }
+      dim_rows.push_back(
+          {Value{k}, Value{1.0 / static_cast<double>(k + 1)}});
+    }
+  }
+};
+
+struct ZipfCase {
+  std::string label;
+  PlanPtr plan;
+  bool private_shapes = false;
+};
+
+std::vector<ZipfCase> ZipfCases() {
+  std::vector<ZipfCase> cases;
+  cases.push_back(
+      {"join-filter-sum",
+       SumPlan(FilterPlan(JoinPlan(ScanPlan("fact"), ScanPlan("dim"), "f_key",
+                                   "d_key"),
+                          And(Lt(Col("f_val"), Lit(12.0)),
+                              Gt(Col("d_weight"), Lit(0.05)))),
+               Mul(Col("f_val"), Col("d_weight"))),
+       true});
+  cases.push_back({"string-filter-count",
+                   CountPlan(FilterPlan(ScanPlan("fact"),
+                                        Eq(Col("f_cat"), Lit("hot")))),
+                   true});
+  // Rows are key-ordered, so every survivor sits in the first batch.
+  cases.push_back({"key-prefix-count",
+                   CountPlan(FilterPlan(ScanPlan("fact"),
+                                        Lt(Col("f_key"), Lit(int64_t{2})))),
+                   false});
+  cases.push_back(
+      {"avg", AvgPlan(ScanPlan("fact"), Add(Col("f_val"), Col("f_key"))),
+       false});
+  return cases;
+}
+
+TEST(ColumnarDifferentialTest, ZipfSkewBitIdentical) {
+  ZipfData data;
+  ASSERT_GT(data.fact_rows.size(), 2 * kBatch);
+  Rng rng = Rng::ForStream(13, "fragment/zipf");
+  std::vector<size_t> excluded =
+      rng.SampleWithoutReplacement(data.fact_rows.size(), 60);
+  std::vector<size_t> all(data.fact_rows.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+
+  // Option shapes per case: plain, and the one pass with every record
+  // sampled and with the excluded set sampled.
+  auto shapes = [&](const ZipfCase& c) {
+    std::vector<std::pair<std::string, ExecOptions>> out;
+    out.push_back({"plain", ExecOptions{}});
+    if (c.private_shapes) {
+      out.push_back({"contrib", OnePass("fact", &all, 3)});
+      out.push_back({"sprime", OnePass("fact", &excluded, 2)});
+    }
+    return out;
+  };
+
+  Table fact("fact", data.fact_schema, data.fact_rows);
+  Table dim("dim", data.dim_schema, data.dim_rows);
+  Catalog catalog{{"fact", &fact}, {"dim", &dim}};
+
+  // Oracle: row engine, 1 thread.
+  std::vector<ZipfCase> cases = ZipfCases();
+  std::map<std::string, ExecResult> oracle;
+  {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = 1, .default_partitions = 1});
+    PlanExecutor exec(&ctx, &catalog);
+    for (const ZipfCase& c : cases) {
+      for (auto& [shape, opts] : shapes(c)) {
+        ExecOptions o = opts;
+        o.engine = ExecEngine::kRowOracle;
+        Result<ExecResult> r = exec.Execute(c.plan, o);
+        ASSERT_TRUE(r.ok()) << c.label << ": " << r.status().ToString();
+        oracle[c.label + "/" + shape] = std::move(r.value());
+      }
+    }
+  }
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ExecContext ctx(engine::ExecConfig{
+        .threads = threads, .default_partitions = threads});
+    PlanExecutor exec(&ctx, &catalog);
+    for (const ZipfCase& c : cases) {
+      for (auto& [shape, opts] : shapes(c)) {
+        const std::string where = c.label + "/" + shape +
+                                  " threads=" + std::to_string(threads);
+        ExecOptions o = opts;
+        o.engine = ExecEngine::kColumnar;
+        Result<ExecResult> r = exec.Execute(c.plan, o);
+        ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+        ExpectBitIdentical(oracle[c.label + "/" + shape], r.value(), where);
       }
     }
   }

@@ -6,9 +6,8 @@
 // interpreted columnar engine (ExecuteColumnarInterpreted, the unfused
 // baseline) and the row oracle bit-for-bit — including
 // NaN/±inf propagation through comparisons and exact sums, empty
-// selections, dictionary-code boundary literals, and zone-map-decisive
-// fragments — across thread counts and fragment sizes (suite names match
-// the CI sanitizer filters).
+// selections and dictionary-code boundary literals — across thread counts
+// (suite names match the CI sanitizer filters).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,11 +31,6 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
-
-struct GlobalConfigGuard {
-  size_t fragment_rows = DefaultFragmentRows();
-  ~GlobalConfigGuard() { SetDefaultFragmentRows(fragment_rows); }
-};
 
 /// Runs `plan` three ways — row oracle, interpreted columnar, fused
 /// columnar — and asserts bit-identical outputs (or identical error
@@ -91,8 +85,6 @@ std::vector<Row> SpecialRows() {
 }
 
 TEST(FusedKernelTest, NanAndInfCompareAndSumBitIdentical) {
-  GlobalConfigGuard guard;
-  SetDefaultFragmentRows(5);
   Table t("t", NumStrSchema(), SpecialRows());
   Catalog catalog{{"t", &t}};
   engine::ExecContext ctx(
@@ -124,8 +116,6 @@ TEST(FusedKernelTest, NanAndInfCompareAndSumBitIdentical) {
 }
 
 TEST(FusedKernelTest, EmptySelectionShortCircuits) {
-  GlobalConfigGuard guard;
-  SetDefaultFragmentRows(5);
   Table t("t", NumStrSchema(), SpecialRows());
   Catalog catalog{{"t", &t}};
   engine::ExecContext ctx(
@@ -151,8 +141,6 @@ TEST(FusedKernelTest, EmptySelectionShortCircuits) {
 }
 
 TEST(FusedKernelTest, DictCodeBoundaryLiterals) {
-  GlobalConfigGuard guard;
-  SetDefaultFragmentRows(5);
   Table t("t", NumStrSchema(), SpecialRows());
   Catalog catalog{{"t", &t}};
   engine::ExecContext ctx(
@@ -177,59 +165,7 @@ TEST(FusedKernelTest, DictCodeBoundaryLiterals) {
   }
 }
 
-TEST(FusedKernelTest, ZoneMapDecisiveFragmentsStaySafe) {
-  GlobalConfigGuard guard;
-  SetDefaultFragmentRows(10);
-  std::vector<Row> rows;
-  for (int64_t i = 0; i < 100; ++i) {
-    rows.push_back({Value{i}, Value{static_cast<double>(i) * 0.5},
-                    Value{std::string(i < 50 ? "lo" : "hi")}});
-  }
-  Table t("t", NumStrSchema(), rows);
-  Catalog catalog{{"t", &t}};
-
-  // The fused path skips on the CONJOINED predicate: the second conjunct
-  // (id < 25) is zone-decisive for fragments the first conjunct alone
-  // would keep. Fused may therefore skip strictly more fragments than the
-  // interpreted scan (which only consults the innermost conjunct) — but
-  // outputs must stay bit-identical, and skipped+scanned must tile the
-  // fragment directory on both paths.
-  PlanPtr plan = SumPlan(
-      FilterPlan(FilterPlan(ScanPlan("t"), Gt(Col("v"), Lit(2.0))),
-                 Lt(Col("id"), Lit(int64_t{25}))),
-      Col("v"));
-
-  engine::ExecContext interp_ctx(
-      engine::ExecConfig{.threads = 2, .default_partitions = 2});
-  engine::ExecContext fused_ctx(
-      engine::ExecConfig{.threads = 2, .default_partitions = 2});
-  ExecOptions opts;
-  opts.engine = ExecEngine::kColumnar;
-  Result<ExecResult> interp =
-      ExecuteColumnarInterpreted(&interp_ctx, &catalog, plan, opts);
-  Result<ExecResult> fused =
-      PlanExecutor(&fused_ctx, &catalog).Execute(plan, opts);
-  ASSERT_TRUE(interp.ok()) << interp.status().ToString();
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_EQ(Bits(interp.value().output), Bits(fused.value().output));
-
-  engine::MetricsSnapshot is = interp_ctx.metrics().Snapshot();
-  engine::MetricsSnapshot fs = fused_ctx.metrics().Snapshot();
-  uint64_t interp_total = is.counters["columnar/fragments_scanned"] +
-                          is.counters["columnar/fragments_skipped"];
-  uint64_t fused_total = fs.counters["columnar/fragments_scanned"] +
-                         fs.counters["columnar/fragments_skipped"];
-  EXPECT_EQ(interp_total, 10u);
-  EXPECT_EQ(fused_total, 10u);
-  EXPECT_GE(fs.counters["columnar/fragments_skipped"],
-            is.counters["columnar/fragments_skipped"]);
-  // id >= 30 (fragments 3..9) fails the conjoined zone test outright.
-  EXPECT_GE(fs.counters["columnar/fragments_skipped"], 7u);
-}
-
 TEST(FusedKernelTest, GenericFallbacksMatch) {
-  GlobalConfigGuard guard;
-  SetDefaultFragmentRows(5);
   Table t("t", NumStrSchema(), SpecialRows());
   Catalog catalog{{"t", &t}};
   engine::ExecContext ctx(
@@ -254,8 +190,7 @@ TEST(FusedKernelTest, GenericFallbacksMatch) {
   ExpectTriEqual(&ctx, catalog, AvgPlan(f, Col("v")), "generic avg");
 }
 
-TEST(FusedKernelTest, LayoutAndThreadSweepBitIdentical) {
-  GlobalConfigGuard guard;
+TEST(FusedKernelTest, ThreadSweepBitIdentical) {
   Table t("t", NumStrSchema(), SpecialRows());
   Catalog catalog{{"t", &t}};
 
@@ -272,7 +207,7 @@ TEST(FusedKernelTest, LayoutAndThreadSweepBitIdentical) {
   pass.sample_rows = &sample;
   pass.partitions = 3;
 
-  // Baselines once, then sweep fragment sizes × thread counts.
+  // Baselines once, then sweep thread counts.
   engine::ExecContext base_ctx(
       engine::ExecConfig{.threads = 1, .default_partitions = 1});
   ExecOptions opts;
@@ -285,41 +220,35 @@ TEST(FusedKernelTest, LayoutAndThreadSweepBitIdentical) {
   ASSERT_TRUE(base_pass.ok()) << base_pass.status().ToString();
   EXPECT_EQ(Bits(base.value().output), Bits(base_pass.value().output));
 
-  for (size_t frag : {size_t{3}, size_t{7}, size_t{64} * 1024}) {
-    SetDefaultFragmentRows(frag);
-    t.ReleaseCaches();
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      engine::ExecContext ctx(
-          engine::ExecConfig{.threads = threads, .default_partitions = threads});
-      ExecOptions col;
-      col.engine = ExecEngine::kColumnar;
-      Result<ExecResult> fused =
-          PlanExecutor(&ctx, &catalog).Execute(plan, col);
-      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-      EXPECT_EQ(Bits(base.value().output), Bits(fused.value().output))
-          << "frag=" << frag << " threads=" << threads;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = threads, .default_partitions = threads});
+    ExecOptions col;
+    col.engine = ExecEngine::kColumnar;
+    Result<ExecResult> fused = PlanExecutor(&ctx, &catalog).Execute(plan, col);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    EXPECT_EQ(Bits(base.value().output), Bits(fused.value().output))
+        << "threads=" << threads;
 
-      pass.engine = ExecEngine::kColumnar;
-      Result<ExecResult> fused_pass =
-          PlanExecutor(&ctx, &catalog).Execute(plan, pass);
-      ASSERT_TRUE(fused_pass.ok()) << fused_pass.status().ToString();
-      const ExecResult& want = base_pass.value();
-      const ExecResult& got = fused_pass.value();
-      EXPECT_EQ(Bits(want.output), Bits(got.output))
-          << "one pass frag=" << frag << " threads=" << threads;
-      EXPECT_EQ(want.result_rows, got.result_rows);
-      ASSERT_EQ(want.partition_outputs.size(), got.partition_outputs.size());
-      for (size_t p = 0; p < want.partition_outputs.size(); ++p) {
-        EXPECT_EQ(Bits(want.partition_outputs[p]),
-                  Bits(got.partition_outputs[p]))
-            << "partition " << p << " frag=" << frag << " threads=" << threads;
-      }
-      ASSERT_EQ(got.sample_contributions.size(), sample.size());
-      for (size_t k = 0; k < sample.size(); ++k) {
-        EXPECT_EQ(Bits(want.sample_contributions[k]),
-                  Bits(got.sample_contributions[k]))
-            << "slot " << k << " frag=" << frag << " threads=" << threads;
-      }
+    pass.engine = ExecEngine::kColumnar;
+    Result<ExecResult> fused_pass =
+        PlanExecutor(&ctx, &catalog).Execute(plan, pass);
+    ASSERT_TRUE(fused_pass.ok()) << fused_pass.status().ToString();
+    const ExecResult& want = base_pass.value();
+    const ExecResult& got = fused_pass.value();
+    EXPECT_EQ(Bits(want.output), Bits(got.output))
+        << "one pass threads=" << threads;
+    EXPECT_EQ(want.result_rows, got.result_rows);
+    ASSERT_EQ(want.partition_outputs.size(), got.partition_outputs.size());
+    for (size_t p = 0; p < want.partition_outputs.size(); ++p) {
+      EXPECT_EQ(Bits(want.partition_outputs[p]), Bits(got.partition_outputs[p]))
+          << "partition " << p << " threads=" << threads;
+    }
+    ASSERT_EQ(got.sample_contributions.size(), sample.size());
+    for (size_t k = 0; k < sample.size(); ++k) {
+      EXPECT_EQ(Bits(want.sample_contributions[k]),
+                Bits(got.sample_contributions[k]))
+          << "slot " << k << " threads=" << threads;
     }
   }
 }

@@ -2,9 +2,9 @@
 // the TPC-H-style schema, each executed through the full stack (parser →
 // optimizer → grouped lowering → engine) on the row oracle and on the
 // columnar engine (fused kernels for single-table filter chains, the
-// interpreted path for joins), across thread counts {1, 4} × fragment
-// sizes {7, 64K}. Every cell of every result must agree bit-for-bit; error
-// paths must agree on the status code.
+// interpreted path for joins), across thread counts {1, 4}. Every cell of
+// every result must agree bit-for-bit; error paths must agree on the
+// status code.
 //
 // A second pass mutates the valid strings (truncation, token duplication,
 // junk characters) and asserts the front-end always fails with a clean
@@ -24,7 +24,6 @@
 
 #include "common/rng.h"
 #include "engine/context.h"
-#include "relational/columnar.h"
 #include "relational/sql_exec.h"
 #include "relational/table.h"
 #include "tpch/generator.h"
@@ -33,11 +32,6 @@ namespace upa::rel {
 namespace {
 
 uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
-
-struct GlobalConfigGuard {
-  size_t fragment_rows = DefaultFragmentRows();
-  ~GlobalConfigGuard() { SetDefaultFragmentRows(fragment_rows); }
-};
 
 // -- Random query generation ------------------------------------------------
 
@@ -251,7 +245,6 @@ void ExpectSameResult(const SqlResultSet& want, const Result<SqlResultSet>& got,
 }
 
 TEST(SqlFuzzDifferentialTest, RandomQueriesBitIdenticalAcrossEngines) {
-  GlobalConfigGuard guard;
   tpch::TpchDataset data(tpch::TpchConfig{.num_orders = 60, .seed = 7});
   Catalog catalog = data.catalog();
   std::vector<FuzzTable> tables = FuzzTables();
@@ -277,31 +270,25 @@ TEST(SqlFuzzDifferentialTest, RandomQueriesBitIdenticalAcrossEngines) {
     }
   }
 
-  for (size_t frag : {size_t{7}, size_t{64} * 1024}) {
-    SetDefaultFragmentRows(frag);
-    for (const auto& [name, table] : catalog) table->ReleaseCaches();
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      engine::ExecContext ctx(
-          engine::ExecConfig{.threads = threads, .default_partitions = threads});
-      for (size_t i = 0; i < queries.size(); ++i) {
-        std::string what = queries[i] + " [frag=" + std::to_string(frag) +
-                           " threads=" + std::to_string(threads) + "]";
-        Result<SqlResultSet> r =
-            ExecuteSql(&ctx, catalog, queries[i], ExecEngine::kColumnar);
-        if (!oracle_status[i].ok()) {
-          ASSERT_FALSE(r.ok()) << what;
-          EXPECT_EQ(oracle_status[i].code(), r.status().code()) << what;
-          continue;
-        }
-        ExpectSameResult(oracle[i], r, what);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ExecContext ctx(
+        engine::ExecConfig{.threads = threads, .default_partitions = threads});
+    for (size_t i = 0; i < queries.size(); ++i) {
+      std::string what =
+          queries[i] + " [threads=" + std::to_string(threads) + "]";
+      Result<SqlResultSet> r =
+          ExecuteSql(&ctx, catalog, queries[i], ExecEngine::kColumnar);
+      if (!oracle_status[i].ok()) {
+        ASSERT_FALSE(r.ok()) << what;
+        EXPECT_EQ(oracle_status[i].code(), r.status().code()) << what;
+        continue;
       }
+      ExpectSameResult(oracle[i], r, what);
     }
   }
 }
 
 TEST(SqlFuzzDifferentialTest, MutatedQueriesFailCleanly) {
-  GlobalConfigGuard guard;
-  SetDefaultFragmentRows(64 * 1024);
   tpch::TpchDataset data(tpch::TpchConfig{.num_orders = 30, .seed = 9});
   Catalog catalog = data.catalog();
   std::vector<FuzzTable> tables = FuzzTables();

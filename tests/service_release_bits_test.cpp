@@ -12,8 +12,7 @@
 //
 // A change that must not move any released bit leaves the hash alone; one
 // that does move them has to say so by re-pinning it. The suite is in CI's
-// TSan filter and its 7-row-fragment rerun (fragment size is invisible in
-// the bits).
+// TSan filter.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 

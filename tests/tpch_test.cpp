@@ -193,8 +193,8 @@ TEST_F(TpchTest, PlanShapesMatchPaperDescription) {
   EXPECT_EQ(q1.num_filters, 0u);
 }
 
-/// Every bit of two columnar tables: schema, row count, payloads,
-/// dictionaries, fragment directory and zone maps.
+/// Every bit of two columnar tables: schema, row count, payloads and
+/// dictionaries.
 void ExpectSameColumnarTable(const rel::ColumnarTable& want,
                              const rel::ColumnarTable& got,
                              const std::string& what) {
@@ -218,75 +218,43 @@ void ExpectSameColumnarTable(const rel::ColumnarTable& want,
       EXPECT_EQ(*w.dict, *g.dict) << col;
     }
   }
-  EXPECT_EQ(want.fragment_rows(), got.fragment_rows()) << what;
-  ASSERT_EQ(want.fragments().size(), got.fragments().size()) << what;
-  for (size_t f = 0; f < want.fragments().size(); ++f) {
-    const rel::FragmentInfo& w = want.fragments()[f];
-    const rel::FragmentInfo& g = got.fragments()[f];
-    EXPECT_EQ(w.begin_row, g.begin_row) << what << " fragment " << f;
-    EXPECT_EQ(w.end_row, g.end_row) << what << " fragment " << f;
-    ASSERT_EQ(w.cols.size(), g.cols.size()) << what << " fragment " << f;
-    for (size_t c = 0; c < w.cols.size(); ++c) {
-      const rel::FragmentColStats& ws = w.cols[c];
-      const rel::FragmentColStats& gs = g.cols[c];
-      const std::string where =
-          what + " fragment " + std::to_string(f) + " column " +
-          std::to_string(c);
-      EXPECT_EQ(ws.numeric_valid, gs.numeric_valid) << where;
-      EXPECT_EQ(std::bit_cast<uint64_t>(ws.min),
-                std::bit_cast<uint64_t>(gs.min)) << where;
-      EXPECT_EQ(std::bit_cast<uint64_t>(ws.max),
-                std::bit_cast<uint64_t>(gs.max)) << where;
-      EXPECT_EQ(ws.codes_valid, gs.codes_valid) << where;
-      EXPECT_EQ(ws.min_code, gs.min_code) << where;
-      EXPECT_EQ(ws.max_code, gs.max_code) << where;
-    }
-  }
 }
 
 // The release's domain pass draws its records straight into columns. For
 // every table with a record domain, that table is the one Build makes of
-// the same draws taken as SampleRow rows — payload bits, dictionaries and
-// zone maps — at the default fragment size and at 7-row fragments, and its
-// rows read back are Value-identical to SampleRow's (what the row oracle
-// reads). A table without a domain is refused, not aborted on.
+// the same draws taken as SampleRow rows — payload bits and dictionaries —
+// and its rows read back are Value-identical to SampleRow's (what the row
+// oracle reads). A table without a domain is refused, not aborted on.
 TEST(DomainColumnsDifferentialTest, SampleColumnsMatchesBuildOfSampleRows) {
   const TpchDataset data(SmallConfig(3));
-  const size_t saved = rel::DefaultFragmentRows();
-  for (size_t fragment_rows : {saved, size_t{7}}) {
-    rel::SetDefaultFragmentRows(fragment_rows);
-    for (const char* table :
-         {"lineitem", "orders", "partsupp", "customer", "supplier", "part"}) {
-      for (size_t n : {size_t{1}, size_t{40}, size_t{1000}}) {
-        const std::string what = std::string(table) + " n=" +
-                                 std::to_string(n) + " fragment_rows=" +
-                                 std::to_string(fragment_rows);
-        Rng row_rng = Rng::ForStream(n, std::string("domain/") + table);
-        Rng column_rng = row_rng;
-        std::vector<rel::Row> rows;
-        for (size_t i = 0; i < n; ++i) {
-          rows.push_back(data.SampleRow(table, row_rng));
-        }
-        Result<std::shared_ptr<const rel::ColumnarTable>> got =
-            data.SampleColumns(table, n, column_rng);
-        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-        // Both ways consumed the same draws.
-        EXPECT_EQ(row_rng.NextU64(), column_rng.NextU64()) << what;
-        const auto want =
-            rel::ColumnarTable::Build(data.table(table).schema(), rows);
-        ExpectSameColumnarTable(*want, *got.value(), what);
-        for (size_t i = 0; i < n; ++i) {
-          const rel::Row back = got.value()->RowAt(i);
-          ASSERT_EQ(back.size(), rows[i].size()) << what;
-          for (size_t c = 0; c < back.size(); ++c) {
-            EXPECT_EQ(back[c].index(), rows[i][c].index()) << what;
-            EXPECT_TRUE(rel::ValueEquals(back[c], rows[i][c])) << what;
-          }
+  for (const char* table :
+       {"lineitem", "orders", "partsupp", "customer", "supplier", "part"}) {
+    for (size_t n : {size_t{1}, size_t{40}, size_t{1000}}) {
+      const std::string what = std::string(table) + " n=" + std::to_string(n);
+      Rng row_rng = Rng::ForStream(n, std::string("domain/") + table);
+      Rng column_rng = row_rng;
+      std::vector<rel::Row> rows;
+      for (size_t i = 0; i < n; ++i) {
+        rows.push_back(data.SampleRow(table, row_rng));
+      }
+      Result<std::shared_ptr<const rel::ColumnarTable>> got =
+          data.SampleColumns(table, n, column_rng);
+      ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+      // Both ways consumed the same draws.
+      EXPECT_EQ(row_rng.NextU64(), column_rng.NextU64()) << what;
+      const auto want =
+          rel::ColumnarTable::Build(data.table(table).schema(), rows);
+      ExpectSameColumnarTable(*want, *got.value(), what);
+      for (size_t i = 0; i < n; ++i) {
+        const rel::Row back = got.value()->RowAt(i);
+        ASSERT_EQ(back.size(), rows[i].size()) << what;
+        for (size_t c = 0; c < back.size(); ++c) {
+          EXPECT_EQ(back[c].index(), rows[i][c].index()) << what;
+          EXPECT_TRUE(rel::ValueEquals(back[c], rows[i][c])) << what;
         }
       }
     }
   }
-  rel::SetDefaultFragmentRows(saved);
   Rng rng(1);
   Result<std::shared_ptr<const rel::ColumnarTable>> nation =
       data.SampleColumns("nation", 5, rng);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +16,8 @@
 
 namespace upa::core {
 namespace {
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
 TEST(VecSumTest, IdentityIsNeutralBothSides) {
   Vec v{1.0, 2.0};
@@ -46,6 +49,40 @@ TEST(VecSumTest, ReduceSequence) {
   EXPECT_EQ(VecSum::Reduce({}), VecSum::Identity());
 }
 
+// Combine fixes each cell's bits the way CellSum does, whatever operand
+// order the compiler picks for a + b: over every pair of a grid of signed
+// zeros, infinities, NaNs of both signs (with and without payload), the
+// smallest subnormals and the largest finite values, at dim 1 and dim 5.
+TEST(VecSumTest, CombineSumsEachCellAsCellSumDoes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double payload = std::bit_cast<double>(uint64_t{0x7ff8'0000'0000'0123});
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  const double grid[] = {0.0, -0.0, inf,  -inf, nan,  -nan,
+                         payload, -payload, sub, -sub, big, -big};
+  constexpr size_t kGrid = std::size(grid);
+  size_t cells = 0;
+  for (size_t dim : {size_t{1}, size_t{5}}) {
+    for (size_t x = 0; x < kGrid; ++x) {
+      for (size_t y = 0; y < kGrid; ++y) {
+        Vec a(dim), b(dim);
+        for (size_t d = 0; d < dim; ++d) {
+          a[d] = grid[(x + d) % kGrid];
+          b[d] = grid[(y + 2 * d) % kGrid];
+        }
+        const Vec sum = VecSum::Combine(a, b);
+        ASSERT_EQ(sum.size(), dim);
+        for (size_t d = 0; d < dim; ++d, ++cells) {
+          EXPECT_EQ(Bits(sum[d]), Bits(CellSum(a[d], b[d])))
+              << "dim=" << dim << " a=" << a[d] << " b=" << b[d];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, 864u);
+}
+
 TEST(ScalarHelpersTest, ScalarOfAndNorms) {
   EXPECT_DOUBLE_EQ(ScalarOf(Vec{4.5, 9.9}), 4.5);
   EXPECT_DOUBLE_EQ(ScalarOf(VecSum::Identity()), 0.0);
@@ -72,8 +109,6 @@ TEST(VecSumPropertyTest, CommutativeAndAssociative) {
     for (int j = 0; j < 3; ++j) EXPECT_NEAR(ab_c[j], a_bc[j], 1e-12);
   }
 }
-
-uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
 TEST(ExclusionTest, SingleElementExcludesToIdentity) {
   const std::vector<double> mapped{7.0};
@@ -265,16 +300,10 @@ Vec SpecialRecord(Rng& rng, size_t dim, bool allow_empty) {
 }
 
 /// Bits of a flat row, and of the reference's Vec (the identity: -0.0s).
-/// Every NaN reads as one value: the Vec scan's `a[i] += b[i]` leaves the
-/// sign of a NaN sum to the operand order the compiler picks, which
-/// differs between this repository's optimized and sanitizer builds.
-uint64_t CellBits(double d) {
-  return std::isnan(d) ? Bits(std::numeric_limits<double>::quiet_NaN())
-                       : Bits(d);
-}
+/// Both sum each cell through CellSum, so a NaN's sign is compared too.
 std::vector<uint64_t> RowBits(const double* row, size_t dim) {
   std::vector<uint64_t> bits(dim);
-  for (size_t d = 0; d < dim; ++d) bits[d] = CellBits(row[d]);
+  for (size_t d = 0; d < dim; ++d) bits[d] = Bits(row[d]);
   return bits;
 }
 std::vector<uint64_t> VecBits(const Vec& v, size_t dim) {
@@ -296,8 +325,8 @@ TEST(ExclusionDifferentialTest, CellSumPropagatesTheFirstNaN) {
   EXPECT_EQ(Bits(CellSum(2.5, -0.0)), Bits(2.5));
 }
 
-// The flat scan against the Vec scan it replaced, bit for bit but for a
-// NaN's sign, and against the paper's loop: dim 1 and dim > 1, signed
+// The flat scan against the Vec scan it replaced, bit for bit, and
+// against the paper's loop: dim 1 and dim > 1, signed
 // zeros, NaN, ±inf, records that map to the empty Vec (flattened to
 // identity rows), and n = 1 to past the 64-block bound.
 TEST(ExclusionDifferentialTest, FlatScanMatchesVecScanBitForBit) {
@@ -344,7 +373,7 @@ TEST(ExclusionDifferentialTest, FlatScanMatchesVecScanBitForBit) {
         Vec got_total = TotalAggregate(flat, dim);
         ASSERT_EQ(want_total.size(), got_total.size());
         for (size_t d = 0; d < want_total.size(); ++d) {
-          EXPECT_EQ(CellBits(want_total[d]), CellBits(got_total[d]));
+          EXPECT_EQ(Bits(want_total[d]), Bits(got_total[d]));
         }
       }
     }
