@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -171,6 +172,38 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000);
+
+// Per-add cost of the exact accumulator every engine sums through: 30,000
+// weights drawn like `l_extendedprice * l_discount` (Arg unit=0) or
+// COUNT's ones (unit=1), into one accumulator or into two by row parity
+// (accs=2), as the one pass splits rows across two enforcer partitions.
+void BM_ExactSumAdd(benchmark::State& state) {
+  const bool unit = state.range(0) == 1;
+  const size_t parity_mask = state.range(1) == 2 ? 1 : 0;
+  Rng rng(8);
+  std::vector<double> weights(30000);
+  for (double& w : weights) {
+    const double quantity = 1.0 + static_cast<double>(rng.UniformU64(50));
+    const double price = quantity * rng.UniformDouble(900.0, 1100.0);
+    const double discount = 0.01 * static_cast<double>(rng.UniformU64(11));
+    w = unit ? 1.0 : price * discount;
+  }
+  for (auto _ : state) {
+    upa::ExactSum sums[2];
+    for (size_t i = 0; i < weights.size(); ++i) {
+      sums[i & parity_mask].Add(weights[i]);
+    }
+    benchmark::DoNotOptimize(sums[0].Round());
+    benchmark::DoNotOptimize(sums[1].Round());
+  }
+  state.SetItemsProcessed(state.iterations() * weights.size());
+}
+BENCHMARK(BM_ExactSumAdd)
+    ->ArgNames({"unit", "accs"})
+    ->Args({0, 1})
+    ->Args({0, 2})
+    ->Args({1, 1})
+    ->Args({1, 2});
 
 }  // namespace
 

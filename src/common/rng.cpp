@@ -65,28 +65,34 @@ double Rng::Exponential(double rate) {
 
 bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
+ZipfSampler::ZipfSampler(uint64_t n, double s)
+    : n_(n), s_(s), one_minus_s_(1.0 - s), hn_(0.0) {
   UPA_CHECK_MSG(n > 0, "Zipf requires n > 0");
-  if (s <= 0.0) return 1 + UniformU64(n);
+  if (s <= 0.0) return;
   // Inverse transform on the approximate harmonic CDF (integral form).
   // Accurate enough for generating skewed workloads.
-  double u = UniformDouble();
   if (s == 1.0) {
-    double hn = std::log(static_cast<double>(n)) + 1.0;
-    double target = u * hn;
+    hn_ = std::log(static_cast<double>(n)) + 1.0;
+  } else {
+    hn_ = (std::pow(static_cast<double>(n), one_minus_s_) - 1.0) /
+              one_minus_s_ +
+          1.0;
+  }
+}
+
+uint64_t ZipfSampler::Draw(Rng& rng) const {
+  if (s_ <= 0.0) return 1 + rng.UniformU64(n_);
+  double u = rng.UniformDouble();
+  double target = u * hn_;
+  if (s_ == 1.0) {
     double k = std::exp(target - 1.0);
     uint64_t r = static_cast<uint64_t>(k);
-    return std::min<uint64_t>(std::max<uint64_t>(r, 1), n);
+    return std::min<uint64_t>(std::max<uint64_t>(r, 1), n_);
   }
-  double one_minus_s = 1.0 - s;
-  double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) /
-                  one_minus_s +
-              1.0;
-  double target = u * hn;
-  double k = std::pow(target * one_minus_s + 1.0, 1.0 / one_minus_s);
+  double k = std::pow(target * one_minus_s_ + 1.0, 1.0 / one_minus_s_);
   if (!std::isfinite(k) || k < 1.0) return 1;
   uint64_t r = static_cast<uint64_t>(k);
-  return std::min<uint64_t>(std::max<uint64_t>(r, 1), n);
+  return std::min<uint64_t>(std::max<uint64_t>(r, 1), n_);
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {

@@ -106,11 +106,6 @@ class Rng {
   /// Bernoulli(p).
   bool Bernoulli(double p);
 
-  /// Zipf-distributed integer in [1, n] with exponent s (s=0 → uniform).
-  /// Uses the classic inverse-CDF-over-harmonic approximation; intended for
-  /// workload skew, not for exact distribution tests.
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Sample k distinct indices uniformly from [0, n) (k <= n).
   /// Returned in sorted order. Floyd's algorithm over a membership bitmap:
   /// k draws, then O(n/64) words to read the sorted indices off.
@@ -130,6 +125,25 @@ class Rng {
 
  private:
   Pcg32 gen_;
+};
+
+/// Zipf-distributed integers in [1, n] with exponent s (s <= 0 → uniform).
+/// Uses the classic inverse-CDF-over-harmonic approximation; intended for
+/// workload skew, not for exact distribution tests. The harmonic
+/// normaliser depends on (n, s) alone, so it is computed once, here; each
+/// draw takes one uniform double from the Rng (one uniform integer when
+/// s <= 0).
+class ZipfSampler {
+ public:
+  ZipfSampler(uint64_t n, double s);
+
+  uint64_t Draw(Rng& rng) const;
+
+ private:
+  uint64_t n_;
+  double s_;
+  double one_minus_s_;
+  double hn_;  // the approximate harmonic number H(n, s)
 };
 
 }  // namespace upa

@@ -447,9 +447,9 @@ bool CollectScanUids(const PlanPtr& plan, const Catalog& catalog,
 /// j, the rounded total and the surviving row count, none of which depend
 /// on the sample. Tables are immutable and new data gets a new uid, so an
 /// entry stays valid for as long as its key can match. Bounded: at most
-/// kMemoCapacity entries, each of at most kMaxPartitions partition sums (a
-/// finite ExactSum holds at most ~40 non-overlapping partials) and a plan
-/// of at most kMaxPlanBytes: under 1 MiB in all.
+/// kMemoCapacity entries, each of at most kMaxPartitions fixed-size
+/// partition sums (~560 bytes each) and a plan of at most kMaxPlanBytes:
+/// 64 × (8 × 560 B + 8 KiB), under 1 MiB in all.
 class SPrimeMemo {
  public:
   static constexpr size_t kMaxPartitions = 8;
@@ -521,12 +521,13 @@ class SPrimeMemo {
   }
 
   /// Completes a pass over the sampled rows alone: partition j's output is
-  /// Round(x_j ⊖ sampled rows of j), computed exactly, and the total and
-  /// row count are the remembered ones. When every surviving row was
-  /// sampled, nothing remains and every output is the empty sum, +0.0.
-  /// False when a partition's remainder is not finite, or is an exact zero
-  /// while rows remain, whose sign depends on those rows (-0.0 only when
-  /// every one of them weighs -0.0): the full pass must decide.
+  /// Round(x_j ⊖ sampled rows of j), computed exactly (beyond DBL_MAX too),
+  /// and the total and row count are the remembered ones. When every
+  /// surviving row was sampled, nothing remains and every output is the
+  /// empty sum, +0.0. False when a sampled row's weight is infinite or NaN,
+  /// or when a remainder is an exact zero while rows remain, whose sign
+  /// depends on those rows (-0.0 only when every one of them weighs -0.0):
+  /// the full pass must decide.
   static bool Complete(const Value& memo, ExecResult& r) {
     std::vector<double> outputs(memo.totals.size(), 0.0);
     const bool rows_remain = r.result_rows != memo.result_rows;

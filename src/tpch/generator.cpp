@@ -103,14 +103,23 @@ class RowSink {
 // the order of a call's arguments is unspecified, and the draws must come
 // in the same order whichever sink takes them.
 
+/// The skewed part and supplier references of lineitem and partsupp
+/// records, built once per generator or domain draw.
+struct ReferenceSkew {
+  explicit ReferenceSkew(const TpchConfig& config)
+      : part(config.num_parts(), config.reference_skew),
+        supplier(config.num_suppliers(), config.reference_skew) {}
+
+  ZipfSampler part;
+  ZipfSampler supplier;
+};
+
 template <typename Sink>
-void DrawLineitem(const TpchConfig& config, Rng& rng, int64_t orderkey,
+void DrawLineitem(const ReferenceSkew& skew, Rng& rng, int64_t orderkey,
                   Sink& out) {
   out.Int(orderkey);
-  out.Int(static_cast<int64_t>(
-      rng.Zipf(config.num_parts(), config.reference_skew)));
-  out.Int(static_cast<int64_t>(
-      rng.Zipf(config.num_suppliers(), config.reference_skew)));
+  out.Int(static_cast<int64_t>(skew.part.Draw(rng)));
+  out.Int(static_cast<int64_t>(skew.supplier.Draw(rng)));
   const double quantity = 1.0 + static_cast<double>(rng.UniformU64(50));
   out.Double(quantity);
   out.Double(quantity * rng.UniformDouble(900.0, 1100.0));
@@ -177,23 +186,22 @@ bool DrawDomain(const TpchConfig& config, const std::string& table, size_t n,
   auto fresh_key = [&rng](size_t count) {
     return static_cast<int64_t>(count + 1 + rng.UniformU64(count));
   };
-  auto skewed_key = [&](size_t count) {
-    return static_cast<int64_t>(rng.Zipf(count, config.reference_skew));
-  };
   if (table != "lineitem" && table != "orders" && table != "partsupp" &&
       table != "customer" && table != "supplier" && table != "part") {
     return false;
   }
+  const ReferenceSkew skew(config);
   for (size_t i = 0; i < n; ++i) {
     if (table == "lineitem") {
       const auto orderkey =
           static_cast<int64_t>(1 + rng.UniformU64(config.num_orders));
-      DrawLineitem(config, rng, orderkey, out);
+      DrawLineitem(skew, rng, orderkey, out);
     } else if (table == "orders") {
       DrawOrders(config, rng, fresh_key(config.num_orders), out);
     } else if (table == "partsupp") {
-      const int64_t partkey = skewed_key(config.num_parts());
-      DrawPartsupp(rng, partkey, skewed_key(config.num_suppliers()), out);
+      const auto partkey = static_cast<int64_t>(skew.part.Draw(rng));
+      const auto suppkey = static_cast<int64_t>(skew.supplier.Draw(rng));
+      DrawPartsupp(rng, partkey, suppkey, out);
     } else if (table == "customer") {
       DrawCustomer(rng, fresh_key(config.num_customers()), out);
     } else if (table == "supplier") {
@@ -274,13 +282,13 @@ TpchDataset::TpchDataset(TpchConfig config) : config_(config) {
   part_ = std::make_unique<Table>("part", PartSchema(), std::move(parts));
 
   // partsupp: each part supplied by 1-4 Zipf-picked suppliers.
+  const ReferenceSkew skew(config_);
   std::vector<Row> partsupps;
   RowSink partsupp_rows(partsupps, PartsuppSchema().NumColumns());
   for (size_t p = 1; p <= config_.num_parts(); ++p) {
     size_t n_sup = 1 + rng.UniformU64(4);
     for (size_t s = 0; s < n_sup; ++s) {
-      int64_t suppkey = static_cast<int64_t>(
-          rng.Zipf(config_.num_suppliers(), config_.reference_skew));
+      int64_t suppkey = static_cast<int64_t>(skew.supplier.Draw(rng));
       DrawPartsupp(rng, static_cast<int64_t>(p), suppkey, partsupp_rows);
     }
   }
@@ -301,11 +309,12 @@ TpchDataset::TpchDataset(TpchConfig config) : config_(config) {
   std::vector<Row> lineitems;
   RowSink order_rows(orders, OrdersSchema().NumColumns());
   RowSink lineitem_rows(lineitems, LineitemSchema().NumColumns());
+  const ZipfSampler items_per_order(config_.max_lineitems_per_order, 0.8);
   for (size_t o = 1; o <= config_.num_orders; ++o) {
     DrawOrders(config_, rng, static_cast<int64_t>(o), order_rows);
-    size_t n_items = rng.Zipf(config_.max_lineitems_per_order, 0.8);
+    size_t n_items = items_per_order.Draw(rng);
     for (size_t l = 0; l < n_items; ++l) {
-      DrawLineitem(config_, rng, static_cast<int64_t>(o), lineitem_rows);
+      DrawLineitem(skew, rng, static_cast<int64_t>(o), lineitem_rows);
     }
   }
   orders_ = std::make_unique<Table>("orders", OrdersSchema(),

@@ -138,9 +138,10 @@ TEST(RngTest, BernoulliFrequency) {
 
 TEST(RngTest, ZipfStaysInRangeAndIsSkewed) {
   Rng rng(11);
+  const ZipfSampler zipf(100, 1.2);
   std::map<uint64_t, int> counts;
   for (int i = 0; i < 20000; ++i) {
-    uint64_t v = rng.Zipf(100, 1.2);
+    uint64_t v = zipf.Draw(rng);
     ASSERT_GE(v, 1u);
     ASSERT_LE(v, 100u);
     counts[v]++;
@@ -151,9 +152,10 @@ TEST(RngTest, ZipfStaysInRangeAndIsSkewed) {
 
 TEST(RngTest, ZipfZeroExponentIsRoughlyUniform) {
   Rng rng(12);
+  const ZipfSampler zipf(10, 0.0);
   std::map<uint64_t, int> counts;
   const int kN = 50000;
-  for (int i = 0; i < kN; ++i) counts[rng.Zipf(10, 0.0)]++;
+  for (int i = 0; i < kN; ++i) counts[zipf.Draw(rng)]++;
   for (uint64_t k = 1; k <= 10; ++k) {
     EXPECT_NEAR(counts[k] / static_cast<double>(kN), 0.1, 0.02) << "k=" << k;
   }

@@ -363,10 +363,11 @@ TEST(ColumnarDifferentialTest, BatchEdgesBitIdentical) {
 
   // Innermost filter first. Under the engine's comparison contract a NaN
   // compares equal to everything, so `v < 1e300` drops NaNs and `v <= 0`
-  // keeps them. Only "finite" keeps most rows: a sum holding a non-finite
-  // value costs ExactSum one partial per add, so the others keep few.
+  // keeps them. "all" keeps every row: its sums fold NaNs of both signs
+  // and ±inf from every batch edge.
   const PlanPtr scan = ScanPlan("t");
   const std::vector<std::pair<std::string, PlanPtr>> chains = {
+      {"all", FilterPlan(scan, Ge(Col("id"), Lit(int64_t{0})))},
       {"finite", FilterPlan(FilterPlan(scan, Lt(Col("v"), Lit(1e300))),
                             Gt(Col("v"), Lit(-1e300)))},
       {"high-inf", FilterPlan(FilterPlan(scan, Ge(Col("v"), Lit(5.5))),
@@ -1400,10 +1401,12 @@ TEST(PlanQueryMemoTest, OverridesAndRowOracleBypassTheMemo) {
   EXPECT_EQ(exec.MemoEntries(), 1u);
 }
 
-// A pass with a non-finite partition sum is never remembered. A remainder
-// that is not finite, or an exact zero while unsampled rows remain, makes a
-// hit run the full pass, whose bits it then returns: the overflow, or -0.0
-// where the remainder cancels to +0.0.
+// A pass with a non-finite partition sum (an infinite or NaN weight) is
+// never remembered. A finite sum stays exact beyond DBL_MAX, so a sum or a
+// remainder that overflows the double range is remembered and hits, and
+// rounds to the full pass's +inf. An exact-zero remainder while unsampled
+// rows remain makes a hit run the full pass, whose bits it then returns:
+// -0.0 where the remainder cancels to +0.0.
 TEST(PlanQueryMemoTest, NonFiniteAndZeroRemaindersFallBackToTheFullPass) {
   engine::ExecContext ctx(
       engine::ExecConfig{.threads = 1, .default_partitions = 1});
@@ -1438,11 +1441,15 @@ TEST(PlanQueryMemoTest, NonFiniteAndZeroRemaindersFallBackToTheFullPass) {
   const double inf = std::numeric_limits<double>::infinity();
   check({1.0, inf, 3.0}, {0}, {0}, false, "infinite weight");
   check({1.0, std::nan(""), 3.0}, {0}, {0}, false, "NaN weight");
-  check({1e308, 1e308, 1e308}, {0}, {0}, false, "overflowing sum");
-  // x = 1e308 + 1e308 - 1e308 is finite when the second row is sampled;
-  // with the third sampled instead, the remainder 2e308 overflows.
-  EXPECT_FALSE(std::isfinite(check({1e308, 1e308, -1e308}, {1}, {2}, true,
-                                   "overflowing remainder")));
+  // x = 3e308 is kept exactly; the remainder 2e308 rounds to +inf.
+  EXPECT_EQ(Bits(check({1e308, 1e308, 1e308}, {0}, {0}, true,
+                       "overflowing sum", /*hit=*/true)),
+            Bits(inf));
+  // x = 1e308 + 1e308 - 1e308; with the third row sampled, the remainder
+  // 2e308 rounds to +inf.
+  EXPECT_EQ(Bits(check({1e308, 1e308, -1e308}, {1}, {2}, true,
+                       "overflowing remainder", /*hit=*/true)),
+            Bits(inf));
   // Every unsampled row weighs -0.0: the full pass says -0.0, while x - 5
   // cancels to +0.0.
   EXPECT_EQ(Bits(check({-0.0, 5.0, -0.0}, {1}, {1}, true, "negative zero")),

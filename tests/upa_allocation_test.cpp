@@ -16,13 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "queries/plan_query.h"
 #include "relational/sql_parser.h"
 #include "tpch/generator.h"
@@ -183,6 +186,27 @@ TEST(AllocationGuardTest, ColdAndHintedSqlRunsStayWithinBudget) {
     EXPECT_LE(cold, kMaxColdAllocations) << sql;
     EXPECT_LE(hinted, kMaxHintedAllocations) << sql;
   }
+}
+
+// An exact sum is a fixed-size accumulator, infinities and NaN included:
+// no add, merge, subtraction or rounding allocates.
+TEST(AllocationGuardTest, ExactSumNeverAllocates) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double weights[] = {kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+                            1e308, -0.0, 2.5, -3.75};
+  ExactSum even, odd;
+  double rounded = 0.0;
+  const uint64_t allocations = CountAllocations([&] {
+    for (int i = 0; i < 100000; ++i) {
+      (i % 2 == 0 ? even : odd).Add(weights[i % std::size(weights)]);
+    }
+    even.Merge(odd);
+    even.Subtract(odd);
+    rounded = even.Round();
+  });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(rounded),
+            std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN()));
 }
 
 }  // namespace
