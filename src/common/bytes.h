@@ -1,5 +1,5 @@
-// The one little-endian byte codec: wire payloads, journal records,
-// snapshots and the serialized QueryResponse all go through it.
+// The one little-endian byte codec: wire payloads, journal records and
+// the serialized QueryResponse all go through it.
 //
 // Scalars are little-endian; doubles travel as their raw IEEE-754 bits,
 // so -0.0, denormals and NaN payloads survive bit for bit (releases must

@@ -100,13 +100,10 @@ Status PrivacyAccountant::VerifyConservation() const {
 }
 
 void PrivacyAccountant::RestoreLedger(const std::string& dataset_id,
-                                      double charged_total,
-                                      double refunded_total) {
+                                      double charged_total) {
   std::lock_guard lock(mu_);
-  Ledger& ledger = ledgers_[dataset_id];
-  ledger.charged = charged_total;
-  ledger.refunded = refunded_total;
-  ledger.spent = charged_total - refunded_total;
+  ledgers_[dataset_id] =
+      Ledger{.spent = charged_total, .charged = charged_total};
 }
 
 }  // namespace upa::dp

@@ -68,10 +68,10 @@ class PrivacyAccountant {
   /// first violation as INTERNAL.
   Status VerifyConservation() const;
 
-  /// Recovery: overwrite `dataset_id`'s ledger with journaled state. The
-  /// live balance is charged − refunded by construction.
-  void RestoreLedger(const std::string& dataset_id, double charged_total,
-                     double refunded_total);
+  /// Recovery: overwrite `dataset_id`'s ledger with journaled state, the
+  /// Σ ε of its releases. Nothing recovered is refunded, so the live
+  /// balance is `charged_total`.
+  void RestoreLedger(const std::string& dataset_id, double charged_total);
 
  private:
   struct Ledger {

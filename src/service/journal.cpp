@@ -21,8 +21,6 @@ namespace fs = std::filesystem;
 
 constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB sanity bound
 constexpr size_t kFrameHeaderBytes = 4 + 8;       // u32 len, u64 fnv1a
-// 8 raw bytes ("2": the snapshot layout with the dedup window).
-constexpr std::string_view kSnapshotMagic = "UPASNAP2";
 
 /// A u32 count, then that many doubles. Each element is read before it is
 /// stored, so a lying count fails the decode instead of allocating.
@@ -85,30 +83,6 @@ Status DecodePayload(std::string_view payload, JournalRecord* record) {
   return r.ExpectEnd();
 }
 
-Status DecodeSnapshotBody(std::string_view body, DatasetDurableState* state,
-                          uint64_t* covered) {
-  PayloadReader r(body);
-  uint32_t count = 0;
-  UPA_RETURN_IF_ERROR(r.GetString(&state->dataset_id));
-  UPA_RETURN_IF_ERROR(r.GetU64(&state->epoch));
-  UPA_RETURN_IF_ERROR(r.GetDouble(&state->charged_total));
-  UPA_RETURN_IF_ERROR(r.GetDouble(&state->refunded_total));
-  UPA_RETURN_IF_ERROR(r.GetU64(covered));
-  UPA_RETURN_IF_ERROR(r.GetU32(&count));
-  for (uint32_t i = 0; i < count; ++i) {
-    UPA_RETURN_IF_ERROR(GetDoubles(&r, &state->registry.emplace_back()));
-  }
-  UPA_RETURN_IF_ERROR(r.GetU32(&count));
-  for (uint32_t i = 0; i < count; ++i) {
-    DedupDurableEntry& entry = state->dedup.emplace_back();
-    UPA_RETURN_IF_ERROR(r.GetU64(&entry.nonce));
-    UPA_RETURN_IF_ERROR(r.GetU64(&entry.seq));
-    UPA_RETURN_IF_ERROR(r.GetU64(&entry.request_hash));
-    UPA_RETURN_IF_ERROR(r.GetString(&entry.response_blob));
-  }
-  return r.ExpectEnd();
-}
-
 Result<std::string> ReadWholeFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -144,53 +118,25 @@ Status SyncDir(const std::string& dir) {
   return Status::Ok();
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& data,
-                       bool fsync) {
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot create '" + tmp + "'");
-  }
-  bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  ok = (std::fflush(f) == 0) && ok;
-  // The tmp payload must be on disk BEFORE the rename publishes it: a
-  // crash between rename and writeback could otherwise leave the final
-  // name pointing at garbage — strictly worse than keeping the old file.
-  if (fsync && ok) ok = ::fsync(::fileno(f)) == 0;
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to '" + tmp + "'");
-  }
-  UPA_FAILPOINT("journal/snapshot_sync");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename '" + tmp + "' -> '" + path +
-                            "': " + ec.message());
-  }
-  if (fsync) {
-    UPA_RETURN_IF_ERROR(SyncDir(fs::path(path).parent_path().string()));
-  }
-  return Status::Ok();
+/// The one name a dataset's journal has: recovery refuses any other.
+std::string JournalFileName(const std::string& dataset_id) {
+  return Journal::FileStem(dataset_id) + ".journal";
 }
 
-std::string JournalPath(const std::string& dir, const std::string& dataset_id) {
-  return (fs::path(dir) / (Journal::FileStem(dataset_id) + ".journal"))
-      .string();
-}
-
-std::string SnapshotPath(const std::string& dir,
-                         const std::string& dataset_id) {
-  return (fs::path(dir) / (Journal::FileStem(dataset_id) + ".snapshot"))
-      .string();
+/// True when `rest` starts with a whole frame whose payload matches its
+/// checksum; `len` then receives the payload length.
+bool IntactFrame(std::string_view rest, uint32_t* len) {
+  if (rest.size() < kFrameHeaderBytes) return false;
+  *len = LoadU32(rest.data());
+  return *len <= kMaxPayloadBytes && rest.size() - kFrameHeaderBytes >= *len &&
+         Fnv1a(rest.substr(kFrameHeaderBytes, *len)) ==
+             LoadU64(rest.data() + 4);
 }
 
 /// Applies one replayed record to the accumulating state. kOpen is a file
 /// header, not a mutation; an unknown dataset_id mismatch is a corruption
 /// signal handled by the caller.
-void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state) {
+void ApplyRecord(JournalRecord&& rec, DatasetDurableState* state) {
   switch (rec.type) {
     case JournalRecord::Type::kOpen:
       break;
@@ -201,7 +147,7 @@ void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state) {
       break;
     case JournalRecord::Type::kRelease:
       state->charged_total += rec.epsilon;
-      state->registry.push_back(rec.partition_outputs);
+      state->registry.push_back(std::move(rec.partition_outputs));
       // Only a keyed release carries a response blob. An unkeyed release
       // journaled by an older build still names its request's key, without
       // a blob: that key never entered a window, so it must not enter this.
@@ -210,7 +156,7 @@ void ApplyRecord(const JournalRecord& rec, DatasetDurableState* state) {
         entry.nonce = rec.nonce;
         entry.seq = rec.key_seq;
         entry.request_hash = rec.request_hash;
-        entry.response_blob = rec.response_blob;
+        entry.response_blob = std::move(rec.response_blob);
         state->dedup.push_back(std::move(entry));
       }
       break;
@@ -258,7 +204,7 @@ Result<std::unique_ptr<Journal>> Journal::Open(const std::string& dir,
     return Status::Internal("cannot create journal dir '" + dir +
                             "': " + ec.message());
   }
-  std::string path = JournalPath(dir, dataset_id);
+  std::string path = (fs::path(dir) / JournalFileName(dataset_id)).string();
   // A fresh journal takes its final name only once its kOpen frame is
   // appended: a crash before the rename leaves a tmp file that recovery
   // skips and the next Open overwrites, never a `.journal` without header.
@@ -331,29 +277,37 @@ Status Journal::Append(const JournalRecord& record) {
   return Status::Ok();
 }
 
-Result<std::vector<JournalRecord>> Journal::ReadAll(
-    const std::string& path, bool* torn_tail, uint64_t* intact_bytes,
-    std::vector<uint64_t>* frame_ends) {
+Result<std::vector<JournalRecord>> Journal::ReadAll(const std::string& path,
+                                                    bool* torn_tail,
+                                                    uint64_t* intact_bytes) {
   if (torn_tail != nullptr) *torn_tail = false;
   if (intact_bytes != nullptr) *intact_bytes = 0;
-  if (frame_ends != nullptr) frame_ends->clear();
   auto data_or = ReadWholeFile(path);
   UPA_RETURN_IF_ERROR(data_or.status());
-  const std::string& data = data_or.value();
+  const std::string_view data = data_or.value();
 
   std::vector<JournalRecord> records;
   uint64_t offset = 0;
   while (offset < data.size()) {
-    std::string_view rest = std::string_view(data).substr(offset);
-    // Torn tail: the process died mid-append, leaving a short header, an
-    // impossible length or a checksum mismatch. Everything before the
-    // last intact record is trusted; the fragment is discarded.
-    const bool short_header = rest.size() < kFrameHeaderBytes;
-    const uint32_t len = short_header ? 0 : LoadU32(rest.data());
-    if (short_header || len > kMaxPayloadBytes ||
-        rest.size() - kFrameHeaderBytes < len ||
-        Fnv1a(rest.substr(kFrameHeaderBytes, len)) !=
-            LoadU64(rest.data() + 4)) {
+    std::string_view rest = data.substr(offset);
+    uint32_t len = 0;
+    if (!IntactFrame(rest, &len)) {
+      // A short header, an impossible length or a checksum mismatch. Append
+      // writes one frame per call under the journal's lock, so a crash can
+      // tear only the last frame: a whole frame anywhere after this one
+      // means this one was damaged, not torn, and cutting it off would drop
+      // every later record. Refuse the journal and leave the file alone.
+      uint32_t later_len = 0;
+      for (size_t skip = 1; skip < rest.size(); ++skip) {
+        if (IntactFrame(rest.substr(skip), &later_len)) {
+          return Status::Internal(
+              "journal '" + path + "': damaged record at offset " +
+              std::to_string(offset) + " precedes an intact one at offset " +
+              std::to_string(offset + skip));
+        }
+      }
+      // Torn tail: the process died mid-append. Everything before the last
+      // intact record is trusted; the fragment is discarded.
       if (torn_tail != nullptr) *torn_tail = true;
       break;
     }
@@ -362,8 +316,7 @@ Result<std::vector<JournalRecord>> Journal::ReadAll(
     // Cutting it off would drop every later record, releases included:
     // refuse the whole journal instead, and leave the file alone.
     JournalRecord rec;
-    Status decoded =
-        DecodePayload(rest.substr(kFrameHeaderBytes, len), &rec);
+    Status decoded = DecodePayload(rest.substr(kFrameHeaderBytes, len), &rec);
     if (!decoded.ok()) {
       return Status::Internal("journal '" + path +
                               "': undecodable record at offset " +
@@ -372,126 +325,12 @@ Result<std::vector<JournalRecord>> Journal::ReadAll(
     }
     offset += kFrameHeaderBytes + len;
     if (intact_bytes != nullptr) *intact_bytes = offset;
-    if (frame_ends != nullptr) frame_ends->push_back(offset);
     records.push_back(std::move(rec));
   }
   return records;
 }
 
-Status WriteSnapshot(const std::string& dir, const DatasetDurableState& state,
-                     uint64_t covered_bytes, bool fsync) {
-  UPA_FAILPOINT("journal/snapshot");
-  PayloadWriter body;
-  body.PutString(state.dataset_id);
-  body.PutU64(state.epoch);
-  body.PutDouble(state.charged_total);
-  body.PutDouble(state.refunded_total);
-  body.PutU64(covered_bytes);
-  body.PutU32(static_cast<uint32_t>(state.registry.size()));
-  for (const auto& prior : state.registry) PutDoubles(&body, prior);
-  body.PutU32(static_cast<uint32_t>(state.dedup.size()));
-  for (const auto& entry : state.dedup) {
-    body.PutU64(entry.nonce);
-    body.PutU64(entry.seq);
-    body.PutU64(entry.request_hash);
-    body.PutString(entry.response_blob);
-  }
-
-  PayloadWriter file;
-  file.PutBytes(kSnapshotMagic);
-  file.PutU64(Fnv1a(body.bytes()));
-  file.PutBytes(body.bytes());
-  return WriteFileAtomic(SnapshotPath(dir, state.dataset_id), file.bytes(),
-                         fsync);
-}
-
-Result<DatasetDurableState> ReadSnapshot(const std::string& path,
-                                         uint64_t* covered_bytes) {
-  auto data_or = ReadWholeFile(path);
-  UPA_RETURN_IF_ERROR(data_or.status());
-  const std::string& data = data_or.value();
-  const size_t header_bytes = kSnapshotMagic.size() + 8;  // magic, fnv1a
-  if (data.size() < header_bytes || !data.starts_with(kSnapshotMagic)) {
-    return Status::Internal("snapshot '" + path + "': bad magic");
-  }
-  std::string_view body = std::string_view(data).substr(header_bytes);
-  if (Fnv1a(body) != LoadU64(data.data() + kSnapshotMagic.size())) {
-    return Status::Internal("snapshot '" + path + "': checksum mismatch");
-  }
-
-  DatasetDurableState state;
-  uint64_t covered = 0;
-  Status decoded = DecodeSnapshotBody(body, &state, &covered);
-  if (!decoded.ok()) {
-    return Status::Internal("snapshot '" + path +
-                            "': undecodable body: " + decoded.message());
-  }
-  if (covered_bytes != nullptr) *covered_bytes = covered;
-  return state;
-}
-
-Result<DatasetDurableState> RecoverDataset(const std::string& dir,
-                                           const std::string& dataset_id,
-                                           bool compact, bool fsync) {
-  std::string journal_path = JournalPath(dir, dataset_id);
-  std::error_code ec;
-  bool journal_exists = fs::exists(journal_path, ec);
-
-  DatasetDurableState state;
-  state.dataset_id = dataset_id;
-  uint64_t covered = 0;
-  auto snap_or = ReadSnapshot(SnapshotPath(dir, dataset_id), &covered);
-  if (snap_or.ok()) {
-    if (snap_or.value().dataset_id != dataset_id) {
-      return Status::Internal("snapshot for '" + dataset_id +
-                              "' names dataset '" +
-                              snap_or.value().dataset_id + "'");
-    }
-    state = std::move(snap_or).value();
-  } else if (snap_or.status().code() != StatusCode::kNotFound) {
-    return snap_or.status();
-  }
-  uint64_t intact_bytes = 0;
-  if (journal_exists) {
-    bool torn = false;
-    std::vector<uint64_t> frame_ends;
-    auto records_or =
-        Journal::ReadAll(journal_path, &torn, &intact_bytes, &frame_ends);
-    UPA_RETURN_IF_ERROR(records_or.status());
-    // Drop a torn tail fragment from disk: frames appended after it would
-    // be unreachable (readers stop at the first bad frame).
-    if (torn) {
-      fs::resize_file(journal_path, intact_bytes, ec);
-      if (ec) {
-        return Status::Internal("cannot truncate torn journal '" +
-                                journal_path + "': " + ec.message());
-      }
-    }
-    if (covered > intact_bytes) covered = intact_bytes;
-    // Replay only records past the snapshot's coverage; record i starts
-    // where record i - 1 ended.
-    const auto& records = records_or.value();
-    for (size_t i = 0; i < records.size(); ++i) {
-      if ((i == 0 ? 0 : frame_ends[i - 1]) < covered) continue;
-      const auto& rec = records[i];
-      if (rec.type == JournalRecord::Type::kOpen &&
-          rec.dataset_id != dataset_id) {
-        return Status::Internal("journal '" + journal_path +
-                                "' names dataset '" + rec.dataset_id + "'");
-      }
-      ApplyRecord(rec, &state);
-    }
-  }
-
-  if (compact) {
-    UPA_RETURN_IF_ERROR(WriteSnapshot(dir, state, intact_bytes, fsync));
-  }
-  return state;
-}
-
-Result<std::vector<DatasetDurableState>> RecoverAll(const std::string& dir,
-                                                    bool compact,
-                                                    bool fsync) {
+Result<std::vector<DatasetDurableState>> RecoverAll(const std::string& dir) {
   std::vector<DatasetDurableState> states;
   std::error_code ec;
   if (!fs::exists(dir, ec)) return states;
@@ -499,20 +338,46 @@ Result<std::vector<DatasetDurableState>> RecoverAll(const std::string& dir,
     if (ec) break;
     if (!entry.is_regular_file()) continue;
     if (entry.path().extension() != ".journal") continue;
+    const std::string path = entry.path().string();
+    bool torn = false;
+    uint64_t intact_bytes = 0;
+    auto records_or = Journal::ReadAll(path, &torn, &intact_bytes);
+    UPA_RETURN_IF_ERROR(records_or.status());
+    std::vector<JournalRecord>& records = records_or.value();
     // The kOpen header names the dataset; the filename alone cannot be
-    // reversed (sanitized + hashed).
-    auto records_or = Journal::ReadAll(entry.path().string());
-    if (!records_or.ok()) return records_or.status();
-    const auto& records = records_or.value();
+    // reversed (sanitized + hashed). Open appends only to the file of that
+    // name, so a journal under any other name would split the dataset's
+    // history across two files: refuse it.
     if (records.empty() ||
         records.front().type != JournalRecord::Type::kOpen) {
-      return Status::Internal("journal '" + entry.path().string() +
-                              "' has no open header");
+      return Status::Internal("journal '" + path + "' has no open header");
     }
-    auto state_or =
-        RecoverDataset(dir, records.front().dataset_id, compact, fsync);
-    UPA_RETURN_IF_ERROR(state_or.status());
-    states.push_back(std::move(state_or).value());
+    const std::string dataset_id = records.front().dataset_id;
+    if (entry.path().filename() != JournalFileName(dataset_id)) {
+      return Status::Internal("journal '" + path + "' names dataset '" +
+                              dataset_id + "', whose journal is '" +
+                              JournalFileName(dataset_id) + "'");
+    }
+    // Drop a torn tail fragment from disk: frames appended after it would
+    // be unreachable (readers stop at the first bad frame).
+    if (torn) {
+      fs::resize_file(path, intact_bytes, ec);
+      if (ec) {
+        return Status::Internal("cannot truncate torn journal '" + path +
+                                "': " + ec.message());
+      }
+    }
+    DatasetDurableState state;
+    state.dataset_id = dataset_id;
+    for (JournalRecord& rec : records) {
+      if (rec.type == JournalRecord::Type::kOpen &&
+          rec.dataset_id != dataset_id) {
+        return Status::Internal("journal '" + path + "' names dataset '" +
+                                rec.dataset_id + "'");
+      }
+      ApplyRecord(std::move(rec), &state);
+    }
+    states.push_back(std::move(state));
   }
   if (ec) {
     return Status::Internal("cannot scan journal dir '" + dir +

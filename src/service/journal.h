@@ -20,23 +20,20 @@
 //              u32 blob_len, blob_len bytes    (idempotency key + serialized
 //                                               response; kRelease/kExpire)
 //
-// A torn tail (short header, impossible length, checksum mismatch — the
-// process died mid-append) ends replay at the last intact record, and
-// recovery truncates the file there. A checksum-valid record that does
-// not decode is no torn write but a format this binary does not know:
-// reading and recovery fail with kInternal and the file is left alone. A
-// query that died in flight left no record (its charge lived in memory,
-// and the release record precedes the response), so recovery has nothing
-// to refund. Legacy kCharge/kRefund records decode and replay as no-ops.
-// A fresh journal is renamed from `<stem>.journal.tmp` once its kOpen
-// frame is durable, so a `.journal` without one is corruption.
-//
-// The snapshot file (atomic write-then-rename) compacts replay: it stores
-// the full recovered state plus `covered_bytes`, the journal offset it
-// absorbed; recovery loads the snapshot and replays only records past that
-// offset. The journal itself is append-only and never rewritten, so a
-// crash at any point leaves either the old or the new snapshot — both
-// consistent with the same journal.
+// The journal is a dataset's only durable file. It is append-only; its one
+// rewrite cuts a torn tail. A torn tail (short header, impossible length,
+// checksum mismatch — the process died mid-append) ends replay at the last
+// intact record, and recovery truncates the file there. Only the last
+// frame can be torn, so a bad frame followed by an intact one is damage:
+// reading and recovery fail with kInternal and leave the file alone. So do
+// a checksum-valid record that does not decode (no torn write but a format
+// this binary does not know) and a journal whose file name is not the one
+// its kOpen header's dataset gets. A query that died in flight left no
+// record (its charge lived in memory, and the release record precedes the
+// response), so recovery has nothing to refund. Legacy kCharge/kRefund
+// records decode and replay as no-ops. A fresh journal is renamed from
+// `<stem>.journal.tmp` once its kOpen frame is durable, so a `.journal`
+// without one is corruption.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +86,8 @@ struct DedupDurableEntry {
 struct DatasetDurableState {
   std::string dataset_id;
   uint64_t epoch = 0;
+  /// Σ ε of the replayed releases; nothing recovered is ever refunded.
   double charged_total = 0.0;
-  double refunded_total = 0.0;
   /// Registered prior-query outputs in registration order.
   std::vector<std::vector<double>> registry;
   /// Completed idempotency keys in completion order (oldest first): every
@@ -107,7 +104,7 @@ class Journal {
   /// appending; a fresh file gets its kOpen header as `<stem>.journal.tmp`
   /// and is renamed into place (with `fsync`, the directory entry is synced
   /// so the new file survives power loss).
-  /// `fsync = false` trades crash-durability for speed (bench off-path).
+  /// `fsync = false` keeps only process-death durability (tests use it).
   static Result<std::unique_ptr<Journal>> Open(const std::string& dir,
                                                const std::string& dataset_id,
                                                bool fsync = true);
@@ -134,17 +131,15 @@ class Journal {
   static std::string FileStem(const std::string& dataset_id);
 
   /// Reads every intact record; stops (without error) at a torn tail, and
-  /// fails with kInternal at a checksum-valid record it cannot decode.
+  /// fails with kInternal at a checksum-valid record it cannot decode or at
+  /// a bad frame that an intact frame follows (damage, not a torn write).
   /// `torn_tail` reports whether trailing bytes were discarded and
   /// `intact_bytes` the offset of the last intact record's end — recovery
   /// truncates the file there, because frames appended after a fragment
   /// would be unreachable (readers stop at the first bad frame).
-  /// `frame_ends`, when non-null, receives each record's end offset in the
-  /// file, which recovery walks to skip what a snapshot covers.
   static Result<std::vector<JournalRecord>> ReadAll(
       const std::string& path, bool* torn_tail = nullptr,
-      uint64_t* intact_bytes = nullptr,
-      std::vector<uint64_t>* frame_ends = nullptr);
+      uint64_t* intact_bytes = nullptr);
 
  private:
   Journal(std::string path, std::FILE* file, bool fsync)
@@ -156,32 +151,12 @@ class Journal {
   bool fsync_ = true;
 };
 
-/// Writes `<dir>/<stem>.snapshot` atomically (tmp + rename). With `fsync`
-/// the tmp file is synced before the rename and the directory after it, so
-/// a power cut leaves either the old snapshot or the complete new one —
-/// never a renamed-but-empty file. `covered_bytes` is the journal size the
-/// state absorbs.
-Status WriteSnapshot(const std::string& dir, const DatasetDurableState& state,
-                     uint64_t covered_bytes, bool fsync = true);
-
-/// Loads a snapshot; NOT_FOUND when absent, INTERNAL on corruption.
-/// `covered_bytes` receives the journal offset the snapshot covers.
-Result<DatasetDurableState> ReadSnapshot(const std::string& path,
-                                         uint64_t* covered_bytes);
-
-/// Full recovery for one dataset: snapshot (if any) + journal replay past
-/// `covered_bytes`; each kRelease adds its ε to `charged_total`, and a torn
-/// tail is cut off the file. `compact` then writes a fresh snapshot
-/// absorbing the whole journal (synced unless `fsync` is off).
-Result<DatasetDurableState> RecoverDataset(const std::string& dir,
-                                           const std::string& dataset_id,
-                                           bool compact, bool fsync = true);
-
-/// Scans `dir` for journals and recovers every dataset found. Fails at the
-/// first journal or snapshot that does not recover (no open header, an
-/// undecodable record, a corrupt snapshot).
-Result<std::vector<DatasetDurableState>> RecoverAll(const std::string& dir,
-                                                    bool compact,
-                                                    bool fsync = true);
+/// Recovers every dataset in `dir`: reads each `*.journal` file once,
+/// replays it (each kRelease adds its ε to `charged_total`), and cuts a
+/// torn tail off the file; it writes nothing else. Fails at the first
+/// journal that does not recover (no open header, a file name that is not
+/// its dataset's, a damaged or undecodable record) and leaves that file
+/// alone. A missing `dir` recovers nothing.
+Result<std::vector<DatasetDurableState>> RecoverAll(const std::string& dir);
 
 }  // namespace upa::service

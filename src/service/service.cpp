@@ -134,11 +134,9 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
   if (!config_status_.ok()) return;
 
   if (!config_.journal_dir.empty()) {
-    // Recover every dataset the journal dir knows about, compacting each
-    // into a fresh snapshot (replay work done once per crash, not once
-    // per restart), then resume the in-memory state from it.
-    auto recovered_or = RecoverAll(config_.journal_dir, /*compact=*/true,
-                                   config_.journal_fsync);
+    // Recover every dataset the journal dir knows about, then resume the
+    // in-memory state from it.
+    auto recovered_or = RecoverAll(config_.journal_dir);
     if (!recovered_or.ok()) {
       // Recovery stops at the first bad file, so no dataset's ledger or
       // registry was restored, and a file it could not read may name no
@@ -166,8 +164,7 @@ UpaService::UpaService(engine::ExecContext* ctx, ServiceConfig config)
                          kDedupWindow);
       }
       ctx_->metrics().AddCounter("service/recovered_dedup_keys", keep);
-      accountant_.RestoreLedger(state.dataset_id, state.charged_total,
-                                state.refunded_total);
+      accountant_.RestoreLedger(state.dataset_id, state.charged_total);
       ctx_->metrics().AddCounter("service/recovered_datasets");
     }
   }

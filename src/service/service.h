@@ -90,10 +90,10 @@ struct ServiceConfig {
   /// When non-empty, every budget/registry mutation is journaled here and
   /// replayed on construction (crash-safe durability; see journal.h).
   std::string journal_dir;
-  /// Sync every journal append (fdatasync) and snapshot rename (fsync of
-  /// tmp file + directory) to disk before acknowledging. Default on —
-  /// otherwise "durable pre-acknowledgement" only covers process death,
-  /// not power loss. The off-path exists for benchmarking the sync cost.
+  /// Sync every journal append (fdatasync), and the directory entry of a
+  /// fresh journal, to disk before acknowledging. Default on — otherwise
+  /// "durable pre-acknowledgement" only covers process death, not power
+  /// loss. Only tests turn it off, where process death is all they model.
   bool journal_fsync = true;
   /// Identity of this service instance inside a cluster (printed by
   /// StatsReport so an operator can tell shard dumps apart). Empty for

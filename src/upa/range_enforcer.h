@@ -69,7 +69,7 @@ class RangeEnforcer {
 
   /// Copy of the registered per-partition outputs, in registration order
   /// (order matters: Enforce iterates the registry in this order). Used by
-  /// the service journal's snapshots; doubles are preserved bit-exactly.
+  /// the service's debug state; doubles are preserved bit-exactly.
   std::vector<std::vector<double>> RegistrySnapshot() const;
   /// Recovery: replace the registry wholesale with journaled priors.
   void RestoreRegistry(std::vector<std::vector<double>> priors);

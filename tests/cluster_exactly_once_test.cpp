@@ -281,7 +281,7 @@ TEST_P(ClusterExactlyOnceTest, ChaosRunConservesAndNeverDoubleReleases) {
       }
       // Conservation: run the real recovery over the full journal and
       // check the ledger it would hand a restarted shard.
-      auto recovered = service::RecoverAll(shard_dir, /*compact=*/false);
+      auto recovered = service::RecoverAll(shard_dir);
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
       for (const service::DatasetDurableState& state : recovered.value()) {
         if (state.dataset_id != dataset) continue;
@@ -289,8 +289,6 @@ TEST_P(ClusterExactlyOnceTest, ChaosRunConservesAndNeverDoubleReleases) {
             << "shard " << shard << " dataset " << dataset
             << ": budget does not match its releases (leaked or double "
                "charge)";
-        EXPECT_EQ(state.refunded_total, 0.0)
-            << "shard " << shard << " dataset " << dataset;
       }
     }
   }

@@ -142,14 +142,16 @@ TEST(AccountantTest, VerifyConservationHoldsThroughChargeRefundCycles) {
 }
 
 TEST(AccountantTest, RestoreLedgerRebuildsSpentFromTotals) {
-  // Recovery overwrites the ledger with journaled totals; the live balance
-  // is charged − refunded by construction, and conservation must hold on
-  // the restored state.
+  // Recovery overwrites the ledger with the journaled Σ released ε, and
+  // nothing recovered is refunded; conservation must hold on the restored
+  // state, including over a ledger that had refunds before.
   PrivacyAccountant acc(1.0);
-  acc.RestoreLedger("ds", 0.55, 0.15);
+  ASSERT_TRUE(acc.Charge("ds", 0.3).ok());
+  ASSERT_TRUE(acc.Refund("ds", 0.3).ok());
+  acc.RestoreLedger("ds", 0.40);
   BudgetCheckpoint cp = acc.Checkpoint("ds");
-  EXPECT_DOUBLE_EQ(cp.charged_total, 0.55);
-  EXPECT_DOUBLE_EQ(cp.refunded_total, 0.15);
+  EXPECT_DOUBLE_EQ(cp.charged_total, 0.40);
+  EXPECT_DOUBLE_EQ(cp.refunded_total, 0.0);
   EXPECT_DOUBLE_EQ(cp.spent, 0.40);
   EXPECT_TRUE(acc.VerifyConservation().ok());
   // The restored balance composes with new charges.

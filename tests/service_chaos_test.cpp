@@ -19,13 +19,16 @@
 #include <iterator>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "queries/plan_query.h"
 #include "relational/executor.h"
 #include "relational/sql_parser.h"
@@ -109,6 +112,18 @@ void ExpectRegistryBitIdentical(
           << "prior " << i << " partition " << j;
     }
   }
+}
+
+/// Every file in `dir` by name, with its bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  return files;
 }
 
 class ChaosTest : public ::testing::Test {
@@ -496,8 +511,9 @@ TEST_F(ChaosTest, FailedJournalOpenIsRetriedByTheNextRequest) {
 // Scenario: the dataset's budget of 1.0 is spent by one release, a clean
 // restart correctly refuses the next one, then `poison` damages the
 // journal directory. After the next restart nothing may be released,
-// charged or journaled, and /stats says why.
+// charged or journaled, and /stats says why, naming `bad_file`.
 void ExpectPoisonedRecoveryIsInert(const std::string& dir,
+                                   const std::string& bad_file,
                                    const std::function<void()>& poison) {
   ServiceConfig config = FastConfig();
   config.journal_dir = dir;
@@ -520,26 +536,26 @@ void ExpectPoisonedRecoveryIsInert(const std::string& dir,
               StatusCode::kOutOfRange);
   }
   poison();
-  const std::string journal =
-      (fs::path(dir) / (Journal::FileStem("ds") + ".journal")).string();
-  const uint64_t journal_bytes = fs::file_size(journal);
+  const auto files = DirContents(dir);
 
   UpaService service(&Ctx(), config);
   const Status recovery = service.recovery_status();
   ASSERT_FALSE(recovery.ok());
+  EXPECT_NE(recovery.message().find(bad_file), std::string::npos)
+      << recovery.ToString();
   Result<QueryResponse> again = service.Execute(full_budget());
   ASSERT_FALSE(again.ok()) << "released against an unrecovered ledger";
   EXPECT_EQ(again.status().code(), recovery.code());
   EXPECT_EQ(again.status().message(), recovery.message());
   service.BumpEpoch("ds");
   EXPECT_DOUBLE_EQ(service.accountant().Spent("ds"), 0.0);
-  EXPECT_EQ(fs::file_size(journal), journal_bytes);
+  EXPECT_EQ(DirContents(dir), files);
   EXPECT_NE(service.StatsReport().find(recovery.message()), std::string::npos)
       << service.StatsReport();
 }
 
 TEST_F(ChaosTest, HeaderlessJournalLeavesTheServiceInert) {
-  ExpectPoisonedRecoveryIsInert(dir_, [this] {
+  ExpectPoisonedRecoveryIsInert(dir_, "other.journal", [this] {
     // The dataset's own intact records minus the kOpen frame that names
     // the dataset: [u32 len][u64 fnv1a][payload] each.
     std::ifstream in(fs::path(dir_) / (Journal::FileStem("ds") + ".journal"),
@@ -557,18 +573,65 @@ TEST_F(ChaosTest, HeaderlessJournalLeavesTheServiceInert) {
   });
 }
 
-TEST_F(ChaosTest, CorruptSnapshotLeavesTheServiceInert) {
-  ExpectPoisonedRecoveryIsInert(dir_, [this] {
-    const std::string snapshot =
-        (fs::path(dir_) / (Journal::FileStem("ds") + ".snapshot")).string();
-    std::FILE* f = std::fopen(snapshot.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 20, SEEK_SET);
-    int byte = std::fgetc(f);
-    std::fseek(f, 20, SEEK_SET);
-    std::fputc(byte ^ 0x01, f);
-    std::fclose(f);
+// Journal::Open appends only to `<FileStem(id)>.journal`. A journal under
+// any other name would be skipped by every later append: its releases
+// would be forgotten while a fresh journal grew beside it, so recovery
+// refuses it and names the file.
+TEST_F(ChaosTest, JournalUnderAnotherNameLeavesTheServiceInert) {
+  ExpectPoisonedRecoveryIsInert(dir_, "renamed.journal", [this] {
+    fs::rename(fs::path(dir_) / (Journal::FileStem("ds") + ".journal"),
+               fs::path(dir_) / "renamed.journal");
   });
+}
+
+// The journal is a dataset's only durable file. Snapshot files that older
+// builds wrote beside it (`<stem>.snapshot`, and `<stem>.snapshot.tmp`
+// from a crash mid-write), corrupt or not, are neither read nor touched,
+// and a restart over a journal with no torn tail creates, changes or
+// deletes no file.
+TEST_F(ChaosTest, StraySnapshotFilesAreIgnoredAndARestartWritesNothing) {
+  ServiceConfig config = FastConfig();
+  config.journal_dir = dir_;
+  config.journal_fsync = false;
+  UpaService::DatasetDurableDebug live;
+  {
+    UpaService service(&Ctx(), config);
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      QueryRequest request = MakeRequest("a", "ds", CountQuery(2000), seq);
+      request.client_nonce = 0xabc;
+      request.client_seq = seq;
+      ASSERT_TRUE(service.Execute(std::move(request)).ok());
+    }
+    service.BumpEpoch("ds");
+    live = service.DebugState("ds");
+  }
+  const std::string stem = (fs::path(dir_) / Journal::FileStem("ds")).string();
+  // The old layout: magic, fnv1a(body), body; then one body byte flipped.
+  const std::string body = "a snapshot body";
+  PayloadWriter header;
+  header.PutBytes("UPASNAP2");
+  header.PutU64(Fnv1a(body));
+  std::string checksummed = header.Take() + body;
+  checksummed.back() ^= 0x01;
+  for (const std::string& snapshot :
+       {std::string("arbitrary \xff\x00 bytes", 18), checksummed}) {
+    SCOPED_TRACE(snapshot.substr(0, 8));
+    std::ofstream(stem + ".snapshot", std::ios::binary) << snapshot;
+    std::ofstream(stem + ".snapshot.tmp", std::ios::binary) << "tmp";
+    const auto files = DirContents(dir_);
+    {
+      UpaService service(&Ctx(), config);
+      ASSERT_TRUE(service.recovery_status().ok())
+          << service.recovery_status().ToString();
+      UpaService::DatasetDurableDebug got = service.DebugState("ds");
+      ExpectRegistryBitIdentical(got.registry, live.registry);
+      EXPECT_EQ(got.budget.charged_total, live.budget.charged_total);
+      EXPECT_EQ(got.budget.spent, live.budget.spent);
+      EXPECT_EQ(got.epoch, live.epoch);
+      EXPECT_EQ(service.DedupWindowSize("ds"), 3u);
+    }
+    EXPECT_EQ(DirContents(dir_), files);
+  }
 }
 
 // A NaN ε must be refused before anything is charged, run or journaled.
@@ -757,48 +820,6 @@ TEST_F(ServiceCrashDeathTest, AbortInsideJournalOpenRecoversAndServes) {
   UpaService::DatasetDurableDebug debug = service.DebugState("ds");
   EXPECT_EQ(debug.registry.size(), 1u);
   EXPECT_DOUBLE_EQ(debug.budget.spent, 0.05);
-}
-
-TEST_F(ServiceCrashDeathTest, AbortBeforeSnapshotRenameKeepsOldStateIntact) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  std::string dir = dir_;
-  // Seed: one acknowledged release, journaled and fsynced.
-  {
-    ServiceConfig config = FastConfig();
-    config.journal_dir = dir;
-    UpaService service(&Ctx(), config);
-    auto response = service.Execute(MakeRequest("a", "ds", CountQuery(2000)));
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-  }
-  EXPECT_DEATH(
-      {
-        // Recovery compacts, which writes the snapshot via tmp-file +
-        // rename. snapshot_sync sits after the tmp fsync, before the
-        // rename — abort there models a crash mid-compaction: the tmp is
-        // complete but unpublished.
-        UPA_CHECK(Failpoints::Instance()
-                      .Activate("journal/snapshot_sync", "abort")
-                      .ok());
-        ServiceConfig config = FastConfig();
-        config.journal_dir = dir;
-        UpaService service(&Ctx(), config);
-      },
-      "injected abort");
-
-  // The crash left a stray .tmp and the ORIGINAL journal/snapshot pair
-  // untouched (the rename never ran). A second recovery must see exactly
-  // the acknowledged state and ignore the leftover tmp.
-  ServiceConfig config = FastConfig();
-  config.journal_dir = dir;
-  UpaService service(&Ctx(), config);
-  ASSERT_TRUE(service.recovery_status().ok())
-      << service.recovery_status().ToString();
-  UpaService::DatasetDurableDebug debug = service.DebugState("ds");
-  EXPECT_EQ(debug.registry.size(), 1u);
-  EXPECT_DOUBLE_EQ(debug.budget.charged_total, 0.05);
-  EXPECT_DOUBLE_EQ(debug.budget.refunded_total, 0.0);
-  EXPECT_DOUBLE_EQ(debug.budget.spent, 0.05);
-  EXPECT_TRUE(service.accountant().VerifyConservation().ok());
 }
 
 }  // namespace

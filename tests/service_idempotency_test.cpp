@@ -67,10 +67,9 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-// The response blob rides every keyed kRelease record and every snapshot's
-// dedup window, so its bytes are an on-disk format. A fixed response with
-// every flag set must encode to exactly these bytes and decode back to
-// the same bits.
+// The response blob rides every keyed kRelease record, so its bytes are an
+// on-disk format. A fixed response with every flag set must encode to
+// exactly these bytes and decode back to the same bits.
 TEST(ServiceIdempotencyTest, ResponseBlobBytesArePinned) {
   QueryResponse r;
   r.released = -0.0;

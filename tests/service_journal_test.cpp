@@ -1,6 +1,6 @@
-// Journal wire format, torn-tail handling, snapshots, and recovery
-// semantics (the ledger is Σ released ε; legacy charge/refund records
-// replay as no-ops; replay is bit-exact; every byte prefix recovers).
+// Journal wire format, torn-tail handling, and recovery semantics (the
+// ledger is Σ released ε; legacy charge/refund records replay as no-ops;
+// replay is bit-exact; every byte prefix recovers; damage fails closed).
 #include "service/journal.h"
 
 #include <gtest/gtest.h>
@@ -68,9 +68,15 @@ JournalRecord Refund(uint64_t qid, double eps) {
   return rec;
 }
 
-/// The live balance a restarted accountant gets from recovered totals.
-double Spent(const DatasetDurableState& state) {
-  return state.charged_total - state.refunded_total;
+/// Recovers `dir`, which must hold exactly one dataset's journal.
+Result<DatasetDurableState> RecoverOne(const std::string& dir) {
+  auto states_or = RecoverAll(dir);
+  UPA_RETURN_IF_ERROR(states_or.status());
+  if (states_or.value().size() != 1) {
+    return Status::Internal(std::to_string(states_or.value().size()) +
+                            " datasets recovered");
+  }
+  return std::move(states_or.value().front());
 }
 
 /// Lower-case hex of `bytes`, for golden-byte comparisons.
@@ -190,60 +196,6 @@ TEST_F(JournalTest, CorruptedPayloadIsATornTail) {
   EXPECT_EQ(records_or.value().size(), 1u);  // only the kOpen header
 }
 
-TEST_F(JournalTest, SnapshotRoundTrips) {
-  DatasetDurableState state;
-  state.dataset_id = "metrics/daily";
-  state.epoch = 3;
-  state.charged_total = 0.7;
-  state.refunded_total = 0.2;
-  state.registry = {{1.0 / 3.0, 2.0}, {-0.0, 5e-324, 7.0}};
-  ASSERT_TRUE(WriteSnapshot(dir_, state, 1234).ok());
-
-  std::string path =
-      (fs::path(dir_) / (Journal::FileStem(state.dataset_id) + ".snapshot"))
-          .string();
-  uint64_t covered = 0;
-  auto loaded_or = ReadSnapshot(path, &covered);
-  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
-  const DatasetDurableState& loaded = loaded_or.value();
-  EXPECT_EQ(loaded.dataset_id, state.dataset_id);
-  EXPECT_EQ(loaded.epoch, 3u);
-  EXPECT_EQ(covered, 1234u);
-  EXPECT_DOUBLE_EQ(loaded.charged_total, 0.7);
-  EXPECT_DOUBLE_EQ(loaded.refunded_total, 0.2);
-  ASSERT_EQ(loaded.registry.size(), 2u);
-  for (size_t i = 0; i < state.registry.size(); ++i) {
-    ASSERT_EQ(loaded.registry[i].size(), state.registry[i].size());
-    for (size_t j = 0; j < state.registry[i].size(); ++j) {
-      EXPECT_EQ(std::memcmp(&loaded.registry[i][j], &state.registry[i][j],
-                            sizeof(double)),
-                0);
-    }
-  }
-}
-
-TEST_F(JournalTest, CorruptSnapshotIsRejected) {
-  DatasetDurableState state;
-  state.dataset_id = "ds";
-  ASSERT_TRUE(WriteSnapshot(dir_, state, 0).ok());
-  std::string path =
-      (fs::path(dir_) / (Journal::FileStem("ds") + ".snapshot")).string();
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, -1, SEEK_END);
-  int last = std::fgetc(f);
-  std::fseek(f, -1, SEEK_END);
-  std::fputc(last ^ 0xff, f);
-  std::fclose(f);
-  EXPECT_EQ(ReadSnapshot(path, nullptr).status().code(),
-            StatusCode::kInternal);
-  EXPECT_EQ(ReadSnapshot((fs::path(dir_) / "absent.snapshot").string(),
-                         nullptr)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-}
-
 // A legacy journal: each release was bracketed by a charge, and a failed
 // run by a refund. Only the releases count now, and they recover the spent
 // budget the charge/refund replay gave: 0.1 + 0.3.
@@ -257,12 +209,10 @@ TEST_F(JournalTest, RecoveryReplaysChargesReleasesRefunds) {
     ASSERT_TRUE(journal->Append(Charge(3, 0.3)).ok());
     ASSERT_TRUE(journal->Append(Release(3, 0.3, {6.0, 7.0})).ok());
   }
-  auto state_or = RecoverDataset(dir_, "ds", /*compact=*/false);
+  auto state_or = RecoverOne(dir_);
   ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
   const DatasetDurableState& state = state_or.value();
-  EXPECT_NEAR(Spent(state), 0.4, 1e-12);
   EXPECT_EQ(state.charged_total, 0.1 + 0.3);
-  EXPECT_EQ(state.refunded_total, 0.0);
   ASSERT_EQ(state.registry.size(), 2u);
   EXPECT_EQ(state.registry[0], (std::vector<double>{4.0, 5.0}));
   EXPECT_EQ(state.registry[1], (std::vector<double>{6.0, 7.0}));
@@ -270,7 +220,7 @@ TEST_F(JournalTest, RecoveryReplaysChargesReleasesRefunds) {
 
 // A legacy journal whose writer died between a charge and its release: the
 // charge was never acknowledged, so nothing is spent — on the first
-// recovery and on the second, which starts from the compacted snapshot.
+// recovery and on the second.
 TEST_F(JournalTest, DanglingChargeIsRefundedExactlyOnce) {
   {
     auto journal = std::move(Journal::Open(dir_, "ds").value());
@@ -278,32 +228,33 @@ TEST_F(JournalTest, DanglingChargeIsRefundedExactlyOnce) {
     // Crash: no release, no refund.
   }
   for (int recovery = 0; recovery < 2; ++recovery) {
-    auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
+    auto state_or = RecoverOne(dir_);
     ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
-    EXPECT_NEAR(Spent(state_or.value()), 0.0, 1e-12) << recovery;
+    EXPECT_EQ(state_or.value().charged_total, 0.0) << recovery;
     EXPECT_TRUE(state_or.value().registry.empty()) << recovery;
   }
 }
 
-TEST_F(JournalTest, CompactionCoversReplayAndAcceptsNewAppends) {
+// A restarted process appends to the journal it recovered; the next
+// recovery replays those records after the earlier ones.
+TEST_F(JournalTest, AppendsAfterARestartReplayAfterTheRecoveredRecords) {
   {
     auto journal = std::move(Journal::Open(dir_, "ds").value());
     ASSERT_TRUE(journal->Append(Charge(1, 0.1)).ok());
     ASSERT_TRUE(journal->Append(Release(1, 0.1, {4.0, 5.0})).ok());
   }
-  ASSERT_TRUE(RecoverDataset(dir_, "ds", /*compact=*/true).ok());
+  ASSERT_TRUE(RecoverOne(dir_).ok());
 
-  // New process appends past the snapshot's coverage; qids may restart.
+  // New process; qids may restart.
   {
     auto journal = std::move(Journal::Open(dir_, "ds").value());
     ASSERT_TRUE(journal->Append(Charge(1, 0.2)).ok());
     ASSERT_TRUE(journal->Append(Release(1, 0.2, {8.0, 9.0})).ok());
   }
-  auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
-  ASSERT_TRUE(state_or.ok());
+  auto state_or = RecoverOne(dir_);
+  ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
   const DatasetDurableState& state = state_or.value();
-  EXPECT_DOUBLE_EQ(state.charged_total, 0.1 + 0.2);
-  EXPECT_DOUBLE_EQ(state.refunded_total, 0.0);
+  EXPECT_EQ(state.charged_total, 0.1 + 0.2);
   ASSERT_EQ(state.registry.size(), 2u);
   EXPECT_EQ(state.registry[0], (std::vector<double>{4.0, 5.0}));
   EXPECT_EQ(state.registry[1], (std::vector<double>{8.0, 9.0}));
@@ -321,9 +272,9 @@ TEST_F(JournalTest, TornTailIsTruncatedSoNewAppendsAreReachable) {
 
   // Recovery drops the fragment (charge 2); the dangling legacy charge 1
   // spends nothing.
-  auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
-  ASSERT_TRUE(state_or.ok());
-  EXPECT_NEAR(Spent(state_or.value()), 0.0, 1e-12);
+  auto state_or = RecoverOne(dir_);
+  ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
+  EXPECT_EQ(state_or.value().charged_total, 0.0);
 
   // Appends after the truncation land on a clean tail and replay fine.
   {
@@ -335,9 +286,9 @@ TEST_F(JournalTest, TornTailIsTruncatedSoNewAppendsAreReachable) {
   auto records_or = Journal::ReadAll(path, &torn);
   ASSERT_TRUE(records_or.ok());
   EXPECT_FALSE(torn);
-  auto final_or = RecoverDataset(dir_, "ds", /*compact=*/false);
-  ASSERT_TRUE(final_or.ok());
-  EXPECT_NEAR(Spent(final_or.value()), 0.5, 1e-12);
+  auto final_or = RecoverOne(dir_);
+  ASSERT_TRUE(final_or.ok()) << final_or.status().ToString();
+  EXPECT_EQ(final_or.value().charged_total, 0.5);
   ASSERT_EQ(final_or.value().registry.size(), 1u);
   EXPECT_EQ(final_or.value().registry[0], (std::vector<double>{1.0, 2.0}));
 }
@@ -346,7 +297,7 @@ TEST_F(JournalTest, TornTailIsTruncatedSoNewAppendsAreReachable) {
 // journal is a file recovery may meet. Each must recover to the state of
 // its last whole record (registry, charge, epoch and dedup window), with
 // the file cut exactly at that record's end; a prefix too short to hold
-// the kOpen header names no dataset, and RecoverAll refuses it.
+// the kOpen header names no dataset, and recovery refuses it untouched.
 TEST_F(JournalTest, EveryBytePrefixRecoversTheLastWholeRecord) {
   struct Expected {
     uint64_t end = 0;  // file size once the record is whole
@@ -422,24 +373,20 @@ TEST_F(JournalTest, EveryBytePrefixRecoversTheLastWholeRecord) {
     for (const Expected& e : script) {
       if (e.end <= len) want = &e;
     }
+    auto state_or = RecoverOne(copy_dir);
     if (want == &nothing) {
-      EXPECT_EQ(RecoverAll(copy_dir, /*compact=*/false, /*fsync=*/false)
-                    .status()
-                    .code(),
-                StatusCode::kInternal)
+      EXPECT_EQ(state_or.status().code(), StatusCode::kInternal)
           << "prefix " << len;
       EXPECT_EQ(fs::file_size(copy), len) << "prefix " << len;
+      continue;
     }
-
-    auto state_or =
-        RecoverDataset(copy_dir, "ds", /*compact=*/false, /*fsync=*/false);
     ASSERT_TRUE(state_or.ok()) << "prefix " << len << ": "
                                << state_or.status().ToString();
     const DatasetDurableState& got = state_or.value();
+    EXPECT_EQ(got.dataset_id, "ds") << "prefix " << len;
     EXPECT_EQ(fs::file_size(copy), want->end) << "prefix " << len;
     EXPECT_EQ(got.registry, want->registry) << "prefix " << len;
     EXPECT_EQ(got.charged_total, want->charged_total) << "prefix " << len;
-    EXPECT_EQ(got.refunded_total, 0.0) << "prefix " << len;
     EXPECT_EQ(got.epoch, want->epoch) << "prefix " << len;
     ASSERT_EQ(got.dedup.size(), want->window.size()) << "prefix " << len;
     for (size_t i = 0; i < got.dedup.size(); ++i) {
@@ -447,15 +394,6 @@ TEST_F(JournalTest, EveryBytePrefixRecoversTheLastWholeRecord) {
       EXPECT_EQ(got.dedup[i].nonce, want->window[i].nonce);
       EXPECT_EQ(got.dedup[i].request_hash, want->window[i].request_hash);
       EXPECT_EQ(got.dedup[i].response_blob, want->window[i].response_blob);
-    }
-
-    if (want != &nothing) {
-      auto all_or = RecoverAll(copy_dir, /*compact=*/false, /*fsync=*/false);
-      ASSERT_TRUE(all_or.ok()) << "prefix " << len << ": "
-                               << all_or.status().ToString();
-      ASSERT_EQ(all_or.value().size(), 1u);
-      EXPECT_EQ(all_or.value()[0].registry, want->registry);
-      EXPECT_EQ(all_or.value()[0].charged_total, want->charged_total);
     }
   }
 }
@@ -496,16 +434,53 @@ TEST_F(JournalTest, ChecksumValidUndecodableRecordFailsRecoveryUntouched) {
   ASSERT_EQ(fs::file_size(path), 339u);
 
   EXPECT_EQ(Journal::ReadAll(path).status().code(), StatusCode::kInternal);
-  auto state_or = RecoverDataset(dir_, "ds", /*compact=*/true);
+  auto state_or = RecoverOne(dir_);
   EXPECT_EQ(state_or.status().code(), StatusCode::kInternal)
       << (state_or.ok() ? "recovered charged_total " +
                               std::to_string(state_or.value().charged_total)
                         : state_or.status().ToString());
-  EXPECT_EQ(RecoverAll(dir_, /*compact=*/true).status().code(),
-            StatusCode::kInternal);
   EXPECT_EQ(fs::file_size(path), 339u);
-  EXPECT_FALSE(fs::exists(
-      fs::path(dir_) / (Journal::FileStem("ds") + ".snapshot")));
+}
+
+// Append writes one frame per call, so a crash can tear only the last one.
+// A bad frame with intact frames after it is damage — say, a flipped bit
+// on disk. Cutting the file there as if it were a torn tail would drop
+// every later release and hand their ε back; recovery must refuse the
+// journal and leave every byte of it alone.
+TEST_F(JournalTest, DamagedFrameBeforeIntactOnesFailsRecoveryUntouched) {
+  std::string path;
+  std::vector<uint64_t> ends;  // file size after each frame
+  {
+    auto journal = std::move(Journal::Open(dir_, "ds").value());
+    path = journal->path();
+    ends.push_back(fs::file_size(path));
+    for (uint64_t i = 1; i <= 5; ++i) {
+      ASSERT_TRUE(journal->Append(Release(i, 0.25, {1.0, 2.0})).ok());
+      ends.push_back(fs::file_size(path));
+    }
+  }
+  // Flip the last payload byte of the second release.
+  std::string bytes = FileBytes(path);
+  bytes[ends[2] - 1] ^= 0x01;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  bool torn = false;
+  auto records_or = Journal::ReadAll(path, &torn);
+  EXPECT_EQ(records_or.status().code(), StatusCode::kInternal)
+      << (records_or.ok() ? std::to_string(records_or.value().size()) +
+                                " records, torn " + std::to_string(torn)
+                          : records_or.status().ToString());
+  auto state_or = RecoverOne(dir_);
+  EXPECT_EQ(state_or.status().code(), StatusCode::kInternal)
+      << (state_or.ok() ? "recovered charged_total " +
+                              std::to_string(state_or.value().charged_total)
+                        : state_or.status().ToString());
+  EXPECT_NE(state_or.status().message().find(path), std::string::npos)
+      << state_or.status().ToString();
+  EXPECT_EQ(FileBytes(path), bytes);
 }
 
 TEST_F(JournalTest, RecoverAllFindsEveryDataset) {
@@ -514,7 +489,7 @@ TEST_F(JournalTest, RecoverAllFindsEveryDataset) {
     ASSERT_TRUE(journal->Append(Charge(1, 0.1)).ok());
     ASSERT_TRUE(journal->Append(Release(1, 0.1, {1.0, 2.0})).ok());
   }
-  auto states_or = RecoverAll(dir_, /*compact=*/true);
+  auto states_or = RecoverAll(dir_);
   ASSERT_TRUE(states_or.ok()) << states_or.status().ToString();
   ASSERT_EQ(states_or.value().size(), 3u);
   std::vector<std::string> ids;
@@ -535,11 +510,11 @@ TEST_F(JournalTest, FileStemSanitizesAndDisambiguates) {
   EXPECT_EQ(Journal::FileStem("x"), Journal::FileStem("x"));
 }
 
-// The journal and snapshot bytes are an on-disk format: every existing
-// journal recovers only while they stay exactly as written. These golden
-// tests pin one record of each type and one snapshot, with fields that
-// stress the encoding (-0.0, the smallest denormal, a NaN payload, a
-// non-empty idempotency key and response blob).
+// The journal bytes are an on-disk format: every existing journal recovers
+// only while they stay exactly as written. This golden test pins one
+// record of each type, with fields that stress the encoding (-0.0, the
+// smallest denormal, a NaN payload, a non-empty idempotency key and
+// response blob).
 TEST_F(JournalTest, GoldenBytesOfEveryRecordType) {
   std::string path;
   {
@@ -596,34 +571,8 @@ TEST_F(JournalTest, GoldenBytesOfEveryRecordType) {
   EXPECT_EQ(Hex(FileBytes(path)), expected);
 }
 
-TEST_F(JournalTest, GoldenBytesOfASnapshotWithADedupWindow) {
-  DatasetDurableState state;
-  state.dataset_id = "gold";
-  state.epoch = 3;
-  state.charged_total = 0.75;
-  state.refunded_total = 5e-324;
-  state.registry = {{NanWithPayload(), -0.0}, {}};
-  DedupDurableEntry entry;
-  entry.nonce = 0x1122334455667788ULL;
-  entry.seq = 9;
-  entry.request_hash = 0xfeedfacecafebeefULL;
-  entry.response_blob = "xy";
-  state.dedup.push_back(entry);
-  ASSERT_TRUE(WriteSnapshot(dir_, state, 0x1234, /*fsync=*/false).ok());
-  std::string path =
-      (fs::path(dir_) / (Journal::FileStem("gold") + ".snapshot")).string();
-  // magic, fnv1a(body), then the body: id, epoch, charged, refunded,
-  // covered bytes, registry, dedup window.
-  const std::string expected =
-      "555041534e4150328c4d9b52d3d0546a04000000676f6c640300000000000000"
-      "000000000000e83f010000000000000034120000000000000200000002000000"
-      "01eeffc00000f87f000000000000008000000000010000008877665544332211"
-      "0900000000000000efbefecacefaedfe020000007879";
-  EXPECT_EQ(Hex(FileBytes(path)), expected);
-}
-
 TEST_F(JournalTest, RecoverAllOnMissingDirIsEmpty) {
-  auto states_or = RecoverAll((fs::path(dir_) / "nope").string(), true);
+  auto states_or = RecoverAll((fs::path(dir_) / "nope").string());
   ASSERT_TRUE(states_or.ok());
   EXPECT_TRUE(states_or.value().empty());
 }
