@@ -257,7 +257,9 @@ int main() {
       "S' memo, + domain pass (cold), min over runs");
 
   // --- Fused vs interpreted: filter-heavy single-table aggregates, the
-  // Aggregate(Filter*(Scan)) shapes the fused kernels target. Both sides
+  // Aggregate(Filter*(Scan)) shapes the fused kernels target, and
+  // aggregates over one join of two such chains (the release benchmark's
+  // join template, and a SUM whose weight reads the build side). Both sides
   // run the columnar engine: the unfused baseline through the interpreted
   // entry point, the fused side through the executor. No block cache, like
   // the per-query section. Identity is UPA_CHECKed bit-for-bit.
@@ -278,6 +280,13 @@ int main() {
        "SELECT MIN(l_extendedprice) FROM lineitem WHERE l_discount < 0.05"},
       {"max_price_qty",
        "SELECT MAX(l_extendedprice) FROM lineitem WHERE l_quantity >= 10"},
+      {"join_count",
+       "SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
+       "WHERE o_orderdate >= 100 AND o_orderdate < 2000 AND l_quantity < 47"},
+      {"join_sum_build_side",
+       "SELECT SUM(o_orderdate) FROM orders JOIN lineitem ON o_orderkey = "
+       "l_orderkey WHERE o_orderdate >= 100 AND o_orderdate < 2000 AND "
+       "l_quantity < 47"},
   };
   TablePrinter ftable(
       {"query", "interpret (ms)", "fused (ms)", "speedup", "identical"});

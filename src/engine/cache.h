@@ -56,11 +56,13 @@ class BlockCache {
     return std::static_pointer_cast<const T>(it->second);
   }
 
+  /// Stores `value` under `key` and returns the stored entry.
   template <typename T>
-  void Put(uint64_t key, T value) {
+  std::shared_ptr<const T> Put(uint64_t key, T value) {
     auto ptr = std::make_shared<const T>(std::move(value));
     std::lock_guard lock(mu_);
-    blocks_[key] = std::move(ptr);
+    blocks_[key] = ptr;
+    return ptr;
   }
 
   void Clear() {

@@ -168,8 +168,6 @@ void MorselRun(engine::ExecContext* ctx, const std::string& phase, size_t n,
 
 namespace {
 
-constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-
 /// Cache tags. Distinct from the row engine's key tags: the block cache is
 /// type-erased, so the same key must never map to differently-typed entries.
 constexpr uint64_t kColScanTag = 0xc015'ca90ULL;
@@ -336,15 +334,14 @@ class ColumnarEvaluator {
   }
 
   /// Join-key column as a dense int64 array (one entry per relation row).
-  std::vector<int64_t> KeyColumn(const ColRel& rel, size_t pos) {
+  Result<std::vector<int64_t>> KeyColumn(const ColRel& rel, size_t pos,
+                                         const std::string& name) {
     const auto& [s, c] = rel.col_map[pos];
     const Column& col = rel.sources[s].table->column(c);
     const uint32_t* ids = rel.sources[s].row_ids->data();
     const size_t n = rel.num_rows;
-    if (n > 0) {
-      // The row oracle keys joins through strict AsInt per row.
-      UPA_CHECK_MSG(col.type == ValueType::kInt, "Value is not an int");
-    }
+    // The row oracle keys joins through strict AsInt per row.
+    if (n > 0 && col.type != ValueType::kInt) return NonIntegerJoinKey(name);
     std::vector<int64_t> keys(n);
     const int64_t* vals = col.ints.data();
     MorselRun(ctx_, "columnar/join_key", n, kBatch,
@@ -368,68 +365,42 @@ class ColumnarEvaluator {
       return Status::InvalidArgument("join key not found: " + plan->left_key +
                                      "=" + plan->right_key);
     }
-    std::vector<int64_t> lkeys = KeyColumn(left, *lk);
-    std::vector<int64_t> rkeys = KeyColumn(right, *rk);
+    Result<std::vector<int64_t>> lkeys = KeyColumn(left, *lk, plan->left_key);
+    if (!lkeys.ok()) return lkeys.status();
+    Result<std::vector<int64_t>> rkeys =
+        KeyColumn(right, *rk, plan->right_key);
+    if (!rkeys.ok()) return rkeys.status();
 
-    // Build a chained open-addressing table from the hinted side (set by
-    // the cost-based optimizer from estimated cardinalities) or, absent a
-    // hint, from the smaller materialized side; probe with the other in
-    // batches. Output order is deterministic (probe order, chain order) —
-    // and irrelevant to results anyway, since every downstream aggregate is
-    // exact and order-independent.
+    // Build a JoinTable from the hinted side (set by the cost-based
+    // optimizer from estimated cardinalities) or, absent a hint, from the
+    // smaller materialized side; probe with the other in batches. Output
+    // order is deterministic (probe order, chain order) — and irrelevant to
+    // results anyway, since every downstream aggregate is exact and
+    // order-independent.
     const bool build_left =
         plan->build_side == BuildSide::kAuto
             ? left.num_rows <= right.num_rows
             : plan->build_side == BuildSide::kLeft;
-    const std::vector<int64_t>& bkeys = build_left ? lkeys : rkeys;
-    const std::vector<int64_t>& pkeys = build_left ? rkeys : lkeys;
-    const size_t nbuild = bkeys.size();
+    const std::vector<int64_t>& bkeys =
+        build_left ? lkeys.value() : rkeys.value();
+    const std::vector<int64_t>& pkeys =
+        build_left ? rkeys.value() : lkeys.value();
     const size_t nprobe = pkeys.size();
 
     // Per probe batch: matching (build position, probe position) pairs.
     const size_t nb = NumBatches(nprobe);
     std::vector<std::pair<SelVector, SelVector>> pairs(nb);
-    if (nbuild > 0 && nprobe > 0) {
-      size_t cap = 16;
-      while (cap < nbuild * 2) cap <<= 1;
-      const uint64_t mask = cap - 1;
-      std::vector<uint32_t> slot_head(cap, kNone);
-      std::vector<int64_t> slot_key(cap);
-      std::vector<uint32_t> next(nbuild);
-      for (size_t i = 0; i < nbuild; ++i) {
-        const int64_t k = bkeys[i];
-        size_t s = Mix64(static_cast<uint64_t>(k)) & mask;
-        while (true) {
-          if (slot_head[s] == kNone) {
-            slot_key[s] = k;
-            next[i] = kNone;
-            slot_head[s] = static_cast<uint32_t>(i);
-            break;
-          }
-          if (slot_key[s] == k) {
-            next[i] = slot_head[s];
-            slot_head[s] = static_cast<uint32_t>(i);
-            break;
-          }
-          s = (s + 1) & mask;
-        }
-      }
+    if (!bkeys.empty() && nprobe > 0) {
+      const JoinTable table(bkeys);
       MorselRun(ctx_, "columnar/join_probe", nb, 0, [&](size_t b0, size_t b1) {
         for (size_t b = b0; b < b1; ++b) {
           auto& [bpos, ppos] = pairs[b];
           size_t begin = b * kBatch, end = std::min(nprobe, begin + kBatch);
           for (size_t j = begin; j < end; ++j) {
-            const int64_t k = pkeys[j];
-            size_t s = Mix64(static_cast<uint64_t>(k)) & mask;
-            while (slot_head[s] != kNone) {
-              if (slot_key[s] == k) {
-                for (uint32_t i = slot_head[s]; i != kNone; i = next[i]) {
-                  bpos.push_back(i);
-                  ppos.push_back(static_cast<uint32_t>(j));
-                }
-                break;
-              }
-              s = (s + 1) & mask;
+            for (uint32_t i = table.Find(pkeys[j]); i != JoinTable::kEnd;
+                 i = table.Next(i)) {
+              bpos.push_back(i);
+              ppos.push_back(static_cast<uint32_t>(j));
             }
           }
         }
@@ -505,6 +476,44 @@ class ColumnarEvaluator {
 };
 
 }  // namespace
+
+JoinTable::JoinTable(const std::vector<int64_t>& keys)
+    : next_(keys.size(), kEnd) {
+  const size_t n = keys.size();
+  UPA_CHECK_MSG(n < kEnd, "join build too large for columnar row ids");
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const uint64_t span = static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo);
+  dense_ = span < kDenseSpan * n;
+  if (dense_) {
+    min_ = *lo;
+    head_.assign(span + 1, kEnd);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t& head =
+          head_[static_cast<uint64_t>(keys[i]) - static_cast<uint64_t>(min_)];
+      next_[i] = head;
+      head = static_cast<uint32_t>(i);
+    }
+    return;
+  }
+  size_t cap = 16;
+  while (cap < n * 2) cap <<= 1;
+  mask_ = cap - 1;
+  head_.assign(cap, kEnd);
+  slot_key_.resize(cap);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t k = keys[i];
+    uint64_t s = Mix64(static_cast<uint64_t>(k)) & mask_;
+    while (head_[s] != kEnd && slot_key_[s] != k) s = (s + 1) & mask_;
+    slot_key_[s] = k;
+    next_[i] = head_[s];
+    head_[s] = static_cast<uint32_t>(i);
+  }
+}
+
+Status NonIntegerJoinKey(const std::string& key) {
+  return Status::InvalidArgument("join key is not an integer: " + key);
+}
 
 SamplePass::SamplePass(const std::vector<size_t>& rows, size_t partitions)
     : rows_(rows),

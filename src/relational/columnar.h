@@ -24,7 +24,8 @@
 //     for any pool size. The differential harness
 //     (tests/relational_columnar_test.cpp) asserts exactly that.
 //   * One fold — the interpreted path and the fused kernels (fused.h)
-//     share everything below but their per-batch loops.
+//     share everything below but their per-batch loops, the join build
+//     (JoinTable) included.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "common/exact_sum.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "engine/context.h"
 #include "relational/executor.h"
@@ -257,6 +259,53 @@ struct BatchAcc {
   double mx = -std::numeric_limits<double>::infinity();  // Avg / Min / Max
 };
 
+/// The hash-join build of both columnar paths: entry i is the i-th build
+/// row, found by its int64 key; entries sharing a key form a chain, newest
+/// first. Direct-addressed (head[key - min]) when the keys span at most
+/// kDenseSpan times their count, open-addressed (linear probing on Mix64)
+/// otherwise. The choice reads only the keys and never changes a key's
+/// chain. Read-only once built, so any number of probe morsels share it.
+class JoinTable {
+ public:
+  static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
+  /// Span-to-count bound of direct addressing: at 4, the head array takes
+  /// no more memory than the open-addressed slots would.
+  static constexpr uint64_t kDenseSpan = 4;
+
+  JoinTable() = default;
+  explicit JoinTable(const std::vector<int64_t>& keys);
+
+  /// The newest entry whose key is `key`, or kEnd.
+  uint32_t Find(int64_t key) const {
+    if (dense_) {
+      const uint64_t off =
+          static_cast<uint64_t>(key) - static_cast<uint64_t>(min_);
+      return off < head_.size() ? head_[off] : kEnd;
+    }
+    for (uint64_t s = Mix64(static_cast<uint64_t>(key)) & mask_;
+         head_[s] != kEnd; s = (s + 1) & mask_) {
+      if (slot_key_[s] == key) return head_[s];
+    }
+    return kEnd;
+  }
+  /// The next older entry with `entry`'s key, or kEnd.
+  uint32_t Next(uint32_t entry) const { return next_[entry]; }
+  size_t size() const { return next_.size(); }
+  bool dense() const { return dense_; }
+
+ private:
+  bool dense_ = true;
+  int64_t min_ = 0;               // direct: the smallest key
+  uint64_t mask_ = 0;             // open: slot count - 1
+  std::vector<uint32_t> head_;    // newest entry per key offset / slot
+  std::vector<int64_t> slot_key_;  // open: each slot's key
+  std::vector<uint32_t> next_;
+};
+
+/// The status of a join whose key column `key` holds a non-integer cell
+/// on a row that reaches the join. Every engine returns it.
+Status NonIntegerJoinKey(const std::string& key);
+
 /// The aggregate-level status checks, shared with the row oracle: the one
 /// pass needs Count or Sum (Unsupported), and Sum/Avg/Min/Max need an
 /// expression over known columns of `schema` (InvalidArgument).
@@ -274,18 +323,19 @@ Result<ExecResult> FinishAggregate(engine::ExecContext* ctx, AggKind agg,
 /// Executes an Aggregate-rooted plan on the columnar engine. Root/option
 /// validation is PlanExecutor::Execute's job; this expects a well-formed
 /// root and returns the same statuses as the row oracle for unknown
-/// tables/columns/join keys. Results are bit-identical to the row path.
-/// Plans of the fusible shape (FusableShape: Aggregate(Filter*(Scan))) run
-/// on the single-pass fused kernels (relational/fused.h); all others run
-/// interpreted.
+/// tables/columns/join keys and non-integer join keys. Results are
+/// bit-identical to the row path. Plans of the fusible shapes
+/// (FusableShape: Aggregate(Filter*(Scan)), or an Aggregate over one Join
+/// of two such chains) run on the single-pass fused kernels
+/// (relational/fused.h); all others run interpreted.
 Result<ExecResult> ExecuteColumnar(engine::ExecContext* ctx,
                                    const Catalog* catalog,
                                    const PlanPtr& plan,
                                    const ExecOptions& options);
 
-/// The interpreted columnar path: one batch pass per plan node. Joins reach
-/// it through ExecuteColumnar; differential tests and benches call it
-/// directly to get the unfused baseline of a fusible plan.
+/// The interpreted columnar path: one batch pass per plan node. Multi-join
+/// plans reach it through ExecuteColumnar; differential tests and benches
+/// call it directly to get the unfused baseline of a fusible plan.
 Result<ExecResult> ExecuteColumnarInterpreted(engine::ExecContext* ctx,
                                               const Catalog* catalog,
                                               const PlanPtr& plan,

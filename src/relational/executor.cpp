@@ -203,6 +203,20 @@ class Evaluator {
                                      "=" + plan->right_key);
     }
     size_t li = *lk, ri = *rk;
+    auto all_int = [](const engine::Dataset<ProvRow>& data, size_t col) {
+      for (size_t p = 0; p < data.NumPartitions(); ++p) {
+        for (const ProvRow& r : data.partition(p)) {
+          if (TypeOf(r.row[col]) != ValueType::kInt) return false;
+        }
+      }
+      return true;
+    };
+    if (!all_int(left.value().data, li)) {
+      return NonIntegerJoinKey(plan->left_key);
+    }
+    if (!all_int(right.value().data, ri)) {
+      return NonIntegerJoinKey(plan->right_key);
+    }
 
     auto keyed_left = left.value().data.Map([li](const ProvRow& r) {
       return std::pair<int64_t, ProvRow>{AsInt(r.row[li]), r};

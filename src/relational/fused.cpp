@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancel.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "relational/kernels.h"
 
@@ -387,73 +389,112 @@ WeightPlan CompileWeight(const ExprPtr& expr, const Schema& schema,
 }
 
 // ---------------------------------------------------------------------------
-// Accumulation
+// Chains and accumulation
 // ---------------------------------------------------------------------------
 
-/// Everything the per-batch loop needs, fixed per query.
-struct FusedQuery {
-  std::vector<FusedConjunct> chain;
-  WeightPlan weight;
-  bool need_expr = false;   // false: Count — no weight evaluation at all
-  bool need_sum = false;    // Sum/Avg read the exact total; Min/Max don't
-  bool minmax = false;      // Avg/Min/Max: track running min/max
+std::vector<const Column*> TableColumns(const ColumnarTable& table) {
+  std::vector<const Column*> cols(table.schema().NumColumns());
+  for (size_t i = 0; i < cols.size(); ++i) cols[i] = &table.column(i);
+  return cols;
+}
+
+/// A compiled Filter*(Scan) chain: its conjuncts and what their kernels
+/// read.
+struct CompiledChain {
+  std::vector<FusedConjunct> conjuncts;
   const uint32_t* ids = nullptr;  // relation position -> physical row
-  size_t parts = 0;
-  // The one provenance pass: the scan is the private table, so ids are
-  // the provenance.
-  const SamplePass* sample = nullptr;
-  BatchInput in;  // fallback kernels' column bindings
+  BatchInput in;                  // fallback kernels' column bindings
 };
 
-/// Folds survivors into `acc`. `getw(i, pos)` returns the weight of the
-/// i-th survivor at relation position pos; Dense selects the contiguous
-/// [begin, begin+m) enumeration (no materialized selection at all).
-template <bool Dense, typename GetW>
-void AccumulateInto(const FusedQuery& q, BatchAcc& acc, const uint32_t* sel,
-                    uint32_t begin, size_t m, GetW getw) {
-  const uint32_t* prov = q.sample != nullptr ? q.ids : nullptr;
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t pos = Dense ? begin + static_cast<uint32_t>(i) : sel[i];
-    const double w = getw(i, pos);
-    if (q.need_sum) acc.sum.Add(w);
-    if (q.minmax) {
+CompiledChain CompileChain(const std::vector<ExprPtr>& conjuncts,
+                           const ScanBinding& bind) {
+  const ColumnarTable& table = *bind.table;
+  const Schema& schema = table.schema();
+  const std::vector<const Column*> cols = TableColumns(table);
+  CompiledChain out;
+  out.ids = bind.row_ids->data();
+  out.in.resize(cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) out.in[i] = {cols[i], out.ids};
+  // A bare scan reads its payloads contiguously; the one provenance pass
+  // scans the identity, so it runs the dense kernels too.
+  const bool bare = bind.row_ids == table.identity();
+  out.conjuncts.reserve(conjuncts.size());
+  for (const ExprPtr& c : conjuncts) {
+    out.conjuncts.push_back(bare ? CompileConjunct<false>(c, schema, cols)
+                                 : CompileConjunct<true>(c, schema, cols));
+  }
+  return out;
+}
+
+/// Where each weight goes, fixed per query: the exact sum (Sum/Avg outside
+/// the one pass), the running min/max (Avg/Min/Max), and in the one pass
+/// the slot of its sampled record or the sum of its partition.
+struct Fold {
+  bool need_sum = false;
+  bool minmax = false;
+  size_t parts = 0;
+  const SamplePass* sample = nullptr;
+
+  Fold() = default;
+  Fold(AggKind agg, const SamplePass* pass, size_t partitions)
+      : need_sum(pass == nullptr &&
+                 (agg == AggKind::kSum || agg == AggKind::kAvg)),
+        minmax(agg != AggKind::kCount && agg != AggKind::kSum),
+        parts(partitions),
+        sample(pass) {}
+
+  /// `prov` is the private base row the weighted row descends from; only
+  /// the one pass reads it. Forced inline: it runs once per row, and as a
+  /// call it cost a dense one-pass SUM ~15%.
+  [[gnu::always_inline]] void Add(BatchAcc& acc, double w,
+                                  uint32_t prov) const {
+    if (minmax) {
       acc.mn = w < acc.mn ? w : acc.mn;  // == std::min(mn, w)
       acc.mx = w > acc.mx ? w : acc.mx;  // == std::max(mx, w)
     }
-    if (prov == nullptr) continue;
-    const uint32_t r = prov[pos];
-    if (q.sample->Contains(r)) {
-      acc.hits.push_back({r, w});
-    } else {
-      acc.parts[r % q.parts].Add(w);
+    // One exact add site: the plain sum and the partition sums never
+    // both take a weight.
+    ExactSum* to = need_sum ? &acc.sum : nullptr;
+    if (sample != nullptr) {
+      if (sample->Contains(prov)) {
+        acc.hits.push_back({prov, w});
+      } else {
+        to = &acc.parts[prov % parts];
+      }
     }
+    if (to != nullptr) to->Add(w);
   }
-}
+};
 
 /// Scratch buffers reused across one morsel's batches.
 struct Scratch {
   SelVector cur, nxt, iota;
   std::vector<double> wbuf;
+  // A join's matched pairs (physical probe and build rows) and the joined
+  // columns bound to them.
+  SelVector prow, brow;
+  BatchInput pairs;
 };
 
-/// Runs one batch end to end: conjunct chain with short-circuit selection,
-/// then accumulation of the survivors.
-void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
-                  BatchAcc& acc, Scratch& s) {
+/// Runs `chain` over relation rows [begin, end) with short-circuit
+/// selection and returns the survivor count. `dense` comes back true iff
+/// no conjunct ran (every row survives and nothing was selected);
+/// otherwise the survivors are s.cur[0..m).
+size_t RunChain(const CompiledChain& chain, uint32_t begin, uint32_t end,
+                Scratch& s, bool& dense) {
   const size_t full = end - begin;
-  bool dense = true;
+  dense = true;
   size_t m = full;
-  for (size_t ci = 0; ci < q.chain.size(); ++ci) {
-    const FusedConjunct& c = q.chain[ci];
+  for (const FusedConjunct& c : chain.conjuncts) {
     if (dense) {
       if (c.dense != nullptr) {
         s.cur.resize(full);
-        m = c.dense(c.args, q.ids, begin, end, s.cur.data());
+        m = c.dense(c.args, chain.ids, begin, end, s.cur.data());
       } else {
         s.iota.resize(full);
         std::iota(s.iota.begin(), s.iota.end(), begin);
         s.cur.clear();
-        FilterKernel(c.pred, q.in, s.iota.data(), full, s.cur);
+        FilterKernel(c.pred, chain.in, s.iota.data(), full, s.cur);
         m = s.cur.size();
       }
       dense = false;
@@ -466,15 +507,49 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
     if (m == 0) break;
     if (c.select != nullptr) {
       s.nxt.resize(m);
-      const size_t k = c.select(c.args, q.ids, s.cur.data(), m, s.nxt.data());
+      const size_t k =
+          c.select(c.args, chain.ids, s.cur.data(), m, s.nxt.data());
       s.nxt.resize(k);
     } else {
       s.nxt.clear();
-      FilterKernel(c.pred, q.in, s.cur.data(), m, s.nxt);
+      FilterKernel(c.pred, chain.in, s.cur.data(), m, s.nxt);
     }
     s.cur.swap(s.nxt);
     m = s.cur.size();
   }
+  return m;
+}
+
+/// Everything a single-chain query's per-batch loop needs, fixed per query.
+struct FusedQuery {
+  CompiledChain chain;
+  WeightPlan weight;
+  bool need_expr = false;  // false: Count — no weight evaluation at all
+  Fold fold;
+};
+
+/// Folds survivors into `acc`. `getw(i, pos)` returns the weight of the
+/// i-th survivor at relation position pos; Dense selects the contiguous
+/// [begin, begin+m) enumeration (no materialized selection at all).
+template <bool Dense, typename GetW>
+void AccumulateInto(const FusedQuery& q, BatchAcc& acc, const uint32_t* sel,
+                    uint32_t begin, size_t m, GetW getw) {
+  // Locals, not reads through `q`: stores into `acc` might alias those, so
+  // the loop would reload them for every row.
+  const Fold fold = q.fold;
+  const uint32_t* ids = q.chain.ids;
+  for (size_t i = 0; i < m; ++i) {
+    const uint32_t pos = Dense ? begin + static_cast<uint32_t>(i) : sel[i];
+    fold.Add(acc, getw(i, pos), ids[pos]);
+  }
+}
+
+/// Runs one batch end to end: conjunct chain with short-circuit selection,
+/// then accumulation of the survivors.
+void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
+                  BatchAcc& acc, Scratch& s) {
+  bool dense = true;
+  const size_t m = RunChain(q.chain, begin, end, s, dense);
   if (m == 0) return;
   acc.rows += m;
 
@@ -482,7 +557,7 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
   if (!q.need_expr) {
     // Count: the total is the row count (FinishAggregate); only the one
     // pass needs the per-row loop.
-    if (q.sample != nullptr) {
+    if (q.fold.sample != nullptr) {
       auto one = [](size_t, uint32_t) { return 1.0; };
       if (dense) {
         AccumulateInto<true>(q, acc, sel, begin, m, one);
@@ -494,7 +569,7 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
   }
 
   const WeightPlan& wp = q.weight;
-  const uint32_t* ids = q.ids;
+  const uint32_t* ids = q.chain.ids;
   switch (wp.form) {
     case WeightPlan::Form::kCol: {
       auto getw = [&](size_t, uint32_t pos) { return wp.a.Get(ids[pos]); };
@@ -535,7 +610,7 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
         sel = s.iota.data();
       }
       s.wbuf.resize(m);
-      ProjectKernel(wp.expr, q.in, sel, m, s.wbuf.data());
+      ProjectKernel(wp.expr, q.chain.in, sel, m, s.wbuf.data());
       const double* w = s.wbuf.data();
       auto getw = [&](size_t i, uint32_t) { return w[i]; };
       AccumulateInto<false>(q, acc, sel, begin, m, getw);
@@ -544,22 +619,352 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
   }
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Joins
+// ---------------------------------------------------------------------------
 
-std::optional<FusedShape> FusableShape(const PlanPtr& plan) {
-  if (plan == nullptr || plan->kind != PlanKind::kAggregate) {
-    return std::nullopt;
+/// Block-cache tag of a join build. Distinct from columnar.cpp's scan and
+/// subtree tags: the cache is type-erased, so one key must never map to
+/// differently-typed entries.
+constexpr uint64_t kJoinBuildTag = 0xc01b'0170ULL;
+
+/// Batches per build morsel. A build of up to 16k rows (TPC-H orders at
+/// 10k orders) is one morsel on the calling thread, since waking the pool
+/// costs more than filtering it; a larger one still spreads over the pool.
+constexpr size_t kBuildGrain = 4;
+
+/// A join's build side: the JoinTable over the keys of its surviving rows,
+/// and each entry's physical row (ascending: the build side is a public
+/// scan, bound to the identity).
+struct JoinBuild {
+  JoinTable table;
+  SelVector rows;
+};
+
+JoinBuild BuildJoin(engine::ExecContext* ctx, const CompiledChain& chain,
+                    size_t n, const int64_t* keys) {
+  const size_t nb = NumBatches(n);
+  std::vector<SelVector> hits(nb);
+  MorselRun(ctx, "columnar/join_build", nb, kBuildGrain,
+            [&](size_t b0, size_t b1) {
+              Scratch s;
+              for (size_t b = b0; b < b1; ++b) {
+                const size_t begin = b * kBatch,
+                             end = std::min(n, begin + kBatch);
+                bool dense = true;
+                const size_t m = RunChain(chain, static_cast<uint32_t>(begin),
+                                          static_cast<uint32_t>(end), s, dense);
+                if (dense) {
+                  hits[b].resize(m);
+                  std::iota(hits[b].begin(), hits[b].end(),
+                            static_cast<uint32_t>(begin));
+                } else {
+                  hits[b].assign(s.cur.begin(), s.cur.begin() + m);
+                }
+              }
+            });
+  ctx->metrics().AddKernelBatches(nb);
+  ctx->metrics().AddKernelRows(n);
+  size_t total = 0;
+  for (const SelVector& h : hits) total += h.size();
+  JoinBuild build;
+  build.rows.reserve(total);
+  std::vector<int64_t> bkeys;
+  bkeys.reserve(total);
+  for (const SelVector& h : hits) {
+    for (uint32_t pos : h) {
+      const uint32_t r = chain.ids[pos];
+      build.rows.push_back(r);
+      bkeys.push_back(keys[r]);
+    }
   }
-  FusedShape shape;
-  PlanPtr node = plan->left;
+  build.table = JoinTable(bkeys);
+  return build;
+}
+
+/// Everything a join's probe loop needs, fixed per query.
+struct JoinQuery {
+  CompiledChain probe;
+  const int64_t* keys = nullptr;  // the probe side's key column
+  const JoinBuild* build = nullptr;
+  bool need_expr = false;  // false: Count — 1.0 per match
+  // The weight, compiled against the joined schema; that schema's columns,
+  // and which of them the build side holds. Their row ids are bound per
+  // batch to its matched pairs.
+  CompiledExpr weight;
+  BatchInput pairs;
+  std::vector<bool> from_build;
+  Fold fold;
+};
+
+/// Count: the total is the match count (FinishAggregate); only the one
+/// pass (Sampled) folds 1.0 per match. Outside it a fold of a count does
+/// nothing, yet as a per-match step it cost a plain join COUNT ~50%.
+template <bool Dense, bool Sampled>
+void CountMatches(const JoinQuery& q, const uint32_t* sel, uint32_t begin,
+                  size_t m, BatchAcc& acc) {
+  // Locals, as in AccumulateInto.
+  const Fold fold = q.fold;
+  const uint32_t* ids = q.probe.ids;
+  const int64_t* keys = q.keys;
+  const JoinTable& t = q.build->table;
+  size_t rows = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const uint32_t r = ids[Dense ? begin + static_cast<uint32_t>(i) : sel[i]];
+    for (uint32_t e = t.Find(keys[r]); e != JoinTable::kEnd; e = t.Next(e)) {
+      ++rows;
+      if constexpr (Sampled) fold.Add(acc, 1.0, r);
+    }
+  }
+  acc.rows += rows;
+}
+
+/// Projects the weight over every matched pair of the survivors, then
+/// folds it.
+template <bool Dense>
+void FoldPairs(const JoinQuery& q, const uint32_t* sel, uint32_t begin,
+               size_t m, BatchAcc& acc, Scratch& s) {
+  const JoinTable& t = q.build->table;
+  s.prow.clear();
+  s.brow.clear();
+  for (size_t i = 0; i < m; ++i) {
+    const uint32_t r =
+        q.probe.ids[Dense ? begin + static_cast<uint32_t>(i) : sel[i]];
+    for (uint32_t e = t.Find(q.keys[r]); e != JoinTable::kEnd;
+         e = t.Next(e)) {
+      s.prow.push_back(r);
+      s.brow.push_back(q.build->rows[e]);
+    }
+  }
+  const size_t k = s.prow.size();
+  if (k == 0) return;
+  for (size_t c = 0; c < s.pairs.size(); ++c) {
+    s.pairs[c].row_ids = q.from_build[c] ? s.brow.data() : s.prow.data();
+  }
+  s.iota.resize(k);
+  std::iota(s.iota.begin(), s.iota.end(), 0u);
+  s.wbuf.resize(k);
+  ProjectKernel(q.weight, s.pairs, s.iota.data(), k, s.wbuf.data());
+  acc.rows += k;
+  const Fold fold = q.fold;
+  for (size_t j = 0; j < k; ++j) fold.Add(acc, s.wbuf[j], s.prow[j]);
+}
+
+/// Runs one probe batch: the probe chain, then each survivor's matches.
+/// Returns the chain's survivor count.
+size_t ProbeBatch(const JoinQuery& q, uint32_t begin, uint32_t end,
+                  BatchAcc& acc, Scratch& s) {
+  bool dense = true;
+  const size_t m = RunChain(q.probe, begin, end, s, dense);
+  if (m == 0 || q.build->table.size() == 0) return m;
+  const uint32_t* sel = dense ? nullptr : s.cur.data();
+  if (q.need_expr) {
+    if (dense) {
+      FoldPairs<true>(q, sel, begin, m, acc, s);
+    } else {
+      FoldPairs<false>(q, sel, begin, m, acc, s);
+    }
+  } else if (q.fold.sample != nullptr) {
+    if (dense) {
+      CountMatches<true, true>(q, sel, begin, m, acc);
+    } else {
+      CountMatches<false, true>(q, sel, begin, m, acc);
+    }
+  } else if (dense) {
+    CountMatches<true, false>(q, sel, begin, m, acc);
+  } else {
+    CountMatches<false, false>(q, sel, begin, m, acc);
+  }
+  return m;
+}
+
+bool ColumnsExist(const std::vector<ExprPtr>& conjuncts,
+                  const Schema& schema) {
+  return std::all_of(conjuncts.begin(), conjuncts.end(),
+                     [&](const ExprPtr& c) {
+                       return ExprColumnsExist(c, schema);
+                     });
+}
+
+/// True when a column name is on both sides (Schema::Concat aborts).
+bool SharesAColumnName(const Schema& a, const Schema& b) {
+  return std::any_of(a.columns().begin(), a.columns().end(),
+                     [&](const ColumnDef& c) { return b.Has(c.name); });
+}
+
+Result<ExecResult> ExecuteFusedJoin(engine::ExecContext* ctx,
+                                    const Catalog* catalog,
+                                    const PlanPtr& plan,
+                                    const FusedShape& shape,
+                                    const ExecOptions& options) {
+  const PlanNode& join = *shape.join;
+  // What this path cannot resolve runs interpreted, which reports it (or,
+  // for a non-integer key column over an empty side, joins nothing).
+  auto interpreted = [&] {
+    return ExecuteColumnarInterpreted(ctx, catalog, plan, options);
+  };
+  Result<ScanBinding> lbind =
+      BindScanSource(ctx, catalog, shape.left.table, options);
+  if (!lbind.ok()) return interpreted();
+  Result<ScanBinding> rbind =
+      BindScanSource(ctx, catalog, shape.right.table, options);
+  if (!rbind.ok()) return interpreted();
+  const ScanBinding& left = lbind.value();
+  const ScanBinding& right = rbind.value();
+  const Schema& ls = left.table->schema();
+  const Schema& rs = right.table->schema();
+  const std::optional<size_t> lk = ls.Find(join.left_key);
+  const std::optional<size_t> rk = rs.Find(join.right_key);
+  if (!ColumnsExist(shape.left.conjuncts, ls) ||
+      !ColumnsExist(shape.right.conjuncts, rs) || !lk || !rk ||
+      left.table->column(*lk).type != ValueType::kInt ||
+      right.table->column(*rk).type != ValueType::kInt ||
+      SharesAColumnName(ls, rs)) {
+    return interpreted();
+  }
+  const bool need_expr = plan->agg != AggKind::kCount;
+  const Schema joined = need_expr ? Schema::Concat(ls, rs) : Schema();
+  if (!CheckAggregate(plan, joined, options).ok()) return interpreted();
+
+  // Build the public side when the other is the private table (its rows
+  // carry the provenance), else the hinted side, else the side with fewer
+  // base rows.
+  const bool build_left =
+      left.is_private || right.is_private ? right.is_private
+      : join.build_side != BuildSide::kAuto
+          ? join.build_side == BuildSide::kLeft
+          : left.table->num_rows() <= right.table->num_rows();
+  const ScanBinding& bside = build_left ? left : right;
+  const ScanBinding& pside = build_left ? right : left;
+  const FusedChain& bchain = build_left ? shape.left : shape.right;
+  const FusedChain& pchain = build_left ? shape.right : shape.left;
+  const size_t bkey = build_left ? *lk : *rk;
+  const size_t pkey = build_left ? *rk : *lk;
+
+  // One build per release: the block cache hands a later pass the build an
+  // earlier one made, as it does the interpreted path's public subtrees.
+  const bool cacheable = options.cache != nullptr &&
+                         !options.private_table.empty() && !bside.is_private;
+  uint64_t key = 0;
+  std::shared_ptr<const JoinBuild> build;
+  if (cacheable) {
+    key = HashCombine(PlanFingerprint(build_left ? join.left : join.right,
+                                      *catalog),
+                      Fnv1a(build_left ? join.left_key : join.right_key)) ^
+          Mix64(kJoinBuildTag);
+    build = options.cache->Get<JoinBuild>(key);
+  }
+  if (build == nullptr) {
+    JoinBuild fresh =
+        BuildJoin(ctx, CompileChain(bchain.conjuncts, bside),
+                  bside.row_ids->size(), bside.table->column(bkey).ints.data());
+    // A tripped token sheds build morsels: never probe or keep a partial
+    // build.
+    UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
+    build = cacheable ? options.cache->Put<JoinBuild>(key, std::move(fresh))
+                      : std::make_shared<const JoinBuild>(std::move(fresh));
+  }
+
+  std::optional<SamplePass> sample;
+  if (options.sample_rows != nullptr) {
+    sample.emplace(*options.sample_rows, options.partitions);
+  }
+  JoinQuery q;
+  q.probe = CompileChain(pchain.conjuncts, pside);
+  q.keys = pside.table->column(pkey).ints.data();
+  q.build = build.get();
+  q.need_expr = need_expr;
+  q.fold = Fold(plan->agg, sample.has_value() ? &*sample : nullptr,
+                options.partitions);
+  if (need_expr) {
+    std::vector<const Column*> cols = TableColumns(*left.table);
+    const std::vector<const Column*> rcols = TableColumns(*right.table);
+    cols.insert(cols.end(), rcols.begin(), rcols.end());
+    q.weight = CompileExpr(plan->agg_expr, joined, cols);
+    const size_t lo = build_left ? 0 : ls.NumColumns();
+    const size_t hi = build_left ? ls.NumColumns() : cols.size();
+    q.pairs.resize(cols.size());
+    q.from_build.resize(cols.size());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      q.pairs[c] = {cols[c], nullptr};
+      q.from_build[c] = c >= lo && c < hi;
+    }
+  }
+
+  const size_t n = pside.row_ids->size();
+  const size_t nb = NumBatches(n);
+  std::vector<BatchAcc> accs(nb);
+  for (BatchAcc& a : accs) a.parts.resize(sample.has_value() ? q.fold.parts : 0);
+  std::vector<size_t> survivors(nb);
+  MorselRun(ctx, "columnar/fused_join", nb, 0, [&](size_t b0, size_t b1) {
+    Scratch s;
+    s.pairs = q.pairs;
+    for (size_t b = b0; b < b1; ++b) {
+      const size_t begin = b * kBatch, end = std::min(n, begin + kBatch);
+      survivors[b] = ProbeBatch(q, static_cast<uint32_t>(begin),
+                                static_cast<uint32_t>(end), accs[b], s);
+    }
+  });
+  ctx->metrics().AddKernelBatches(nb);
+  ctx->metrics().AddKernelRows(n);
+  // The interpreted join exchanges both filtered sides; count the same
+  // rounds and records so overhead attribution stays engine-independent.
+  const size_t nprobe =
+      std::accumulate(survivors.begin(), survivors.end(), size_t{0});
+  const size_t nleft = build_left ? build->rows.size() : nprobe;
+  const size_t nright = build_left ? nprobe : build->rows.size();
+  ctx->metrics().AddShuffleRound();
+  ctx->metrics().AddShuffleRecords(nleft);
+  ctx->metrics().AddShuffleRound();
+  ctx->metrics().AddShuffleRecords(nright);
+
+  return FinishAggregate(ctx, plan->agg, accs,
+                         sample.has_value() ? &*sample : nullptr);
+}
+
+/// Matches Filter*(Scan) below `node`.
+std::optional<FusedChain> MatchChain(PlanPtr node) {
+  FusedChain chain;
   while (node != nullptr && node->kind == PlanKind::kFilter) {
-    shape.conjuncts.push_back(node->predicate);
+    chain.conjuncts.push_back(node->predicate);
     node = node->left;
   }
   if (node == nullptr || node->kind != PlanKind::kScan) return std::nullopt;
   // Collected outermost-first; the engine evaluates innermost-first.
-  std::reverse(shape.conjuncts.begin(), shape.conjuncts.end());
-  shape.table = node->table;
+  std::reverse(chain.conjuncts.begin(), chain.conjuncts.end());
+  chain.table = node->table;
+  return chain;
+}
+
+}  // namespace
+
+std::optional<FusedShape> FusableShape(const PlanPtr& plan) {
+  if (plan == nullptr || plan->kind != PlanKind::kAggregate ||
+      plan->left == nullptr) {
+    return std::nullopt;
+  }
+  if (plan->left->kind != PlanKind::kJoin) {
+    std::optional<FusedChain> chain = MatchChain(plan->left);
+    if (!chain.has_value()) return std::nullopt;
+    FusedShape shape;
+    shape.left = std::move(*chain);
+    return shape;
+  }
+  // Min and Max keep the first of tied weights, and +0.0 and -0.0 tie:
+  // over a join the sign of a zero result follows the interpreted path's
+  // pair order, so they run there.
+  if (plan->agg == AggKind::kMin || plan->agg == AggKind::kMax) {
+    return std::nullopt;
+  }
+  std::optional<FusedChain> left = MatchChain(plan->left->left);
+  std::optional<FusedChain> right = MatchChain(plan->left->right);
+  if (!left.has_value() || !right.has_value() || left->table == right->table) {
+    return std::nullopt;
+  }
+  FusedShape shape;
+  shape.left = std::move(*left);
+  shape.right = std::move(*right);
+  shape.join = plan->left;
   return shape;
 }
 
@@ -567,16 +972,18 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
                                 const Catalog* catalog, const PlanPtr& plan,
                                 const FusedShape& shape,
                                 const ExecOptions& options) {
+  if (shape.join != nullptr) {
+    return ExecuteFusedJoin(ctx, catalog, plan, shape, options);
+  }
   Result<ScanBinding> bindr =
-      BindScanSource(ctx, catalog, shape.table, options);
+      BindScanSource(ctx, catalog, shape.left.table, options);
   if (!bindr.ok()) return bindr.status();
   const ScanBinding bind = std::move(bindr).value();
-  const ColumnarTable& table = *bind.table;
-  const Schema& schema = table.schema();
+  const Schema& schema = bind.table->schema();
 
   // Status checks in the interpreted engine's order: filter references
   // (innermost first, while evaluating up the chain), then the aggregate's.
-  for (const ExprPtr& c : shape.conjuncts) {
+  for (const ExprPtr& c : shape.left.conjuncts) {
     if (!ExprColumnsExist(c, schema)) {
       return Status::InvalidArgument("filter references unknown column in " +
                                      c->ToString());
@@ -584,40 +991,23 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
   }
   UPA_RETURN_IF_ERROR(CheckAggregate(plan, schema, options));
 
-  std::vector<const Column*> cols(schema.NumColumns());
-  for (size_t i = 0; i < cols.size(); ++i) cols[i] = &table.column(i);
-  const bool bare = bind.row_ids == table.identity();
-  const uint32_t* ids = bind.row_ids->data();
-  const size_t n = bind.row_ids->size();
-
-  // The one provenance pass scans the identity (a bare scan), so it runs
-  // the dense conjunct kernels.
   std::optional<SamplePass> sample;
   if (options.sample_rows != nullptr) {
     sample.emplace(*options.sample_rows, options.partitions);
   }
-
   FusedQuery q;
-  q.ids = ids;
-  q.parts = options.partitions;
-  q.sample = sample.has_value() ? &*sample : nullptr;
+  q.chain = CompileChain(shape.left.conjuncts, bind);
   q.need_expr = plan->agg != AggKind::kCount;
-  // The one pass folds its total from the partition and slot sums.
-  q.need_sum = !sample.has_value() &&
-               (plan->agg == AggKind::kSum || plan->agg == AggKind::kAvg);
-  q.minmax = plan->agg != AggKind::kCount && plan->agg != AggKind::kSum;
-  q.in.resize(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) q.in[i] = {cols[i], ids};
-  q.chain.reserve(shape.conjuncts.size());
-  for (const ExprPtr& c : shape.conjuncts) {
-    q.chain.push_back(bare ? CompileConjunct<false>(c, schema, cols)
-                           : CompileConjunct<true>(c, schema, cols));
+  q.fold = Fold(plan->agg, sample.has_value() ? &*sample : nullptr,
+                options.partitions);
+  if (q.need_expr) {
+    q.weight = CompileWeight(plan->agg_expr, schema, TableColumns(*bind.table));
   }
-  if (q.need_expr) q.weight = CompileWeight(plan->agg_expr, schema, cols);
 
+  const size_t n = bind.row_ids->size();
   const size_t nb = NumBatches(n);
   std::vector<BatchAcc> accs(nb);
-  for (BatchAcc& a : accs) a.parts.resize(q.sample != nullptr ? q.parts : 0);
+  for (BatchAcc& a : accs) a.parts.resize(sample.has_value() ? q.fold.parts : 0);
   MorselRun(ctx, "columnar/fused", nb, 0, [&](size_t b0, size_t b1) {
     Scratch s;
     for (size_t b = b0; b < b1; ++b) {

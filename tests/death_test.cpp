@@ -5,7 +5,10 @@
 #include "common/normal_fit.h"
 #include "common/rng.h"
 #include "dp/mechanism.h"
+#include "engine/context.h"
 #include "engine/dataset.h"
+#include "relational/columnar.h"
+#include "relational/plan.h"
 #include "relational/value.h"
 #include "upa/exclusion.h"
 #include "upa/types.h"
@@ -84,6 +87,32 @@ TEST(DeathTest, ValueCompareRejectsMixedStringNumeric) {
   EXPECT_DEATH(
       rel::Compare(rel::Value{int64_t{1}}, rel::Value{std::string("1")}),
       "cannot compare");
+}
+
+// A join's probe chain runs over all of its rows even when the build side
+// kept none, on the fused path as on the interpreted one: a conjunct that
+// divides by zero still aborts.
+TEST(DeathTest, FusedJoinRunsTheProbeChainOverAnEmptyBuild) {
+  using namespace rel;
+  const Table a("a", Schema({{"a_key", ValueType::kInt}}),
+                {{Value{int64_t{1}}}, {Value{int64_t{2}}}});
+  const Table b("b",
+                Schema({{"b_key", ValueType::kInt}, {"b_v", ValueType::kInt}}),
+                {{Value{int64_t{1}}, Value{int64_t{0}}}});
+  const Catalog catalog{{"a", &a}, {"b", &b}};
+  const PlanPtr plan = CountPlan(JoinPlan(
+      FilterPlan(ScanPlan("a"), Lt(Col("a_key"), Lit(int64_t{0}))),
+      FilterPlan(ScanPlan("b"), Gt(Div(Col("b_v"), Lit(int64_t{0})), Lit(1.0))),
+      "a_key", "b_key"));
+  engine::ExecContext ctx(
+      engine::ExecConfig{.threads = 1, .default_partitions = 1});
+  ExecOptions options;
+  options.private_table = "b";
+  EXPECT_DEATH((void)ExecuteColumnar(&ctx, &catalog, plan, options),
+               "division by zero");
+  EXPECT_DEATH(
+      (void)ExecuteColumnarInterpreted(&ctx, &catalog, plan, options),
+      "division by zero");
 }
 
 }  // namespace

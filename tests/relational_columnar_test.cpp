@@ -820,6 +820,16 @@ TEST(ColumnarDifferentialTest, ErrorParity) {
              CountPlan(JoinPlan(ScanPlan("nation"), ScanPlan("supplier"),
                                 "n_nationkey", "s_missing")),
              ExecOptions{});
+  // Join keys that are not integers, on either side: a double column and
+  // a string column.
+  runner.Run("double-join-key",
+             CountPlan(JoinPlan(ScanPlan("orders"), ScanPlan("lineitem"),
+                                "o_orderkey", "l_quantity")),
+             ExecOptions{});
+  runner.Run("string-join-key",
+             CountPlan(JoinPlan(ScanPlan("orders"), ScanPlan("lineitem"),
+                                "o_orderpriority", "l_orderkey")),
+             ExecOptions{});
   // Sum without an expression.
   {
     auto broken = std::make_shared<PlanNode>();

@@ -196,6 +196,9 @@ const char* const kPassErrorSql[] = {
     "SELECT COUNT(*) FROM lineitem WHERE no_such_col > 1",
     "SELECT SUM(no_such_col) FROM lineitem",
     "SELECT COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_nokey",
+    // Join keys that are not integers: a double and a string column.
+    "SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_quantity",
+    "SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderpriority = l_orderkey",
 };
 
 core::QueryInstance SqlQuery(const tpch::TpchDataset& data,
